@@ -3,7 +3,7 @@
 The whole point of the multi-process lane: signature verification
 dominates per-transaction cost, so N node processes on N cores should
 ingest close to N disjoint transaction shards in the time one process
-ingests one.  :func:`repro.network.fleet_proc.run_scale_bench` spawns
+ingests one.  :func:`repro.harness.scale.run_scale_bench` spawns
 1/2/4 isolated ``repro node`` processes (accel crypto backend, each
 with its own Prometheus exporter port), pumps one self-contained shard
 into each over real TCP, and times the post-warmup stretch.
@@ -24,7 +24,7 @@ import os
 import pathlib
 
 from repro.analysis.metrics import format_table
-from repro.network.fleet_proc import run_scale_bench
+from repro.harness.scale import run_scale_bench
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
@@ -72,10 +72,11 @@ def test_fleet_scale(report_writer):
         assert by_count[2] > by_count[1], by_count
         assert by_count[4] > by_count[2], by_count
         assert by_count[4] / by_count[1] >= MIN_SPEEDUP_AT_4, by_count
-    elif cpus >= 2 and 2 in by_count:
+    elif not SMOKE and cpus >= 2 and 2 in by_count:
         assert by_count[2] > by_count[1], by_count
     else:
-        # Single core: processes time-share; require only that adding
-        # processes does not collapse throughput.
+        # Single core, or smoke shards too short to resolve a scaling
+        # step from noise: require only that adding processes does not
+        # collapse throughput.
         top = max(by_count)
         assert by_count[top] >= 0.5 * by_count[1], by_count

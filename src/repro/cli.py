@@ -421,22 +421,14 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_storage(args) -> int:
-    import json
-    import tempfile
+    from .faults.report import canonical_json
+    from .harness.compare import run_directory
+    from .harness.storage import run_differential
 
-    from .storage.differential import run_differential
-
-    def run(directory: str):
-        return run_differential(seed=args.seed, storage_dir=directory,
-                                backend=args.backend, steps=args.steps)
-
-    if args.dir is not None:
-        result = run(args.dir)
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-storage-") as tmp:
-            result = run(tmp)
-    encoded = json.dumps(result, sort_keys=True,
-                         separators=(",", ":"))
+    with run_directory(args.dir, prefix="repro-storage-") as directory:
+        result = run_differential(seed=args.seed, storage_dir=directory,
+                                  backend=args.backend, steps=args.steps)
+    encoded = canonical_json(result)
     print(encoded)
     if args.out:
         with open(args.out, "w") as handle:
@@ -469,18 +461,36 @@ def _cmd_node(args) -> int:
     return run_node_process(spec)
 
 
-def _cmd_fleet_processes(args) -> int:
-    import json
+def _dump_artifacts(out_dir: str, artifacts) -> None:
+    """Write ``{file name: text}`` under *out_dir*, one line each."""
     import os
 
-    from .network.fleet_proc import run_proc_differential
+    os.makedirs(out_dir, exist_ok=True)
+    for name, payload in artifacts.items():
+        with open(os.path.join(out_dir, name), "w") as handle:
+            handle.write(payload + "\n")
+    print(f"artifacts -> {out_dir}")
+
+
+def _print_verdict(title: str, result, legs) -> None:
+    print(f"{title}: {'MATCHED' if result['matched'] else 'DIVERGED'}")
+    for leg in legs:
+        summary = result[leg]
+        print(f"{leg}: converged={summary['converged']} "
+              f"sync_rounds={summary['sync_rounds']} "
+              f"rejected={len(summary['rejected'])}")
+
+
+def _cmd_fleet_processes(args) -> int:
+    from .faults.report import canonical_json
+    from .harness.controller import run_proc_differential
+    from .harness.fleet import FLEET_SCENARIOS
 
     if args.processes < 1:
         print("repro fleet: --processes must be >= 1", file=sys.stderr)
         return 2
     transactions = args.transactions
     if transactions is None:
-        from .network.differential import FLEET_SCENARIOS
         transactions = FLEET_SCENARIOS.get(
             args.scenario, {}).get("transactions", 12)
 
@@ -492,11 +502,7 @@ def _cmd_fleet_processes(args) -> int:
         crash=not args.no_crash)
 
     proc = result["proc"]
-    verdict = "MATCHED" if result["matched"] else "DIVERGED"
-    print(f"proc ≡ reference: {verdict}")
-    print(f"proc: converged={proc['converged']} "
-          f"sync_rounds={proc['sync_rounds']} "
-          f"rejected={len(proc['rejected'])}")
+    _print_verdict("proc ≡ reference", result, ("proc",))
     if proc["crash"]:
         crash = proc["crash"]
         print(f"crash: {crash['victim']} killed at tx "
@@ -505,24 +511,16 @@ def _cmd_fleet_processes(args) -> int:
               f"({crash['restored_records']} journal records)")
 
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        canonical = lambda value: json.dumps(
-            value, sort_keys=True, separators=(",", ":"))
-        with open(os.path.join(args.out_dir, "fleet-proc.json"),
-                  "w") as handle:
-            handle.write(canonical(result) + "\n")
-        with open(os.path.join(args.out_dir, "hashes-proc.json"),
-                  "w") as handle:
-            handle.write(canonical(proc["hashes"]) + "\n")
-        print(f"artifacts -> {args.out_dir}")
+        _dump_artifacts(args.out_dir, {
+            "fleet-proc.json": canonical_json(result),
+            "hashes-proc.json": canonical_json(proc["hashes"]),
+        })
     return 0 if result["matched"] else 1
 
 
 def _cmd_fleet(args) -> int:
-    import json
-    import os
-
-    from .network.differential import FLEET_SCENARIOS, run_fleet_differential
+    from .faults.report import canonical_json
+    from .harness.fleet import FLEET_SCENARIOS, run_fleet_differential
 
     if args.processes is not None:
         return _cmd_fleet_processes(args)
@@ -532,48 +530,31 @@ def _cmd_fleet(args) -> int:
             print(f"{name}: {shape['node_count']} nodes, "
                   f"{shape['transactions']} transactions")
         return 0
-    if args.scenario not in FLEET_SCENARIOS:
-        known = ", ".join(sorted(FLEET_SCENARIOS))
-        print(f"unknown fleet scenario {args.scenario!r} "
-              f"(known: {known})", file=sys.stderr)
+    try:
+        result, sim_report, wire_report = run_fleet_differential(
+            seed=args.seed, scenario=args.scenario, node_count=args.nodes,
+            transactions=args.transactions, host=args.host,
+            time_scale=args.time_scale)
+    except ValueError as exc:  # unknown scenario, fewer than 2 nodes
+        print(exc, file=sys.stderr)
         return 2
-
-    outcome = run_fleet_differential(
-        seed=args.seed, scenario=args.scenario, node_count=args.nodes,
-        transactions=args.transactions, host=args.host,
-        time_scale=args.time_scale)
-    result = outcome.result
 
     # The wire leg's convergence report, in the exact ChaosRunner
     # format; the sim leg's lands next to it under --out-dir.
-    print(outcome.wire_report.to_json(indent=2))
-    verdict = "MATCHED" if result["matched"] else "DIVERGED"
-    print(f"\nsim ≡ wire: {verdict}")
-    for leg in ("sim", "wire"):
-        summary = result[leg]
-        print(f"{leg}: converged={summary['converged']} "
-              f"sync_rounds={summary['sync_rounds']} "
-              f"rejected={len(summary['rejected'])}")
+    print(wire_report.to_json(indent=2))
+    _print_verdict("\nsim ≡ wire", result, ("sim", "wire"))
 
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-
-        def dump(name: str, payload) -> None:
-            path = os.path.join(args.out_dir, name)
-            with open(path, "w") as handle:
-                handle.write(payload + "\n")
-
-        canonical = lambda value: json.dumps(
-            value, sort_keys=True, separators=(",", ":"))
-        dump("fleet.json", canonical(result))
-        dump("report-sim.json", outcome.sim_report.to_json())
-        dump("report-wire.json", outcome.wire_report.to_json())
-        # Hashes-only files: byte-comparable between the two legs (and
-        # across repeat runs) even though the wire report's durations
-        # are wall-clock.
-        dump("hashes-sim.json", canonical(result["sim"]["hashes"]))
-        dump("hashes-wire.json", canonical(result["wire"]["hashes"]))
-        print(f"artifacts -> {args.out_dir}")
+        _dump_artifacts(args.out_dir, {
+            "fleet.json": canonical_json(result),
+            "report-sim.json": sim_report.to_json(),
+            "report-wire.json": wire_report.to_json(),
+            # Hashes-only files: byte-comparable between the two legs
+            # (and across repeat runs) even though the wire report's
+            # durations are wall-clock.
+            "hashes-sim.json": canonical_json(result["sim"]["hashes"]),
+            "hashes-wire.json": canonical_json(result["wire"]["hashes"]),
+        })
     return 0 if result["matched"] else 1
 
 

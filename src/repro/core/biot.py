@@ -21,13 +21,8 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..core.consensus import (
-    CreditBasedConsensus,
-    DEFAULT_INITIAL_DIFFICULTY,
-    DifficultyPolicy,
-    InverseDifficultyPolicy,
-)
-from ..core.credit import CreditParameters, CreditRegistry
+from ..core.consensus import DEFAULT_INITIAL_DIFFICULTY, CreditBasedConsensus
+from ..core.credit import CreditParameters
 from ..crypto.keys import KeyPair
 from ..devices.sensors import SENSOR_TYPES, make_sensor
 from ..faults.backoff import BackoffPolicy
@@ -336,17 +331,6 @@ class BIoTSystem:
             ],
         )
 
-        def new_consensus() -> CreditBasedConsensus:
-            registry = CreditRegistry(config.credit_params,
-                                      telemetry=telemetry)
-            policy: DifficultyPolicy = InverseDifficultyPolicy(
-                initial_difficulty=config.initial_difficulty,
-            )
-            return CreditBasedConsensus(
-                registry, policy=policy,
-                max_parent_age=config.credit_params.delta_t,
-            )
-
         def new_tip_selector() -> TipSelector:
             if config.tip_alpha is None:
                 from ..tangle.tip_selection import UniformRandomTipSelector
@@ -355,7 +339,10 @@ class BIoTSystem:
 
         manager = ManagerNode(
             "manager", manager_keys, genesis,
-            consensus=new_consensus(),
+            consensus=CreditBasedConsensus.from_params(
+                config.credit_params,
+                initial_difficulty=config.initial_difficulty,
+                telemetry=telemetry),
             tip_selector=new_tip_selector(),
             rng=random.Random(master.randrange(2 ** 63)),
             enforce_pow=config.enforce_pow,
@@ -380,7 +367,10 @@ class BIoTSystem:
         for i in range(config.gateway_count):
             gateway = FullNode(
                 f"gateway-{i}", genesis,
-                consensus=new_consensus(),
+                consensus=CreditBasedConsensus.from_params(
+                    config.credit_params,
+                    initial_difficulty=config.initial_difficulty,
+                    telemetry=telemetry),
                 tip_selector=new_tip_selector(),
                 rng=random.Random(master.randrange(2 ** 63)),
                 enforce_pow=config.enforce_pow,

@@ -28,7 +28,7 @@ from ..tangle.tangle import AttachResult, Tangle
 from ..tangle.transaction import Transaction
 from ..tangle.validation import DEFAULT_MAX_PARENT_AGE, detect_lazy_approval
 from ..telemetry.registry import DIFFICULTY_BUCKETS
-from .credit import CreditRegistry, MaliciousBehaviour
+from .credit import CreditParameters, CreditRegistry, MaliciousBehaviour
 
 __all__ = [
     "DEFAULT_INITIAL_DIFFICULTY",
@@ -212,6 +212,26 @@ class CreditBasedConsensus:
         self._baseline_difficulty = getattr(
             self.policy, "initial_difficulty",
             getattr(self.policy, "difficulty", None))
+
+    @classmethod
+    def from_params(cls, params: CreditParameters, *,
+                    initial_difficulty: int = DEFAULT_INITIAL_DIFFICULTY,
+                    telemetry=None) -> "CreditBasedConsensus":
+        """The deployment wiring in one call: a fresh registry over
+        *params*, the paper's inverse law anchored at
+        *initial_difficulty*, and ΔT as the lazy-tips age threshold.
+
+        ``BIoTSystem.build``, ``repro node`` and the differential
+        harnesses all construct their consensus here, so replicas that
+        must be hash-comparable cannot drift apart in how they are
+        configured.
+        """
+        return cls(
+            CreditRegistry(params, telemetry=telemetry),
+            policy=InverseDifficultyPolicy(
+                initial_difficulty=initial_difficulty),
+            max_parent_age=params.delta_t,
+        )
 
     # -- wiring ----------------------------------------------------------
 

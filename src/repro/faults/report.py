@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "ConvergenceReport",
@@ -70,22 +70,29 @@ def credit_hash(registry, *, now: float) -> str:
 
     The export is windowed to *now* (records older than ΔT drop out),
     so comparisons are only meaningful between registries read at the
-    same ledger time — which is exactly what the storage differential
-    harness does.  Not part of :func:`node_state_hashes`: credit is a
-    per-replica *estimate* under faults, but must be an exact match
-    across a crash/restore of a single node.
+    same ledger time — which is exactly what the differential harnesses
+    (:mod:`repro.harness`) do.  Only part of :func:`node_state_hashes`
+    on request: credit is a per-replica *estimate* under faults, but
+    must be an exact match across a crash/restore of a single node.
     """
     return hashlib.sha256(
         canonical_json(registry.export_state(now=now)).encode()).hexdigest()
 
 
-def node_state_hashes(node) -> Dict[str, str]:
-    """The three per-replica hashes for one full node."""
-    return {
+def node_state_hashes(node, *,
+                      credit_now: Optional[float] = None) -> Dict[str, str]:
+    """The three per-replica hashes for one full node — plus the
+    ``credit`` hash, read at ledger time *credit_now*, when one is
+    given (the four-hash form every differential compares)."""
+    hashes = {
         "tangle": tangle_hash(node.tangle),
         "ledger": ledger_hash(node.ledger),
         "acl": acl_hash(node.acl),
     }
+    if credit_now is not None:
+        hashes["credit"] = credit_hash(node.consensus.registry,
+                                       now=credit_now)
+    return hashes
 
 
 def _all_equal(values: List[str]) -> bool:

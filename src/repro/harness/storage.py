@@ -17,42 +17,18 @@ same determinism gate the chaos reports already pass.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..core.acl import AclAction, AuthorizationList
-from ..core.consensus import CreditBasedConsensus, InverseDifficultyPolicy
-from ..core.credit import CreditParameters, CreditRegistry
-from ..crypto.keys import KeyPair
-from ..faults.report import acl_hash, credit_hash, ledger_hash, tangle_hash
+from ..core.acl import AclAction
+from ..faults.report import node_state_hashes
 from ..network.network import Network
 from ..network.simulator import EventScheduler
-from ..tangle.ledger import TransferPayload
-from ..tangle.transaction import Transaction, TransactionKind
-from .persistence import NodePersistence
-from .store import open_store
+from ..storage.persistence import NodePersistence
+from ..storage.store import open_store
+from ..tangle.transaction import TransactionKind
+from .workload import WorkloadBuilder, new_node
 
-__all__ = ["run_differential", "node_hashes"]
-
-TOKEN_GRANT = 500
-"""Initial balance of every transacting identity in the workload."""
-
-
-def node_hashes(node, *, now: float) -> Dict[str, str]:
-    """The four content hashes the differential compares."""
-    return {
-        "tangle": tangle_hash(node.tangle),
-        "ledger": ledger_hash(node.ledger),
-        "acl": acl_hash(node.acl),
-        "credit": credit_hash(node.consensus.registry, now=now),
-    }
-
-
-def _new_consensus(params: CreditParameters) -> CreditBasedConsensus:
-    return CreditBasedConsensus(
-        CreditRegistry(params),
-        policy=InverseDifficultyPolicy(initial_difficulty=1),
-        max_parent_age=params.delta_t,
-    )
+__all__ = ["run_differential"]
 
 
 def run_differential(*, seed: int, storage_dir: str,
@@ -71,34 +47,14 @@ def run_differential(*, seed: int, storage_dir: str,
     if kills + checkpoints >= steps - 5:
         raise ValueError("too many kill/checkpoint points for the workload")
 
-    # Imported lazily: repro.nodes pulls in the full node stack.
-    from ..nodes.full_node import FullNode
-    from ..nodes.manager import ManagerNode
-
-    rng = random.Random(f"storage-diff:{seed}")
-    params = CreditParameters()
+    builder = WorkloadBuilder("storage-diff", seed, devices=3, guests=2)
+    rng = builder.rng
+    devices, guests = builder.devices, builder.guests
+    genesis, reference = builder.genesis, builder.reference
 
     scheduler = EventScheduler()
     network = Network(scheduler, rng=random.Random(rng.randrange(2 ** 63)))
-
-    manager_keys = KeyPair.generate(seed=f"storage-diff:{seed}:manager".encode())
-    devices = [KeyPair.generate(seed=f"storage-diff:{seed}:device:{i}".encode())
-               for i in range(3)]
-    guests = [KeyPair.generate(seed=f"storage-diff:{seed}:guest:{i}".encode())
-              for i in range(2)]
-    genesis = ManagerNode.create_genesis(
-        manager_keys,
-        network_name=f"storage-diff-{seed}",
-        token_allocations=[(manager_keys.node_id, TOKEN_GRANT)]
-        + [(keys.node_id, TOKEN_GRANT) for keys in devices],
-    )
-
-    reference = FullNode("reference", genesis,
-                         consensus=_new_consensus(params),
-                         rng=random.Random(0), enforce_pow=True)
-    durable = FullNode("durable", genesis,
-                       consensus=_new_consensus(params),
-                       rng=random.Random(1), enforce_pow=True)
+    durable = new_node("durable", genesis, rng_seed=1)
     network.attach(reference)
     network.attach(durable)
     # No peering: the two replicas see the workload only through
@@ -110,31 +66,20 @@ def run_differential(*, seed: int, storage_dir: str,
 
     clock = scheduler.clock
 
-    def issue(keys: KeyPair, *, kind: str, payload: bytes,
-              branch: bytes, trunk: bytes) -> Tuple[bool, bool]:
-        now = clock.now()
-        difficulty = reference.consensus.required_difficulty(
-            keys.node_id, now)
-        tx = Transaction.create(
-            keys, kind=kind, payload=payload, timestamp=now,
-            branch=branch, trunk=trunk, difficulty=difficulty)
-        return reference.ingest_local(tx), durable.ingest_local(tx)
-
-    def pick_parents() -> Tuple[bytes, bytes]:
-        tips = reference.tangle.tips()
-        return rng.choice(tips), rng.choice(tips)
+    def issue(keys, kind: str, payload: bytes,
+              parents=None) -> Tuple[bool, bool]:
+        tx, ok_ref = builder.issue(keys, kind, payload, parents,
+                                   timestamp=clock.now())
+        return ok_ref, durable.ingest_local(tx)
 
     def acl_update(identities, *, action: str) -> Tuple[bool, bool]:
-        branch, trunk = pick_parents()
-        payload = AuthorizationList.make_update(identities, action=action)
-        return issue(manager_keys, kind=TransactionKind.ACL,
-                     payload=payload.to_bytes(), branch=branch, trunk=trunk)
+        return issue(builder.manager, TransactionKind.ACL,
+                     builder.acl_payload(identities, action=action))
 
     # -- bootstrap: authorize every identity the workload uses -------------
     scheduler.run_until(1.0)
-    ok_ref, ok_dur = acl_update(
-        [keys.public for keys in devices + guests],
-        action=AclAction.AUTHORIZE)
+    ok_ref, ok_dur = acl_update(devices + guests,
+                                action=AclAction.AUTHORIZE)
     divergences: List[Dict] = []
     if ok_ref is not ok_dur or not ok_ref:
         divergences.append({"step": -1, "action": "bootstrap-acl",
@@ -147,7 +92,6 @@ def run_differential(*, seed: int, storage_dir: str,
 
     guest_authorized = {keys.node_id: True for keys in guests}
     last_transfer: Dict[bytes, Tuple[int, bytes, int]] = {}
-    accounts = [manager_keys] + devices
     epoch_hashes: List[str] = []
     kill_results: List[Dict] = []
 
@@ -162,62 +106,47 @@ def run_differential(*, seed: int, storage_dir: str,
             action = "transfer"
         elif roll < 0.55 and last_transfer:
             action = "double-spend"
-        elif roll < 0.65 and now > params.delta_t + 5.0:
+        elif roll < 0.65 and now > reference.consensus.max_parent_age + 5.0:
             action = "lazy"
 
         if action == "acl":
             guest = rng.choice(guests)
             authorized = guest_authorized[guest.node_id]
             ok_ref, ok_dur = acl_update(
-                [guest.public],
+                [guest],
                 action=AclAction.DEAUTHORIZE if authorized
                 else AclAction.AUTHORIZE)
             guest_authorized[guest.node_id] = not authorized
         elif action == "transfer":
-            sender = rng.choice(devices)
-            recipient = rng.choice(
-                [keys for keys in accounts
-                 if keys.node_id != sender.node_id])
-            amount = rng.randint(1, 20)
-            sequence = reference.ledger.next_sequence(sender.node_id)
-            payload = TransferPayload(
-                sender=sender.node_id, recipient=recipient.node_id,
-                amount=amount, sequence=sequence)
-            branch, trunk = pick_parents()
-            ok_ref, ok_dur = issue(
-                sender, kind=TransactionKind.TRANSFER,
-                payload=payload.to_bytes(), branch=branch, trunk=trunk)
+            sender, transfer = builder.draw_transfer(devices, max_amount=20)
+            ok_ref, ok_dur = issue(sender, TransactionKind.TRANSFER,
+                                   transfer.to_bytes())
             if ok_ref:
                 last_transfer[sender.node_id] = (
-                    sequence, recipient.node_id, amount)
+                    transfer.sequence, transfer.recipient, transfer.amount)
         elif action == "double-spend":
             sender_id = rng.choice(sorted(last_transfer))
             sender = next(keys for keys in devices
                           if keys.node_id == sender_id)
             sequence, old_recipient, amount = last_transfer[sender_id]
             recipient = rng.choice(
-                [keys for keys in accounts
+                [keys for keys in [builder.manager] + devices
                  if keys.node_id not in (sender_id, old_recipient)])
-            payload = TransferPayload(
-                sender=sender_id, recipient=recipient.node_id,
-                amount=amount, sequence=sequence)
-            branch, trunk = pick_parents()
             ok_ref, ok_dur = issue(
-                sender, kind=TransactionKind.TRANSFER,
-                payload=payload.to_bytes(), branch=branch, trunk=trunk)
+                sender, TransactionKind.TRANSFER,
+                builder.transfer_payload(sender, recipient.node_id, amount,
+                                         sequence=sequence).to_bytes())
         elif action == "lazy":
-            device = rng.choice(devices)
             ok_ref, ok_dur = issue(
-                device, kind=TransactionKind.DATA,
-                payload=rng.randbytes(16),
-                branch=genesis.tx_hash, trunk=genesis.tx_hash)
+                rng.choice(devices), TransactionKind.DATA,
+                rng.randbytes(16), (genesis.tx_hash, genesis.tx_hash))
         else:
+            # Parents are drawn before the payload here, unlike
+            # ``issue(parents=None)``: the pinned draw order.
             device = rng.choice(devices)
-            branch, trunk = pick_parents()
-            ok_ref, ok_dur = issue(
-                device, kind=TransactionKind.DATA,
-                payload=rng.randbytes(16),
-                branch=branch, trunk=trunk)
+            parents = builder.pick_parents()
+            ok_ref, ok_dur = issue(device, TransactionKind.DATA,
+                                   rng.randbytes(16), parents)
 
         if ok_ref is not ok_dur:
             divergences.append({"step": step, "action": action,
@@ -228,9 +157,9 @@ def run_differential(*, seed: int, storage_dir: str,
             epoch_hashes.append(epoch.snapshot_hash)
         if step in kill_points:
             now = clock.now()
-            expected = node_hashes(reference, now=now)
+            expected = node_state_hashes(reference, credit_now=now)
             replayed = durable.cold_restore()
-            restored = node_hashes(durable, now=now)
+            restored = node_state_hashes(durable, credit_now=now)
             kill_results.append({
                 "step": step,
                 "replayed": replayed,
@@ -240,21 +169,19 @@ def run_differential(*, seed: int, storage_dir: str,
 
     # -- final three-way comparison ----------------------------------------
     now = clock.now()
-    final_reference = node_hashes(reference, now=now)
-    final_restarted = node_hashes(durable, now=now)
+    final_reference = node_state_hashes(reference, credit_now=now)
+    final_restarted = node_state_hashes(durable, credit_now=now)
     store.close()
 
     reopened = open_store(backend, storage_dir, node="durable")
     restore = NodePersistence(reopened).load()
-    cold = FullNode("cold", genesis, consensus=_new_consensus(params),
-                    rng=random.Random(2), enforce_pow=True)
+    cold = new_node("cold", genesis, rng_seed=2)
     if restore.snapshot is not None:
         cold.adopt_snapshot(restore.snapshot)
-    cold_replayed = 0
-    for tx, arrival_time in restore.tail:
-        if cold.replay_attach(tx, arrival_time=arrival_time):
-            cold_replayed += 1
-    final_cold = node_hashes(cold, now=now)
+    cold_replayed = sum(
+        cold.replay_attach(tx, arrival_time=arrival_time)
+        for tx, arrival_time in restore.tail)
+    final_cold = node_state_hashes(cold, credit_now=now)
     head_hash = reopened.head_hash
     record_count = len(reopened)
     reopened.close()

@@ -29,7 +29,7 @@ Determinism boundary: this transport is **convergence-deterministic** —
 the byte schedule varies run to run (kernel timing), but the replicated
 state it carries must converge to the same tangle/ledger/ACL/credit
 hashes as the simulator for the same seeded scenario.  The fleet
-differential harness (:mod:`repro.network.differential`) asserts
+differential harness (:mod:`repro.harness.fleet`) asserts
 exactly that.
 """
 

@@ -18,7 +18,7 @@ Two backends implement it:
   convergence-deterministic: scheduling varies run to run, but the
   replicated state (tangle/ledger/ACL/credit hashes) must not (the
   property the fleet differential harness in
-  :mod:`repro.network.differential` asserts).
+  :mod:`repro.harness.fleet` asserts).
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ AsyncioTransport`, :mod:`repro.storage` makes its state durable, and
 dict.  This module is the thin shell that turns those pieces into an
 independent OS-level participant:
 
-* build the full node exactly as the fleet differential does (same
-  consensus policy, same rng seeding), so a process fleet can be
-  compared hash-for-hash against the in-process reference;
+* build the full node with a fixed, hard-coded configuration
+  (difficulty-1 inverse policy, PoW enforced, rng from ``--rng-seed``)
+  — the contract that lets :mod:`repro.harness` compare a process fleet
+  hash-for-hash against an in-process reference;
 * open the durable store, and **cold-restore automatically** when the
   store is already populated — restarting a killed process is just
   running the same command line again;
@@ -24,8 +25,9 @@ independent OS-level participant:
   store (no journal-tail corruption on reopen).
 
 The process protocol is deliberately line-oriented and dependency-free
-so the harness (:mod:`repro.network.fleet_proc`) can drive it with
-nothing but ``subprocess`` and a pipe.
+so a supervisor (:mod:`repro.harness.supervisor`) can drive it with
+nothing but ``subprocess`` and a pipe.  This module is product code: it
+imports nothing from :mod:`repro.harness`.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ _STORAGE_BACKENDS = ("none", "memory", "file", "sqlite")
 class NodeProcessSpec:
     """Everything one ``repro node`` process needs, argv-serialisable.
 
-    ``rng_seed`` matters for hash-equivalence: the differential's
-    reference fleet builds node ``n{i}`` with ``random.Random(i)``, so
+    ``rng_seed`` matters for hash-equivalence: the harness's
+    in-process fleet builds node ``n{i}`` with ``random.Random(i)``, so
     a process standing in for ``n{i}`` must carry the same seed.
     """
 
@@ -130,14 +132,16 @@ def _load_genesis(path: str):
 
 
 def _build_node(spec: NodeProcessSpec, genesis, registry):
-    """Mirror ``differential._build_fleet_nodes`` so a process fleet is
-    hash-comparable with the in-process reference fleet."""
+    """The one node configuration ``repro node`` runs (mirrored by
+    ``repro.harness.workload.new_node``, which is what keeps a process
+    fleet hash-comparable with an in-process one)."""
+    from ..core.consensus import CreditBasedConsensus
     from ..nodes.full_node import FullNode
-    from .differential import _new_consensus
 
     return FullNode(
         spec.address, genesis,
-        consensus=_new_consensus(CreditParameters()),
+        consensus=CreditBasedConsensus.from_params(
+            CreditParameters(), initial_difficulty=1),
         rng=random.Random(spec.rng_seed),
         enforce_pow=True,
         crypto_backend=spec.crypto_backend,
@@ -175,7 +179,7 @@ async def _serve_metrics(registry, host: str,
 
 
 async def _amain(spec: NodeProcessSpec, *, ready_stream) -> int:
-    from ..storage.differential import node_hashes
+    from ..faults.report import node_state_hashes
 
     registry = MetricsRegistry()
     genesis = _load_genesis(spec.genesis_path)
@@ -212,6 +216,20 @@ async def _amain(spec: NodeProcessSpec, *, ready_stream) -> int:
 
     stop = asyncio.Event()
 
+    def control(handler):
+        """Refuse a hostile control frame — a body that is not a dict,
+        a ``now`` that is not a number — by counting it as malformed;
+        an exception here would unwind the transport's read loop and
+        drop the sender's connection."""
+        def guarded(message) -> None:
+            try:
+                if not isinstance(message.body, dict):
+                    raise TypeError("control body must be a dict")
+                handler(message)
+            except (TypeError, ValueError):
+                node.stats.malformed_messages += 1
+        return guarded
+
     def _on_status(message) -> None:
         body = message.body
         now = float(body.get("now", scheduler.clock.now()))
@@ -223,24 +241,25 @@ async def _amain(spec: NodeProcessSpec, *, ready_stream) -> int:
             "peers": sorted(node.relay.peers),
             "bootstrapped": discovery.bootstrapped,
             "restored": restored,
-            "hashes": node_hashes(node, now=now),
+            "hashes": node_state_hashes(node, credit_now=now),
         })
+
+    def _ack(message, kind: str) -> None:
+        transport.send(spec.address, message.sender, kind,
+                       {"request_id": message.body.get("request_id"),
+                        "address": spec.address})
 
     def _on_resync(message) -> None:
         node.resync_with_peers()
-        transport.send(spec.address, message.sender, RESYNC_ACK_KIND,
-                       {"request_id": message.body.get("request_id"),
-                        "address": spec.address})
+        _ack(message, RESYNC_ACK_KIND)
 
     def _on_shutdown(message) -> None:
-        transport.send(spec.address, message.sender, SHUTDOWN_ACK_KIND,
-                       {"request_id": message.body.get("request_id"),
-                        "address": spec.address})
+        _ack(message, SHUTDOWN_ACK_KIND)
         stop.set()
 
-    transport.register_handler(STATUS_KIND, _on_status)
-    transport.register_handler(RESYNC_KIND, _on_resync)
-    transport.register_handler(SHUTDOWN_KIND, _on_shutdown)
+    transport.register_handler(STATUS_KIND, control(_on_status))
+    transport.register_handler(RESYNC_KIND, control(_on_resync))
+    transport.register_handler(SHUTDOWN_KIND, control(_on_shutdown))
 
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):

@@ -490,6 +490,11 @@ class FullNode(NetworkNode):
         if handler is None:
             return  # unknown kinds are dropped silently (open network)
         try:
+            if not isinstance(message.body, dict):
+                # The frame layer does not type the body; without this
+                # check ``body.get`` raises AttributeError, which would
+                # unwind the transport's read loop.
+                raise TypeError("message body must be a dict")
             handler(message)
         except (ValueError, KeyError, TypeError) as exc:
             # A malformed message from the open network must never take

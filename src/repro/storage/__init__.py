@@ -1,5 +1,4 @@
-"""Durable storage: append-only hash-chained logs, epoch snapshots,
-and the crash/restart differential harness that proves them correct.
+"""Durable storage: append-only hash-chained logs and epoch snapshots.
 
 Layering (lowest first):
 
@@ -9,9 +8,10 @@ Layering (lowest first):
 * :mod:`repro.storage.checkpoint` — hash-chained
   :class:`EpochSnapshot` checkpoints over full-node state;
 * :mod:`repro.storage.persistence` — :class:`NodePersistence`, the
-  journal/checkpoint/restore manager a full node journals through;
-* :mod:`repro.storage.differential` — the seeded crash/restart
-  differential (also the ``repro storage`` CLI command).
+  journal/checkpoint/restore manager a full node journals through.
+
+The seeded crash/restart differential that proves them correct (the
+``repro storage`` CLI command) lives in :mod:`repro.harness.storage`.
 """
 
 from .checkpoint import EpochSnapshot, snapshot_state

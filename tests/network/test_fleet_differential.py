@@ -1,35 +1,24 @@
 """The sim≡wire keystone: the same seeded workload through the
 discrete-event SimTransport and the asyncio/TCP AsyncioTransport must
 converge every replica to byte-identical tangle/ledger/ACL/credit
-hashes (the ``repro.storage.differential`` report format)."""
+hashes (the storage differential's report format).  The workload's
+own properties are pinned in ``tests/harness/test_workload.py``."""
 
 import asyncio
 
 import pytest
 
 from repro.faults.report import canonical_json
-from repro.network.differential import (
+from repro.harness.fleet import (
     FLEET_SCENARIOS,
-    build_workload,
     run_fleet_differential,
     run_sim_leg,
     run_wire_leg,
 )
+from repro.harness.workload import build_workload
 
 
 class TestWorkload:
-    def test_generation_is_deterministic(self):
-        a = build_workload(5, transactions=8)
-        b = build_workload(5, transactions=8)
-        assert a.transactions == b.transactions
-        assert a.genesis.to_bytes() == b.genesis.to_bytes()
-        assert a.reference_hashes == b.reference_hashes
-        assert a.credit_now == b.credit_now
-
-    def test_different_seeds_differ(self):
-        assert (build_workload(5, transactions=8).transactions
-                != build_workload(6, transactions=8).transactions)
-
     def test_rejects_tiny_workloads(self):
         with pytest.raises(ValueError):
             build_workload(5, transactions=2)
@@ -38,12 +27,13 @@ class TestWorkload:
 class TestSimLeg:
     def test_converges_and_is_byte_deterministic(self):
         workload = build_workload(9, transactions=10)
-        report1, nodes1, _, rejected1 = run_sim_leg(
+        report1, summary1 = run_sim_leg(
             workload, node_count=3, seed=9, scenario="mini")
-        report2, nodes2, _, rejected2 = run_sim_leg(
+        report2, summary2 = run_sim_leg(
             workload, node_count=3, seed=9, scenario="mini")
-        assert rejected1 == [] and rejected2 == []
-        assert nodes1 == nodes2
+        assert summary1["rejected"] == [] and summary2["rejected"] == []
+        nodes1 = summary1["per_node"]
+        assert nodes1 == summary2["per_node"]
         # The sim leg is *bit*-deterministic: the full convergence
         # report (durations, counters, everything) replays identically.
         assert canonical_json(report1.to_dict()) \
@@ -56,21 +46,20 @@ class TestSimLeg:
 class TestWireLeg:
     def test_converges_to_the_reference(self, fleet_sandbox):
         workload = build_workload(9, transactions=10)
-        report, per_node, _, rejected = fleet_sandbox.run(
+        report, summary = fleet_sandbox.run(
             run_wire_leg(workload, node_count=3, seed=9,
                          scenario="mini", time_scale=50.0),
             timeout=120.0)
-        assert rejected == []
+        assert summary["rejected"] == []
         assert report.converged
-        for hashes in per_node.values():
+        for hashes in summary["per_node"].values():
             assert hashes == workload.reference_hashes
 
 
 class TestDifferential:
     def test_mini_scenario_matches(self):
-        outcome = run_fleet_differential(seed=5, scenario="mini",
-                                         time_scale=50.0)
-        result = outcome.result
+        result, sim_report, wire_report = run_fleet_differential(
+            seed=5, scenario="mini", time_scale=50.0)
         assert result["matched"], result
         assert result["sim"]["hashes"] == result["reference"]
         assert result["wire"]["hashes"] == result["reference"]
@@ -78,10 +67,10 @@ class TestDifferential:
         assert set(result["reference"]) \
             == {"tangle", "ledger", "acl", "credit"}
         # Both legs emit ChaosRunner-format convergence reports.
-        assert outcome.sim_report.scenario == "fleet-mini-sim"
-        assert outcome.wire_report.scenario == "fleet-mini-wire"
-        assert outcome.sim_report.converged
-        assert outcome.wire_report.converged
+        assert sim_report.scenario == "fleet-mini-sim"
+        assert wire_report.scenario == "fleet-mini-wire"
+        assert sim_report.converged
+        assert wire_report.converged
 
     def test_unknown_scenario_refused(self):
         with pytest.raises(ValueError):

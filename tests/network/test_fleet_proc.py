@@ -8,22 +8,16 @@ plus cold restart of one member, and every process converges to the
 reference node — scraped Prometheus exporters and graceful control-
 plane shutdown included.
 
-The sharded-workload tests pin the benchmark harness's correctness
-properties (self-contained shards, deterministic generation) without
-spawning anything.
+The sharded-workload tests pin what the scale bench relies on — every
+shard ingests into a fresh, isolated node — without spawning anything;
+generation determinism and the parent-closure property live in
+``tests/harness/test_workload.py``.
 """
 
-import random
-
-from repro.core.credit import CreditParameters
+from repro.faults.report import node_state_hashes
+from repro.harness.controller import run_proc_differential
+from repro.harness.workload import build_workload, new_node
 from repro.tangle.transaction import Transaction
-from repro.network.differential import _new_consensus
-from repro.network.fleet_proc import (
-    build_sharded_workload,
-    run_proc_differential,
-)
-from repro.nodes.full_node import FullNode
-from repro.storage.differential import node_hashes
 
 
 class TestProcDifferential:
@@ -32,7 +26,7 @@ class TestProcDifferential:
         result = run_proc_differential(
             seed=11, processes=3, transactions=12,
             run_dir=fleet_sandbox.storage_dir(),
-            crash=True, metrics=True)
+            crash=True)
 
         assert result["matched"], result
         proc = result["proc"]
@@ -61,50 +55,34 @@ class TestProcDifferential:
 
 class TestShardedWorkload:
     def test_shards_are_self_contained(self):
-        workload = build_sharded_workload(seed=4, shards=3,
-                                          transactions_per_shard=6)
-        assert len(workload.shards) == 3
-        assert workload.transactions_per_shard == 6
+        workload = build_workload(4, shards=3, transactions=6)
+        assert [len(shard) for shard in workload.shards] == [6, 6, 6]
         # Every shard opens with the same ACL authorization and then
         # ingests cleanly into a *fresh, isolated* node — the property
         # that lets N processes run shards with zero coordination.
         first = {shard[0] for shard in workload.shards}
         assert len(first) == 1
         for index, shard in enumerate(workload.shards):
-            node = FullNode(f"check-{index}", workload.genesis,
-                            consensus=_new_consensus(
-                                CreditParameters()),
-                            rng=random.Random(index), enforce_pow=True)
+            node = new_node(f"check-{index}", workload.genesis,
+                            rng_seed=index)
             for encoded in shard:
                 tx = Transaction.from_bytes(encoded)
                 assert node.ingest_local(tx), (index, tx.tx_hash)
             assert len(node.tangle) == 1 + len(shard)  # genesis + shard
-
-    def test_generation_is_deterministic_and_seed_sensitive(self):
-        again = [build_sharded_workload(seed=4, shards=2,
-                                        transactions_per_shard=5)
-                 for _ in range(2)]
-        assert again[0].shards == again[1].shards
-        assert again[0].genesis.to_bytes() == again[1].genesis.to_bytes()
-        other = build_sharded_workload(seed=5, shards=2,
-                                       transactions_per_shard=5)
-        assert other.shards != again[0].shards
 
     def test_isolated_shard_nodes_diverge_as_designed(self):
         # The bench explicitly measures compute, not convergence: two
         # shards ingested by two isolated nodes end in *different*
         # tangles (only genesis + ACL shared).  Pin that so nobody
         # mistakes the scale bench for a consistency check.
-        workload = build_sharded_workload(seed=9, shards=2,
-                                          transactions_per_shard=5)
+        workload = build_workload(9, shards=2, transactions=5)
         nodes = []
         for index, shard in enumerate(workload.shards):
-            node = FullNode(f"iso-{index}", workload.genesis,
-                            consensus=_new_consensus(
-                                CreditParameters()),
-                            rng=random.Random(index), enforce_pow=True)
+            node = new_node(f"iso-{index}", workload.genesis,
+                            rng_seed=index)
             for encoded in shard:
                 assert node.ingest_local(Transaction.from_bytes(encoded))
             nodes.append(node)
-        hashes = [node_hashes(node, now=100.0) for node in nodes]
+        hashes = [node_state_hashes(node, credit_now=100.0)
+                  for node in nodes]
         assert hashes[0]["tangle"] != hashes[1]["tangle"]

@@ -1,7 +1,7 @@
 """The ``repro node`` OS-process entrypoint, driven as a parent would.
 
 Each test spawns real child interpreters through
-:class:`~repro.network.fleet_proc.ProcessFleet` and speaks to them over
+:class:`~repro.harness.supervisor.ProcessFleet` and speaks to them over
 TCP — ready-line contract, per-process Prometheus exporter, and the two
 ways a process dies:
 
@@ -12,20 +12,21 @@ ways a process dies:
   same command line replays the journal and catches back up.
 """
 
-import random
+import sys
 
 import pytest
 
-from repro.network.differential import _new_consensus, build_workload
-from repro.network.fleet_proc import (
-    FleetController,
+from repro.faults.report import node_state_hashes
+from repro.harness.controller import FleetController
+from repro.harness.submit import SubmitClient
+from repro.harness.supervisor import (
     FleetProcessError,
     ProcessFleet,
-    _write_genesis,
     scrape_metrics,
+    write_genesis,
 )
+from repro.harness.workload import build_workload, new_node
 from repro.network.proc import NodeProcessSpec
-from repro.storage.differential import node_hashes
 
 TIME_SCALE = 20.0
 
@@ -37,16 +38,19 @@ def _spec(address, genesis_path, **kwargs):
                            **kwargs)
 
 
-def _controller(workload, ready, *, target):
-    return FleetController(
-        workload.transactions, target=target,
-        directory={ready["address"]: (ready["host"], ready["port"])},
-        time_scale=TIME_SCALE, rng_seed=workload.seed)
+async def _connect(ready):
+    """A submit client dialled at the node that printed *ready*."""
+    client = SubmitClient()
+    await client.connect(
+        {ready["address"]: (ready["host"], ready["port"])},
+        rng_seed="test", time_scale=TIME_SCALE)
+    return client
 
 
-async def _submit_all(controller, count, *, start=0):
+async def _submit_all(client, workload, count, *, start=0):
     for index in range(start, count):
-        accepted, reason = await controller.submit(index)
+        accepted, reason = await client.submit(
+            "n0", index, workload.transactions[index])
         assert accepted, f"tx {index} rejected: {reason}"
 
 
@@ -89,7 +93,7 @@ class TestProcessLifecycle:
     def test_ready_line_metrics_page_and_clean_exit(self, fleet_sandbox):
         workload = build_workload(3, transactions=4)
         run_dir = fleet_sandbox.storage_dir()
-        genesis_path = _write_genesis(workload.genesis, run_dir)
+        genesis_path = write_genesis(workload.genesis, run_dir)
         with ProcessFleet(run_dir=run_dir) as fleet:
             ready = fleet.spawn(_spec("n0", genesis_path, metrics_port=0))
             assert ready["address"] == "n0"
@@ -119,7 +123,7 @@ class TestProcessLifecycle:
         workload = build_workload(5, transactions=6)
         run_dir = fleet_sandbox.storage_dir()
         storage_dir = fleet_sandbox.storage_dir()
-        genesis_path = _write_genesis(workload.genesis, run_dir)
+        genesis_path = write_genesis(workload.genesis, run_dir)
         # A seed that refuses connections forever: the node's writer
         # task sits in its reconnect/backoff loop the whole test, so
         # SIGTERM lands exactly in the state the regression targets.
@@ -132,15 +136,14 @@ class TestProcessLifecycle:
                 seeds=[f"ghost=127.0.0.1:{dead_port}"]))
 
             async def drive():
-                controller = _controller(workload, ready, target="n0")
-                await controller.start()
+                client = await _connect(ready)
                 try:
-                    await _submit_all(controller,
+                    await _submit_all(client, workload,
                                       len(workload.transactions))
-                    return await controller.status(
+                    return await FleetController(client).status(
                         "n0", now=workload.credit_now)
                 finally:
-                    await controller.stop()
+                    await client.close()
 
             status = fleet_sandbox.run(drive())
             assert status["hashes"] == workload.reference_hashes
@@ -152,18 +155,16 @@ class TestProcessLifecycle:
         # cold restore must land on the same reference hashes.
         from repro.storage.persistence import NodePersistence
         from repro.storage.store import open_store
-        from repro.nodes.full_node import FullNode
 
         store = open_store("file", storage_dir, node="n0")
         try:
             persistence = NodePersistence(store)
-            node = FullNode("n0", workload.genesis,
-                            consensus=_new_consensus(workload.params),
-                            rng=random.Random(0), enforce_pow=True)
+            node = new_node("n0", workload.genesis, rng_seed=0)
             node.attach_persistence(persistence)
             restored = node.cold_restore()
             assert restored == len(workload.transactions)
-            assert node_hashes(node, now=workload.credit_now) == \
+            assert node_state_hashes(
+                node, credit_now=workload.credit_now) == \
                 workload.reference_hashes
         finally:
             store.close()
@@ -172,7 +173,7 @@ class TestProcessLifecycle:
         workload = build_workload(9, transactions=8)
         run_dir = fleet_sandbox.storage_dir()
         storage_dir = fleet_sandbox.storage_dir()
-        genesis_path = _write_genesis(workload.genesis, run_dir)
+        genesis_path = write_genesis(workload.genesis, run_dir)
         half = len(workload.transactions) // 2
 
         with ProcessFleet(run_dir=run_dir) as fleet:
@@ -181,12 +182,11 @@ class TestProcessLifecycle:
             ready = fleet.spawn(spec)
 
             async def before_crash():
-                controller = _controller(workload, ready, target="n0")
-                await controller.start()
+                client = await _connect(ready)
                 try:
-                    await _submit_all(controller, half)
+                    await _submit_all(client, workload, half)
                 finally:
-                    await controller.stop()
+                    await client.close()
 
             fleet_sandbox.run(before_crash())
             fleet.kill("n0")  # SIGKILL: no flush, no close
@@ -196,18 +196,80 @@ class TestProcessLifecycle:
             assert reborn["restored"] == half  # journal replayed
 
             async def after_restart():
-                controller = _controller(workload, reborn, target="n0")
-                await controller.start()
+                client = await _connect(reborn)
                 try:
-                    await _submit_all(controller,
+                    await _submit_all(client, workload,
                                       len(workload.transactions),
                                       start=half)
-                    return await controller.status(
+                    return await FleetController(client).status(
                         "n0", now=workload.credit_now)
                 finally:
-                    await controller.stop()
+                    await client.close()
 
             status = fleet_sandbox.run(after_restart())
             assert status["restored"] == half
             assert status["hashes"] == workload.reference_hashes
             assert fleet.terminate("n0") == 0
+
+
+class TestHostileInput:
+    def test_hostile_bodies_do_not_cost_the_connection(self, fleet_sandbox):
+        """Frames the frame layer accepts but no handler can read — a
+        non-dict body, a non-numeric ``now`` — are counted and dropped:
+        a valid ``fleet_status`` sent next *on the same connection*
+        still gets its response (one attempt, no re-dial)."""
+        workload = build_workload(3, transactions=4)
+        run_dir = fleet_sandbox.storage_dir()
+        genesis_path = write_genesis(workload.genesis, run_dir)
+        with ProcessFleet(run_dir=run_dir) as fleet:
+            ready = fleet.spawn(_spec("n0", genesis_path))
+
+            async def drive():
+                client = await _connect(ready)
+                transport = client.network
+                try:
+                    for kind, body in (("submit_transaction", 7),
+                                       ("gossip_transaction", None),
+                                       ("fleet_status", [b"x"]),
+                                       ("fleet_resync", b"x"),
+                                       ("fleet_status", {"now": "soon"})):
+                        assert transport.send(client.address, "n0",
+                                              kind, body)
+                    status = await client.request(
+                        "n0", "fleet_status", {"now": workload.credit_now},
+                        reply_kind="fleet_status_response", request_id=1,
+                        attempts=1)
+                    return status, transport.reconnect_attempts
+                finally:
+                    await client.close()
+
+            status, reconnects = fleet_sandbox.run(drive())
+            assert status["address"] == "n0"
+            assert set(status["hashes"]) == \
+                {"tangle", "ledger", "acl", "credit"}
+            assert reconnects == 0
+            assert fleet.terminate("n0") == 0
+
+
+class TestSupervisorErrors:
+    def test_garbage_ready_line_is_a_fleet_process_error(
+            self, fleet_sandbox, tmp_path):
+        """A child whose first stdout line is not JSON fails ``spawn``
+        with the supervisor's own error type (stderr tail included),
+        not a bare ``json.JSONDecodeError``."""
+        stub = tmp_path / "stub-python"
+        stub.write_text(f"#!{sys.executable}\n"
+                        "import sys, time\n"
+                        "print('child says boo', file=sys.stderr, "
+                        "flush=True)\n"
+                        "print('not json at all', flush=True)\n"
+                        "time.sleep(30)\n")
+        stub.chmod(0o755)
+        # The stub stands in for the interpreter and ignores the
+        # ``-m repro node …`` arguments it is handed.
+        with ProcessFleet(run_dir=fleet_sandbox.storage_dir(),
+                          python=str(stub)) as fleet:
+            with pytest.raises(FleetProcessError) as excinfo:
+                fleet.spawn(_spec("n0", "unused-genesis"))
+        assert "not json at all" in str(excinfo.value)
+        assert "child says boo" in str(excinfo.value)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.biot import BIoTConfig, BIoTSystem
+from repro.harness.workload import WorkloadBuilder, new_node
+from repro.network.transport import Message
 
 
 def build_running_system(seed=141):
@@ -40,6 +42,32 @@ ALL_KINDS = [
     "sync_response", "keydist_m1", "keydist_m2", "keydist_m3",
     "totally-unknown-kind",
 ]
+
+
+FULL_NODE_KINDS = [
+    "get_tips_request", "submit_transaction", "gossip_transaction",
+    "gossip_batch", "sync_request", "sync_response", "parent_request",
+    "parent_response",
+]
+
+
+class TestNonDictBodies:
+    """The frame layer does not type ``body``, so a structurally valid
+    frame can carry anything; every full-node handler must count it as
+    malformed and never raise into the transport's read loop."""
+
+    @pytest.fixture(scope="class")
+    def genesis(self):
+        return WorkloadBuilder("robustness", 1, devices=0).genesis
+
+    @pytest.mark.parametrize("body", [None, 7, b"x", []], ids=repr)
+    @pytest.mark.parametrize("kind", FULL_NODE_KINDS)
+    def test_counted_as_malformed_never_raised(self, genesis, kind, body):
+        node = new_node("gateway", genesis, rng_seed=0)
+        node.handle_message(Message(sender="peer", recipient="gateway",
+                                    kind=kind, body=body, sent_at=0.0))
+        assert node.stats.malformed_messages == 1
+        assert node.stats.rejection_reasons == {"malformed": 1}
 
 
 class TestGatewayFuzzing:

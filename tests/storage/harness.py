@@ -10,13 +10,10 @@ output against checked-in files; corruption tests mutate copies of it.
 from __future__ import annotations
 
 import os
-import random
 
 from repro.core.acl import AuthorizationList
-from repro.core.consensus import CreditBasedConsensus, InverseDifficultyPolicy
-from repro.core.credit import CreditParameters, CreditRegistry
 from repro.crypto.keys import KeyPair
-from repro.nodes.full_node import FullNode
+from repro.harness.workload import new_node
 from repro.nodes.manager import ManagerNode
 from repro.storage.persistence import NodePersistence
 from repro.storage.store import FileStore
@@ -28,15 +25,6 @@ def golden_keys():
     manager = KeyPair.generate(seed=b"golden:manager")
     device = KeyPair.generate(seed=b"golden:device")
     return manager, device
-
-
-def new_consensus() -> CreditBasedConsensus:
-    params = CreditParameters()
-    return CreditBasedConsensus(
-        CreditRegistry(params),
-        policy=InverseDifficultyPolicy(initial_difficulty=1),
-        max_parent_age=params.delta_t,
-    )
 
 
 def build_golden_store(directory: str):
@@ -54,8 +42,7 @@ def build_golden_store(directory: str):
         token_allocations=[(manager_keys.node_id, 100),
                            (device_keys.node_id, 100)],
     )
-    node = FullNode("golden", genesis, consensus=new_consensus(),
-                    rng=random.Random(0), enforce_pow=True)
+    node = new_node("golden", genesis, rng_seed=0)
     store = FileStore(os.path.join(directory, "log.jsonl"))
     persistence = NodePersistence(store)
     node.attach_persistence(persistence)

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.storage.differential import run_differential
+from repro.harness.storage import run_differential
 
 SEEDS = [7, 19]
 
