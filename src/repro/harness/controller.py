@@ -71,33 +71,22 @@ class FleetController:
     async def resync(self, address: str) -> Dict[str, object]:
         return await self.rpc(address, RESYNC_KIND, RESYNC_ACK_KIND)
 
+    async def hashes(self, addresses: List[str], *,
+                     now: float) -> Dict[str, Dict[str, str]]:
+        """Every node's four state hashes, credit read at *now*."""
+        return {address: dict((await self.status(address, now=now))["hashes"])
+                for address in addresses}
+
+    async def resync_all(self, addresses: List[str]) -> None:
+        """Start one anti-entropy sweep on every node; let it settle."""
+        for address in addresses:
+            await self.resync(address)
+        await asyncio.sleep(0.3)
+
     async def shutdown_node(self, address: str,
                             timeout: float = 10.0) -> Dict[str, object]:
         return await self.rpc(address, SHUTDOWN_KIND, SHUTDOWN_ACK_KIND,
                               timeout=timeout, attempts=1)
-
-
-class _ProcFleet:
-    """The :func:`~repro.harness.compare.converge` view over control RPCs."""
-
-    def __init__(self, controller: FleetController, addresses: List[str],
-                 *, credit_now: float):
-        self.controller = controller
-        self.addresses = addresses
-        self.credit_now = credit_now
-
-    async def hashes(self) -> Dict[str, Dict[str, str]]:
-        per_node: Dict[str, Dict[str, str]] = {}
-        for address in self.addresses:
-            status = await self.controller.status(address,
-                                                  now=self.credit_now)
-            per_node[address] = dict(status["hashes"])
-        return per_node
-
-    async def resync(self) -> None:
-        for address in self.addresses:
-            await self.controller.resync(address)
-        await asyncio.sleep(0.3)
 
 
 async def _wait_bootstrap(controller: FleetController,
@@ -191,8 +180,8 @@ async def run_proc_leg(workload: Workload, *, processes: int,
 
         reference = workload.reference_hashes
         per_node, rounds = await converge(
-            _ProcFleet(controller, addresses,
-                       credit_now=workload.credit_now), reference)
+            lambda: controller.hashes(addresses, now=workload.credit_now),
+            lambda: controller.resync_all(addresses), reference)
 
         metrics_report: Dict[str, object] = {}
         for address in addresses:
@@ -213,7 +202,7 @@ async def run_proc_leg(workload: Workload, *, processes: int,
             except TimeoutError:
                 pass
 
-        summary = leg_summary(per_node, rounds, client.rejected)
+        summary = leg_summary(per_node, rounds, client.rejected, reference)
         return {
             "seed": seed,
             "processes": processes,
@@ -223,8 +212,7 @@ async def run_proc_leg(workload: Workload, *, processes: int,
             "reference": reference,
             "proc": {**summary, "crash": crash_record,
                      "metrics": metrics_report},
-            "matched": (summary["hashes"] == reference
-                        and not summary["rejected"]),
+            "matched": summary["converged"] and not summary["rejected"],
         }
     finally:
         fleet.shutdown()

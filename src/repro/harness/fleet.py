@@ -31,9 +31,10 @@ from ..network.aio import AsyncioScheduler, AsyncioTransport, NodeRunner
 from ..network.network import Network
 from ..network.simulator import EventScheduler
 from ..network.transport import BACKBONE_LINK
-from .compare import converge, leg_summary
+from ..network.proc import build_node
+from .compare import converge, converge_sync, leg_summary
 from .submit import SubmitClient
-from .workload import Workload, build_workload, new_node
+from .workload import Workload, build_workload
 
 __all__ = [
     "FLEET_SCENARIOS",
@@ -51,36 +52,26 @@ fleet); ``mini`` keeps unit tests fast."""
 
 
 def _build_fleet_nodes(workload: Workload, node_count: int):
-    nodes = [new_node(f"n{i}", workload.genesis, rng_seed=i)
+    nodes = [build_node(f"n{i}", workload.genesis, rng_seed=i)
              for i in range(node_count)]
     for a, b in itertools.permutations(nodes, 2):
         a.add_peer(b.address)
     return nodes
 
 
-class _LocalFleet:
-    """The :func:`~repro.harness.compare.converge` view over in-process nodes;
-    *settle* waits out one sweep in the leg's own notion of time."""
+def _state_hashes(nodes, credit_now: float) -> Dict[str, Dict[str, str]]:
+    return {node.address: node_state_hashes(node, credit_now=credit_now)
+            for node in nodes}
 
-    def __init__(self, nodes, *, credit_now: float, settle):
-        self.nodes = nodes
-        self.credit_now = credit_now
-        self.settle = settle
 
-    async def hashes(self) -> Dict[str, Dict[str, str]]:
-        return {node.address: node_state_hashes(
-                    node, credit_now=self.credit_now)
-                for node in self.nodes}
-
-    async def resync(self) -> None:
-        for node in self.nodes:
-            node.resync_with_peers()
-        await self.settle()
+def _start_resync(nodes) -> None:
+    for node in nodes:
+        node.resync_with_peers()
 
 
 def _leg_result(*, leg: str, scenario: str, seed: int, nodes, per_node,
                 rounds: int, duration: float, transports,
-                client: SubmitClient):
+                client: SubmitClient, reference: Dict[str, str]):
     """The ``(ConvergenceReport, leg summary)`` pair both legs return."""
     report = ConvergenceReport.from_nodes(
         scenario=f"fleet-{scenario}-{leg}", seed=seed, nodes=nodes,
@@ -93,7 +84,7 @@ def _leg_result(*, leg: str, scenario: str, seed: int, nodes, per_node,
             "submissions": len(client.results),
         },
         notes=[f"rejected:{len(client.rejected)}"])
-    return report, leg_summary(per_node, rounds, client.rejected)
+    return report, leg_summary(per_node, rounds, client.rejected, reference)
 
 
 # -- simulated leg ---------------------------------------------------------
@@ -117,18 +108,18 @@ def run_sim_leg(workload: Workload, *, node_count: int, seed: int,
         nodes[0].address, workload.transactions))
     scheduler.run()
 
-    async def settle() -> None:
+    def resync() -> None:
+        _start_resync(nodes)
         scheduler.run()
 
-    # Nothing in this view ever suspends; the loop only exists to run
-    # the convergence step the TCP legs share.
-    per_node, rounds = asyncio.run(converge(
-        _LocalFleet(nodes, credit_now=workload.credit_now, settle=settle),
-        workload.reference_hashes))
+    per_node, rounds = converge_sync(
+        lambda: _state_hashes(nodes, workload.credit_now), resync,
+        workload.reference_hashes)
     return _leg_result(
         leg="sim", scenario=scenario, seed=seed, nodes=nodes,
         per_node=per_node, rounds=rounds, duration=scheduler.clock.now(),
-        transports=[network], client=client)
+        transports=[network], client=client,
+        reference=workload.reference_hashes)
 
 
 # -- wire leg --------------------------------------------------------------
@@ -141,7 +132,8 @@ async def run_wire_leg(workload: Workload, *, node_count: int,
 
     Boots one :class:`NodeRunner` per full node (ephemeral ports), a
     connect-only client, submits serially awaiting every response, then
-    drains gossip and runs anti-entropy rounds until the hashes agree.
+    drains gossip and runs anti-entropy rounds until every node holds
+    the reference hashes.
     Returns ``(report, summary)``.
     """
     scheduler = AsyncioScheduler(time_scale=time_scale)
@@ -174,15 +166,21 @@ async def run_wire_leg(workload: Workload, *, node_count: int,
                and any(len(node.tangle) < expected for node in nodes)):
             await asyncio.sleep(0.05)
 
-        per_node, rounds = await converge(
-            _LocalFleet(nodes, credit_now=workload.credit_now,
-                        settle=lambda: asyncio.sleep(0.3)),
-            workload.reference_hashes)
+        async def hashes() -> Dict[str, Dict[str, str]]:
+            return _state_hashes(nodes, workload.credit_now)
+
+        async def resync() -> None:
+            _start_resync(nodes)
+            await asyncio.sleep(0.3)
+
+        per_node, rounds = await converge(hashes, resync,
+                                          workload.reference_hashes)
         return _leg_result(
             leg="wire", scenario=scenario, seed=seed, nodes=nodes,
             per_node=per_node, rounds=rounds,
             duration=scheduler.clock.now(),
-            transports=[r.transport for r in runners], client=client)
+            transports=[r.transport for r in runners], client=client,
+            reference=workload.reference_hashes)
     finally:
         await client.close()
         for runner in runners:
@@ -202,9 +200,9 @@ def run_fleet_differential(*, seed: int, scenario: str = "smoke",
     """Run both legs and compare; returns ``(result, sim_report,
     wire_report)`` where ``result["matched"]`` is the sim≡wire verdict.
 
-    ``matched`` is True iff both legs converged internally AND both
-    agree with the reference node's four hashes — the acceptance
-    criterion of the transport extraction.
+    ``matched`` is True iff on both legs every node converged to the
+    reference node's four hashes — the acceptance criterion of the
+    transport extraction.
     """
     if scenario not in FLEET_SCENARIOS:
         known = ", ".join(sorted(FLEET_SCENARIOS))
@@ -225,10 +223,6 @@ def run_fleet_differential(*, seed: int, scenario: str = "smoke",
         run_wire_leg(workload, node_count=node_count, seed=seed,
                      scenario=scenario, host=host, time_scale=time_scale))
 
-    matched = all(
-        summary["converged"]
-        and summary["hashes"] == workload.reference_hashes
-        for summary in (sim_summary, wire_summary))
     result = {
         "seed": seed,
         "scenario": scenario,
@@ -237,6 +231,6 @@ def run_fleet_differential(*, seed: int, scenario: str = "smoke",
         "reference": workload.reference_hashes,
         "sim": sim_summary,
         "wire": wire_summary,
-        "matched": matched,
+        "matched": sim_summary["converged"] and wire_summary["converged"],
     }
     return result, sim_report, wire_report

@@ -22,11 +22,12 @@ from typing import Dict, List, Tuple
 from ..core.acl import AclAction
 from ..faults.report import node_state_hashes
 from ..network.network import Network
+from ..network.proc import build_node
 from ..network.simulator import EventScheduler
 from ..storage.persistence import NodePersistence
 from ..storage.store import open_store
 from ..tangle.transaction import TransactionKind
-from .workload import WorkloadBuilder, new_node
+from .workload import WorkloadBuilder
 
 __all__ = ["run_differential"]
 
@@ -54,7 +55,7 @@ def run_differential(*, seed: int, storage_dir: str,
 
     scheduler = EventScheduler()
     network = Network(scheduler, rng=random.Random(rng.randrange(2 ** 63)))
-    durable = new_node("durable", genesis, rng_seed=1)
+    durable = build_node("durable", genesis, rng_seed=1)
     network.attach(reference)
     network.attach(durable)
     # No peering: the two replicas see the workload only through
@@ -175,7 +176,7 @@ def run_differential(*, seed: int, storage_dir: str,
 
     reopened = open_store(backend, storage_dir, node="durable")
     restore = NodePersistence(reopened).load()
-    cold = new_node("cold", genesis, rng_seed=2)
+    cold = build_node("cold", genesis, rng_seed=2)
     if restore.snapshot is not None:
         cold.adopt_snapshot(restore.snapshot)
     cold_replayed = sum(

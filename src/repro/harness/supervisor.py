@@ -15,10 +15,10 @@ import asyncio
 import json
 import os
 import select
+import socket
 import subprocess
 import sys
 import time
-import urllib.request
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -231,6 +231,15 @@ def write_genesis(genesis, run_dir: str) -> str:
 
 def scrape_metrics(host: str, port: int, *, timeout: float = 5.0) -> str:
     """Fetch a node process's Prometheus page; returns the body text."""
-    with urllib.request.urlopen(f"http://{host}:{port}/metrics",
-                                timeout=timeout) as response:
-        return response.read().decode("utf-8", errors="replace")
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        sock.sendall(b"GET /metrics HTTP/1.1\r\nHost: fleet\r\n"
+                     b"Connection: close\r\n\r\n")
+        chunks = []
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                break
+            chunks.append(data)
+    text = b"".join(chunks).decode("utf-8", errors="replace")
+    _, _, body = text.partition("\r\n\r\n")
+    return body

@@ -35,32 +35,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.acl import AclAction, AuthorizationList
-from ..core.consensus import CreditBasedConsensus
-from ..core.credit import CreditParameters
 from ..crypto.keys import KeyPair
 from ..faults.report import node_state_hashes
-from ..nodes.full_node import FullNode
+from ..network.proc import build_node
 from ..nodes.manager import ManagerNode
 from ..tangle.ledger import TransferPayload
 from ..tangle.transaction import Transaction, TransactionKind
 
-__all__ = ["TOKEN_GRANT", "Workload", "WorkloadBuilder", "build_workload",
-           "new_node"]
+__all__ = ["TOKEN_GRANT", "Workload", "WorkloadBuilder", "build_workload"]
 
 TOKEN_GRANT = 500
 """Initial balance of every transacting identity in a workload."""
-
-
-def new_node(address: str, genesis: Transaction, *,
-             rng_seed: int) -> FullNode:
-    """A full node configured exactly as ``repro node`` configures one
-    (difficulty-1 inverse policy, PoW enforced), so in-process replicas
-    and OS-process replicas are hash-comparable."""
-    return FullNode(
-        address, genesis,
-        consensus=CreditBasedConsensus.from_params(
-            CreditParameters(), initial_difficulty=1),
-        rng=random.Random(rng_seed), enforce_pow=True)
 
 
 class WorkloadBuilder:
@@ -88,7 +73,7 @@ class WorkloadBuilder:
             token_allocations=[(keys.node_id, TOKEN_GRANT)
                                for keys in [self.manager] + self.devices],
         )
-        self.reference = new_node("reference", self.genesis, rng_seed=0)
+        self.reference = build_node("reference", self.genesis, rng_seed=0)
 
     # -- payloads ----------------------------------------------------------
 

@@ -47,7 +47,7 @@ from ..telemetry.registry import MetricsRegistry
 from .aio import AsyncioScheduler, AsyncioTransport, NodeRunner
 from .discovery import DiscoveryService, parse_seed
 
-__all__ = ["NodeProcessSpec", "run_node_process", "READY_EVENT",
+__all__ = ["NodeProcessSpec", "build_node", "run_node_process", "READY_EVENT",
            "STATUS_KIND", "STATUS_RESPONSE_KIND", "RESYNC_KIND",
            "RESYNC_ACK_KIND", "SHUTDOWN_KIND", "SHUTDOWN_ACK_KIND"]
 
@@ -131,21 +131,21 @@ def _load_genesis(path: str):
         return Transaction.from_bytes(bytes.fromhex(handle.read().strip()))
 
 
-def _build_node(spec: NodeProcessSpec, genesis, registry):
-    """The one node configuration ``repro node`` runs (mirrored by
-    ``repro.harness.workload.new_node``, which is what keeps a process
-    fleet hash-comparable with an in-process one)."""
+def build_node(address: str, genesis, *, rng_seed: int,
+               crypto_backend: str = "reference", telemetry=None):
+    """The one node configuration ``repro node`` runs (difficulty-1
+    inverse policy, PoW enforced).  :mod:`repro.harness` builds its
+    in-process replicas with this same function, which is what keeps a
+    process fleet hash-comparable with an in-process one."""
     from ..core.consensus import CreditBasedConsensus
     from ..nodes.full_node import FullNode
 
     return FullNode(
-        spec.address, genesis,
+        address, genesis,
         consensus=CreditBasedConsensus.from_params(
             CreditParameters(), initial_difficulty=1),
-        rng=random.Random(spec.rng_seed),
-        enforce_pow=True,
-        crypto_backend=spec.crypto_backend,
-        telemetry=registry)
+        rng=random.Random(rng_seed), enforce_pow=True,
+        crypto_backend=crypto_backend, telemetry=telemetry)
 
 
 async def _serve_metrics(registry, host: str,
@@ -183,7 +183,8 @@ async def _amain(spec: NodeProcessSpec, *, ready_stream) -> int:
 
     registry = MetricsRegistry()
     genesis = _load_genesis(spec.genesis_path)
-    node = _build_node(spec, genesis, registry)
+    node = build_node(spec.address, genesis, rng_seed=spec.rng_seed,
+                      crypto_backend=spec.crypto_backend, telemetry=registry)
 
     restored = 0
     persistence = None

@@ -16,7 +16,8 @@ generation determinism and the parent-closure property live in
 
 from repro.faults.report import node_state_hashes
 from repro.harness.controller import run_proc_differential
-from repro.harness.workload import build_workload, new_node
+from repro.harness.workload import build_workload
+from repro.network.proc import build_node
 from repro.tangle.transaction import Transaction
 
 
@@ -63,7 +64,7 @@ class TestShardedWorkload:
         first = {shard[0] for shard in workload.shards}
         assert len(first) == 1
         for index, shard in enumerate(workload.shards):
-            node = new_node(f"check-{index}", workload.genesis,
+            node = build_node(f"check-{index}", workload.genesis,
                             rng_seed=index)
             for encoded in shard:
                 tx = Transaction.from_bytes(encoded)
@@ -78,7 +79,7 @@ class TestShardedWorkload:
         workload = build_workload(9, shards=2, transactions=5)
         nodes = []
         for index, shard in enumerate(workload.shards):
-            node = new_node(f"iso-{index}", workload.genesis,
+            node = build_node(f"iso-{index}", workload.genesis,
                             rng_seed=index)
             for encoded in shard:
                 assert node.ingest_local(Transaction.from_bytes(encoded))

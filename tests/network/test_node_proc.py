@@ -25,8 +25,8 @@ from repro.harness.supervisor import (
     scrape_metrics,
     write_genesis,
 )
-from repro.harness.workload import build_workload, new_node
-from repro.network.proc import NodeProcessSpec
+from repro.harness.workload import build_workload
+from repro.network.proc import NodeProcessSpec, build_node
 
 TIME_SCALE = 20.0
 
@@ -159,7 +159,7 @@ class TestProcessLifecycle:
         store = open_store("file", storage_dir, node="n0")
         try:
             persistence = NodePersistence(store)
-            node = new_node("n0", workload.genesis, rng_seed=0)
+            node = build_node("n0", workload.genesis, rng_seed=0)
             node.attach_persistence(persistence)
             restored = node.cold_restore()
             assert restored == len(workload.transactions)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.biot import BIoTConfig, BIoTSystem
-from repro.harness.workload import WorkloadBuilder, new_node
+from repro.harness.workload import WorkloadBuilder
+from repro.network.proc import build_node
 from repro.network.transport import Message
 
 
@@ -63,7 +64,7 @@ class TestNonDictBodies:
     @pytest.mark.parametrize("body", [None, 7, b"x", []], ids=repr)
     @pytest.mark.parametrize("kind", FULL_NODE_KINDS)
     def test_counted_as_malformed_never_raised(self, genesis, kind, body):
-        node = new_node("gateway", genesis, rng_seed=0)
+        node = build_node("gateway", genesis, rng_seed=0)
         node.handle_message(Message(sender="peer", recipient="gateway",
                                     kind=kind, body=body, sent_at=0.0))
         assert node.stats.malformed_messages == 1

@@ -13,7 +13,7 @@ import os
 
 from repro.core.acl import AuthorizationList
 from repro.crypto.keys import KeyPair
-from repro.harness.workload import new_node
+from repro.network.proc import build_node
 from repro.nodes.manager import ManagerNode
 from repro.storage.persistence import NodePersistence
 from repro.storage.store import FileStore
@@ -42,7 +42,7 @@ def build_golden_store(directory: str):
         token_allocations=[(manager_keys.node_id, 100),
                            (device_keys.node_id, 100)],
     )
-    node = new_node("golden", genesis, rng_seed=0)
+    node = build_node("golden", genesis, rng_seed=0)
     store = FileStore(os.path.join(directory, "log.jsonl"))
     persistence = NodePersistence(store)
     node.attach_persistence(persistence)
