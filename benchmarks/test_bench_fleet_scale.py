@@ -72,10 +72,11 @@ def test_fleet_scale(report_writer):
         assert by_count[2] > by_count[1], by_count
         assert by_count[4] > by_count[2], by_count
         assert by_count[4] / by_count[1] >= MIN_SPEEDUP_AT_4, by_count
-    elif cpus >= 2 and 2 in by_count:
+    elif not SMOKE and cpus >= 2 and 2 in by_count:
         assert by_count[2] > by_count[1], by_count
     else:
-        # Single core: processes time-share; require only that adding
-        # processes does not collapse throughput.
+        # Smoke shards (20 transactions: start-up noise outweighs a
+        # second core) or a single core (processes time-share): require
+        # only that adding processes does not collapse throughput.
         top = max(by_count)
         assert by_count[top] >= 0.5 * by_count[1], by_count

@@ -517,6 +517,7 @@ class AsyncioTransport:
                 except FrameError:
                     self._m_frame_errors.inc()
                     break
+                self._prepare_run(messages)
                 for message in messages:
                     self._m_frames_received.inc(kind=message.kind)
                     # Reverse route: replies reach peers that never
@@ -525,6 +526,18 @@ class AsyncioTransport:
                     self._dispatch(message)
         finally:
             self._discard_writer(writer)
+
+    def _prepare_run(self, messages: List[Message]) -> None:
+        """Show the local node what one ``read()`` carried for it before
+        the first frame is dispatched (``NetworkNode.prepare_run``).  A
+        lone frame has nothing to be prepared together with."""
+        node = self._node
+        if node is None or len(messages) < 2:
+            return
+        node.prepare_run([
+            message for message in messages
+            if message.recipient == node.address
+            and message.kind not in self._handlers])
 
     def _dispatch(self, message: Message) -> None:
         if self._closing:

@@ -19,6 +19,24 @@ Two backends implement it:
   replicated state (tangle/ledger/ACL/credit hashes) must not (the
   property the fleet differential harness in
   :mod:`repro.harness.fleet` asserts).
+
+The node side of the contract is two calls.  Every message reaches its
+recipient through ``node._deliver(message)`` (which counts it and calls
+``handle_message``) — on both backends, one message at a time.  A
+*stream* backend, where one ``read()`` may complete many frames, also
+calls ``node.prepare_run(messages)`` once per read that completed two
+or more frames, with exactly the messages it is about to deliver to
+that node, in order, and before it delivers the first.  The hook is an
+opportunity to share work across what arrived together (a full node
+batch-verifies the run's signatures); it replies to nothing, admits
+nothing, and must leave the node in a state from which delivering the
+messages one by one produces exactly what it would have produced
+without the call — how a byte stream is cut into reads is kernel
+timing, and nothing replicated may depend on it.  ``SimTransport``
+delivers one message per scheduled event, so it has no runs and never
+calls the hook: simulator schedules stay byte-deterministic, and the
+sim≡wire≡process differentials are the proof that the hook changes no
+state.
 """
 
 from __future__ import annotations

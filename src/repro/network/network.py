@@ -67,6 +67,17 @@ class NetworkNode:
         """Process a delivered message (subclasses override)."""
         raise NotImplementedError
 
+    def prepare_run(self, messages: List[Message]) -> None:
+        """See a *run* before any of it is delivered: the messages one
+        ``read()`` of a stream transport carried for this node, in
+        arrival order (the contract is in :mod:`repro.network.base`).
+
+        Purely an opportunity to share work across the run — every
+        message is still delivered through :meth:`handle_message`
+        afterwards, and the outcome must not depend on whether or how
+        the stream was cut into runs.  The default does nothing.
+        """
+
     def _deliver(self, message: Message) -> None:
         self.received_count += 1
         self.handle_message(message)

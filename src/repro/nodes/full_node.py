@@ -63,6 +63,12 @@ from ..tangle.validation import (
 
 __all__ = ["FullNode", "FullNodeStats"]
 
+_REPLAY_PREVERIFY_SLICE = 256
+"""Journal records batch-verified ahead of each stretch of a cold
+restore's replay: the top ``repro_crypto_batch_size`` bucket, and far
+enough under ``DEFAULT_PREVERIFIED_SIZE`` that no verdict is evicted
+before its record is replayed."""
+
 
 @dataclass
 class FullNodeStats:
@@ -216,6 +222,9 @@ class FullNode(NetworkNode):
         self._crypto_pool = crypto_pool
         self.gossip_batch_size = gossip_batch_size
         self._preverified = PreverifiedSet()
+        # encoded bytes -> the Transaction prepare_run already parsed
+        # from them; the handler of the same frame takes it back out.
+        self._run_decoded: Dict[bytes, Transaction] = {}
         # peer -> pending encoded floods, non-None only while a batch
         # entry point is coalescing (see _batched_flood).
         self._flood_buffer: Optional[Dict[str, List[bytes]]] = None
@@ -442,9 +451,13 @@ class FullNode(NetworkNode):
         if restore.snapshot is not None:
             self.adopt_snapshot(restore.snapshot)
         replayed = 0
-        for tx, arrival_time in restore.tail:
-            if self.replay_attach(tx, arrival_time=arrival_time):
-                replayed += 1
+        tail = restore.tail
+        for start in range(0, len(tail), _REPLAY_PREVERIFY_SLICE):
+            records = tail[start:start + _REPLAY_PREVERIFY_SLICE]
+            self._preverify([tx for tx, _ in records])
+            for tx, arrival_time in records:
+                if self.replay_attach(tx, arrival_time=arrival_time):
+                    replayed += 1
         self.persistence = persistence
         return replayed
 
@@ -537,8 +550,74 @@ class FullNode(NetworkNode):
             "difficulty": difficulty,
         })
 
+    # -- runs: what one read() of a stream transport carried ----------------
+
+    def prepare_run(self, messages: List[Message]) -> None:
+        """Batch-verify the signatures a run's ``submit_transaction``
+        and ``gossip_transaction`` frames will need, before the frames
+        are handled one by one.
+
+        Only verdicts move: positive ones are parked in the
+        :class:`~repro.tangle.validation.PreverifiedSet`, exactly as
+        for a ``sync_response``, and the per-message handlers stay the
+        only code that admits, attaches, answers and floods.  The cheap
+        gates a handler applies before it reaches the signature check
+        apply here first (:meth:`_worth_preverifying`), so a run of
+        duplicates, strangers or unsealed transactions buys no
+        signature work.  Whatever is filtered out, fails the batch, or
+        becomes eligible only through an earlier frame of the same run
+        (an ACL grant, then the grantee's first submit) is verified
+        singly by the validator as ever.  Each frame's transaction is
+        parsed once: the handler collects it from ``_run_decoded``.
+        """
+        self._run_decoded.clear()
+        carriers = [m for m in messages
+                    if m.kind in ("submit_transaction", "gossip_transaction")]
+        if len(carriers) < 2:
+            return
+        pending: List[Transaction] = []
+        for message in carriers:
+            body = message.body
+            encoded = body.get("transaction") \
+                if isinstance(body, dict) else None
+            if not isinstance(encoded, bytes):
+                continue  # the handler counts it as malformed
+            try:
+                tx = self._decode(encoded)
+            except ValueError:
+                continue
+            self._run_decoded[encoded] = tx
+            if self._worth_preverifying(
+                    tx, submitted=message.kind == "submit_transaction"):
+                pending.append(tx)
+        self._preverify(pending)
+
+    def _worth_preverifying(self, tx: Transaction, *,
+                            submitted: bool) -> bool:
+        """The stateless / O(1) refusals that precede the signature
+        check on the per-message path, in the same order: already
+        attached, issuer the ACL does not list (submissions only —
+        peers' gossip was admitted where it entered), nonce that does
+        not meet the declared difficulty.  (The difficulty floor needs
+        no line here: a transaction declaring less does not decode.)"""
+        if tx.tx_hash in self.tangle:
+            return False
+        if submitted and not self.acl.is_authorized(tx.issuer.node_id):
+            return False
+        return not self._enforce_pow or tx.verify_pow()
+
+    def _carried_transaction(self, message: Message) -> Transaction:
+        """The transaction a submit/gossip frame carries — taken from
+        the run's memo when :meth:`prepare_run` parsed it already."""
+        encoded = message.body["transaction"]
+        if self._run_decoded and isinstance(encoded, bytes):
+            tx = self._run_decoded.pop(encoded, None)
+            if tx is not None:
+                return tx
+        return self._decode(encoded)
+
     def _handle_submit(self, message: Message) -> None:
-        tx = self._decode(message.body["transaction"])
+        tx = self._carried_transaction(message)
         ok, error = self._ingest(tx, source=None, admit=True)
         if ok:
             self.stats.submissions_accepted += 1
@@ -552,7 +631,7 @@ class FullNode(NetworkNode):
         })
 
     def _handle_gossip(self, message: Message) -> None:
-        tx = self._decode(message.body["transaction"])
+        tx = self._carried_transaction(message)
         self._ingest(tx, source=message.sender, admit=False)
 
     def _handle_gossip_batch(self, message: Message) -> None:

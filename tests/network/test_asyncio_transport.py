@@ -21,8 +21,10 @@ from repro.network.aio import (
     NodeRunner,
 )
 from repro.network.base import Transport, is_transport
+from repro.network.frame import encode_frame
 from repro.network.network import Network, NetworkNode
 from repro.network.simulator import EventScheduler
+from repro.network.transport import Message
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracer import TraceContext, Tracer
 
@@ -341,6 +343,53 @@ class TestFramingHostility:
                 await server_runner.stop()
 
         assert fleet_sandbox.run(scenario()) == 1
+
+
+class TestRuns:
+    def test_a_read_is_shown_to_the_node_before_it_is_delivered(
+            self, fleet_sandbox):
+        """Frames written together arrive in one ``read()``; the node
+        sees the ones it is about to be delivered — not a registered
+        handler's, not another recipient's — as one run ahead of the
+        first delivery.  A frame that arrives alone forms no run."""
+        class RunRecorder(Recorder):
+            def prepare_run(self, messages):
+                self.received.append([m.body for m in messages])
+
+        def framed(kind, body, recipient="server"):
+            return encode_frame(Message(
+                sender="raw", recipient=recipient, kind=kind, body=body,
+                sent_at=0.0))
+
+        async def scenario():
+            scheduler = AsyncioScheduler(time_scale=20.0)
+            server = RunRecorder("server")
+            transport = _transport(scheduler, {})
+            handled = []
+            transport.register_handler("control", handled.append)
+            runner = NodeRunner(server, transport, listen=("127.0.0.1", 0))
+            try:
+                await runner.start()
+                _, writer = await asyncio.open_connection(
+                    *runner.bound_address)
+                writer.write(framed("ping", 1) + framed("control", 2)
+                             + framed("ping", 3, recipient="elsewhere")
+                             + framed("ping", 4))
+                await writer.drain()
+                await _wait_for(lambda: len(server.received) >= 3)
+                writer.write(framed("ping", 5))
+                await writer.drain()
+                await _wait_for(lambda: len(server.received) >= 4)
+                writer.close()
+                return ([m.body if isinstance(m, Message) else m
+                         for m in server.received],
+                        [m.body for m in handled])
+            finally:
+                await runner.stop()
+
+        seen, handled = fleet_sandbox.run(scenario())
+        assert seen == [[1, 4], 1, 4, 5]
+        assert handled == [2]
 
 
 class TestGracefulShutdown:

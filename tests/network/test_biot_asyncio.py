@@ -119,14 +119,20 @@ class TestAsyncioDeployment:
                 await system.initialize_async(settle_seconds=2.0)
                 system.start_devices()
                 await system.run_for_async(15.0)
-                # A report submitted in the last instant of the run
-                # window may still be in flight; let acceptance land
-                # instead of racing the fleet stop (flaky under a
-                # loaded single-core runner).
+                # A report under way when the window closes (reading
+                # taken, tips served, PoW still grinding) is not yet
+                # counted as sent; stop the reporting loops and let
+                # every reading taken land as an acceptance instead of
+                # racing the fleet stop — "accepted == sent" alone holds
+                # for an instant while such a report is mid-flight.
+                for device in system.devices:
+                    device.stop()
                 for _ in range(200):
                     interim = system.summary()
+                    taken = sum(device.stats.readings_taken
+                                for device in system.devices)
                     if interim["submissions_accepted"] == \
-                            interim["submissions_sent"]:
+                            interim["submissions_sent"] == taken:
                         break
                     await asyncio.sleep(0.05)
             finally:

@@ -12,6 +12,7 @@ ways a process dies:
   same command line replays the journal and catches back up.
 """
 
+import asyncio
 import sys
 
 import pytest
@@ -26,7 +27,9 @@ from repro.harness.supervisor import (
     write_genesis,
 )
 from repro.harness.workload import build_workload
+from repro.network.frame import FrameDecoder, encode_frame
 from repro.network.proc import NodeProcessSpec, build_node
+from repro.network.transport import Message
 
 TIME_SCALE = 20.0
 
@@ -209,6 +212,78 @@ class TestProcessLifecycle:
             status = fleet_sandbox.run(after_restart())
             assert status["restored"] == half
             assert status["hashes"] == workload.reference_hashes
+            assert fleet.terminate("n0") == 0
+
+
+class TestBurst:
+    def test_frames_written_together_are_verified_together(
+            self, fleet_sandbox):
+        """32 submits in a single ``write()`` reach the node in (at
+        most a few) ``read()`` calls: every one is acked ``ok``, the
+        state is the reference's, and the node's own counters say the
+        signatures went through the batch lane."""
+        burst = 32
+        workload = build_workload(11, transactions=burst + 1)
+        run_dir = fleet_sandbox.storage_dir()
+        genesis_path = write_genesis(workload.genesis, run_dir)
+
+        def submit(index):
+            return encode_frame(Message(
+                sender="burst", recipient="n0", kind="submit_transaction",
+                body={"request_id": index,
+                      "transaction": workload.transactions[index]},
+                sent_at=0.0, message_id=index))
+
+        async def drive(ready):
+            reader, writer = await asyncio.open_connection(
+                ready["host"], ready["port"])
+            decoder, acks = FrameDecoder(), {}
+
+            async def collect(count):
+                while len(acks) < count:
+                    data = await asyncio.wait_for(reader.read(65536), 20.0)
+                    assert data, "node closed the connection"
+                    for message in decoder.feed(data):
+                        assert message.kind == "submit_response"
+                        acks[message.body["request_id"]] = message.body
+
+            try:
+                # The ACL grant first, alone: its successors are only
+                # batch-eligible once their issuers are authorised.
+                writer.write(submit(0))
+                await collect(1)
+                writer.write(b"".join(submit(i)
+                                      for i in range(1, burst + 1)))
+                await collect(burst + 1)
+            finally:
+                writer.close()
+            return acks
+
+        with ProcessFleet(run_dir=run_dir) as fleet:
+            ready = fleet.spawn(_spec("n0", genesis_path, metrics_port=0,
+                                      crypto_backend="accel"))
+            acks = fleet_sandbox.run(drive(ready))
+            assert [acks[i]["ok"] for i in range(burst + 1)] \
+                == [True] * (burst + 1)
+
+            page = scrape_metrics("127.0.0.1", ready["metrics_port"])
+            counters = dict(line.split() for line in page.splitlines()
+                            if line.startswith("repro_crypto_batch_")
+                            and "_total " in line)
+            assert int(counters["repro_crypto_batch_rounds_total"]) >= 1
+            assert int(counters["repro_crypto_batch_verified_total"]) >= 2
+            assert int(counters["repro_crypto_batch_fallback_total"]) == 0
+
+            async def status():
+                client = await _connect(ready)
+                try:
+                    return await FleetController(client).status(
+                        "n0", now=workload.credit_now)
+                finally:
+                    await client.close()
+
+            assert fleet_sandbox.run(status())["hashes"] \
+                == workload.reference_hashes
             assert fleet.terminate("n0") == 0
 
 

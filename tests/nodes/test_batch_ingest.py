@@ -15,11 +15,18 @@ import pytest
 from repro.crypto.keys import KeyPair
 from repro.network.network import Network, NetworkNode
 from repro.network.simulator import EventScheduler
+from repro.nodes import full_node
 from repro.nodes.full_node import FullNode
 from repro.nodes.manager import ManagerNode
+from repro.storage.errors import StorageCorruptionError
+from repro.storage.persistence import NodePersistence
+from repro.storage.store import MemoryStore
+from repro.tangle.errors import InvalidSignatureError
 from repro.tangle.transaction import Transaction
 from repro.tangle.validation import PreverifiedSet
 from repro.telemetry.registry import MetricsRegistry
+
+from .runs import batch_counters, forge_signature
 
 MANAGER = KeyPair.generate(seed=b"batch-manager")
 ISSUER = KeyPair.generate(seed=b"batch-issuer")
@@ -274,3 +281,52 @@ class TestFloodBatching:
             FullNode("bn-x", GENESIS, gossip_batch_size=0)
         with pytest.raises(ValueError):
             FullNode("bn-x", GENESIS, crypto_backend="turbo")
+
+
+class TestJournalReplayLane:
+    """``cold_restore`` batch-verifies the journal tail in slices ahead
+    of the unchanged per-record replay."""
+
+    def _journalled_node(self, txs):
+        telemetry = MetricsRegistry()
+        node = FullNode("bn-0", GENESIS, rng=random.Random(50),
+                        telemetry=telemetry)
+        node.attach_persistence(NodePersistence(MemoryStore()))
+        for tx in txs:
+            assert node._ingest(tx, source=None, admit=False)[0]
+        return node, telemetry
+
+    def test_tail_is_verified_in_one_round(self):
+        txs = chained_txs(5)
+        node, telemetry = self._journalled_node(txs)
+        assert node.cold_restore() == len(txs)
+        assert batch_counters(telemetry) == (1, 5, 0)
+        assert [tx.tx_hash for tx in node.tangle] \
+            == [GENESIS.tx_hash] + [tx.tx_hash for tx in txs]
+        assert len(node._preverified) == 0  # every verdict consumed
+
+    def test_slices_bound_the_batch(self, monkeypatch):
+        monkeypatch.setattr(full_node, "_REPLAY_PREVERIFY_SLICE", 2)
+        txs = chained_txs(5)
+        node, telemetry = self._journalled_node(txs)
+        assert node.cold_restore() == len(txs)
+        # Slices of 2, 2 and 1: the lone last record has nothing to be
+        # batched with and is verified by the validator.
+        assert batch_counters(telemetry) == (2, 4, 0)
+        assert len(node.tangle) == len(txs) + 1
+
+    def test_forged_record_is_still_refused(self):
+        txs = chained_txs(4)
+        node, telemetry = self._journalled_node(txs[:3])
+        node.persistence.record_transaction(
+            forge_signature(txs[3], txs[0]), 9.0)
+        with pytest.raises(InvalidSignatureError):
+            node.cold_restore()
+        assert batch_counters(telemetry) == (1, 3, 1)
+
+    def test_missing_parent_is_still_corruption(self):
+        txs = chained_txs(3)
+        node, _ = self._journalled_node(txs[:1])
+        node.persistence.record_transaction(txs[2], 9.0)  # txs[1] absent
+        with pytest.raises(StorageCorruptionError, match="missing parent"):
+            node.cold_restore()

@@ -70,6 +70,23 @@ class TestNonDictBodies:
         assert node.stats.malformed_messages == 1
         assert node.stats.rejection_reasons == {"malformed": 1}
 
+    def test_a_run_of_garbage_is_prepared_without_raising(self, genesis):
+        """The per-read run hook sees the same untyped bodies before
+        any handler does; it skips what it cannot read (the handlers
+        then count it) and never raises into the read loop either."""
+        node = build_node("gateway", genesis, rng_seed=0)
+        bodies = [None, 7, b"x", [], *GARBAGE_BODIES,
+                  {"transaction": []}, {"transaction": b""}]
+        run = [Message(sender="peer", recipient="gateway", kind=kind,
+                       body=body, sent_at=0.0)
+               for body in bodies
+               for kind in ("submit_transaction", "gossip_transaction")]
+        node.prepare_run(run)
+        for message in run:
+            node.handle_message(message)
+        assert node.stats.malformed_messages == len(run)
+        assert len(node.tangle) == 1
+
 
 class TestGatewayFuzzing:
     @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -1,0 +1,160 @@
+"""Amplification guard for the per-read batch lane: count the crypto.
+
+On the per-message path a frame reaches the Ed25519 check only after
+the duplicate test, the ACL, the difficulty floor and the nonce check.
+Batch-verifying a read's frames ahead of that path must not open a
+cheaper way to make a gateway do signature work: a run made entirely of
+frames those gates refuse triggers **no** batch round and no backend
+call the one-frame-per-read path would not also make.  And a forged
+signature hidden among good ones costs the honest senders nothing but
+the fallback the batch counters account for.
+"""
+
+from dataclasses import replace
+from functools import lru_cache
+
+import pytest
+
+import repro.crypto.accel as crypto_accel
+from repro.crypto.accel import CRYPTO_BACKENDS
+from repro.harness.workload import WorkloadBuilder
+from repro.tangle.transaction import Transaction, TransactionKind
+from repro.telemetry.registry import MetricsRegistry
+
+from .runs import (
+    Rig,
+    bad_nonce,
+    batch_counters,
+    forge_signature,
+    gossip_frame,
+    submit_frame,
+)
+
+RUN = 64
+
+
+@lru_cache(maxsize=None)
+def material():
+    """Genesis, the ACL grant, and four 64-transaction sets: a valid
+    chain from an authorised device, the same with its last signature
+    forged, one from a key the ACL does not list, one whose nonces miss
+    the declared difficulty."""
+    builder = WorkloadBuilder("amplify", 5, devices=1, guests=1)
+    (device,), (guest,) = builder.devices, builder.guests
+    acl, accepted = builder.issue(
+        builder.manager, TransactionKind.ACL, builder.acl_payload([device]),
+        (builder.genesis.tx_hash,) * 2, timestamp=1.0)
+    assert accepted
+
+    def fields(index, parents):
+        return dict(kind=TransactionKind.DATA, payload=b"%d" % index,
+                    timestamp=2.0 + index, branch=parents[0],
+                    trunk=parents[1], difficulty=1)
+
+    good, parents = [], (acl.tx_hash, acl.tx_hash)
+    for index in range(RUN):
+        tx = Transaction.create(device, **fields(index, parents))
+        parents = (parents[1], tx.tx_hash)
+        good.append(tx)
+    one_forged = good[:-1] + [forge_signature(good[-1], good[0])]
+    strangers = [Transaction.create(guest, **fields(i, (acl.tx_hash,) * 2))
+                 for i in range(RUN)]
+    unsealed = [bad_nonce(device, **fields(i, (acl.tx_hash,) * 2))
+                for i in range(RUN)]
+    return builder.genesis, acl, good, one_forged, strangers, unsealed
+
+
+class CountingRig(Rig):
+    """A rig whose node verifies through a backend that counts calls."""
+
+    def __init__(self, genesis, backend, monkeypatch):
+        inner = crypto_accel.get_backend(backend)
+        self.calls = {"verify": 0, "verify_batch": 0}
+
+        def counting(name):
+            def call(*args):
+                self.calls[name] += 1
+                return getattr(inner, name)(*args)
+            return call
+
+        wrapped = replace(inner, verify=counting("verify"),
+                          verify_batch=counting("verify_batch"))
+        with monkeypatch.context() as patch:
+            patch.setattr(crypto_accel, "get_backend", lambda name: wrapped)
+            self.telemetry = MetricsRegistry()
+            super().__init__(genesis, backend, telemetry=self.telemetry)
+
+
+def both_ways(backend, monkeypatch, frames, *, warmup=()):
+    """Deliver *frames* one per read and as a single read (after the
+    *warmup* frames, one per read, on both); returns the two rigs with
+    their crypto call counts zeroed after the warm-up."""
+    genesis = material()[0]
+    rigs = []
+    for pieces in (list(frames), [b"".join(frames)]):
+        rig = CountingRig(genesis, backend, monkeypatch)
+        rig.deliver(warmup)
+        rig.client.messages.clear()
+        rig.calls.update(verify=0, verify_batch=0)
+        rig.warm_counters = batch_counters(rig.telemetry)
+        rig.deliver(pieces)
+        rigs.append(rig)
+    return rigs
+
+
+def submits(transactions):
+    return [submit_frame(index, tx.to_bytes())
+            for index, tx in enumerate(transactions)]
+
+
+@pytest.mark.parametrize("backend", CRYPTO_BACKENDS)
+class TestRefusedRunsBuyNoCrypto:
+    def check(self, single, run):
+        assert run.responses() == single.responses()
+        assert run.node.stats == single.node.stats
+        assert run.calls == single.calls == {"verify": 0, "verify_batch": 0}
+        assert batch_counters(run.telemetry) == run.warm_counters
+
+    def test_unlisted_issuer(self, backend, monkeypatch):
+        _, acl, _, _, strangers, _ = material()
+        single, run = both_ways(backend, monkeypatch, submits(strangers),
+                                warmup=submits([acl]))
+        assert all("unauthorised" in body["error"]
+                   for _, body in run.responses().values())
+        self.check(single, run)
+
+    def test_nonce_below_declared_difficulty(self, backend, monkeypatch):
+        _, acl, _, _, _, unsealed = material()
+        single, run = both_ways(backend, monkeypatch, submits(unsealed),
+                                warmup=submits([acl]))
+        assert all("nonce fails" in body["error"]
+                   for _, body in run.responses().values())
+        self.check(single, run)
+
+    def test_gossip_of_attached_transactions(self, backend, monkeypatch):
+        _, acl, good, _, _, _ = material()
+        echoes = [gossip_frame(tx.to_bytes()) for tx in good]
+        single, run = both_ways(backend, monkeypatch, echoes,
+                                warmup=submits([acl] + good))
+        assert run.node.stats.gossip_duplicates == RUN
+        self.check(single, run)
+
+
+@pytest.mark.parametrize("backend", CRYPTO_BACKENDS)
+def test_one_forged_among_63_good(backend, monkeypatch):
+    """Same 63 ``ok`` and one ``signature invalid`` either way.  The
+    run spends one batch call on all 64 and the validator settles only
+    the forged one individually — the fallback counter says so."""
+    _, acl, _, one_forged, _, _ = material()
+    single, run = both_ways(backend, monkeypatch, submits(one_forged),
+                            warmup=submits([acl]))
+    responses = run.responses()
+    assert responses == single.responses()
+    assert [body["ok"] for _, body in map(responses.get, range(RUN))] \
+        == [True] * (RUN - 1) + [False]
+    assert "signature invalid" in responses[RUN - 1][1]["error"]
+    assert run.node.stats == single.node.stats
+    assert single.calls == {"verify": RUN, "verify_batch": 0}
+    assert run.calls == {"verify": 1, "verify_batch": 1}
+    assert batch_counters(single.telemetry) == (0, 0, 0)
+    assert batch_counters(run.telemetry) == (1, RUN - 1, 1)
