@@ -15,12 +15,12 @@ Four measurements of the PR-5/PR-8 fast lanes, on identical inputs:
   :class:`~repro.tangle.transaction.TransactionDecodeCache`;
 * **verify/decode cache hit rates** — observed counter values from an
   instrumented cached run;
-* **crypto backends** — end-to-end *uncached* gossip-flood validation
+* **crypto backends** — end-to-end *uncached* burst validation
   throughput with the reference Ed25519 backend vs the accel backend
   (batch verification + fixed-base tables), identical wire traffic:
-  the same ``gossip_batch`` burst floods a ring of full nodes with no
-  shared verification/decode caches, so every node pays full signature
-  verification for every transaction.
+  the same burst reaches every full node as one ``sync_response`` with
+  no shared verification/decode caches, so every node pays full
+  signature verification for every transaction.
 
 Emits ``benchmarks/out/BENCH_hotpath.json`` for EXPERIMENTS.md.
 
@@ -67,7 +67,6 @@ RING_DEGREE = 2  # peers on each side -> fanout 4
 CRYPTO_NODES = 4 if SMOKE else 8
 CRYPTO_TXS = 8 if SMOKE else 64
 CRYPTO_ISSUERS = 2 if SMOKE else 4
-CRYPTO_BATCH_SIZE = 16
 CRYPTO_MIN_SPEEDUP = 1.0 if SMOKE else 5.0
 
 
@@ -237,8 +236,8 @@ def _build_issuer_transactions(genesis, count, issuers):
 
 
 def _flood_backend(genesis, txs, backend):
-    """Flood *txs* as one gossip_batch through an uncached ring of
-    CRYPTO_NODES full nodes running *backend*; return wall seconds."""
+    """Deliver *txs* as one sync_response to each of CRYPTO_NODES
+    uncached full nodes running *backend*; return wall seconds."""
     from repro.crypto.accel import ed25519_accel
 
     scheduler = EventScheduler()
@@ -248,14 +247,9 @@ def _flood_backend(genesis, txs, backend):
         node = FullNode(
             f"cn{i}", genesis, rng=random.Random(7000 + i),
             crypto_backend=backend,
-            gossip_batch_size=CRYPTO_BATCH_SIZE,
         )
         network.attach(node)
         nodes.append(node)
-    for i in range(CRYPTO_NODES):
-        for step in range(1, RING_DEGREE + 1):
-            nodes[i].add_peer(nodes[(i + step) % CRYPTO_NODES].address)
-            nodes[i].add_peer(nodes[(i - step) % CRYPTO_NODES].address)
     encoded = [tx.to_bytes() for tx in txs]
     # The timed region measures *validation* throughput: table
     # construction is one-time process setup, and the decompress cache
@@ -263,9 +257,10 @@ def _flood_backend(genesis, txs, backend):
     ed25519_accel.precompute()
     ed25519_accel._decompress_cache.clear()
     start = time.perf_counter()
-    network.send(nodes[0].address, nodes[0].address,
-                 "gossip_batch", {"transactions": encoded},
-                 size_bytes=sum(len(e) for e in encoded))
+    for node in nodes:
+        network.send(node.address, node.address,
+                     "sync_response", {"transactions": encoded},
+                     size_bytes=sum(len(e) for e in encoded))
     scheduler.run()
     elapsed = time.perf_counter() - start
     for node in nodes:
@@ -283,7 +278,6 @@ def _bench_crypto_backends():
         "nodes": CRYPTO_NODES,
         "transactions": CRYPTO_TXS,
         "issuers": CRYPTO_ISSUERS,
-        "gossip_batch_size": CRYPTO_BATCH_SIZE,
         "reference_seconds": reference_s,
         "accel_seconds": accel_s,
         "reference_verified_tx_per_s": deliveries / reference_s,

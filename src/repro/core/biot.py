@@ -92,10 +92,6 @@ class BIoTConfig:
             identical to sequential execution (the pool lives at
             deployment level, never inside event handlers, so the
             discrete-event schedule is untouched).
-        gossip_batch_size: max transactions a full node coalesces into
-            one ``gossip_batch`` message when a burst ingests together;
-            1 (default) keeps the classic one-flood-per-transaction
-            wire behaviour.
         transport: ``"sim"`` (default) runs the deployment on the
             discrete-event simulator — bit-deterministic, driven by
             :meth:`BIoTSystem.initialize` / :meth:`BIoTSystem.run_for`.
@@ -151,7 +147,6 @@ class BIoTConfig:
     storage_dir: Optional[str] = None
     crypto_backend: str = "reference"
     pow_workers: int = 0
-    gossip_batch_size: int = 1
     transport: str = "sim"
     listen_host: str = "127.0.0.1"
     listen_base_port: int = 0
@@ -180,8 +175,6 @@ class BIoTConfig:
                 f"(known: {', '.join(CRYPTO_BACKENDS)})")
         if self.pow_workers < 0:
             raise ValueError("pow_workers must be >= 0")
-        if self.gossip_batch_size < 1:
-            raise ValueError("gossip_batch_size must be >= 1")
         if self.transport not in ("sim", "asyncio"):
             raise ValueError(
                 f"unknown transport {self.transport!r} "
@@ -351,7 +344,6 @@ class BIoTSystem:
             decode_cache=decode_cache,
             crypto_backend=config.crypto_backend,
             crypto_pool=crypto_pool,
-            gossip_batch_size=config.gossip_batch_size,
             telemetry=telemetry,
             lifecycle=lifecycle,
         )
@@ -379,7 +371,6 @@ class BIoTSystem:
                 decode_cache=decode_cache,
                 crypto_backend=config.crypto_backend,
                 crypto_pool=crypto_pool,
-                gossip_batch_size=config.gossip_batch_size,
                 telemetry=telemetry,
                 lifecycle=lifecycle,
             )

@@ -29,7 +29,6 @@ RPC message kinds:
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -46,7 +45,7 @@ from ..tangle.errors import (
     ValidationError,
 )
 from ..tangle.ledger import TokenLedger
-from ..tangle.tangle import DEFAULT_WEIGHT_FLUSH_INTERVAL, Tangle
+from ..tangle.tangle import Tangle
 from ..telemetry.lifecycle import coerce_lifecycle
 from ..telemetry.registry import SECONDS_BUCKETS, coerce_registry
 from ..tangle.tip_selection import TipSelector, UniformRandomTipSelector
@@ -122,12 +121,6 @@ class FullNode(NetworkNode):
             pacing parent re-requests (and, on the manager subclass,
             key-distribution retransmissions).  ``None`` uses
             :data:`~repro.faults.backoff.DEFAULT_BACKOFF`.
-        weight_flush_interval: batching epoch of the tangle's lazy
-            cumulative-weight engine (see
-            :data:`~repro.tangle.tangle.DEFAULT_WEIGHT_FLUSH_INTERVAL`).
-            Weights stay exact at every read; the interval only trades
-            flush frequency against per-attach cost on the gossip/sync
-            ingest hot path.
         verification_cache: optional
             :class:`~repro.tangle.validation.VerificationCache`; on a
             hit, signature+PoW re-verification of an already-verified
@@ -142,18 +135,13 @@ class FullNode(NetworkNode):
             signatures — ``"reference"`` (the from-scratch module) or
             ``"accel"`` (precomputed tables, wNAF, batch equation; see
             :mod:`repro.crypto.accel`).  Both accept exactly the same
-            signatures; multi-transaction messages (sync, parent and
-            ``gossip_batch`` responses) are verified through the
-            backend's batch path.
+            signatures; transactions that arrive together (a sync or
+            parent response, the frames of one stream read) are
+            verified through the backend's batch path.
         crypto_pool: optional :class:`~repro.crypto.accel.CryptoPool`;
             when present, batch signature checks fan out across its
             worker processes (same verdicts, more cores).  Shared at
             deployment level — see ``BIoTConfig.pow_workers``.
-        gossip_batch_size: max transactions coalesced into one outgoing
-            ``gossip_batch`` message when a burst ingests together.  1
-            (default) floods every transaction individually the moment
-            it attaches — byte-identical wire behaviour to nodes
-            without batching.
         telemetry: a :class:`~repro.telemetry.MetricsRegistry` shared
             across the deployment; threaded into this node's tangle,
             gossip relay and solidification accounting.  ``None`` keeps
@@ -173,12 +161,10 @@ class FullNode(NetworkNode):
                  enforce_pow: bool = True,
                  quality_monitor=None,
                  retry_policy: Optional[BackoffPolicy] = None,
-                 weight_flush_interval: int = DEFAULT_WEIGHT_FLUSH_INTERVAL,
                  verification_cache: Optional[VerificationCache] = None,
                  decode_cache: Optional[TransactionDecodeCache] = None,
                  crypto_backend: str = "reference",
                  crypto_pool=None,
-                 gossip_batch_size: int = 1,
                  telemetry=None, lifecycle=None):
         super().__init__(address)
         self.telemetry = coerce_registry(telemetry)
@@ -208,28 +194,19 @@ class FullNode(NetworkNode):
         # evaluate credit from whatever subset of history has reached
         # them, so making policy a replication-validity rule would let
         # knowledge races fork the replicas permanently.
-        self.weight_flush_interval = weight_flush_interval
         self.verification_cache = verification_cache
         self.decode_cache = decode_cache
         self._enforce_pow = enforce_pow
         # Imported lazily: repro.crypto.accel pulls in repro.pow, which
         # this module's own import chain already passes through.
         from ..crypto.accel import get_backend
-        if gossip_batch_size < 1:
-            raise ValueError(
-                f"gossip_batch_size must be >= 1, got {gossip_batch_size}")
         self._crypto_backend = get_backend(crypto_backend)
         self._crypto_pool = crypto_pool
-        self.gossip_batch_size = gossip_batch_size
         self._preverified = PreverifiedSet()
         # encoded bytes -> the Transaction prepare_run already parsed
         # from them; the handler of the same frame takes it back out.
         self._run_decoded: Dict[bytes, Transaction] = {}
-        # peer -> pending encoded floods, non-None only while a batch
-        # entry point is coalescing (see _batched_flood).
-        self._flood_buffer: Optional[Dict[str, List[bytes]]] = None
         self.tangle = Tangle(genesis, validators=self._base_validators(),
-                             weight_flush_interval=weight_flush_interval,
                              telemetry=self.telemetry)
         self.consensus.bind_tangle(self.tangle)
         self.relay = GossipRelay(telemetry=self.telemetry, node=address)
@@ -327,10 +304,7 @@ class FullNode(NetworkNode):
         transactions (e.g. via sync) cannot double-count credit.
         """
         validators = self.tangle._validators
-        self.tangle = snapshot.tangle.restore(
-            track_cumulative_weight=True,
-            weight_flush_interval=self.weight_flush_interval,
-        )
+        self.tangle = snapshot.tangle.restore(track_cumulative_weight=True)
         for validator in validators:
             self.tangle.add_validator(validator)
         self.acl.import_state(snapshot.acl_state)
@@ -439,7 +413,6 @@ class FullNode(NetworkNode):
         self.ledger = TokenLedger(dict(config.token_allocations))
         self.consensus.registry.import_state({"nodes": {}})
         self.tangle = Tangle(genesis, validators=self._base_validators(),
-                             weight_flush_interval=self.weight_flush_interval,
                              telemetry=self.telemetry)
         self.consensus.bind_tangle(self.tangle)
         self.relay.reset_seen()
@@ -494,7 +467,6 @@ class FullNode(NetworkNode):
             "get_tips_request": self._handle_get_tips,
             "submit_transaction": self._handle_submit,
             "gossip_transaction": self._handle_gossip,
-            "gossip_batch": self._handle_gossip_batch,
             "sync_request": self._handle_sync_request,
             "sync_response": self._handle_sync_response,
             "parent_request": self._handle_parent_request,
@@ -594,12 +566,15 @@ class FullNode(NetworkNode):
 
     def _worth_preverifying(self, tx: Transaction, *,
                             submitted: bool) -> bool:
-        """The stateless / O(1) refusals that precede the signature
-        check on the per-message path, in the same order: already
-        attached, issuer the ACL does not list (submissions only —
-        peers' gossip was admitted where it entered), nonce that does
-        not meet the declared difficulty.  (The difficulty floor needs
-        no line here: a transaction declaring less does not decode.)"""
+        """Whether a transaction from the network may enter a batch —
+        the one gate in front of :meth:`_preverify` for both network
+        entries (:meth:`prepare_run`, :meth:`_ingest_batch`).  It is
+        the stateless / O(1) refusals that precede the signature check
+        on the per-message path, in the same order: already attached,
+        issuer the ACL does not list (submissions only — peers' gossip
+        was admitted where it entered), nonce that does not meet the
+        declared difficulty.  (The difficulty floor needs no line here:
+        a transaction declaring less does not decode.)"""
         if tx.tx_hash in self.tangle:
             return False
         if submitted and not self.acl.is_authorized(tx.issuer.node_id):
@@ -633,10 +608,6 @@ class FullNode(NetworkNode):
     def _handle_gossip(self, message: Message) -> None:
         tx = self._carried_transaction(message)
         self._ingest(tx, source=message.sender, admit=False)
-
-    def _handle_gossip_batch(self, message: Message) -> None:
-        self._ingest_batch(message.body.get("transactions", ()),
-                           source=message.sender)
 
     # -- anti-entropy sync -------------------------------------------------
 
@@ -679,8 +650,8 @@ class FullNode(NetworkNode):
     # -- targeted parent recovery ------------------------------------------
 
     _PARENT_RESPONSE_BUDGET = 32
-    """Max transactions returned per parent request: the asked-for tx
-    plus its nearest ancestors (deeper gaps re-request recursively)."""
+    """Max transactions in one parent response: the asked-for tx plus
+    its nearest ancestors (deeper gaps re-request recursively)."""
 
     def _schedule_parent_fetch(self, missing, source: Optional[str]) -> None:
         """Arm a backoff-paced re-request loop for each missing parent.
@@ -751,19 +722,25 @@ class FullNode(NetworkNode):
             self._m_retry_recoveries.inc(protocol="parent_fetch")
 
     def _handle_parent_request(self, message: Message) -> None:
-        transactions = []
-        for tx_hash in message.body.get("hashes", ()):
-            if tx_hash not in self.tangle:
-                continue
-            transactions.extend(self._parent_response_chain(tx_hash))
+        # Honest requesters ask for one hash (_arm_parent_fetch); the
+        # budget covers the whole response so that repeating or piling
+        # up hashes buys neither more bytes nor more ancestor walks.
+        transactions: List[bytes] = []
+        for tx_hash in dict.fromkeys(message.body.get("hashes", ())):
+            room = self._PARENT_RESPONSE_BUDGET - len(transactions)
+            if room <= 0:
+                break
+            if tx_hash in self.tangle:
+                transactions.extend(
+                    self._parent_response_chain(tx_hash, room))
         self.stats.parent_requests_served += 1
         self.send(message.sender, "parent_response",
                   {"transactions": transactions},
                   size_bytes=sum(len(t) for t in transactions))
 
-    def _parent_response_chain(self, tx_hash: bytes) -> list:
+    def _parent_response_chain(self, tx_hash: bytes, room: int) -> list:
         """The requested transaction plus its nearest non-genesis
-        ancestors (parents-first order), bounded by the response budget.
+        ancestors (parents-first order), *room* transactions at most.
 
         We cannot know which ancestors the requester already holds;
         sending the closest ones covers the common a-few-drops gap, and
@@ -774,7 +751,7 @@ class FullNode(NetworkNode):
             if not self.tangle.get(h).is_genesis
         ]
         ancestors.sort(key=lambda h: self.tangle.arrival_time(h))
-        chain = ancestors[-(self._PARENT_RESPONSE_BUDGET - 1):] + [tx_hash]
+        chain = (ancestors + [tx_hash])[-room:]
         return [self.tangle.get(h).to_bytes() for h in chain]
 
     def _handle_parent_response(self, message: Message) -> None:
@@ -790,24 +767,25 @@ class FullNode(NetworkNode):
         return ok
 
     def _ingest_batch(self, encoded_transactions, *, source: Optional[str]) -> int:
-        """Shared path for multi-transaction messages (sync, parent and
-        gossip-batch responses): decode everything, batch-verify the
-        signatures once, then attach in order.  Returns how many
-        attached.  Corrupt entries are skipped without poisoning the
-        rest, exactly as the per-item loops did."""
+        """Shared path for multi-transaction messages (sync and parent
+        responses): decode everything, batch-verify once the signatures
+        the per-item path would reach (:meth:`_worth_preverifying`, as
+        for a run), then attach in order.  Returns how many attached.
+        Corrupt entries are skipped without poisoning the rest, exactly
+        as the per-item loops did."""
         transactions: List[Transaction] = []
         for encoded in encoded_transactions:
             try:
                 transactions.append(self._decode(encoded))
             except ValueError:
                 continue
-        self._preverify(transactions)
+        self._preverify([tx for tx in transactions
+                         if self._worth_preverifying(tx, submitted=False)])
         accepted = 0
-        with self._batched_flood():
-            for tx in transactions:
-                ok, _ = self._ingest(tx, source=source, admit=False)
-                if ok:
-                    accepted += 1
+        for tx in transactions:
+            ok, _ = self._ingest(tx, source=source, admit=False)
+            if ok:
+                accepted += 1
         return accepted
 
     def _preverify(self, transactions: List[Transaction]) -> None:
@@ -852,38 +830,6 @@ class FullNode(NetworkNode):
         self._m_crypto_batch_verified.inc(passed)
         if passed != len(pending):
             self._m_crypto_batch_fallback.inc(len(pending) - passed)
-
-    @contextmanager
-    def _batched_flood(self):
-        """Coalesce floods emitted while the body runs into per-peer
-        ``gossip_batch`` messages (chunked at ``gossip_batch_size``).
-
-        With batch size 1 — the default — this is a no-op and every
-        attach floods immediately as its own ``gossip_transaction``,
-        preserving the exact pre-batching wire behaviour and event
-        schedule.  Chunks of one are likewise sent as plain
-        ``gossip_transaction`` so peers see no format change.
-        """
-        if self.gossip_batch_size <= 1 or self._flood_buffer is not None:
-            yield
-            return
-        self._flood_buffer = {}
-        try:
-            yield
-        finally:
-            buffer, self._flood_buffer = self._flood_buffer, None
-            for peer, encoded_list in buffer.items():
-                for start in range(0, len(encoded_list),
-                                   self.gossip_batch_size):
-                    chunk = encoded_list[start:start + self.gossip_batch_size]
-                    if len(chunk) == 1:
-                        self.send(peer, "gossip_transaction",
-                                  {"transaction": chunk[0]},
-                                  size_bytes=len(chunk[0]))
-                    else:
-                        self.send(peer, "gossip_batch",
-                                  {"transactions": chunk},
-                                  size_bytes=sum(len(c) for c in chunk))
 
     def _ingest(self, tx: Transaction, *, source: Optional[str],
                 admit: bool) -> tuple:
@@ -996,10 +942,6 @@ class FullNode(NetworkNode):
     def _flood(self, tx: Transaction, *, exclude: Optional[str]) -> None:
         encoded = tx.to_bytes()
         targets = self.relay.relay_targets(tx.tx_hash, exclude=exclude)
-        if self._flood_buffer is not None:
-            for peer in targets:
-                self._flood_buffer.setdefault(peer, []).append(encoded)
-            return
         for peer in targets:
             self.send(peer, "gossip_transaction", {"transaction": encoded},
                       size_bytes=len(encoded))

@@ -40,25 +40,34 @@ class NodeSnapshot:
     credit_state: Dict[str, object]
     created_at: float
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_data(self) -> Dict[str, object]:
+        """Plain JSON-ready data — the one serialisation behind
+        :meth:`to_json` and a checkpoint's ``state`` (the tangle rides
+        as its own JSON encoding)."""
+        return {
             "tangle": self.tangle.to_json(),
             "acl_state": self.acl_state,
             "ledger_state": self.ledger_state,
             "credit_state": self.credit_state,
             "created_at": self.created_at,
-        })
+        }
+
+    @classmethod
+    def from_data(cls, fields: Dict[str, object]) -> "NodeSnapshot":
+        return cls(
+            tangle=TangleSnapshot.from_json(fields["tangle"]),
+            acl_state=fields["acl_state"],
+            ledger_state=fields["ledger_state"],
+            credit_state=fields["credit_state"],
+            created_at=float(fields["created_at"]),
+        )
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_data())
 
     @classmethod
     def from_json(cls, data: str) -> "NodeSnapshot":
         try:
-            fields = json.loads(data)
-            return cls(
-                tangle=TangleSnapshot.from_json(fields["tangle"]),
-                acl_state=fields["acl_state"],
-                ledger_state=fields["ledger_state"],
-                credit_state=fields["credit_state"],
-                created_at=float(fields["created_at"]),
-            )
+            return cls.from_data(json.loads(data))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed node snapshot: {exc}") from exc

@@ -14,7 +14,7 @@ The seeded crash/restart differential that proves them correct (the
 ``repro storage`` CLI command) lives in :mod:`repro.harness.storage`.
 """
 
-from .checkpoint import EpochSnapshot, snapshot_state
+from .checkpoint import EpochSnapshot
 from .errors import StorageCorruptionError, StorageError
 from .persistence import NodePersistence, RestorePoint
 from .store import (
@@ -38,7 +38,6 @@ __all__ = [
     "SQLiteStore",
     "open_store",
     "EpochSnapshot",
-    "snapshot_state",
     "NodePersistence",
     "RestorePoint",
     "StorageError",

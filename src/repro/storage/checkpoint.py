@@ -20,19 +20,7 @@ import hashlib
 from .errors import StorageCorruptionError
 from .store import GENESIS_PREV_HASH, canonical_json
 
-__all__ = ["EpochSnapshot", "snapshot_state"]
-
-
-def snapshot_state(snapshot) -> Dict[str, object]:
-    """Flatten a :class:`~repro.nodes.snapshot.NodeSnapshot` to plain
-    JSON-ready data (the tangle rides as its own JSON encoding)."""
-    return {
-        "tangle": snapshot.tangle.to_json(),
-        "acl_state": snapshot.acl_state,
-        "ledger_state": snapshot.ledger_state,
-        "credit_state": snapshot.credit_state,
-        "created_at": snapshot.created_at,
-    }
+__all__ = ["EpochSnapshot"]
 
 
 @dataclass(frozen=True)
@@ -96,12 +84,5 @@ class EpochSnapshot:
         checkpoint froze."""
         # Imported lazily: repro.nodes pulls in the full node stack.
         from ..nodes.snapshot import NodeSnapshot
-        from ..tangle.snapshot import TangleSnapshot
 
-        return NodeSnapshot(
-            tangle=TangleSnapshot.from_json(self.state["tangle"]),
-            acl_state=self.state["acl_state"],
-            ledger_state=self.state["ledger_state"],
-            credit_state=self.state["credit_state"],
-            created_at=float(self.state["created_at"]),
-        )
+        return NodeSnapshot.from_data(self.state)

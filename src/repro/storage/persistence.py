@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..telemetry.registry import coerce_registry
-from .checkpoint import EpochSnapshot, snapshot_state
+from .checkpoint import EpochSnapshot
 from .errors import StorageCorruptionError, StorageError
 from .store import GENESIS_PREV_HASH, Store
 
@@ -141,7 +141,7 @@ class NodePersistence:
             epoch=self._epoch,
             created_at=now,
             prev_hash=self._prev_snapshot_hash,
-            state=snapshot_state(snapshot),
+            state=snapshot.to_data(),
         )
         record = self.store.append("checkpoint", epoch.to_data())
         self._epoch = epoch.epoch + 1

@@ -151,7 +151,7 @@ class VerificationCache:
 
 DEFAULT_PREVERIFIED_SIZE = 8192
 """Default capacity of a :class:`PreverifiedSet`: comfortably larger
-than any single sync/parent/gossip batch plus its parked descendants."""
+than any single sync/parent response or run plus its parked descendants."""
 
 
 class PreverifiedSet:

@@ -200,8 +200,8 @@ def _run_recovery_probe(system) -> None:
 def _run_crypto_probe(system) -> None:
     """Drive the ``repro_crypto_batch_*`` instruments deterministically.
 
-    The smoke deployment floods transactions one at a time (batch size
-    1), so the batch verifier would otherwise stay silent.  The probe
+    The smoke deployment's transactions arrive one at a time, so the
+    batch verifier would otherwise stay silent.  The probe
     issues a small burst of fresh, correctly signed transactions plus
     one with a corrupted signature and pushes them through a gateway's
     batch-ingest path: the round/size/verified counters fire for the

@@ -16,7 +16,7 @@ from repro.crypto import rand
 
 
 def run_deployment(*, crypto_backend="reference", pow_workers=0,
-                   gossip_batch_size=1, seconds=8.0):
+                   seconds=8.0):
     """Run a small deployment and return its state fingerprint."""
     with rand.deterministic(b"crypto-backends:bit-identity"):
         config = BIoTConfig(
@@ -27,7 +27,6 @@ def run_deployment(*, crypto_backend="reference", pow_workers=0,
             tip_alpha=0.05,
             crypto_backend=crypto_backend,
             pow_workers=pow_workers,
-            gossip_batch_size=gossip_batch_size,
         )
         system = BIoTSystem.build(config)
         try:
@@ -64,37 +63,3 @@ class TestBitIdentity:
             crypto_backend="accel",
             pow_workers=2) == reference_fingerprint
 
-
-class TestBatchedGossipDeployment:
-    def test_replicas_converge_under_batched_flooding(self):
-        # Flood batching legitimately reorders wire traffic (that is
-        # the point), so the promise is weaker than bit-identity with
-        # the unbatched run: after the devices stop and in-flight
-        # gossip drains, every full node holds the same tangle.
-        with rand.deterministic(b"crypto-backends:batched"):
-            config = BIoTConfig(
-                device_count=3,
-                gateway_count=2,
-                seed=11,
-                initial_difficulty=8,
-                tip_alpha=0.05,
-                crypto_backend="accel",
-                gossip_batch_size=4,
-            )
-            system = BIoTSystem.build(config)
-            try:
-                system.initialize()
-                system.start_devices()
-                system.run_for(8.0)
-                for device in system.devices:
-                    device.stop()
-                system.run_for(5.0)
-                tangles = [
-                    sorted(tx.full_digest for tx in node.tangle)
-                    for node in system.full_nodes
-                ]
-                assert len(tangles[0]) > 1  # traffic actually flowed
-                for other in tangles[1:]:
-                    assert other == tangles[0]
-            finally:
-                system.close()

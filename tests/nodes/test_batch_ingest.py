@@ -1,11 +1,10 @@
-"""Tests for the batch ingestion lane (gossip_batch, batch preverify,
-coalesced flooding) and the PreverifiedSet.
+"""Tests for the batch ingestion lane (multi-transaction messages,
+batch preverify, journal replay) and the PreverifiedSet.
 
 The batch lane must be *behaviourally invisible*: a burst ingested via
-``gossip_batch``/``sync_response`` attaches exactly the transactions
-that one-at-a-time gossip would, rejects exactly the same corrupt
-items, and with ``gossip_batch_size=1`` (the default) puts the exact
-same messages on the wire as the pre-batching code.
+one ``sync_response`` attaches exactly the transactions that
+one-at-a-time gossip would, rejects exactly the same corrupt items, and
+floods each attach as its own ``gossip_transaction``.
 """
 
 import random
@@ -106,7 +105,7 @@ class TestGossipBatchMessage:
         scheduler, network, nodes = make_mesh(3)
         txs = chained_txs(5)
         encoded = [tx.to_bytes() for tx in txs]
-        network.send("bn-0", "bn-0", "gossip_batch",
+        network.send("bn-0", "bn-0", "sync_response",
                      {"transactions": encoded})
         scheduler.run()
         for node in nodes:
@@ -119,7 +118,7 @@ class TestGossipBatchMessage:
         txs = chained_txs(4)
         encoded = [tx.to_bytes() for tx in txs]
         encoded.insert(2, b"\x00garbage")
-        network.send("bn-0", "bn-0", "gossip_batch",
+        network.send("bn-0", "bn-0", "sync_response",
                      {"transactions": encoded})
         scheduler.run()
         for node in nodes:
@@ -144,7 +143,7 @@ class TestGossipBatchMessage:
             scheduler.run()
 
         scheduler, network, (batch_node,) = make_mesh(1)
-        network.send("bn-0", "bn-0", "gossip_batch",
+        network.send("bn-0", "bn-0", "sync_response",
                      {"transactions": encoded})
         scheduler.run()
 
@@ -159,7 +158,7 @@ class TestGossipBatchMessage:
     def test_preverified_set_is_consumed_by_attach(self):
         scheduler, network, (node,) = make_mesh(1)
         txs = chained_txs(3)
-        network.send("bn-0", "bn-0", "gossip_batch",
+        network.send("bn-0", "bn-0", "sync_response",
                      {"transactions": [tx.to_bytes() for tx in txs]})
         scheduler.run()
         assert len(node.tangle) == len(txs) + 1
@@ -172,7 +171,7 @@ class TestGossipBatchMessage:
         for backend in ("reference", "accel"):
             scheduler, network, (node,) = make_mesh(
                 1, crypto_backend=backend)
-            network.send("bn-0", "bn-0", "gossip_batch",
+            network.send("bn-0", "bn-0", "sync_response",
                          {"transactions": encoded})
             scheduler.run()
             tangles[backend] = sorted(
@@ -249,36 +248,7 @@ class TestFloodBatching:
         kinds = [m.kind for m in tap.messages]
         assert kinds == ["gossip_transaction"] * len(txs)
 
-    def test_batched_flood_coalesces_and_chunks(self):
-        scheduler, network, node, tap = self._tap_node(gossip_batch_size=3)
-        txs = chained_txs(7)
-        node._ingest_batch([tx.to_bytes() for tx in txs], source=None)
-        scheduler.run()
-        kinds = [m.kind for m in tap.messages]
-        # 7 floods chunked at 3: two batches of 3 and a lone single,
-        # which goes out in the plain per-transaction format.
-        assert kinds == ["gossip_batch", "gossip_batch",
-                         "gossip_transaction"]
-        relayed = []
-        for message in tap.messages:
-            if message.kind == "gossip_batch":
-                relayed.extend(message.body["transactions"])
-            else:
-                relayed.append(message.body["transaction"])
-        assert relayed == [tx.to_bytes() for tx in txs]
-
-    def test_batched_flood_propagates_fully(self):
-        scheduler, network, nodes = make_mesh(3, gossip_batch_size=4)
-        txs = chained_txs(6)
-        network.send("bn-0", "bn-0", "gossip_batch",
-                     {"transactions": [tx.to_bytes() for tx in txs]})
-        scheduler.run()
-        for node in nodes:
-            assert len(node.tangle) == len(txs) + 1
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FullNode("bn-x", GENESIS, gossip_batch_size=0)
         with pytest.raises(ValueError):
             FullNode("bn-x", GENESIS, crypto_backend="turbo")
 

@@ -10,6 +10,10 @@ from repro.core.biot import BIoTConfig, BIoTSystem
 from repro.harness.workload import WorkloadBuilder
 from repro.network.proc import build_node
 from repro.network.transport import Message
+from repro.nodes.full_node import FullNode
+from repro.tangle.transaction import TransactionKind
+
+from .runs import PEER, Rig, frame, submit_frame
 
 
 def build_running_system(seed=141):
@@ -47,8 +51,7 @@ ALL_KINDS = [
 
 FULL_NODE_KINDS = [
     "get_tips_request", "submit_transaction", "gossip_transaction",
-    "gossip_batch", "sync_request", "sync_response", "parent_request",
-    "parent_response",
+    "sync_request", "sync_response", "parent_request", "parent_response",
 ]
 
 
@@ -70,6 +73,21 @@ class TestNonDictBodies:
         assert node.stats.malformed_messages == 1
         assert node.stats.rejection_reasons == {"malformed": 1}
 
+    @pytest.mark.parametrize("kind", ["gossip_batch", "totally-unknown-kind"])
+    def test_a_retired_kind_is_ignored_like_any_unknown_kind(self, kind):
+        """``gossip_batch`` is no longer a message kind: a well-formed
+        frame of it attaches nothing and is not even counted."""
+        builder = WorkloadBuilder("robustness", 1, devices=0)
+        tx, _ = builder.issue(builder.manager, TransactionKind.DATA, b"x",
+                              timestamp=1.0)
+        node = build_node("gateway", builder.genesis, rng_seed=0)
+        node.handle_message(Message(
+            sender="peer", recipient="gateway", kind=kind,
+            body={"transactions": [tx.to_bytes()]}, sent_at=0.0))
+        assert len(node.tangle) == 1
+        assert node.stats.malformed_messages == 0
+        assert node.stats.gossip_accepted == 0
+
     def test_a_run_of_garbage_is_prepared_without_raising(self, genesis):
         """The per-read run hook sees the same untyped bodies before
         any handler does; it skips what it cannot read (the handlers
@@ -86,6 +104,63 @@ class TestNonDictBodies:
             node.handle_message(message)
         assert node.stats.malformed_messages == len(run)
         assert len(node.tangle) == 1
+
+
+class TestParentRequestBudget:
+    """``_PARENT_RESPONSE_BUDGET`` bounds the whole ``parent_response``
+    and its ancestor walks, however many hashes the request repeats or
+    piles up; the honest one-hash request is served as ever."""
+
+    def test_repeated_and_piled_hashes_buy_no_more(self, monkeypatch):
+        budget = FullNode._PARENT_RESPONSE_BUDGET
+        builder = WorkloadBuilder("parent-budget", 1, devices=1)
+        (device,) = builder.devices
+        genesis = builder.genesis.tx_hash
+        chain = [builder.issue(builder.manager, TransactionKind.ACL,
+                               builder.acl_payload([device]),
+                               (genesis, genesis), timestamp=1.0)[0]]
+        parents = (chain[0].tx_hash,) * 2
+        for index in range(budget + 8):
+            tx, accepted = builder.issue(device, TransactionKind.DATA,
+                                         b"%d" % index, parents,
+                                         timestamp=2.0 + index)
+            assert accepted
+            parents = (parents[1], tx.tx_hash)
+            chain.append(tx)
+        rig = Rig(builder.genesis, "reference")
+        for index, tx in enumerate(chain):
+            rig.scheduler.run_until(tx.timestamp)  # distinct arrival times
+            rig.deliver([submit_frame(index, tx.to_bytes())])
+        assert len(rig.node.tangle) == len(chain) + 1
+
+        walked = []
+        ancestors = rig.node.tangle.ancestors
+        monkeypatch.setattr(
+            rig.node.tangle, "ancestors",
+            lambda tx_hash: walked.append(tx_hash) or ancestors(tx_hash))
+
+        def ask(hashes):
+            del walked[:], rig.peer.messages[:]
+            rig.deliver([frame(PEER, "parent_request", {"hashes": hashes})])
+            (response,) = rig.peer.messages
+            assert response.kind == "parent_response"
+            return response.body["transactions"]
+
+        encoded = [tx.to_bytes() for tx in chain]
+        tip = chain[-1].tx_hash
+        # Honest: the tip behind its nearest ancestors, parents first.
+        assert ask([tip]) == encoded[-budget:]
+        assert walked == [tip]
+        assert ask([tip] * 2000) == encoded[-budget:]
+        assert walked == [tip]
+        # Piled up: chain[i] brings i + 1 transactions, so the budget is
+        # full part-way through the seventh hash and no eighth is walked.
+        piled = [tx.tx_hash for tx in chain[1:]]
+        assert ask(piled) == sum((encoded[:i + 1] for i in range(1, 7)),
+                                 []) + encoded[3:8]
+        assert walked == piled[:7]
+        assert rig.node.stats.parent_requests_served == 3
+        assert rig.node.stats.malformed_messages == 0
 
 
 class TestGatewayFuzzing:

@@ -1,13 +1,15 @@
-"""Amplification guard for the per-read batch lane: count the crypto.
+"""Amplification guard for the batch lane: count the crypto.
 
 On the per-message path a frame reaches the Ed25519 check only after
 the duplicate test, the ACL, the difficulty floor and the nonce check.
-Batch-verifying a read's frames ahead of that path must not open a
-cheaper way to make a gateway do signature work: a run made entirely of
-frames those gates refuse triggers **no** batch round and no backend
-call the one-frame-per-read path would not also make.  And a forged
-signature hidden among good ones costs the honest senders nothing but
-the fallback the batch counters account for.
+Batch-verifying transactions that arrived together — the frames of one
+read, or one ``sync_response`` / ``parent_response`` — ahead of that
+path must not open a cheaper way to make a gateway do signature work:
+a run or message made entirely of transactions those gates refuse
+triggers **no** batch round and no backend call the one-frame-per-read
+path would not also make, and parks no verdict.  And a forged signature
+hidden among good ones costs the honest senders nothing but the
+fallback the batch counters account for.
 """
 
 from dataclasses import replace
@@ -22,10 +24,12 @@ from repro.tangle.transaction import Transaction, TransactionKind
 from repro.telemetry.registry import MetricsRegistry
 
 from .runs import (
+    PEER,
     Rig,
     bad_nonce,
     batch_counters,
     forge_signature,
+    frame,
     gossip_frame,
     submit_frame,
 )
@@ -85,26 +89,47 @@ class CountingRig(Rig):
             super().__init__(genesis, backend, telemetry=self.telemetry)
 
 
-def both_ways(backend, monkeypatch, frames, *, warmup=()):
-    """Deliver *frames* one per read and as a single read (after the
-    *warmup* frames, one per read, on both); returns the two rigs with
-    their crypto call counts zeroed after the warm-up."""
+def each_way(backend, monkeypatch, ways, *, warmup=()):
+    """One rig per entry of *ways* — a list of pieces, one per read —
+    each delivered after the *warmup* frames (one per read); the rigs
+    come back with their crypto call counts zeroed after the warm-up."""
     genesis = material()[0]
     rigs = []
-    for pieces in (list(frames), [b"".join(frames)]):
+    for pieces in ways:
         rig = CountingRig(genesis, backend, monkeypatch)
         rig.deliver(warmup)
         rig.client.messages.clear()
         rig.calls.update(verify=0, verify_batch=0)
         rig.warm_counters = batch_counters(rig.telemetry)
+        rig.warm_parked = len(rig.node._preverified)
         rig.deliver(pieces)
         rigs.append(rig)
     return rigs
 
 
+def both_ways(backend, monkeypatch, frames, *, warmup=()):
+    """*frames* one per read, and as a single read."""
+    return each_way(backend, monkeypatch,
+                    [list(frames), [b"".join(frames)]], warmup=warmup)
+
+
 def submits(transactions):
     return [submit_frame(index, tx.to_bytes())
             for index, tx in enumerate(transactions)]
+
+
+def gossips(transactions):
+    return [gossip_frame(tx.to_bytes()) for tx in transactions]
+
+
+MESSAGE_KINDS = ("sync_response", "parent_response")
+
+
+def as_message(kind, transactions):
+    """One read of one multi-transaction frame from the peer, carrying
+    all of *transactions*."""
+    return [frame(PEER, kind, {"transactions": [tx.to_bytes()
+                                                for tx in transactions]})]
 
 
 @pytest.mark.parametrize("backend", CRYPTO_BACKENDS)
@@ -114,6 +139,18 @@ class TestRefusedRunsBuyNoCrypto:
         assert run.node.stats == single.node.stats
         assert run.calls == single.calls == {"verify": 0, "verify_batch": 0}
         assert batch_counters(run.telemetry) == run.warm_counters
+        assert len(run.node._preverified) == run.warm_parked
+
+    def check_message(self, backend, monkeypatch, kind, transactions,
+                      warmup):
+        """*transactions* in one *kind* message fare as the same
+        transactions in single gossip frames, one per read, do."""
+        single, message = each_way(
+            backend, monkeypatch,
+            [gossips(transactions), as_message(kind, transactions)],
+            warmup=warmup)
+        self.check(single, message)
+        return message
 
     def test_unlisted_issuer(self, backend, monkeypatch):
         _, acl, _, _, strangers, _ = material()
@@ -133,11 +170,27 @@ class TestRefusedRunsBuyNoCrypto:
 
     def test_gossip_of_attached_transactions(self, backend, monkeypatch):
         _, acl, good, _, _, _ = material()
-        echoes = [gossip_frame(tx.to_bytes()) for tx in good]
-        single, run = both_ways(backend, monkeypatch, echoes,
+        single, run = both_ways(backend, monkeypatch, gossips(good),
                                 warmup=submits([acl] + good))
         assert run.node.stats.gossip_duplicates == RUN
         self.check(single, run)
+
+    @pytest.mark.parametrize("kind", MESSAGE_KINDS)
+    def test_message_of_unsealed_transactions(self, backend, monkeypatch,
+                                              kind):
+        _, acl, _, _, _, unsealed = material()
+        message = self.check_message(backend, monkeypatch, kind, unsealed,
+                                     submits([acl]))
+        assert message.node.stats.rejection_reasons \
+            == {"InvalidPowError": RUN}
+
+    @pytest.mark.parametrize("kind", MESSAGE_KINDS)
+    def test_message_of_attached_transactions(self, backend, monkeypatch,
+                                              kind):
+        _, acl, good, _, _, _ = material()
+        message = self.check_message(backend, monkeypatch, kind, good,
+                                     submits([acl] + good))
+        assert message.node.stats.gossip_duplicates == RUN
 
 
 @pytest.mark.parametrize("backend", CRYPTO_BACKENDS)
@@ -158,3 +211,12 @@ def test_one_forged_among_63_good(backend, monkeypatch):
     assert run.calls == {"verify": 1, "verify_batch": 1}
     assert batch_counters(single.telemetry) == (0, 0, 0)
     assert batch_counters(run.telemetry) == (1, RUN - 1, 1)
+    # The same 64 in one sync_response: one batch call, one fallback.
+    (synced,) = each_way(backend, monkeypatch,
+                         [as_message("sync_response", one_forged)],
+                         warmup=submits([acl]))
+    assert synced.calls == {"verify": 1, "verify_batch": 1}
+    assert batch_counters(synced.telemetry) == (1, RUN - 1, 1)
+    assert synced.node.stats.sync_transactions_received == RUN - 1
+    assert len(synced.node._preverified) == 0
+    assert list(synced.node.tangle) == list(run.node.tangle)

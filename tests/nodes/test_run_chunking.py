@@ -23,6 +23,7 @@ from repro.telemetry.registry import MetricsRegistry
 
 from .runs import (
     CLIENT,
+    PEER,
     Rig,
     bad_nonce,
     batch_counters,
@@ -86,6 +87,10 @@ def scenario():
     acl1 = issue(manager, TransactionKind.ACL, builder.acl_payload([d3]),
                  (a3.tx_hash, parent.tx_hash))
     newcomer = data(d3, (acl1.tx_hash, a3.tx_hash), b"newcomer")
+    # What only the peer's multi-transaction messages bring.
+    s1 = data(d2, (parent.tx_hash, b2.tx_hash), b"s1")
+    s2 = data(d2, (s1.tx_hash, parent.tx_hash), b"s2")
+    p1 = data(d0, (s2.tx_hash, a3.tx_hash), b"p1")
 
     ids = {}
     frames = []
@@ -114,7 +119,11 @@ def scenario():
     frames.append(gossip_frame(a4.to_bytes()))
     submit("acl1", acl1)            # the grant ...
     submit("newcomer", newcomer)    # ... and the grantee's first submit
+    frames.append(frame(PEER, "sync_response", {"transactions": [
+        b1.to_bytes(), s1.to_bytes(), b"\x00junk", s2.to_bytes()]}))
     frames.append(gossip_frame(a1.to_bytes()))  # peer echo: a duplicate
+    frames.append(frame(PEER, "parent_response", {"transactions": [
+        parent.to_bytes(), p1.to_bytes()]}))
     ids["junk"] = len(frames)
     frames.append(submit_frame(ids["junk"], b"\x00junk"))
     return (builder.genesis, tuple(frames), ids,
@@ -170,7 +179,10 @@ class TestChunkingInvariance:
         stats = outcome["stats"]
         assert stats.malformed_messages == 2  # hostile body + junk bytes
         assert stats.gossip_parked == 1
-        assert stats.gossip_accepted == 1 and stats.gossip_duplicates == 1
+        # Gossip a4 + s1, s2, p1 from the messages; the echo of a1 +
+        # b1 and parent, which the messages repeat.
+        assert stats.gossip_accepted == 4 and stats.gossip_duplicates == 3
+        assert stats.sync_transactions_received == 2
         assert outcome["hashes"] == reference_hashes
 
     def test_two_reads_batch_and_change_nothing(self, backend):
@@ -184,8 +196,10 @@ class TestChunkingInvariance:
         # when the run began, and the forged signature (the fallback).
         # Not in it: the stranger, the unsealed nonce, the byte-equal
         # repeats, and the newcomer — authorised only by an earlier
-        # frame of the same run, so verified singly.
-        assert batch_counters(telemetry) == (1, 9, 1)
+        # frame of the same run, so verified singly.  The sync_response
+        # batches its own two new transactions however the stream is
+        # cut; the parent_response brings one, so nothing to batch.
+        assert batch_counters(telemetry) == (2, 11, 1)
         assert rig.outcome(credit_now=CREDIT_NOW) == frame_per_read(backend)
 
     @settings(max_examples=40, deadline=None)
