@@ -1,13 +1,19 @@
 """Ext-10 — per-transaction hot path: credit windows, shared caches and
 the accelerated crypto lane.
 
-Four measurements of the PR-5/PR-8 fast lanes, on identical inputs:
+Five measurements of the per-transaction fast lanes, on identical inputs:
 
 * **credit evaluation** — the incremental rolling window
   (:class:`~repro.core.credit.CreditRegistry`) vs a from-scratch rescan
   of the full history (the seed behaviour) across a monotone sweep of
   evaluation times over a 10k-record history, with every answer checked
   for exact equality;
+* **admission** — admitted submits per second through the credit gate
+  alone (``consensus.validator`` + ``observe_attach``) on a bound,
+  growing tangle of 500 / 2 000 / 8 000 transactions, with the flush
+  epochs each submit cost: admission reads capped weights on demand
+  and must leave flushing to the tangle's own interval, so the rate
+  must not depend on the size;
 * **multi-node gossip throughput** — end-to-end flood of pre-signed
   transactions through rings of 10/50/200 full nodes with PoW and
   signature enforcement on, with and without the deployment-shared
@@ -35,12 +41,14 @@ import random
 import time
 
 from repro.analysis.metrics import format_table
+from repro.core.consensus import CreditBasedConsensus
 from repro.core.credit import CreditParameters, CreditRegistry
 from repro.crypto.keys import KeyPair
 from repro.network.network import Network
 from repro.network.simulator import EventScheduler
 from repro.nodes.full_node import FullNode
 from repro.nodes.manager import ManagerNode
+from repro.tangle.tangle import DEFAULT_WEIGHT_FLUSH_INTERVAL, Tangle
 from repro.tangle.transaction import Transaction, TransactionDecodeCache
 from repro.tangle.validation import VerificationCache
 from repro.telemetry.registry import MetricsRegistry
@@ -57,6 +65,10 @@ CREDIT_HISTORY = 1_000 if SMOKE else 10_000
 CREDIT_EVALS = 200 if SMOKE else 2_000
 CREDIT_SPACING = 0.01  # seconds between records: ~3k records per ΔT=30
 CREDIT_MIN_SPEEDUP = 1.0 if SMOKE else 10.0
+
+# -- admission dimensions --------------------------------------------------
+ADMISSION_SIZES = (100, 300) if SMOKE else (500, 2_000, 8_000)
+ADMISSION_ISSUERS = 4
 
 # -- gossip flood dimensions ---------------------------------------------
 NODE_COUNTS = (4, 8) if SMOKE else (10, 50, 200)
@@ -116,6 +128,56 @@ def _bench_credit():
         "incremental_evals_per_s": CREDIT_EVALS / incremental_s,
         "speedup": naive_s / incremental_s,
     }
+
+
+# -- admission ------------------------------------------------------------
+
+def _bench_admission():
+    """Time ``consensus.validator`` + ``observe_attach`` per submit while
+    a bound tangle grows to each size (the attach itself, and with it
+    the tangle's interval flushes, stays outside the timed region).
+
+    Transactions are unsigned — nothing here verifies them — issued
+    round-robin by ADMISSION_ISSUERS nodes 0.5 s apart, each approving
+    the transactions three and four before it: every transaction is
+    approved twice, the tangle stays four wide, and a record saturates
+    about eight attaches after it was made.
+    """
+    issuers = [KeyPair.generate(seed=b"ext10-admit-%d" % i).public
+               for i in range(ADMISSION_ISSUERS)]
+    genesis = Transaction.create_genesis(MANAGER_KEYS)
+    out = {}
+    for size in ADMISSION_SIZES:
+        telemetry = MetricsRegistry(record_events=False)
+        tangle = Tangle(genesis, telemetry=telemetry)
+        consensus = CreditBasedConsensus.from_params(
+            CreditParameters(), initial_difficulty=1)
+        consensus.bind_tangle(tangle)
+        hashes = [genesis.tx_hash]
+        spent = 0.0
+        for i in range(size):
+            tx = Transaction(
+                kind="data", issuer=issuers[i % ADMISSION_ISSUERS],
+                payload=b"%d" % i, timestamp=1.0 + 0.5 * i,
+                branch=hashes[max(0, i - 2)], trunk=hashes[max(0, i - 3)],
+                difficulty=1, nonce=0, signature=b"")
+            start = time.perf_counter()
+            consensus.validator(tangle, tx)
+            spent += time.perf_counter() - start
+            result = tangle.attach(tx, arrival_time=tx.timestamp)
+            start = time.perf_counter()
+            consensus.observe_attach(result)
+            spent += time.perf_counter() - start
+            hashes.append(tx.tx_hash)
+        assert consensus.lazy_detections == 0
+        flushes = telemetry.counter("repro_tangle_flush_total").total
+        out[str(size)] = {
+            "transactions": size,
+            "seconds": spent,
+            "admits_per_s": size / spent,
+            "flush_epochs_per_submit": flushes / size,
+        }
+    return out
 
 
 # -- multi-node gossip ----------------------------------------------------
@@ -290,6 +352,7 @@ def _run():
     return {
         "smoke": SMOKE,
         "credit": _bench_credit(),
+        "admission": _bench_admission(),
         "gossip": _bench_gossip(),
         "crypto": _bench_crypto_backends(),
     }
@@ -305,6 +368,11 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
         f"{credit['incremental_evals_per_s']:,.0f}",
         f"{credit['speedup']:.1f}x",
     )]
+    admission_rows = [
+        (entry["transactions"], f"{entry['admits_per_s']:,.0f}",
+         f"{entry['flush_epochs_per_submit']:.4f}")
+        for entry in results["admission"].values()
+    ]
     gossip_rows = [
         (n,
          results["gossip"][str(n)]["transactions"],
@@ -326,6 +394,8 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
         format_table(credit_rows, headers=[
             "history", "evals", "naive evals/s", "incremental evals/s",
             "speedup"]),
+        format_table(admission_rows, headers=[
+            "txs", "admits/s", "flush epochs/submit"]),
         format_table(gossip_rows, headers=[
             "nodes", "txs", "uncached tx/s", "cached tx/s", "speedup",
             "verify hits", "decode hits"]),
@@ -340,11 +410,16 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
         json.dumps(results, indent=2, sort_keys=True) + "\n")
 
     # Acceptance: >=10x credit evaluation at a 10k history (sanity-only
-    # in smoke mode), a measurable cached-gossip win at every size,
+    # in smoke mode), no flush epoch beyond the tangle's own interval
+    # on the admission leg at any size (a count: no timing assertion),
+    # a measurable cached-gossip win at every size,
     # high hit rates (each tx verified/decoded once, hit n-1 times),
     # and >=5x uncached flood validation throughput for the accel
     # crypto backend over the reference.
     assert credit["speedup"] >= CREDIT_MIN_SPEEDUP
+    for entry in results["admission"].values():
+        assert entry["flush_epochs_per_submit"] <= \
+            1 / DEFAULT_WEIGHT_FLUSH_INTERVAL + 1 / entry["transactions"]
     assert crypto["speedup"] >= CRYPTO_MIN_SPEEDUP
     for n in NODE_COUNTS:
         entry = results["gossip"][str(n)]

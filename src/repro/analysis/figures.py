@@ -154,7 +154,7 @@ def fig8_credit_trace(*, attack_times: Tuple[float, ...] = (24.0,),
     params = params if params is not None else CreditParameters()
     keys = KeyPair.generate(seed=f"fig8-{seed}".encode())
     tangle = Tangle(Transaction.create_genesis(keys))
-    registry = CreditRegistry(params, weight_provider=tangle.weight)
+    registry = CreditRegistry(params)
     # Lazy-tips detection is disabled: this is a single-node scripted
     # trace, so nobody refreshes the tip pool while the node serves its
     # punishment — its resume transaction would approve stale tips and
@@ -165,8 +165,6 @@ def fig8_credit_trace(*, attack_times: Tuple[float, ...] = (24.0,),
         registry, policy=InverseDifficultyPolicy(),
         max_parent_age=float("inf"),
     )
-    # Push-mode weight wiring: recorded weights are cached, so the
-    # tangle must stream cumulative-weight updates into the registry.
     consensus.bind_tangle(tangle)
     profile = RASPBERRY_PI_3B
     tracer = CreditTracer(registry, keys.node_id)
@@ -235,7 +233,7 @@ def _run_fig9_regime(name: str, policy: DifficultyPolicy,
     keys = KeyPair.generate(seed=f"fig9-{name}".encode())
     tangle = Tangle(Transaction.create_genesis(keys))
     params = CreditParameters()
-    registry = CreditRegistry(params, weight_provider=tangle.weight)
+    registry = CreditRegistry(params)
     # Single-node trace: see fig8_credit_trace for why lazy detection
     # is off here.
     consensus = CreditBasedConsensus(registry, policy=policy,

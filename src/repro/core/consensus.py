@@ -20,6 +20,7 @@ range of [1, 24].
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional
 
 from ..pow import hashcash
@@ -236,23 +237,21 @@ class CreditBasedConsensus:
     # -- wiring ----------------------------------------------------------
 
     def bind_tangle(self, tangle: Tangle) -> None:
-        """Wire this consensus' credit registry to *tangle*'s weight
-        engine, in one call:
+        """Point this consensus' credit registry at *tangle*'s weights.
 
-        * the registry resolves transaction weights through
-          ``tangle.weight`` (O(1) for freshly attached transactions via
-          the no-approvers fast path);
-        * the tangle's flush listener pushes changed cumulative weights
-          into the registry's record cache
-          (:meth:`~repro.core.credit.CreditRegistry.refresh_weight_values`);
-        * the registry flushes pending batched contributions before
-          every evaluation (:meth:`~repro.core.credit.CreditRegistry.
-          set_refresh_hook`), so evaluations observe exactly the weights
-          a from-scratch rescan would.
+        The registry resolves transaction weights through
+        :meth:`~repro.tangle.tangle.Tangle.capped_weight` at the
+        registry's ``max_transaction_weight`` — exactly the clamped
+        ``w_k`` Eqn. 3 uses, read without flushing the tangle — so an
+        evaluation costs O(the issuer's unsaturated records × cap)
+        whatever the tangle's size, and observes the same weights a
+        flush followed by a from-scratch rescan would.  Binding
+        re-resolves every cached weight: saturation is a fact about
+        one tangle object, so re-bind after replacing the tangle.
         """
-        self.registry.set_weight_provider(tangle.weight)
-        tangle.add_weight_listener(self.registry.refresh_weight_values)
-        self.registry.set_refresh_hook(tangle.flush_weights)
+        self.registry.set_weight_provider(partial(
+            tangle.capped_weight,
+            limit=self.registry.params.max_transaction_weight))
 
     # -- difficulty ------------------------------------------------------
 

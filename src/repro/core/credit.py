@@ -39,19 +39,23 @@ aggregate**: a running sum over exactly the records inside
 ``now`` moves forward (amortised O(1) per evaluation) and rebuilt by
 bisection when ``now`` jumps backwards (O(log n + active)).
 
-Weights are *cached at record time* instead of re-read from the
-provider on every evaluation.  Two hooks keep the cache exact:
+Weights are *cached at record time* and re-read only while they can
+still change.  Every ``w_k`` entering Eqn. 3 is clamped to
+``max_transaction_weight`` and a cumulative weight never decreases, so
+a record whose cached weight has reached the cap is final.  Each node
+keeps the few records still below it — its **unsaturated** set, in a
+live tangle the issuer's last handful — and an evaluation of that node
+pulls exactly those through the provider before reading the window.
+``CreditBasedConsensus.bind_tangle`` installs
+:meth:`~repro.tangle.tangle.Tangle.capped_weight` as the provider, so a
+pull costs O(unsaturated records × cap) tangle vertices and never
+flushes the tangle.  The contract on any other provider is the same
+monotonicity: its value for a hash must not decrease while it is bound.
+With no provider, weights are constants and nothing is pulled.
 
-* :meth:`CreditRegistry.refresh_weight_values` — push updated weights
-  in (the tangle's batched weight engine calls this from its flush
-  listener, see :meth:`~repro.tangle.tangle.Tangle.add_weight_listener`);
-* :meth:`CreditRegistry.set_refresh_hook` — a callable invoked before
-  every evaluation (wired to ``tangle.flush_weights`` so pending
-  batched contributions land before CrP is read).
-
-With both wired (``CreditBasedConsensus.bind_tangle`` does it in one
-call) every evaluation observes exactly the weights the naive rescan
-would have observed.  Exactness is proven differentially in
+Every evaluation therefore observes exactly the weights the naive
+rescan would have observed (the argument is in ARCHITECTURE.md,
+"Incremental credit windows").  Exactness is proven differentially in
 ``tests/core/test_credit_differential.py`` against the kept naive
 reference (``tests/core/credit_reference.py``).
 
@@ -65,7 +69,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..telemetry.registry import coerce_registry
 
@@ -133,9 +138,15 @@ class CreditParameters:
             if coefficient < 0:
                 raise ValueError("punishment coefficients must be non-negative")
 
+    @cached_property
+    def _alpha_table(self) -> Dict[str, float]:
+        # Eqn. 4 looks α up once per malicious event per evaluation:
+        # build the table once, not per lookup.
+        return dict(self.alpha)
+
     def punishment_coefficient(self, behaviour: str) -> float:
         """α(B) for *behaviour*; unknown kinds get the harshest α."""
-        table = dict(self.alpha)
+        table = self._alpha_table
         if behaviour in table:
             return table[behaviour]
         return max(table.values()) if table else 1.0
@@ -160,15 +171,14 @@ class _Record:
     regardless of arrival order.
     """
 
-    __slots__ = ("timestamp", "tx_hash", "weight", "seq", "owner")
+    __slots__ = ("timestamp", "tx_hash", "weight", "seq")
 
     def __init__(self, timestamp: float, tx_hash: bytes, weight: float,
-                 seq: int, owner: "_NodeHistory"):
+                 seq: int):
         self.timestamp = timestamp
         self.tx_hash = tx_hash
         self.weight = weight
         self.seq = seq
-        self.owner = owner
 
     def __lt__(self, other: "_Record") -> bool:
         return (self.timestamp, self.seq) < (other.timestamp, other.seq)
@@ -182,16 +192,19 @@ class _NodeHistory:
     bisect away.  The window state caches the sum of record weights
     inside ``[w_now − ΔT, w_now]``; ``w_now is None`` marks it dirty
     (out-of-order insert, prune, import), forcing a bisect rebuild on
-    the next evaluation.
+    the next evaluation.  ``unsaturated`` holds the records whose cached
+    weight is still below the cap — the only ones an evaluation has to
+    re-read; a record that reaches the cap leaves it for good.
     """
 
-    __slots__ = ("records", "timestamps", "malicious",
+    __slots__ = ("records", "timestamps", "malicious", "unsaturated",
                  "w_lo", "w_hi", "w_sum", "w_now")
 
     def __init__(self):
         self.records: List[_Record] = []
         self.timestamps: List[float] = []
         self.malicious: List[Tuple[float, str]] = []
+        self.unsaturated: List[_Record] = []
         self.w_lo = 0
         self.w_hi = 0
         self.w_sum = 0.0
@@ -250,13 +263,13 @@ class CreditRegistry:
         params: the :class:`CreditParameters` in force.
         weight_provider: callable mapping a transaction hash to its
             current tangle weight; defaults to weight 1 per transaction
-            (pure activity counting).  The provider is consulted when a
-            record is created (and by :meth:`refresh_weight` /
-            :meth:`export_state`), not on every evaluation — push
-            weight changes in via :meth:`refresh_weight_values`.
+            (pure activity counting).  Its value for a hash must never
+            decrease: the provider is consulted when a record is created
+            and then, per evaluation, only for the evaluated node's
+            records still below ``max_transaction_weight``.
         telemetry: a :class:`~repro.telemetry.MetricsRegistry` for the
             ``repro_credit_*`` metrics (recorded transactions, penalty
-            events by behaviour, evaluation counts).
+            events by behaviour, evaluation and weight-pull counts).
     """
 
     def __init__(self, params: Optional[CreditParameters] = None, *,
@@ -265,17 +278,10 @@ class CreditRegistry:
         self.params = params if params is not None else CreditParameters()
         self._weight_provider = weight_provider
         self._history: Dict[bytes, _NodeHistory] = {}
-        # tx hash -> records carrying it (same hash may be recorded more
-        # than once, even across nodes) — the refresh-hook fan-in.
-        self._records_by_hash: Dict[bytes, List[_Record]] = {}
         self._seq = 0
         # Weights frozen at snapshot time for records whose transaction
         # is no longer resolvable (pruned) — see import_state.
         self._weight_overrides: Dict[bytes, float] = {}
-        # Invoked before every evaluation; full nodes wire this to
-        # ``tangle.flush_weights`` so batched weight contributions land
-        # (and flow back in through the flush listener) first.
-        self._refresh_hook: Optional[Callable[[], object]] = None
         self.telemetry = coerce_registry(telemetry)
         self._m_transactions = self.telemetry.counter(
             "repro_credit_transactions_total",
@@ -286,6 +292,9 @@ class CreditRegistry:
         self._m_evaluations = self.telemetry.counter(
             "repro_credit_evaluations_total",
             "Credit evaluations (Eqn. 2 reads)")
+        self._m_pulls = self.telemetry.counter(
+            "repro_credit_weight_pulls_total",
+            "Unsaturated record weights re-read by credit evaluations")
 
     def set_weight_provider(self,
                             weight_provider: Callable[[bytes], int]) -> None:
@@ -294,24 +303,25 @@ class CreditRegistry:
         Full nodes build their credit registry before their tangle
         replica exists; this closes the loop once the tangle is up.
         Every cached record weight is re-resolved through the new
-        provider so evaluations reflect it immediately.
+        provider — saturation is a fact about one provider — so
+        evaluations reflect it immediately.
         """
         self._weight_provider = weight_provider
         for history in self._history.values():
-            for record in history.records:
-                record.weight = self._transaction_weight(record.tx_hash)
-            history.invalidate_window()
+            self._resolve_weights(history)
 
-    def set_refresh_hook(self, hook: Optional[Callable[[], object]]) -> None:
-        """Install a callable invoked before every evaluation.
+    def _resolve_weights(self, history: _NodeHistory) -> None:
+        """Re-read every cached weight of *history* through the current
+        provider and re-derive its unsaturated set."""
+        for record in history.records:
+            record.weight = self._transaction_weight(record.tx_hash)
+        history.unsaturated = [r for r in history.records
+                               if self._can_grow(r)]
+        history.invalidate_window()
 
-        Full nodes pass ``tangle.flush_weights``: flushing propagates
-        pending batched weight contributions, whose new values reach
-        this registry through the tangle's weight listener — so the
-        cached window observes exactly what a from-scratch provider
-        rescan would.
-        """
-        self._refresh_hook = hook
+    def _can_grow(self, record: _Record) -> bool:
+        return (self._weight_provider is not None
+                and record.weight < self.params.max_transaction_weight)
 
     # -- recording -------------------------------------------------------
 
@@ -326,22 +336,23 @@ class CreditRegistry:
                            timestamp: float) -> None:
         """Record a *valid* transaction issued by *node_id*.
 
-        The transaction's weight is resolved (and cached) now; weight
-        growth is pushed in later via :meth:`refresh_weight_values`.
+        The transaction's weight is resolved (and cached) now; while
+        it is below the cap, evaluations of *node_id* re-read it.
         Appends are O(1); an out-of-order timestamp pays an O(n) insort
         and invalidates the rolling window.
         """
         history = self._node(node_id)
         record = _Record(timestamp, tx_hash,
-                         self._transaction_weight(tx_hash),
-                         self._seq, history)
+                         self._transaction_weight(tx_hash), self._seq)
         self._seq += 1
+        if self._can_grow(record):
+            history.unsaturated.append(record)
         if not history.timestamps or timestamp >= history.timestamps[-1]:
             history.records.append(record)
             history.timestamps.append(timestamp)
             # Eagerly admit appends that land inside the current valid
-            # window: weight pushes arriving before the next evaluation
-            # must only ever adjust records the sum actually counts.
+            # window: weight growth pulled at the next evaluation must
+            # only ever adjust records the sum actually counts.
             # Admission is only sound when the append lands exactly at
             # w_hi — an in-order record that is nevertheless older than
             # the window start leaves w_hi short of the list end, and
@@ -361,7 +372,6 @@ class CreditRegistry:
             history.records.insert(index, record)
             history.timestamps.insert(index, timestamp)
             history.invalidate_window()
-        self._records_by_hash.setdefault(tx_hash, []).append(record)
         self._m_transactions.inc()
 
     def record_malicious(self, node_id: bytes, behaviour: str,
@@ -383,53 +393,27 @@ class CreditRegistry:
 
     # -- weight cache maintenance ----------------------------------------
 
-    def _apply_weight(self, record: _Record, weight: float) -> None:
-        if weight == record.weight:
-            return
-        history = record.owner
+    def _pull_weights(self, history: _NodeHistory) -> None:
+        """Re-read the records of *history* whose capped weight can
+        still change, folding growth into the rolling window; records
+        that reached the cap are final and leave the set."""
+        self._m_pulls.inc(len(history.unsaturated))
+        delta_t = self.params.delta_t
         w_now = history.w_now
-        if (w_now is not None
-                and w_now - self.params.delta_t <= record.timestamp <= w_now):
-            history.w_sum += weight - record.weight
-        record.weight = weight
-        # Records outside the current window (or under a dirty window)
-        # need no sum adjustment: they enter with their new weight when
-        # the window reaches them.
-
-    def refresh_weight(self, tx_hash: bytes) -> int:
-        """Re-resolve *tx_hash*'s weight through the provider; returns
-        how many records were updated."""
-        records = self._records_by_hash.get(tx_hash)
-        if not records:
-            return 0
-        weight = self._transaction_weight(tx_hash)
-        for record in records:
-            self._apply_weight(record, weight)
-        return len(records)
-
-    def refresh_weight_values(self, updates: Mapping[bytes, float]) -> int:
-        """Push externally computed weight updates into the cache.
-
-        *updates* maps transaction hashes to their new **raw** weights
-        (the clamp is applied here); hashes this registry never
-        recorded are ignored.  This is the tangle flush listener's
-        entry point — see
-        :meth:`~repro.tangle.tangle.Tangle.add_weight_listener`.
-        Returns how many records changed.
-        """
-        cap = self.params.max_transaction_weight
-        records_by_hash = self._records_by_hash
-        changed = 0
-        for tx_hash, raw in updates.items():
-            records = records_by_hash.get(tx_hash)
-            if not records:
-                continue
-            weight = min(float(raw), cap)
-            for record in records:
-                if record.weight != weight:
-                    self._apply_weight(record, weight)
-                    changed += 1
-        return changed
+        still: List[_Record] = []
+        for record in history.unsaturated:
+            weight = self._transaction_weight(record.tx_hash)
+            if weight != record.weight:
+                # Records outside the current window (or under a dirty
+                # one) need no sum adjustment: they enter with their
+                # new weight when the window reaches them.
+                if (w_now is not None
+                        and w_now - delta_t <= record.timestamp <= w_now):
+                    history.w_sum += weight - record.weight
+                record.weight = weight
+            if self._can_grow(record):
+                still.append(record)
+        history.unsaturated = still
 
     # -- evaluation ------------------------------------------------------
 
@@ -445,20 +429,18 @@ class CreditRegistry:
             weight = self._weight_overrides.get(tx_hash, 1.0)
         return min(weight, self.params.max_transaction_weight)
 
-    def _pre_evaluate(self) -> None:
-        if self._refresh_hook is not None:
-            self._refresh_hook()
-
     def positive_credit(self, node_id: bytes, now: float) -> float:
         """CrP_i (Eqn. 3): weighted activity over the last ΔT seconds.
 
         Served from the per-node rolling window — amortised O(1) for
-        monotone ``now``, never O(history).
+        monotone ``now``, never O(history) — after pulling the node's
+        unsaturated weights.
         """
-        self._pre_evaluate()
         history = self._history.get(node_id)
         if history is None:
             return 0.0
+        if history.unsaturated:
+            self._pull_weights(history)
         return (history.window_sum(now, self.params.delta_t)
                 / self.params.delta_t)
 
@@ -515,7 +497,6 @@ class CreditRegistry:
         exported in full — Eqn. 4 never forgets.  Each node's export is
         O(active), found by bisection, not an O(history) filter.
         """
-        self._pre_evaluate()
         cutoff = now - self.params.delta_t
         nodes: Dict[str, object] = {}
         for node_id, history in self._history.items():
@@ -541,7 +522,6 @@ class CreditRegistry:
         try:
             histories: Dict[bytes, _NodeHistory] = {}
             overrides: Dict[bytes, float] = {}
-            records_by_hash: Dict[bytes, List[_Record]] = {}
             seq = self._seq
             for node_hex, entry in state["nodes"].items():
                 history = _NodeHistory()
@@ -550,10 +530,9 @@ class CreditRegistry:
                     tx_hash = bytes.fromhex(tx_hash_hex)
                     overrides[tx_hash] = float(weight)
                     record = _Record(float(timestamp), tx_hash,
-                                     float(weight), seq, history)
+                                     float(weight), seq)
                     seq += 1
                     insort(history.records, record)
-                    records_by_hash.setdefault(tx_hash, []).append(record)
                 history.timestamps = [r.timestamp for r in history.records]
                 history.malicious = [
                     (float(timestamp), str(behaviour))
@@ -564,13 +543,11 @@ class CreditRegistry:
             raise ValueError(f"bad credit state: {exc}") from exc
         self._seq = seq
         self._history = histories
-        self._records_by_hash = records_by_hash
         self._weight_overrides = overrides
         # Re-resolve against the live provider where possible: imported
         # weights are the frozen fallback for pruned transactions only.
         for history in histories.values():
-            for record in history.records:
-                record.weight = self._transaction_weight(record.tx_hash)
+            self._resolve_weights(history)
 
     def forget_before(self, node_id: bytes, cutoff: float) -> int:
         """Prune transaction records older than *cutoff* (they can no
@@ -587,13 +564,9 @@ class CreditRegistry:
         keep = bisect_left(history.timestamps, cutoff)
         if keep == 0:
             return 0
-        for record in history.records[:keep]:
-            siblings = self._records_by_hash.get(record.tx_hash)
-            if siblings is not None:
-                siblings.remove(record)
-                if not siblings:
-                    del self._records_by_hash[record.tx_hash]
         del history.records[:keep]
         del history.timestamps[:keep]
+        history.unsaturated = [r for r in history.unsaturated
+                               if r.timestamp >= cutoff]
         history.invalidate_window()
         return keep

@@ -314,8 +314,8 @@ class FullNode(NetworkNode):
         # spanning the snapshot boundary replays exactly.
         self.ledger.rehydrate(tx for tx, _ in snapshot.tangle.retained)
         self.consensus.registry.import_state(snapshot.credit_state)
-        # Re-bind: the provider, flush listener and refresh hook must all
-        # point at the freshly restored tangle, not the discarded one.
+        # Re-bind: the weight provider must point at the freshly
+        # restored tangle, not the discarded one.
         self.consensus.bind_tangle(self.tangle)
         self.credit_horizon = snapshot.created_at
         self.relay.mark_seen_batch(

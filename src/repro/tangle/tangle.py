@@ -25,7 +25,9 @@ Three hot paths are engineered for large ledgers:
   share one reverse-topological sweep — with bitmask multiplicity
   tracking — across the whole epoch.  Every read through
   :meth:`Tangle.weight` flushes first, so observed weights are always
-  exact; the batching is invisible except in speed.
+  exact; the batching is invisible except in speed.  Readers that only
+  need ``min(weight, limit)`` — credit admission — use
+  :meth:`Tangle.capped_weight`, which never flushes.
 * **The tip pool** keeps a lazily rebuilt sorted cache plus per-tip
   issuer/arrival/height metadata, so :meth:`Tangle.tips` and selector
   sampling stop re-sorting the pool on every call, and
@@ -67,8 +69,9 @@ DEFAULT_WEIGHT_FLUSH_INTERVAL = 256
 Each flush costs one sweep over the union of the dirty transactions'
 ancestor cones, so a larger interval amortises more attaches per sweep
 (total flush work is ~O(n²/interval) node visits for an n-transaction
-growth that never reads weights).  Reads flush eagerly regardless, so
-the interval never affects observable values — only throughput."""
+growth that never reads weights).  :meth:`Tangle.weight` reads flush
+eagerly regardless, so the interval never affects observable values —
+only throughput."""
 
 
 @dataclass(frozen=True)
@@ -180,9 +183,6 @@ class Tangle:
         self._version: int = 0
         self._depth_map: Dict[bytes, int] = {}
         self._depth_version: int = -1
-        # Flush observers: called with {tx_hash: new_weight} for every
-        # transaction whose cumulative weight changed in a flush epoch.
-        self._weight_listeners: List[Callable[[Dict[bytes, int]], object]] = []
 
         self.telemetry = coerce_registry(telemetry)
         self._m_attach = self.telemetry.counter(
@@ -361,10 +361,9 @@ class Tangle:
         the read — except for transactions with no approvers, whose
         stored weight (1) is already exact: increments only ever flow
         up from descendants, so a childless transaction can never have
-        a pending contribution aimed at it.  That fast path lets
-        record-time weight reads on freshly attached transactions (the
-        credit registry's common case) skip the flush entirely,
-        preserving the attach path's O(1) batching.
+        a pending contribution aimed at it.  Readers that clamp the
+        weight anyway should use :meth:`capped_weight`, which never
+        flushes.
         """
         self._m_weight_reads.inc()
         if not self._track_weight:
@@ -376,25 +375,34 @@ class Tangle:
             self.flush_weights()
         return self._cumulative_weight[tx_hash]
 
+    def capped_weight(self, tx_hash: bytes, limit: float) -> float:
+        """``min(weight(tx_hash), limit)`` without ever flushing.
+
+        Exact, for three reasons.  A stored weight only ever lags
+        *below* the true one (unflushed contributions are missing, none
+        is ever extra), so a stored weight that has reached *limit*
+        settles the answer; with nothing pending — or no approvers, as
+        in :meth:`weight` — the stored weight *is* the true one;
+        otherwise the distinct members of the future cone are counted
+        through the approver edges and the count stops at *limit* —
+        ``min(1 + |future cone|, limit)`` by construction.  Cost is
+        O(limit) vertices, independent of tangle size, which is what
+        lets credit admission (Eqn. 3 clamps every ``w_k``) read
+        weights per submit without a flush epoch per submit.
+        """
+        stored = self._cumulative_weight[tx_hash]
+        if stored >= limit:
+            return limit
+        if (self._track_weight and not self._pending_weight) \
+                or not self._approvers[tx_hash]:
+            return stored
+        return min(self._compute_cumulative_weight(tx_hash, limit), limit)
+
     @property
     def pending_weight_count(self) -> int:
         """Attached transactions whose weight contribution has not been
         propagated yet (observability for tests and benchmarks)."""
         return len(self._pending_weight)
-
-    def add_weight_listener(
-            self, listener: Callable[[Dict[bytes, int]], object]) -> None:
-        """Subscribe to weight changes: *listener* is called at the end
-        of every flush epoch with ``{tx_hash: new_weight}`` for each
-        transaction whose cumulative weight changed.
-
-        This is the push half of the credit registry's weight cache
-        (:meth:`~repro.core.credit.CreditRegistry.refresh_weight_values`):
-        instead of re-reading every recorded weight through the provider
-        per evaluation, the registry records weights once and receives
-        the deltas as they land.
-        """
-        self._weight_listeners.append(listener)
 
     def flush_weights(self) -> int:
         """Propagate all dirty weight contributions; returns how many
@@ -416,16 +424,9 @@ class Tangle:
         self._m_flush.inc()
         self._m_flush_batch.observe(len(pending))
         weights = self._cumulative_weight
-        listeners = self._weight_listeners
-        changed: Optional[Dict[bytes, int]] = {} if listeners else None
         if len(pending) == 1:
             for ancestor in self.ancestors(pending[0]):
                 weights[ancestor] += 1
-                if changed is not None:
-                    changed[ancestor] = weights[ancestor]
-            if changed:
-                for listener in listeners:
-                    listener(changed)
             return 1
         bit_of = {h: 1 << i for i, h in enumerate(pending)}
         # Affected region: the union of ancestor cones (shared ancestors
@@ -447,17 +448,12 @@ class Tangle:
             mask = incoming.pop(tx_hash, 0)
             if mask:
                 weights[tx_hash] += mask.bit_count()
-                if changed is not None:
-                    changed[tx_hash] = weights[tx_hash]
             mask |= bit_of.get(tx_hash, 0)
             if not mask:
                 continue
             for parent in set(self.parents(tx_hash)):
                 if parent in affected:
                     incoming[parent] = incoming.get(parent, 0) | mask
-        if changed:
-            for listener in listeners:
-                listener(changed)
         return len(pending)
 
     def is_confirmed(self, tx_hash: bytes, threshold: int) -> bool:
@@ -621,15 +617,20 @@ class Tangle:
             if len(self._pending_weight) >= self._flush_interval:
                 self.flush_weights()
 
-    def _compute_cumulative_weight(self, tx_hash: bytes) -> int:
+    def _compute_cumulative_weight(self, tx_hash: bytes,
+                                   limit: float = float("inf")) -> int:
+        """Count *tx_hash* plus its distinct (in)direct approvers,
+        stopping as soon as the count reaches *limit*."""
         if tx_hash not in self._transactions:
             raise KeyError(tx_hash)
         seen: Set[bytes] = {tx_hash}
-        queue = deque([tx_hash])
-        while queue:
-            current = queue.popleft()
-            for child in self._approvers[current]:
+        stack = [tx_hash]
+        approvers = self._approvers
+        while stack and len(seen) < limit:
+            for child in approvers[stack.pop()]:
                 if child not in seen:
                     seen.add(child)
-                    queue.append(child)
+                    stack.append(child)
+                    if len(seen) >= limit:
+                        break  # a wide fan must not overrun the bound
         return len(seen)

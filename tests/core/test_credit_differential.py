@@ -5,9 +5,11 @@ window aggregates and record-time weight caches; the
 :class:`tests.core.credit_reference.ReferenceCreditRegistry` recomputes
 everything from scratch.  These tests drive both through identical
 schedules — records, malice, evaluations at monotone and non-monotone
-``now``, ``forget_before`` pruning, weight-provider growth pushed via
-``refresh_weight_values``, export/import round-trips, and a real tangle
-with batched weight flushes — and require *exact* float equality.
+``now``, ``forget_before`` pruning, weight-provider growth (pulled by
+the optimized registry, never pushed into it), export/import
+round-trips, and real bound tangles whose reference is fed from an
+eager twin so the oracle's reads never flush the tangle under test —
+and require *exact* float equality.
 
 Exactness holds because every weight in play is a multiple of 0.25
 clamped to ``max_transaction_weight`` (the system's weights are small
@@ -18,14 +20,16 @@ canonical (timestamp, insertion sequence) order.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.consensus import CreditBasedConsensus
 from repro.core.credit import CreditParameters, CreditRegistry, MaliciousBehaviour
-from repro.crypto.keys import KeyPair
+from repro.tangle.snapshot import take_snapshot
 from repro.tangle.tangle import Tangle
 from repro.tangle.transaction import Transaction
 
+from ..tangle.schedules import KEYS, unsigned_tx
 from .credit_reference import ReferenceCreditRegistry
 
 BEHAVIOURS = [
@@ -98,21 +102,14 @@ class TestSeededScheduleDifferential:
                 behaviour = rng.choice(BEHAVIOURS)
                 optimized.record_malicious(node_id, behaviour, clock)
                 reference.record_malicious(node_id, behaviour, clock)
-            elif op < 0.65 and hashes:
-                # Cumulative weight growth, pushed into the optimized
-                # registry the way the tangle flush listener does; the
-                # reference reads the provider fresh every evaluation.
-                updates = {}
+            elif op < 0.72 and hashes:
+                # Cumulative weight growth: the provider's values grow
+                # and nothing is pushed — the optimized registry must
+                # pull what can still change, the reference reads the
+                # provider fresh every evaluation.
                 for tx_hash in rng.sample(hashes, min(len(hashes), 3)):
-                    grown = weights.weights[tx_hash] + rng.choice([0.25, 1, 2])
-                    weights.set(tx_hash, grown)
-                    updates[tx_hash] = grown
-                optimized.refresh_weight_values(updates)
-            elif op < 0.72 and hashes and rng.random() < 0.5:
-                # Single-hash refresh through the provider.
-                tx_hash = rng.choice(hashes)
-                weights.set(tx_hash, weights.weights[tx_hash] + 1)
-                optimized.refresh_weight(tx_hash)
+                    weights.set(tx_hash, weights.weights[tx_hash]
+                                + rng.choice([0.25, 1, 2]))
             elif op < 0.82:
                 # forget_before, sometimes mid-window.
                 node_id = rng.choice(node_ids)
@@ -216,59 +213,196 @@ class TestStaleInOrderAppendDifferential:
         assert optimized.positive_credit(node, 300.0) == 3.0 / 30.0
 
 
+def assert_equal_without_flushing(tangle, optimized, reference, node_ids,
+                                  now):
+    """The tangle-backed form: the oracle reads an eager twin, so any
+    flush of *tangle* here would be the optimized registry's doing."""
+    pending = tangle.pending_weight_count
+    assert_equal_evaluations(optimized, reference, node_ids, now)
+    assert tangle.pending_weight_count == pending
+
+
 class TestTangleBackedDifferential:
-    """The real wiring: a tangle with batched lazy weight flushes feeds
-    the optimized registry via listener + refresh hook, while the
-    oracle reads ``tangle.weight`` from scratch at evaluation time."""
+    """The real wiring: a tangle with batched lazy weight flushes is
+    read by the optimized registry through ``bind_tangle``; the oracle
+    reads an eager twin (``weight_flush_interval=1``) attached with the
+    same transactions, so its reads never flush the tangle under
+    test."""
 
     def test_matches_oracle_under_batched_flushes(self):
         rng = random.Random(7)
-        keys = KeyPair.generate(seed=b"credit-diff")
-        genesis = Transaction.create_genesis(keys)
-        # A tiny flush interval forces many listener pushes; weights
-        # stay exact at every read regardless.
+        genesis = Transaction.create_genesis(KEYS)
         tangle = Tangle(genesis, weight_flush_interval=5)
+        twin = Tangle(genesis, weight_flush_interval=1)
         params = CreditParameters()
         optimized = CreditRegistry(params)
-        consensus = CreditBasedConsensus(optimized)
-        consensus.bind_tangle(tangle)
+        CreditBasedConsensus(optimized).bind_tangle(tangle)
         reference = ReferenceCreditRegistry(
-            params, weight_provider=tangle.weight)
+            params, weight_provider=twin.weight)
 
         node_ids = [bytes([i + 1]) * 32 for i in range(3)]
         hashes = [genesis.tx_hash]
         clock = 0.0
-        for i in range(80):
-            clock += rng.choice([0.25, 0.5, 1.0])
-            branch = rng.choice(hashes[-8:])
-            trunk = rng.choice(hashes[-8:])
-            tx = Transaction.create(
-                keys, kind="data", payload=str(i).encode(),
-                timestamp=clock, branch=branch, trunk=trunk, difficulty=1)
+
+        def attach(index, branch, trunk, node_id):
+            tx = unsigned_tx(index, branch, trunk, clock)
             tangle.attach(tx, arrival_time=clock)
+            twin.attach(tx, arrival_time=clock)
             hashes.append(tx.tx_hash)
-            node_id = rng.choice(node_ids)
             optimized.record_transaction(node_id, tx.tx_hash, clock)
             reference.record_transaction(node_id, tx.tx_hash, clock)
+
+        for i in range(80):
+            clock += rng.choice([0.25, 0.5, 1.0])
+            attach(i, rng.choice(hashes[-8:]), rng.choice(hashes[-8:]),
+                   rng.choice(node_ids))
             if rng.random() < 0.3:
                 now = clock if rng.random() < 0.7 else max(0.0, clock - 10.0)
-                assert_equal_evaluations(
-                    optimized, reference, node_ids, now)
+                assert_equal_without_flushing(
+                    tangle, optimized, reference, node_ids, now)
 
+        assert_equal_without_flushing(
+            tangle, optimized, reference, node_ids, clock)
+        # Attach a burst shorter than the flush interval remainder
+        # without evaluating, then evaluate: the answer must be exact
+        # *and* the pending batch must still be pending afterwards.
+        tangle.flush_weights()
+        for i in range(4):
+            attach(1000 + i, hashes[-1], hashes[-2], node_ids[0])
+        assert tangle.pending_weight_count == 4
         assert_equal_evaluations(optimized, reference, node_ids, clock)
-        # Attach one more burst without evaluating, then evaluate: the
-        # refresh hook must flush the pending batch first.
-        for i in range(7):
-            tx = Transaction.create(
-                keys, kind="data", payload=f"burst{i}".encode(),
-                timestamp=clock, branch=hashes[-1], trunk=hashes[-2],
-                difficulty=1)
+        assert tangle.pending_weight_count == 4
+
+
+class TestInterleavedTangleSchedule:
+    """ROADMAP item 1's schedule: attach, record, evaluate, prune and a
+    snapshot round trip interleaved over a real bound tangle, `==`
+    against the twin-fed oracle after every step, at the eager, a small
+    and the default flush interval."""
+
+    LONER = 3  # index of the issuer whose transactions nobody approves
+
+    @pytest.mark.parametrize("interval", (1, 5, 256))
+    @pytest.mark.parametrize("seed", (7, 19, 23))
+    def test_every_step_matches_oracle(self, seed, interval):
+        rng = random.Random(seed)
+        genesis = Transaction.create_genesis(KEYS)
+        tangle = Tangle(genesis, weight_flush_interval=interval)
+        twin = Tangle(genesis, weight_flush_interval=1)
+        params = CreditParameters()
+        optimized = CreditRegistry(params)
+        CreditBasedConsensus(optimized).bind_tangle(tangle)
+        reference = ReferenceCreditRegistry(
+            params, weight_provider=twin.weight)
+
+        node_ids = [bytes([i + 1]) * 32 for i in range(4)]
+        approvable = [genesis.tx_hash]  # never holds a LONER transaction
+        state = {"clock": 0.0, "index": 0}
+
+        def attach(branch, trunk):
+            state["clock"] += rng.choice([0.0, 0.25, 0.5, 1.0])
+            state["index"] += 1
+            clock = state["clock"]
+            tx = unsigned_tx(state["index"], branch, trunk, clock)
             tangle.attach(tx, arrival_time=clock)
-            hashes.append(tx.tx_hash)
-            optimized.record_transaction(node_ids[0], tx.tx_hash, clock)
-            reference.record_transaction(node_ids[0], tx.tx_hash, clock)
-        assert tangle.pending_weight_count > 0
-        assert_equal_evaluations(optimized, reference, node_ids, clock)
+            twin.attach(tx, arrival_time=clock)
+            issuer = rng.randrange(len(node_ids))
+            owners = [issuer]
+            if rng.random() < 0.1:  # the same hash recorded for two nodes
+                owners.append((issuer + 1) % len(node_ids))
+            for owner in owners:
+                optimized.record_transaction(
+                    node_ids[owner], tx.tx_hash, clock)
+                reference.record_transaction(
+                    node_ids[owner], tx.tx_hash, clock)
+            if self.LONER not in owners:
+                approvable.append(tx.tx_hash)
+            return tx.tx_hash
+
+        def recent():
+            return rng.choice(approvable[-8:])
+
+        def grow():
+            shape = rng.random()
+            if shape < 0.5:
+                attach(recent(), recent())
+            elif shape < 0.6:  # both parents equal
+                anchor = recent()
+                attach(anchor, anchor)
+            elif shape < 0.75:  # diamond: two siblings, then their join
+                anchor = recent()
+                left, right = attach(anchor, recent()), attach(anchor, anchor)
+                attach(left, right)
+            elif shape < 0.9:  # deep chain
+                tail = recent()
+                for _ in range(rng.randint(3, 9)):
+                    tail = attach(tail, tail)
+            else:  # wide fan onto one anchor
+                anchor = recent()
+                for _ in range(rng.randint(6, 12)):
+                    attach(anchor, anchor)
+
+        def evaluate():
+            clock = state["clock"]
+            roll = rng.random()
+            if roll < 0.55:
+                now = clock
+            elif roll < 0.8:
+                now = max(0.0, clock - rng.choice([0.25, 2.0, 10.0, 29.75,
+                                                   30.0, 45.0]))
+            else:
+                now = clock + rng.choice([31.0, 75.0, 300.0])
+            # A subset: the other nodes' records go stale across several
+            # attaches (and may saturate unobserved) before their turn.
+            subset = rng.sample(node_ids, rng.randint(1, len(node_ids)))
+            assert_equal_without_flushing(
+                tangle, optimized, reference, subset, now)
+
+        steps = 160
+        for step in range(steps):
+            op = rng.random()
+            if op < 0.6:
+                grow()
+            elif op < 0.68:
+                node_id = rng.choice(node_ids)
+                cutoff = state["clock"] - rng.choice([5.0, 15.0, 30.0, 60.0])
+                assert optimized.forget_before(node_id, cutoff) == \
+                    reference.forget_before(node_id, cutoff)
+            elif op < 0.73:
+                # What tip selection does on a live node: a flush-exact
+                # read, leaving stored weights partly ahead of the rest.
+                tangle.weight(rng.choice(approvable))
+            if step == steps // 2:
+                # Snapshot round trip: prune, restore a fresh tangle,
+                # re-bind a fresh registry and import the credit state.
+                clock = state["clock"]
+                credit_state = optimized.export_state(now=clock)
+                snapshot = take_snapshot(tangle, now=clock,
+                                         keep_recent_seconds=15.0)
+                assert snapshot.pruned_count > 0
+                tangle = snapshot.restore(weight_flush_interval=interval)
+                optimized = CreditRegistry(params)
+                CreditBasedConsensus(optimized).bind_tangle(tangle)
+                optimized.import_state(credit_state)
+                # The export legitimately dropped what left the window.
+                for node_id in node_ids:
+                    reference.forget_before(node_id, clock - params.delta_t)
+                approvable[:] = [h for h in approvable if h in tangle]
+            evaluate()
+
+        for now in (state["clock"], state["clock"] + 30.0, 0.0):
+            assert_equal_without_flushing(
+                tangle, optimized, reference, node_ids, now)
+        # The export (what the credit hash covers) carries the same
+        # capped weights, again without flushing.
+        pending = tangle.pending_weight_count
+        exported = optimized.export_state(now=state["clock"])["nodes"]
+        assert tangle.pending_weight_count == pending
+        assert exported.keys() == {node_id.hex() for node_id in node_ids}
+        for entry in exported.values():
+            for _, tx_hex, weight in entry["transactions"]:
+                assert weight == min(twin.weight(bytes.fromhex(tx_hex)),
+                                     params.max_transaction_weight)
 
 
 # -- hypothesis property: random record/evaluate/forget schedules --------
@@ -342,8 +476,6 @@ class TestPropertySchedules:
                 tx_hash = tx_hash_for(hash_id)
                 weights.set(tx_hash,
                             weights.weights[tx_hash] + delta * 0.25)
-                optimized.refresh_weight_values(
-                    {tx_hash: weights.weights[tx_hash]})
             elif kind == "forget":
                 _, node, quarters, _ = op
                 assert optimized.forget_before(

@@ -5,8 +5,8 @@ must agree with the definition — sum of weights of records with
 ``now - ΔT <= t_k <= now`` — at every boundary and through every
 invalidation path: records landing exactly on the window edges,
 out-of-order arrivals, pruning through the middle of a live window,
-weight pushes against clean and dirty windows, and export/import round
-trips of the incremental state.
+provider weight growth pulled against clean and dirty windows, and
+export/import round trips of the incremental state.
 """
 
 import pytest
@@ -126,8 +126,8 @@ class TestInOrderAppendBehindWindow:
         registry.record_transaction(NODE, make_hash(6), 300.0)
         assert registry.positive_credit(NODE, 300.0) == 2.0 / 30.0
 
-    def test_weight_push_after_stale_append(self):
-        """A weight push between the stale append and the next
+    def test_weight_growth_after_stale_append(self):
+        """Weight growth between the stale append and the next
         evaluation must not corrupt the (invalidated) window sum."""
         weights = {make_hash(0): 1.0, make_hash(1): 1.0}
         registry = CreditRegistry(CreditParameters(delta_t=30.0),
@@ -135,7 +135,7 @@ class TestInOrderAppendBehindWindow:
         registry.record_transaction(NODE, make_hash(0), 0.0)
         assert registry.positive_credit(NODE, 300.0) == 0.0
         registry.record_transaction(NODE, make_hash(1), 1.0)
-        registry.refresh_weight_values({make_hash(1): 4.0})
+        weights[make_hash(1)] = 4.0
         assert registry.positive_credit(NODE, 300.0) == 0.0
         assert registry.positive_credit(NODE, 31.0) == 4.0 / 30.0
 
@@ -167,50 +167,133 @@ class TestForgetMidWindow:
         assert registry.malicious_count(NODE) == 1
         assert registry.negative_credit(NODE, 1e9) < 0.0
 
-    def test_forget_then_weight_push_on_pruned_hash(self):
-        # A weight update for a fully pruned hash must be a no-op, not
-        # a KeyError or a corruption of some other node's window.
-        registry = CreditRegistry(CreditParameters(delta_t=30.0))
+    def test_forget_then_weight_growth_on_pruned_hash(self):
+        # Growth of a fully pruned record's hash must be a no-op: the
+        # record left the unsaturated set with the history, so nothing
+        # re-reads it and nobody's window moves.
+        weights = {make_hash(0): 1.0, make_hash(1): 1.0}
+        registry = CreditRegistry(CreditParameters(delta_t=30.0),
+                                  weight_provider=weights.__getitem__)
         registry.record_transaction(NODE, make_hash(0), 10.0)
         registry.record_transaction(OTHER, make_hash(1), 10.0)
+        assert registry.positive_credit(NODE, 10.0) == 1.0 / 30.0
         registry.forget_before(NODE, 20.0)
-        assert registry.refresh_weight_values({make_hash(0): 5.0}) == 0
+        weights[make_hash(0)] = 5.0
+        assert registry.positive_credit(NODE, 10.0) == 0.0
+        assert registry._history[NODE].unsaturated == []
         assert registry.positive_credit(OTHER, 10.0) == 1.0 / 30.0
 
+    def test_forget_mid_window_then_growth_of_dropped_record(self):
+        # The dropped record sat inside the live window; its later
+        # growth must not leak into the sum of the records that stayed.
+        weights = {make_hash(0): 1.0, make_hash(1): 1.0}
+        registry = CreditRegistry(CreditParameters(delta_t=30.0),
+                                  weight_provider=weights.__getitem__)
+        registry.record_transaction(NODE, make_hash(0), 80.0)
+        registry.record_transaction(NODE, make_hash(1), 90.0)
+        assert registry.positive_credit(NODE, 100.0) == 2.0 / 30.0
+        registry.forget_before(NODE, 85.0)
+        assert registry.positive_credit(NODE, 100.0) == 1.0 / 30.0
+        weights[make_hash(0)] = 4.0
+        assert registry.positive_credit(NODE, 100.0) == 1.0 / 30.0
 
-class TestWeightPushes:
-    def test_push_adjusts_clean_window_sum(self):
-        registry = CreditRegistry(CreditParameters(delta_t=30.0))
+
+class TestWeightGrowth:
+    """The pull contract: the provider's value for a hash grows, nothing
+    is pushed, and the next evaluation of the issuer observes it."""
+
+    def _registry(self, weights, **params):
+        return CreditRegistry(CreditParameters(delta_t=30.0, **params),
+                              weight_provider=weights.__getitem__)
+
+    def test_growth_adjusts_clean_window_sum(self):
+        weights = {make_hash(0): 1.0}
+        registry = self._registry(weights)
         registry.record_transaction(NODE, make_hash(0), 10.0)
         assert registry.positive_credit(NODE, 10.0) == 1.0 / 30.0
-        registry.refresh_weight_values({make_hash(0): 3.0})
+        weights[make_hash(0)] = 3.0
         assert registry.positive_credit(NODE, 10.0) == 3.0 / 30.0
 
-    def test_push_respects_cap(self):
-        registry = CreditRegistry(
-            CreditParameters(max_transaction_weight=5.0))
+    def test_growth_respects_cap(self):
+        weights = {make_hash(0): 1.0}
+        registry = self._registry(weights, max_transaction_weight=5.0)
         registry.record_transaction(NODE, make_hash(0), 10.0)
-        registry.refresh_weight_values({make_hash(0): 1000.0})
+        weights[make_hash(0)] = 1000.0
         assert registry.positive_credit(NODE, 10.0) == 5.0 / 30.0
 
-    def test_push_on_record_newer_than_window_frontier(self):
-        # Record lands after the last evaluation; a push arrives before
-        # the next evaluation.  The eager-admit path keeps the rolling
-        # sum and the definition in agreement.
-        registry = CreditRegistry(CreditParameters(delta_t=30.0))
+    def test_growth_of_record_newer_than_window_frontier(self):
+        # Record lands after the last evaluation; its weight grows
+        # before the next evaluation.  The eager-admit path keeps the
+        # rolling sum and the definition in agreement.
+        weights = {make_hash(0): 1.0, make_hash(1): 1.0}
+        registry = self._registry(weights)
         registry.record_transaction(NODE, make_hash(0), 10.0)
         assert registry.positive_credit(NODE, 20.0) == 1.0 / 30.0
         registry.record_transaction(NODE, make_hash(1), 20.0)
-        registry.refresh_weight_values({make_hash(1): 4.0})
+        weights[make_hash(1)] = 4.0
         assert registry.positive_credit(NODE, 20.0) == 5.0 / 30.0
 
-    def test_push_same_hash_recorded_by_multiple_nodes(self):
-        registry = CreditRegistry(CreditParameters(delta_t=30.0))
+    def test_growth_same_hash_recorded_by_multiple_nodes(self):
+        weights = {make_hash(0): 1.0}
+        registry = self._registry(weights)
         registry.record_transaction(NODE, make_hash(0), 10.0)
         registry.record_transaction(OTHER, make_hash(0), 12.0)
-        registry.refresh_weight_values({make_hash(0): 2.0})
+        weights[make_hash(0)] = 2.0
         assert registry.positive_credit(NODE, 15.0) == 2.0 / 30.0
         assert registry.positive_credit(OTHER, 15.0) == 2.0 / 30.0
+
+    def test_growth_of_out_of_window_record(self):
+        # The record has slid out of the window when it grows; it must
+        # re-enter with its new weight when the window moves back.
+        weights = {make_hash(0): 1.0, make_hash(1): 1.0}
+        registry = self._registry(weights)
+        registry.record_transaction(NODE, make_hash(0), 10.0)
+        registry.record_transaction(NODE, make_hash(1), 100.0)
+        assert registry.positive_credit(NODE, 100.0) == 1.0 / 30.0
+        weights[make_hash(0)] = 3.0
+        assert registry.positive_credit(NODE, 100.0) == 1.0 / 30.0
+        assert registry.positive_credit(NODE, 10.0) == 3.0 / 30.0
+
+    def test_growth_under_dirty_window(self):
+        # An out-of-order insert invalidates the window; growth pulled
+        # while it is dirty must not be applied to the stale sum.
+        weights = {make_hash(i): 1.0 for i in range(3)}
+        registry = self._registry(weights)
+        registry.record_transaction(NODE, make_hash(0), 90.0)
+        registry.record_transaction(NODE, make_hash(1), 100.0)
+        assert registry.positive_credit(NODE, 100.0) == 2.0 / 30.0
+        registry.record_transaction(NODE, make_hash(2), 95.0)  # dirty
+        weights[make_hash(0)] = 4.0
+        weights[make_hash(2)] = 2.0
+        assert registry.positive_credit(NODE, 100.0) == 7.0 / 30.0
+
+    def test_saturated_record_is_never_read_again(self):
+        reads = []
+        weights = {make_hash(0): 1.0}
+
+        def provider(tx_hash):
+            reads.append(tx_hash)
+            return weights[tx_hash]
+
+        registry = CreditRegistry(CreditParameters(delta_t=30.0),
+                                  weight_provider=provider)
+        registry.record_transaction(NODE, make_hash(0), 10.0)
+        weights[make_hash(0)] = 5.0
+        assert registry.positive_credit(NODE, 10.0) == 5.0 / 30.0
+        reads.clear()
+        assert registry.positive_credit(NODE, 11.0) == 5.0 / 30.0
+        assert reads == []
+        # ...until a re-bind: saturation is a fact about one provider.
+        registry.set_weight_provider({make_hash(0): 2.0}.__getitem__)
+        assert registry.positive_credit(NODE, 11.0) == 2.0 / 30.0
+
+    def test_without_provider_nothing_is_pulled(self):
+        # Weights are constants: a long history must not be re-read.
+        registry = CreditRegistry(CreditParameters(delta_t=30.0))
+        for i in range(100):
+            registry.record_transaction(NODE, make_hash(i % 8), float(i))
+        assert registry._history[NODE].unsaturated == []
+        assert registry.positive_credit(NODE, 99.0) == 31.0 / 30.0
 
 
 class TestExportImportRoundTrip:
@@ -265,18 +348,17 @@ class TestExportImportRoundTrip:
         restored.import_state(state)
         assert restored.positive_credit(NODE, 100.0) == 4.0 / 30.0
 
-    def test_refresh_hook_runs_before_evaluation_and_export(self):
-        calls = []
-        registry = CreditRegistry(CreditParameters())
-        registry.set_refresh_hook(lambda: calls.append(1))
+    def test_export_reads_unsaturated_weights_fresh(self):
+        # Export is not an evaluation, but it must carry the weights an
+        # evaluation at the same instant would see.
+        weights = {make_hash(0): 1.0}
+        registry = CreditRegistry(CreditParameters(delta_t=30.0),
+                                  weight_provider=weights.__getitem__)
         registry.record_transaction(NODE, make_hash(0), 1.0)
-        registry.positive_credit(NODE, 1.0)
-        assert len(calls) == 1
-        registry.export_state(now=1.0)
-        assert len(calls) == 2
-        registry.set_refresh_hook(None)
-        registry.positive_credit(NODE, 1.0)
-        assert len(calls) == 2
+        weights[make_hash(0)] = 3.0
+        state = registry.export_state(now=1.0)
+        assert state["nodes"][NODE.hex()]["transactions"] == \
+            [[1.0, make_hash(0).hex(), 3.0]]
 
 
 class TestComplexityShape:

@@ -6,8 +6,8 @@ height indexes, a cached depth map.  None of them may ever change an
 answer.  These tests replay identical random growth schedules (seeded,
 varied fan-in and tip pressure — see :mod:`tests.tangle.schedules`)
 into every engine configuration and the from-scratch reference, and
-assert ``weight()`` / ``height()`` / ``tips()`` / ``depth_from_tips()``
-agree at interleaved probes and at the end.
+assert ``weight()`` / ``capped_weight()`` / ``height()`` / ``tips()`` /
+``depth_from_tips()`` agree at interleaved probes and at the end.
 """
 
 import random
@@ -60,6 +60,77 @@ def test_random_schedules_weight_height_tips_agree(seed):
         for h in hashes:
             assert tangle.weight(h) == reference.weight(h), (name, seed)
             assert tangle.height(h) == reference.height(h), (name, seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_capped_weight_is_exact_and_never_flushes(seed):
+    """``capped_weight(h, limit) == min(weight(h), limit)`` at every
+    interleaved probe, in every engine state — clean, mid-epoch, partly
+    flushed — and the read itself leaves the pending batch alone."""
+    genesis, schedule = random_growth_schedule(seed)
+    reference = ReferenceTangle(genesis)
+    variants = engine_variants(genesis)
+    probe_rng = random.Random(seed ^ 0xC0FFEE)
+    hashes = [genesis.tx_hash]
+
+    for tx in schedule:
+        reference.attach(tx)
+        for tangle in variants.values():
+            tangle.attach(tx, arrival_time=tx.timestamp)
+        hashes.append(tx.tx_hash)
+        if probe_rng.random() < 0.3:
+            probe = probe_rng.choice(hashes[-12:])
+            limit = probe_rng.choice([1, 2, 3, 5, 5.0, 2.5, 1000])
+            expected = min(reference.weight(probe), limit)
+            for name, tangle in variants.items():
+                pending = tangle.pending_weight_count
+                assert tangle.capped_weight(probe, limit) == expected, \
+                    (name, seed, limit)
+                assert tangle.pending_weight_count == pending, (name, seed)
+        if probe_rng.random() < 0.05:
+            # A flush-exact read elsewhere (tip selection): stored
+            # weights now run ahead of the next pending batch.
+            for tangle in variants.values():
+                tangle.weight(probe_rng.choice(hashes))
+
+    for name, tangle in variants.items():
+        for h in hashes:
+            assert tangle.capped_weight(h, 5.0) == \
+                min(reference.weight(h), 5.0), (name, seed)
+        with pytest.raises(KeyError):
+            tangle.capped_weight(b"\x00" * 32, 5.0)
+
+
+def test_capped_weight_walk_is_bounded_by_the_limit():
+    """A wide fan must not overrun the bound: the count stops at
+    *limit* vertices however many approvers one transaction has."""
+    genesis, _ = random_growth_schedule(0, length=1)
+    tangle = Tangle(genesis, weight_flush_interval=10_000)
+    for index in range(200):
+        tangle.attach(unsigned_tx(20_000 + index, genesis.tx_hash,
+                                  genesis.tx_hash, float(index + 1)),
+                      arrival_time=float(index + 1))
+
+    class CountingSet(set):
+        """The fan, counting how many approvers a walk looked at."""
+        yielded = 0
+
+        def __iter__(self):
+            for item in set.__iter__(self):
+                CountingSet.yielded += 1
+                yield item
+
+    fan = tangle._approvers[genesis.tx_hash] = \
+        CountingSet(tangle._approvers[genesis.tx_hash])
+    assert len(fan) == 200
+    assert tangle.capped_weight(genesis.tx_hash, 5.0) == 5.0
+    assert CountingSet.yielded == 4  # itself + four approvers = the cap
+    assert tangle.pending_weight_count == 200
+    # Once a flush has stored a weight at or above the limit the read
+    # is a dictionary lookup: no walk at all.
+    tangle.flush_weights()
+    assert tangle.capped_weight(genesis.tx_hash, 5.0) == 5.0
+    assert CountingSet.yielded == 4
 
 
 @pytest.mark.parametrize("seed", (0, 3, 5))
