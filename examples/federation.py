@@ -76,15 +76,15 @@ def main():
     for factory in (factory_a, factory_b):
         own = [d.keypair.public for f, d in devices if f is factory]
         factory.authorize_devices(own)
-    scheduler.run_until(scheduler.clock.now() + 2.0)
+    scheduler.run_for(2.0)
     for factory, device in devices:
         if device.sensor.sensitive:
             factory.distribute_key(device.address, device.keypair.public)
-    scheduler.run_until(scheduler.clock.now() + 2.0)
+    scheduler.run_for(2.0)
 
     for _, device in devices:
         device.start()
-    scheduler.run_until(scheduler.clock.now() + 60.0)
+    scheduler.run_for(60.0)
 
     rows = []
     for factory, device in devices:

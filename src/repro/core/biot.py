@@ -1,9 +1,13 @@
 """The B-IoT system facade: build and run a smart-factory deployment.
 
 Wires the whole architecture of Fig. 3 together — one manager, a set of
-gateway full nodes, and wireless-sensor light nodes — over the
-discrete-event network, with the credit-based consensus and data
-authority management active end to end.
+gateway full nodes, and wireless-sensor light nodes — with the
+credit-based consensus and data authority management active end to
+end, over either transport: the discrete-event simulator (default) or
+real localhost TCP (``BIoTConfig(transport="asyncio")``).  The driving
+calls are the same on both, and all of them are synchronous — the only
+thing that differs is how ``scheduler.run_for`` lets simulated time
+pass (drain the event heap / run the deployment's own event loop).
 
 Typical use (see ``examples/smart_factory.py``)::
 
@@ -12,6 +16,7 @@ Typical use (see ``examples/smart_factory.py``)::
     system.start_devices()        # steps 4-5, repeating
     system.run_for(90.0)
     print(system.summary())
+    system.close()                # sockets, loop, stores, worker pool
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from ..faults.backoff import BackoffPolicy
 from ..network.aio import AsyncioScheduler, AsyncioTransport, NodeRunner
 from ..network.network import Network
 from ..network.simulator import EventScheduler
-from ..network.transport import BACKBONE_LINK, WIRELESS_SENSOR_LINK, LatencyModel
+from ..network.transport import BACKBONE_LINK, WIRELESS_SENSOR_LINK
 from ..tangle.tip_selection import TipSelector, WeightedRandomWalkSelector
 from ..telemetry.lifecycle import NULL_LIFECYCLE, LifecycleTracker
 from ..telemetry.registry import NULL_REGISTRY, MetricsRegistry
@@ -45,7 +50,7 @@ __all__ = ["BIoTConfig", "BIoTSystem"]
 
 @dataclass(frozen=True)
 class BIoTConfig:
-    """Deployment parameters for a simulated smart factory.
+    """Deployment parameters for a smart factory.
 
     Attributes:
         gateway_count: full nodes besides the manager.
@@ -57,7 +62,6 @@ class BIoTConfig:
         tip_alpha: weight bias of the gateways' MCMC tip selection
             (None selects uniform-random tips, the paper's baseline).
         seed: master seed; every stochastic component derives from it.
-        wireless_link / backbone_link: latency models.
         enforce_pow: cryptographically verify PoW nonces at gateways.
         token_allocation: initial token balance minted per device.
         retry_policy: the :class:`~repro.faults.backoff.BackoffPolicy`
@@ -93,37 +97,19 @@ class BIoTConfig:
             deployment level, never inside event handlers, so the
             discrete-event schedule is untouched).
         transport: ``"sim"`` (default) runs the deployment on the
-            discrete-event simulator — bit-deterministic, driven by
-            :meth:`BIoTSystem.initialize` / :meth:`BIoTSystem.run_for`.
+            discrete-event simulator — bit-deterministic.
             ``"asyncio"`` hosts every node on its own
-            :class:`~repro.network.aio.AsyncioTransport` over real
-            localhost TCP — convergence-deterministic, driven from a
-            running event loop by :meth:`BIoTSystem.start_fleet` /
-            :meth:`BIoTSystem.initialize_async` /
-            :meth:`BIoTSystem.run_for_async`.
-        listen_host: interface full nodes bind their TCP listeners to
-            (asyncio transport only).
-        listen_base_port: first listen port; full node *i* binds
-            ``listen_base_port + i``.  0 (default) binds ephemeral
-            ports, published through the fleet's shared directory —
-            the right choice for tests running in parallel.
+            :class:`~repro.network.aio.AsyncioTransport` listening on
+            an ephemeral ``127.0.0.1`` port, all on one event loop the
+            deployment owns — convergence-deterministic.  The
+            :class:`BIoTSystem` calls are the same either way.
+            (Multi-host fleets are configured where they are run:
+            ``repro node --listen/--advertise-host/--seed-node``.)
         time_scale: simulated seconds per wall-clock second on the
             asyncio transport (the :class:`~repro.network.aio.
             AsyncClock` ratio); >1 compresses protocol timers so wire
             tests finish quickly.  Ignored by the simulator, whose
             virtual clock needs no scaling.
-        advertise_host: the host peers should dial to reach this
-            deployment's nodes (asyncio transport only).  Defaults to
-            the listen host; set it when listening on a wildcard
-            address (``0.0.0.0``) or behind NAT.
-        discovery_seeds: ``address=host:port`` seed-node specs
-            (asyncio transport only).  When non-empty, every full node
-            runs a :class:`~repro.network.discovery.DiscoveryService`
-            and bootstraps into the *external* fleet those seeds
-            anchor — the multi-process deployment path, where no
-            shared in-process directory exists.  Empty (default) keeps
-            the single-process behaviour: peers resolve through the
-            deployment's shared directory.
     """
 
     gateway_count: int = 2
@@ -136,8 +122,6 @@ class BIoTConfig:
     credit_params: CreditParameters = field(default_factory=CreditParameters)
     tip_alpha: Optional[float] = None
     seed: int = 42
-    wireless_link: LatencyModel = WIRELESS_SENSOR_LINK
-    backbone_link: LatencyModel = BACKBONE_LINK
     enforce_pow: bool = True
     token_allocation: int = 1000
     retry_policy: Optional[BackoffPolicy] = None
@@ -148,11 +132,7 @@ class BIoTConfig:
     crypto_backend: str = "reference"
     pow_workers: int = 0
     transport: str = "sim"
-    listen_host: str = "127.0.0.1"
-    listen_base_port: int = 0
     time_scale: float = 1.0
-    advertise_host: Optional[str] = None
-    discovery_seeds: Tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.gateway_count < 1:
@@ -179,39 +159,28 @@ class BIoTConfig:
             raise ValueError(
                 f"unknown transport {self.transport!r} "
                 f"(known: sim, asyncio)")
-        if not (0 <= self.listen_base_port <= 65535):
-            raise ValueError("listen_base_port must be in [0, 65535]")
         if self.time_scale <= 0:
             raise ValueError("time_scale must be positive")
-        if self.discovery_seeds and self.transport != "asyncio":
-            raise ValueError(
-                "discovery_seeds requires transport='asyncio' — the "
-                "simulator resolves peers through its own directory")
-        from ..network.discovery import parse_seed
-        for spec in self.discovery_seeds:
-            parse_seed(spec)  # raises ValueError on malformed specs
 
 
 class BIoTSystem:
-    """A fully wired smart-factory simulation."""
+    """A fully wired smart-factory deployment, on either transport."""
 
     def __init__(self, *, config: BIoTConfig, scheduler,
-                 network: Optional[Network], manager: ManagerNode,
+                 network: Optional[Network], runners: List[NodeRunner],
+                 manager: ManagerNode,
                  gateways: List[FullNode], devices: List[LightNode],
                  device_keys: Dict[str, KeyPair],
                  gateway_keys: Dict[str, KeyPair],
                  crypto_pool=None,
-                 runners: Optional[List[NodeRunner]] = None,
-                 directory: Optional[Dict[str, Tuple[str, int]]] = None,
-                 discovery: Optional[List[object]] = None,
                  telemetry=NULL_REGISTRY, tracer=NULL_TRACER,
                  lifecycle=NULL_LIFECYCLE):
         self.config = config
         self.scheduler = scheduler
+        # Sim: the one shared Network and no runners.  TCP: no Network
+        # and one started NodeRunner per node.
         self.network = network
         self.runners = runners
-        self.directory = directory
-        self.discovery = discovery if discovery is not None else []
         self.manager = manager
         self.gateways = gateways
         self.devices = devices
@@ -222,12 +191,17 @@ class BIoTSystem:
         self.lifecycle = lifecycle
         self.crypto_pool = crypto_pool
         self.initialized = False
+        self.closed = False
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def build(cls, config: BIoTConfig = BIoTConfig()) -> "BIoTSystem":
-        """Construct every node, link and identity for *config*."""
+        """Construct every node, link and identity for *config*.
+
+        On ``transport="asyncio"`` this also creates the deployment's
+        event loop and binds every node's listener, so what it returns
+        is dialable; :meth:`close` gives all of it back."""
         # Imported here (not at module top) because the node classes
         # themselves import repro.core — a lazy import breaks the cycle.
         from ..nodes.full_node import FullNode
@@ -235,9 +209,10 @@ class BIoTSystem:
         from ..nodes.manager import ManagerNode
 
         master = random.Random(config.seed)
-        asyncio_mode = config.transport == "asyncio"
-        scheduler = (AsyncioScheduler(time_scale=config.time_scale)
-                     if asyncio_mode else EventScheduler())
+        on_tcp = config.transport == "asyncio"
+        scheduler = (AsyncioScheduler(time_scale=config.time_scale,
+                                      loop=asyncio.new_event_loop())
+                     if on_tcp else EventScheduler())
         if config.telemetry:
             telemetry = MetricsRegistry(scheduler.clock)
             tracer = Tracer(scheduler.clock)
@@ -253,42 +228,31 @@ class BIoTSystem:
             telemetry = NULL_REGISTRY
             tracer = NULL_TRACER
             lifecycle = NULL_LIFECYCLE
-        network: Optional[Network] = None
-        directory: Optional[Dict[str, Tuple[str, int]]] = None
-        runners: Optional[List[NodeRunner]] = None
-        if asyncio_mode:
-            directory = {}
-            runners = []
-        else:
-            network = Network(
-                scheduler,
-                rng=random.Random(master.randrange(2 ** 63)),
-                telemetry=telemetry,
-                tracer=tracer,
-            )
+        network = None if on_tcp else Network(
+            scheduler,
+            rng=random.Random(master.randrange(2 ** 63)),
+            telemetry=telemetry,
+            tracer=tracer,
+        )
+        directory: Dict[str, Tuple[str, int]] = {}
+        runners: List[NodeRunner] = []
 
-        def attach(node, *, listen_index: Optional[int] = None) -> None:
-            """Sim mode: attach to the shared Network.  Asyncio mode:
-            give the node its own TCP transport (full nodes listen,
-            devices stay connect-only) sharing one directory."""
-            if not asyncio_mode:
+        def attach(node) -> None:
+            """Sim: join the shared Network.  TCP: the node gets its own
+            listening endpoint (devices too — the manager pushes key
+            distributions to them, so they must be dialable before they
+            ever speak), all sharing one directory."""
+            if network is not None:
                 network.attach(node)
                 return
-            transport = AsyncioTransport(
+            runners.append(NodeRunner(node, AsyncioTransport(
                 scheduler,
                 directory=directory,
                 rng=random.Random(master.randrange(2 ** 63)),
                 reconnect_policy=config.retry_policy,
                 telemetry=telemetry,
                 tracer=tracer,
-            )
-            listen = None
-            if listen_index is not None:
-                port = (0 if config.listen_base_port == 0
-                        else config.listen_base_port + listen_index)
-                listen = (config.listen_host, port)
-            runners.append(NodeRunner(node, transport, listen=listen,
-                                      advertise_host=config.advertise_host))
+            ), listen=("127.0.0.1", 0)))
 
         # One verification cache and one decode cache for the whole
         # deployment: verification of an immutable transaction is
@@ -330,35 +294,10 @@ class BIoTSystem:
                 return UniformRandomTipSelector()
             return WeightedRandomWalkSelector(alpha=config.tip_alpha)
 
-        manager = ManagerNode(
-            "manager", manager_keys, genesis,
-            consensus=CreditBasedConsensus.from_params(
-                config.credit_params,
-                initial_difficulty=config.initial_difficulty,
-                telemetry=telemetry),
-            tip_selector=new_tip_selector(),
-            rng=random.Random(master.randrange(2 ** 63)),
-            enforce_pow=config.enforce_pow,
-            retry_policy=config.retry_policy,
-            verification_cache=verification_cache,
-            decode_cache=decode_cache,
-            crypto_backend=config.crypto_backend,
-            crypto_pool=crypto_pool,
-            telemetry=telemetry,
-            lifecycle=lifecycle,
-        )
-        attach(manager, listen_index=0)
-
-        gateways: List[FullNode] = []
-        gateway_keys = {
-            f"gateway-{i}": KeyPair.generate(
-                seed=f"gateway:{config.seed}:{i}".encode()
-            )
-            for i in range(config.gateway_count)
-        }
-        for i in range(config.gateway_count):
-            gateway = FullNode(
-                f"gateway-{i}", genesis,
+        def full_node_options() -> Dict[str, object]:
+            """What the manager and every gateway are built with (own
+            consensus, tip selector and rng each; the rest shared)."""
+            return dict(
                 consensus=CreditBasedConsensus.from_params(
                     config.credit_params,
                     initial_difficulty=config.initial_difficulty,
@@ -374,7 +313,21 @@ class BIoTSystem:
                 telemetry=telemetry,
                 lifecycle=lifecycle,
             )
-            attach(gateway, listen_index=i + 1)
+
+        manager = ManagerNode("manager", manager_keys, genesis,
+                              **full_node_options())
+        attach(manager)
+
+        gateways: List[FullNode] = []
+        gateway_keys = {
+            f"gateway-{i}": KeyPair.generate(
+                seed=f"gateway:{config.seed}:{i}".encode()
+            )
+            for i in range(config.gateway_count)
+        }
+        for address in gateway_keys:
+            gateway = FullNode(address, genesis, **full_node_options())
+            attach(gateway)
             gateways.append(gateway)
 
         # Full mesh among full nodes over the backbone.
@@ -384,8 +337,7 @@ class BIoTSystem:
                 if a.address != b.address:
                     a.add_peer(b.address)
                     if network is not None:
-                        network.set_link(a.address, b.address,
-                                         config.backbone_link)
+                        network.set_link(a.address, b.address, BACKBONE_LINK)
 
         if config.storage_backend != "memory":
             # Imported lazily: repro.storage is optional plumbing the
@@ -411,19 +363,6 @@ class BIoTSystem:
                 node.attach_persistence(
                     NodePersistence(store, telemetry=telemetry))
 
-        # Multi-process deployments: every full node bootstraps into
-        # the external fleet through the configured seed nodes; the
-        # in-process directory still short-circuits local lookups.
-        discovery: List[object] = []
-        if asyncio_mode and config.discovery_seeds:
-            from ..network.discovery import DiscoveryService, parse_seed
-            seeds = [parse_seed(spec) for spec in config.discovery_seeds]
-            for runner, node in zip(runners, full_nodes):
-                discovery.append(DiscoveryService(
-                    runner.transport, address=node.address, role="full",
-                    seeds=seeds, policy=config.retry_policy,
-                    on_full_peer=node.add_peer, telemetry=telemetry))
-
         devices: List[LightNode] = []
         for i, (address, keys) in enumerate(sorted(device_keys.items())):
             sensor_type = config.sensor_cycle[i % len(config.sensor_cycle)]
@@ -439,30 +378,28 @@ class BIoTSystem:
                 telemetry=telemetry,
                 lifecycle=lifecycle,
             )
-            # Devices listen as well: the manager pushes key
-            # distributions to them, so on TCP they must be dialable
-            # before they ever speak.
-            attach(device, listen_index=1 + config.gateway_count + i)
+            attach(device)
             if network is not None:
                 network.set_link(address, gateway.address,
-                                 config.wireless_link)
+                                 WIRELESS_SENSOR_LINK)
                 network.set_link(address, manager.address,
-                                 config.wireless_link)
+                                 WIRELESS_SENSOR_LINK)
             devices.append(device)
+
+        for runner in runners:
+            scheduler.loop.run_until_complete(runner.start())
 
         return cls(
             config=config,
             scheduler=scheduler,
             network=network,
+            runners=runners,
             manager=manager,
             gateways=gateways,
             devices=devices,
             device_keys=device_keys,
             gateway_keys=gateway_keys,
             crypto_pool=crypto_pool,
-            runners=runners,
-            directory=directory,
-            discovery=discovery if asyncio_mode else None,
             telemetry=telemetry,
             tracer=tracer,
             lifecycle=lifecycle,
@@ -474,30 +411,17 @@ class BIoTSystem:
         return [self.manager] + self.gateways
 
     @property
-    def asyncio_mode(self) -> bool:
-        """True when the deployment runs on real TCP transports."""
-        return self.runners is not None
-
-    def _require_sim(self, what: str) -> None:
-        if self.runners is not None:
-            raise RuntimeError(
-                f"{what} drives the discrete-event scheduler and is "
-                f"unavailable with transport='asyncio'; use start_fleet"
-                f"/initialize_async/run_for_async from a running event "
-                f"loop instead")
-
-    def _require_asyncio(self, what: str) -> None:
-        if self.runners is None:
-            raise RuntimeError(
-                f"{what} requires transport='asyncio' (this deployment "
-                f"runs on the discrete-event simulator)")
+    def transports(self) -> list:
+        """What carries the deployment's messages: the one simulated
+        ``Network``, or every node's ``AsyncioTransport``."""
+        return [runner.transport for runner in self.runners] \
+            or [self.network]
 
     # -- workflow steps 1-3 --------------------------------------------------
 
     def initialize(self, *, settle_seconds: float = 2.0) -> None:
         """Run workflow steps 1–3: register gateways, authorise devices,
         distribute keys to sensitive-data devices."""
-        self._require_sim("initialize")
         with self.tracer.span("biot.initialize",
                               gateways=len(self.gateways),
                               devices=len(self.devices)):
@@ -510,16 +434,14 @@ class BIoTSystem:
                 self.manager.authorize_devices(
                     [keys.public for keys in self.device_keys.values()]
                 )
-                self.scheduler.run_until(
-                    self.scheduler.clock.now() + settle_seconds)
+                self.scheduler.run_for(settle_seconds)
             with self.tracer.span("biot.key_distribution"):
                 # Step 3: distribute keys to sensitive-data devices.
                 for device in self.devices:
                     if device.sensor.sensitive:
                         self.manager.distribute_key(device.address,
                                                     device.keypair.public)
-                self.scheduler.run_until(
-                    self.scheduler.clock.now() + settle_seconds)
+                self.scheduler.run_for(settle_seconds)
         self.initialized = True
 
     # -- workflow steps 4-5 --------------------------------------------------
@@ -530,87 +452,40 @@ class BIoTSystem:
             device.start(initial_delay=index * stagger)
 
     def run_for(self, seconds: float) -> None:
-        """Advance the simulation by *seconds*."""
-        self._require_sim("run_for")
+        """Let *seconds* of simulated time pass (on TCP: run the
+        deployment's loop for ``seconds / time_scale`` of wall time)."""
         with self.tracer.span("biot.run", seconds=seconds):
-            self.scheduler.run_until(self.scheduler.clock.now() + seconds)
-
-    # -- asyncio-transport lifecycle -----------------------------------------
-
-    async def start_fleet(self) -> None:
-        """Boot every :class:`~repro.network.aio.NodeRunner`: full
-        nodes bind their TCP listeners (publishing bound addresses into
-        the shared directory), devices come up connect-only.  Must run
-        inside the event loop that will host the fleet."""
-        self._require_asyncio("start_fleet")
-        for runner in self.runners:
-            await runner.start()
-        for service in self.discovery:
-            service.start()
-
-    def listen_addresses(self) -> Dict[str, Tuple[str, int]]:
-        """Bound ``address -> (host, port)`` for every listening node
-        (meaningful after :meth:`start_fleet`; ephemeral ports included,
-        which is how tests discover what the OS assigned)."""
-        self._require_asyncio("listen_addresses")
-        return {
-            runner.address: runner.bound_address
-            for runner in self.runners
-            if runner.bound_address is not None
-        }
-
-    async def stop_fleet(self) -> None:
-        """Gracefully shut the fleet down (reverse boot order):
-        outboxes flush briefly, then listeners, connections and tasks
-        are torn down.  Idempotent."""
-        self._require_asyncio("stop_fleet")
-        for runner in reversed(self.runners):
-            await runner.stop()
-        if isinstance(self.scheduler, AsyncioScheduler):
-            self.scheduler.cancel_all()
-
-    async def initialize_async(self, *, settle_seconds: float = 2.0) -> None:
-        """Workflow steps 1–3 over the wire.
-
-        Same protocol steps as :meth:`initialize`; settling means
-        *waiting* (``settle_seconds`` of simulated time, wall-scaled by
-        ``time_scale``) while gossip propagates, instead of draining a
-        virtual event queue."""
-        self._require_asyncio("initialize_async")
-        settle_wall = self.scheduler.clock.to_wall(settle_seconds)
-        with self.tracer.span("biot.initialize",
-                              gateways=len(self.gateways),
-                              devices=len(self.devices)):
-            with self.tracer.span("biot.register_and_authorize"):
-                self.manager.register_gateways(
-                    [keys.public for keys in self.gateway_keys.values()]
-                )
-                self.manager.authorize_devices(
-                    [keys.public for keys in self.device_keys.values()]
-                )
-                await asyncio.sleep(settle_wall)
-            with self.tracer.span("biot.key_distribution"):
-                for device in self.devices:
-                    if device.sensor.sensitive:
-                        self.manager.distribute_key(device.address,
-                                                    device.keypair.public)
-                await asyncio.sleep(settle_wall)
-        self.initialized = True
-
-    async def run_for_async(self, seconds: float) -> None:
-        """Let the fleet run for *seconds* of simulated time (wall
-        time scaled by ``time_scale``); devices report and gossip flows
-        on real sockets meanwhile."""
-        self._require_asyncio("run_for_async")
-        with self.tracer.span("biot.run", seconds=seconds):
-            await asyncio.sleep(self.scheduler.clock.to_wall(seconds))
+            self.scheduler.run_for(seconds)
 
     def close(self) -> None:
-        """Release deployment-level resources (the crypto worker pool).
+        """Give back everything :meth:`build` opened; idempotent.
 
-        Idempotent; a system without a pool (``pow_workers=0``, the
-        default) has nothing to release and this is a no-op.
+        On TCP the fleet is stopped first (reverse boot order: outboxes
+        flush briefly, then listeners, connections and tasks go),
+        whatever is still pending on the loop is cancelled and the loop
+        is closed.  Only then are the durable stores closed — nothing
+        can journal into a closed store — and the crypto worker pool
+        released.
         """
+        if self.closed:
+            return
+        self.closed = True
+        if self.runners:
+            loop = self.scheduler.loop
+            for runner in reversed(self.runners):
+                loop.run_until_complete(runner.stop())
+            self.scheduler.cancel_all()
+            lingering = asyncio.all_tasks(loop)
+            for task in lingering:
+                task.cancel()
+            if lingering:
+                loop.run_until_complete(
+                    asyncio.gather(*lingering, return_exceptions=True))
+            loop.run_until_complete(loop.shutdown_asyncgens())
+            loop.close()
+        for node in self.full_nodes:
+            if node.persistence is not None:
+                node.persistence.store.close()
         if self.crypto_pool is not None:
             self.crypto_pool.close()
 
@@ -620,22 +495,18 @@ class BIoTSystem:
         """Aggregate statistics across the deployment."""
         accepted = sum(d.stats.submissions_accepted for d in self.devices)
         sent = sum(d.stats.submissions_sent for d in self.devices)
-        full_nodes = [self.manager] + self.gateways
+        transports = self.transports
         summary: Dict[str, object] = {
             "time": self.scheduler.clock.now(),
             "devices": len(self.devices),
             "gateways": len(self.gateways),
             "submissions_sent": sent,
             "submissions_accepted": accepted,
-            "tangle_sizes": {n.address: n.tangle_size for n in full_nodes},
-            "messages_delivered": (
-                self.network.messages_delivered
-                if self.network is not None else
-                sum(r.transport.messages_delivered for r in self.runners)),
-            "messages_dropped": (
-                self.network.messages_dropped
-                if self.network is not None else
-                sum(r.transport.messages_dropped for r in self.runners)),
+            "tangle_sizes": {n.address: n.tangle_size
+                             for n in self.full_nodes},
+            "messages_delivered": sum(
+                t.messages_delivered for t in transports),
+            "messages_dropped": sum(t.messages_dropped for t in transports),
             "mean_pow_seconds": (
                 sum(d.stats.mean_pow_seconds for d in self.devices)
                 / len(self.devices)

@@ -64,44 +64,32 @@ def run_workflow(system: BIoTSystem, *, report_seconds: float = 30.0,
     """
     report = WorkflowReport()
     manager = system.manager
-    scheduler = system.scheduler
 
-    # Step 1: the manager initialises gateways — records their
-    # identifiers in the blockchain.
-    manager.register_gateways(
-        [keys.public for keys in system.gateway_keys.values()]
-    )
-    scheduler.run_until(scheduler.clock.now() + settle_seconds)
+    # Steps 1-3 are BIoTSystem.initialize.  Each postcondition below
+    # is a fact that stays true once established, so checking it after
+    # the settle that follows is the same check.
+    system.initialize(settle_seconds=settle_seconds)
+
+    # Step 1: gateway identifiers are recorded in the blockchain.
     gateways_registered = all(
         gateway.acl.is_registered_gateway(keys.node_id)
         for gateway in system.gateways
-        for keys in system.gateway_keys.values()
-    )
+        for keys in system.gateway_keys.values())
     report.add(1, "initialize gateways / set up manager", gateways_registered,
                registered=len(manager.acl.registered_gateways()))
 
-    # Step 2: authorise IoT devices via an ACL transaction (Eqn. 1).
-    manager.authorize_devices(
-        [keys.public for keys in system.device_keys.values()]
-    )
-    scheduler.run_until(scheduler.clock.now() + settle_seconds)
+    # Step 2: IoT devices authorised via an ACL transaction (Eqn. 1).
     devices_authorized = all(
         gateway.acl.is_authorized_device(keys.node_id)
         for gateway in system.gateways
-        for keys in system.device_keys.values()
-    )
+        for keys in system.device_keys.values())
     report.add(2, "authorize IoT devices", devices_authorized,
                authorized=len(manager.acl.authorized_devices()))
 
-    # Step 3: distribute the symmetric secret key — only to devices
-    # which collect sensitive data.
+    # Step 3: the symmetric secret key reached every device which
+    # collects sensitive data.
     sensitive = [d for d in system.devices if d.sensor.sensitive]
-    for device in sensitive:
-        manager.distribute_key(device.address, device.keypair.public)
-    scheduler.run_until(scheduler.clock.now() + settle_seconds)
-    keys_installed = all(
-        device.protector.has_key() for device in sensitive
-    )
+    keys_installed = all(device.protector.has_key() for device in sensitive)
     report.add(3, "distribute secret keys to sensitive-data devices",
                keys_installed,
                sensitive_devices=len(sensitive),
@@ -109,19 +97,16 @@ def run_workflow(system: BIoTSystem, *, report_seconds: float = 30.0,
 
     # Steps 4-5: devices fetch tips, run PoW, submit — repeatedly.
     system.start_devices()
-    scheduler.run_until(scheduler.clock.now() + report_seconds)
+    system.run_for(report_seconds)
     accepted = sum(d.stats.submissions_accepted for d in system.devices)
     every_device_reported = all(
-        d.stats.submissions_accepted > 0 for d in system.devices
-    )
+        d.stats.submissions_accepted > 0 for d in system.devices)
     report.add(4, "devices validate two tips and bundle via PoW",
                every_device_reported,
                pow_solves=sum(d.stats.pow_solves for d in system.devices))
-    replicas = {n.address: n.tangle_size
-                for n in [system.manager] + system.gateways}
+    replicas = {n.address: n.tangle_size for n in system.full_nodes}
     converged = len(set(replicas.values())) == 1
     report.add(5, "submit transactions; gateways verify and broadcast",
                accepted > 0,
                accepted=accepted, replicas=replicas, converged=converged)
-    system.initialized = True
     return report

@@ -97,7 +97,7 @@ def run_differential(*, seed: int, storage_dir: str,
     kill_results: List[Dict] = []
 
     for step in range(steps):
-        scheduler.run_until(clock.now() + rng.uniform(0.2, 1.2))
+        scheduler.run_for(rng.uniform(0.2, 1.2))
         now = clock.now()
         roll = rng.random()
         action = "data"

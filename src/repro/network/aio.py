@@ -13,7 +13,7 @@ shutdown that flushes outboxes before tearing sockets down.
 Scheduling-facing node code is untouched: nodes read time through
 ``transport.scheduler.clock.now()`` and defer work through
 ``transport.scheduler.schedule(...)``, so :class:`AsyncioScheduler`
-adapts those calls onto the running event loop (``loop.call_later``)
+adapts those calls onto its event loop (``loop.call_later``)
 and :class:`AsyncClock` maps wall time into *simulated seconds* through
 a configurable ``time_scale`` — protocol timers written in simulated
 seconds (keydist retries, parent-fetch backoff) fire proportionally
@@ -79,26 +79,41 @@ class AsyncClock(Clock):
 
 
 class AsyncioScheduler:
-    """`EventScheduler`-shaped facade over the asyncio event loop.
+    """`EventScheduler`-shaped facade over an asyncio event loop.
 
-    Implements the subset nodes use — ``clock``, ``schedule``,
-    ``schedule_at``, ``cancel``, ``trace_binder``, ``len()`` — by
-    delegating to ``loop.call_later``.  Calls must come from code
-    running inside the event loop (node handlers always do).
+    Nodes get ``clock``, ``schedule``, ``schedule_at``, ``cancel``,
+    ``trace_binder`` and ``len()`` (``loop.call_later`` underneath);
+    drivers get ``run_for``.  Given ``loop=``, timers and sends also
+    work from plain code between two ``run_for`` calls; without it the
+    running loop is used, so calls must come from inside it.
     """
 
     def __init__(self, clock: Optional[AsyncClock] = None, *,
-                 time_scale: float = 1.0):
+                 time_scale: float = 1.0,
+                 loop: Optional[asyncio.AbstractEventLoop] = None):
         self.clock = clock if clock is not None else AsyncClock(time_scale)
         self.trace_binder = None
         self.events_executed = 0
+        self._loop = loop
         self._handles: Dict[int, asyncio.TimerHandle] = {}
         self._sequence = 0
+
+    @property
+    def loop(self) -> asyncio.AbstractEventLoop:
+        """The loop given at construction, else the running one."""
+        return self._loop if self._loop is not None \
+            else asyncio.get_running_loop()
+
+    def run_for(self, seconds: float) -> None:
+        """Run the loop for *seconds* of simulated time (driver side:
+        not callable from inside the loop)."""
+        self.loop.run_until_complete(
+            asyncio.sleep(self.clock.to_wall(seconds)))
 
     def schedule(self, delay: float, callback) -> int:
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        loop = asyncio.get_running_loop()
+        loop = self.loop
         event_id = self._sequence
         self._sequence += 1
         binder = self.trace_binder
@@ -113,9 +128,8 @@ class AsyncioScheduler:
                 with binder.activate(context):
                     callback()
 
-        wall_delay = self.clock.to_wall(delay) \
-            if isinstance(self.clock, AsyncClock) else delay
-        self._handles[event_id] = loop.call_later(wall_delay, fire)
+        self._handles[event_id] = loop.call_later(
+            self.clock.to_wall(delay), fire)
         return event_id
 
     def schedule_at(self, timestamp: float, callback) -> int:
@@ -134,13 +148,11 @@ class AsyncioScheduler:
     def __len__(self) -> int:
         return len(self._handles)
 
-    def cancel_all(self) -> int:
-        """Cancel every pending timer (shutdown); returns how many."""
-        count = len(self._handles)
+    def cancel_all(self) -> None:
+        """Cancel every pending timer (shutdown)."""
         for handle in self._handles.values():
             handle.cancel()
         self._handles.clear()
-        return count
 
 
 class AsyncioTransport:
@@ -259,10 +271,6 @@ class AsyncioTransport:
         raise KeyError(address)
 
     @property
-    def local_address(self) -> Optional[str]:
-        return self._node.address if self._node is not None else None
-
-    @property
     def addresses(self) -> List[str]:
         known = set(self.directory) | set(self._reverse)
         if self._node is not None:
@@ -298,8 +306,8 @@ class AsyncioTransport:
         Port 0 picks an ephemeral port — the sandboxed fleet fixture's
         default, so parallel test runs never collide; the OS-assigned
         port is read back from the bound socket and surfaced through
-        :attr:`listen_address` / :attr:`bound_port`.  The *advertised*
-        address — what peers should dial — is published into the shared
+        :attr:`listen_address`.  The *advertised* address — what peers
+        should dial — is published into the shared
         directory: ``advertise_host`` when given, otherwise the bind
         host, with wildcard binds (``0.0.0.0`` / ``::``) rewritten to
         ``127.0.0.1`` because a wildcard is listenable but not dialable.
@@ -319,12 +327,6 @@ class AsyncioTransport:
         if self._node is not None:
             self.directory[self._node.address] = self.advertised_address
         return self.listen_address
-
-    @property
-    def bound_port(self) -> Optional[int]:
-        """The OS-assigned listen port, or None when not listening."""
-        return None if self.listen_address is None else \
-            self.listen_address[1]
 
     async def _serve_connection(self, reader, writer) -> None:
         task = asyncio.current_task()
@@ -402,8 +404,8 @@ class AsyncioTransport:
     def _ensure_writer(self, peer: str) -> None:
         task = self._writer_tasks.get(peer)
         if task is None or task.done():
-            self._writer_tasks[peer] = asyncio.get_running_loop() \
-                .create_task(self._writer_loop(peer))
+            self._writer_tasks[peer] = self.scheduler.loop.create_task(
+                self._writer_loop(peer))
 
     async def _writer_loop(self, peer: str) -> None:
         """Drain *peer*'s outbox over a connection that is re-dialed
@@ -461,14 +463,11 @@ class AsyncioTransport:
                 if self.reconnect_policy.exhausted(attempt):
                     return None
                 delay = self.reconnect_policy.delay(attempt, self._rng)
-                clock = self.scheduler.clock
-                wall = clock.to_wall(delay) \
-                    if isinstance(clock, AsyncClock) else delay
-                await asyncio.sleep(wall)
+                await asyncio.sleep(self.scheduler.clock.to_wall(delay))
                 continue
             self._connected_once.add(peer)
             self._track_connection(writer)
-            task = asyncio.get_running_loop().create_task(
+            task = self.scheduler.loop.create_task(
                 self._read_loop(reader, writer))
             self._reader_tasks.add(task)
             task.add_done_callback(self._reader_tasks.discard)
@@ -614,7 +613,6 @@ class NodeRunner:
         self._listen = listen
         self._advertise_host = advertise_host
         self.bound_address: Optional[Tuple[str, int]] = None
-        self.started = False
         transport.attach(node)
 
     @property
@@ -631,9 +629,7 @@ class NodeRunner:
         if self._listen is not None:
             self.bound_address = await self.transport.listen(
                 *self._listen, advertise_host=self._advertise_host)
-        self.started = True
         return self
 
     async def stop(self) -> None:
         await self.transport.close()
-        self.started = False

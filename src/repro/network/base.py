@@ -4,7 +4,11 @@ Nodes are written against a deliberately small surface: they are
 attached to a transport, reply through :meth:`Transport.send`, and read
 time / defer work through ``transport.scheduler`` (an object exposing
 ``clock.now()``, ``schedule(delay, callback) -> event_id`` and
-``cancel(event_id)``).  Everything else on
+``cancel(event_id)``).  Whatever *drives* a deployment lets simulated
+time pass through the same object: ``scheduler.run_for(seconds)``
+drains the event heap up to the deadline on the simulator and runs the
+event loop for the wall-clock equivalent on TCP, so driver code is
+written once.  Everything else on
 :class:`~repro.network.network.Network` — link models, fault switches,
 overlays — is simulator-specific and not part of the contract.
 
@@ -49,13 +53,17 @@ __all__ = ["Transport", "SchedulerLike"]
 
 
 class SchedulerLike(Protocol):
-    """What nodes require of ``transport.scheduler``."""
+    """What ``transport.scheduler`` offers: ``clock`` / ``schedule`` /
+    ``cancel`` to nodes, ``run_for`` to whatever drives them (never
+    called from inside a node handler)."""
 
     clock: object  # exposes now() -> float
 
     def schedule(self, delay: float, callback) -> int: ...
 
     def cancel(self, event_id: int) -> None: ...
+
+    def run_for(self, seconds: float) -> None: ...
 
 
 @runtime_checkable

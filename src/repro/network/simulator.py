@@ -147,3 +147,7 @@ class EventScheduler:
         if self.clock.now() < deadline:
             self.clock.advance_to(deadline)
         return executed
+
+    def run_for(self, seconds: float) -> None:
+        """Let *seconds* pass: ``run_until(now + seconds)``."""
+        self.run_until(self.clock.now() + seconds)

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 
 from ..core.acl import AuthorizationList, GenesisConfig
 from ..core.consensus import CreditBasedConsensus
-from ..devices.profiles import PC, DeviceProfile
+from ..devices.profiles import PC
 from ..faults.backoff import DEFAULT_BACKOFF, BackoffPolicy
 from ..network.gossip import GossipRelay, SolidificationBuffer
 from ..network.network import NetworkNode
@@ -106,17 +106,9 @@ class FullNode(NetworkNode):
         consensus: the node's credit-based consensus instance (each
             replica tracks credit from its own observations).
         tip_selector: strategy used to answer ``get_tips_request``.
-        profile: hardware class (gateways default to the PC profile).
         rng: seeded randomness for tip selection.
         enforce_pow: verify nonces cryptographically; pure-simulation
             sweeps with sampled PoW disable this.
-        quality_monitor: optional
-            :class:`~repro.core.quality.ReadingQualityMonitor`; when
-            present, plaintext sensor readings are screened and flagged
-            issuers are punished through the credit mechanism
-            (``bad-data`` behaviour).  Off by default: monitor state
-            depends on per-replica arrival order, so deployments that
-            enable it should pair it with a difficulty tolerance ≥ 1.
         retry_policy: the :class:`~repro.faults.backoff.BackoffPolicy`
             pacing parent re-requests (and, on the manager subclass,
             key-distribution retransmissions).  ``None`` uses
@@ -156,10 +148,8 @@ class FullNode(NetworkNode):
     def __init__(self, address: str, genesis: Transaction, *,
                  consensus: Optional[CreditBasedConsensus] = None,
                  tip_selector: Optional[TipSelector] = None,
-                 profile: DeviceProfile = PC,
                  rng: Optional[random.Random] = None,
                  enforce_pow: bool = True,
-                 quality_monitor=None,
                  retry_policy: Optional[BackoffPolicy] = None,
                  verification_cache: Optional[VerificationCache] = None,
                  decode_cache: Optional[TransactionDecodeCache] = None,
@@ -171,8 +161,12 @@ class FullNode(NetworkNode):
         self.lifecycle = coerce_lifecycle(lifecycle)
         self.retry_policy = retry_policy if retry_policy is not None \
             else DEFAULT_BACKOFF
-        self.quality_monitor = quality_monitor
-        self.profile = profile
+        self.profile = PC  # hardware class compute time is charged to
+        # Set to a ReadingQualityMonitor to screen plaintext readings
+        # and punish flagged issuers through credit (``bad-data``).  Its
+        # state depends on per-replica arrival order, so pair it with a
+        # difficulty tolerance >= 1.
+        self.quality_monitor = None
         self.rng = rng if rng is not None else random.Random()
         self.consensus = consensus if consensus is not None else CreditBasedConsensus()
         self.tip_selector = tip_selector if tip_selector is not None else UniformRandomTipSelector()

@@ -6,14 +6,21 @@ from repro.core.biot import BIoTConfig, BIoTSystem
 from repro.core.workflow import WorkflowReport, run_workflow
 
 
-@pytest.fixture(scope="module")
-def report_and_system():
+@pytest.fixture(scope="module", params=["sim", "asyncio"])
+def report_and_system(request):
+    """The same ``run_workflow(system)`` on both transports.  On TCP
+    simulated time is wall time / 20: the 10 s settles are 0.5 s each
+    (the Fig. 4 handshake needs ~40 ms of pure-Python crypto on an idle
+    host) and the 30 s of reporting are 1.5 s."""
     system = BIoTSystem.build(BIoTConfig(
         device_count=3, gateway_count=2, seed=21, initial_difficulty=6,
-        report_interval=2.0,
+        report_interval=2.0, transport=request.param, time_scale=20.0,
     ))
-    report = run_workflow(system, report_seconds=30.0)
-    return report, system
+    try:
+        yield run_workflow(system, report_seconds=30.0,
+                           settle_seconds=10.0), system
+    finally:
+        system.close()
 
 
 class TestWorkflow:

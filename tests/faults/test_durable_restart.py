@@ -3,6 +3,8 @@ crashed gateway from its store (never silently regenerate genesis
 state), recover as fast as the in-memory baseline, and stay
 byte-deterministic."""
 
+import sqlite3
+
 import pytest
 
 from repro.core.biot import BIoTConfig, BIoTSystem
@@ -77,6 +79,23 @@ class TestColdRestoreFromDeployment:
         BIoTSystem.build(config)
         with pytest.raises(StorageError, match="empty storage_dir"):
             BIoTSystem.build(config)
+
+    @pytest.mark.parametrize("backend", ["file", "sqlite"])
+    def test_close_releases_the_stores_build_opened(self, tmp_path, backend):
+        """``build`` opens one store per full node; ``close`` must hand
+        every file handle / connection back instead of leaving them to
+        the garbage collector."""
+        system = BIoTSystem.build(BIoTConfig(
+            gateway_count=1, device_count=1, seed=7,
+            storage_backend=backend, storage_dir=str(tmp_path)))
+        system.initialize()
+        stores = [node.persistence.store for node in system.full_nodes]
+        assert all(len(store) > 0 for store in stores)
+        system.close()
+        for store in stores:
+            with pytest.raises((ValueError, sqlite3.ProgrammingError)):
+                store.flush()  # closed handle / closed connection
+        system.close()  # idempotent: a second close is a no-op
 
     def test_durable_backend_requires_dir(self):
         with pytest.raises(StorageError, match="storage_dir"):

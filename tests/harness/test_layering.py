@@ -83,3 +83,32 @@ def test_importing_the_node_entrypoint_does_not_load_the_harness():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# One synchronous driver for both transports: what differs between them
+# is how time is let pass, and that lives behind ``scheduler.run_for``.
+# These two keep the async twin of ``BIoTSystem`` and the private copy
+# of workflow steps 1-3 from growing back.
+
+def test_core_has_no_coroutines():
+    offenders = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}"
+        for path in sorted((PACKAGE / "core").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.AsyncFunctionDef)
+    ]
+    assert not offenders, offenders
+
+
+def test_workflow_lets_time_pass_only_through_the_system():
+    def tail(node):
+        return getattr(node, "attr", getattr(node, "id", None))
+
+    tree = ast.parse((PACKAGE / "core" / "workflow.py").read_text())
+    offenders = [
+        f"line {node.lineno}: scheduler.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("run")
+        and tail(node.value) == "scheduler"
+    ]
+    assert not offenders, offenders

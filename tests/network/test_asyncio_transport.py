@@ -103,6 +103,29 @@ class TestAsyncioScheduler:
 
         assert fleet_sandbox.run(scenario()) == []
 
+    def test_given_a_loop_it_schedules_from_plain_code_and_runs_it(self):
+        """The driver half of the contract: no loop is running when the
+        timer is armed; ``run_for`` runs the scheduler's own loop for
+        the wall-clock equivalent of the simulated span."""
+        loop = asyncio.new_event_loop()
+        try:
+            scheduler = AsyncioScheduler(time_scale=50.0, loop=loop)
+            fired = []
+            scheduler.schedule(0.5, lambda: fired.append("a"))  # 10ms wall
+            scheduler.schedule(50.0, lambda: fired.append("late"))
+            before = scheduler.clock.now()
+            scheduler.run_for(5.0)  # 100ms wall
+            assert fired == ["a"]
+            assert scheduler.clock.now() - before >= 5.0
+            assert len(scheduler) == 1
+            scheduler.cancel_all()
+        finally:
+            loop.close()
+
+    def test_without_a_loop_plain_code_cannot_schedule(self):
+        with pytest.raises(RuntimeError):
+            AsyncioScheduler().schedule(0.0, lambda: None)
+
     def test_rejects_negative_delay_and_past_timestamps(self,
                                                         fleet_sandbox):
         async def scenario():

@@ -94,6 +94,16 @@ class TestRunControl:
         scheduler.run_until(10.0)
         assert scheduler.clock.now() == 10.0
 
+    def test_run_for_is_run_until_from_now(self):
+        scheduler = EventScheduler()
+        fired = []
+        scheduler.run_until(2.0)
+        scheduler.schedule(1.0, lambda: fired.append(3))
+        scheduler.schedule(5.0, lambda: fired.append(7))
+        scheduler.run_for(3.0)
+        assert fired == [3]
+        assert scheduler.clock.now() == 5.0
+
     def test_max_events_limit(self):
         scheduler = EventScheduler()
         fired = []
