@@ -1,7 +1,7 @@
 """Ext-10 — per-transaction hot path: credit windows, shared caches and
 the accelerated crypto lane.
 
-Five measurements of the per-transaction fast lanes, on identical inputs:
+Six measurements of the per-transaction fast lanes, on identical inputs:
 
 * **credit evaluation** — the incremental rolling window
   (:class:`~repro.core.credit.CreditRegistry`) vs a from-scratch rescan
@@ -26,7 +26,13 @@ Five measurements of the per-transaction fast lanes, on identical inputs:
   (batch verification + fixed-base tables), identical wire traffic:
   the same burst reaches every full node as one ``sync_response`` with
   no shared verification/decode caches, so every node pays full
-  signature verification for every transaction.
+  signature verification for every transaction;
+* **single verify** — one unbatched accel ``verify``, the signature a
+  paced submit pays, for an issuer never seen (decompress, build the
+  split tables, verify) and for one seen before (read them): verifies
+  per second, point operations per verify counted by wrapping the
+  module's two point primitives, and the bytes one issuer record pins,
+  against the unsplit verify's operation count.
 
 Emits ``benchmarks/out/BENCH_hotpath.json`` for EXPERIMENTS.md.
 
@@ -38,11 +44,13 @@ import json
 import os
 import pathlib
 import random
+import sys
 import time
 
 from repro.analysis.metrics import format_table
 from repro.core.consensus import CreditBasedConsensus
 from repro.core.credit import CreditParameters, CreditRegistry
+from repro.crypto.accel import ed25519_accel
 from repro.crypto.keys import KeyPair
 from repro.network.network import Network
 from repro.network.simulator import EventScheduler
@@ -80,6 +88,16 @@ CRYPTO_NODES = 4 if SMOKE else 8
 CRYPTO_TXS = 8 if SMOKE else 64
 CRYPTO_ISSUERS = 2 if SMOKE else 4
 CRYPTO_MIN_SPEEDUP = 1.0 if SMOKE else 5.0
+
+# -- single verify dimensions ---------------------------------------------
+VERIFY_ISSUERS = 2 if SMOKE else 8
+VERIFY_PER_ISSUER = 4 if SMOKE else 32
+UNSPLIT_VERIFY_OPERATIONS = 362
+"""Point operations of one accel verify before the issuer tables: the
+64-addition ``_mul_base(s)``, a ~253-doubling wNAF chain for ``hA``
+and its table.  Counted the same way on the parent of the PR that
+split it (mean over signatures; it does not depend on the key)."""
+VERIFY_MIN_COUNT_RATIO = 2.0
 
 
 # -- credit evaluation ----------------------------------------------------
@@ -300,8 +318,6 @@ def _build_issuer_transactions(genesis, count, issuers):
 def _flood_backend(genesis, txs, backend):
     """Deliver *txs* as one sync_response to each of CRYPTO_NODES
     uncached full nodes running *backend*; return wall seconds."""
-    from repro.crypto.accel import ed25519_accel
-
     scheduler = EventScheduler()
     network = Network(scheduler, rng=random.Random(77))
     nodes = []
@@ -314,10 +330,10 @@ def _flood_backend(genesis, txs, backend):
         nodes.append(node)
     encoded = [tx.to_bytes() for tx in txs]
     # The timed region measures *validation* throughput: table
-    # construction is one-time process setup, and the decompress cache
+    # construction is one-time process setup, and the issuer cache
     # is cleared so both backends start cold on this burst's issuers.
     ed25519_accel.precompute()
-    ed25519_accel._decompress_cache.clear()
+    ed25519_accel._issuer_cache.clear()
     start = time.perf_counter()
     for node in nodes:
         network.send(node.address, node.address,
@@ -348,6 +364,100 @@ def _bench_crypto_backends():
     }
 
 
+# -- single verify --------------------------------------------------------
+
+def _count_point_operations(function):
+    """Point additions + doublings *function* makes in the accel
+    module (untimed pass: the wrappers cost more than they count)."""
+    count = [0]
+
+    def counting(primitive):
+        def wrapper(*args):
+            count[0] += 1
+            return primitive(*args)
+        return wrapper
+
+    add, double = ed25519_accel._point_add, ed25519_accel._point_double
+    ed25519_accel._point_add = counting(add)
+    ed25519_accel._point_double = counting(double)
+    try:
+        function()
+    finally:
+        ed25519_accel._point_add = add
+        ed25519_accel._point_double = double
+    return count[0]
+
+
+def _issuer_record_bytes(record):
+    """``sys.getsizeof`` summed over an issuer record: the object, its
+    point, the table rows and every point and coordinate in them (each
+    object once).  An allocator-level reading would miss the tuples
+    CPython hands out of its free lists."""
+    seen, total, stack = set(), 0, [record, record.point, record.tables]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        total += sys.getsizeof(item)
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return total
+
+
+def _bench_verify_single():
+    keys = [KeyPair.generate(seed=b"ext10-verify-%d" % i)
+            for i in range(VERIFY_ISSUERS)]
+    items = []
+    for index in range(VERIFY_PER_ISSUER):
+        message = b"ext10-verify-%d" % index
+        items.extend((key.public.sign_public, message, key.sign(message))
+                     for key in keys)
+    first, rest = items[:VERIFY_ISSUERS], items[VERIFY_ISSUERS:]
+    verify = ed25519_accel.verify
+
+    def run(batch):
+        for item in batch:
+            assert verify(*item)
+
+    def timed(batch):
+        start = time.perf_counter()
+        run(batch)
+        return time.perf_counter() - start
+
+    ed25519_accel.precompute()
+    ed25519_accel._issuer_cache.clear()
+    cold_s = timed(first)    # each key's first signature
+    warm_s = timed(rest)     # every later one
+
+    ed25519_accel._issuer_cache.clear()
+    cold_operations = _count_point_operations(lambda: run(first))
+    warm_operations = _count_point_operations(lambda: run(rest))
+
+    record_bytes = max(_issuer_record_bytes(record) for record
+                       in ed25519_accel._issuer_cache.values())
+
+    warm_per_verify = warm_operations / len(rest)
+    return {
+        "issuers": VERIFY_ISSUERS,
+        "signatures": len(items),
+        "cold": {
+            "verified_per_s": len(first) / cold_s,
+            "operations_per_verify": cold_operations / len(first),
+        },
+        "warm": {
+            "verified_per_s": len(rest) / warm_s,
+            "operations_per_verify": warm_per_verify,
+        },
+        "unsplit_operations_per_verify": UNSPLIT_VERIFY_OPERATIONS,
+        "warm_count_ratio": UNSPLIT_VERIFY_OPERATIONS / warm_per_verify,
+        "issuer_record_bytes": record_bytes,
+        "issuer_cache_records": ed25519_accel._ISSUER_CACHE_SIZE,
+        "issuer_cache_bound_bytes":
+            record_bytes * ed25519_accel._ISSUER_CACHE_SIZE,
+    }
+
+
 def _run():
     return {
         "smoke": SMOKE,
@@ -355,6 +465,7 @@ def _run():
         "admission": _bench_admission(),
         "gossip": _bench_gossip(),
         "crypto": _bench_crypto_backends(),
+        "verify_single": _bench_verify_single(),
     }
 
 
@@ -390,6 +501,12 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
         f"{crypto['accel_verified_tx_per_s']:,.0f}",
         f"{crypto['speedup']:.1f}x",
     )]
+    single = results["verify_single"]
+    single_rows = [
+        (name, f"{single[name]['verified_per_s']:,.0f}",
+         f"{single[name]['operations_per_verify']:.1f}")
+        for name in ("cold", "warm")
+    ] + [("unsplit", "-", single["unsplit_operations_per_verify"])]
     report = "\n\n".join([
         format_table(credit_rows, headers=[
             "history", "evals", "naive evals/s", "incremental evals/s",
@@ -402,6 +519,11 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
         format_table(crypto_rows, headers=[
             "nodes", "txs", "issuers", "reference tx/s", "accel tx/s",
             "speedup"]),
+        format_table(single_rows, headers=[
+            "single verify", "verified/s", "point ops/verify"])
+        + f"\nissuer record: {single['issuer_record_bytes']:,.0f} B x "
+          f"{single['issuer_cache_records']} records = "
+          f"{single['issuer_cache_bound_bytes'] / 2 ** 20:.2f} MiB bound",
     ])
     report_writer("ext10_hotpath", report)
 
@@ -414,13 +536,17 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
     # on the admission leg at any size (a count: no timing assertion),
     # a measurable cached-gossip win at every size,
     # high hit rates (each tx verified/decoded once, hit n-1 times),
-    # and >=5x uncached flood validation throughput for the accel
-    # crypto backend over the reference.
+    # >=5x uncached flood validation throughput for the accel
+    # crypto backend over the reference, and a warm single verify in
+    # at most half the unsplit verify's point operations with the
+    # whole issuer cache under 2 MiB (counts and bytes: no timing).
     assert credit["speedup"] >= CREDIT_MIN_SPEEDUP
     for entry in results["admission"].values():
         assert entry["flush_epochs_per_submit"] <= \
             1 / DEFAULT_WEIGHT_FLUSH_INTERVAL + 1 / entry["transactions"]
     assert crypto["speedup"] >= CRYPTO_MIN_SPEEDUP
+    assert single["warm_count_ratio"] >= VERIFY_MIN_COUNT_RATIO
+    assert single["issuer_cache_bound_bytes"] <= 2 * 2 ** 20
     for n in NODE_COUNTS:
         entry = results["gossip"][str(n)]
         assert entry["cached_seconds"] < entry["uncached_seconds"]

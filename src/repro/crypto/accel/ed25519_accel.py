@@ -1,17 +1,26 @@
 """Accelerated Ed25519: precomputed tables, wNAF and batch verification.
 
 Same group, same byte-level behaviour as :mod:`repro.crypto.ed25519`
-(the from-scratch reference), three algorithmic upgrades:
+(the from-scratch reference), four algorithmic upgrades:
 
 * **fixed-base tables** — scalar multiplication by the base point ``B``
-  (key generation, signing, the ``sB`` half of verification) walks a
+  (key generation, signing, the batch equation's left side) walks a
   radix-16 table of ``d * 16^j * B`` built once per process: ~60 point
   additions and *zero* doublings instead of ~256 doublings + ~128
   additions;
-* **wNAF double-scalar verification** — the ``R + hA`` half of
-  verification uses width-5 wNAF with per-point odd-multiple tables,
-  and any number of (scalar, point) pairs share one doubling chain
-  (Straus interleaving);
+* **per-issuer split tables** — a single ``verify`` evaluates
+  ``[s]B - [h]A`` as *one* Straus chain of 33 doublings: both scalars
+  are cut into eight 32-bit pieces, and each piece reads the odd
+  multiples of ``2^(32i) * B`` (rows the fixed-base table already
+  holds) or of ``-2^(32i) * A`` (64 points per public key, built on
+  first sight and kept in one bounded LRU).  ~125 point operations
+  for a key seen before against ~362 for the unsplit
+  ``[s]B == R + [h]A``; see :func:`_verify_decoded` for why the
+  accepted set cannot move;
+* **wNAF multi-scalar multiplication** — any number of (scalar, point)
+  pairs share one doubling chain (Straus interleaving) over width-5
+  wNAF digits and per-point odd-multiple tables; every chain and
+  table build doubles through a dedicated :func:`_point_double`;
 * **batch verification** — a random-linear-combination check folds a
   burst of N ``(pk, msg, sig)`` triples into one multi-scalar
   multiplication::
@@ -88,10 +97,40 @@ __all__ = [
 
 Point = Tuple[int, int, int, int]
 
+
+def _point_double(point: Point) -> Point:
+    """``2 * point`` in 4 squarings + 4 multiplications.
+
+    The dedicated a = -1 doubling (Hisil et al. 2008) against the nine
+    multiplications of the unified ``_point_add(point, point)``; it
+    never reads ``T``, and returns the same projective point — the
+    four coordinates of the addition formula scaled by one common
+    factor — for every point on the curve, torsion and identity
+    included.
+    """
+    x, y, z, _ = point
+    xx = x * x
+    yy = y * y
+    h = xx + yy
+    xy = x + y
+    e = (xy * xy - h) % _P
+    g = (yy - xx) % _P
+    f = (2 * z * z - g) % _P
+    h %= _P
+    return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
+
+
 # -- fixed-base table ------------------------------------------------------
 
 _FIXED_WINDOWS = 64  # radix-16 digits covering 256-bit scalars
 _TABLE: Optional[List[List[Point]]] = None
+
+_SPLIT_BITS = 32
+_SPLIT_PIECES = 8  # 8 * 32 bits cover every scalar below L
+_BASE_SPLIT: Optional[List[List[Point]]] = None
+"""Row i: the odd multiples 1, 3, ..., 15 of ``2^(32i) * B`` — the
+split tables of the base point, read straight out of ``_TABLE``
+(``2^(32i) == 16^(8i)``)."""
 
 
 def _build_base_table() -> List[List[Point]]:
@@ -116,14 +155,19 @@ def _build_base_table() -> List[List[Point]]:
 
 
 def precompute() -> None:
-    """Force the fixed-base table build (otherwise lazy on first use).
+    """Force the base-point table build (otherwise lazy on first use).
 
-    Benchmarks call this up front so table construction is excluded
-    from timed regions; library users never need to.
+    Builds the radix-16 table and takes the base point's split rows
+    out of it; per-issuer tables are not built here but on an
+    issuer's first single ``verify``.  Benchmarks call this up front so
+    table construction is excluded from timed regions; library users
+    never need to.
     """
-    global _TABLE
+    global _TABLE, _BASE_SPLIT
     if _TABLE is None:
         _TABLE = _build_base_table()
+        _BASE_SPLIT = [_TABLE[_SPLIT_BITS // 4 * piece][::2]
+                       for piece in range(_SPLIT_PIECES)]
 
 
 def _mul_base(scalar: int) -> Point:
@@ -145,9 +189,6 @@ def _mul_base(scalar: int) -> Point:
 
 _SQRT_M1 = pow(2, (_P - 1) // 4, _P)
 """sqrt(-1) mod p, the square-root correction constant."""
-
-_DECOMPRESS_CACHE_SIZE = 4096
-_decompress_cache: "OrderedDict[bytes, Point]" = OrderedDict()
 
 
 def _recover_x_fast(y: int, sign_bit: int) -> int:
@@ -183,30 +224,19 @@ def _recover_x_fast(y: int, sign_bit: int) -> int:
     return x
 
 
-def _decompress_cached(data: bytes) -> Point:
-    """Decompress a 32-byte point encoding through a bounded LRU.
+def _decompress(data: bytes) -> Point:
+    """The reference ``_point_decompress`` over :func:`_recover_x_fast`.
 
-    Gossip bursts verify many signatures from few issuers, so the same
-    public-key encoding decompresses over and over; the cache turns all
-    but the first into a dict hit.  Only *successful* decompressions
-    are cached (failures raise, and the open network must not be able
-    to pin garbage).
+    Uncached: a signature's ``R`` is a one-shot point, and public keys
+    are remembered one level up, in :func:`_issuer`.
     """
-    cached = _decompress_cache.get(data)
-    if cached is not None:
-        _decompress_cache.move_to_end(data)
-        return cached
     if len(data) != 32:
         raise ValueError(f"point encoding must be 32 bytes, got {len(data)}")
     encoded = int.from_bytes(data, "little")
     sign_bit = encoded >> 255
     y = encoded & ((1 << 255) - 1)
     x = _recover_x_fast(y, sign_bit)
-    point = (x, y, 1, (x * y) % _P)
-    _decompress_cache[bytes(data)] = point
-    if len(_decompress_cache) > _DECOMPRESS_CACHE_SIZE:
-        _decompress_cache.popitem(last=False)
-    return point
+    return (x, y, 1, (x * y) % _P)
 
 
 # -- wNAF multi-scalar multiplication --------------------------------------
@@ -245,40 +275,173 @@ def _point_neg(point: Point) -> Point:
     return ((-x) % _P, y, z, (-t) % _P)
 
 
+def _odd_multiples(point: Point) -> List[Point]:
+    """``[1P, 3P, ..., 15P]``: one doubling plus seven additions (the
+    negatives a wNAF digit may ask for cost two field negations)."""
+    double = _point_double(point)
+    table = [point]
+    for _ in range(7):
+        table.append(_point_add(table[-1], double))
+    return table
+
+
+def _schedule(schedule: List[List[Point]], scalar: int,
+              table: List[Point]) -> None:
+    """File ``scalar * P`` into a Straus *schedule*, given P's odd
+    multiples: the addend of each nonzero wNAF digit joins the row of
+    its bit position."""
+    for position, digit in _wnaf_terms(scalar):
+        addend = (table[digit >> 1] if digit > 0
+                  else _point_neg(table[(-digit) >> 1]))
+        while len(schedule) <= position:
+            schedule.append([])
+        schedule[position].append(addend)
+
+
+def _run_chain(schedule: List[List[Point]]) -> Point:
+    """Evaluate a schedule: one doubling per row, highest bit first,
+    and one addition per addend."""
+    point_add = _point_add
+    point_double = _point_double
+    acc = _IDENTITY
+    for addends in reversed(schedule):
+        acc = point_double(acc)
+        for addend in addends:
+            acc = point_add(acc, addend)
+    return acc
+
+
 def _multiscalar(pairs: Iterable[Tuple[int, Point]]) -> Point:
     """``sum(scalar_i * point_i)`` with one shared doubling chain.
 
-    Straus interleaving: each point gets a small odd-multiples table
-    (±1P, ±3P, ..., ±15P — one doubling plus seven additions), every
-    scalar a sparse wNAF expansion, and the accumulator doubles once
-    per bit of the *longest* scalar regardless of how many pairs there
-    are.  The additions are transposed into a per-bit schedule up
+    Straus interleaving: each point gets a small odd-multiples table,
+    every scalar a sparse wNAF expansion, and the accumulator doubles
+    once per bit of the *longest* scalar regardless of how many pairs
+    there are.  The additions are transposed into a per-bit schedule up
     front, so the hot loop touches only the ~bits/6 nonzero digits of
     each scalar instead of scanning every (pair, bit) combination.
     """
     schedule: List[List[Point]] = []
     for scalar, point in pairs:
-        if scalar == 0:
-            continue
-        double = _point_add(point, point)
-        table = [point]
-        for _ in range(7):
-            table.append(_point_add(table[-1], double))
-        for position, digit in _wnaf_terms(scalar):
-            addend = (table[digit >> 1] if digit > 0
-                      else _point_neg(table[(-digit) >> 1]))
-            while len(schedule) <= position:
-                schedule.append([])
-            schedule[position].append(addend)
-    if not schedule:
-        return _IDENTITY
-    point_add = _point_add
-    acc = _IDENTITY
-    for addends in reversed(schedule):
-        acc = point_add(acc, acc)
-        for addend in addends:
-            acc = point_add(acc, addend)
-    return acc
+        if scalar:
+            _schedule(schedule, scalar, _odd_multiples(point))
+    return _run_chain(schedule)
+
+
+# -- per-issuer records ----------------------------------------------------
+
+class _Issuer:
+    """What is remembered about one public key: its decompressed point
+    and, from its first single verify on, the split tables of ``-A``."""
+
+    __slots__ = ("point", "tables")
+
+    def __init__(self, point: Point):
+        self.point = point
+        self.tables: Optional[List[List[Point]]] = None
+
+
+_ISSUER_CACHE_SIZE = 64
+_issuer_cache: "OrderedDict[bytes, _Issuer]" = OrderedDict()
+
+
+def _issuer(public_key: bytes) -> _Issuer:
+    """The record of *public_key*, through the module's one bounded LRU.
+
+    An IoT gateway verifies many signatures from a few long-lived
+    issuers, so the decompression and the tables are paid once per key,
+    not once per signature.  The bound is in bytes: a record with
+    tables is 64 points, ~21 KB, so 64 records hold ~1.3 MiB and stay
+    under 2 MiB whatever keys arrive (a record without tables is one
+    point, ~0.4 KB).  Only *successful* decompressions get a record —
+    failures raise, and the open network must not be able to pin
+    garbage — and a run of fresh keys only turns the LRU over: each
+    costs its own table build, none grows the cache.
+    """
+    record = _issuer_cache.get(public_key)
+    if record is not None:
+        _issuer_cache.move_to_end(public_key)
+        return record
+    record = _Issuer(_decompress(public_key))
+    _issuer_cache[bytes(public_key)] = record
+    if len(_issuer_cache) > _ISSUER_CACHE_SIZE:
+        _issuer_cache.popitem(last=False)
+    return record
+
+
+def _split_tables(point: Point) -> List[List[Point]]:
+    """Row i: the odd multiples 1, 3, ..., 15 of ``2^(32i) * point``.
+
+    7 * 32 doublings to walk the rows plus 8 * 8 operations for the odd
+    multiples: 288 point operations, fewer than the ~362 of the unsplit
+    verify they replace, which is why they can be built on first sight.
+    """
+    rows = [_odd_multiples(point)]
+    for _ in range(_SPLIT_PIECES - 1):
+        for _ in range(_SPLIT_BITS):
+            point = _point_double(point)
+        rows.append(_odd_multiples(point))
+    return rows
+
+
+def _schedule_split(schedule: List[List[Point]], scalar: int,
+                    rows: List[List[Point]]) -> None:
+    """File ``scalar * P`` given P's split tables: the i-th 32-bit
+    piece of the scalar multiplies ``2^(32i) * P``, so no row of the
+    schedule lies above bit 32.  The eight rows cover a *scalar* below
+    ``2^256``; both callers pass one below L."""
+    mask = (1 << _SPLIT_BITS) - 1
+    for row in rows:
+        _schedule(schedule, scalar & mask, row)
+        scalar >>= _SPLIT_BITS
+
+
+_Decoded = Tuple[_Issuer, Point, int, int]
+"""``(issuer record, R, s, challenge)`` of a structurally valid triple."""
+
+
+def _decode(public_key: bytes, message: bytes,
+            signature: bytes) -> Optional[_Decoded]:
+    """The reference's checks ahead of its equation — lengths, both
+    point encodings, ``s < L`` — and the challenge; None wherever the
+    reference returns False without evaluating anything."""
+    if len(public_key) != PUBLIC_KEY_SIZE or len(signature) != SIGNATURE_SIZE:
+        return None
+    try:
+        issuer = _issuer(public_key)
+        r_point = _decompress(signature[:32])
+    except ValueError:
+        return None
+    s = int.from_bytes(signature[32:], "little")
+    if s >= _L:
+        return None
+    challenge = _sha512_int(signature[:32], public_key, message) % _L
+    return issuer, r_point, s, challenge
+
+
+def _verify_decoded(issuer: _Issuer, r_point: Point, s: int,
+                    challenge: int) -> bool:
+    """The single-signature equation on decoded inputs — the one place
+    a lone signature is judged, for ``verify`` and for the batch's
+    per-item fallback alike.
+
+    Checks ``[s]B - [h]A == R``, the reference's cofactorless
+    ``[s]B == R + [h]A`` with ``[h]A`` moved across, through the same
+    ``_point_equal``.  Cutting ``s`` and ``h`` into 32-bit pieces is
+    integer arithmetic — ``h = sum h_i 2^(32i)``, so ``[h]A = sum
+    [h_i]([2^(32i)]A)`` in any abelian group — and therefore exact on
+    the whole curve group, torsion components of ``A`` included: the
+    accepted set is the reference's.  One chain of 33 doublings and
+    ~92 additions; an issuer met for the first time also pays its 288
+    table operations here, after every structural check has passed.
+    """
+    if issuer.tables is None:
+        issuer.tables = _split_tables(_point_neg(issuer.point))
+    precompute()
+    schedule: List[List[Point]] = []
+    _schedule_split(schedule, s, _BASE_SPLIT)
+    _schedule_split(schedule, challenge, issuer.tables)
+    return _point_equal(_run_chain(schedule), r_point)
 
 
 # -- drop-in scalar API ----------------------------------------------------
@@ -302,23 +465,12 @@ def sign(secret_key: bytes, message: bytes) -> bytes:
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    """Accepts exactly the same set as the reference ``verify`` (the
-    cofactorless equation over the same decoding rules); the curve
-    arithmetic is table + wNAF instead of double-and-add."""
-    if len(public_key) != PUBLIC_KEY_SIZE or len(signature) != SIGNATURE_SIZE:
-        return False
-    try:
-        a_point = _decompress_cached(public_key)
-        r_point = _decompress_cached(signature[:32])
-    except ValueError:
-        return False
-    s = int.from_bytes(signature[32:], "little")
-    if s >= _L:
-        return False
-    challenge = _sha512_int(signature[:32], public_key, message) % _L
-    lhs = _mul_base(s)
-    rhs = _point_add(r_point, _multiscalar([(challenge, a_point)]))
-    return _point_equal(lhs, rhs)
+    """Accepts exactly the same set as the reference ``verify``: the
+    same decoding rules, then the cofactorless equation evaluated by
+    :func:`_verify_decoded` over the issuer's split tables (built on
+    the key's first verify, read on every later one)."""
+    decoded = _decode(public_key, message, signature)
+    return decoded is not None and _verify_decoded(*decoded)
 
 
 # -- batch verification ----------------------------------------------------
@@ -363,6 +515,50 @@ def _batch_coefficients(items: Sequence[Tuple[bytes, bytes, bytes]],
     return coefficients
 
 
+_BATCH_FLOOR = 4
+"""Fewest signatures the combined equation is run for when every issuer
+among them already has split tables.
+
+Chosen by operation count, not by time.  A batch of n signatures from
+k issuers costs ~316 + 51k + 30n point operations (a ~256-doubling
+chain and the ~60 additions of ``_mul_base`` before the first item is
+paid for), n warm singles cost ~125n: two signatures are 425-480
+against 250, three 452-557 against 375, and from four on (489-636
+against 500) the batch ties or wins for the few-issuer runs a gateway
+sees.  Letting the batch's A-columns read the split tables instead
+would only halve the chain (two signatures: ~290 against 250) and put
+a 288-operation table build on the batch lane for every new key, so
+the floor moves and the equation does not; and it moves here, not in
+``FullNode._preverify``, because the crossover belongs to this
+backend's cost model (the reference backend and the pool have none).
+An issuer without tables keeps the old floor of two: its single would
+cost 288 + 125, more than its share of any batch, so a run of fresh
+keys is never verified one by one on this account.
+"""
+
+def _combined_equation_holds(items: Sequence[Tuple[bytes, bytes, bytes]],
+                             decoded: Sequence[_Decoded]) -> bool:
+    """The random-linear-combination check over *decoded* (coefficients
+    are derived from all of *items*, structurally invalid ones too)."""
+    coefficients = _batch_coefficients(items, len(decoded))
+    combined_s = 0
+    # Merge pairs that share a point: a burst signed by few issuers
+    # collapses all its A-columns into one scalar per distinct public
+    # key (pure regrouping — sums of scalar multiples of the *same*
+    # point — so the combined equation's value is untouched).  Scalars
+    # reduce mod 8L, which is exact for torsion-carrying points too.
+    # Decompressed points are affine, so equal encodings are equal keys.
+    merged: Dict[Point, int] = {}
+    for z, (issuer, r_point, s, challenge) in zip(coefficients, decoded):
+        combined_s = (combined_s + z * s) % _L
+        merged[r_point] = merged.get(r_point, 0) + z
+        merged[issuer.point] = merged.get(issuer.point, 0) + z * challenge
+    lhs = _mul_base(combined_s)
+    rhs = _multiscalar((scalar % _FULL_ORDER, point)
+                       for point, scalar in merged.items())
+    return _point_equal(lhs, rhs)
+
+
 def verify_batch(items: Sequence[Tuple[bytes, bytes, bytes]]) -> List[bool]:
     """Verify ``(public_key, message, signature)`` triples as a batch.
 
@@ -371,67 +567,26 @@ def verify_batch(items: Sequence[Tuple[bytes, bytes, bytes]]) -> List[bool]:
     for the exact soundness statement).  Structurally invalid items
     (bad lengths, non-canonical point encodings, ``s >= L``) are
     rejected up front without touching the combined equation; if the
-    combined equation fails, every remaining item is verified
-    individually.
+    combined equation fails, or the rest is too few to be worth one
+    (:data:`_BATCH_FLOOR`), every remaining item is verified
+    individually from the points already decoded.
     """
-    results: List[Optional[bool]] = [None] * len(items)
+    results = [False] * len(items)
     survivors: List[int] = []
-    decoded: List[Tuple[bytes, Point, bytes, Point, int, int]] = []
-    for index, (public_key, message, signature) in enumerate(items):
-        if (len(public_key) != PUBLIC_KEY_SIZE
-                or len(signature) != SIGNATURE_SIZE):
-            results[index] = False
-            continue
-        try:
-            a_point = _decompress_cached(public_key)
-            r_point = _decompress_cached(signature[:32])
-        except ValueError:
-            results[index] = False
-            continue
-        s = int.from_bytes(signature[32:], "little")
-        if s >= _L:
-            results[index] = False
-            continue
-        challenge = _sha512_int(signature[:32], public_key, message) % _L
-        survivors.append(index)
-        decoded.append((public_key, a_point, signature[:32], r_point,
-                        s, challenge))
+    decoded: List[_Decoded] = []
+    for index, item in enumerate(items):
+        fields = _decode(*item)
+        if fields is not None:
+            survivors.append(index)
+            decoded.append(fields)
 
-    if not survivors:
-        return [bool(r) for r in results]
-    if len(survivors) == 1:
-        index = survivors[0]
-        results[index] = verify(*items[index])
-        return [bool(r) for r in results]
-
-    coefficients = _batch_coefficients(items, len(survivors))
-    combined_s = 0
-    # Merge pairs that share a point: a burst signed by few issuers
-    # collapses all its A-columns into one scalar per distinct public
-    # key (pure regrouping — sums of scalar multiples of the *same*
-    # point — so the combined equation's value is untouched).  Scalars
-    # reduce mod 8L, which is exact for torsion-carrying points too.
-    merged: Dict[bytes, List[object]] = {}
-    for z, (pk_enc, a_point, r_enc, r_point, s, challenge) in zip(
-            coefficients, decoded):
-        combined_s = (combined_s + z * s) % _L
-        r_slot = merged.get(r_enc)
-        if r_slot is None:
-            merged[r_enc] = [z, r_point]
-        else:
-            r_slot[0] += z
-        a_slot = merged.get(pk_enc)
-        if a_slot is None:
-            merged[pk_enc] = [z * challenge, a_point]
-        else:
-            a_slot[0] += z * challenge
-    lhs = _mul_base(combined_s)
-    rhs = _multiscalar((scalar % _FULL_ORDER, point)
-                       for scalar, point in merged.values())
-    if _point_equal(lhs, rhs):
-        for index in survivors:
-            results[index] = True
+    singly = len(decoded) < 2 or (
+        len(decoded) < _BATCH_FLOOR
+        and all(issuer.tables is not None for issuer, *_ in decoded))
+    if singly or not _combined_equation_holds(items, decoded):
+        for index, fields in zip(survivors, decoded):
+            results[index] = _verify_decoded(*fields)
     else:
         for index in survivors:
-            results[index] = verify(*items[index])
-    return [bool(r) for r in results]
+            results[index] = True
+    return results

@@ -6,7 +6,9 @@ The accel module's whole contract is *bit-exactness*: ``sign``,
 agree with per-item sequential verification — including on adversarial
 inputs (small-order and mixed-order points, non-canonical encodings,
 ``s >= L``) where a naive batch equation would accept what the
-cofactorless reference rejects.
+cofactorless reference rejects.  A single ``verify`` reads per-issuer
+split tables out of a bounded LRU, so every such input is also checked
+in each state of that cache: key never seen, seen, and evicted.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from repro.crypto import ed25519 as ref
 from repro.crypto.accel import (
     CRYPTO_BACKENDS,
+    CryptoPool,
     get_backend,
 )
 from repro.crypto.accel import ed25519_accel as acc
@@ -117,6 +120,21 @@ def torsion_signature(seed, message, torsion_encoding):
     return shifted, message, r_enc + s.to_bytes(32, "little")
 
 
+def torsion_commitment_signature(seed, message, torsion_encoding):
+    """The same class of triple with the defect on the other point:
+    an honest key, and a commitment ``R + T`` — the equation is left
+    with the pure-torsion gap ``-T``."""
+    secret = generate_secret_key(seed=seed)
+    scalar, prefix = _secret_expand(secret)
+    torsion = _point_decompress(torsion_encoding)
+    public = ref.public_from_secret(secret)
+    r = _sha512_int(prefix, message) % _L
+    r_enc = _point_compress(_point_add(_mul(r, ref._BASE), torsion))
+    challenge = _sha512_int(r_enc, public, message) % _L
+    s = (r + challenge * scalar) % _L
+    return public, message, r_enc + s.to_bytes(32, "little")
+
+
 def make_items(count, *, seed_prefix=b"batch", issuers=None):
     """*count* honest (pk, msg, sig) triples across *issuers* keys."""
     issuers = issuers or count
@@ -167,7 +185,7 @@ class TestScalarDifferential:
         except ValueError:
             expected = None
         try:
-            got = acc._decompress_cached(encoding)
+            got = acc._decompress(encoding)
         except ValueError:
             got = None
         if expected is None:
@@ -186,17 +204,20 @@ class TestScalarDifferential:
         with pytest.raises(ValueError):
             _point_decompress(encoding)
         with pytest.raises(ValueError):
-            acc._decompress_cached(encoding)
+            acc._decompress(encoding)
 
-    def test_decompress_cache_bounded(self):
-        acc._decompress_cache.clear()
-        base = bytearray(ref.public_from_secret(
-            generate_secret_key(seed=b"cache")))
-        acc._decompress_cached(bytes(base))
-        for i in range(acc._DECOMPRESS_CACHE_SIZE + 16):
+    def test_issuer_cache_bounded(self):
+        acc._issuer_cache.clear()
+        for i in range(acc._ISSUER_CACHE_SIZE + 16):
             secret = generate_secret_key(seed=b"cache-%d" % i)
-            acc._decompress_cached(ref.public_from_secret(secret))
-        assert len(acc._decompress_cache) <= acc._DECOMPRESS_CACHE_SIZE
+            acc._issuer(acc.public_from_secret(secret))
+        assert len(acc._issuer_cache) == acc._ISSUER_CACHE_SIZE
+
+    def test_issuer_cache_keeps_successes_only(self):
+        acc._issuer_cache.clear()
+        with pytest.raises(ValueError):
+            acc._issuer(b"\xff" * 32)
+        assert not acc._issuer_cache
 
     def test_bad_lengths_rejected(self):
         secret = generate_secret_key(seed=b"len")
@@ -333,6 +354,193 @@ class TestBatch:
             items[corrupt] = (public, message, bytes(mutated))
         expected = [ref.verify(*item) for item in items]
         assert acc.verify_batch(items) == expected
+
+
+# -- the cached path: issuer records and split tables ----------------------
+
+NON_CANONICAL = [((_P + k) | (sign << 255)).to_bytes(32, "little")
+                 for k in range(19) for sign in (0, 1)]
+"""Every 32-byte string whose y field is >= p: rejected by decoding."""
+
+FILLER_KEYS = [acc.public_from_secret(generate_secret_key(seed=b"fill-%d" % i))
+               for i in range(acc._ISSUER_CACHE_SIZE)]
+"""Enough distinct keys to turn the issuer LRU over once."""
+
+_seeds = st.integers(min_value=0, max_value=5).map(lambda i: b"key-%d" % i)
+_messages = st.binary(max_size=24)
+
+
+def _honest(seed, message):
+    secret = generate_secret_key(seed=seed)
+    return ref.public_from_secret(secret), message, ref.sign(secret, message)
+
+
+def _flip(item, pos, bit):
+    public, message, signature = item
+    mutated = bytearray(signature)
+    mutated[pos] ^= 1 << bit
+    return public, message, bytes(mutated)
+
+
+def _with_s(item, s_value):
+    public, message, signature = item
+    return public, message, signature[:32] + s_value.to_bytes(32, "little")
+
+
+honest_items = st.builds(_honest, _seeds, _messages)
+
+plain_items = st.one_of(
+    honest_items,
+    # tampered: one bit of R or of s
+    st.builds(_flip, honest_items, st.integers(0, 63), st.integers(0, 7)),
+    # a valid signature over another message
+    st.builds(lambda item: (item[0], item[1] + b"!", item[2]), honest_items),
+    # s >= L
+    st.builds(_with_s, honest_items,
+              st.sampled_from([_L, _L + 1, 2 ** 255, 2 ** 256 - 1])),
+    # encodings that do not decode, on A and on R
+    st.builds(lambda item, enc: (enc, item[1], item[2]),
+              honest_items, st.sampled_from(NON_CANONICAL)),
+    st.builds(lambda item, enc: (item[0], item[1], enc + item[2][32:]),
+              honest_items, st.sampled_from(NON_CANONICAL)),
+)
+"""Triples whose defect, if any, lies outside the torsion subgroup."""
+
+torsion_items = st.one_of(
+    st.builds(torsion_signature, _seeds, _messages,
+              st.sampled_from(SMALL_ORDER[1:])),
+    st.builds(torsion_commitment_signature, _seeds, _messages,
+              st.sampled_from(SMALL_ORDER[1:])),
+    # small-order A, and small-order R, under the classic s = 0 shape
+    st.builds(lambda a, r, message: (a, message, r + bytes(32)),
+              st.sampled_from(SMALL_ORDER), st.sampled_from(SMALL_ORDER),
+              _messages),
+    st.builds(lambda item, enc: (item[0], item[1], enc + item[2][32:]),
+              honest_items, st.sampled_from(SMALL_ORDER)),
+)
+"""Triples whose defect is a torsion point: what the cofactored
+equation would accept and the reference refuses."""
+
+
+@st.composite
+def batches(draw):
+    """A few triples, at most one of them torsion-defective: two such
+    defects may cancel in the combined equation, which is ROADMAP item
+    1(a)'s to close, not the cached path's."""
+    items = draw(st.lists(plain_items, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))), draw(torsion_items))
+    return items
+
+
+def _turn_cache_over():
+    for filler in FILLER_KEYS:
+        acc._issuer(filler)
+
+
+def _warm_up(items, how):
+    """Put the issuer LRU in one of its three states for *items*."""
+    acc._issuer_cache.clear()
+    if how == "warm":
+        # An all-zero signature is structurally valid (y = 0 decodes,
+        # s = 0), so it reaches the equation and builds the tables of
+        # every key that decodes, whatever the item's own signature.
+        for public_key, _, _ in items:
+            acc.verify(public_key, b"", bytes(64))
+    elif how == "evicted":
+        _warm_up(items, "warm")
+        _turn_cache_over()
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with CryptoPool(2) as shared:
+        yield shared
+
+
+class TestIssuerTables:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(plain_items, torsion_items))
+    def test_cold_warm_and_evicted_agree_with_reference(self, item):
+        expected = ref.verify(*item)
+        acc._issuer_cache.clear()
+        assert acc.verify(*item) == expected      # cold: builds the tables
+        assert acc.verify(*item) == expected      # warm: reads them
+        _turn_cache_over()
+        assert item[0] not in acc._issuer_cache
+        assert acc.verify(*item) == expected      # evicted: builds again
+
+    @pytest.mark.parametrize("torsion", SMALL_ORDER[1:])
+    def test_every_torsion_point_on_either_side(self, torsion):
+        for build in (torsion_signature, torsion_commitment_signature):
+            item = build(b"split", b"attack", torsion)
+            expected = ref.verify(*item)
+            for how in ("cold", "warm", "evicted"):
+                _warm_up([item], how)
+                assert acc.verify(*item) == expected, (build.__name__, how)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batches(), st.sampled_from(["cold", "warm", "evicted"]))
+    def test_batch_agrees_with_singles(self, items, how):
+        expected = [ref.verify(*item) for item in items]
+        _warm_up(items, how)
+        assert acc.verify_batch(items) == expected
+        assert [acc.verify(*item) for item in items] == expected
+
+    @settings(max_examples=10, deadline=None)
+    @given(batches())
+    def test_pool_agrees_with_singles(self, pool, items):
+        # The workers keep issuer caches of their own, in whatever
+        # state earlier examples left them.
+        assert pool.verify_many(items) == [ref.verify(*item)
+                                           for item in items]
+
+    def test_tables_are_the_split_of_minus_a(self):
+        (public, message, signature), = make_items(1, seed_prefix=b"rows")
+        acc._issuer_cache.clear()
+        assert acc.verify(public, message, signature)
+        record = acc._issuer_cache[public]
+        minus_a = acc._point_neg(_point_decompress(public))
+        assert len(record.tables) == 8
+        for piece, row in enumerate(record.tables):
+            assert len(row) == 8
+            for index, point in enumerate(row):
+                assert _point_equal(
+                    point, _mul((2 * index + 1) << (32 * piece), minus_a))
+
+    def test_base_rows_are_the_split_of_b(self):
+        acc.precompute()
+        for piece, row in enumerate(acc._BASE_SPLIT):
+            for index, point in enumerate(row):
+                assert _point_equal(
+                    point, _mul((2 * index + 1) << (32 * piece), ref._BASE))
+
+
+class TestPointDouble:
+    @staticmethod
+    def _check(point):
+        doubled = acc._point_double(point)
+        assert _point_equal(doubled, _point_add(point, point))
+        x, y, z, t = doubled
+        assert z % _P != 0
+        assert (x * y - t * z) % _P == 0  # T stays X*Y/Z for the next add
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=8 * _L),
+           st.sampled_from(SMALL_ORDER))
+    def test_random_and_mixed_order_points(self, scalar, torsion):
+        point = _point_add(acc._mul_base(scalar % _L),
+                           _point_decompress(torsion))
+        self._check(point)
+        self._check(_point_add(point, point))  # Z != 1
+
+    @pytest.mark.parametrize("encoding", SMALL_ORDER)
+    def test_torsion_and_identity_points(self, encoding):
+        self._check(_point_decompress(encoding))
+
+    def test_identity_in_extended_form(self):
+        self._check(_IDENTITY)
+        self._check((0, 5, 5, 0))
 
 
 # -- backend registry ------------------------------------------------------
