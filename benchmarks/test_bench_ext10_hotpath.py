@@ -1,7 +1,7 @@
 """Ext-10 — per-transaction hot path: credit windows, shared caches and
 the accelerated crypto lane.
 
-Six measurements of the per-transaction fast lanes, on identical inputs:
+Seven measurements of the per-transaction fast lanes, on identical inputs:
 
 * **credit evaluation** — the incremental rolling window
   (:class:`~repro.core.credit.CreditRegistry`) vs a from-scratch rescan
@@ -32,7 +32,14 @@ Six measurements of the per-transaction fast lanes, on identical inputs:
   split tables, verify) and for one seen before (read them): verifies
   per second, point operations per verify counted by wrapping the
   module's two point primitives, and the bytes one issuer record pins,
-  against the unsplit verify's operation count.
+  against the unsplit verify's operation count;
+* **ingress** — what a frame the gateway already has costs a
+  ``repro node``: frames per second and Python calls per frame through
+  ``FrameDecoder.feed`` alone (one 64 KiB read of gossip frames), and
+  through feed + ``prepare_run`` + ``handle_message`` on a
+  ``proc.build_node`` node that has every transaction attached — for
+  the one-pass decoder and for the reference decoder it replaced
+  (``tests/network/frame_reference.py``).
 
 Emits ``benchmarks/out/BENCH_hotpath.json`` for EXPERIMENTS.md.
 
@@ -52,14 +59,18 @@ from repro.core.consensus import CreditBasedConsensus
 from repro.core.credit import CreditParameters, CreditRegistry
 from repro.crypto.accel import ed25519_accel
 from repro.crypto.keys import KeyPair
+from repro.network.frame import FrameDecoder, encode_frame
 from repro.network.network import Network
+from repro.network.proc import build_node
 from repro.network.simulator import EventScheduler
 from repro.nodes.full_node import FullNode
 from repro.nodes.manager import ManagerNode
 from repro.tangle.tangle import DEFAULT_WEIGHT_FLUSH_INTERVAL, Tangle
 from repro.tangle.transaction import Transaction, TransactionDecodeCache
 from repro.tangle.validation import VerificationCache
+from repro.network.transport import Message
 from repro.telemetry.registry import MetricsRegistry
+from tests.network import frame_reference
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
@@ -98,6 +109,13 @@ UNSPLIT_VERIFY_OPERATIONS = 362
 and its table.  Counted the same way on the parent of the PR that
 split it (mean over signatures; it does not depend on the key)."""
 VERIFY_MIN_COUNT_RATIO = 2.0
+
+# -- ingress dimensions ----------------------------------------------------
+INGRESS_TXS = 16 if SMOKE else 160
+INGRESS_CHUNK = 64 * 1024   # AsyncioTransport's read size
+INGRESS_FEEDS = 3 if SMOKE else 30
+INGRESS_REPEATS = 5
+INGRESS_MIN_CALL_RATIO = 1.8
 
 
 # -- credit evaluation ----------------------------------------------------
@@ -458,6 +476,84 @@ def _bench_verify_single():
     }
 
 
+# -- ingress: a frame the gateway already has --------------------------------
+
+def _bench_ingress():
+    genesis = ManagerNode.create_genesis(MANAGER_KEYS)
+    node = build_node("n0", genesis, rng_seed=0, crypto_backend="accel",
+                      telemetry=MetricsRegistry(record_events=False))
+    # The envelope benchmarks/e2e's fake peers write.
+    frames = [encode_frame(Message(
+        sender="peer0", recipient="n0", kind="gossip_transaction",
+        body={"transaction": tx.to_bytes()}, sent_at=float(index),
+        size_bytes=len(tx.to_bytes()), message_id=index))
+        for index, tx in enumerate(_build_transactions(genesis, INGRESS_TXS))]
+    per_read = min(len(frames), INGRESS_CHUNK // max(map(len, frames)))
+    chunk = b"".join(frames[:per_read])
+
+    def absorb(decoder):
+        messages = decoder.feed(chunk)
+        node.prepare_run(messages)
+        for message in messages:
+            node.handle_message(message)
+
+    absorb(FrameDecoder())  # first sight: verified and attached
+    assert len(node.tangle) == per_read + 1
+
+    def measure(decoder_cls, step):
+        decoder = decoder_cls()
+        duplicates = node.stats.gossip_duplicates
+        elapsed = float("inf")
+        for _ in range(INGRESS_REPEATS):  # best of: the host drifts
+            start = time.perf_counter()
+            for _ in range(INGRESS_FEEDS):
+                step(decoder)
+            elapsed = min(elapsed, time.perf_counter() - start)
+        calls = frame_reference.python_calls(lambda: step(decoder))
+        assert decoder.frames_decoded \
+            == (INGRESS_REPEATS * INGRESS_FEEDS + 1) * per_read
+        if step is absorb:
+            assert node.stats.gossip_duplicates - duplicates \
+                == decoder.frames_decoded
+        return {"frames_per_s": INGRESS_FEEDS * per_read / elapsed,
+                "calls_per_frame": calls / per_read}
+
+    def each_us(function, items):
+        start = time.perf_counter()
+        for _ in range(INGRESS_FEEDS):
+            for item in items:
+                function(item)
+        return (time.perf_counter() - start) * 1e6 \
+            / (INGRESS_FEEDS * len(items))
+
+    known = [tx for tx in node.tangle if not tx.is_genesis]
+    results = {"frames_per_read": per_read, "read_bytes": len(chunk)}
+    for leg, step in (("feed", lambda decoder: decoder.feed(chunk)),
+                      ("absorb", absorb)):
+        new = measure(FrameDecoder, step)
+        reference = measure(frame_reference.FrameDecoder, step)
+        results[leg] = {
+            "frames_per_s": new["frames_per_s"],
+            "calls_per_frame": new["calls_per_frame"],
+            "reference_frames_per_s": reference["frames_per_s"],
+            "reference_calls_per_frame": reference["calls_per_frame"],
+            "call_ratio":
+                reference["calls_per_frame"] / new["calls_per_frame"],
+        }
+    # One duplicate's budget, by the layer names of benchmarks/e2e.
+    results["layers_us"] = {
+        "network.frame.decode_us": 1e6 / results["feed"]["frames_per_s"],
+        "tangle.transaction.decode_us":
+            each_us(node._decode, [tx.to_bytes() for tx in known]),
+        "network.gossip.seen_us": each_us(
+            lambda tx: node.relay.has_seen(tx.tx_hash)
+            and tx.tx_hash in node.tangle, known),
+        "nodes.full_node.handle_gossip_dup_us":
+            1e6 / results["absorb"]["frames_per_s"],
+    }
+    return results
+
+
 def _run():
     return {
         "smoke": SMOKE,
@@ -466,6 +562,7 @@ def _run():
         "gossip": _bench_gossip(),
         "crypto": _bench_crypto_backends(),
         "verify_single": _bench_verify_single(),
+        "ingress": _bench_ingress(),
     }
 
 
@@ -507,6 +604,15 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
          f"{single[name]['operations_per_verify']:.1f}")
         for name in ("cold", "warm")
     ] + [("unsplit", "-", single["unsplit_operations_per_verify"])]
+    ingress = results["ingress"]
+    ingress_rows = [
+        (leg, f"{ingress[leg]['reference_frames_per_s']:,.0f}",
+         f"{ingress[leg]['frames_per_s']:,.0f}",
+         f"{ingress[leg]['reference_calls_per_frame']:.1f}",
+         f"{ingress[leg]['calls_per_frame']:.1f}",
+         f"{ingress[leg]['call_ratio']:.1f}x")
+        for leg in ("feed", "absorb")
+    ]
     report = "\n\n".join([
         format_table(credit_rows, headers=[
             "history", "evals", "naive evals/s", "incremental evals/s",
@@ -524,6 +630,11 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
         + f"\nissuer record: {single['issuer_record_bytes']:,.0f} B x "
           f"{single['issuer_cache_records']} records = "
           f"{single['issuer_cache_bound_bytes'] / 2 ** 20:.2f} MiB bound",
+        format_table(ingress_rows, headers=[
+            "duplicate frame", "reference frames/s", "frames/s",
+            "reference calls/frame", "calls/frame", "fewer calls"])
+        + "\n" + "  ".join(f"{name} {value:.2f}" for name, value
+                           in ingress["layers_us"].items()),
     ])
     report_writer("ext10_hotpath", report)
 
@@ -539,7 +650,10 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
     # >=5x uncached flood validation throughput for the accel
     # crypto backend over the reference, and a warm single verify in
     # at most half the unsplit verify's point operations with the
-    # whole issuer cache under 2 MiB (counts and bytes: no timing).
+    # whole issuer cache under 2 MiB (counts and bytes: no timing),
+    # and >=1.8x fewer Python calls per frame through the one-pass
+    # decoder than through the reference, alone and on the whole
+    # duplicate path (counts again).
     assert credit["speedup"] >= CREDIT_MIN_SPEEDUP
     for entry in results["admission"].values():
         assert entry["flush_epochs_per_submit"] <= \
@@ -547,6 +661,8 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
     assert crypto["speedup"] >= CRYPTO_MIN_SPEEDUP
     assert single["warm_count_ratio"] >= VERIFY_MIN_COUNT_RATIO
     assert single["issuer_cache_bound_bytes"] <= 2 * 2 ** 20
+    for leg in ("feed", "absorb"):
+        assert ingress[leg]["call_ratio"] >= INGRESS_MIN_CALL_RATIO
     for n in NODE_COUNTS:
         entry = results["gossip"][str(n)]
         assert entry["cached_seconds"] < entry["uncached_seconds"]

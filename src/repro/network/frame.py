@@ -27,7 +27,8 @@ The canonical value encoding is type-tagged and length-prefixed::
 
 Every structural violation — bad magic, unknown version, length out of
 bounds, CRC mismatch, trailing or missing payload bytes, an unknown
-type tag — raises :class:`FrameError`; the CRC covers version + length
+type tag, containers nested deeper than :data:`MAX_DEPTH` — raises
+:class:`FrameError`; the CRC covers version + length
 + payload, so any single-byte corruption of a frame is refused rather
 than decoded into a wrong message (the property
 ``tests/network/test_frame_properties.py`` sweeps).
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from ..telemetry.tracer import TraceContext
 from .transport import Message
@@ -57,6 +58,7 @@ __all__ = [
     "MAGIC",
     "VERSION",
     "MAX_FRAME_BYTES",
+    "MAX_DEPTH",
 ]
 
 MAGIC = b"BIOT"
@@ -65,8 +67,14 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 """Upper bound on one frame's payload — a corrupted length field must
 not make the decoder wait forever for bytes that will never come."""
 
+MAX_DEPTH = 32
+"""Containers one value may nest — the deepest legitimate body is ~4
+levels.  Deeper input is a :class:`FrameError` on both sides, so a
+hostile frame of nested lists cannot spend the interpreter's stack."""
+
 _PREFIX_LEN = len(MAGIC) + 1 + 4  # magic + version + payload length
 _CRC_LEN = 4
+_HEAD = struct.Struct(">BI")  # version + payload length, behind the magic
 
 _ENVELOPE_KEYS = frozenset(
     {"sender", "recipient", "kind", "message_id", "sent_at",
@@ -79,119 +87,149 @@ class FrameError(ValueError):
 
 # -- canonical value encoding ---------------------------------------------
 
+_U32 = struct.Struct(">I")
+_F64 = struct.Struct(">d")
+_TRUNCATED = "canonical value truncated"
+# Type tags as the integers that indexing a bytes object yields.
+_N, _T, _F, _I, _D, _S, _B, _L, _M = b"NTFIDSBLM"
+
+
 def encode_value(value: Any) -> bytes:
     """Canonical binary encoding of a protocol body value."""
     out: List[bytes] = []
-    _encode_into(value, out)
+    _encode_items((value,), out, 0)
     return b"".join(out)
 
 
-def _encode_into(value: Any, out: List[bytes]) -> None:
-    if value is None:
-        out.append(b"N")
-    elif value is True:
-        out.append(b"T")
-    elif value is False:
-        out.append(b"F")
-    elif isinstance(value, int):
-        raw = value.to_bytes((value.bit_length() + 8) // 8 or 1,
-                             "big", signed=True)
-        out.append(b"I" + len(raw).to_bytes(4, "big") + raw)
-    elif isinstance(value, float):
-        out.append(b"D" + struct.pack(">d", value))
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(b"S" + len(raw).to_bytes(4, "big") + raw)
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        raw = bytes(value)
-        out.append(b"B" + len(raw).to_bytes(4, "big") + raw)
-    elif isinstance(value, (list, tuple)):
-        out.append(b"L" + len(value).to_bytes(4, "big"))
-        for item in value:
-            _encode_into(item, out)
-    elif isinstance(value, dict):
-        keys = list(value)
-        if any(not isinstance(key, str) for key in keys):
-            raise FrameError("canonical dicts require str keys")
-        out.append(b"M" + len(keys).to_bytes(4, "big"))
-        for key in sorted(keys):
-            _encode_into(key, out)
-            _encode_into(value[key], out)
-    else:
-        raise FrameError(
-            f"cannot encode {type(value).__name__} canonically")
+def _encode_items(values, out: List[bytes], depth: int) -> None:
+    """Append the encoding of each of *values*, which sit inside
+    *depth* containers.  A dict is its count followed by its sorted
+    keys and values interleaved — a key is encoded as the ``S`` value
+    it is — so scalars are written here and only a container recurses."""
+    if depth > MAX_DEPTH:
+        raise FrameError(f"value nested deeper than {MAX_DEPTH}")
+    append = out.append
+    u32 = _U32.pack
+    for value in values:
+        if isinstance(value, str):
+            raw = value.encode("utf-8")
+            append(b"S" + u32(len(raw)) + raw)
+        elif isinstance(value, (bytes, bytearray, memoryview)):
+            raw = value if type(value) is bytes else bytes(value)
+            append(b"B" + u32(len(raw)) + raw)
+        elif value is None:
+            append(b"N")
+        elif value is True:
+            append(b"T")
+        elif value is False:
+            append(b"F")
+        elif isinstance(value, int):
+            raw = value.to_bytes((value.bit_length() + 8) // 8 or 1,
+                                 "big", signed=True)
+            append(b"I" + u32(len(raw)) + raw)
+        elif isinstance(value, float):
+            append(b"D" + _F64.pack(value))
+        elif isinstance(value, dict):
+            pairs = []
+            for key in value:
+                if not isinstance(key, str):
+                    raise FrameError("canonical dicts require str keys")
+            for key in sorted(value):
+                pairs.append(key)
+                pairs.append(value[key])
+            append(b"M" + u32(len(value)))
+            _encode_items(pairs, out, depth + 1)
+        elif isinstance(value, (list, tuple)):
+            append(b"L" + u32(len(value)))
+            _encode_items(value, out, depth + 1)
+        else:
+            raise FrameError(
+                f"cannot encode {type(value).__name__} canonically")
 
 
 def decode_value(data: bytes) -> Any:
     """Decode one canonical value; the buffer must be consumed exactly."""
-    value, offset = _decode_at(data, 0)
-    if offset != len(data):
+    if type(data) is not bytes:
+        data = bytes(data)
+    return _decode_exactly(data, 0, len(data))
+
+
+def _decode_exactly(data: bytes, offset: int, end: int) -> Any:
+    """The one value that fills ``data[offset:end]``."""
+    values, offset = _decode_items(data, offset, end, 1, False, 0)
+    if offset != end:
         raise FrameError(
-            f"trailing bytes after canonical value "
-            f"({len(data) - offset} left)")
-    return value
+            f"trailing bytes after canonical value ({end - offset} left)")
+    return values[0]
 
 
-def _take(data: bytes, offset: int, count: int) -> Tuple[bytes, int]:
-    end = offset + count
-    if end > len(data):
-        raise FrameError("canonical value truncated")
-    return data[offset:end], end
-
-
-def _decode_at(data: bytes, offset: int) -> Tuple[Any, int]:
-    tag, offset = _take(data, offset, 1)
-    if tag == b"N":
-        return None, offset
-    if tag == b"T":
-        return True, offset
-    if tag == b"F":
-        return False, offset
-    if tag == b"I":
-        raw_len, offset = _take(data, offset, 4)
-        length = int.from_bytes(raw_len, "big")
-        if length == 0 or length > MAX_FRAME_BYTES:
-            raise FrameError(f"invalid int length {length}")
-        raw, offset = _take(data, offset, length)
-        return int.from_bytes(raw, "big", signed=True), offset
-    if tag == b"D":
-        raw, offset = _take(data, offset, 8)
-        return struct.unpack(">d", raw)[0], offset
-    if tag == b"S":
-        raw_len, offset = _take(data, offset, 4)
-        raw, offset = _take(data, offset, int.from_bytes(raw_len, "big"))
-        try:
-            return raw.decode("utf-8"), offset
-        except UnicodeDecodeError as exc:
-            raise FrameError(f"invalid utf-8 in canonical str: {exc}")
-    if tag == b"B":
-        raw_len, offset = _take(data, offset, 4)
-        raw, offset = _take(data, offset, int.from_bytes(raw_len, "big"))
-        return raw, offset
-    if tag == b"L":
-        raw_count, offset = _take(data, offset, 4)
-        count = int.from_bytes(raw_count, "big")
-        items = []
+def _decode_items(data: bytes, offset: int, end: int, count: int,
+                  keyed: bool, depth: int) -> Tuple[Any, int]:
+    """Decode *count* values starting at *offset* — key/value pairs
+    into a dict when *keyed*, a list otherwise — reading nothing at or
+    past *end*; returns the container and the offset behind it.  Keys
+    and scalars are read in this loop; only a nested container recurses,
+    and *depth* (the containers around these values) bounds that."""
+    if depth > MAX_DEPTH:
+        raise FrameError(f"value nested deeper than {MAX_DEPTH}")
+    u32 = _U32.unpack_from
+    out: Any = {} if keyed else []
+    key = previous = None
+    try:
         for _ in range(count):
-            item, offset = _decode_at(data, offset)
-            items.append(item)
-        return items, offset
-    if tag == b"M":
-        raw_count, offset = _take(data, offset, 4)
-        count = int.from_bytes(raw_count, "big")
-        mapping = {}
-        previous: Optional[str] = None
-        for _ in range(count):
-            key, offset = _decode_at(data, offset)
-            if not isinstance(key, str):
-                raise FrameError("canonical dict key is not a str")
-            if previous is not None and key <= previous:
-                raise FrameError("canonical dict keys out of order")
-            previous = key
-            value, offset = _decode_at(data, offset)
-            mapping[key] = value
-        return mapping, offset
-    raise FrameError(f"unknown canonical type tag {tag!r}")
+            if keyed:
+                start = offset + 5
+                if start > end:
+                    raise FrameError(_TRUNCATED)
+                if data[offset] != _S:
+                    raise FrameError("canonical dict key is not a str")
+                offset = start + u32(data, offset + 1)[0]
+                if offset > end:
+                    raise FrameError(_TRUNCATED)
+                key = data[start:offset].decode("utf-8")
+                if previous is not None and key <= previous:
+                    raise FrameError("canonical dict keys out of order")
+                previous = key
+            if offset >= end:
+                raise FrameError(_TRUNCATED)
+            tag = data[offset]
+            if tag == _D:
+                if offset + 9 > end:
+                    raise FrameError(_TRUNCATED)
+                value = _F64.unpack_from(data, offset + 1)[0]
+                offset += 9
+            elif tag == _N or tag == _T or tag == _F:
+                value = None if tag == _N else tag == _T
+                offset += 1
+            else:  # S, B, I, L and M carry a 4-byte length or count
+                start = offset + 5
+                if start > end:
+                    raise FrameError(_TRUNCATED)
+                length = u32(data, offset + 1)[0]
+                if tag == _M or tag == _L:
+                    value, offset = _decode_items(
+                        data, start, end, length, tag == _M, depth + 1)
+                else:
+                    offset = start + length
+                    if offset > end:
+                        raise FrameError(_TRUNCATED)
+                    value = data[start:offset]
+                    if tag == _S:
+                        value = value.decode("utf-8")
+                    elif tag == _I:
+                        if length == 0 or length > MAX_FRAME_BYTES:
+                            raise FrameError(f"invalid int length {length}")
+                        value = int.from_bytes(value, "big", signed=True)
+                    elif tag != _B:
+                        raise FrameError(
+                            f"unknown canonical type tag {bytes((tag,))!r}")
+            if keyed:
+                out[key] = value
+            else:
+                out.append(value)
+    except UnicodeDecodeError as exc:
+        raise FrameError(f"invalid utf-8 in canonical str: {exc}")
+    return out, offset
 
 
 # -- frame encoding --------------------------------------------------------
@@ -217,17 +255,17 @@ def encode_frame(message: Message) -> bytes:
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame payload {len(payload)} exceeds {MAX_FRAME_BYTES}")
-    head = bytes([VERSION]) + len(payload).to_bytes(4, "big")
-    crc = zlib.crc32(head + payload)
-    return MAGIC + head + payload + crc.to_bytes(4, "big")
+    head = _HEAD.pack(VERSION, len(payload))
+    crc = zlib.crc32(payload, zlib.crc32(head))
+    return b"".join((MAGIC, head, payload, _U32.pack(crc)))
 
 
 def _message_from_envelope(envelope: Any) -> Message:
     if not isinstance(envelope, dict):
         raise FrameError("frame payload is not an envelope dict")
-    unknown = set(envelope) - _ENVELOPE_KEYS
-    if unknown:
-        raise FrameError(f"unknown envelope keys {sorted(unknown)}")
+    if not envelope.keys() <= _ENVELOPE_KEYS:
+        raise FrameError(
+            f"unknown envelope keys {sorted(set(envelope) - _ENVELOPE_KEYS)}")
     try:
         sender = envelope["sender"]
         recipient = envelope["recipient"]
@@ -238,14 +276,16 @@ def _message_from_envelope(envelope: Any) -> Message:
         body = envelope["body"]
     except KeyError as exc:
         raise FrameError(f"envelope missing {exc.args[0]!r}")
-    if not (isinstance(sender, str) and isinstance(recipient, str)
-            and isinstance(kind, str)):
+    # The decoder yields exact types, so ``type() is`` is the whole
+    # check (and keeps a bool out of the int fields).
+    if not (type(sender) is str and type(recipient) is str
+            and type(kind) is str):
         raise FrameError("envelope routing fields must be str")
-    if not isinstance(message_id, int) or isinstance(message_id, bool):
+    if type(message_id) is not int:
         raise FrameError("message_id must be an int")
-    if not isinstance(sent_at, float):
+    if type(sent_at) is not float:
         raise FrameError("sent_at must be a float")
-    if not isinstance(size_bytes, int) or isinstance(size_bytes, bool):
+    if type(size_bytes) is not int:
         raise FrameError("size_bytes must be an int")
     trace = None
     if "trace" in envelope:
@@ -281,7 +321,8 @@ class FrameDecoder:
     """
 
     def __init__(self):
-        self._buffer = bytearray()
+        self._buffer = bytearray()  # the tail no frame has completed yet
+        self._wanted = 0  # size of the frame that tail starts, once known
         self._failed = False
         self.frames_decoded = 0
         self.bytes_consumed = 0
@@ -292,52 +333,63 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> List[Message]:
-        """Absorb *data*; returns every message completed by it."""
+        """Absorb *data*; returns every message completed by it.
+
+        Frames are decoded where they lie: a read that starts on a frame
+        boundary is walked by offset and never copied, and only the
+        incomplete tail (if any) is kept — one trim per feed.
+        """
         if self._failed:
             raise FrameError("decoder already failed; drop the stream")
-        self._buffer.extend(data)
+        pending = self._buffer
+        if pending:
+            pending += data
+            if len(pending) < self._wanted:
+                return []  # a large frame still arriving: just collect
+            data = bytes(pending)
+            pending.clear()
+        elif type(data) is not bytes:
+            data = bytes(data)
+        self._wanted = 0
+        view = memoryview(data)
+        size = len(data)
+        offset = 0
         messages: List[Message] = []
         try:
-            while True:
-                message, consumed = self._try_decode_one()
-                if message is None:
+            while offset < size:
+                # Reject a bad magic as soon as the bytes we do have
+                # cannot be a frame start, instead of waiting for a
+                # full prefix.
+                if data[offset:offset + 4] != MAGIC[:size - offset]:
+                    raise FrameError("bad frame magic")
+                if size - offset < _PREFIX_LEN:
                     break
-                del self._buffer[:consumed]
-                self.bytes_consumed += consumed
-                self.frames_decoded += 1
-                messages.append(message)
+                version, length = _HEAD.unpack_from(data, offset + 4)
+                if version != VERSION:
+                    raise FrameError(f"unsupported frame version {version}")
+                if length > MAX_FRAME_BYTES:
+                    raise FrameError(
+                        f"frame payload {length} exceeds {MAX_FRAME_BYTES}")
+                start = offset + _PREFIX_LEN
+                end = start + length
+                if size < end + _CRC_LEN:
+                    self._wanted = end + _CRC_LEN - offset
+                    break
+                # Version, length and payload are contiguous: one pass.
+                if zlib.crc32(view[offset + 4:end]) \
+                        != _U32.unpack_from(data, end)[0]:
+                    raise FrameError("frame CRC mismatch")
+                messages.append(_message_from_envelope(
+                    _decode_exactly(data, start, end)))
+                offset = end + _CRC_LEN
         except FrameError:
             self._failed = True
             raise
+        if offset < size:
+            pending += view[offset:]
+        self.bytes_consumed += offset
+        self.frames_decoded += len(messages)
         return messages
-
-    def _try_decode_one(self) -> Tuple[Optional[Message], int]:
-        buffer = self._buffer
-        if len(buffer) < _PREFIX_LEN:
-            # Reject a bad magic as soon as the bytes we do have cannot
-            # be a frame start, instead of waiting for a full prefix.
-            if bytes(buffer[:len(MAGIC)]) != MAGIC[:len(buffer)]:
-                raise FrameError("bad frame magic")
-            return None, 0
-        if bytes(buffer[:len(MAGIC)]) != MAGIC:
-            raise FrameError("bad frame magic")
-        version = buffer[len(MAGIC)]
-        if version != VERSION:
-            raise FrameError(f"unsupported frame version {version}")
-        length = int.from_bytes(buffer[len(MAGIC) + 1:_PREFIX_LEN], "big")
-        if length > MAX_FRAME_BYTES:
-            raise FrameError(
-                f"frame payload {length} exceeds {MAX_FRAME_BYTES}")
-        total = _PREFIX_LEN + length + _CRC_LEN
-        if len(buffer) < total:
-            return None, 0
-        head = bytes(buffer[len(MAGIC):_PREFIX_LEN])
-        payload = bytes(buffer[_PREFIX_LEN:_PREFIX_LEN + length])
-        stored_crc = int.from_bytes(
-            buffer[_PREFIX_LEN + length:total], "big")
-        if zlib.crc32(head + payload) != stored_crc:
-            raise FrameError("frame CRC mismatch")
-        return _message_from_envelope(decode_value(payload)), total
 
     def close(self) -> None:
         """Assert the stream ended on a frame boundary."""

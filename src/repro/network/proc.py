@@ -47,7 +47,8 @@ from ..telemetry.registry import MetricsRegistry
 from .aio import AsyncioScheduler, AsyncioTransport, NodeRunner
 from .discovery import DiscoveryService, parse_seed
 
-__all__ = ["NodeProcessSpec", "build_node", "run_node_process", "READY_EVENT",
+__all__ = ["NodeProcessSpec", "build_node", "run_node_process",
+           "NODE_DECODE_CACHE_SIZE", "READY_EVENT",
            "STATUS_KIND", "STATUS_RESPONSE_KIND", "RESYNC_KIND",
            "RESYNC_ACK_KIND", "SHUTDOWN_KIND", "SHUTDOWN_ACK_KIND"]
 
@@ -131,21 +132,36 @@ def _load_genesis(path: str):
         return Transaction.from_bytes(bytes.fromhex(handle.read().strip()))
 
 
+NODE_DECODE_CACHE_SIZE = 1024
+"""Decode-LRU entries of one node process.  An entry is at most ~3.3 KB
+(measured 3.0-3.3: key + instance + every memo of a 1 KiB encoding, the
+longest the cache keeps), so the cache stays under 4 MiB whatever a
+peer streams; a transaction that attached shares its instance with the
+tangle and costs one dict slot.  In a mesh the copies of a transaction
+arrive within one propagation time of each other, so the recent
+thousand is the working set."""
+
+
 def build_node(address: str, genesis, *, rng_seed: int,
                crypto_backend: str = "reference", telemetry=None):
     """The one node configuration ``repro node`` runs (difficulty-1
-    inverse policy, PoW enforced).  :mod:`repro.harness` builds its
-    in-process replicas with this same function, which is what keeps a
-    process fleet hash-comparable with an in-process one."""
+    inverse policy, PoW enforced, a node-sized decode LRU so the bytes
+    of a transaction the node already has cost one dict hit).
+    :mod:`repro.harness` builds its in-process replicas with this same
+    function, which is what keeps a process fleet hash-comparable with
+    an in-process one."""
     from ..core.consensus import CreditBasedConsensus
     from ..nodes.full_node import FullNode
+    from ..tangle.transaction import TransactionDecodeCache
 
     return FullNode(
         address, genesis,
         consensus=CreditBasedConsensus.from_params(
             CreditParameters(), initial_difficulty=1),
         rng=random.Random(rng_seed), enforce_pow=True,
-        crypto_backend=crypto_backend, telemetry=telemetry)
+        crypto_backend=crypto_backend, telemetry=telemetry,
+        decode_cache=TransactionDecodeCache(NODE_DECODE_CACHE_SIZE,
+                                            telemetry=telemetry))
 
 
 async def _serve_metrics(registry, host: str,
@@ -181,7 +197,9 @@ async def _serve_metrics(registry, host: str,
 async def _amain(spec: NodeProcessSpec, *, ready_stream) -> int:
     from ..faults.report import node_state_hashes
 
-    registry = MetricsRegistry()
+    # Only the Prometheus page reads this registry: an event log here
+    # would grow with every frame and have no reader.
+    registry = MetricsRegistry(record_events=False)
     genesis = _load_genesis(spec.genesis_path)
     node = build_node(spec.address, genesis, rng_seed=spec.rng_seed,
                       crypto_backend=spec.crypto_backend, telemetry=registry)

@@ -197,6 +197,15 @@ class FullNode(NetworkNode):
         self._crypto_backend = get_backend(crypto_backend)
         self._crypto_pool = crypto_pool
         self._preverified = PreverifiedSet()
+        self._handlers = {
+            "get_tips_request": self._handle_get_tips,
+            "submit_transaction": self._handle_submit,
+            "gossip_transaction": self._handle_gossip,
+            "sync_request": self._handle_sync_request,
+            "sync_response": self._handle_sync_response,
+            "parent_request": self._handle_parent_request,
+            "parent_response": self._handle_parent_response,
+        }
         # encoded bytes -> the Transaction prepare_run already parsed
         # from them; the handler of the same frame takes it back out.
         self._run_decoded: Dict[bytes, Transaction] = {}
@@ -457,15 +466,7 @@ class FullNode(NetworkNode):
     # -- message handling ----------------------------------------------------
 
     def handle_message(self, message: Message) -> None:
-        handler = {
-            "get_tips_request": self._handle_get_tips,
-            "submit_transaction": self._handle_submit,
-            "gossip_transaction": self._handle_gossip,
-            "sync_request": self._handle_sync_request,
-            "sync_response": self._handle_sync_response,
-            "parent_request": self._handle_parent_request,
-            "parent_response": self._handle_parent_response,
-        }.get(message.kind)
+        handler = self._handlers.get(message.kind)
         if handler is None:
             return  # unknown kinds are dropped silently (open network)
         try:

@@ -34,6 +34,7 @@ __all__ = [
     "TransactionDecodeCache",
     "GENESIS_KIND",
     "DEFAULT_DECODE_CACHE_SIZE",
+    "MAX_CACHED_ENCODING",
 ]
 
 ZERO_HASH = b"\x00" * DIGEST_SIZE
@@ -313,6 +314,11 @@ class Transaction:
 DEFAULT_DECODE_CACHE_SIZE = 65536
 """Default :class:`TransactionDecodeCache` capacity (entries)."""
 
+MAX_CACHED_ENCODING = 1024
+"""Longest encoding the decode cache keeps (protocol transactions are
+~0.3-0.7 KB).  A payload may be as long as a frame allows, so without
+this an entry count would bound no bytes."""
+
 
 class TransactionDecodeCache:
     """Bounded LRU mapping encoded bytes to a shared decoded instance.
@@ -325,7 +331,13 @@ class TransactionDecodeCache:
     instance are shared, compounding the saving.
 
     A junk input raises ``ValueError`` exactly like ``from_bytes`` and
-    is never cached.
+    is never cached; an encoding longer than
+    :data:`MAX_CACHED_ENCODING` is parsed and not kept.  So the cache
+    is bounded in bytes: an entry is its key (the encoding, shared with
+    the instance's ``to_bytes`` memo), the instance and its digest
+    memos — measured 1.6 KB for a 286 B encoding and 3.0-3.3 KB at the
+    1 KiB limit, when the cache holds the only reference — hence at
+    most ``max_size`` × 3.3 KB.
 
     Args:
         max_size: LRU capacity (evicts least-recently decoded).
@@ -371,8 +383,9 @@ class TransactionDecodeCache:
         self.misses += 1
         self._m_miss.inc()
         tx = Transaction.from_bytes(data)
-        decoded[data] = tx
-        if len(decoded) > self.max_size:
-            decoded.popitem(last=False)
-            self.evictions += 1
+        if len(data) <= MAX_CACHED_ENCODING:
+            decoded[data] = tx
+            if len(decoded) > self.max_size:
+                decoded.popitem(last=False)
+                self.evictions += 1
         return tx

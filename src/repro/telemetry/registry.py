@@ -71,6 +71,9 @@ LabelSet = Tuple[Tuple[str, str], ...]
 def _label_key(labels: Dict[str, str]) -> LabelSet:
     if not labels:
         return ()
+    if len(labels) == 1:  # nothing to sort: the hot paths' one label
+        (item,) = labels.items()
+        return (item,) if type(item[1]) is str else ((item[0], str(item[1])),)
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
@@ -97,7 +100,11 @@ class Instrument:
 
     def _record(self, value: float, labels: Dict[str, str]) -> LabelSet:
         self.observed = True
-        return self._registry._log_event(self.name, value, labels)
+        key = _label_key(labels) if labels else ()
+        registry = self._registry
+        if registry.record_events:
+            registry._log_event(self.name, value, key)
+        return key
 
     def series(self) -> Dict[LabelSet, object]:
         """Label set -> current value (shape depends on the kind)."""
@@ -325,18 +332,12 @@ class MetricsRegistry:
 
     # -- event log --------------------------------------------------------
 
-    def _log_event(self, name: str, value: float,
-                   labels: Dict[str, str]) -> LabelSet:
-        key = _label_key(labels)
-        if self.record_events:
-            if len(self.events) >= self.max_events:
-                dropped = len(self.events) // 2
-                self.events = self.events[dropped:]
-                self.events_dropped += dropped
-            self.events.append(
-                MetricEvent(self._time_fn(), name, key, value)
-            )
-        return key
+    def _log_event(self, name: str, value: float, key: LabelSet) -> None:
+        if len(self.events) >= self.max_events:
+            dropped = len(self.events) // 2
+            self.events = self.events[dropped:]
+            self.events_dropped += dropped
+        self.events.append(MetricEvent(self._time_fn(), name, key, value))
 
     def now(self) -> float:
         """The registry's current (simulated) time."""
