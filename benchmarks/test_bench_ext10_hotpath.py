@@ -184,7 +184,7 @@ def _bench_admission():
     genesis = Transaction.create_genesis(MANAGER_KEYS)
     out = {}
     for size in ADMISSION_SIZES:
-        telemetry = MetricsRegistry(record_events=False)
+        telemetry = MetricsRegistry()
         tangle = Tangle(genesis, telemetry=telemetry)
         consensus = CreditBasedConsensus.from_params(
             CreditParameters(), initial_difficulty=1)
@@ -283,7 +283,7 @@ def _bench_gossip():
     for node_count in NODE_COUNTS:
         txs = _build_transactions(genesis, TX_COUNTS[node_count])
         uncached_s, _ = _flood(genesis, txs, node_count, cached=False)
-        telemetry = MetricsRegistry(record_events=False)
+        telemetry = MetricsRegistry()
         cached_s, events = _flood(genesis, txs, node_count, cached=True,
                                   telemetry=telemetry)
         verify_hits = telemetry.counter(
@@ -481,7 +481,7 @@ def _bench_verify_single():
 def _bench_ingress():
     genesis = ManagerNode.create_genesis(MANAGER_KEYS)
     node = build_node("n0", genesis, rng_seed=0, crypto_backend="accel",
-                      telemetry=MetricsRegistry(record_events=False))
+                      telemetry=MetricsRegistry())
     # The envelope benchmarks/e2e's fake peers write.
     frames = [encode_frame(Message(
         sender="peer0", recipient="n0", kind="gossip_transaction",

@@ -103,7 +103,7 @@ def _instrumented_replay(genesis, txs):
     (the production default), this pass only exists to capture the
     flush-batch-size and walk-length distributions for the JSON report.
     """
-    registry = MetricsRegistry(record_events=False)
+    registry = MetricsRegistry()
     tangle = Tangle(genesis, telemetry=registry)
     for tx in txs:
         tangle.attach(tx, arrival_time=tx.timestamp)

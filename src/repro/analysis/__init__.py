@@ -3,23 +3,17 @@
 from .energy import EnergyBreakdown, energy_for_stats, energy_per_transaction
 from .metrics import (
     SummaryStats,
-    ThroughputMeter,
     format_series,
     format_table,
     summary_stats,
 )
 from .tracing import CreditTracePoint, CreditTracer
-from .visualize import chain_to_dot, tangle_summary, tangle_to_dot
 from .workloads import ParallelGrowth, confirmation_times, grow_parallel_tangle
 
 __all__ = [
-    "tangle_to_dot",
-    "tangle_summary",
-    "chain_to_dot",
     "ParallelGrowth",
     "grow_parallel_tangle",
     "confirmation_times",
-    "ThroughputMeter",
     "SummaryStats",
     "summary_stats",
     "format_table",

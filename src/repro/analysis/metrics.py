@@ -2,8 +2,8 @@
 
 Nothing here is paper-specific; it is the plumbing that turns raw node
 statistics into the series and tables the evaluation section reports:
-throughput meters, summary statistics, and plain-text table/series
-formatting for benchmark output.
+summary statistics and plain-text table/series formatting for
+benchmark output.
 """
 
 from __future__ import annotations
@@ -12,66 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..telemetry.series import TimeSeries
-
 __all__ = [
-    "ThroughputMeter",
     "summary_stats",
     "SummaryStats",
     "format_table",
     "format_series",
 ]
-
-
-class ThroughputMeter:
-    """Counts timestamped events and reports rates.
-
-    A thin adapter over :class:`~repro.telemetry.series.TimeSeries`:
-    every ``tps`` window resolves by bisecting the bounds (O(log n))
-    instead of rescanning all recorded events, so ``windowed_tps`` over
-    a long run is linear in the number of windows, not windows×events.
-
-    >>> meter = ThroughputMeter()
-    >>> for t in (0.5, 1.0, 1.5, 9.0):
-    ...     meter.record(t)
-    >>> meter.tps(start=0.0, end=10.0)
-    0.4
-    """
-
-    def __init__(self, events: Iterable[float] = ()):
-        self._series = TimeSeries()
-        for timestamp in events:
-            self._series.append(timestamp)
-
-    def record(self, timestamp: float) -> None:
-        self._series.append(timestamp)
-
-    @property
-    def events(self) -> List[float]:
-        """Recorded timestamps, in time order."""
-        return self._series.timestamps
-
-    @property
-    def count(self) -> int:
-        return len(self._series)
-
-    def tps(self, *, start: float, end: float) -> float:
-        """Events per second inside [start, end]."""
-        if end <= start:
-            raise ValueError("end must exceed start")
-        return self._series.window_count(start, end) / (end - start)
-
-    def windowed_tps(self, *, start: float, end: float,
-                     window: float) -> List[Tuple[float, float]]:
-        """A (window_end, tps) series for plotting throughput over time."""
-        if window <= 0:
-            raise ValueError("window must be positive")
-        series = []
-        cursor = start + window
-        while cursor <= end + 1e-9:
-            series.append((cursor, self.tps(start=cursor - window, end=cursor)))
-            cursor += window
-        return series
 
 
 @dataclass(frozen=True)

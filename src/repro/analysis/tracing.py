@@ -34,8 +34,8 @@ class CreditTracer:
     Besides its own point list (the Fig. 8 series), the tracer is an
     adapter onto the unified telemetry registry: pass ``telemetry=`` and
     every sample also lands in the ``repro_credit_traced_value`` gauge
-    (labelled per component) and the event stream, so credit traces
-    appear in the same JSONL/Prometheus exports as everything else.
+    (labelled per component), so credit traces appear in the same
+    Prometheus exports as everything else.
 
     Args:
         registry: the registry being traced.

@@ -11,7 +11,7 @@ Usage::
     python -m repro telemetry --scenario smoke --require-all
     python -m repro trace --scenario smoke --seed 7
     python -m repro chaos --scenario partition-heal --seed 7
-    python -m repro storage --seed 7 --backend file
+    python -m repro storage --seed 7
     python -m repro fleet --scenario smoke --seed 7
     python -m repro fleet --processes 3 --seed 7
     python -m repro node --address n0 --genesis genesis.hex \
@@ -141,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         "storage", help="run the crash/restart storage differential and "
                         "print its byte-deterministic result")
     storage.add_argument("--seed", type=int, default=7)
-    storage.add_argument("--backend", choices=["file", "sqlite"],
-                         default="file")
     storage.add_argument("--steps", type=int, default=60,
                          help="workload length (transactions issued)")
     storage.add_argument("--dir", type=str, default=None,
@@ -178,10 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "kill -9 one mid-workload, cold-restart it, "
                             "and compare every process to the reference "
                             "hashes")
-    fleet.add_argument("--storage-backend", choices=["file", "sqlite"],
-                       default="file",
-                       help="durable store behind each node process "
-                            "(multi-process mode)")
     fleet.add_argument("--crypto-backend",
                        choices=["reference", "accel"], default="reference",
                        help="signature backend in each node process "
@@ -214,11 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
                       dest="seed_nodes", metavar="ADDR=HOST:PORT",
                       help="bootstrap seed (repeatable); omit to run "
                            "as a genesis seed node")
-    node.add_argument("--storage-backend",
-                      choices=["none", "memory", "file", "sqlite"],
+    node.add_argument("--storage-backend", choices=["none", "file"],
                       default="none",
-                      help="durable store; a populated store triggers "
-                           "an automatic cold restore (restart path)")
+                      help="journal under --storage-dir; a populated "
+                           "one triggers an automatic cold restore "
+                           "(restart path)")
     node.add_argument("--storage-dir", type=str, default=None)
     node.add_argument("--crypto-backend",
                       choices=["reference", "accel"], default="reference")
@@ -235,14 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_workflow(args) -> int:
     from .core.biot import BIoTConfig, BIoTSystem
     from .core.workflow import run_workflow
+    from .crypto import rand
 
-    system = BIoTSystem.build(BIoTConfig(
-        device_count=args.devices,
-        gateway_count=args.gateways,
-        seed=args.seed,
-        initial_difficulty=args.difficulty,
-    ))
-    report = run_workflow(system, report_seconds=args.seconds)
+    # Seeded like ``trace`` and ``chaos``: the AES IVs would otherwise
+    # come from os.urandom and move every PoW solve count with them.
+    with rand.deterministic(f"workflow:{args.seed}".encode()):
+        system = BIoTSystem.build(BIoTConfig(
+            device_count=args.devices,
+            gateway_count=args.gateways,
+            seed=args.seed,
+            initial_difficulty=args.difficulty,
+        ))
+        report = run_workflow(system, report_seconds=args.seconds)
     print(report.format())
     return 0 if report.ok else 1
 
@@ -301,16 +299,18 @@ def _cmd_fig10(args) -> int:
 
 def _cmd_summary(args) -> int:
     from .core.biot import BIoTConfig, BIoTSystem
+    from .crypto import rand
 
-    system = BIoTSystem.build(BIoTConfig(
-        device_count=args.devices,
-        gateway_count=args.gateways,
-        seed=args.seed,
-        initial_difficulty=8,
-    ))
-    system.initialize()
-    system.start_devices()
-    system.run_for(args.seconds)
+    with rand.deterministic(f"summary:{args.seed}".encode()):
+        system = BIoTSystem.build(BIoTConfig(
+            device_count=args.devices,
+            gateway_count=args.gateways,
+            seed=args.seed,
+            initial_difficulty=8,
+        ))
+        system.initialize()
+        system.start_devices()
+        system.run_for(args.seconds)
     for key, value in system.summary().items():
         print(f"{key}: {value}")
     return 0
@@ -346,8 +346,7 @@ def _cmd_telemetry(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     jsonl_path = os.path.join(args.out_dir, "telemetry.jsonl")
     prom_path = os.path.join(args.out_dir, "metrics.prom")
-    records = export_jsonl(jsonl_path, registry=registry,
-                           tracer=system.tracer)
+    records = export_jsonl(jsonl_path, system.tracer)
     with open(prom_path, "w") as handle:
         handle.write(to_prometheus_text(registry))
 
@@ -427,7 +426,7 @@ def _cmd_storage(args) -> int:
 
     with run_directory(args.dir, prefix="repro-storage-") as directory:
         result = run_differential(seed=args.seed, storage_dir=directory,
-                                  backend=args.backend, steps=args.steps)
+                                  steps=args.steps)
     encoded = canonical_json(result)
     print(encoded)
     if args.out:
@@ -497,7 +496,6 @@ def _cmd_fleet_processes(args) -> int:
     result = run_proc_differential(
         seed=args.seed, processes=args.processes,
         transactions=transactions, run_dir=args.run_dir, host=args.host,
-        storage_backend=args.storage_backend,
         crypto_backend=args.crypto_backend, time_scale=args.time_scale,
         crash=not args.no_crash)
 

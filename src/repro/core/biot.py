@@ -75,12 +75,12 @@ class BIoTConfig:
             hot paths at zero measurable overhead.
         storage_backend: durable store behind each full node —
             ``"memory"`` (default; identical to the pre-storage
-            behaviour), ``"file"`` (append-only JSONL log) or
-            ``"sqlite"``.  Durable backends journal every attached
-            transaction and enable crash/restart recovery from disk.
-        storage_dir: directory the durable backends lay per-node
-            stores under; required when *storage_backend* is not
-            ``"memory"``, and must be empty for a fresh deployment
+            behaviour) or ``"file"`` (append-only JSONL log, which
+            journals every attached transaction and enables
+            crash/restart recovery from disk).
+        storage_dir: directory the file backend lays per-node stores
+            under; required when *storage_backend* is ``"file"``, and
+            must be empty for a fresh deployment
             (restores go through :meth:`~repro.nodes.full_node.
             FullNode.cold_restore`, never through ``build``).
         crypto_backend: Ed25519 implementation every full node verifies
@@ -144,10 +144,10 @@ class BIoTConfig:
         for sensor_type in self.sensor_cycle:
             if sensor_type not in SENSOR_TYPES:
                 raise ValueError(f"unknown sensor type {sensor_type!r}")
-        if self.storage_backend not in ("memory", "file", "sqlite"):
+        if self.storage_backend not in ("memory", "file"):
             raise ValueError(
                 f"unknown storage backend {self.storage_backend!r} "
-                f"(known: memory, file, sqlite)")
+                f"(known: memory, file)")
         from ..crypto.accel import CRYPTO_BACKENDS
         if self.crypto_backend not in CRYPTO_BACKENDS:
             raise ValueError(
@@ -201,7 +201,35 @@ class BIoTSystem:
 
         On ``transport="asyncio"`` this also creates the deployment's
         event loop and binds every node's listener, so what it returns
-        is dialable; :meth:`close` gives all of it back."""
+        is dialable; :meth:`close` gives all of it back.  If building
+        fails part-way, what was already opened is given back the same
+        way before the error propagates."""
+        on_tcp = config.transport == "asyncio"
+        scheduler = (AsyncioScheduler(time_scale=config.time_scale,
+                                      loop=asyncio.new_event_loop())
+                     if on_tcp else EventScheduler())
+        runners: List[NodeRunner] = []
+        stores: list = []
+        crypto_pool = None
+        try:
+            # One worker pool for the whole deployment (or none):
+            # pooling at node level would fork per node and, worse,
+            # tempt event handlers into non-deterministic completion
+            # ordering.
+            if config.pow_workers > 0:
+                from ..crypto.accel import CryptoPool
+                crypto_pool = CryptoPool(config.pow_workers)
+            return cls._assemble(config, scheduler, crypto_pool,
+                                 runners, stores)
+        except BaseException:
+            _release(scheduler, runners, stores, crypto_pool)
+            raise
+
+    @classmethod
+    def _assemble(cls, config: BIoTConfig, scheduler, crypto_pool,
+                  runners: List[NodeRunner], stores: list) -> "BIoTSystem":
+        """The body of :meth:`build`: every node runner and store it
+        creates goes into *runners* / *stores* as soon as it exists."""
         # Imported here (not at module top) because the node classes
         # themselves import repro.core — a lazy import breaks the cycle.
         from ..nodes.full_node import FullNode
@@ -209,12 +237,8 @@ class BIoTSystem:
         from ..nodes.manager import ManagerNode
 
         master = random.Random(config.seed)
-        on_tcp = config.transport == "asyncio"
-        scheduler = (AsyncioScheduler(time_scale=config.time_scale,
-                                      loop=asyncio.new_event_loop())
-                     if on_tcp else EventScheduler())
         if config.telemetry:
-            telemetry = MetricsRegistry(scheduler.clock)
+            telemetry = MetricsRegistry()
             tracer = Tracer(scheduler.clock)
             lifecycle = LifecycleTracker(
                 scheduler.clock, tracer=tracer, registry=telemetry,
@@ -228,6 +252,7 @@ class BIoTSystem:
             telemetry = NULL_REGISTRY
             tracer = NULL_TRACER
             lifecycle = NULL_LIFECYCLE
+        on_tcp = isinstance(scheduler, AsyncioScheduler)
         network = None if on_tcp else Network(
             scheduler,
             rng=random.Random(master.randrange(2 ** 63)),
@@ -235,7 +260,6 @@ class BIoTSystem:
             tracer=tracer,
         )
         directory: Dict[str, Tuple[str, int]] = {}
-        runners: List[NodeRunner] = []
 
         def attach(node) -> None:
             """Sim: join the shared Network.  TCP: the node gets its own
@@ -265,14 +289,6 @@ class BIoTSystem:
 
         verification_cache = VerificationCache(telemetry=telemetry)
         decode_cache = TransactionDecodeCache(telemetry=telemetry)
-
-        # One worker pool for the whole deployment (or none): pooling
-        # at node level would fork per node and, worse, tempt event
-        # handlers into non-deterministic completion ordering.
-        crypto_pool = None
-        if config.pow_workers > 0:
-            from ..crypto.accel import CryptoPool
-            crypto_pool = CryptoPool(config.pow_workers)
 
         manager_keys = KeyPair.generate(seed=f"manager:{config.seed}".encode())
         device_keys = {
@@ -354,6 +370,7 @@ class BIoTSystem:
                 store = open_store(config.storage_backend,
                                    config.storage_dir, node=node.address,
                                    telemetry=telemetry)
+                stores.append(store)
                 if len(store):
                     raise StorageError(
                         f"storage_dir already holds a log for "
@@ -470,24 +487,10 @@ class BIoTSystem:
         if self.closed:
             return
         self.closed = True
-        if self.runners:
-            loop = self.scheduler.loop
-            for runner in reversed(self.runners):
-                loop.run_until_complete(runner.stop())
-            self.scheduler.cancel_all()
-            lingering = asyncio.all_tasks(loop)
-            for task in lingering:
-                task.cancel()
-            if lingering:
-                loop.run_until_complete(
-                    asyncio.gather(*lingering, return_exceptions=True))
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-        for node in self.full_nodes:
-            if node.persistence is not None:
-                node.persistence.store.close()
-        if self.crypto_pool is not None:
-            self.crypto_pool.close()
+        _release(self.scheduler, self.runners,
+                 [node.persistence.store for node in self.full_nodes
+                  if node.persistence is not None],
+                 self.crypto_pool)
 
     # -- reporting -------------------------------------------------------
 
@@ -516,3 +519,26 @@ class BIoTSystem:
         if self.telemetry.enabled:
             summary["metrics"] = self.telemetry.snapshot()
         return summary
+
+
+def _release(scheduler, runners: List[NodeRunner], stores: list,
+             crypto_pool) -> None:
+    """Stop the runners and close the deployment's loop, then the
+    stores, then the worker pool (see :meth:`BIoTSystem.close`)."""
+    if isinstance(scheduler, AsyncioScheduler):
+        loop = scheduler.loop
+        for runner in reversed(runners):
+            loop.run_until_complete(runner.stop())
+        scheduler.cancel_all()
+        lingering = asyncio.all_tasks(loop)
+        for task in lingering:
+            task.cancel()
+        if lingering:
+            loop.run_until_complete(
+                asyncio.gather(*lingering, return_exceptions=True))
+        loop.run_until_complete(loop.shutdown_asyncgens())
+        loop.close()
+    for store in stores:
+        store.close()
+    if crypto_pool is not None:
+        crypto_pool.close()

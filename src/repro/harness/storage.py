@@ -9,7 +9,7 @@ at every kill and at the end of the run; a final "cold" node rebuilt
 from a reopened store on a brand-new process boundary closes the loop.
 
 Everything in the returned result dict is a pure function of
-``(seed, backend, steps, kills, checkpoints)`` — no paths, no wall
+``(seed, steps, kills, checkpoints)`` — no paths, no wall
 clock — so CI can run the harness twice and byte-diff the JSON, the
 same determinism gate the chaos reports already pass.
 """
@@ -32,8 +32,7 @@ from .workload import WorkloadBuilder
 __all__ = ["run_differential"]
 
 
-def run_differential(*, seed: int, storage_dir: str,
-                     backend: str = "file", steps: int = 60,
+def run_differential(*, seed: int, storage_dir: str, steps: int = 60,
                      kills: int = 3, checkpoints: int = 3) -> Dict:
     """Run the crash/restart differential; returns a deterministic dict.
 
@@ -61,7 +60,7 @@ def run_differential(*, seed: int, storage_dir: str,
     # No peering: the two replicas see the workload only through
     # ``ingest_local``, so gossip cannot paper over a bad restore.
 
-    store = open_store(backend, storage_dir, node="durable")
+    store = open_store("file", storage_dir, node="durable")
     persistence = NodePersistence(store)
     durable.attach_persistence(persistence)
 
@@ -174,7 +173,7 @@ def run_differential(*, seed: int, storage_dir: str,
     final_restarted = node_state_hashes(durable, credit_now=now)
     store.close()
 
-    reopened = open_store(backend, storage_dir, node="durable")
+    reopened = open_store("file", storage_dir, node="durable")
     restore = NodePersistence(reopened).load()
     cold = build_node("cold", genesis, rng_seed=2)
     if restore.snapshot is not None:
@@ -192,7 +191,7 @@ def run_differential(*, seed: int, storage_dir: str,
                and final_reference == final_restarted == final_cold)
     return {
         "seed": seed,
-        "backend": backend,
+        "backend": store.backend,
         "steps": steps,
         "kill_points": kill_points,
         "checkpoint_points": checkpoint_points,

@@ -61,7 +61,7 @@ RESYNC_ACK_KIND = "fleet_resync_ack"
 SHUTDOWN_KIND = "fleet_shutdown"
 SHUTDOWN_ACK_KIND = "fleet_shutdown_ack"
 
-_STORAGE_BACKENDS = ("none", "memory", "file", "sqlite")
+_STORAGE_BACKENDS = ("none", "file")
 
 
 @dataclass
@@ -71,6 +71,11 @@ class NodeProcessSpec:
     ``rng_seed`` matters for hash-equivalence: the harness's
     in-process fleet builds node ``n{i}`` with ``random.Random(i)``, so
     a process standing in for ``n{i}`` must carry the same seed.
+
+    ``storage_backend`` is ``"none"`` (no journal) or ``"file"`` (a
+    journal under ``storage_dir`` that the same command line restores
+    from after a crash); an in-memory journal dies with the process, so
+    it could never be restored from and is not offered.
     """
 
     address: str
@@ -91,8 +96,7 @@ class NodeProcessSpec:
             raise ValueError(
                 f"unknown storage backend {self.storage_backend!r} "
                 f"(known: {', '.join(_STORAGE_BACKENDS)})")
-        if self.storage_backend in ("file", "sqlite") \
-                and not self.storage_dir:
+        if self.storage_backend == "file" and not self.storage_dir:
             raise ValueError(
                 f"storage backend {self.storage_backend!r} needs "
                 f"--storage-dir")
@@ -197,9 +201,7 @@ async def _serve_metrics(registry, host: str,
 async def _amain(spec: NodeProcessSpec, *, ready_stream) -> int:
     from ..faults.report import node_state_hashes
 
-    # Only the Prometheus page reads this registry: an event log here
-    # would grow with every frame and have no reader.
-    registry = MetricsRegistry(record_events=False)
+    registry = MetricsRegistry()
     genesis = _load_genesis(spec.genesis_path)
     node = build_node(spec.address, genesis, rng_seed=spec.rng_seed,
                       crypto_backend=spec.crypto_backend, telemetry=registry)

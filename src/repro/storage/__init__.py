@@ -4,7 +4,7 @@ Layering (lowest first):
 
 * :mod:`repro.storage.errors` — exception hierarchy, dependency-free;
 * :mod:`repro.storage.store` — the :class:`Store` protocol with
-  in-memory, JSONL-file and SQLite backends, all hash-chain verified;
+  in-memory and JSONL-file backends, both hash-chain verified;
 * :mod:`repro.storage.checkpoint` — hash-chained
   :class:`EpochSnapshot` checkpoints over full-node state;
 * :mod:`repro.storage.persistence` — :class:`NodePersistence`, the
@@ -22,7 +22,6 @@ from .store import (
     FileStore,
     LogRecord,
     MemoryStore,
-    SQLiteStore,
     Store,
     canonical_json,
     open_store,
@@ -35,7 +34,6 @@ __all__ = [
     "Store",
     "MemoryStore",
     "FileStore",
-    "SQLiteStore",
     "open_store",
     "EpochSnapshot",
     "NodePersistence",

@@ -9,19 +9,17 @@ sha256-hashed over its canonical JSON body and linked to its
 predecessor through ``prev_hash`` — the `ConvergenceReport` hashing
 idiom (sorted keys, minimal separators) applied to the write path.
 
-Three interchangeable backends:
+Two interchangeable backends:
 
 * :class:`MemoryStore` — the default; keeps the log in a Python list.
   Zero behaviour change for existing deployments, and the unit-test
-  double for the durable backends.
+  double for the durable backend.
 * :class:`FileStore` — append-only JSONL, one canonical record per
   line.  The whole chain is re-verified on open; any single-byte
   corruption (including whitespace and framing damage) is refused with
   :class:`~repro.storage.errors.StorageCorruptionError`.
-* :class:`SQLiteStore` — the same records in a stdlib ``sqlite3``
-  table, for deployments that want indexed access.
 
-Reads stay in-process: every backend keeps a verified in-memory mirror
+Reads stay in-process: both backends keep a verified in-memory mirror
 of the log, so the hot path never touches disk — writes stream out,
 reads are list lookups.
 """
@@ -31,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sqlite3
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -45,7 +42,6 @@ __all__ = [
     "Store",
     "MemoryStore",
     "FileStore",
-    "SQLiteStore",
     "open_store",
 ]
 
@@ -265,7 +261,7 @@ class MemoryStore(Store):
     """The in-memory backend: the list mirror *is* the storage.
 
     Default for every deployment (zero behaviour change, zero I/O) and
-    the reference double the durable backends are tested against.
+    the reference double the durable backend is tested against.
     """
 
     backend = "memory"
@@ -347,77 +343,12 @@ class FileStore(Store):
         self._handle.close()
 
 
-class SQLiteStore(Store):
-    """The same hash-chained log in a stdlib ``sqlite3`` table.
-
-    ``data`` is stored as canonical JSON text; the full chain is
-    re-verified on open exactly like the file backend, so row-level
-    tampering and file-level corruption are both refused at load.
-    """
-
-    backend = "sqlite"
-
-    def __init__(self, path: str, *, telemetry=None):
-        super().__init__(telemetry=telemetry)
-        self.path = path
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        try:
-            self._conn = sqlite3.connect(path)
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS log ("
-                " seq INTEGER PRIMARY KEY,"
-                " kind TEXT NOT NULL,"
-                " data TEXT NOT NULL,"
-                " prev_hash TEXT NOT NULL,"
-                " hash TEXT NOT NULL)")
-            rows = self._conn.execute(
-                "SELECT seq, kind, data, prev_hash, hash"
-                " FROM log ORDER BY seq").fetchall()
-        except sqlite3.DatabaseError as exc:
-            raise StorageCorruptionError(
-                f"{path}: unreadable SQLite store ({exc})") from exc
-        records: List[LogRecord] = []
-        for seq, kind, data_text, prev_hash, hash_hex in rows:
-            try:
-                data = json.loads(data_text)
-            except (TypeError, ValueError) as exc:
-                raise StorageCorruptionError(
-                    f"{path}: record {seq} payload is not valid JSON "
-                    f"({exc})") from exc
-            records.append(LogRecord.from_fields(
-                {"seq": seq, "kind": kind, "data": data,
-                 "prev_hash": prev_hash, "hash": hash_hex},
-                context=f"{path}:seq {seq}"))
-        self._adopt(records, context=path)
-
-    def _write(self, record: LogRecord) -> None:
-        self._conn.execute(
-            "INSERT INTO log (seq, kind, data, prev_hash, hash)"
-            " VALUES (?, ?, ?, ?, ?)",
-            (record.seq, record.kind, canonical_json(record.data),
-             record.prev_hash, record.hash))
-
-    def _flush(self) -> None:
-        self._conn.commit()
-
-    def _prune_persisted(self, seq: int) -> None:
-        self._conn.execute("DELETE FROM log WHERE seq < ?", (seq,))
-        self._conn.commit()
-
-    def close(self) -> None:
-        self._conn.commit()
-        self._conn.close()
-
-
 def open_store(backend: str, directory: Optional[str] = None, *,
                node: str = "node", telemetry=None) -> Store:
     """Open the store for *node* under *directory* (per-node subdir).
 
-    ``memory`` ignores the directory; the durable backends require one
-    and lay their log at ``<directory>/<node>/log.jsonl`` (file) or
-    ``<directory>/<node>/store.db`` (sqlite).
+    ``memory`` ignores the directory; ``file`` requires one and lays
+    its log at ``<directory>/<node>/log.jsonl``.
     """
     if backend == "memory":
         return MemoryStore(telemetry=telemetry)
@@ -427,8 +358,5 @@ def open_store(backend: str, directory: Optional[str] = None, *,
     if backend == "file":
         return FileStore(os.path.join(directory, node, "log.jsonl"),
                          telemetry=telemetry)
-    if backend == "sqlite":
-        return SQLiteStore(os.path.join(directory, node, "store.db"),
-                           telemetry=telemetry)
     raise StorageError(f"unknown storage backend {backend!r} "
-                       f"(known: memory, file, sqlite)")
+                       f"(known: memory, file)")

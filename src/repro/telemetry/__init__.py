@@ -28,14 +28,12 @@ from .registry import (
     Counter,
     Gauge,
     Histogram,
-    MetricEvent,
     MetricsRegistry,
     NULL_REGISTRY,
     NullRegistry,
     bucket_quantile,
     coerce_registry,
 )
-from .series import TimeSeries
 from .tracer import (
     NULL_TRACER,
     NullTracer,
@@ -72,7 +70,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LifecycleTracker",
-    "MetricEvent",
     "MetricsRegistry",
     "NULL_LIFECYCLE",
     "NULL_REGISTRY",
@@ -82,7 +79,6 @@ __all__ = [
     "NullTracer",
     "Span",
     "StageEvent",
-    "TimeSeries",
     "TraceContext",
     "Tracer",
     "TxLifecycle",

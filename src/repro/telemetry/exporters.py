@@ -1,10 +1,9 @@
-"""Telemetry exporters: JSONL event stream, Prometheus text, summary.
+"""Telemetry exporters: JSONL span stream, Prometheus text, summary.
 
 Three consumers, three formats:
 
-* :func:`export_jsonl` — the full story: every metric observation and
-  every finished span as one JSON object per line, in time order.
-  This is the artifact CI uploads and offline analysis replays.
+* :func:`export_jsonl` — every finished span as one JSON object per
+  line, in simulated-time order: the artifact CI uploads.
 * :func:`to_prometheus_text` — the standard text exposition format
   (``# HELP`` / ``# TYPE`` / samples, cumulative histogram buckets),
   so the registry's final state drops into any Prometheus tooling.
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Iterable, List, Optional, Tuple, Union
+from typing import IO, Iterable, List, Tuple, Union
 
 from .registry import (QUANTILES, Counter, Gauge, Histogram,
                        MetricsRegistry, bucket_quantile)
@@ -40,52 +39,24 @@ def _format_value(value: float) -> str:
 
 # -- JSONL ------------------------------------------------------------------
 
-def export_jsonl(sink: Union[str, IO[str]],
-                 registry: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None) -> int:
-    """Write metric events and finished spans to *sink* (a path or an
-    open text file) as JSON Lines, sorted by simulated time; returns
-    the number of lines written."""
-    records: List[Tuple[float, int, dict]] = []
-    order = 0
-    if registry is not None and getattr(registry, "events", None):
-        for event in registry.events:
-            records.append((event.time, order, {
-                "type": "metric",
-                "t": event.time,
-                "name": event.name,
-                "labels": dict(event.labels),
-                "value": event.value,
-            }))
-            order += 1
-    if tracer is not None:
-        for span in tracer.finished():
-            records.append((span.start, order, {
-                "type": "span",
-                "t": span.start,
-                "name": span.name,
-                "span_id": span.span_id,
-                "parent_id": span.parent_id,
-                "start": span.start,
-                "end": span.end,
-                "duration": span.duration,
-                "attributes": span.attributes,
-            }))
-            order += 1
-    records.sort(key=lambda r: (r[0], r[1]))
-    if registry is not None:
-        # Trailing meta record: how much of the story the event log
-        # actually holds (the log is bounded; overflow drops the
-        # oldest half into `events_dropped`).
-        records.append((math.inf, order, {
-            "type": "meta",
-            "t": registry.now(),
-            "events_recorded": len(registry.events),
-            "events_dropped": registry.events_dropped,
-        }))
+def export_jsonl(sink: Union[str, IO[str]], tracer: Tracer) -> int:
+    """Write *tracer*'s finished spans to *sink* (a path or an open text
+    file) as JSON Lines, sorted by simulated start time; returns the
+    number of lines written."""
+    records = [{
+        "type": "span",
+        "t": span.start,
+        "name": span.name,
+        "span_id": span.span_id,
+        "parent_id": span.parent_id,
+        "start": span.start,
+        "end": span.end,
+        "duration": span.duration,
+        "attributes": span.attributes,
+    } for span in sorted(tracer.finished(), key=lambda span: span.start)]
 
     def write_all(handle: IO[str]) -> int:
-        for _, _, record in records:
+        for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
         return len(records)
 
@@ -152,11 +123,6 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
                             f"{_label_str(sorted(ql.items()))} "
                             f"{_format_value(estimate)}"
                         )
-    lines.append("# HELP repro_telemetry_events_dropped_total "
-                 "Metric events discarded by the bounded event log")
-    lines.append("# TYPE repro_telemetry_events_dropped_total counter")
-    lines.append(f"repro_telemetry_events_dropped_total "
-                 f"{registry.events_dropped}")
     return "\n".join(lines) + "\n"
 
 
@@ -164,8 +130,10 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
 
 def render_summary(registry: MetricsRegistry) -> str:
     """One row per instrument: kind, observation count, headline value."""
-    # Imported here: analysis.metrics builds on telemetry.series, so a
-    # module-level import would be circular during package init.
+    # Imported here: the repro.analysis package init loads
+    # analysis.energy, whose import of repro.nodes reaches
+    # network.proc, which imports this module — a module-level import
+    # would be circular during package init.
     from ..analysis.metrics import format_table
 
     rows = []
@@ -186,7 +154,4 @@ def render_summary(registry: MetricsRegistry) -> str:
             total = sum(series.values())
             headline = f"total={total:.6g} series={len(series)}"
         rows.append((inst.name, inst.kind, observations, headline))
-    table = format_table(rows, headers=["metric", "kind", "series", "value"])
-    return (f"{table}\n"
-            f"event log: {len(registry.events)} recorded, "
-            f"{registry.events_dropped} dropped")
+    return format_table(rows, headers=["metric", "kind", "series", "value"])

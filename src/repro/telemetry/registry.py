@@ -2,10 +2,9 @@
 
 One :class:`MetricsRegistry` serves a whole deployment.  Subsystems ask
 it for named instruments once (at construction time) and then drive
-them on their hot paths; the registry keeps one series per label set
-and — when event recording is on — an append-only event log whose
-timestamps come from the *simulation* clock, never the wall clock, so
-telemetry is as deterministic as the experiment it observes.
+them on their hot paths; the registry keeps one aggregated series per
+label set and nothing per observation, so its memory is bounded by the
+series it holds, not by the traffic it counts.
 
 Metric names follow the ``repro_<subsystem>_<name>`` scheme (see
 ``docs/TELEMETRY.md``); the registry enforces the character set and
@@ -23,13 +22,12 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "MetricEvent",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
@@ -77,34 +75,19 @@ def _label_key(labels: Dict[str, str]) -> LabelSet:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-@dataclass(frozen=True)
-class MetricEvent:
-    """One observation, as recorded in the event log (JSONL source)."""
-
-    time: float
-    name: str
-    labels: LabelSet
-    value: float
-
-
 class Instrument:
     """Base class: a named metric with one series per label set."""
 
     kind = "untyped"
 
-    def __init__(self, registry: "MetricsRegistry", name: str, help: str):
-        self._registry = registry
+    def __init__(self, name: str, help: str):
         self.name = name
         self.help = help
         self.observed = False
 
-    def _record(self, value: float, labels: Dict[str, str]) -> LabelSet:
+    def _record(self, labels: Dict[str, str]) -> LabelSet:
         self.observed = True
-        key = _label_key(labels) if labels else ()
-        registry = self._registry
-        if registry.record_events:
-            registry._log_event(self.name, value, key)
-        return key
+        return _label_key(labels) if labels else ()
 
     def series(self) -> Dict[LabelSet, object]:
         """Label set -> current value (shape depends on the kind)."""
@@ -116,14 +99,14 @@ class Counter(Instrument):
 
     kind = "counter"
 
-    def __init__(self, registry, name, help):
-        super().__init__(registry, name, help)
+    def __init__(self, name, help):
+        super().__init__(name, help)
         self._values: Dict[LabelSet, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        key = self._record(amount, labels)
+        key = self._record(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels: str) -> float:
@@ -143,16 +126,16 @@ class Gauge(Instrument):
 
     kind = "gauge"
 
-    def __init__(self, registry, name, help):
-        super().__init__(registry, name, help)
+    def __init__(self, name, help):
+        super().__init__(name, help)
         self._values: Dict[LabelSet, float] = {}
 
     def set(self, value: float, **labels: str) -> None:
-        key = self._record(value, labels)
+        key = self._record(labels)
         self._values[key] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = self._record(amount, labels)
+        key = self._record(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
     def dec(self, amount: float = 1.0, **labels: str) -> None:
@@ -213,9 +196,9 @@ class Histogram(Instrument):
 
     kind = "histogram"
 
-    def __init__(self, registry, name, help,
+    def __init__(self, name, help,
                  buckets: Sequence[float] = SECONDS_BUCKETS):
-        super().__init__(registry, name, help)
+        super().__init__(name, help)
         edges = tuple(float(b) for b in buckets)
         if not edges:
             raise ValueError("histogram needs at least one bucket edge")
@@ -225,7 +208,7 @@ class Histogram(Instrument):
         self._series: Dict[LabelSet, HistogramSeries] = {}
 
     def observe(self, value: float, **labels: str) -> None:
-        key = self._record(value, labels)
+        key = self._record(labels)
         series = self._series.get(key)
         if series is None:
             series = HistogramSeries(bucket_counts=[0] * (len(self.buckets) + 1))
@@ -269,36 +252,11 @@ class Histogram(Instrument):
 
 
 class MetricsRegistry:
-    """Creates and owns instruments; the single telemetry sink.
-
-    Args:
-        clock: time source for the event log — a callable returning
-            seconds, or anything with a ``now()`` method (e.g. a
-            :class:`~repro.devices.clock.SimulatedClock`).  Defaults to
-            a frozen zero clock, which keeps standalone registries (unit
-            tests, adapters) deterministic.
-        record_events: append every observation to :attr:`events` for
-            the JSONL exporter.  Aggregated series are always kept.
-        max_events: event-log bound; the oldest half is dropped on
-            overflow (``events_dropped`` counts what was lost).
-    """
+    """Creates and owns instruments; the single telemetry sink."""
 
     enabled = True
 
-    def __init__(self, clock: object = None, *, record_events: bool = True,
-                 max_events: int = 200_000):
-        if clock is None:
-            self._time_fn: Callable[[], float] = lambda: 0.0
-        elif callable(clock):
-            self._time_fn = clock
-        else:
-            self._time_fn = clock.now
-        if max_events < 2:
-            raise ValueError("max_events must be >= 2")
-        self.record_events = record_events
-        self.max_events = max_events
-        self.events: List[MetricEvent] = []
-        self.events_dropped = 0
+    def __init__(self):
         self._instruments: Dict[str, Instrument] = {}
 
     # -- instrument creation ---------------------------------------------
@@ -315,7 +273,7 @@ class MetricsRegistry:
                     f"{name} already registered as a {existing.kind}"
                 )
             return existing
-        instrument = cls(self, name, help, **kwargs)
+        instrument = cls(name, help, **kwargs)
         self._instruments[name] = instrument
         return instrument
 
@@ -329,19 +287,6 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "",
                   buckets: Sequence[float] = SECONDS_BUCKETS) -> Histogram:
         return self._register(Histogram, name, help, buckets=buckets)
-
-    # -- event log --------------------------------------------------------
-
-    def _log_event(self, name: str, value: float, key: LabelSet) -> None:
-        if len(self.events) >= self.max_events:
-            dropped = len(self.events) // 2
-            self.events = self.events[dropped:]
-            self.events_dropped += dropped
-        self.events.append(MetricEvent(self._time_fn(), name, key, value))
-
-    def now(self) -> float:
-        """The registry's current (simulated) time."""
-        return self._time_fn()
 
     # -- introspection ----------------------------------------------------
 
@@ -435,9 +380,6 @@ class NullRegistry:
     """
 
     enabled = False
-    events: List[MetricEvent] = []
-    events_dropped = 0
-    record_events = False
 
     def counter(self, name: str, help: str = "") -> _NullInstrument:
         return _NULL_INSTRUMENT
@@ -460,9 +402,6 @@ class NullRegistry:
 
     def snapshot(self) -> Dict[str, object]:
         return {}
-
-    def now(self) -> float:
-        return 0.0
 
 
 NULL_REGISTRY = NullRegistry()

@@ -324,5 +324,5 @@ def _scratch_histogram() -> Histogram:
     """A registry-less histogram for report-time quantile estimation."""
     from .registry import MetricsRegistry
 
-    scratch = MetricsRegistry(record_events=False)
+    scratch = MetricsRegistry()
     return scratch.histogram("repro_scratch_seconds", "report scratch")

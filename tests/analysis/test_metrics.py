@@ -4,43 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.metrics import (
-    ThroughputMeter,
     format_series,
     format_table,
     summary_stats,
 )
-
-
-class TestThroughputMeter:
-    def test_tps_basic(self):
-        meter = ThroughputMeter()
-        for t in (0.5, 1.0, 1.5, 9.0):
-            meter.record(t)
-        assert meter.tps(start=0.0, end=10.0) == pytest.approx(0.4)
-        assert meter.count == 4
-
-    def test_tps_window_bounds_inclusive(self):
-        meter = ThroughputMeter()
-        meter.record(1.0)
-        meter.record(2.0)
-        assert meter.tps(start=1.0, end=2.0) == pytest.approx(2.0)
-
-    def test_tps_invalid_window(self):
-        with pytest.raises(ValueError):
-            ThroughputMeter().tps(start=2.0, end=1.0)
-
-    def test_windowed_tps_series(self):
-        meter = ThroughputMeter()
-        for t in (0.5, 1.5, 2.5, 3.5):
-            meter.record(t)
-        series = meter.windowed_tps(start=0.0, end=4.0, window=2.0)
-        assert len(series) == 2
-        assert series[0] == (2.0, pytest.approx(1.0))
-        assert series[1] == (4.0, pytest.approx(1.0))
-
-    def test_windowed_tps_validates_window(self):
-        with pytest.raises(ValueError):
-            ThroughputMeter().windowed_tps(start=0.0, end=1.0, window=0.0)
 
 
 class TestSummaryStats:

@@ -3,7 +3,9 @@ crashed gateway from its store (never silently regenerate genesis
 state), recover as fast as the in-memory baseline, and stay
 byte-deterministic."""
 
-import sqlite3
+import asyncio
+import gc
+import warnings
 
 import pytest
 
@@ -76,31 +78,97 @@ class TestColdRestoreFromDeployment:
         config = BIoTConfig(gateway_count=1, device_count=1, seed=7,
                             storage_backend="file",
                             storage_dir=str(tmp_path))
-        BIoTSystem.build(config)
+        BIoTSystem.build(config).close()
         with pytest.raises(StorageError, match="empty storage_dir"):
             BIoTSystem.build(config)
 
-    @pytest.mark.parametrize("backend", ["file", "sqlite"])
-    def test_close_releases_the_stores_build_opened(self, tmp_path, backend):
+    @pytest.mark.parametrize("transport", ["sim", "asyncio"])
+    def test_failed_build_releases_what_it_opened(self, tmp_path,
+                                                  monkeypatch, transport):
+        """A build that raises part-way (here: the second full node's
+        store is already populated) gives back the store and the event
+        loop it had already opened, exactly as ``close`` would."""
+        config = BIoTConfig(gateway_count=1, device_count=1, seed=7,
+                            storage_backend="file",
+                            storage_dir=str(tmp_path),
+                            transport=transport, time_scale=20.0)
+        BIoTSystem.build(config).close()
+        (tmp_path / "manager" / "log.jsonl").unlink()
+        loops = []
+        new_event_loop = asyncio.new_event_loop
+
+        def spy():
+            loops.append(new_event_loop())
+            return loops[-1]
+
+        monkeypatch.setattr(asyncio, "new_event_loop", spy)
+        gc.collect()  # what earlier tests left is not this build's
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(StorageError, match="empty storage_dir"):
+                BIoTSystem.build(config)
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
+        assert all(loop.is_closed() for loop in loops)
+        assert len(loops) == (transport == "asyncio")
+
+    @pytest.mark.parametrize("transport", ["sim", "asyncio"])
+    def test_failed_build_releases_its_worker_pool(self, tmp_path,
+                                                   monkeypatch, transport):
+        """The crypto worker pool is created before any store is
+        opened, so a build that fails on a store hands it back too."""
+        import repro.crypto.accel as accel
+
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, workers):
+                self.closed = False
+                pools.append(self)
+
+            def close(self):
+                self.closed = True
+
+        monkeypatch.setattr(accel, "CryptoPool", RecordingPool)
+        config = BIoTConfig(gateway_count=1, device_count=1, seed=7,
+                            storage_backend="file",
+                            storage_dir=str(tmp_path), pow_workers=1,
+                            transport=transport, time_scale=20.0)
+        BIoTSystem.build(config).close()
+        (tmp_path / "manager" / "log.jsonl").unlink()
+        with pytest.raises(StorageError, match="empty storage_dir"):
+            BIoTSystem.build(config)
+        assert len(pools) == 2
+        assert all(pool.closed for pool in pools)
+
+    def test_close_releases_the_stores_build_opened(self, tmp_path):
         """``build`` opens one store per full node; ``close`` must hand
-        every file handle / connection back instead of leaving them to
-        the garbage collector."""
+        every file handle back instead of leaving them to the garbage
+        collector."""
         system = BIoTSystem.build(BIoTConfig(
             gateway_count=1, device_count=1, seed=7,
-            storage_backend=backend, storage_dir=str(tmp_path)))
+            storage_backend="file", storage_dir=str(tmp_path)))
         system.initialize()
         stores = [node.persistence.store for node in system.full_nodes]
         assert all(len(store) > 0 for store in stores)
         system.close()
         for store in stores:
-            with pytest.raises((ValueError, sqlite3.ProgrammingError)):
-                store.flush()  # closed handle / closed connection
+            with pytest.raises(ValueError):
+                store.flush()  # closed handle
         system.close()  # idempotent: a second close is a no-op
 
     def test_durable_backend_requires_dir(self):
         with pytest.raises(StorageError, match="storage_dir"):
-            BIoTSystem.build(BIoTConfig(storage_backend="sqlite"))
+            BIoTSystem.build(BIoTConfig(storage_backend="file"))
 
     def test_unknown_backend_refused(self):
         with pytest.raises(ValueError, match="unknown storage backend"):
             BIoTConfig(storage_backend="papyrus")
+
+    @pytest.mark.parametrize("backend", ["sqlite", "none"])
+    def test_only_memory_and_file_configurable(self, backend):
+        """A deployment keeps its stores in memory or in files; the
+        node-process ``none`` is not a deployment backend."""
+        with pytest.raises(ValueError, match="known: memory, file"):
+            BIoTConfig(storage_backend=backend)

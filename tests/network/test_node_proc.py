@@ -77,10 +77,28 @@ class TestSpec:
             index = argv.index(flag)
             assert argv[index + 1] == value
 
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_journals_only_where_a_restart_can_read(self, backend, tmp_path):
+        with pytest.raises(ValueError, match="known: none, file"):
+            NodeProcessSpec(address="n0", genesis_path="g",
+                            storage_backend=backend,
+                            storage_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("backend", ["none", "file"])
+    def test_argv_carries_the_storage_backend(self, backend, tmp_path):
+        spec = NodeProcessSpec(address="n0", genesis_path="g",
+                               storage_backend=backend,
+                               storage_dir=str(tmp_path))
+        argv = spec.to_argv()
+        assert argv[argv.index("--storage-backend") + 1] == backend
+
     def test_rejects_bad_configurations(self):
         with pytest.raises(ValueError):
             NodeProcessSpec(address="n0", genesis_path="g",
                             storage_backend="papyrus")
+        with pytest.raises(ValueError):  # a journal no restart can read
+            NodeProcessSpec(address="n0", genesis_path="g",
+                            storage_backend="memory")
         with pytest.raises(ValueError):
             NodeProcessSpec(address="n0", genesis_path="g",
                             storage_backend="file")  # no storage_dir

@@ -51,7 +51,7 @@ def test_admission_cost_does_not_grow_with_the_tangle():
     # pre-confirmed (as benchmarks/e2e/e2e_stream.py does for its
     # reference), so none is signed, ground or verified.
     verified = VerificationCache(max_size=2 * SUBMITS)
-    telemetry = MetricsRegistry(record_events=False)
+    telemetry = MetricsRegistry()
     scheduler = EventScheduler()
     network = Network(scheduler, rng=random.Random(1))
     node = FullNode(

@@ -1,7 +1,7 @@
 """The crash/restart differential: a node restored from its durable
 store must be byte-identical (tangle/ledger/ACL/credit hashes) to a
-reference node that never crashed — for multiple seeds, randomized kill
-points, and both durable backends."""
+reference node that never crashed — for multiple seeds and randomized
+kill points."""
 
 import json
 
@@ -15,8 +15,7 @@ SEEDS = [7, 19]
 class TestDifferentialGreen:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_restored_node_matches_reference(self, tmp_path, seed):
-        result = run_differential(seed=seed, storage_dir=str(tmp_path),
-                                  backend="file")
+        result = run_differential(seed=seed, storage_dir=str(tmp_path))
         assert result["matched"], result
         assert not result["divergences"]
         # The acceptance criterion: >= 3 randomized kill points, each
@@ -29,29 +28,11 @@ class TestDifferentialGreen:
         assert final["reference"] == final["restarted"] \
             == final["cold"]["hashes"]
 
-    def test_sqlite_backend_green(self, tmp_path):
-        result = run_differential(seed=SEEDS[0], storage_dir=str(tmp_path),
-                                  backend="sqlite")
-        assert result["matched"], result
-
-    def test_backends_agree_exactly(self, tmp_path):
-        """The two durable backends hold the same hash-chained records,
-        so the whole differential result — kill hashes, epoch hashes,
-        log head — must be identical between them."""
-        file_result = run_differential(
-            seed=SEEDS[1], storage_dir=str(tmp_path / "file"),
-            backend="file", steps=40, kills=2, checkpoints=2)
-        sqlite_result = run_differential(
-            seed=SEEDS[1], storage_dir=str(tmp_path / "sqlite"),
-            backend="sqlite", steps=40, kills=2, checkpoints=2)
-        file_result["backend"] = sqlite_result["backend"] = "-"
-        assert file_result == sqlite_result
-
     def test_pure_log_replay_without_checkpoints(self, tmp_path):
         """A kill before any checkpoint exists restores by replaying
         the full journal from genesis."""
         result = run_differential(seed=3, storage_dir=str(tmp_path),
-                                  backend="file", checkpoints=0)
+                                  checkpoints=0)
         assert result["matched"], result
         assert result["epoch_hashes"] == []
         for kill in result["kills"]:
@@ -62,8 +43,7 @@ class TestDeterminism:
     def test_same_seed_same_result_bytes(self, tmp_path):
         results = [
             run_differential(seed=7, storage_dir=str(tmp_path / str(i)),
-                             backend="file", steps=30, kills=2,
-                             checkpoints=2)
+                             steps=30, kills=2, checkpoints=2)
             for i in range(2)
         ]
         first, second = (json.dumps(r, sort_keys=True) for r in results)
@@ -71,11 +51,9 @@ class TestDeterminism:
 
     def test_different_seeds_different_workloads(self, tmp_path):
         a = run_differential(seed=7, storage_dir=str(tmp_path / "a"),
-                             backend="file", steps=30, kills=2,
-                             checkpoints=2)
+                             steps=30, kills=2, checkpoints=2)
         b = run_differential(seed=8, storage_dir=str(tmp_path / "b"),
-                             backend="file", steps=30, kills=2,
-                             checkpoints=2)
+                             steps=30, kills=2, checkpoints=2)
         assert a["log"]["head"] != b["log"]["head"]
 
 

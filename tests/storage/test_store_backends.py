@@ -1,10 +1,9 @@
-"""Backend contract tests: the file and SQLite stores must behave like
-the in-memory reference — same chain rules, same reopen semantics, same
+"""Backend contract tests: the file store must behave like the
+in-memory reference — same chain rules, same reopen semantics, same
 refusal of tampered history."""
 
 import json
 import os
-import sqlite3
 
 import pytest
 
@@ -15,13 +14,11 @@ from repro.storage.store import (
     FileStore,
     LogRecord,
     MemoryStore,
-    SQLiteStore,
-    canonical_json,
     open_store,
 )
 
-BACKENDS = ["memory", "file", "sqlite"]
-DURABLE = ["file", "sqlite"]
+BACKENDS = ["memory", "file"]
+DURABLE = ["file"]
 
 
 def _open(backend, directory):
@@ -62,6 +59,23 @@ class TestStoreContract:
         assert tail.prev_hash == head
         store.close()
 
+    def test_backend_names_itself(self, backend, tmp_path):
+        """Reports take their ``backend`` field from the store, so the
+        name a store carries is the name it was opened under."""
+        store = _open(backend, tmp_path)
+        assert store.backend == backend
+        store.close()
+
+    def test_len_counts_live_records(self, backend, tmp_path):
+        store = _open(backend, tmp_path)
+        for i in range(4):
+            store.append("tx", {"i": i})
+        assert len(store) == 4
+        store.prune_before(1)
+        assert len(store) == 3
+        assert store.next_seq == 4  # pruning never rewinds the sequence
+        store.close()
+
 
 @pytest.mark.parametrize("backend", DURABLE)
 class TestDurableReopen:
@@ -99,6 +113,16 @@ class TestDurableReopen:
         assert store.head_hash == GENESIS_PREV_HASH
         store.close()
 
+    def test_reopen_keeps_every_payload(self, backend, tmp_path):
+        store = _open(backend, tmp_path)
+        written = [store.append("tx", {"i": i, "tag": f"t{i}"})
+                   for i in range(3)]
+        store.close()
+
+        reopened = _open(backend, tmp_path)
+        assert reopened.records() == written
+        reopened.close()
+
 
 class TestOpenStoreFactory:
     def test_memory_needs_no_directory(self):
@@ -111,6 +135,28 @@ class TestOpenStoreFactory:
     def test_unknown_backend_refused(self, tmp_path):
         with pytest.raises(StorageError):
             open_store("papyrus", str(tmp_path))
+
+    @pytest.mark.parametrize("backend", ["sqlite", "none", "FILE"])
+    def test_only_memory_and_file_are_stores(self, tmp_path, backend):
+        """``none`` is a node-process setting (no journal), not a
+        store; there is no SQLite store; names are case-sensitive."""
+        with pytest.raises(StorageError, match="known: memory, file"):
+            open_store(backend, str(tmp_path))
+
+    def test_file_journal_equals_memory_journal(self, tmp_path):
+        """The durable log is the in-memory reference, record for
+        record and hash for hash."""
+        stores = [_open("memory", tmp_path), _open("file", tmp_path)]
+        for store in stores:
+            store.append("genesis", {"tx": "00"})
+            for i in range(4):
+                store.append("tx", {"i": i, "arrival": i / 4})
+            store.prune_before(2)
+            store.append("tx", {"i": 4})
+        memory, durable = stores
+        assert durable.records() == memory.records()
+        assert durable.head_hash == memory.head_hash
+        durable.close()
 
     def test_per_node_isolation(self, tmp_path):
         a = open_store("file", str(tmp_path), node="a")
@@ -178,29 +224,6 @@ class TestFileStoreCorruption:
             handle.write(b"\xff\xfe broken")
         with pytest.raises(StorageCorruptionError):
             FileStore(path)
-
-
-class TestSQLiteCorruption:
-    def test_tampered_row_refused(self, tmp_path):
-        path = os.path.join(str(tmp_path), "store.db")
-        store = SQLiteStore(path)
-        store.append("tx", {"i": 0})
-        store.append("tx", {"i": 1})
-        store.close()
-        conn = sqlite3.connect(path)
-        conn.execute("UPDATE log SET data = ? WHERE seq = 0",
-                     (canonical_json({"i": 99}),))
-        conn.commit()
-        conn.close()
-        with pytest.raises(StorageCorruptionError):
-            SQLiteStore(path)
-
-    def test_garbage_file_refused(self, tmp_path):
-        path = os.path.join(str(tmp_path), "store.db")
-        with open(path, "wb") as handle:
-            handle.write(b"this is not a database" * 100)
-        with pytest.raises(StorageCorruptionError):
-            SQLiteStore(path)
 
 
 class TestNodePersistenceContract:

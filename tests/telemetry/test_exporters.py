@@ -35,7 +35,7 @@ def build_sample():
     """A small deterministic registry + tracer exercising every
     instrument kind, label sets and span nesting."""
     clock = FakeClock()
-    registry = MetricsRegistry(clock)
+    registry = MetricsRegistry()
     tracer = Tracer(clock)
     requests = registry.counter("repro_demo_requests_total",
                                 "Demo requests served")
@@ -61,28 +61,23 @@ def build_sample():
 def test_jsonl_matches_golden():
     registry, tracer = build_sample()
     sink = io.StringIO()
-    records = export_jsonl(sink, registry=registry, tracer=tracer)
-    assert records == 8  # 5 metric events + 2 spans + 1 meta
+    records = export_jsonl(sink, tracer)
+    assert records == 2  # one line per finished span
     expected = (GOLDEN_DIR / "sample.jsonl").read_text()
     assert sink.getvalue() == expected
 
 
 def test_jsonl_lines_are_valid_json_in_time_order():
-    registry, tracer = build_sample()
+    _, tracer = build_sample()
     sink = io.StringIO()
-    export_jsonl(sink, registry=registry, tracer=tracer)
+    export_jsonl(sink, tracer)
     rows = [json.loads(line) for line in sink.getvalue().splitlines()]
     assert [r["t"] for r in rows] == sorted(r["t"] for r in rows)
-    assert {r["type"] for r in rows} == {"metric", "span", "meta"}
+    assert {r["type"] for r in rows} == {"span"}
 
-    spans = {r["name"]: r for r in rows if r["type"] == "span"}
+    spans = {r["name"]: r for r in rows}
     assert spans["step"]["parent_id"] == spans["phase"]["span_id"]
     assert spans["phase"]["duration"] == 3.0
-
-    meta = rows[-1]
-    assert meta["type"] == "meta"  # always the trailing record
-    assert meta["events_recorded"] == 5
-    assert meta["events_dropped"] == 0
 
 
 def test_prometheus_matches_golden():
@@ -113,11 +108,45 @@ def test_render_summary_lists_every_instrument():
     assert "total=3" in table  # requests across both label sets
 
 
-def test_render_summary_includes_quantiles_and_drop_count():
+def test_render_summary_includes_quantiles():
     registry, _ = build_sample()
     table = render_summary(registry)
     assert "p50=" in table and "p95=" in table and "p99=" in table
-    assert table.rstrip().endswith("event log: 5 recorded, 0 dropped")
+
+
+def test_jsonl_to_a_path_writes_the_same_bytes(tmp_path):
+    _, tracer = build_sample()
+    sink = io.StringIO()
+    export_jsonl(sink, tracer)
+    path = tmp_path / "telemetry.jsonl"
+    assert export_jsonl(str(path), tracer) == 2
+    assert path.read_text() == sink.getvalue()
+
+
+def test_jsonl_skips_spans_still_open():
+    clock = FakeClock()
+    tracer = Tracer(clock)
+    sink = io.StringIO()
+    with tracer.span("phase"):
+        assert export_jsonl(sink, tracer) == 0
+    assert sink.getvalue() == ""
+
+
+def test_prometheus_types_are_exactly_the_instruments():
+    """The page describes the registry and nothing else: one ``# TYPE``
+    line per instrument, no sample of the exporter's own making."""
+    registry, _ = build_sample()
+    text = to_prometheus_text(registry)
+    typed = [line.split()[2] for line in text.splitlines()
+             if line.startswith("# TYPE")]
+    assert typed == [i.name for i in registry.instruments()]
+
+
+def test_render_summary_ends_at_the_last_instrument():
+    registry, _ = build_sample()
+    lines = render_summary(registry).rstrip().splitlines()
+    assert lines[-1].startswith(registry.instruments()[-1].name)
+    assert not any("event log" in line for line in lines)
 
 
 def test_prometheus_quantile_gauges():
@@ -128,14 +157,13 @@ def test_prometheus_quantile_gauges():
     assert ('repro_demo_latency_seconds_quantile'
             '{node="a",quantile="0.5"} 0.1') in text
     assert 'quantile="0.99"' in text
-    assert "repro_telemetry_events_dropped_total 0" in text
 
 
 def _regenerate():
     GOLDEN_DIR.mkdir(exist_ok=True)
     registry, tracer = build_sample()
     sink = io.StringIO()
-    export_jsonl(sink, registry=registry, tracer=tracer)
+    export_jsonl(sink, tracer)
     (GOLDEN_DIR / "sample.jsonl").write_text(sink.getvalue())
     (GOLDEN_DIR / "sample.prom").write_text(to_prometheus_text(registry))
     print(f"regenerated goldens in {GOLDEN_DIR}")

@@ -24,7 +24,7 @@ class FakeClock:
 
 def make_tracker(clock=None, sample_every=1):
     clock = clock if clock is not None else FakeClock()
-    registry = MetricsRegistry(clock)
+    registry = MetricsRegistry()
     tracker = LifecycleTracker(clock, tracer=Tracer(clock),
                                registry=registry,
                                sample_every=sample_every)

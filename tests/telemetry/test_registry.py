@@ -1,4 +1,6 @@
-"""Registry semantics: instruments, labels, events, the null path."""
+"""Registry semantics: instruments, labels, memory, the null path."""
+
+import tracemalloc
 
 import pytest
 
@@ -11,14 +13,6 @@ from repro.telemetry.registry import (
     bucket_quantile,
     coerce_registry,
 )
-
-
-class FakeClock:
-    def __init__(self, t=0.0):
-        self.t = t
-
-    def now(self):
-        return self.t
 
 
 class TestCounter:
@@ -176,64 +170,58 @@ class TestQuantiles:
         assert histogram.quantiles() == {q: None for q in QUANTILES}
 
 
-class TestEventLog:
-    def test_events_carry_sim_time(self):
-        clock = FakeClock()
-        registry = MetricsRegistry(clock)
+class TestConstruction:
+    @pytest.mark.parametrize("keyword", ["clock", "record_events",
+                                         "max_events"])
+    def test_takes_no_keywords(self, keyword):
+        with pytest.raises(TypeError):
+            MetricsRegistry(**{keyword: None})
+
+    def test_takes_no_clock(self):
+        """Aggregates carry no timestamps, so there is no clock to
+        read: a registry is the same wherever time comes from."""
+        with pytest.raises(TypeError):
+            MetricsRegistry(object())
+
+
+class TestMemoryBound:
+    @pytest.mark.parametrize("kind", ["counter", "gauge", "histogram"])
+    def test_one_aggregate_per_label_set(self, kind):
+        registry = MetricsRegistry()
+        instrument = getattr(registry, kind)(f"repro_test_{kind}")
+        record = getattr(instrument, {"counter": "inc", "gauge": "set",
+                                      "histogram": "observe"}[kind])
+        for i in range(3000):
+            record(float(i % 5), node="abc"[i % 3])
+        assert sorted(instrument.series()) == [
+            (("node", node),) for node in "abc"]
+
+    def test_traffic_on_a_seen_label_set_allocates_nothing(self):
+        """A registry holds one aggregate per label set and nothing per
+        observation: 100 000 more observations on a series that already
+        exists leave the traced heap where it was."""
+        registry = MetricsRegistry()
         counter = registry.counter("repro_test_total")
-        clock.t = 3.5
-        counter.inc(node="a")
-        (event,) = registry.events
-        assert event.time == 3.5
-        assert event.name == "repro_test_total"
-        assert dict(event.labels) == {"node": "a"}
-        assert event.value == 1.0
+        gauge = registry.gauge("repro_test_depth")
+        histogram = registry.histogram("repro_test_seconds")
 
-    def test_overflow_drops_oldest_half(self):
-        registry = MetricsRegistry(max_events=10)
-        counter = registry.counter("repro_test_total")
-        for _ in range(11):
-            counter.inc()
-        assert len(registry.events) == 6  # 10 -> keep 5, append 1
-        assert registry.events_dropped == 5
-        assert counter.total == 11  # aggregates never drop
+        def drive(count):
+            for i in range(count):
+                counter.inc(node="a")
+                gauge.set(i % 7, node="a")
+                histogram.observe(0.25, node="a")
 
-    def test_overflow_count_surfaces_in_exports(self):
-        """Forcing the event log to overflow must show up in every
-        consumer: the JSONL meta record, the Prometheus exposition,
-        and the human summary footer."""
-        import io
-        import json
-
-        from repro.telemetry.exporters import (
-            export_jsonl,
-            render_summary,
-            to_prometheus_text,
-        )
-
-        registry = MetricsRegistry(max_events=4)
-        counter = registry.counter("repro_test_total")
-        for _ in range(5):
-            counter.inc()
-        assert registry.events_dropped == 2
-
-        sink = io.StringIO()
-        export_jsonl(sink, registry=registry)
-        meta = json.loads(sink.getvalue().splitlines()[-1])
-        assert meta["type"] == "meta"
-        assert meta["events_dropped"] == 2
-        assert meta["events_recorded"] == 3
-
-        assert ("repro_telemetry_events_dropped_total 2"
-                in to_prometheus_text(registry))
-        assert "2 dropped" in render_summary(registry)
-
-    def test_record_events_off_keeps_aggregates(self):
-        registry = MetricsRegistry(record_events=False)
-        counter = registry.counter("repro_test_total")
-        counter.inc()
-        assert registry.events == []
-        assert counter.total == 1
+        drive(1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            drive(100_000)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert counter.value(node="a") == 100_001
+        assert histogram.snapshot(node="a").count == 100_001
+        assert grown < 4096
 
 
 class TestCoverage:
@@ -269,7 +257,6 @@ class TestNullRegistry:
         assert counter.value() == 0.0
         assert registry.snapshot() == {}
         assert registry.unobserved() == []
-        assert registry.events == []
         assert not registry.enabled
 
     def test_null_and_real_share_call_surface(self):
@@ -285,4 +272,3 @@ class TestNullRegistry:
             gauge.dec()
             registry.histogram(
                 "repro_test_sizes", buckets=(1, 2)).observe(1.5, node="x")
-            registry.now()

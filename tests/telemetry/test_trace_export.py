@@ -32,7 +32,7 @@ def build_sample():
     clock = FakeClock()
     tracer = Tracer(clock)
     tracker = LifecycleTracker(clock, tracer=tracer,
-                               registry=MetricsRegistry(clock))
+                               registry=MetricsRegistry())
     with tracer.span("driver.phase"):
         handle = tracker.begin_submission("device-0")
         clock.t = 0.1
@@ -133,7 +133,7 @@ class TestCriticalPath:
     def test_missing_stages_are_omitted(self):
         clock = FakeClock()
         tracker = LifecycleTracker(clock, tracer=Tracer(clock),
-                                   registry=MetricsRegistry(clock))
+                                   registry=MetricsRegistry())
         handle = tracker.begin_submission("device-0")
         assert critical_path(handle) == []
         assert dominant_stage(handle) is None
@@ -178,7 +178,7 @@ class TestRendering:
     def test_empty_lifecycle_report(self):
         clock = FakeClock()
         tracker = LifecycleTracker(clock, tracer=Tracer(clock),
-                                   registry=MetricsRegistry(clock))
+                                   registry=MetricsRegistry())
         report = lifecycle_report(tracker, node_count=3)
         assert report["sampled"] == 0
         assert report["transactions"] == []

@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+NODE = ["node", "--address", "n0", "--genesis", "g.hex"]
+
 
 class TestParser:
     def test_requires_command(self, capsys):
@@ -22,6 +24,25 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize("argv", [
+        NODE + ["--storage-backend", "sqlite"],
+        NODE + ["--storage-backend", "memory"],
+        ["storage", "--backend", "file"],
+        ["fleet", "--storage-backend", "file"],
+    ], ids=["node-sqlite", "node-memory", "storage-backend",
+            "fleet-storage-backend"])
+    def test_retired_storage_options_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["none", "file"])
+    def test_node_storage_backends(self, backend):
+        args = build_parser().parse_args(
+            NODE + ["--storage-backend", backend])
+        assert args.storage_backend == backend
 
 
 class TestCommands:
@@ -65,3 +86,15 @@ class TestCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "submissions_accepted" in out
+
+    @pytest.mark.parametrize("command", ["workflow", "summary"])
+    def test_same_seed_prints_the_same_bytes(self, capsys, command):
+        """Sensitive-data devices encrypt with fresh AES IVs, which
+        change every PoW challenge; under ``--seed`` they are seeded
+        too, so two runs print the same report."""
+        outputs = []
+        for _ in range(2):
+            assert main([command, "--devices", "8", "--seconds", "30",
+                         "--seed", "7"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
