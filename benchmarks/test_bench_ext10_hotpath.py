@@ -1,5 +1,5 @@
 """Ext-10 — per-transaction hot path: credit windows, shared caches and
-the accelerated crypto lane.
+the Ed25519 lane.
 
 Seven measurements of the per-transaction fast lanes, on identical inputs:
 
@@ -21,13 +21,15 @@ Seven measurements of the per-transaction fast lanes, on identical inputs:
   :class:`~repro.tangle.transaction.TransactionDecodeCache`;
 * **verify/decode cache hit rates** — observed counter values from an
   instrumented cached run;
-* **crypto backends** — end-to-end *uncached* burst validation
-  throughput with the reference Ed25519 backend vs the accel backend
-  (batch verification + fixed-base tables), identical wire traffic:
-  the same burst reaches every full node as one ``sync_response`` with
-  no shared verification/decode caches, so every node pays full
-  signature verification for every transaction;
-* **single verify** — one unbatched accel ``verify``, the signature a
+* **crypto** — end-to-end *uncached* burst validation throughput with
+  :mod:`repro.crypto.ed25519` (batch verification + fixed-base tables)
+  vs the straight-line RFC 8032 oracle it replaced
+  (``tests/crypto/ed25519_reference.py``, patched in for ``verify`` and
+  ``verify_batch``), identical wire traffic: the same burst reaches
+  every full node as one ``sync_response`` with no shared
+  verification/decode caches, so every node pays full signature
+  verification for every transaction;
+* **single verify** — one unbatched ``verify``, the signature a
   paced submit pays, for an issuer never seen (decompress, build the
   split tables, verify) and for one seen before (read them): verifies
   per second, point operations per verify counted by wrapping the
@@ -53,11 +55,12 @@ import pathlib
 import random
 import sys
 import time
+from unittest import mock
 
 from repro.analysis.metrics import format_table
 from repro.core.consensus import CreditBasedConsensus
 from repro.core.credit import CreditParameters, CreditRegistry
-from repro.crypto.accel import ed25519_accel
+from repro.crypto import ed25519
 from repro.crypto.keys import KeyPair
 from repro.network.frame import FrameDecoder, encode_frame
 from repro.network.network import Network
@@ -70,6 +73,7 @@ from repro.tangle.transaction import Transaction, TransactionDecodeCache
 from repro.tangle.validation import VerificationCache
 from repro.network.transport import Message
 from repro.telemetry.registry import MetricsRegistry
+from tests.crypto import ed25519_reference
 from tests.network import frame_reference
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
@@ -94,7 +98,7 @@ NODE_COUNTS = (4, 8) if SMOKE else (10, 50, 200)
 TX_COUNTS = {4: 6, 8: 4} if SMOKE else {10: 40, 50: 20, 200: 8}
 RING_DEGREE = 2  # peers on each side -> fanout 4
 
-# -- crypto backend dimensions --------------------------------------------
+# -- crypto dimensions -----------------------------------------------------
 CRYPTO_NODES = 4 if SMOKE else 8
 CRYPTO_TXS = 8 if SMOKE else 64
 CRYPTO_ISSUERS = 2 if SMOKE else 4
@@ -104,7 +108,7 @@ CRYPTO_MIN_SPEEDUP = 1.0 if SMOKE else 5.0
 VERIFY_ISSUERS = 2 if SMOKE else 8
 VERIFY_PER_ISSUER = 4 if SMOKE else 32
 UNSPLIT_VERIFY_OPERATIONS = 362
-"""Point operations of one accel verify before the issuer tables: the
+"""Point operations of one verify before the issuer tables: the
 64-addition ``_mul_base(s)``, a ~253-doubling wNAF chain for ``hA``
 and its table.  Counted the same way on the parent of the PR that
 split it (mean over signatures; it does not depend on the key)."""
@@ -311,12 +315,12 @@ def _bench_gossip():
     return out
 
 
-# -- crypto backends ------------------------------------------------------
+# -- crypto: product vs the RFC 8032 oracle ---------------------------------
 
 def _build_issuer_transactions(genesis, count, issuers):
     """Chained difficulty-1 transactions spread across *issuers* keys —
     the realistic shape for the batch verifier (few issuers per burst,
-    so the accel lane's column merging and decompress reuse engage)."""
+    so its column merging and decompress reuse engage)."""
     keys = [KeyPair.generate(seed=b"ext10-crypto-%d" % i)
             for i in range(issuers)]
     txs = []
@@ -333,60 +337,61 @@ def _build_issuer_transactions(genesis, count, issuers):
     return txs
 
 
-def _flood_backend(genesis, txs, backend):
+def _flood_sync_response(genesis, txs, backend):
     """Deliver *txs* as one sync_response to each of CRYPTO_NODES
-    uncached full nodes running *backend*; return wall seconds."""
+    uncached full nodes whose signature checks run *backend*'s
+    ``verify`` and ``verify_batch``; return wall seconds."""
     scheduler = EventScheduler()
     network = Network(scheduler, rng=random.Random(77))
     nodes = []
     for i in range(CRYPTO_NODES):
-        node = FullNode(
-            f"cn{i}", genesis, rng=random.Random(7000 + i),
-            crypto_backend=backend,
-        )
+        node = FullNode(f"cn{i}", genesis, rng=random.Random(7000 + i))
         network.attach(node)
         nodes.append(node)
     encoded = [tx.to_bytes() for tx in txs]
     # The timed region measures *validation* throughput: table
     # construction is one-time process setup, and the issuer cache
-    # is cleared so both backends start cold on this burst's issuers.
-    ed25519_accel.precompute()
-    ed25519_accel._issuer_cache.clear()
-    start = time.perf_counter()
-    for node in nodes:
-        network.send(node.address, node.address,
-                     "sync_response", {"transactions": encoded},
-                     size_bytes=sum(len(e) for e in encoded))
-    scheduler.run()
-    elapsed = time.perf_counter() - start
+    # is cleared so the product starts cold on this burst's issuers.
+    ed25519.precompute()
+    ed25519._issuer_cache.clear()
+    with mock.patch.multiple(ed25519, verify=backend.verify,
+                             verify_batch=backend.verify_batch):
+        start = time.perf_counter()
+        for node in nodes:
+            network.send(node.address, node.address,
+                         "sync_response", {"transactions": encoded},
+                         size_bytes=sum(len(e) for e in encoded))
+        scheduler.run()
+        elapsed = time.perf_counter() - start
     for node in nodes:
         assert len(node.tangle) == len(txs) + 1
     return elapsed
 
 
-def _bench_crypto_backends():
+def _bench_crypto():
     genesis = ManagerNode.create_genesis(MANAGER_KEYS)
     txs = _build_issuer_transactions(genesis, CRYPTO_TXS, CRYPTO_ISSUERS)
     deliveries = CRYPTO_TXS * CRYPTO_NODES
-    reference_s = _flood_backend(genesis, txs, "reference")
-    accel_s = _flood_backend(genesis, txs, "accel")
+    oracle_s = _flood_sync_response(genesis, txs, ed25519_reference)
+    product_s = _flood_sync_response(genesis, txs, ed25519)
     return {
         "nodes": CRYPTO_NODES,
         "transactions": CRYPTO_TXS,
         "issuers": CRYPTO_ISSUERS,
-        "reference_seconds": reference_s,
-        "accel_seconds": accel_s,
-        "reference_verified_tx_per_s": deliveries / reference_s,
-        "accel_verified_tx_per_s": deliveries / accel_s,
-        "speedup": reference_s / accel_s,
+        "oracle_seconds": oracle_s,
+        "product_seconds": product_s,
+        "oracle_verified_tx_per_s": deliveries / oracle_s,
+        "product_verified_tx_per_s": deliveries / product_s,
+        "speedup": oracle_s / product_s,
     }
 
 
 # -- single verify --------------------------------------------------------
 
 def _count_point_operations(function):
-    """Point additions + doublings *function* makes in the accel
-    module (untimed pass: the wrappers cost more than they count)."""
+    """Point additions + doublings *function* makes in
+    :mod:`repro.crypto.ed25519` (untimed pass: the wrappers cost more
+    than they count)."""
     count = [0]
 
     def counting(primitive):
@@ -395,14 +400,14 @@ def _count_point_operations(function):
             return primitive(*args)
         return wrapper
 
-    add, double = ed25519_accel._point_add, ed25519_accel._point_double
-    ed25519_accel._point_add = counting(add)
-    ed25519_accel._point_double = counting(double)
+    add, double = ed25519._point_add, ed25519._point_double
+    ed25519._point_add = counting(add)
+    ed25519._point_double = counting(double)
     try:
         function()
     finally:
-        ed25519_accel._point_add = add
-        ed25519_accel._point_double = double
+        ed25519._point_add = add
+        ed25519._point_double = double
     return count[0]
 
 
@@ -432,7 +437,7 @@ def _bench_verify_single():
         items.extend((key.public.sign_public, message, key.sign(message))
                      for key in keys)
     first, rest = items[:VERIFY_ISSUERS], items[VERIFY_ISSUERS:]
-    verify = ed25519_accel.verify
+    verify = ed25519.verify
 
     def run(batch):
         for item in batch:
@@ -443,17 +448,17 @@ def _bench_verify_single():
         run(batch)
         return time.perf_counter() - start
 
-    ed25519_accel.precompute()
-    ed25519_accel._issuer_cache.clear()
+    ed25519.precompute()
+    ed25519._issuer_cache.clear()
     cold_s = timed(first)    # each key's first signature
     warm_s = timed(rest)     # every later one
 
-    ed25519_accel._issuer_cache.clear()
+    ed25519._issuer_cache.clear()
     cold_operations = _count_point_operations(lambda: run(first))
     warm_operations = _count_point_operations(lambda: run(rest))
 
     record_bytes = max(_issuer_record_bytes(record) for record
-                       in ed25519_accel._issuer_cache.values())
+                       in ed25519._issuer_cache.values())
 
     warm_per_verify = warm_operations / len(rest)
     return {
@@ -470,9 +475,9 @@ def _bench_verify_single():
         "unsplit_operations_per_verify": UNSPLIT_VERIFY_OPERATIONS,
         "warm_count_ratio": UNSPLIT_VERIFY_OPERATIONS / warm_per_verify,
         "issuer_record_bytes": record_bytes,
-        "issuer_cache_records": ed25519_accel._ISSUER_CACHE_SIZE,
+        "issuer_cache_records": ed25519._ISSUER_CACHE_SIZE,
         "issuer_cache_bound_bytes":
-            record_bytes * ed25519_accel._ISSUER_CACHE_SIZE,
+            record_bytes * ed25519._ISSUER_CACHE_SIZE,
     }
 
 
@@ -480,8 +485,7 @@ def _bench_verify_single():
 
 def _bench_ingress():
     genesis = ManagerNode.create_genesis(MANAGER_KEYS)
-    node = build_node("n0", genesis, rng_seed=0, crypto_backend="accel",
-                      telemetry=MetricsRegistry())
+    node = build_node("n0", genesis, rng_seed=0, telemetry=MetricsRegistry())
     # The envelope benchmarks/e2e's fake peers write.
     frames = [encode_frame(Message(
         sender="peer0", recipient="n0", kind="gossip_transaction",
@@ -560,7 +564,7 @@ def _run():
         "credit": _bench_credit(),
         "admission": _bench_admission(),
         "gossip": _bench_gossip(),
-        "crypto": _bench_crypto_backends(),
+        "crypto": _bench_crypto(),
         "verify_single": _bench_verify_single(),
         "ingress": _bench_ingress(),
     }
@@ -594,8 +598,8 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
     crypto = results["crypto"]
     crypto_rows = [(
         crypto["nodes"], crypto["transactions"], crypto["issuers"],
-        f"{crypto['reference_verified_tx_per_s']:,.0f}",
-        f"{crypto['accel_verified_tx_per_s']:,.0f}",
+        f"{crypto['oracle_verified_tx_per_s']:,.0f}",
+        f"{crypto['product_verified_tx_per_s']:,.0f}",
         f"{crypto['speedup']:.1f}x",
     )]
     single = results["verify_single"]
@@ -623,7 +627,7 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
             "nodes", "txs", "uncached tx/s", "cached tx/s", "speedup",
             "verify hits", "decode hits"]),
         format_table(crypto_rows, headers=[
-            "nodes", "txs", "issuers", "reference tx/s", "accel tx/s",
+            "nodes", "txs", "issuers", "oracle tx/s", "product tx/s",
             "speedup"]),
         format_table(single_rows, headers=[
             "single verify", "verified/s", "point ops/verify"])
@@ -647,8 +651,8 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
     # on the admission leg at any size (a count: no timing assertion),
     # a measurable cached-gossip win at every size,
     # high hit rates (each tx verified/decoded once, hit n-1 times),
-    # >=5x uncached flood validation throughput for the accel
-    # crypto backend over the reference, and a warm single verify in
+    # >=5x uncached flood validation throughput for the product
+    # Ed25519 over the RFC 8032 oracle, and a warm single verify in
     # at most half the unsplit verify's point operations with the
     # whole issuer cache under 2 MiB (counts and bytes: no timing),
     # and >=1.8x fewer Python calls per frame through the one-pass

@@ -39,8 +39,7 @@ MIN_SPEEDUP_AT_4 = 1.8
 def test_fleet_scale(report_writer):
     result = run_scale_bench(
         seed=SEED, process_counts=PROCESS_COUNTS,
-        transactions_per_process=TX_PER_PROCESS,
-        crypto_backend="accel", smoke=SMOKE)
+        transactions_per_process=TX_PER_PROCESS, smoke=SMOKE)
 
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / "BENCH_fleet_scale.json").write_text(
@@ -55,8 +54,7 @@ def test_fleet_scale(report_writer):
                  "speedup"))
     report_writer(
         "fleet_scale",
-        table + f"\ncpus={result['cpus']} "
-                f"crypto_backend={result['crypto_backend']}")
+        table + f"\ncpus={result['cpus']}")
 
     # Sanity, always: every leg moved real transactions over real TCP
     # (per process: the shard minus its untimed ACL warmup).

@@ -98,14 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument("--require-all", action="store_true",
                            help="fail if any registered metric was "
                                 "never emitted during the scenario")
-    telemetry.add_argument("--crypto-backend",
-                           choices=["reference", "accel"],
-                           default="reference",
-                           help="Ed25519 implementation for the full "
-                                "nodes (accel = tables + batch verify)")
-    telemetry.add_argument("--pow-workers", type=int, default=0,
-                           help="worker processes for PoW grinding and "
-                                "signature checks (0 = in-process)")
 
     trace = sub.add_parser(
         "trace", help="run the byte-deterministic causal-tracing "
@@ -176,10 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "kill -9 one mid-workload, cold-restart it, "
                             "and compare every process to the reference "
                             "hashes")
-    fleet.add_argument("--crypto-backend",
-                       choices=["reference", "accel"], default="reference",
-                       help="signature backend in each node process "
-                            "(multi-process mode)")
     fleet.add_argument("--no-crash", action="store_true",
                        help="skip the kill -9/cold-restart step "
                             "(multi-process mode)")
@@ -214,8 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "one triggers an automatic cold restore "
                            "(restart path)")
     node.add_argument("--storage-dir", type=str, default=None)
-    node.add_argument("--crypto-backend",
-                      choices=["reference", "accel"], default="reference")
+    node.add_argument("--crypto-backend", choices=["accel"], default="accel",
+                      help="accepted and ignored: there is one Ed25519 "
+                           "implementation")
     node.add_argument("--metrics-port", type=int, default=None,
                       help="serve Prometheus text on this port "
                            "(0 = ephemeral; omitted = no exporter)")
@@ -337,10 +326,8 @@ def _cmd_telemetry(args) -> int:
     )
     from .telemetry.scenario import run_smoke_scenario
 
-    system = run_smoke_scenario(seed=args.seed, seconds=args.seconds,
-                                crypto_backend=args.crypto_backend,
-                                pow_workers=args.pow_workers)
-    system.close()  # release pool workers before the export phase
+    system = run_smoke_scenario(seed=args.seed, seconds=args.seconds)
+    system.close()
     registry = system.telemetry
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -450,7 +437,6 @@ def _cmd_node(args) -> int:
             seeds=list(args.seed_nodes),
             storage_backend=args.storage_backend,
             storage_dir=args.storage_dir,
-            crypto_backend=args.crypto_backend,
             metrics_port=args.metrics_port,
             time_scale=args.time_scale,
         )
@@ -496,8 +482,7 @@ def _cmd_fleet_processes(args) -> int:
     result = run_proc_differential(
         seed=args.seed, processes=args.processes,
         transactions=transactions, run_dir=args.run_dir, host=args.host,
-        crypto_backend=args.crypto_backend, time_scale=args.time_scale,
-        crash=not args.no_crash)
+        time_scale=args.time_scale, crash=not args.no_crash)
 
     proc = result["proc"]
     _print_verdict("proc ≡ reference", result, ("proc",))

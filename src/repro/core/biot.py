@@ -16,7 +16,7 @@ Typical use (see ``examples/smart_factory.py``)::
     system.start_devices()        # steps 4-5, repeating
     system.run_for(90.0)
     print(system.summary())
-    system.close()                # sockets, loop, stores, worker pool
+    system.close()                # sockets, loop, stores
 """
 
 from __future__ import annotations
@@ -83,19 +83,6 @@ class BIoTConfig:
             must be empty for a fresh deployment
             (restores go through :meth:`~repro.nodes.full_node.
             FullNode.cold_restore`, never through ``build``).
-        crypto_backend: Ed25519 implementation every full node verifies
-            with — ``"reference"`` (default; the from-scratch module)
-            or ``"accel"`` (precomputed tables, wNAF double-scalar and
-            batch verification; see :mod:`repro.crypto.accel`).  Both
-            accept exactly the same signatures, so simulation results
-            are bit-identical either way.
-        pow_workers: worker processes in the deployment-shared
-            :class:`~repro.crypto.accel.CryptoPool`.  0 (default)
-            creates no pool; with N >= 1, real PoW grinding and batch
-            signature checks fan out across N processes with results
-            identical to sequential execution (the pool lives at
-            deployment level, never inside event handlers, so the
-            discrete-event schedule is untouched).
         transport: ``"sim"`` (default) runs the deployment on the
             discrete-event simulator — bit-deterministic.
             ``"asyncio"`` hosts every node on its own
@@ -129,8 +116,6 @@ class BIoTConfig:
     trace_sample_every: int = 1
     storage_backend: str = "memory"
     storage_dir: Optional[str] = None
-    crypto_backend: str = "reference"
-    pow_workers: int = 0
     transport: str = "sim"
     time_scale: float = 1.0
 
@@ -148,13 +133,6 @@ class BIoTConfig:
             raise ValueError(
                 f"unknown storage backend {self.storage_backend!r} "
                 f"(known: memory, file)")
-        from ..crypto.accel import CRYPTO_BACKENDS
-        if self.crypto_backend not in CRYPTO_BACKENDS:
-            raise ValueError(
-                f"unknown crypto backend {self.crypto_backend!r} "
-                f"(known: {', '.join(CRYPTO_BACKENDS)})")
-        if self.pow_workers < 0:
-            raise ValueError("pow_workers must be >= 0")
         if self.transport not in ("sim", "asyncio"):
             raise ValueError(
                 f"unknown transport {self.transport!r} "
@@ -172,7 +150,6 @@ class BIoTSystem:
                  gateways: List[FullNode], devices: List[LightNode],
                  device_keys: Dict[str, KeyPair],
                  gateway_keys: Dict[str, KeyPair],
-                 crypto_pool=None,
                  telemetry=NULL_REGISTRY, tracer=NULL_TRACER,
                  lifecycle=NULL_LIFECYCLE):
         self.config = config
@@ -189,7 +166,6 @@ class BIoTSystem:
         self.telemetry = telemetry
         self.tracer = tracer
         self.lifecycle = lifecycle
-        self.crypto_pool = crypto_pool
         self.initialized = False
         self.closed = False
 
@@ -210,23 +186,14 @@ class BIoTSystem:
                      if on_tcp else EventScheduler())
         runners: List[NodeRunner] = []
         stores: list = []
-        crypto_pool = None
         try:
-            # One worker pool for the whole deployment (or none):
-            # pooling at node level would fork per node and, worse,
-            # tempt event handlers into non-deterministic completion
-            # ordering.
-            if config.pow_workers > 0:
-                from ..crypto.accel import CryptoPool
-                crypto_pool = CryptoPool(config.pow_workers)
-            return cls._assemble(config, scheduler, crypto_pool,
-                                 runners, stores)
+            return cls._assemble(config, scheduler, runners, stores)
         except BaseException:
-            _release(scheduler, runners, stores, crypto_pool)
+            _release(scheduler, runners, stores)
             raise
 
     @classmethod
-    def _assemble(cls, config: BIoTConfig, scheduler, crypto_pool,
+    def _assemble(cls, config: BIoTConfig, scheduler,
                   runners: List[NodeRunner], stores: list) -> "BIoTSystem":
         """The body of :meth:`build`: every node runner and store it
         creates goes into *runners* / *stores* as soon as it exists."""
@@ -324,8 +291,6 @@ class BIoTSystem:
                 retry_policy=config.retry_policy,
                 verification_cache=verification_cache,
                 decode_cache=decode_cache,
-                crypto_backend=config.crypto_backend,
-                crypto_pool=crypto_pool,
                 telemetry=telemetry,
                 lifecycle=lifecycle,
             )
@@ -391,7 +356,6 @@ class BIoTSystem:
                 sensor=make_sensor(sensor_type, seed=config.seed + i),
                 report_interval=config.report_interval,
                 rng=random.Random(master.randrange(2 ** 63)),
-                pow_pool=crypto_pool,
                 telemetry=telemetry,
                 lifecycle=lifecycle,
             )
@@ -416,7 +380,6 @@ class BIoTSystem:
             devices=devices,
             device_keys=device_keys,
             gateway_keys=gateway_keys,
-            crypto_pool=crypto_pool,
             telemetry=telemetry,
             tracer=tracer,
             lifecycle=lifecycle,
@@ -481,16 +444,14 @@ class BIoTSystem:
         flush briefly, then listeners, connections and tasks go),
         whatever is still pending on the loop is cancelled and the loop
         is closed.  Only then are the durable stores closed — nothing
-        can journal into a closed store — and the crypto worker pool
-        released.
+        can journal into a closed store.
         """
         if self.closed:
             return
         self.closed = True
         _release(self.scheduler, self.runners,
                  [node.persistence.store for node in self.full_nodes
-                  if node.persistence is not None],
-                 self.crypto_pool)
+                  if node.persistence is not None])
 
     # -- reporting -------------------------------------------------------
 
@@ -521,10 +482,9 @@ class BIoTSystem:
         return summary
 
 
-def _release(scheduler, runners: List[NodeRunner], stores: list,
-             crypto_pool) -> None:
+def _release(scheduler, runners: List[NodeRunner], stores: list) -> None:
     """Stop the runners and close the deployment's loop, then the
-    stores, then the worker pool (see :meth:`BIoTSystem.close`)."""
+    stores (see :meth:`BIoTSystem.close`)."""
     if isinstance(scheduler, AsyncioScheduler):
         loop = scheduler.loop
         for runner in reversed(runners):
@@ -540,5 +500,3 @@ def _release(scheduler, runners: List[NodeRunner], stores: list,
         loop.close()
     for store in stores:
         store.close()
-    if crypto_pool is not None:
-        crypto_pool.close()

@@ -1,88 +1,21 @@
-"""Accelerated crypto lane: backend registry, tables, batch, pool.
+"""Backend lookup by name, kept for callers that still pass ``"accel"``.
 
-Everything here is behaviour-preserving: the ``accel`` backend accepts
-and rejects *exactly* the same inputs as the from-scratch reference
-(:mod:`repro.crypto.ed25519`), byte for byte — pinned by the
-differential suite in ``tests/crypto/test_ed25519_accel.py``.  Code
-picks a backend through :func:`get_backend` (driven by
-``BIoTConfig.crypto_backend``) and never imports the accelerated
-module directly.
+There is one Ed25519 implementation, :mod:`repro.crypto.ed25519`;
+:func:`get_backend` hands it back under its old name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from types import ModuleType
 
-from .. import ed25519 as _reference
-from . import ed25519_accel as _accel
-from .pool import CryptoPool
+from .. import ed25519
 
-__all__ = [
-    "CryptoBackend",
-    "CryptoPool",
-    "CRYPTO_BACKENDS",
-    "get_backend",
-]
-
-SignatureItem = Tuple[bytes, bytes, bytes]
-"""One ``(public_key, message, signature)`` triple."""
+__all__ = ["get_backend"]
 
 
-@dataclass(frozen=True)
-class CryptoBackend:
-    """A pluggable Ed25519 implementation with a uniform surface.
-
-    Attributes:
-        name: registry key ("reference" or "accel").
-        sign / verify / public_from_secret: scalar operations,
-            byte-identical across backends.
-        verify_batch: list of per-item verdicts for a burst of triples;
-            the reference backend simply loops, the accel backend runs
-            the random-linear-combination batch equation with per-item
-            fallback (see :mod:`repro.crypto.accel.ed25519_accel`).
-    """
-
-    name: str
-    sign: Callable[[bytes, bytes], bytes] = field(repr=False)
-    verify: Callable[[bytes, bytes, bytes], bool] = field(repr=False)
-    verify_batch: Callable[[Sequence[SignatureItem]], List[bool]] = field(
-        repr=False)
-    public_from_secret: Callable[[bytes], bytes] = field(repr=False)
-
-
-def _reference_verify_batch(items: Sequence[SignatureItem]) -> List[bool]:
-    return [_reference.verify(public_key, message, signature)
-            for public_key, message, signature in items]
-
-
-_BACKENDS = {
-    "reference": CryptoBackend(
-        name="reference",
-        sign=_reference.sign,
-        verify=_reference.verify,
-        verify_batch=_reference_verify_batch,
-        public_from_secret=_reference.public_from_secret,
-    ),
-    "accel": CryptoBackend(
-        name="accel",
-        sign=_accel.sign,
-        verify=_accel.verify,
-        verify_batch=_accel.verify_batch,
-        public_from_secret=_accel.public_from_secret,
-    ),
-}
-
-CRYPTO_BACKENDS = tuple(_BACKENDS)
-"""Valid ``BIoTConfig.crypto_backend`` values."""
-
-
-def get_backend(name: str) -> CryptoBackend:
-    """Resolve a backend by registry name; raises ``ValueError`` on an
-    unknown name (listing the valid ones)."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown crypto backend {name!r}; valid: {CRYPTO_BACKENDS}"
-        ) from None
+def get_backend(name: str) -> ModuleType:
+    """``"accel"`` is :mod:`repro.crypto.ed25519`; any other name raises
+    ``ValueError``."""
+    if name != "accel":
+        raise ValueError(f"unknown crypto backend {name!r}; valid: accel")
+    return ed25519

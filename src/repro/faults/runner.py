@@ -86,9 +86,18 @@ class ChaosRunner:
 
     def _run_inner(self, plan: FaultPlan, *, seed: int,
                    scenario: str) -> ConvergenceReport:
+        system = BIoTSystem.build(self._reseeded_config(seed))
+        try:
+            return self._campaign(system, plan, seed=seed,
+                                  scenario=scenario)
+        finally:
+            system.close()
+
+    def _campaign(self, system: BIoTSystem, plan: FaultPlan, *, seed: int,
+                  scenario: str) -> ConvergenceReport:
+        """The three phases against *system*; the report is built before
+        :meth:`_run_inner` closes it."""
         settings = self.settings
-        config = self._reseeded_config(seed)
-        system = BIoTSystem.build(config)
         injector = FaultInjector(
             system.network,
             full_nodes=system.full_nodes,

@@ -116,7 +116,6 @@ async def _wait_bootstrap(controller: FleetController,
 
 async def run_proc_leg(workload: Workload, *, processes: int,
                        seed: int, run_dir: str, host: str = "127.0.0.1",
-                       crypto_backend: str = "reference",
                        time_scale: float = 20.0,
                        crash: bool = True) -> Dict[str, object]:
     """Drive *workload* through a fleet of real OS processes.
@@ -138,7 +137,6 @@ async def run_proc_leg(workload: Workload, *, processes: int,
             address=address, genesis_path=genesis_path, rng_seed=i,
             listen_host=host, listen_port=0,
             storage_backend="file", storage_dir=storage_dir,
-            crypto_backend=crypto_backend,
             metrics_port=0, time_scale=time_scale)
         for i, address in enumerate(addresses)
     ]
@@ -207,7 +205,6 @@ async def run_proc_leg(workload: Workload, *, processes: int,
             "processes": processes,
             "transactions": total,
             "storage_backend": specs[0].storage_backend,
-            "crypto_backend": crypto_backend,
             "reference": reference,
             "proc": {**summary, "crash": crash_record,
                      "metrics": metrics_report},

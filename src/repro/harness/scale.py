@@ -27,8 +27,7 @@ __all__ = ["run_scale_bench"]
 
 
 async def _bench_leg(workload: Workload, *, processes: int,
-                     run_dir: str, host: str,
-                     crypto_backend: str) -> Dict[str, object]:
+                     run_dir: str, host: str) -> Dict[str, object]:
     """Spawn *processes* isolated nodes, pump one shard into each (one
     submission in flight per shard), and time the post-warmup stretch
     end to end."""
@@ -41,8 +40,7 @@ async def _bench_leg(workload: Workload, *, processes: int,
             NodeProcessSpec(
                 address=address, genesis_path=genesis_path, rng_seed=i,
                 listen_host=host, listen_port=0,
-                storage_backend="none", crypto_backend=crypto_backend,
-                metrics_port=0, time_scale=1.0)
+                storage_backend="none", metrics_port=0, time_scale=1.0)
             for i, address in enumerate(addresses)])
         await client.connect(directory, rng_seed=f"bench:{processes}")
 
@@ -80,7 +78,6 @@ async def _bench_leg(workload: Workload, *, processes: int,
 
 def run_scale_bench(*, seed: int, process_counts: Tuple[int, ...] = (1, 2, 4),
                     transactions_per_process: int = 120,
-                    crypto_backend: str = "accel",
                     host: str = "127.0.0.1",
                     run_dir: Optional[str] = None,
                     smoke: bool = False) -> Dict[str, object]:
@@ -100,8 +97,7 @@ def run_scale_bench(*, seed: int, process_counts: Tuple[int, ...] = (1, 2, 4),
         for count in process_counts:
             points[f"p{count}"] = asyncio.run(_bench_leg(
                 workload, processes=count,
-                run_dir=os.path.join(directory, f"p{count}"), host=host,
-                crypto_backend=crypto_backend))
+                run_dir=os.path.join(directory, f"p{count}"), host=host))
     base = points[f"p{process_counts[0]}"]["tx_per_s"]
     for point in points.values():
         point["speedup"] = (point["tx_per_s"] / base
@@ -111,7 +107,6 @@ def run_scale_bench(*, seed: int, process_counts: Tuple[int, ...] = (1, 2, 4),
         "seed": seed,
         "smoke": smoke,
         "cpus": len(os.sched_getaffinity(0)),
-        "crypto_backend": crypto_backend,
         "transactions_per_process": transactions_per_process,
         "process_counts": list(process_counts),
         "points": points,

@@ -348,7 +348,9 @@ class AsyncioTransport:
              size_bytes: int = 0) -> bool:
         """Frame and enqueue one message; returns False when the
         recipient is not routable (not in the directory and no reverse
-        route) or the transport is shutting down."""
+        route), the transport is shutting down, or the message is too
+        large for one frame.  Each of those counts as a drop of its
+        kind; none raises into the handler that is sending."""
         self.messages_sent += 1
         self._m_sent.inc(kind=kind)
         if self._closing:
@@ -373,7 +375,13 @@ class AsyncioTransport:
         if recipient not in self.directory and recipient not in self._reverse:
             self._count_drop(kind)
             return False
-        frame = encode_frame(message)
+        try:
+            frame = encode_frame(message)
+        except FrameError:
+            # Past MAX_FRAME_BYTES: a drop of this message, not an
+            # error in the handler that is sending it.
+            self._count_drop(kind)
+            return False
         self._m_frame_bytes.observe(len(frame))
         self._outbox(recipient).put_nowait((frame, kind))
         self._ensure_writer(recipient)

@@ -75,7 +75,9 @@ class NodeProcessSpec:
     ``storage_backend`` is ``"none"`` (no journal) or ``"file"`` (a
     journal under ``storage_dir`` that the same command line restores
     from after a crash); an in-memory journal dies with the process, so
-    it could never be restored from and is not offered.
+    it could never be restored from and is not offered.  There is no
+    signature option: every node signs and verifies with
+    :mod:`repro.crypto.ed25519`.
     """
 
     address: str
@@ -87,7 +89,6 @@ class NodeProcessSpec:
     seeds: List[str] = field(default_factory=list)
     storage_backend: str = "none"
     storage_dir: Optional[str] = None
-    crypto_backend: str = "reference"
     metrics_port: Optional[int] = None
     time_scale: float = 1.0
 
@@ -115,7 +116,6 @@ class NodeProcessSpec:
             "--listen",
             f"{self.listen_host}:{self.listen_port}",
             "--storage-backend", self.storage_backend,
-            "--crypto-backend", self.crypto_backend,
             "--time-scale", str(self.time_scale),
         ]
         if self.advertise_host:
@@ -146,8 +146,7 @@ arrive within one propagation time of each other, so the recent
 thousand is the working set."""
 
 
-def build_node(address: str, genesis, *, rng_seed: int,
-               crypto_backend: str = "reference", telemetry=None):
+def build_node(address: str, genesis, *, rng_seed: int, telemetry=None):
     """The one node configuration ``repro node`` runs (difficulty-1
     inverse policy, PoW enforced, a node-sized decode LRU so the bytes
     of a transaction the node already has cost one dict hit).
@@ -162,8 +161,7 @@ def build_node(address: str, genesis, *, rng_seed: int,
         address, genesis,
         consensus=CreditBasedConsensus.from_params(
             CreditParameters(), initial_difficulty=1),
-        rng=random.Random(rng_seed), enforce_pow=True,
-        crypto_backend=crypto_backend, telemetry=telemetry,
+        rng=random.Random(rng_seed), enforce_pow=True, telemetry=telemetry,
         decode_cache=TransactionDecodeCache(NODE_DECODE_CACHE_SIZE,
                                             telemetry=telemetry))
 
@@ -204,7 +202,7 @@ async def _amain(spec: NodeProcessSpec, *, ready_stream) -> int:
     registry = MetricsRegistry()
     genesis = _load_genesis(spec.genesis_path)
     node = build_node(spec.address, genesis, rng_seed=spec.rng_seed,
-                      crypto_backend=spec.crypto_backend, telemetry=registry)
+                      telemetry=registry)
 
     restored = 0
     persistence = None

@@ -34,6 +34,8 @@ from typing import Dict, List, Optional
 
 from ..core.acl import AuthorizationList, GenesisConfig
 from ..core.consensus import CreditBasedConsensus
+from ..crypto import ed25519
+from ..crypto.accel import get_backend
 from ..devices.profiles import PC
 from ..faults.backoff import DEFAULT_BACKOFF, BackoffPolicy
 from ..network.gossip import GossipRelay, SolidificationBuffer
@@ -123,17 +125,12 @@ class FullNode(NetworkNode):
             TransactionDecodeCache`; gossip/sync/submit payload bytes
             already decoded (by this node or a cache-sharing peer) are
             served as the same immutable instance instead of re-parsed.
-        crypto_backend: name of the Ed25519 implementation verifying
-            signatures — ``"reference"`` (the from-scratch module) or
-            ``"accel"`` (precomputed tables, wNAF, batch equation; see
-            :mod:`repro.crypto.accel`).  Both accept exactly the same
-            signatures; transactions that arrive together (a sync or
-            parent response, the frames of one stream read) are
-            verified through the backend's batch path.
-        crypto_pool: optional :class:`~repro.crypto.accel.CryptoPool`;
-            when present, batch signature checks fan out across its
-            worker processes (same verdicts, more cores).  Shared at
-            deployment level — see ``BIoTConfig.pow_workers``.
+        crypto_backend: accepted for callers that still name the
+            Ed25519 lane; ``"accel"`` is the only valid value and it
+            selects nothing — signatures are always checked by
+            :mod:`repro.crypto.ed25519`, and transactions that arrive
+            together (a sync or parent response, the frames of one
+            stream read) through its batch path.
         telemetry: a :class:`~repro.telemetry.MetricsRegistry` shared
             across the deployment; threaded into this node's tangle,
             gossip relay and solidification accounting.  ``None`` keeps
@@ -153,8 +150,7 @@ class FullNode(NetworkNode):
                  retry_policy: Optional[BackoffPolicy] = None,
                  verification_cache: Optional[VerificationCache] = None,
                  decode_cache: Optional[TransactionDecodeCache] = None,
-                 crypto_backend: str = "reference",
-                 crypto_pool=None,
+                 crypto_backend: str = "accel",
                  telemetry=None, lifecycle=None):
         super().__init__(address)
         self.telemetry = coerce_registry(telemetry)
@@ -191,11 +187,7 @@ class FullNode(NetworkNode):
         self.verification_cache = verification_cache
         self.decode_cache = decode_cache
         self._enforce_pow = enforce_pow
-        # Imported lazily: repro.crypto.accel pulls in repro.pow, which
-        # this module's own import chain already passes through.
-        from ..crypto.accel import get_backend
-        self._crypto_backend = get_backend(crypto_backend)
-        self._crypto_pool = crypto_pool
+        get_backend(crypto_backend)  # validates the name only
         self._preverified = PreverifiedSet()
         self._handlers = {
             "get_tips_request": self._handle_get_tips,
@@ -263,7 +255,6 @@ class FullNode(NetworkNode):
         return [
             crypto_validator(allow_simulated_pow=not self._enforce_pow,
                              cache=self.verification_cache,
-                             backend=self._crypto_backend,
                              preverified=self._preverified),
         ]
 
@@ -788,9 +779,9 @@ class FullNode(NetworkNode):
 
         Instances already verified (verification cache) or already
         batch-verified (preverified set) are skipped; everything else
-        goes through the backend's batch equation in one round — for
-        the accel backend that is one multi-scalar multiplication
-        instead of N sequential verifies.  Positive verdicts are parked
+        goes through :func:`repro.crypto.ed25519.verify_batch` in one
+        round — one multi-scalar multiplication instead of N
+        sequential verifies.  Positive verdicts are parked
         in the :class:`~repro.tangle.validation.PreverifiedSet` for the
         validator to consume; negative ones are left for the validator
         to re-verify (and reject) individually, so batch and sequential
@@ -811,10 +802,7 @@ class FullNode(NetworkNode):
             return  # nothing to amortise; the validator handles singles
         items = [(tx.issuer.sign_public, tx.tx_hash, tx.signature)
                  for tx in pending]
-        if self._crypto_pool is not None:
-            verdicts = self._crypto_pool.verify_many(items)
-        else:
-            verdicts = self._crypto_backend.verify_batch(items)
+        verdicts = ed25519.verify_batch(items)
         passed = 0
         for tx, ok in zip(pending, verdicts):
             if ok:

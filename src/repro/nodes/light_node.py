@@ -92,11 +92,6 @@ class LightNode(NetworkNode):
             each reading individually (the paper's behaviour); larger
             values amortise PoW/signature/approval cost across readings
             at the price of data latency (Ext-7 sweeps this).
-        pow_pool: optional :class:`~repro.crypto.accel.CryptoPool`
-            handed to this device's :class:`~repro.pow.engine.
-            PowEngine`; real nonce grinding fans out across its worker
-            processes with identical results (deployment-level opt-in
-            via ``BIoTConfig.pow_workers``).
         telemetry: a :class:`~repro.telemetry.MetricsRegistry` shared
             across the deployment (PoW engine metrics, key-install
             counts).  ``None`` keeps the zero-overhead null registry.
@@ -114,7 +109,6 @@ class LightNode(NetworkNode):
                  protect_group: str = "sensitive",
                  request_timeout: float = 10.0,
                  batch_size: int = 1,
-                 pow_pool=None,
                  telemetry=None, lifecycle=None):
         super().__init__(address)
         if report_interval <= 0:
@@ -143,7 +137,6 @@ class LightNode(NetworkNode):
             "repro_keydist_keys_installed_total",
             "Group keys installed on devices (M3 verified)")
         self.engine: Optional[PowEngine] = None
-        self._pow_pool = pow_pool
         self._running = False
         self._request_counter = 0
         self._pending: Dict[int, Dict] = {}
@@ -158,7 +151,6 @@ class LightNode(NetworkNode):
         self.engine = PowEngine(
             self.profile, network.scheduler.clock,
             rng=self.rng, advance_clock=False,
-            pool=self._pow_pool,
             telemetry=self.telemetry,
         )
 

@@ -104,7 +104,6 @@ class ManagerNode(FullNode):
         self.engine = PowEngine(
             self.profile, network.scheduler.clock,
             rng=self.rng, advance_clock=False,
-            pool=self._crypto_pool,
             telemetry=self.telemetry,
         )
 

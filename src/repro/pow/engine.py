@@ -63,12 +63,6 @@ class PowEngine:
             simulations set False and instead schedule a completion
             event ``elapsed_seconds`` in the future, so concurrent
             nodes' compute overlaps correctly.
-        pool: optional :class:`~repro.crypto.accel.CryptoPool`; real
-            grinding fans the nonce scan across its worker processes.
-            The pooled scan returns the identical ``(nonce, attempts)``
-            pair as the sequential one (see the pool's module
-            docstring), so simulated time and ledger content are
-            unchanged — only wall-clock time shrinks.
         telemetry: a :class:`~repro.telemetry.MetricsRegistry` for the
             ``repro_pow_*`` metrics (attempts, solves, solve-time and
             difficulty distributions, labelled by hardware profile).
@@ -78,12 +72,10 @@ class PowEngine:
                  rng: random.Random = None,
                  real_difficulty_limit: int = DEFAULT_REAL_DIFFICULTY_LIMIT,
                  advance_clock: bool = True,
-                 pool=None,
                  telemetry=None):
         self.profile = profile
         self.clock = clock if clock is not None else SimulatedClock()
         self._rng = rng if rng is not None else random.Random()
-        self._pool = pool
         self.advance_clock = advance_clock
         if real_difficulty_limit < 0:
             raise ValueError("real_difficulty_limit must be non-negative")
@@ -115,13 +107,8 @@ class PowEngine:
         """
         started_at = self.clock.now()
         if difficulty <= self.real_difficulty_limit:
-            start_nonce = self._rng.randrange(2 ** 62)
-            if self._pool is not None:
-                proof = self._pool.solve(challenge, difficulty,
-                                         start_nonce=start_nonce)
-            else:
-                proof = hashcash.solve(challenge, difficulty,
-                                       start_nonce=start_nonce)
+            proof = hashcash.solve(challenge, difficulty,
+                                   start_nonce=self._rng.randrange(2 ** 62))
         else:
             attempts = hashcash.sample_attempts(difficulty, self._rng)
             proof = ProofOfWork(nonce=0, attempts=attempts,

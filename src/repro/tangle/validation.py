@@ -198,7 +198,6 @@ class PreverifiedSet:
 def crypto_validator(*, min_difficulty: int = 1,
                      allow_simulated_pow: bool = False,
                      cache: Optional[VerificationCache] = None,
-                     backend=None,
                      preverified: Optional[PreverifiedSet] = None) -> Validator:
     """Build a validator enforcing PoW and signature correctness.
 
@@ -217,11 +216,6 @@ def crypto_validator(*, min_difficulty: int = 1,
             check still run per call — they are O(1) comparisons and
             the floor is validator-local policy, not a property of the
             transaction.
-        backend: optional :class:`~repro.crypto.accel.CryptoBackend`
-            used for the signature check; None keeps the node's
-            built-in reference path (``tx.verify_signature()``).  All
-            registered backends accept exactly the same signatures, so
-            this choice never changes a verdict, only its cost.
         preverified: optional :class:`PreverifiedSet` carrying positive
             batch-verification verdicts; a transaction found there
             skips the individual signature check (the entry is consumed).
@@ -230,9 +224,6 @@ def crypto_validator(*, min_difficulty: int = 1,
     def verify_signature(tx: Transaction) -> bool:
         if preverified is not None and preverified.consume(tx.full_digest):
             return True
-        if backend is not None:
-            return backend.verify(tx.issuer.sign_public, tx.tx_hash,
-                                  tx.signature)
         return tx.verify_signature()
 
     def validate(tangle: Tangle, tx: Transaction) -> None:

@@ -43,16 +43,11 @@ __all__ = ["run_smoke_scenario", "run_trace_scenario"]
 
 def run_smoke_scenario(*, seed: int = 42, device_count: int = 4,
                        gateway_count: int = 2, seconds: float = 40.0,
-                       report_interval: float = 2.0,
-                       crypto_backend: str = "reference",
-                       pow_workers: int = 0):
+                       report_interval: float = 2.0):
     """Build, run and return a telemetry-enabled :class:`BIoTSystem`.
 
     The returned system's ``telemetry`` registry and ``tracer`` hold
     the full run; ``telemetry.unobserved()`` is expected to be empty.
-    *crypto_backend* / *pow_workers* select the accelerated crypto lane
-    (CI runs the scenario under both configurations — the instrument
-    catalog and the scenario outcome must not depend on the backend).
     """
     # Imported lazily: repro.core.biot itself imports repro.telemetry.
     from ..core.biot import BIoTConfig, BIoTSystem
@@ -65,8 +60,6 @@ def run_smoke_scenario(*, seed: int = 42, device_count: int = 4,
         initial_difficulty=8,
         tip_alpha=0.05,
         telemetry=True,
-        crypto_backend=crypto_backend,
-        pow_workers=pow_workers,
     )
     system = BIoTSystem.build(config)
     system.initialize()

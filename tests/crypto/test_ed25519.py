@@ -1,7 +1,12 @@
-"""Tests for repro.crypto.ed25519 against RFC 8032."""
+"""Tests for repro.crypto.ed25519 against RFC 8032.
+
+The vectors and the rejections run against the product and, through
+the ``Oracle*`` subclasses, against the test oracle too.
+"""
 
 import pytest
 
+from repro.crypto import ed25519
 from repro.crypto.ed25519 import (
     PUBLIC_KEY_SIZE,
     SECRET_KEY_SIZE,
@@ -11,6 +16,8 @@ from repro.crypto.ed25519 import (
     sign,
     verify,
 )
+
+from . import ed25519_reference
 
 # RFC 8032 §7.1 test vectors (secret, public, message, signature).
 RFC8032_VECTORS = [
@@ -39,21 +46,25 @@ RFC8032_VECTORS = [
 
 
 class TestRfc8032Vectors:
+    impl = ed25519
+
     @pytest.mark.parametrize("secret_hex,public_hex,msg_hex,sig_hex",
                              RFC8032_VECTORS)
     def test_public_key_derivation(self, secret_hex, public_hex, msg_hex, sig_hex):
-        assert public_from_secret(bytes.fromhex(secret_hex)).hex() == public_hex
+        public = self.impl.public_from_secret(bytes.fromhex(secret_hex))
+        assert public.hex() == public_hex
 
     @pytest.mark.parametrize("secret_hex,public_hex,msg_hex,sig_hex",
                              RFC8032_VECTORS)
     def test_signature(self, secret_hex, public_hex, msg_hex, sig_hex):
-        signature = sign(bytes.fromhex(secret_hex), bytes.fromhex(msg_hex))
+        signature = self.impl.sign(bytes.fromhex(secret_hex),
+                                   bytes.fromhex(msg_hex))
         assert signature.hex() == sig_hex
 
     @pytest.mark.parametrize("secret_hex,public_hex,msg_hex,sig_hex",
                              RFC8032_VECTORS)
     def test_verification(self, secret_hex, public_hex, msg_hex, sig_hex):
-        assert verify(
+        assert self.impl.verify(
             bytes.fromhex(public_hex),
             bytes.fromhex(msg_hex),
             bytes.fromhex(sig_hex),
@@ -61,36 +72,47 @@ class TestRfc8032Vectors:
 
 
 class TestVerificationRejections:
+    impl = ed25519
+
     SECRET = bytes.fromhex(RFC8032_VECTORS[0][0])
     PUBLIC = bytes.fromhex(RFC8032_VECTORS[0][1])
 
     def test_rejects_modified_message(self):
-        signature = sign(self.SECRET, b"original")
-        assert not verify(self.PUBLIC, b"modified", signature)
+        signature = self.impl.sign(self.SECRET, b"original")
+        assert not self.impl.verify(self.PUBLIC, b"modified", signature)
 
     def test_rejects_modified_signature(self):
-        signature = bytearray(sign(self.SECRET, b"m"))
+        signature = bytearray(self.impl.sign(self.SECRET, b"m"))
         signature[0] ^= 0x01
-        assert not verify(self.PUBLIC, b"m", bytes(signature))
+        assert not self.impl.verify(self.PUBLIC, b"m", bytes(signature))
 
     def test_rejects_wrong_public_key(self):
-        other_public = public_from_secret(generate_secret_key(seed=b"other"))
-        signature = sign(self.SECRET, b"m")
-        assert not verify(other_public, b"m", signature)
+        other_public = self.impl.public_from_secret(
+            generate_secret_key(seed=b"other"))
+        signature = self.impl.sign(self.SECRET, b"m")
+        assert not self.impl.verify(other_public, b"m", signature)
 
     def test_rejects_bad_lengths(self):
-        signature = sign(self.SECRET, b"m")
-        assert not verify(self.PUBLIC[:-1], b"m", signature)
-        assert not verify(self.PUBLIC, b"m", signature[:-1])
+        signature = self.impl.sign(self.SECRET, b"m")
+        assert not self.impl.verify(self.PUBLIC[:-1], b"m", signature)
+        assert not self.impl.verify(self.PUBLIC, b"m", signature[:-1])
 
     def test_rejects_non_canonical_s(self):
         # s >= L must be rejected (malleability defence).
-        signature = bytearray(sign(self.SECRET, b"m"))
+        signature = bytearray(self.impl.sign(self.SECRET, b"m"))
         signature[32:] = (b"\xff" * 32)
-        assert not verify(self.PUBLIC, b"m", bytes(signature))
+        assert not self.impl.verify(self.PUBLIC, b"m", bytes(signature))
 
     def test_rejects_garbage_point_encoding(self):
-        assert not verify(b"\xff" * 32, b"m", bytes(64))
+        assert not self.impl.verify(b"\xff" * 32, b"m", bytes(64))
+
+
+class TestOracleRfc8032Vectors(TestRfc8032Vectors):
+    impl = ed25519_reference
+
+
+class TestOracleVerificationRejections(TestVerificationRejections):
+    impl = ed25519_reference
 
 
 class TestKeyGeneration:

@@ -1,28 +1,28 @@
-"""Differential tests: the accel Ed25519 lane vs the reference.
+"""Differential tests: the product Ed25519 vs the RFC 8032 oracle.
 
-The accel module's whole contract is *bit-exactness*: ``sign``,
-``public_from_secret`` and ``verify`` must agree with
-:mod:`repro.crypto.ed25519` on every input, and ``verify_batch`` must
-agree with per-item sequential verification — including on adversarial
-inputs (small-order and mixed-order points, non-canonical encodings,
-``s >= L``) where a naive batch equation would accept what the
-cofactorless reference rejects.  A single ``verify`` reads per-issuer
-split tables out of a bounded LRU, so every such input is also checked
-in each state of that cache: key never seen, seen, and evicted.
+:mod:`repro.crypto.ed25519`'s whole contract is *bit-exactness*:
+``sign``, ``public_from_secret`` and ``verify`` must agree with the
+straight-line oracle (``ed25519_reference``) on every input, and
+``verify_batch`` must agree with per-item sequential verification —
+including on adversarial inputs (small-order and mixed-order points,
+non-canonical encodings, ``s >= L``) where a naive batch equation would
+accept what the cofactorless oracle rejects.  A single ``verify`` reads
+per-issuer split tables out of a bounded LRU, so every such input is
+also checked in each state of that cache: key never seen, seen, and
+evicted.  The helpers below build adversarial points with the oracle's
+arithmetic only.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import ed25519 as ref
-from repro.crypto.accel import (
-    CRYPTO_BACKENDS,
-    CryptoPool,
-    get_backend,
-)
-from repro.crypto.accel import ed25519_accel as acc
-from repro.crypto.ed25519 import (
+from repro.crypto import ed25519 as product
+from repro.crypto.accel import get_backend
+from repro.crypto.ed25519 import generate_secret_key
+
+from . import ed25519_reference as ref
+from .ed25519_reference import (
     _D,
     _IDENTITY,
     _L,
@@ -33,14 +33,15 @@ from repro.crypto.ed25519 import (
     _point_equal,
     _secret_expand,
     _sha512_int,
-    generate_secret_key,
 )
 
 # -- helpers ---------------------------------------------------------------
 
+_SQRT_M1 = pow(2, (_P - 1) // 4, _P)
+
 
 def _mul(scalar, point):
-    """Reference-arithmetic double-and-add (independent of accel code)."""
+    """Oracle-arithmetic double-and-add (independent of product code)."""
     acc_point = _IDENTITY
     while scalar:
         if scalar & 1:
@@ -48,6 +49,11 @@ def _mul(scalar, point):
         point = _point_add(point, point)
         scalar >>= 1
     return acc_point
+
+
+def _neg(point):
+    x, y, z, t = point
+    return (-x % _P, y, z, -t % _P)
 
 
 def _order(point):
@@ -62,7 +68,7 @@ def _sqrt(a):
     """Square root mod p (p = 5 mod 8), or None for non-residues."""
     root = pow(a, (_P + 3) // 8, _P)
     if root * root % _P != a % _P:
-        root = root * acc._SQRT_M1 % _P
+        root = root * _SQRT_M1 % _P
     if root * root % _P != a % _P:
         return None
     return root
@@ -78,7 +84,7 @@ def small_order_encodings():
     curve equation gives d·x⁴ - 2x² - 1 = 0, i.e. x² = (1 ± √(1+d))/d.
     """
     points = [(0, 1), (0, _P - 1),
-              (acc._SQRT_M1, 0), (_P - acc._SQRT_M1, 0)]
+              (_SQRT_M1, 0), (_P - _SQRT_M1, 0)]
     disc = _sqrt((1 + _D) % _P)
     assert disc is not None
     inv_d = pow(_D, _P - 2, _P)
@@ -160,8 +166,9 @@ class TestScalarDifferential:
     @given(st.binary(min_size=32, max_size=32),
            st.binary(max_size=64))
     def test_sign_and_public_byte_identical(self, secret, message):
-        assert acc.public_from_secret(secret) == ref.public_from_secret(secret)
-        assert acc.sign(secret, message) == ref.sign(secret, message)
+        assert (product.public_from_secret(secret)
+                == ref.public_from_secret(secret))
+        assert product.sign(secret, message) == ref.sign(secret, message)
 
     @settings(max_examples=25, deadline=None)
     @given(st.binary(min_size=32, max_size=32),
@@ -171,10 +178,10 @@ class TestScalarDifferential:
     def test_verify_agreement_tampered(self, secret, message, pos, flip):
         public = ref.public_from_secret(secret)
         signature = bytearray(ref.sign(secret, message))
-        assert acc.verify(public, message, bytes(signature))
+        assert product.verify(public, message, bytes(signature))
         signature[pos] ^= flip
         tampered = bytes(signature)
-        assert (acc.verify(public, message, tampered)
+        assert (product.verify(public, message, tampered)
                 == ref.verify(public, message, tampered))
 
     @settings(max_examples=50, deadline=None)
@@ -185,7 +192,7 @@ class TestScalarDifferential:
         except ValueError:
             expected = None
         try:
-            got = acc._decompress(encoding)
+            got = product._decompress(encoding)
         except ValueError:
             got = None
         if expected is None:
@@ -204,27 +211,27 @@ class TestScalarDifferential:
         with pytest.raises(ValueError):
             _point_decompress(encoding)
         with pytest.raises(ValueError):
-            acc._decompress(encoding)
+            product._decompress(encoding)
 
     def test_issuer_cache_bounded(self):
-        acc._issuer_cache.clear()
-        for i in range(acc._ISSUER_CACHE_SIZE + 16):
+        product._issuer_cache.clear()
+        for i in range(product._ISSUER_CACHE_SIZE + 16):
             secret = generate_secret_key(seed=b"cache-%d" % i)
-            acc._issuer(acc.public_from_secret(secret))
-        assert len(acc._issuer_cache) == acc._ISSUER_CACHE_SIZE
+            product._issuer(product.public_from_secret(secret))
+        assert len(product._issuer_cache) == product._ISSUER_CACHE_SIZE
 
     def test_issuer_cache_keeps_successes_only(self):
-        acc._issuer_cache.clear()
+        product._issuer_cache.clear()
         with pytest.raises(ValueError):
-            acc._issuer(b"\xff" * 32)
-        assert not acc._issuer_cache
+            product._issuer(b"\xff" * 32)
+        assert not product._issuer_cache
 
     def test_bad_lengths_rejected(self):
         secret = generate_secret_key(seed=b"len")
         public = ref.public_from_secret(secret)
         signature = ref.sign(secret, b"m")
-        assert not acc.verify(public[:-1], b"m", signature)
-        assert not acc.verify(public, b"m", signature[:-1])
+        assert not product.verify(public[:-1], b"m", signature)
+        assert not product.verify(public, b"m", signature[:-1])
 
 
 # -- adversarial encodings -------------------------------------------------
@@ -241,11 +248,11 @@ class TestAdversarial:
     @pytest.mark.parametrize("encoding", SMALL_ORDER)
     def test_small_order_public_key_agreement(self, encoding):
         # s=0 signatures against small-order keys: the classic forgery
-        # shape.  No exceptions, and accel agrees with the reference.
+        # shape.  No exceptions, and the product agrees with the oracle.
         for r_enc in (SMALL_ORDER[0], SMALL_ORDER[1]):
             signature = r_enc + bytes(32)
             expected = ref.verify(encoding, b"m", signature)
-            assert acc.verify(encoding, b"m", signature) == expected
+            assert product.verify(encoding, b"m", signature) == expected
 
     @pytest.mark.parametrize("encoding", SMALL_ORDER)
     def test_small_order_commitment_agreement(self, encoding):
@@ -253,7 +260,7 @@ class TestAdversarial:
         public = ref.public_from_secret(secret)
         signature = encoding + bytes(32)
         expected = ref.verify(public, b"m", signature)
-        assert acc.verify(public, b"m", signature) == expected
+        assert product.verify(public, b"m", signature) == expected
 
     @pytest.mark.parametrize("s_value", [_L, _L + 1, 2 ** 256 - 1])
     def test_non_canonical_s_rejected(self, s_value):
@@ -262,7 +269,7 @@ class TestAdversarial:
         signature = ref.sign(secret, b"m")[:32] + s_value.to_bytes(
             32, "little")
         assert not ref.verify(public, b"m", signature)
-        assert not acc.verify(public, b"m", signature)
+        assert not product.verify(public, b"m", signature)
 
     @pytest.mark.parametrize("torsion", SMALL_ORDER[1:])
     def test_torsion_defect_rejected_by_batch(self, torsion):
@@ -274,10 +281,10 @@ class TestAdversarial:
         # the torsion component — then it is simply a valid signature
         # and there is nothing adversarial to check).
         expected = ref.verify(*defective)
-        assert acc.verify(*defective) == expected
+        assert product.verify(*defective) == expected
         items = make_items(3) + [defective]
         sequential = [ref.verify(*item) for item in items]
-        assert acc.verify_batch(items) == sequential
+        assert product.verify_batch(items) == sequential
 
     def test_torsion_defect_is_cofactored_valid(self):
         """The defect really is the interesting class: multiplying the
@@ -291,7 +298,7 @@ class TestAdversarial:
         challenge = _sha512_int(signature[:32], public, message) % _L
         gap = _point_add(
             _mul(s, ref._BASE),
-            acc._point_neg(_point_add(r_point, _mul(challenge, a_point))))
+            _neg(_point_add(r_point, _mul(challenge, a_point))))
         assert not _point_equal(gap, _IDENTITY)
         assert _point_equal(_mul(8, gap), _IDENTITY)
 
@@ -301,27 +308,27 @@ class TestAdversarial:
 
 class TestBatch:
     def test_empty_batch(self):
-        assert acc.verify_batch([]) == []
+        assert product.verify_batch([]) == []
 
     def test_single_item_batch(self):
         (item,) = make_items(1)
-        assert acc.verify_batch([item]) == [True]
+        assert product.verify_batch([item]) == [True]
         bad = (item[0], item[1], item[2][:32] + bytes(32))
-        assert acc.verify_batch([bad]) == [ref.verify(*bad)]
+        assert product.verify_batch([bad]) == [ref.verify(*bad)]
 
     def test_all_valid_multiple_issuers(self):
         items = make_items(8, issuers=4)
-        assert acc.verify_batch(items) == [True] * 8
+        assert product.verify_batch(items) == [True] * 8
 
     def test_single_issuer_merged_columns(self):
         # 16 signatures from one key collapse to one A-column; the
         # merged equation must still accept all and reject tampering.
         items = make_items(16, issuers=1)
-        assert acc.verify_batch(items) == [True] * 16
+        assert product.verify_batch(items) == [True] * 16
         public, message, signature = items[7]
         items[7] = (public, message + b"!", signature)
         expected = [ref.verify(*item) for item in items]
-        assert acc.verify_batch(items) == expected
+        assert product.verify_batch(items) == expected
 
     def test_fallback_on_corruption(self):
         items = make_items(6, issuers=3)
@@ -331,7 +338,7 @@ class TestBatch:
         items[2] = (public, message, bytes(corrupted))
         expected = [ref.verify(*item) for item in items]
         assert expected.count(False) == 1
-        assert acc.verify_batch(items) == expected
+        assert product.verify_batch(items) == expected
 
     def test_structurally_invalid_items_skipped(self):
         items = make_items(3)
@@ -339,7 +346,7 @@ class TestBatch:
         items.append((items[0][0], b"m", bytes(63)))
         items.append((b"\xff" * 32, b"m", bytes(64)))
         expected = [ref.verify(*item) for item in items]
-        assert acc.verify_batch(items) == expected
+        assert product.verify_batch(items) == expected
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=2, max_value=6),
@@ -353,7 +360,7 @@ class TestBatch:
             mutated[pos] ^= 0x01
             items[corrupt] = (public, message, bytes(mutated))
         expected = [ref.verify(*item) for item in items]
-        assert acc.verify_batch(items) == expected
+        assert product.verify_batch(items) == expected
 
 
 # -- the cached path: issuer records and split tables ----------------------
@@ -362,8 +369,8 @@ NON_CANONICAL = [((_P + k) | (sign << 255)).to_bytes(32, "little")
                  for k in range(19) for sign in (0, 1)]
 """Every 32-byte string whose y field is >= p: rejected by decoding."""
 
-FILLER_KEYS = [acc.public_from_secret(generate_secret_key(seed=b"fill-%d" % i))
-               for i in range(acc._ISSUER_CACHE_SIZE)]
+FILLER_KEYS = [product.public_from_secret(generate_secret_key(seed=b"fill-%d" % i))
+               for i in range(product._ISSUER_CACHE_SIZE)]
 """Enough distinct keys to turn the issuer LRU over once."""
 
 _seeds = st.integers(min_value=0, max_value=5).map(lambda i: b"key-%d" % i)
@@ -435,27 +442,21 @@ def batches(draw):
 
 def _turn_cache_over():
     for filler in FILLER_KEYS:
-        acc._issuer(filler)
+        product._issuer(filler)
 
 
 def _warm_up(items, how):
     """Put the issuer LRU in one of its three states for *items*."""
-    acc._issuer_cache.clear()
+    product._issuer_cache.clear()
     if how == "warm":
         # An all-zero signature is structurally valid (y = 0 decodes,
         # s = 0), so it reaches the equation and builds the tables of
         # every key that decodes, whatever the item's own signature.
         for public_key, _, _ in items:
-            acc.verify(public_key, b"", bytes(64))
+            product.verify(public_key, b"", bytes(64))
     elif how == "evicted":
         _warm_up(items, "warm")
         _turn_cache_over()
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with CryptoPool(2) as shared:
-        yield shared
 
 
 class TestIssuerTables:
@@ -463,12 +464,12 @@ class TestIssuerTables:
     @given(st.one_of(plain_items, torsion_items))
     def test_cold_warm_and_evicted_agree_with_reference(self, item):
         expected = ref.verify(*item)
-        acc._issuer_cache.clear()
-        assert acc.verify(*item) == expected      # cold: builds the tables
-        assert acc.verify(*item) == expected      # warm: reads them
+        product._issuer_cache.clear()
+        assert product.verify(*item) == expected      # cold: builds the tables
+        assert product.verify(*item) == expected      # warm: reads them
         _turn_cache_over()
-        assert item[0] not in acc._issuer_cache
-        assert acc.verify(*item) == expected      # evicted: builds again
+        assert item[0] not in product._issuer_cache
+        assert product.verify(*item) == expected      # evicted: builds again
 
     @pytest.mark.parametrize("torsion", SMALL_ORDER[1:])
     def test_every_torsion_point_on_either_side(self, torsion):
@@ -477,30 +478,22 @@ class TestIssuerTables:
             expected = ref.verify(*item)
             for how in ("cold", "warm", "evicted"):
                 _warm_up([item], how)
-                assert acc.verify(*item) == expected, (build.__name__, how)
+                assert product.verify(*item) == expected, (build.__name__, how)
 
     @settings(max_examples=40, deadline=None)
     @given(batches(), st.sampled_from(["cold", "warm", "evicted"]))
     def test_batch_agrees_with_singles(self, items, how):
         expected = [ref.verify(*item) for item in items]
         _warm_up(items, how)
-        assert acc.verify_batch(items) == expected
-        assert [acc.verify(*item) for item in items] == expected
-
-    @settings(max_examples=10, deadline=None)
-    @given(batches())
-    def test_pool_agrees_with_singles(self, pool, items):
-        # The workers keep issuer caches of their own, in whatever
-        # state earlier examples left them.
-        assert pool.verify_many(items) == [ref.verify(*item)
-                                           for item in items]
+        assert product.verify_batch(items) == expected
+        assert [product.verify(*item) for item in items] == expected
 
     def test_tables_are_the_split_of_minus_a(self):
         (public, message, signature), = make_items(1, seed_prefix=b"rows")
-        acc._issuer_cache.clear()
-        assert acc.verify(public, message, signature)
-        record = acc._issuer_cache[public]
-        minus_a = acc._point_neg(_point_decompress(public))
+        product._issuer_cache.clear()
+        assert product.verify(public, message, signature)
+        record = product._issuer_cache[public]
+        minus_a = _neg(_point_decompress(public))
         assert len(record.tables) == 8
         for piece, row in enumerate(record.tables):
             assert len(row) == 8
@@ -509,8 +502,8 @@ class TestIssuerTables:
                     point, _mul((2 * index + 1) << (32 * piece), minus_a))
 
     def test_base_rows_are_the_split_of_b(self):
-        acc.precompute()
-        for piece, row in enumerate(acc._BASE_SPLIT):
+        product.precompute()
+        for piece, row in enumerate(product._BASE_SPLIT):
             for index, point in enumerate(row):
                 assert _point_equal(
                     point, _mul((2 * index + 1) << (32 * piece), ref._BASE))
@@ -519,7 +512,7 @@ class TestIssuerTables:
 class TestPointDouble:
     @staticmethod
     def _check(point):
-        doubled = acc._point_double(point)
+        doubled = product._point_double(point)
         assert _point_equal(doubled, _point_add(point, point))
         x, y, z, t = doubled
         assert z % _P != 0
@@ -529,7 +522,7 @@ class TestPointDouble:
     @given(st.integers(min_value=0, max_value=8 * _L),
            st.sampled_from(SMALL_ORDER))
     def test_random_and_mixed_order_points(self, scalar, torsion):
-        point = _point_add(acc._mul_base(scalar % _L),
+        point = _point_add(product._mul_base(scalar % _L),
                            _point_decompress(torsion))
         self._check(point)
         self._check(_point_add(point, point))  # Z != 1
@@ -543,32 +536,14 @@ class TestPointDouble:
         self._check((0, 5, 5, 0))
 
 
-# -- backend registry ------------------------------------------------------
+# -- the old backend name ----------------------------------------------------
 
 
-class TestBackendRegistry:
-    def test_known_backends(self):
-        assert set(CRYPTO_BACKENDS) == {"reference", "accel"}
+class TestGetBackend:
+    def test_accel_is_the_product_module(self):
+        assert get_backend("accel") is product
 
-    def test_unknown_backend_raises(self):
+    @pytest.mark.parametrize("name", ["reference", "turbo"])
+    def test_any_other_name_raises(self, name):
         with pytest.raises(ValueError, match="unknown crypto backend"):
-            get_backend("turbo")
-
-    @pytest.mark.parametrize("name", ["reference", "accel"])
-    def test_backend_roundtrip(self, name):
-        backend = get_backend(name)
-        assert backend.name == name
-        secret = generate_secret_key(seed=b"backend")
-        public = backend.public_from_secret(secret)
-        assert public == ref.public_from_secret(secret)
-        signature = backend.sign(secret, b"m")
-        assert signature == ref.sign(secret, b"m")
-        assert backend.verify(public, b"m", signature)
-        assert not backend.verify(public, b"x", signature)
-
-    def test_reference_batch_is_sequential(self):
-        backend = get_backend("reference")
-        items = make_items(4)
-        items[1] = (items[1][0], items[1][1] + b"!", items[1][2])
-        assert backend.verify_batch(items) == [
-            ref.verify(*item) for item in items]
+            get_backend(name)

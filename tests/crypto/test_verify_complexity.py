@@ -1,8 +1,8 @@
-"""Complexity guard for the accel verify: counts, not time.
+"""Complexity guard for the Ed25519 verify: counts, not time.
 
 A gateway sees a few long-lived issuers, so what a single ``verify``
 costs is decided by whether the issuer's split tables exist.  The
-budget is stated in point operations — calls to the accel module's
+budget is stated in point operations — calls to the product module's
 ``_point_add`` and ``_point_double``, counted by wrapping both — and
 pinned on every side of the issuer cache: a key seen before, a key
 never seen, a flood of fresh keys, input that must not buy a table at
@@ -15,7 +15,7 @@ way); they are what "no more than before" means below.
 
 import pytest
 
-from repro.crypto.accel import ed25519_accel as acc
+from repro.crypto import ed25519 as product
 from repro.crypto.ed25519 import _L
 
 from .test_ed25519_accel import NON_CANONICAL, make_items
@@ -30,8 +30,8 @@ PARENT_BATCH_3_OF_3 = 557
 @pytest.fixture
 def operations(monkeypatch):
     """Count point operations; every test starts from an empty cache."""
-    acc.precompute()
-    acc._issuer_cache.clear()
+    product.precompute()
+    product._issuer_cache.clear()
     count = [0]
 
     def counting(function):
@@ -40,8 +40,9 @@ def operations(monkeypatch):
             return function(*args)
         return wrapper
 
-    monkeypatch.setattr(acc, "_point_add", counting(acc._point_add))
-    monkeypatch.setattr(acc, "_point_double", counting(acc._point_double))
+    monkeypatch.setattr(product, "_point_add", counting(product._point_add))
+    monkeypatch.setattr(product, "_point_double",
+                        counting(product._point_double))
 
     def spent(function, *args):
         before = count[0]
@@ -53,27 +54,27 @@ def operations(monkeypatch):
 
 def test_warm_key_verify_is_one_short_chain(operations):
     items = make_items(16, seed_prefix=b"pin", issuers=1)
-    operations(acc.verify, *items[0])
+    operations(product.verify, *items[0])
     for item in items:
-        cost, ok = operations(acc.verify, *item)
+        cost, ok = operations(product.verify, *item)
         assert ok
         assert cost <= WARM_BUDGET
     forged = (items[0][0], b"other", items[0][2])
-    cost, ok = operations(acc.verify, *forged)
+    cost, ok = operations(product.verify, *forged)
     assert not ok and cost <= WARM_BUDGET
 
 
 def test_fresh_keys_cost_little_more_than_before_and_pin_nothing(operations):
-    items = make_items(acc._ISSUER_CACHE_SIZE + 8, seed_prefix=b"churn")
+    items = make_items(product._ISSUER_CACHE_SIZE + 8, seed_prefix=b"churn")
     for item in items:
-        cost, ok = operations(acc.verify, *item)
+        cost, ok = operations(product.verify, *item)
         assert ok
         assert cost <= 1.2 * PARENT_SINGLE
-        assert len(acc._issuer_cache) <= acc._ISSUER_CACHE_SIZE
-    assert items[0][0] not in acc._issuer_cache
+        assert len(product._issuer_cache) <= product._ISSUER_CACHE_SIZE
+    assert items[0][0] not in product._issuer_cache
     with_tables = sum(record.tables is not None
-                      for record in acc._issuer_cache.values())
-    assert with_tables == acc._ISSUER_CACHE_SIZE
+                      for record in product._issuer_cache.values())
+    assert with_tables == product._ISSUER_CACHE_SIZE
 
 
 def test_refused_input_builds_no_table(operations):
@@ -86,10 +87,10 @@ def test_refused_input_builds_no_table(operations):
         (public, message, signature[:32] + _L.to_bytes(32, "little")),
     ]
     for item in refused:
-        assert operations(acc.verify, *item) == (0, False)
-        assert operations(acc.verify_batch, [item]) == (0, [False])
-    assert list(acc._issuer_cache) == [public]
-    assert acc._issuer_cache[public].tables is None
+        assert operations(product.verify, *item) == (0, False)
+        assert operations(product.verify_batch, [item]) == (0, [False])
+    assert list(product._issuer_cache) == [public]
+    assert product._issuer_cache[public].tables is None
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -97,8 +98,8 @@ def test_batch_lane_costs_what_it_did(operations, warm):
     items = make_items(64, seed_prefix=b"pin", issuers=4)
     if warm:
         for item in items[:4]:
-            acc.verify(*item)
-    cost, verdicts = operations(acc.verify_batch, items)
+            product.verify(*item)
+    cost, verdicts = operations(product.verify_batch, items)
     assert verdicts == [True] * 64
     assert cost <= PARENT_BATCH_64_OF_4
 
@@ -106,7 +107,7 @@ def test_batch_lane_costs_what_it_did(operations, warm):
 def test_failed_batch_falls_back_through_the_tables(operations):
     items = make_items(64, seed_prefix=b"pin", issuers=4)
     items[9] = (items[9][0], b"other", items[9][2])
-    cost, verdicts = operations(acc.verify_batch, items)
+    cost, verdicts = operations(product.verify_batch, items)
     assert verdicts == [index != 9 for index in range(64)]
     # the combined equation, four table builds, 64 short chains
     assert cost <= PARENT_BATCH_64_OF_4 + 4 * 288 + 64 * WARM_BUDGET
@@ -116,11 +117,11 @@ def test_failed_batch_falls_back_through_the_tables(operations):
 def test_short_run_of_known_issuers_is_verified_singly(operations):
     for count in (2, 3):
         items = make_items(count, seed_prefix=b"pin", issuers=1)
-        acc.verify(*items[0])
-        cost, verdicts = operations(acc.verify_batch, items)
+        product.verify(*items[0])
+        cost, verdicts = operations(product.verify_batch, items)
         assert verdicts == [True] * count
         assert cost <= count * WARM_BUDGET
-    assert acc._BATCH_FLOOR == 4
+    assert product._BATCH_FLOOR == 4
 
 
 def test_short_run_of_fresh_keys_stays_on_the_batch_equation(operations):
@@ -128,9 +129,9 @@ def test_short_run_of_fresh_keys_stays_on_the_batch_equation(operations):
             (make_items(2, seed_prefix=b"pin", issuers=1),
              PARENT_BATCH_2_OF_1),
             (make_items(3, seed_prefix=b"pin"), PARENT_BATCH_3_OF_3)):
-        acc._issuer_cache.clear()
-        cost, verdicts = operations(acc.verify_batch, items)
+        product._issuer_cache.clear()
+        cost, verdicts = operations(product.verify_batch, items)
         assert all(verdicts)
         assert cost <= parent
         assert all(record.tables is None
-                   for record in acc._issuer_cache.values())
+                   for record in product._issuer_cache.values())

@@ -54,14 +54,6 @@ def test_product_code_never_imports_the_harness():
     assert not offenders, offenders
 
 
-# The accel Ed25519 lane is a second implementation of the *same*
-# module, pinned byte-identical to it; it shares the reference's curve
-# constants and point primitives instead of re-deriving them.
-PRIVATE_IMPORT_EXCEPTIONS = {
-    ("crypto/accel/ed25519_accel.py", "repro.crypto.ed25519"),
-}
-
-
 def test_no_module_imports_another_modules_private_names():
     offenders = [
         f"{path.relative_to(PACKAGE)}: from {module} import {name}"
@@ -69,8 +61,6 @@ def test_no_module_imports_another_modules_private_names():
         for module, names, _ in _imports(path)
         for name in names
         if name.startswith("_") and not name.startswith("__")
-        and (path.relative_to(PACKAGE).as_posix(), module)
-        not in PRIVATE_IMPORT_EXCEPTIONS
     ]
     assert not offenders, offenders
 

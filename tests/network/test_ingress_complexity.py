@@ -8,7 +8,7 @@ one seen-set lookup and one counter — and neither a transaction parse
 nor a hash; the metrics it moves must not leave an event behind in a
 process where nothing reads events; and a frame built to exhaust the
 interpreter's stack costs its sender the connection and nobody else
-anything.
+anything, while a reply too large for one frame costs only itself.
 """
 
 import asyncio
@@ -19,6 +19,7 @@ import tracemalloc
 
 import pytest
 
+import repro.network.frame as frame_module
 import repro.tangle.transaction as transaction_module
 from repro.harness.supervisor import write_genesis
 from repro.network import proc
@@ -33,7 +34,14 @@ from repro.tangle.transaction import (
 from repro.telemetry.exporters import to_prometheus_text
 from repro.telemetry.registry import MetricsRegistry
 
-from ..nodes.runs import NODE, PEER, Rig, gossip_frame, submit_frame
+from ..nodes.runs import (
+    BACKENDS,
+    NODE,
+    PEER,
+    Rig,
+    gossip_frame,
+    submit_frame,
+)
 from ..nodes.test_run_amplification import material
 from . import frame_reference
 from .test_frame_differential import framed, nested_lists
@@ -43,7 +51,7 @@ def attached_rig(telemetry=None):
     """A ``build_node`` node that has attached the ACL grant and 64
     transactions, each submitted in a read of its own."""
     genesis, acl, good = material()[:3]
-    rig = Rig(genesis, "accel", telemetry=telemetry)
+    rig = Rig(genesis, BACKENDS["product"], telemetry=telemetry)
     rig.deliver([submit_frame(index, tx.to_bytes())
                  for index, tx in enumerate([acl] + good)])
     assert len(rig.node.tangle) == len(good) + 2
@@ -221,8 +229,7 @@ class TestNodeProcess:
         async def drive():
             stream = ReadyLine()
             node = asyncio.ensure_future(proc._amain(
-                NodeProcessSpec(address=NODE, genesis_path=genesis_path,
-                                crypto_backend="accel"),
+                NodeProcessSpec(address=NODE, genesis_path=genesis_path),
                 ready_stream=stream))
             await asyncio.wait_for(stream.arrived.wait(), 20.0)
             address = stream.ready["host"], stream.ready["port"]
@@ -262,3 +269,78 @@ class TestNodeProcess:
             "repro_network_gossip_duplicates_total").total == len(good)
         assert registry.counter(
             "repro_cache_decode_hits_total").total >= len(good)
+
+    def test_unframeable_reply_costs_only_that_reply(
+            self, fleet_sandbox, monkeypatch):
+        """A ``sync_response`` larger than one frame may hold is dropped
+        and counted as a drop of its kind — not as a malformed request
+        from the peer that asked; the connection that asked for it stays
+        up and its next request is answered."""
+        genesis, acl, good = material()[:3]
+        genesis_path = write_genesis(genesis, fleet_sandbox.storage_dir())
+        built, nodes = [], []
+        build_node = proc.build_node
+
+        def capture(*args, **kwargs):
+            built.append(MetricsRegistry(*args, **kwargs))
+            return built[-1]
+
+        def capture_node(*args, **kwargs):
+            nodes.append(build_node(*args, **kwargs))
+            return nodes[-1]
+
+        monkeypatch.setattr(proc, "MetricsRegistry", capture)
+        monkeypatch.setattr(proc, "build_node", capture_node)
+        # Every request fits; the full sync_response (65 transactions,
+        # ~15 KB) does not.
+        monkeypatch.setattr(frame_module, "MAX_FRAME_BYTES", 8192)
+
+        def request(kind, request_id, **body):
+            return encode_frame(Message(
+                sender="driver", recipient=NODE, kind=kind,
+                body={"request_id": request_id, **body}, sent_at=0.0))
+
+        async def reply(reader, decoder, kind):
+            while True:
+                data = await asyncio.wait_for(reader.read(65536), 20.0)
+                assert data, "node closed the connection"
+                for message in decoder.feed(data):
+                    if message.kind == kind:
+                        return message
+
+        async def drive():
+            stream = ReadyLine()
+            node = asyncio.ensure_future(proc._amain(
+                NodeProcessSpec(address=NODE, genesis_path=genesis_path),
+                ready_stream=stream))
+            await asyncio.wait_for(stream.arrived.wait(), 20.0)
+            reader, writer = await asyncio.open_connection(
+                stream.ready["host"], stream.ready["port"])
+            decoder = FrameDecoder()
+            try:
+                writer.write(
+                    submit_frame(0, acl.to_bytes())
+                    + b"".join(gossip_frame(tx.to_bytes()) for tx in good)
+                    + request("fleet_status", 1))
+                await reply(reader, decoder, "fleet_status_response")
+                writer.write(request("sync_request", 2, known=[])
+                             + request("get_tips_request", 3,
+                                       node_id=bytes(32)))
+                tips = await reply(reader, decoder, "get_tips_response")
+                writer.write(request("fleet_shutdown", 4))
+                await reply(reader, decoder, "fleet_shutdown_ack")
+            finally:
+                writer.close()
+            assert await asyncio.wait_for(node, 20.0) == 0
+            return tips
+
+        tips = fleet_sandbox.run(drive())
+        assert tips.body["request_id"] == 3
+        (registry,) = built
+        dropped = registry.counter("repro_network_messages_dropped_total")
+        assert dropped.value(kind="sync_response") == 1
+        assert registry.counter(
+            "repro_transport_frame_errors_total").total == 0
+        (node,) = nodes
+        assert node.stats.sync_requests_served == 1
+        assert node.stats.malformed_messages == 0

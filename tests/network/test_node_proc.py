@@ -63,7 +63,7 @@ class TestSpec:
             address="n3", genesis_path="/tmp/g.hex", rng_seed=3,
             listen_port=4103, seeds=["n0=127.0.0.1:4100"],
             storage_backend="file", storage_dir="/tmp/s",
-            crypto_backend="accel", metrics_port=0, time_scale=20.0)
+            metrics_port=0, time_scale=20.0)
         argv = spec.to_argv()
         assert argv[0] == "node"
         for flag, value in (("--address", "n3"),
@@ -71,7 +71,6 @@ class TestSpec:
                             ("--listen", "127.0.0.1:4103"),
                             ("--storage-backend", "file"),
                             ("--storage-dir", "/tmp/s"),
-                            ("--crypto-backend", "accel"),
                             ("--metrics-port", "0"),
                             ("--seed-node", "n0=127.0.0.1:4100")):
             index = argv.index(flag)
@@ -278,8 +277,7 @@ class TestBurst:
             return acks
 
         with ProcessFleet(run_dir=run_dir) as fleet:
-            ready = fleet.spawn(_spec("n0", genesis_path, metrics_port=0,
-                                      crypto_backend="accel"))
+            ready = fleet.spawn(_spec("n0", genesis_path, metrics_port=0))
             acks = fleet_sandbox.run(drive(ready))
             assert [acks[i]["ok"] for i in range(burst + 1)] \
                 == [True] * (burst + 1)

@@ -12,6 +12,9 @@ one fixed byte stream any way it likes and compare outcomes.
 
 import random
 from dataclasses import replace
+from unittest import mock
+
+from repro.crypto import ed25519
 
 from repro.faults.report import node_state_hashes
 from repro.network.frame import FrameDecoder, encode_frame
@@ -20,6 +23,12 @@ from repro.network.proc import build_node
 from repro.network.simulator import EventScheduler
 from repro.network.transport import Message
 from repro.tangle.transaction import Transaction
+
+from ..crypto import ed25519_reference
+
+BACKENDS = {"product": ed25519, "oracle": ed25519_reference}
+"""What a rig's node checks signatures with: the product module, or the
+RFC 8032 test oracle patched in for ``verify`` and ``verify_batch``."""
 
 NODE = "n0"
 CLIENT = "client"   # submits, receives every submit/get_tips response
@@ -39,13 +48,16 @@ class Recorder(NetworkNode):
 
 class Rig:
     """One ``repro node``-configured full node on a simulator fabric
-    with a recording client and a recording gossip peer."""
+    with a recording client and a recording gossip peer; while it
+    delivers, ``repro.crypto.ed25519``'s ``verify`` and ``verify_batch``
+    are *backend*'s."""
 
     def __init__(self, genesis, backend, *, telemetry=None):
+        self.backend = backend
         self.scheduler = EventScheduler()
         network = Network(self.scheduler, rng=random.Random(1))
         self.node = build_node(NODE, genesis, rng_seed=0,
-                               crypto_backend=backend, telemetry=telemetry)
+                               telemetry=telemetry)
         self.client = Recorder(CLIENT)
         self.peer = Recorder(PEER)
         for member in (self.node, self.client, self.peer):
@@ -58,14 +70,16 @@ class Rig:
         does: the run hook first when the read carried two or more
         frames, then every frame through the per-message path."""
         decoder = FrameDecoder()
-        for piece in pieces:
-            messages = decoder.feed(piece)
-            if len(messages) >= 2:
-                self.node.prepare_run(messages)
-            for message in messages:
-                self.node._deliver(message)
-        decoder.close()
-        self.scheduler.run()  # replies and floods reach the recorders
+        with mock.patch.multiple(ed25519, verify=self.backend.verify,
+                                 verify_batch=self.backend.verify_batch):
+            for piece in pieces:
+                messages = decoder.feed(piece)
+                if len(messages) >= 2:
+                    self.node.prepare_run(messages)
+                for message in messages:
+                    self.node._deliver(message)
+            decoder.close()
+            self.scheduler.run()  # replies and floods reach the recorders
 
     def responses(self):
         """``request_id -> (kind, body)`` of everything the client got."""

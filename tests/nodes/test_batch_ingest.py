@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.crypto import ed25519
 from repro.crypto.keys import KeyPair
 from repro.network.network import Network, NetworkNode
 from repro.network.simulator import EventScheduler
@@ -25,7 +26,7 @@ from repro.tangle.transaction import Transaction
 from repro.tangle.validation import PreverifiedSet
 from repro.telemetry.registry import MetricsRegistry
 
-from .runs import batch_counters, forge_signature
+from .runs import BACKENDS, batch_counters, forge_signature
 
 MANAGER = KeyPair.generate(seed=b"batch-manager")
 ISSUER = KeyPair.generate(seed=b"batch-issuer")
@@ -164,19 +165,21 @@ class TestGossipBatchMessage:
         assert len(node.tangle) == len(txs) + 1
         assert len(node._preverified) == 0  # consumed, not leaked
 
-    def test_accel_backend_matches_reference(self):
+    def test_product_matches_oracle(self, monkeypatch):
         txs = chained_txs(6)
         encoded = [tx.to_bytes() for tx in txs]
         tangles = {}
-        for backend in ("reference", "accel"):
-            scheduler, network, (node,) = make_mesh(
-                1, crypto_backend=backend)
-            network.send("bn-0", "bn-0", "sync_response",
-                         {"transactions": encoded})
-            scheduler.run()
-            tangles[backend] = sorted(
-                tx.full_digest for tx in node.tangle)
-        assert tangles["reference"] == tangles["accel"]
+        for name, backend in BACKENDS.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(ed25519, "verify", backend.verify)
+                patch.setattr(ed25519, "verify_batch", backend.verify_batch)
+                scheduler, network, (node,) = make_mesh(1)
+                network.send("bn-0", "bn-0", "sync_response",
+                             {"transactions": encoded})
+                scheduler.run()
+            tangles[name] = sorted(tx.full_digest for tx in node.tangle)
+        assert tangles["oracle"] == tangles["product"]
+        assert len(tangles["product"]) == len(txs) + 1
 
     def test_sync_response_uses_batch_lane(self):
         # Two nodes that are NOT gossip peers: the burst only reaches

@@ -13,7 +13,7 @@ from repro.network.transport import Message
 from repro.nodes.full_node import FullNode
 from repro.tangle.transaction import TransactionKind
 
-from .runs import PEER, Rig, frame, submit_frame
+from .runs import BACKENDS, PEER, Rig, frame, submit_frame
 
 
 def build_running_system(seed=141):
@@ -127,7 +127,7 @@ class TestParentRequestBudget:
             assert accepted
             parents = (parents[1], tx.tx_hash)
             chain.append(tx)
-        rig = Rig(builder.genesis, "reference")
+        rig = Rig(builder.genesis, BACKENDS["product"])
         for index, tx in enumerate(chain):
             rig.scheduler.run_until(tx.timestamp)  # distinct arrival times
             rig.deliver([submit_frame(index, tx.to_bytes())])

@@ -12,18 +12,17 @@ hidden among good ones costs the honest senders nothing but the
 fallback the batch counters account for.
 """
 
-from dataclasses import replace
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 
-import repro.crypto.accel as crypto_accel
-from repro.crypto.accel import CRYPTO_BACKENDS
 from repro.harness.workload import WorkloadBuilder
 from repro.tangle.transaction import Transaction, TransactionKind
 from repro.telemetry.registry import MetricsRegistry
 
 from .runs import (
+    BACKENDS,
     PEER,
     Rig,
     bad_nonce,
@@ -71,32 +70,32 @@ def material():
 class CountingRig(Rig):
     """A rig whose node verifies through a backend that counts calls."""
 
-    def __init__(self, genesis, backend, monkeypatch):
-        inner = crypto_accel.get_backend(backend)
+    def __init__(self, genesis, backend):
+        inner = BACKENDS[backend]
         self.calls = {"verify": 0, "verify_batch": 0}
 
         def counting(name):
+            function = getattr(inner, name)  # before the rig patches it
+
             def call(*args):
                 self.calls[name] += 1
-                return getattr(inner, name)(*args)
+                return function(*args)
             return call
 
-        wrapped = replace(inner, verify=counting("verify"),
-                          verify_batch=counting("verify_batch"))
-        with monkeypatch.context() as patch:
-            patch.setattr(crypto_accel, "get_backend", lambda name: wrapped)
-            self.telemetry = MetricsRegistry()
-            super().__init__(genesis, backend, telemetry=self.telemetry)
+        counted = SimpleNamespace(verify=counting("verify"),
+                                  verify_batch=counting("verify_batch"))
+        self.telemetry = MetricsRegistry()
+        super().__init__(genesis, counted, telemetry=self.telemetry)
 
 
-def each_way(backend, monkeypatch, ways, *, warmup=()):
+def each_way(backend, ways, *, warmup=()):
     """One rig per entry of *ways* — a list of pieces, one per read —
     each delivered after the *warmup* frames (one per read); the rigs
     come back with their crypto call counts zeroed after the warm-up."""
     genesis = material()[0]
     rigs = []
     for pieces in ways:
-        rig = CountingRig(genesis, backend, monkeypatch)
+        rig = CountingRig(genesis, backend)
         rig.deliver(warmup)
         rig.client.messages.clear()
         rig.calls.update(verify=0, verify_batch=0)
@@ -107,10 +106,10 @@ def each_way(backend, monkeypatch, ways, *, warmup=()):
     return rigs
 
 
-def both_ways(backend, monkeypatch, frames, *, warmup=()):
+def both_ways(backend, frames, *, warmup=()):
     """*frames* one per read, and as a single read."""
-    return each_way(backend, monkeypatch,
-                    [list(frames), [b"".join(frames)]], warmup=warmup)
+    return each_way(backend, [list(frames), [b"".join(frames)]],
+                    warmup=warmup)
 
 
 def submits(transactions):
@@ -132,7 +131,7 @@ def as_message(kind, transactions):
                                                 for tx in transactions]})]
 
 
-@pytest.mark.parametrize("backend", CRYPTO_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestRefusedRunsBuyNoCrypto:
     def check(self, single, run):
         assert run.responses() == single.responses()
@@ -141,65 +140,62 @@ class TestRefusedRunsBuyNoCrypto:
         assert batch_counters(run.telemetry) == run.warm_counters
         assert len(run.node._preverified) == run.warm_parked
 
-    def check_message(self, backend, monkeypatch, kind, transactions,
-                      warmup):
+    def check_message(self, backend, kind, transactions, warmup):
         """*transactions* in one *kind* message fare as the same
         transactions in single gossip frames, one per read, do."""
         single, message = each_way(
-            backend, monkeypatch,
+            backend,
             [gossips(transactions), as_message(kind, transactions)],
             warmup=warmup)
         self.check(single, message)
         return message
 
-    def test_unlisted_issuer(self, backend, monkeypatch):
+    def test_unlisted_issuer(self, backend):
         _, acl, _, _, strangers, _ = material()
-        single, run = both_ways(backend, monkeypatch, submits(strangers),
+        single, run = both_ways(backend, submits(strangers),
                                 warmup=submits([acl]))
         assert all("unauthorised" in body["error"]
                    for _, body in run.responses().values())
         self.check(single, run)
 
-    def test_nonce_below_declared_difficulty(self, backend, monkeypatch):
+    def test_nonce_below_declared_difficulty(self, backend):
         _, acl, _, _, _, unsealed = material()
-        single, run = both_ways(backend, monkeypatch, submits(unsealed),
+        single, run = both_ways(backend, submits(unsealed),
                                 warmup=submits([acl]))
         assert all("nonce fails" in body["error"]
                    for _, body in run.responses().values())
         self.check(single, run)
 
-    def test_gossip_of_attached_transactions(self, backend, monkeypatch):
+    def test_gossip_of_attached_transactions(self, backend):
         _, acl, good, _, _, _ = material()
-        single, run = both_ways(backend, monkeypatch, gossips(good),
+        single, run = both_ways(backend, gossips(good),
                                 warmup=submits([acl] + good))
         assert run.node.stats.gossip_duplicates == RUN
         self.check(single, run)
 
     @pytest.mark.parametrize("kind", MESSAGE_KINDS)
-    def test_message_of_unsealed_transactions(self, backend, monkeypatch,
-                                              kind):
+    def test_message_of_unsealed_transactions(self, backend, kind):
         _, acl, _, _, _, unsealed = material()
-        message = self.check_message(backend, monkeypatch, kind, unsealed,
+        message = self.check_message(backend, kind, unsealed,
                                      submits([acl]))
         assert message.node.stats.rejection_reasons \
             == {"InvalidPowError": RUN}
 
     @pytest.mark.parametrize("kind", MESSAGE_KINDS)
-    def test_message_of_attached_transactions(self, backend, monkeypatch,
-                                              kind):
+    def test_message_of_attached_transactions(self, backend, kind):
         _, acl, good, _, _, _ = material()
-        message = self.check_message(backend, monkeypatch, kind, good,
+        message = self.check_message(backend, kind, good,
                                      submits([acl] + good))
         assert message.node.stats.gossip_duplicates == RUN
 
 
-@pytest.mark.parametrize("backend", CRYPTO_BACKENDS)
-def test_one_forged_among_63_good(backend, monkeypatch):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_one_forged_among_63_good(backend):
     """Same 63 ``ok`` and one ``signature invalid`` either way.  The
     run spends one batch call on all 64 and the validator settles only
     the forged one individually — the fallback counter says so."""
     _, acl, _, one_forged, _, _ = material()
-    single, run = both_ways(backend, monkeypatch, submits(one_forged),
+    single, run = both_ways(backend, submits(one_forged),
                             warmup=submits([acl]))
     responses = run.responses()
     assert responses == single.responses()
@@ -212,7 +208,7 @@ def test_one_forged_among_63_good(backend, monkeypatch):
     assert batch_counters(single.telemetry) == (0, 0, 0)
     assert batch_counters(run.telemetry) == (1, RUN - 1, 1)
     # The same 64 in one sync_response: one batch call, one fallback.
-    (synced,) = each_way(backend, monkeypatch,
+    (synced,) = each_way(backend,
                          [as_message("sync_response", one_forged)],
                          warmup=submits([acl]))
     assert synced.calls == {"verify": 1, "verify_batch": 1}

@@ -15,13 +15,13 @@ from itertools import accumulate
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.crypto.accel import CRYPTO_BACKENDS
 from repro.faults.report import node_state_hashes
 from repro.harness.workload import WorkloadBuilder
 from repro.tangle.transaction import Transaction, TransactionKind
 from repro.telemetry.registry import MetricsRegistry
 
 from .runs import (
+    BACKENDS,
     CLIENT,
     PEER,
     Rig,
@@ -132,7 +132,7 @@ def scenario():
 
 def run(backend, pieces, *, telemetry=None):
     genesis, _, _, _ = scenario()
-    rig = Rig(genesis, backend, telemetry=telemetry)
+    rig = Rig(genesis, BACKENDS[backend], telemetry=telemetry)
     rig.deliver(pieces)
     return rig
 
@@ -157,7 +157,7 @@ def cut(frames, marks):
     return [stream[a:b] for a, b in zip(edges, edges[1:]) if a != b]
 
 
-@pytest.mark.parametrize("backend", CRYPTO_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestChunkingInvariance:
     def test_the_stream_exercises_every_fate(self, backend):
         """The control run itself: each frame fares as labelled, and

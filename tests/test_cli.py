@@ -44,6 +44,23 @@ class TestParser:
             NODE + ["--storage-backend", backend])
         assert args.storage_backend == backend
 
+    @pytest.mark.parametrize("argv", [
+        ["telemetry", "--crypto-backend", "accel"],
+        ["telemetry", "--pow-workers", "2"],
+        ["fleet", "--processes", "2", "--crypto-backend", "accel"],
+        NODE + ["--crypto-backend", "reference"],
+    ], ids=["telemetry-crypto-backend", "telemetry-pow-workers",
+            "fleet-crypto-backend", "node-reference"])
+    def test_retired_crypto_options_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "--" in capsys.readouterr().err
+
+    def test_node_still_accepts_crypto_backend_accel(self):
+        args = build_parser().parse_args(NODE + ["--crypto-backend", "accel"])
+        assert args.crypto_backend == "accel"
+
 
 class TestCommands:
     def test_fig7(self, capsys):

@@ -1,6 +1,7 @@
 """Names of deleted code stay deleted: the metric event log, the SQLite
-store and the unimported analysis helpers have no reader, so nothing
-under ``src/`` may name them again."""
+store, the unimported analysis helpers, and the second Ed25519 lane with
+the registry, worker pool and options that chose between the two have
+no reader, so nothing under ``src/`` may name them again."""
 
 import pathlib
 
@@ -10,7 +11,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 RETIRED = ["sqlite3", "SQLiteStore", "record_events", "MetricEvent",
            "events_dropped", "TimeSeries", "ThroughputMeter",
-           "tangle_to_dot"]
+           "tangle_to_dot",
+           "CryptoPool", "CRYPTO_BACKENDS", "CryptoBackend", "pow_workers",
+           "crypto_pool", "pow_pool", "ed25519_accel"]
 
 
 @pytest.mark.parametrize("name", RETIRED)
