@@ -22,7 +22,7 @@ Seven measurements of the per-transaction fast lanes, on identical inputs:
 * **verify/decode cache hit rates** — observed counter values from an
   instrumented cached run;
 * **crypto** — end-to-end *uncached* burst validation throughput with
-  :mod:`repro.crypto.ed25519` (batch verification + fixed-base tables)
+  :mod:`repro.crypto.ed25519` (batch verification + affine tables)
   vs the straight-line RFC 8032 oracle it replaced
   (``tests/crypto/ed25519_reference.py``, patched in for ``verify`` and
   ``verify_batch``), identical wire traffic: the same burst reaches
@@ -33,7 +33,9 @@ Seven measurements of the per-transaction fast lanes, on identical inputs:
   paced submit pays, for an issuer never seen (decompress, build the
   split tables, verify) and for one seen before (read them): verifies
   per second, point operations per verify counted by wrapping the
-  module's two point primitives, and the bytes one issuer record pins,
+  module's three point primitives (general addition, the mixed
+  addition that reads table entries, doubling), and the bytes one
+  issuer record pins,
   against the unsplit verify's operation count;
 * **ingress** — what a frame the gateway already has costs a
   ``repro node``: frames per second and Python calls per frame through
@@ -389,8 +391,8 @@ def _bench_crypto():
 # -- single verify --------------------------------------------------------
 
 def _count_point_operations(function):
-    """Point additions + doublings *function* makes in
-    :mod:`repro.crypto.ed25519` (untimed pass: the wrappers cost more
+    """Point additions (general and mixed) + doublings *function* makes
+    in :mod:`repro.crypto.ed25519` (untimed pass: the wrappers cost more
     than they count)."""
     count = [0]
 
@@ -400,14 +402,15 @@ def _count_point_operations(function):
             return primitive(*args)
         return wrapper
 
-    add, double = ed25519._point_add, ed25519._point_double
-    ed25519._point_add = counting(add)
-    ed25519._point_double = counting(double)
+    names = ("_point_add", "_point_add_niels", "_point_double")
+    primitives = {name: getattr(ed25519, name) for name in names}
+    for name, primitive in primitives.items():
+        setattr(ed25519, name, counting(primitive))
     try:
         function()
     finally:
-        ed25519._point_add = add
-        ed25519._point_double = double
+        for name, primitive in primitives.items():
+            setattr(ed25519, name, primitive)
     return count[0]
 
 

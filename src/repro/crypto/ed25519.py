@@ -13,24 +13,28 @@ The group law runs in extended homogeneous coordinates, and four
 algorithmic upgrades over straight-line RFC 8032 keep signing and
 verification cheap on a gateway:
 
-* **fixed-base tables** — scalar multiplication by the base point ``B``
-  (key generation, signing, the batch equation's left side) walks a
-  radix-16 table of ``d * 16^j * B`` built once per process: ~60 point
-  additions and *zero* doublings instead of ~256 doublings + ~128
-  additions;
+* **affine tables** — every precomputed point a chain reads is stored
+  in affine Niels form ``(y + x, y - x, 2d*x*y)`` beside its negation,
+  each table made affine with one shared inversion, and read through
+  one 7-multiplication mixed addition (:func:`_point_add_niels`)
+  instead of the 10 of the general addition, which is left to table
+  builds.  The base point ``B`` has *one* such table, built once per
+  process: the odd multiples ``1, 3, ..., 127`` of ``2^(32i) * B`` for
+  ``i = 0..7``, 8 x 64 entries.  Key generation, signing, the single
+  verify and the batch equation all read it: ``[k]B`` is a chain of 33
+  doublings and ~30 additions;
 * **per-issuer split tables** — a single ``verify`` evaluates
   ``[s]B - [h]A`` as *one* Straus chain of 33 doublings: both scalars
-  are cut into eight 32-bit pieces, and each piece reads the odd
-  multiples of ``2^(32i) * B`` (rows the fixed-base table already
-  holds) or of ``-2^(32i) * A`` (64 points per public key, built on
-  first sight and kept in one bounded LRU).  ~125 point operations
-  for a key seen before against ~362 for the unsplit
-  ``[s]B == R + [h]A``; see :func:`_verify_decoded` for why the
-  accepted set cannot move;
+  are cut into eight 32-bit pieces, and each piece reads the base
+  rows or the odd multiples ``1, ..., 15`` of ``-2^(32i) * A`` (64
+  entries per public key, built on first sight and kept in one bounded
+  LRU).  ~110 point operations for a key seen before against ~362 for
+  the unsplit ``[s]B == R + [h]A``; see :func:`_verify_decoded` for
+  why the accepted set cannot move;
 * **wNAF multi-scalar multiplication** — any number of (scalar, point)
-  pairs share one doubling chain (Straus interleaving) over width-5
-  wNAF digits and per-point odd-multiple tables; every chain and
-  table build doubles through a dedicated :func:`_point_double`;
+  pairs share one doubling chain (Straus interleaving) over wNAF
+  digits and per-point odd-multiple tables; every chain and table
+  build doubles through a dedicated :func:`_point_double`;
 * **batch verification** — a random-linear-combination check folds a
   burst of N ``(pk, msg, sig)`` triples into one multi-scalar
   multiplication::
@@ -38,7 +42,8 @@ verification cheap on a gateway:
       (sum z_i * s_i) * B  ==  sum z_i * R_i  +  sum (z_i * h_i) * A_i
 
   which costs one shared doubling chain plus ~O(bits/w) additions per
-  item — far fewer scalar multiplications than N sequential verifies.
+  item — far fewer scalar multiplications than N sequential verifies;
+  the base-point term reads the base rows, so it costs additions only.
 
 Soundness of the batch path (and its limits)
 --------------------------------------------
@@ -79,7 +84,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .rand import randbytes
 
@@ -104,6 +109,11 @@ _L = 2 ** 252 + 27742317777372353535851937790883648493
 _D = (-121665 * pow(121666, _P - 2, _P)) % _P
 
 Point = Tuple[int, int, int, int]
+Niels = Tuple[int, int, int]
+"""An affine point ``(x, y)`` stored as ``(y + x, y - x, 2d*x*y)``: the
+form every table entry a chain reads is kept in."""
+
+_D2 = 2 * _D % _P
 
 _SQRT_M1 = pow(2, (_P - 1) // 4, _P)
 """sqrt(-1) mod p, the square-root correction constant."""
@@ -148,13 +158,36 @@ _IDENTITY = (0, 1, 1, 0)
 
 
 def _point_add(p: Point, q: Point) -> Point:
-    """Add two points in extended homogeneous coordinates."""
+    """Add two points in extended homogeneous coordinates (table
+    builds; a chain reads its addends through :func:`_point_add_niels`)."""
     x1, y1, z1, t1 = p
     x2, y2, z2, t2 = q
     a = (y1 - x1) * (y2 - x2) % _P
     b = (y1 + x1) * (y2 + x2) % _P
     c = 2 * t1 * t2 * _D % _P
     d = 2 * z1 * z2 % _P
+    e = b - a
+    f = d - c
+    g = d + c
+    h = b + a
+    return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
+
+
+def _point_add_niels(p: Point, q: Niels) -> Point:
+    """``p + q`` for a table entry *q*: 7 multiplications against the 10
+    of :func:`_point_add`.
+
+    It is :func:`_point_add` with ``Z2 = 1`` and the factors that depend
+    on *q* alone computed when the table was built, so it is the same
+    complete group law on the whole curve, identity and torsion points
+    included.
+    """
+    x1, y1, z1, t1 = p
+    y_plus_x, y_minus_x, xy2d = q
+    a = (y1 - x1) * y_minus_x % _P
+    b = (y1 + x1) * y_plus_x % _P
+    c = t1 * xy2d % _P
+    d = 2 * z1
     e = b - a
     f = d - c
     g = d + c
@@ -199,7 +232,7 @@ def _point_equal(p: Point, q: Point) -> bool:
 
 def _point_compress(point: Point) -> bytes:
     x, y, z, _ = point
-    z_inv = pow(z, _P - 2, _P)
+    z_inv = pow(z, -1, _P)
     x = x * z_inv % _P
     y = y * z_inv % _P
     return (y | ((x & 1) << 255)).to_bytes(32, "little")
@@ -237,129 +270,106 @@ def _secret_expand(secret_key: bytes) -> Tuple[int, bytes]:
     return scalar, digest[32:]
 
 
-# -- fixed-base table ------------------------------------------------------
+# -- affine tables ---------------------------------------------------------
 
-_FIXED_WINDOWS = 64  # radix-16 digits covering 256-bit scalars
-_TABLE: Optional[List[List[Point]]] = None
+def _niels_rows(rows: List[List[Point]]) -> List[List[Niels]]:
+    """*rows* of extended points as rows of Niels entries, each point
+    followed by its negation: a row of odd multiples becomes
+    ``[P, -P, 3P, -3P, ...]``, where a wNAF digit of either sign is one
+    index (see :func:`_schedule`).
 
-_SPLIT_BITS = 32
-_SPLIT_PIECES = 8  # 8 * 32 bits cover every scalar below L
-_BASE_SPLIT: Optional[List[List[Point]]] = None
-"""Row i: the odd multiples 1, 3, ..., 15 of ``2^(32i) * B`` — the
-split tables of the base point, read straight out of ``_TABLE``
-(``2^(32i) == 16^(8i)``)."""
-
-
-def _build_base_table() -> List[List[Point]]:
-    """``table[j][d-1] = d * 16**j * B`` for d in 1..15, j in 0..63.
-
-    Row j is built by 15 successive additions of ``16**j * B``; the
-    last sum is exactly ``16**(j+1) * B``, seeding the next row with no
-    extra doublings.  ~960 point additions total, paid once per process
-    on first use.
+    Every point of every row is made affine by one shared inversion
+    (Montgomery's trick: the running products of the Zs, one
+    ``pow(z, -1, p)``, then each inverse peeled off backwards), ~7
+    multiplications a point.  The complete formulas never give a curve
+    point ``Z = 0``, so the product is invertible.
     """
-    table: List[List[Point]] = []
-    base = _BASE
-    for _ in range(_FIXED_WINDOWS):
-        row: List[Point] = []
-        cur = base
-        for _ in range(15):
-            row.append(cur)
-            cur = _point_add(cur, base)
-        table.append(row)
-        base = cur  # == 16 * previous base
-    return table
-
-
-def precompute() -> None:
-    """Force the base-point table build (otherwise lazy on first use).
-
-    Builds the radix-16 table and takes the base point's split rows
-    out of it; per-issuer tables are not built here but on an
-    issuer's first single ``verify``.  Benchmarks call this up front so
-    table construction is excluded from timed regions; library users
-    never need to.
-    """
-    global _TABLE, _BASE_SPLIT
-    if _TABLE is None:
-        _TABLE = _build_base_table()
-        _BASE_SPLIT = [_TABLE[_SPLIT_BITS // 4 * piece][::2]
-                       for piece in range(_SPLIT_PIECES)]
-
-
-def _mul_base(scalar: int) -> Point:
-    """``scalar * B`` via the fixed-base table: <= 64 additions."""
-    precompute()
-    table = _TABLE
-    acc = _IDENTITY
-    window = 0
-    while scalar:
-        digit = scalar & 15
-        if digit:
-            acc = _point_add(acc, table[window][digit - 1])
-        scalar >>= 4
-        window += 1
-    return acc
+    points = [point for row in rows for point in row]
+    inverses = []  # the running products of the Zs, then their inverses
+    product = 1
+    for point in points:
+        inverses.append(product)
+        product = product * point[2] % _P
+    inverse = pow(product, -1, _P)
+    for index in range(len(points) - 1, -1, -1):
+        inverses[index] = inverse * inverses[index] % _P
+        inverse = inverse * points[index][2] % _P
+    entries: List[Niels] = []
+    for (x, y, _, _), z_inv in zip(points, inverses):
+        x = x * z_inv % _P
+        y = y * z_inv % _P
+        xy2d = x * y % _P * _D2 % _P
+        y_plus_x = (y + x) % _P
+        y_minus_x = (y - x) % _P
+        entries.append((y_plus_x, y_minus_x, xy2d))
+        entries.append((y_minus_x, y_plus_x, -xy2d % _P))
+    niels_rows = []
+    offset = 0
+    for row in rows:
+        niels_rows.append(entries[2 * offset:2 * (offset + len(row))])
+        offset += len(row)
+    return niels_rows
 
 
 # -- wNAF multi-scalar multiplication --------------------------------------
 
 _WNAF_WIDTH = 5
+"""wNAF width of the issuer rows and of the batch's key columns."""
 
 
-def _wnaf_terms(scalar: int) -> List[Tuple[int, int]]:
-    """Sparse width-5 NAF: ``(bit_position, digit)`` pairs, digits odd
-    in ±{1, 3, ..., 15}.
+def _odd_multiples(point: Point, width: int) -> List[Point]:
+    """``[1P, 3P, ..., (2^(width-1) - 1)P]``, the multiples a
+    width-*width* digit reads: one doubling plus ``2^(width-2) - 1``
+    additions."""
+    double = _point_double(point)
+    table = [point]
+    for _ in range((1 << (width - 2)) - 1):
+        table.append(_point_add(table[-1], double))
+    return table
 
+
+def _schedule(schedule: List[List[Niels]], scalar: int,
+              row: List[Niels]) -> None:
+    """File ``scalar * P`` into a Straus *schedule*, given P's odd
+    multiples as a row of :func:`_niels_rows`: the entry of each nonzero
+    digit of the scalar's sparse NAF joins the row of its bit position.
+
+    The row's length fixes the NAF width w: digits are odd with
+    ``|digit| < 2^(w-1)``, and the row keeps ``digit * P`` at index
+    ``digit - 1`` for a positive digit, ``-digit`` for a negative one.
     Zero runs are skipped with a count-trailing-zeros jump instead of a
-    per-bit loop, so extraction costs O(nonzero digits) big-int ops
-    (~bits/6), not O(bits) — this is what keeps the batch verifier's
-    bookkeeping from eating the point-arithmetic savings.
+    per-bit loop, so this costs O(nonzero digits) big-int ops
+    (~bits/(w+1)), not O(bits) — this is what keeps the batch
+    verifier's bookkeeping from eating the point-arithmetic savings.
     """
-    terms: List[Tuple[int, int]] = []
+    width = len(row).bit_length()
+    window = 1 << width
+    half = window >> 1
     position = 0
     while scalar:
         trailing = (scalar & -scalar).bit_length() - 1
         if trailing:
             scalar >>= trailing
             position += trailing
-        digit = scalar & 31
-        if digit >= 16:
-            digit -= 32
-        terms.append((position, digit))
-        # scalar - digit is divisible by 32: jump a full window.
-        scalar = (scalar - digit) >> 5
-        position += 5
-    return terms
-
-
-def _odd_multiples(point: Point) -> List[Point]:
-    """``[1P, 3P, ..., 15P]``: one doubling plus seven additions (the
-    negatives a wNAF digit may ask for cost two field negations)."""
-    double = _point_double(point)
-    table = [point]
-    for _ in range(7):
-        table.append(_point_add(table[-1], double))
-    return table
-
-
-def _schedule(schedule: List[List[Point]], scalar: int,
-              table: List[Point]) -> None:
-    """File ``scalar * P`` into a Straus *schedule*, given P's odd
-    multiples: the addend of each nonzero wNAF digit joins the row of
-    its bit position."""
-    for position, digit in _wnaf_terms(scalar):
-        addend = (table[digit >> 1] if digit > 0
-                  else _point_neg(table[(-digit) >> 1]))
+        digit = scalar & (window - 1)
+        if digit < half:
+            entry = row[digit - 1]
+            scalar -= digit
+        else:  # the digit is digit - window, negative
+            entry = row[window - digit]
+            scalar += window - digit
         while len(schedule) <= position:
             schedule.append([])
-        schedule[position].append(addend)
+        schedule[position].append(entry)
+        # the digit is subtracted: jump a full window.
+        scalar >>= width
+        position += width
 
 
-def _run_chain(schedule: List[List[Point]]) -> Point:
+def _run_chain(schedule: List[List[Niels]]) -> Point:
     """Evaluate a schedule: one doubling per row, highest bit first,
-    and one addition per addend."""
-    point_add = _point_add
+    and one mixed addition per addend."""
+    point_add = _point_add_niels
     point_double = _point_double
     acc = _IDENTITY
     for addends in reversed(schedule):
@@ -369,20 +379,69 @@ def _run_chain(schedule: List[List[Point]]) -> Point:
     return acc
 
 
-def _multiscalar(pairs: Iterable[Tuple[int, Point]]) -> Point:
-    """``sum(scalar_i * point_i)`` with one shared doubling chain.
+# -- split rows and the base-point table -----------------------------------
 
-    Straus interleaving: each point gets a small odd-multiples table,
-    every scalar a sparse wNAF expansion, and the accumulator doubles
-    once per bit of the *longest* scalar regardless of how many pairs
-    there are.  The additions are transposed into a per-bit schedule up
-    front, so the hot loop touches only the ~bits/6 nonzero digits of
-    each scalar instead of scanning every (pair, bit) combination.
+_SPLIT_BITS = 32
+_SPLIT_PIECES = 8  # 8 * 32 bits cover every scalar below 2^256
+
+
+def _split_rows(point: Point, width: int) -> List[List[Point]]:
+    """Row i: the odd multiples of ``2^(32i) * point`` a width-*width*
+    digit reads (:func:`_odd_multiples`).
+
+    7 * 32 doublings walk the rows; each row costs ``2^(width-2)``
+    operations more.  At width 5 that is 288 point operations, fewer
+    than the ~362 of the unsplit verify an issuer's rows replace, which
+    is why they can be built on first sight.
     """
-    schedule: List[List[Point]] = []
-    for scalar, point in pairs:
-        if scalar:
-            _schedule(schedule, scalar, _odd_multiples(point))
+    rows = [_odd_multiples(point, width)]
+    for _ in range(_SPLIT_PIECES - 1):
+        for _ in range(_SPLIT_BITS):
+            point = _point_double(point)
+        rows.append(_odd_multiples(point, width))
+    return rows
+
+
+def _schedule_split(schedule: List[List[Niels]], scalar: int,
+                    rows: List[List[Niels]]) -> None:
+    """File ``scalar * P`` given P's split rows: the i-th 32-bit piece
+    of the scalar multiplies ``2^(32i) * P``, so no row of the schedule
+    lies above bit 32.  The eight rows cover a *scalar* below
+    ``2^256``."""
+    mask = (1 << _SPLIT_BITS) - 1
+    for row in rows:
+        _schedule(schedule, scalar & mask, row)
+        scalar >>= _SPLIT_BITS
+
+
+_BASE_WIDTH = 8
+_BASE_ROWS: Optional[List[List[Niels]]] = None
+"""The base point's one table: row i holds ``±1, ±3, ..., ±127`` times
+``2^(32i) * B`` as Niels entries, 8 x 64 points (with negations, 1 024
+entries).  Width 8 because it is built once per process and read by
+every chain: ~30 additions per 256-bit scalar against ~43 at width 5."""
+
+
+def precompute() -> None:
+    """Force the base-point table build (otherwise lazy on first use):
+    480 point operations and one inversion.
+
+    Per-issuer tables are not built here but on an issuer's first
+    single ``verify``.  Benchmarks call this up front so table
+    construction is excluded from timed regions; library users never
+    need to.
+    """
+    global _BASE_ROWS
+    if _BASE_ROWS is None:
+        _BASE_ROWS = _niels_rows(_split_rows(_BASE, _BASE_WIDTH))
+
+
+def _mul_base(scalar: int) -> Point:
+    """``scalar * B`` for a *scalar* below ``2^256``: one chain of at
+    most 33 doublings and ~30 mixed additions over the base rows."""
+    precompute()
+    schedule: List[List[Niels]] = []
+    _schedule_split(schedule, scalar, _BASE_ROWS)
     return _run_chain(schedule)
 
 
@@ -390,13 +449,13 @@ def _multiscalar(pairs: Iterable[Tuple[int, Point]]) -> Point:
 
 class _Issuer:
     """What is remembered about one public key: its decompressed point
-    and, from its first single verify on, the split tables of ``-A``."""
+    and, from its first single verify on, the split rows of ``-A``."""
 
     __slots__ = ("point", "tables")
 
     def __init__(self, point: Point):
         self.point = point
-        self.tables: Optional[List[List[Point]]] = None
+        self.tables: Optional[List[List[Niels]]] = None
 
 
 _ISSUER_CACHE_SIZE = 64
@@ -404,54 +463,29 @@ _issuer_cache: "OrderedDict[bytes, _Issuer]" = OrderedDict()
 
 
 def _issuer(public_key: bytes) -> _Issuer:
-    """The record of *public_key*, through the module's one bounded LRU.
+    """The record of *public_key* (a ``bytes``), through the module's
+    one bounded LRU.
 
     An IoT gateway verifies many signatures from a few long-lived
     issuers, so the decompression and the tables are paid once per key,
     not once per signature.  The bound is in bytes: a record with
-    tables is 64 points, ~21 KB, so 64 records hold ~1.3 MiB and stay
-    under 2 MiB whatever keys arrive (a record without tables is one
-    point, ~0.4 KB).  Only *successful* decompressions get a record —
-    failures raise, and the open network must not be able to pin
-    garbage — and a run of fresh keys only turns the LRU over: each
-    costs its own table build, none grows the cache.
+    tables is 64 Niels entries and their 64 negations, ~25.6 KB, so 64
+    records hold ~1.64 MB and stay under 2 MiB whatever keys arrive (a
+    record without tables is one point, ~0.4 KB).  Only *successful*
+    decompressions get a record — failures raise, and the open network
+    must not be able to pin garbage — and a run of fresh keys only
+    turns the LRU over: each costs its own table build, none grows the
+    cache.
     """
     record = _issuer_cache.get(public_key)
     if record is not None:
         _issuer_cache.move_to_end(public_key)
         return record
     record = _Issuer(_decompress(public_key))
-    _issuer_cache[bytes(public_key)] = record
+    _issuer_cache[public_key] = record
     if len(_issuer_cache) > _ISSUER_CACHE_SIZE:
         _issuer_cache.popitem(last=False)
     return record
-
-
-def _split_tables(point: Point) -> List[List[Point]]:
-    """Row i: the odd multiples 1, 3, ..., 15 of ``2^(32i) * point``.
-
-    7 * 32 doublings to walk the rows plus 8 * 8 operations for the odd
-    multiples: 288 point operations, fewer than the ~362 of the unsplit
-    verify they replace, which is why they can be built on first sight.
-    """
-    rows = [_odd_multiples(point)]
-    for _ in range(_SPLIT_PIECES - 1):
-        for _ in range(_SPLIT_BITS):
-            point = _point_double(point)
-        rows.append(_odd_multiples(point))
-    return rows
-
-
-def _schedule_split(schedule: List[List[Point]], scalar: int,
-                    rows: List[List[Point]]) -> None:
-    """File ``scalar * P`` given P's split tables: the i-th 32-bit
-    piece of the scalar multiplies ``2^(32i) * P``, so no row of the
-    schedule lies above bit 32.  The eight rows cover a *scalar* below
-    ``2^256``; both callers pass one below L."""
-    mask = (1 << _SPLIT_BITS) - 1
-    for row in rows:
-        _schedule(schedule, scalar & mask, row)
-        scalar >>= _SPLIT_BITS
 
 
 _Decoded = Tuple[_Issuer, Point, int, int]
@@ -465,6 +499,7 @@ def _decode(public_key: bytes, message: bytes,
     is refused without evaluating anything."""
     if len(public_key) != PUBLIC_KEY_SIZE or len(signature) != SIGNATURE_SIZE:
         return None
+    public_key = bytes(public_key)  # the cache key: any bytes-like works
     try:
         issuer = _issuer(public_key)
         r_point = _decompress(signature[:32])
@@ -489,15 +524,16 @@ def _verify_decoded(issuer: _Issuer, r_point: Point, s: int,
     2^(32i)``, so ``[h]A = sum [h_i]([2^(32i)]A)`` in any abelian group
     — and therefore exact on the whole curve group, torsion components
     of ``A`` included: the accepted set is the unsplit equation's.  One
-    chain of 33 doublings and ~92 additions; an issuer met for the
+    chain of 33 doublings and ~75 mixed additions; an issuer met for the
     first time also pays its 288 table operations here, after every
     structural check has passed.
     """
     if issuer.tables is None:
-        issuer.tables = _split_tables(_point_neg(issuer.point))
+        issuer.tables = _niels_rows(
+            _split_rows(_point_neg(issuer.point), _WNAF_WIDTH))
     precompute()
-    schedule: List[List[Point]] = []
-    _schedule_split(schedule, s, _BASE_SPLIT)
+    schedule: List[List[Niels]] = []
+    _schedule_split(schedule, s, _BASE_ROWS)
     _schedule_split(schedule, challenge, issuer.tables)
     return _point_equal(_run_chain(schedule), r_point)
 
@@ -523,8 +559,8 @@ def public_from_secret(secret_key: bytes) -> bytes:
 
 def sign(secret_key: bytes, message: bytes) -> bytes:
     """Produce a 64-byte deterministic Ed25519 signature over *message*;
-    both base-point multiplications (public key and commitment R) use
-    the fixed-base table."""
+    both base-point multiplications (public key and commitment R) read
+    the base rows."""
     scalar, prefix = _secret_expand(secret_key)
     public = _point_compress(_mul_base(scalar))
     r = _sha512_int(prefix, message) % _L
@@ -537,8 +573,9 @@ def sign(secret_key: bytes, message: bytes) -> bytes:
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """Check an Ed25519 *signature* over *message*; never raises on bad
     input.  The cofactorless equation is evaluated by
-    :func:`_verify_decoded` over the issuer's split tables (built on
-    the key's first verify, read on every later one)."""
+    :func:`_verify_decoded` over the issuer's split rows (built on
+    the key's first verify, read on every later one).  Any bytes-like
+    arguments are accepted."""
     decoded = _decode(public_key, message, signature)
     return decoded is not None and _verify_decoded(*decoded)
 
@@ -586,28 +623,41 @@ def _batch_coefficients(items: Sequence[Tuple[bytes, bytes, bytes]],
 
 _BATCH_FLOOR = 4
 """Fewest signatures the combined equation is run for when every issuer
-among them already has split tables.
+among them already has split rows.
 
 Chosen by operation count, not by time.  A batch of n signatures from
-k issuers costs ~316 + 51k + 30n point operations (a ~256-doubling
-chain and the ~60 additions of ``_mul_base`` before the first item is
-paid for), n warm singles cost ~125n: two signatures are 425-480
-against 250, three 452-557 against 375, and from four on (489-636
-against 500) the batch ties or wins for the few-issuer runs a gateway
-sees.  Letting the batch's A-columns read the split tables instead
-would only halve the chain (two signatures: ~290 against 250) and put
-a 288-operation table build on the batch lane for every new key, so
-the floor moves and the equation does not; and it moves here, not in
+k issuers costs ~290 + 51k + 30n point operations (a ~256-doubling
+chain and the ~30 base-row additions of ``S * B`` before the first
+item is paid for), n warm singles cost ~110n: two signatures are
+~400-450 against 220, three ~430-530 against 330, four ~460-600
+against 440, and from five on (~490 against 550) the batch wins for
+the few-issuer runs a gateway sees.  The floor was set at four when a
+warm single cost ~125 and four tied; the affine tables made the single
+cheaper than the batch's per-item share, so four now trails by ~5 %
+for one issuer, which is not worth moving a threshold the node's batch
+lane is tested at.  Letting the batch's A-columns read the split
+tables instead would only halve the chain and put a 288-operation
+table build on the batch lane for every new key, so the floor moves
+and the equation does not; and it lives here, not in
 ``FullNode._preverify``, because the crossover belongs to this cost
 model.  An issuer without tables keeps the old floor of two: its
-single would cost 288 + 125, more than its share of any batch, so a
+single would cost 288 + 110, more than its share of any batch, so a
 run of fresh keys is never verified one by one on this account.
 """
+
+
+_COMMITMENT_WIDTH = 4
+"""wNAF width of the batch's R-columns.  Their scalars are the 128-bit
+coefficients, read ~26 times at width 4 against ~21 at width 5; half
+the table to build and make affine is the larger saving."""
+
 
 def _combined_equation_holds(items: Sequence[Tuple[bytes, bytes, bytes]],
                              decoded: Sequence[_Decoded]) -> bool:
     """The random-linear-combination check over *decoded* (coefficients
-    are derived from all of *items*, structurally invalid ones too)."""
+    are derived from all of *items*, structurally invalid ones too),
+    evaluated as ``sum z_i * R_i + sum (z_i * h_i) * A_i - S * B ==
+    identity`` in one chain."""
     coefficients = _batch_coefficients(items, len(decoded))
     combined_s = 0
     # Merge pairs that share a point: a burst signed by few issuers
@@ -616,15 +666,28 @@ def _combined_equation_holds(items: Sequence[Tuple[bytes, bytes, bytes]],
     # point — so the combined equation's value is untouched).  Scalars
     # reduce mod 8L, which is exact for torsion-carrying points too.
     # Decompressed points are affine, so equal encodings are equal keys.
-    merged: Dict[Point, int] = {}
+    commitments: Dict[Point, int] = {}
+    keys: Dict[Point, int] = {}
     for z, (issuer, r_point, s, challenge) in zip(coefficients, decoded):
         combined_s = (combined_s + z * s) % _L
-        merged[r_point] = merged.get(r_point, 0) + z
-        merged[issuer.point] = merged.get(issuer.point, 0) + z * challenge
-    lhs = _mul_base(combined_s)
-    rhs = _multiscalar((scalar % _FULL_ORDER, point)
-                       for point, scalar in merged.items())
-    return _point_equal(lhs, rhs)
+        commitments[r_point] = commitments.get(r_point, 0) + z
+        keys[issuer.point] = keys.get(issuer.point, 0) + z * challenge
+    scalars: List[int] = []
+    tables: List[List[Point]] = []
+    for merged, width in ((commitments, _COMMITMENT_WIDTH),
+                          (keys, _WNAF_WIDTH)):
+        for point, scalar in merged.items():
+            scalar %= _FULL_ORDER
+            if scalar:
+                scalars.append(scalar)
+                tables.append(_odd_multiples(point, width))
+    precompute()
+    schedule: List[List[Niels]] = []
+    # B has order L, so (-S mod L) * B is exactly -S * B.
+    _schedule_split(schedule, -combined_s % _L, _BASE_ROWS)
+    for scalar, row in zip(scalars, _niels_rows(tables)):
+        _schedule(schedule, scalar, row)
+    return _point_equal(_run_chain(schedule), _IDENTITY)
 
 
 def verify_batch(items: Sequence[Tuple[bytes, bytes, bytes]]) -> List[bool]:

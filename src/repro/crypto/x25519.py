@@ -72,7 +72,9 @@ def _ladder(scalar: int, u: int) -> int:
     if swap:
         x2, x3 = x3, x2
         z2, z3 = z3, z2
-    return (x2 * pow(z2, _P - 2, _P)) % _P
+    if z2 == 0:  # the point at infinity: a low-order input, encoded as 0
+        return 0
+    return x2 * pow(z2, -1, _P) % _P
 
 
 def x25519(scalar_bytes: bytes, u_bytes: bytes) -> bytes:

@@ -114,6 +114,22 @@ async def _wait_bootstrap(controller: FleetController,
         f"(want {expected_peers} peers each): {last}")
 
 
+async def _wait_attached(controller: FleetController, address: str, *,
+                         now: float, timeout: float = 30.0) -> None:
+    """Until *address* has attached a transaction past genesis.  Gossip
+    reaches a node asynchronously, and an attach is journaled and
+    flushed before the node answers its next status request."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while loop.time() < deadline:
+        status = await controller.status(address, now=now, timeout=3.0)
+        if status["tangle_size"] > 1:
+            return
+        await asyncio.sleep(0.05)
+    raise FleetProcessError(
+        f"{address} attached nothing in {timeout:.0f}s")
+
+
 async def run_proc_leg(workload: Workload, *, processes: int,
                        seed: int, run_dir: str, host: str = "127.0.0.1",
                        time_scale: float = 20.0,
@@ -161,6 +177,11 @@ async def run_proc_leg(workload: Workload, *, processes: int,
 
         for index, encoded in enumerate(workload.transactions):
             if victim is not None and index == kill_at:
+                # Killed with nothing journaled, the victim would have
+                # nothing to restore from (unless nothing was sent yet).
+                if index:
+                    await _wait_attached(controller, victim,
+                                         now=workload.credit_now)
                 await loop.run_in_executor(None, fleet.kill, victim)
             if victim is not None and index == restart_at:
                 info = await loop.run_in_executor(None, fleet.respawn,

@@ -9,8 +9,11 @@ non-canonical encodings, ``s >= L``) where a naive batch equation would
 accept what the cofactorless oracle rejects.  A single ``verify`` reads
 per-issuer split tables out of a bounded LRU, so every such input is
 also checked in each state of that cache: key never seen, seen, and
-evicted.  The helpers below build adversarial points with the oracle's
-arithmetic only.
+evicted.  Every chain reads affine table entries through a mixed
+addition, so each entry, its stored negation and the mixed addition
+itself are checked against the oracle's arithmetic point by point.
+The helpers below build adversarial points and expected entries with
+the oracle's arithmetic only.
 """
 
 import pytest
@@ -54,6 +57,15 @@ def _mul(scalar, point):
 def _neg(point):
     x, y, z, t = point
     return (-x % _P, y, z, -t % _P)
+
+
+def _niels(point):
+    """The table entry ``(y + x, y - x, 2d*x*y)`` for *point*, from
+    its affine values by the oracle's inversion."""
+    x, y, z, _ = point
+    z_inv = pow(z, _P - 2, _P)
+    x, y = x * z_inv % _P, y * z_inv % _P
+    return (y + x) % _P, (y - x) % _P, 2 * _D * x * y % _P
 
 
 def _order(point):
@@ -496,17 +508,91 @@ class TestIssuerTables:
         minus_a = _neg(_point_decompress(public))
         assert len(record.tables) == 8
         for piece, row in enumerate(record.tables):
-            assert len(row) == 8
-            for index, point in enumerate(row):
-                assert _point_equal(
-                    point, _mul((2 * index + 1) << (32 * piece), minus_a))
+            assert len(row) == 16
+            for index in range(8):
+                multiple = _mul((2 * index + 1) << (32 * piece), minus_a)
+                assert row[2 * index] == _niels(multiple)
+                assert row[2 * index + 1] == _niels(_neg(multiple))
 
     def test_base_rows_are_the_split_of_b(self):
         product.precompute()
-        for piece, row in enumerate(product._BASE_SPLIT):
+        assert len(product._BASE_ROWS) == 8
+        for piece, row in enumerate(product._BASE_ROWS):
+            assert len(row) == 128
+            multiple = _mul(1 << (32 * piece), ref._BASE)
+            step = _point_add(multiple, multiple)
+            for index in range(64):   # multiple == (2 * index + 1) * 2^(32i) B
+                assert row[2 * index] == _niels(multiple)
+                assert row[2 * index + 1] == _niels(_neg(multiple))
+                multiple = _point_add(multiple, step)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(plain_items, torsion_items),
+           st.tuples(*[st.sampled_from([
+               bytes, bytearray, memoryview,
+               lambda field: memoryview(bytearray(field))])] * 3))
+    def test_bytes_like_inputs_agree_with_reference(self, item, kinds):
+        """Keys, messages and signatures may be any bytes-like object:
+        every cache state and the batch give the oracle's verdict."""
+        like = tuple(kind(field) for kind, field in zip(kinds, item))
+        expected = ref.verify(*like)
+        assert expected == ref.verify(*item)
+        product._issuer_cache.clear()
+        assert product.verify(*like) == expected      # cold
+        assert product.verify(*like) == expected      # warm
+        honest = make_items(3, seed_prefix=b"like")
+        assert product.verify_batch(honest + [like]) \
+            == [True, True, True, expected]
+        _turn_cache_over()
+        assert product.verify_batch([like]) == [expected]   # evicted
+
+
+def _mixed_order_points():
+    """Points with torsion and prime-order parts, the identity and pure
+    torsion included, each in a random projective representative
+    (``Z != 1``)."""
+    return st.builds(
+        lambda scalar, torsion, scale: tuple(
+            scale * coordinate % _P for coordinate in _point_add(
+                _mul(scalar, ref._BASE), _point_decompress(torsion))),
+        st.one_of(st.just(0), st.integers(min_value=1, max_value=_L - 1)),
+        st.sampled_from(SMALL_ORDER),
+        st.integers(min_value=1, max_value=_P - 1))
+
+
+class TestNielsTables:
+    """The affine table entries and the mixed addition that reads them,
+    against the oracle's arithmetic point by point."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.lists(_mixed_order_points(), min_size=1, max_size=4),
+                    min_size=1, max_size=3))
+    def test_normalisation_and_negations(self, rows):
+        # One shared inversion for every row must give each point its
+        # own affine value, and the entry beside it the negation.
+        niels_rows = product._niels_rows(rows)
+        assert len(niels_rows) == len(rows)
+        for row, niels_row in zip(rows, niels_rows):
+            assert len(niels_row) == 2 * len(row)
             for index, point in enumerate(row):
-                assert _point_equal(
-                    point, _mul((2 * index + 1) << (32 * piece), ref._BASE))
+                assert niels_row[2 * index] == _niels(point)
+                assert niels_row[2 * index + 1] == _niels(_neg(point))
+
+    @pytest.mark.parametrize("encoding", SMALL_ORDER)
+    def test_torsion_and_identity_entries(self, encoding):
+        point = _point_decompress(encoding)
+        (entry, negation), = product._niels_rows([[point]])
+        assert entry == _niels(point)
+        assert negation == _niels(_neg(point))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_mixed_order_points(), _mixed_order_points())
+    def test_mixed_addition_is_the_group_law(self, p, q):
+        total = product._point_add_niels(p, _niels(q))
+        assert _point_equal(total, _point_add(p, q))
+        x, y, z, t = total
+        assert z % _P != 0
+        assert (x * y - t * z) % _P == 0  # T stays X*Y/Z for the next add
 
 
 class TestPointDouble:

@@ -3,15 +3,20 @@
 A gateway sees a few long-lived issuers, so what a single ``verify``
 costs is decided by whether the issuer's split tables exist.  The
 budget is stated in point operations — calls to the product module's
-``_point_add`` and ``_point_double``, counted by wrapping both — and
-pinned on every side of the issuer cache: a key seen before, a key
-never seen, a flood of fresh keys, input that must not buy a table at
-all, and the batch lane, whose cost this cache must not move.
+``_point_add``, ``_point_add_niels`` (the mixed addition every chain
+reads its table entries through) and ``_point_double``, counted by
+wrapping all three — and pinned on every side of the issuer cache: a
+key seen before, a key never seen, a flood of fresh keys, input that
+must not buy a table at all, and the batch lane, whose cost this cache
+must not move.  What the cache pins is stated in bytes, as the
+allocator sees them.
 
 ``PARENT_*`` are the counts of the same inputs before the issuer
 tables existed (the unsplit ``[s]B == R + [h]A``, counted the same
 way); they are what "no more than before" means below.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -41,6 +46,8 @@ def operations(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(product, "_point_add", counting(product._point_add))
+    monkeypatch.setattr(product, "_point_add_niels",
+                        counting(product._point_add_niels))
     monkeypatch.setattr(product, "_point_double",
                         counting(product._point_double))
 
@@ -135,3 +142,21 @@ def test_short_run_of_fresh_keys_stays_on_the_batch_equation(operations):
         assert cost <= parent
         assert all(record.tables is None
                    for record in product._issuer_cache.values())
+
+
+def test_full_issuer_cache_stays_under_two_mib():
+    items = make_items(product._ISSUER_CACHE_SIZE, seed_prefix=b"bytes")
+    product.precompute()
+    product._issuer_cache.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for item in items:
+            assert product.verify(*item)
+        pinned = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(record.tables is not None
+               for record in product._issuer_cache.values())
+    assert len(product._issuer_cache) == product._ISSUER_CACHE_SIZE
+    assert pinned <= 2 * 2 ** 20

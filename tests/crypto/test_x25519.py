@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto.x25519 import (
+    _P,
     X25519_KEY_SIZE,
     generate_private_key,
     public_from_private,
@@ -94,3 +95,42 @@ class TestInputValidation:
         plain = x25519(scalar, bytes(u))
         u[31] |= 0x80
         assert x25519(scalar, bytes(u)) == plain
+
+
+_A = 486662  # Curve25519: v^2 = u^3 + A*u^2 + u
+
+
+def _is_low_order(u):
+    """Whether ``8 * (u : 1)`` is the point at infinity, by three
+    x-only doublings (on the curve or its twist)."""
+    x, z = u % _P, 1
+    for _ in range(3):
+        xx, zz = x * x % _P, z * z % _P
+        x, z = ((xx - zz) ** 2 % _P,
+                4 * x * z * (xx + _A * x * z + zz) % _P)
+    return z == 0
+
+
+LOW_ORDER_U = [
+    0,
+    1,
+    _P - 1,
+    # the two order-8 points of Curve25519
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+    _P,          # non-canonical 0
+    _P + 1,      # non-canonical 1
+]
+
+
+class TestLowOrderInputs:
+    @pytest.mark.parametrize("u", LOW_ORDER_U)
+    def test_every_low_order_u_is_the_zero_point(self, u):
+        assert _is_low_order(u)
+        encoded = u.to_bytes(X25519_KEY_SIZE, "little")
+        for seed in (b"s", b"t"):
+            with pytest.raises(ValueError, match="zero point"):
+                x25519(generate_private_key(seed=seed), encoded)
+
+    def test_a_point_of_large_order_is_not(self):
+        assert not _is_low_order(9)
