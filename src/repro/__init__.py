@@ -21,7 +21,8 @@ The package is layered bottom-up:
 
 Quickstart::
 
-    from repro.core import BIoTSystem, BIoTConfig, run_workflow
+    from repro.core.biot import BIoTConfig, BIoTSystem
+    from repro.core.workflow import run_workflow
     system = BIoTSystem.build(BIoTConfig(device_count=4, seed=1))
     print(run_workflow(system).format())
 """

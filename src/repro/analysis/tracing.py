@@ -40,7 +40,7 @@ class CreditTracer:
     Args:
         registry: the registry being traced.
         node_id: whose credit to sample.
-        telemetry: optional :class:`~repro.telemetry.MetricsRegistry`
+        telemetry: optional :class:`~repro.telemetry.registry.MetricsRegistry`
             to mirror samples into.
     """
 

@@ -1,21 +1,2 @@
 """Attack harnesses for the four threats of Section III: lazy tips,
 double spending, Sybil identities, and DDoS/single-point-of-failure."""
-
-from .ddos import DDoSAttacker, DDoSStats, failover_devices
-from .double_spend import DoubleSpendAttacker, DoubleSpendStats
-from .lazy_tips import LazyLightNode
-from .parasite import ParasiteOutcome, simulate_parasite_release
-from .sybil import SybilAttacker, SybilStats
-
-__all__ = [
-    "LazyLightNode",
-    "DoubleSpendAttacker",
-    "DoubleSpendStats",
-    "SybilAttacker",
-    "SybilStats",
-    "DDoSAttacker",
-    "DDoSStats",
-    "failover_devices",
-    "ParasiteOutcome",
-    "simulate_parasite_release",
-]

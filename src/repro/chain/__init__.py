@@ -4,17 +4,3 @@ The comparator for every "DAG beats chain" claim: blocks, heaviest-chain
 fork choice with reorg tracking, and a mempool miner running on the same
 device profiles as the tangle nodes.
 """
-
-from .block import GENESIS_PREV_HASH, Block
-from .blockchain import Blockchain
-from .miner import Miner
-from .retarget import RetargetingSchedule, retarget_difficulty
-
-__all__ = [
-    "Block",
-    "Blockchain",
-    "Miner",
-    "GENESIS_PREV_HASH",
-    "RetargetingSchedule",
-    "retarget_difficulty",
-]

@@ -28,14 +28,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .analysis.figures import (
-    fig7_pow_running_time,
-    fig8_credit_trace,
-    fig9_pow_comparison,
-    fig10_aes_timing,
-)
-from .analysis.metrics import format_table
-
 __all__ = ["main", "build_parser"]
 
 
@@ -235,6 +227,9 @@ def _cmd_workflow(args) -> int:
 
 
 def _cmd_fig7(args) -> int:
+    from .analysis.figures import fig7_pow_running_time
+    from .analysis.metrics import format_table
+
     points = fig7_pow_running_time(samples_per_level=args.samples,
                                    seed=args.seed)
     rows = [
@@ -249,6 +244,9 @@ def _cmd_fig7(args) -> int:
 
 
 def _cmd_fig8(args) -> int:
+    from .analysis.figures import fig8_credit_trace
+    from .analysis.metrics import format_table
+
     result = fig8_credit_trace(attack_times=tuple(args.attacks),
                                duration=args.duration)
     rows = [
@@ -263,6 +261,9 @@ def _cmd_fig8(args) -> int:
 
 
 def _cmd_fig9(args) -> int:
+    from .analysis.figures import fig9_pow_comparison
+    from .analysis.metrics import format_table
+
     rows = [
         (r.name, f"{r.mean_pow_seconds:.3f}", f"{r.paper_seconds:.3f}",
          r.transactions)
@@ -274,6 +275,9 @@ def _cmd_fig9(args) -> int:
 
 
 def _cmd_fig10(args) -> int:
+    from .analysis.figures import fig10_aes_timing
+    from .analysis.metrics import format_table
+
     points = fig10_aes_timing(max_exponent=args.max_exponent)
     rows = [
         (p.message_bytes, f"{p.measured_seconds:.5f}",

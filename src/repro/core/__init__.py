@@ -9,78 +9,3 @@
 * :mod:`~repro.core.biot` — the system facade (Fig. 3 architecture);
 * :mod:`~repro.core.workflow` — the Fig. 6 workflow runner.
 """
-
-from .acl import AclAction, AclPayload, AuthorizationList, GenesisConfig, Role
-from .authority import (
-    BadSignatureError,
-    DataProtector,
-    DeviceKeyAgent,
-    KeyDistributionError,
-    ManagerKeyDistributor,
-    ProtocolStateError,
-    ReplayError,
-    StaleTimestampError,
-    symmetric_decrypt,
-    symmetric_encrypt,
-)
-from .biot import BIoTConfig, BIoTSystem
-from .consensus import (
-    DEFAULT_INITIAL_DIFFICULTY,
-    DEFAULT_MAX_DIFFICULTY,
-    DEFAULT_MIN_DIFFICULTY,
-    CreditBasedConsensus,
-    DifficultyPolicy,
-    FixedDifficultyPolicy,
-    InverseDifficultyPolicy,
-    LinearDifficultyPolicy,
-)
-from .credit import (
-    CreditBreakdown,
-    CreditParameters,
-    CreditRegistry,
-    MaliciousBehaviour,
-)
-from .quality import (
-    BAD_DATA_BEHAVIOUR,
-    QualityVerdict,
-    ReadingQualityMonitor,
-)
-from .workflow import WorkflowReport, WorkflowStep, run_workflow
-
-__all__ = [
-    "CreditParameters",
-    "CreditRegistry",
-    "CreditBreakdown",
-    "MaliciousBehaviour",
-    "CreditBasedConsensus",
-    "DifficultyPolicy",
-    "FixedDifficultyPolicy",
-    "LinearDifficultyPolicy",
-    "InverseDifficultyPolicy",
-    "DEFAULT_INITIAL_DIFFICULTY",
-    "DEFAULT_MIN_DIFFICULTY",
-    "DEFAULT_MAX_DIFFICULTY",
-    "GenesisConfig",
-    "AclAction",
-    "AclPayload",
-    "AuthorizationList",
-    "Role",
-    "ManagerKeyDistributor",
-    "DeviceKeyAgent",
-    "DataProtector",
-    "KeyDistributionError",
-    "StaleTimestampError",
-    "ReplayError",
-    "BadSignatureError",
-    "ProtocolStateError",
-    "symmetric_encrypt",
-    "symmetric_decrypt",
-    "BIoTConfig",
-    "BIoTSystem",
-    "WorkflowReport",
-    "WorkflowStep",
-    "run_workflow",
-    "ReadingQualityMonitor",
-    "QualityVerdict",
-    "BAD_DATA_BEHAVIOUR",
-]

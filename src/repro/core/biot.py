@@ -69,8 +69,8 @@ class BIoTConfig:
             retransmits, parent re-requests).  None = the library
             default.
         telemetry: collect metrics and spans into a shared
-            :class:`~repro.telemetry.MetricsRegistry` /
-            :class:`~repro.telemetry.Tracer` pair (sim-clock
+            :class:`~repro.telemetry.registry.MetricsRegistry` /
+            :class:`~repro.telemetry.tracer.Tracer` pair (sim-clock
             timestamps).  Off by default: the null registry keeps the
             hot paths at zero measurable overhead.
         storage_backend: durable store behind each full node —

@@ -267,7 +267,7 @@ class CreditRegistry:
             decrease: the provider is consulted when a record is created
             and then, per evaluation, only for the evaluated node's
             records still below ``max_transaction_weight``.
-        telemetry: a :class:`~repro.telemetry.MetricsRegistry` for the
+        telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry` for the
             ``repro_credit_*`` metrics (recorded transactions, penalty
             events by behaviour, evaluation and weight-pull counts).
     """

@@ -13,30 +13,3 @@ this package:
 * :mod:`~repro.crypto.ecies` — hybrid public-key encryption;
 * :mod:`~repro.crypto.keys` — node identities (the paper's (PK, SK)).
 """
-
-from . import rand
-from .aes import AES, cbc_decrypt, cbc_encrypt, ctr_decrypt, ctr_encrypt
-from .ecies import DecryptionError
-from .hashing import MerkleTree, double_sha256, hash_concat, leading_zero_bits, merkle_root, sha256
-from .kdf import hkdf, hmac_sha256
-from .keys import KeyPair, PublicIdentity
-
-__all__ = [
-    "rand",
-    "AES",
-    "ctr_encrypt",
-    "ctr_decrypt",
-    "cbc_encrypt",
-    "cbc_decrypt",
-    "DecryptionError",
-    "sha256",
-    "double_sha256",
-    "hash_concat",
-    "leading_zero_bits",
-    "MerkleTree",
-    "merkle_root",
-    "hkdf",
-    "hmac_sha256",
-    "KeyPair",
-    "PublicIdentity",
-]

@@ -53,16 +53,18 @@ def _gf_mul(a: int, b: int) -> int:
 
 
 def _build_sbox() -> tuple:
-    """Generate the AES S-box and its inverse from field arithmetic."""
-    inverse = [0] * 256
-    for x in range(1, 256):
-        if inverse[x]:
-            continue
-        for y in range(1, 256):
-            if _gf_mul(x, y) == 1:
-                inverse[x] = y
-                inverse[y] = x
-                break
+    """Generate the AES S-box and its inverse from field arithmetic.
+
+    3 generates the multiplicative group of GF(2^8), so with its powers
+    tabulated (antilog) and their exponents (log), the inverse of a
+    nonzero ``x`` is ``3^(255 - log x)``: 254 field multiplications."""
+    antilog = [1] * 255
+    for power in range(1, 255):
+        antilog[power] = _gf_mul(antilog[power - 1], 3)
+    log = [0] * 256
+    for power, value in enumerate(antilog):
+        log[value] = power
+    inverse = [0] + [antilog[-log[x] % 255] for x in range(1, 256)]
     sbox = [0] * 256
     inv_sbox = [0] * 256
     for x in range(256):

@@ -5,37 +5,3 @@ Raspberry Pi 3B light node and a PC full node): costs are charged to a
 :class:`~repro.devices.profiles.DeviceProfile` against a
 :class:`~repro.devices.clock.SimulatedClock`.
 """
-
-from .clock import Clock, SimulatedClock, WallClock
-from .profiles import MALICIOUS_RIG, PC, PROFILES, RASPBERRY_PI_3B, DeviceProfile
-from .sensors import (
-    SENSOR_TYPES,
-    HumiditySensor,
-    MachineStatusSensor,
-    PowerMeterSensor,
-    Sensor,
-    SensorReading,
-    TemperatureSensor,
-    VibrationSensor,
-    make_sensor,
-)
-
-__all__ = [
-    "Clock",
-    "SimulatedClock",
-    "WallClock",
-    "DeviceProfile",
-    "RASPBERRY_PI_3B",
-    "PC",
-    "MALICIOUS_RIG",
-    "PROFILES",
-    "Sensor",
-    "SensorReading",
-    "TemperatureSensor",
-    "VibrationSensor",
-    "HumiditySensor",
-    "PowerMeterSensor",
-    "MachineStatusSensor",
-    "SENSOR_TYPES",
-    "make_sensor",
-]

@@ -3,73 +3,18 @@
 The fault subsystem has four layers:
 
 * :mod:`~repro.faults.backoff` — the shared retry clock
-  (:class:`BackoffPolicy`);
+  (:class:`~repro.faults.backoff.BackoffPolicy`);
 * :mod:`~repro.faults.plan` — the declarative campaign DSL
-  (:class:`FaultPlan`, :class:`PlanBuilder` and the event types);
+  (:class:`~repro.faults.plan.FaultPlan`,
+  :class:`~repro.faults.plan.PlanBuilder` and the event types);
 * :mod:`~repro.faults.injector` — executes a plan against a live
-  :class:`~repro.network.network.Network` (:class:`FaultInjector`);
+  :class:`~repro.network.network.Network`
+  (:class:`~repro.faults.injector.FaultInjector`);
 * :mod:`~repro.faults.runner` / :mod:`~repro.faults.scenarios` — the
   chaos harness: run a whole B-IoT deployment under a plan and emit a
   byte-deterministic :class:`~repro.faults.report.ConvergenceReport`.
 
-``runner``/``scenarios``/``report`` are exported lazily: protocol code
-(``repro.nodes``) imports :class:`BackoffPolicy` from here, and pulling
-the runner in eagerly would close an import cycle through
-``repro.core.biot``.
+Import from the defining module: protocol code (``repro.nodes``)
+imports ``repro.faults.backoff`` alone, and loading the runner with it
+would close an import cycle through ``repro.core.biot``.
 """
-
-from __future__ import annotations
-
-from .backoff import DEFAULT_BACKOFF, BackoffPolicy
-from .plan import (
-    ClockSkewFault,
-    CrashFault,
-    DuplicationBurst,
-    FaultEvent,
-    FaultPlan,
-    LatencyBurst,
-    LinkCut,
-    LossBurst,
-    PartitionFault,
-    PlanBuilder,
-)
-
-__all__ = [
-    "BackoffPolicy",
-    "DEFAULT_BACKOFF",
-    "FaultEvent",
-    "LinkCut",
-    "PartitionFault",
-    "CrashFault",
-    "LossBurst",
-    "LatencyBurst",
-    "DuplicationBurst",
-    "ClockSkewFault",
-    "FaultPlan",
-    "PlanBuilder",
-    "FaultInjector",
-    "ChaosRunner",
-    "ConvergenceReport",
-    "SCENARIOS",
-    "get_scenario",
-]
-
-_LAZY = {
-    "FaultInjector": ("repro.faults.injector", "FaultInjector"),
-    "ChaosRunner": ("repro.faults.runner", "ChaosRunner"),
-    "ConvergenceReport": ("repro.faults.report", "ConvergenceReport"),
-    "SCENARIOS": ("repro.faults.scenarios", "SCENARIOS"),
-    "get_scenario": ("repro.faults.scenarios", "get_scenario"),
-}
-
-
-def __getattr__(name: str):
-    target = _LAZY.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(target[0])
-    value = getattr(module, target[1])
-    globals()[name] = value
-    return value

@@ -1,60 +1,11 @@
 """Network substrate behind the :class:`~repro.network.base.Transport`
-contract: a discrete-event simulator (:class:`SimTransport`, the
-bit-deterministic reference) and a real asyncio/TCP transport
-(:class:`AsyncioTransport`, convergence-deterministic), plus the
-length-prefixed frame codec, gossip and solidification, seed-node peer
-discovery (:class:`DiscoveryService`) and the one-node-per-OS-process
-lane (:class:`NodeProcessSpec` / :class:`ProcessFleet`)."""
-
-from .aio import AsyncClock, AsyncioScheduler, AsyncioTransport, NodeRunner
-from .base import SchedulerLike, Transport, is_transport
-from .discovery import DiscoveryService, PeerInfo, parse_seed
-from .frame import (
-    FrameDecoder,
-    FrameError,
-    MAX_FRAME_BYTES,
-    decode_frame,
-    encode_frame,
-)
-from .gossip import GossipRelay, SolidificationBuffer
-from .network import Network, NetworkNode, SimTransport
-from .proc import NodeProcessSpec, run_node_process
-from .simulator import EventScheduler
-from .transport import (
-    BACKBONE_LINK,
-    LOCAL_LINK,
-    WIRELESS_SENSOR_LINK,
-    LatencyModel,
-    Message,
-)
-
-__all__ = [
-    "EventScheduler",
-    "Network",
-    "NetworkNode",
-    "SimTransport",
-    "Transport",
-    "SchedulerLike",
-    "is_transport",
-    "AsyncClock",
-    "AsyncioScheduler",
-    "AsyncioTransport",
-    "NodeRunner",
-    "FrameDecoder",
-    "FrameError",
-    "MAX_FRAME_BYTES",
-    "encode_frame",
-    "decode_frame",
-    "Message",
-    "LatencyModel",
-    "WIRELESS_SENSOR_LINK",
-    "BACKBONE_LINK",
-    "LOCAL_LINK",
-    "GossipRelay",
-    "SolidificationBuffer",
-    "DiscoveryService",
-    "PeerInfo",
-    "parse_seed",
-    "NodeProcessSpec",
-    "run_node_process",
-]
+contract: a discrete-event simulator
+(:class:`~repro.network.network.SimTransport`, the bit-deterministic
+reference) and a real asyncio/TCP transport
+(:class:`~repro.network.aio.AsyncioTransport`,
+convergence-deterministic), plus the length-prefixed frame codec,
+gossip and solidification, seed-node peer discovery
+(:class:`~repro.network.discovery.DiscoveryService`) and the
+one-node-per-OS-process lane
+(:class:`~repro.network.proc.NodeProcessSpec`, supervised by
+:class:`~repro.harness.supervisor.ProcessFleet`)."""

@@ -28,7 +28,7 @@ class GossipRelay:
 
     Args:
         peers: initial peer addresses.
-        telemetry: a :class:`~repro.telemetry.MetricsRegistry` for the
+        telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry` for the
             gossip counters (``repro_network_gossip_*``).
         node: label value identifying the owning node in the metrics.
     """

@@ -111,10 +111,10 @@ class Network:
         default_link: latency model for node pairs without an explicit
             link configured.
         rng: randomness for latency jitter and loss (seed it!).
-        telemetry: a :class:`~repro.telemetry.MetricsRegistry` for the
+        telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry` for the
             ``repro_network_*`` metrics (sent/delivered/dropped message
             counts by kind, delivery latency distribution).
-        tracer: a :class:`~repro.telemetry.Tracer` for causal-context
+        tracer: a :class:`~repro.telemetry.tracer.Tracer` for causal-context
             propagation — the sender's ambient context is stamped onto
             each :class:`Message` as envelope metadata and restored
             around the delivery callback.  Defaults to the null tracer

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import random
 import signal
@@ -237,21 +238,23 @@ async def _amain(spec: NodeProcessSpec, *, ready_stream) -> int:
 
     def control(handler):
         """Refuse a hostile control frame — a body that is not a dict,
-        a ``now`` that is not a number — by counting it as malformed;
-        an exception here would unwind the transport's read loop and
-        drop the sender's connection."""
+        a ``now`` that is not a finite float (``2**2000`` overflows) —
+        by counting it as malformed; an exception here would unwind the
+        transport's read loop and drop the sender's connection."""
         def guarded(message) -> None:
             try:
                 if not isinstance(message.body, dict):
                     raise TypeError("control body must be a dict")
                 handler(message)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 node.stats.malformed_messages += 1
         return guarded
 
     def _on_status(message) -> None:
         body = message.body
         now = float(body.get("now", scheduler.clock.now()))
+        if not math.isfinite(now):
+            raise ValueError("fleet_status now must be finite")
         transport.send(spec.address, message.sender, STATUS_RESPONSE_KIND, {
             "request_id": body.get("request_id"),
             "address": spec.address,

@@ -1,16 +1,2 @@
 """Node roles of the Fig. 3 architecture: light nodes (wireless
 sensors), full nodes (gateways) and the manager."""
-
-from .full_node import FullNode, FullNodeStats
-from .light_node import LightNode, LightNodeStats
-from .manager import ManagerNode
-from .snapshot import NodeSnapshot
-
-__all__ = [
-    "LightNode",
-    "LightNodeStats",
-    "FullNode",
-    "FullNodeStats",
-    "ManagerNode",
-    "NodeSnapshot",
-]

@@ -131,7 +131,7 @@ class FullNode(NetworkNode):
             :mod:`repro.crypto.ed25519`, and transactions that arrive
             together (a sync or parent response, the frames of one
             stream read) through its batch path.
-        telemetry: a :class:`~repro.telemetry.MetricsRegistry` shared
+        telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry` shared
             across the deployment; threaded into this node's tangle,
             gossip relay and solidification accounting.  ``None`` keeps
             the zero-overhead null registry.

@@ -92,7 +92,7 @@ class LightNode(NetworkNode):
             each reading individually (the paper's behaviour); larger
             values amortise PoW/signature/approval cost across readings
             at the price of data latency (Ext-7 sweeps this).
-        telemetry: a :class:`~repro.telemetry.MetricsRegistry` shared
+        telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry` shared
             across the deployment (PoW engine metrics, key-install
             counts).  ``None`` keeps the zero-overhead null registry.
         lifecycle: a :class:`~repro.telemetry.lifecycle.LifecycleTracker`

@@ -5,29 +5,3 @@
 * :mod:`~repro.pow.engine` — per-device execution with simulated-time
   accounting (the Raspberry Pi substitution point).
 """
-
-from .engine import DEFAULT_REAL_DIFFICULTY_LIMIT, PowEngine, PowResult
-from .hashcash import (
-    MAX_DIFFICULTY,
-    MIN_DIFFICULTY,
-    NONCE_SIZE,
-    ProofOfWork,
-    pow_challenge,
-    sample_attempts,
-    solve,
-    verify,
-)
-
-__all__ = [
-    "MIN_DIFFICULTY",
-    "MAX_DIFFICULTY",
-    "NONCE_SIZE",
-    "ProofOfWork",
-    "pow_challenge",
-    "solve",
-    "verify",
-    "sample_attempts",
-    "PowEngine",
-    "PowResult",
-    "DEFAULT_REAL_DIFFICULTY_LIMIT",
-]

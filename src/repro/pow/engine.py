@@ -63,7 +63,7 @@ class PowEngine:
             simulations set False and instead schedule a completion
             event ``elapsed_seconds`` in the future, so concurrent
             nodes' compute overlaps correctly.
-        telemetry: a :class:`~repro.telemetry.MetricsRegistry` for the
+        telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry` for the
             ``repro_pow_*`` metrics (attempts, solves, solve-time and
             difficulty distributions, labelled by hardware profile).
     """

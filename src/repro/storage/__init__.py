@@ -13,31 +13,3 @@ Layering (lowest first):
 The seeded crash/restart differential that proves them correct (the
 ``repro storage`` CLI command) lives in :mod:`repro.harness.storage`.
 """
-
-from .checkpoint import EpochSnapshot
-from .errors import StorageCorruptionError, StorageError
-from .persistence import NodePersistence, RestorePoint
-from .store import (
-    GENESIS_PREV_HASH,
-    FileStore,
-    LogRecord,
-    MemoryStore,
-    Store,
-    canonical_json,
-    open_store,
-)
-
-__all__ = [
-    "GENESIS_PREV_HASH",
-    "canonical_json",
-    "LogRecord",
-    "Store",
-    "MemoryStore",
-    "FileStore",
-    "open_store",
-    "EpochSnapshot",
-    "NodePersistence",
-    "RestorePoint",
-    "StorageError",
-    "StorageCorruptionError",
-]

@@ -4,77 +4,3 @@ Implements Section II-B of the paper: transactions as DAG vertices, tip
 selection, cumulative weights, asynchronous validation, and the token
 ledger that gives double-spending concrete semantics.
 """
-
-from .errors import (
-    DoubleSpendError,
-    DuplicateTransactionError,
-    InsufficientFundsError,
-    InvalidPowError,
-    InvalidSignatureError,
-    MalformedPayloadError,
-    SelfApprovalError,
-    TangleError,
-    TimestampError,
-    UnauthorizedIssuerError,
-    UnknownParentError,
-    ValidationError,
-)
-from .ledger import ConflictRecord, TokenLedger, TransferPayload
-from .snapshot import TangleSnapshot, take_snapshot
-from .tangle import (
-    DEFAULT_WEIGHT_FLUSH_INTERVAL,
-    AttachResult,
-    Tangle,
-    TipInfo,
-    Validator,
-)
-from .tip_selection import (
-    FixedPairTipSelector,
-    TipSelector,
-    UniformRandomTipSelector,
-    WeightedRandomWalkSelector,
-)
-from .transaction import GENESIS_KIND, ZERO_HASH, Transaction, TransactionKind
-from .validation import (
-    DEFAULT_MAX_PARENT_AGE,
-    crypto_validator,
-    detect_lazy_approval,
-    timestamp_validator,
-)
-
-__all__ = [
-    "Tangle",
-    "AttachResult",
-    "TipInfo",
-    "Validator",
-    "DEFAULT_WEIGHT_FLUSH_INTERVAL",
-    "Transaction",
-    "TransactionKind",
-    "GENESIS_KIND",
-    "ZERO_HASH",
-    "TipSelector",
-    "UniformRandomTipSelector",
-    "WeightedRandomWalkSelector",
-    "FixedPairTipSelector",
-    "TokenLedger",
-    "TransferPayload",
-    "ConflictRecord",
-    "TangleSnapshot",
-    "take_snapshot",
-    "crypto_validator",
-    "timestamp_validator",
-    "detect_lazy_approval",
-    "DEFAULT_MAX_PARENT_AGE",
-    "TangleError",
-    "ValidationError",
-    "UnknownParentError",
-    "DuplicateTransactionError",
-    "InvalidPowError",
-    "InvalidSignatureError",
-    "TimestampError",
-    "SelfApprovalError",
-    "MalformedPayloadError",
-    "UnauthorizedIssuerError",
-    "DoubleSpendError",
-    "InsufficientFundsError",
-]

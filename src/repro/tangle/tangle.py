@@ -133,7 +133,7 @@ class Tangle:
             batched weight flush on attach.  ``1`` degenerates to the
             classic eager per-attach ancestor walk (useful as the exact
             baseline in differential tests and benchmarks).
-        telemetry: a :class:`~repro.telemetry.MetricsRegistry` to emit
+        telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry` to emit
             ``repro_tangle_*`` metrics into (attach counts, flush batch
             sizes, walk lengths, cache hits); ``None`` means the
             zero-overhead null registry.

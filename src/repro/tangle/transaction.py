@@ -341,7 +341,7 @@ class TransactionDecodeCache:
 
     Args:
         max_size: LRU capacity (evicts least-recently decoded).
-        telemetry: a :class:`~repro.telemetry.MetricsRegistry` for the
+        telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry` for the
             ``repro_cache_decode_*`` hit/miss counters.
     """
 

@@ -84,7 +84,7 @@ class VerificationCache:
 
     Args:
         max_size: LRU capacity (evicts least-recently confirmed).
-        telemetry: a :class:`~repro.telemetry.MetricsRegistry` for the
+        telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry` for the
             ``repro_cache_verify_*`` hit/miss counters.
     """
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import aes
 from repro.crypto.aes import (
     AES,
     BLOCK_SIZE,
@@ -15,6 +16,38 @@ from repro.crypto.aes import (
 )
 
 FIPS_PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
+
+
+def brute_force_sbox():
+    """The S-box and its inverse with every field inverse found by
+    search (~23 000 multiplications): the oracle for the log/antilog
+    build the module runs at import."""
+    inverse = [0] * 256
+    for x in range(1, 256):
+        if inverse[x]:
+            continue
+        for y in range(1, 256):
+            if aes._gf_mul(x, y) == 1:
+                inverse[x] = y
+                inverse[y] = x
+                break
+    sbox = [0] * 256
+    inv_sbox = [0] * 256
+    for x in range(256):
+        value = inverse[x]
+        result = 0x63
+        for shift in range(5):
+            result ^= ((value << shift) | (value >> (8 - shift))) & 0xFF
+        sbox[x] = result
+        inv_sbox[result] = x
+    return sbox, inv_sbox
+
+
+class TestTables:
+    def test_sbox_equals_the_brute_force_oracle(self):
+        sbox, inv_sbox = brute_force_sbox()
+        assert aes._SBOX == sbox
+        assert aes._INV_SBOX == inv_sbox
 
 
 class TestBlockCipherVectors:

@@ -176,7 +176,12 @@ class TestCombinedAttack:
     def test_replicas_converge_despite_conflicts(self, battlefield):
         """Regression: conflicting transfers must not strand descendants
         in solidification buffers or fork the replicas' DAGs."""
-        system, _, _ = battlefield
+        system, lazy, spender = battlefield
+        # Stop every source first: with submissions still arriving, a
+        # replica can hold one transaction its peers have not yet heard
+        # of, and the comparison would race the gossip.
+        for source in system.devices + [lazy, spender]:
+            source.stop()
         system.run_for(10.0)  # settle in-flight gossip
         full_nodes = [system.manager] + system.gateways
         hash_sets = [{tx.tx_hash for tx in n.tangle} for n in full_nodes]

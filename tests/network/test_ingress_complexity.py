@@ -195,6 +195,24 @@ class ReadyLine:
         self.arrived.set()
 
 
+def request(kind, request_id, **body):
+    """One framed request from the test's client to the node."""
+    return encode_frame(Message(
+        sender="client", recipient=NODE, kind=kind,
+        body={"request_id": request_id, **body}, sent_at=0.0))
+
+
+async def reply(reader, decoder, kind):
+    """The next *kind* message; replies of other kinds (a submit's ack)
+    are read past."""
+    while True:
+        data = await asyncio.wait_for(reader.read(65536), 20.0)
+        assert data, "node closed the connection"
+        for message in decoder.feed(data):
+            if message.kind == kind:
+                return message
+
+
 class TestNodeProcess:
     def test_hostile_frame_costs_only_its_connection(
             self, fleet_sandbox, monkeypatch):
@@ -211,21 +229,6 @@ class TestNodeProcess:
 
         monkeypatch.setattr(proc, "MetricsRegistry", capture)
 
-        def control(kind, request_id):
-            return encode_frame(Message(
-                sender="driver", recipient=NODE, kind=kind,
-                body={"request_id": request_id}, sent_at=0.0))
-
-        async def reply(reader, decoder, kind):
-            """The next *kind* message; replies of other kinds (the
-            submit's ack) are read past."""
-            while True:
-                data = await asyncio.wait_for(reader.read(65536), 20.0)
-                assert data, "node closed the connection"
-                for message in decoder.feed(data):
-                    if message.kind == kind:
-                        return message
-
         async def drive():
             stream = ReadyLine()
             node = asyncio.ensure_future(proc._amain(
@@ -240,7 +243,7 @@ class TestNodeProcess:
                     submit_frame(0, acl.to_bytes())
                     + b"".join(gossip_frame(tx.to_bytes()) for tx in good)
                     + b"".join(gossip_frame(tx.to_bytes()) for tx in good)
-                    + control("fleet_status", 1))
+                    + request("fleet_status", 1))
                 await reply(good_reader, decoder, "fleet_status_response")
 
                 bad_reader, bad_writer = await asyncio.open_connection(
@@ -249,10 +252,10 @@ class TestNodeProcess:
                 assert await asyncio.wait_for(bad_reader.read(), 20.0) == b""
                 bad_writer.close()
 
-                good_writer.write(control("fleet_status", 2))
+                good_writer.write(request("fleet_status", 2))
                 status = await reply(good_reader, decoder,
                                      "fleet_status_response")
-                good_writer.write(control("fleet_shutdown", 3))
+                good_writer.write(request("fleet_shutdown", 3))
                 await reply(good_reader, decoder, "fleet_shutdown_ack")
             finally:
                 good_writer.close()
@@ -295,19 +298,6 @@ class TestNodeProcess:
         # ~15 KB) does not.
         monkeypatch.setattr(frame_module, "MAX_FRAME_BYTES", 8192)
 
-        def request(kind, request_id, **body):
-            return encode_frame(Message(
-                sender="driver", recipient=NODE, kind=kind,
-                body={"request_id": request_id, **body}, sent_at=0.0))
-
-        async def reply(reader, decoder, kind):
-            while True:
-                data = await asyncio.wait_for(reader.read(65536), 20.0)
-                assert data, "node closed the connection"
-                for message in decoder.feed(data):
-                    if message.kind == kind:
-                        return message
-
         async def drive():
             stream = ReadyLine()
             node = asyncio.ensure_future(proc._amain(
@@ -344,3 +334,49 @@ class TestNodeProcess:
         (node,) = nodes
         assert node.stats.sync_requests_served == 1
         assert node.stats.malformed_messages == 0
+
+    @pytest.mark.parametrize("now", [2 ** 2000, -2 ** 2000, float("inf"),
+                                     float("nan")],
+                             ids=["huge", "-huge", "inf", "nan"])
+    def test_status_clock_no_float_holds_costs_only_its_frame(
+            self, fleet_sandbox, monkeypatch, now):
+        """A ``fleet_status`` whose ``now`` is past float range or not
+        finite is counted as malformed, and the valid ``fleet_status``
+        written behind it in the same ``write()`` is still answered."""
+        genesis_path = write_genesis(material()[0],
+                                     fleet_sandbox.storage_dir())
+        nodes = []
+        build_node = proc.build_node
+
+        def capture_node(*args, **kwargs):
+            nodes.append(build_node(*args, **kwargs))
+            return nodes[-1]
+
+        monkeypatch.setattr(proc, "build_node", capture_node)
+
+        async def drive():
+            stream = ReadyLine()
+            node = asyncio.ensure_future(proc._amain(
+                NodeProcessSpec(address=NODE, genesis_path=genesis_path),
+                ready_stream=stream))
+            await asyncio.wait_for(stream.arrived.wait(), 20.0)
+            reader, writer = await asyncio.open_connection(
+                stream.ready["host"], stream.ready["port"])
+            decoder = FrameDecoder()
+            before = nodes[0].stats.malformed_messages
+            try:
+                writer.write(request("fleet_status", 1, now=now)
+                             + request("fleet_status", 2, now=0.0))
+                status = await reply(reader, decoder,
+                                     "fleet_status_response")
+                malformed = nodes[0].stats.malformed_messages - before
+                writer.write(request("fleet_shutdown", 3))
+                await reply(reader, decoder, "fleet_shutdown_ack")
+            finally:
+                writer.close()
+            assert await asyncio.wait_for(node, 20.0) == 0
+            return status, malformed
+
+        status, malformed = fleet_sandbox.run(drive())
+        assert status.body["request_id"] == 2
+        assert malformed == 1

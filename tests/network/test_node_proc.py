@@ -13,7 +13,12 @@ ways a process dies:
 """
 
 import asyncio
+import json
+import os
+import select
+import signal
 import sys
+import time
 
 import pytest
 
@@ -30,6 +35,9 @@ from repro.harness.workload import build_workload
 from repro.network.frame import FrameDecoder, encode_frame
 from repro.network.proc import NodeProcessSpec, build_node
 from repro.network.transport import Message
+from repro.tangle.transaction import Transaction
+
+from ..nodes.runs import frame, gossip_frame, submit_frame
 
 TIME_SCALE = 20.0
 
@@ -340,6 +348,128 @@ class TestHostileInput:
                 {"tangle", "ledger", "acl", "credit"}
             assert reconnects == 0
             assert fleet.terminate("n0") == 0
+
+
+# Stands in for the interpreter: runs ``python -m repro …`` unchanged,
+# but adds ``sys.modules`` to the ready line and prints it again on
+# SIGUSR1, so a test can see what the node had loaded at both moments.
+IMPORT_PROBE = """#!{python}
+import json, runpy, signal, sys
+
+class ReadyTap:
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text):
+        info = json.loads(text)
+        info["modules"] = sorted(sys.modules)
+        return self.stream.write(json.dumps(info) + "\\n")
+
+    def flush(self):
+        self.stream.flush()
+
+def dump(signum, frame):
+    stdout.write(json.dumps(sorted(sys.modules)) + "\\n")
+    stdout.flush()
+
+stdout = sys.stdout
+sys.stdout = ReadyTap(stdout)
+signal.signal(signal.SIGUSR1, dump)
+sys.argv[1:] = sys.argv[3:]  # drop "-m repro"
+runpy.run_module("repro", run_name="__main__", alter_sys=True)
+"""
+
+# What a gateway does not run: the simulator-side system facade and
+# workflow, the light node and manager roles, attacks, the chain
+# baseline, figures and the test harness.
+NOT_LOADED_BY_A_NODE = (
+    "repro.analysis", "repro.core.biot", "repro.core.workflow",
+    "repro.attacks", "repro.harness", "repro.chain",
+    "repro.nodes.light_node", "repro.nodes.manager",
+    "repro.telemetry.scenario")
+
+
+def _read_line(process, timeout=20.0):
+    """The next stdout line of *process* (its pipe is non-blocking
+    once the supervisor has read the ready line)."""
+    deadline, buffer = time.monotonic() + timeout, b""
+    while b"\n" not in buffer:
+        assert time.monotonic() < deadline, "no line from the node"
+        readable, _, _ = select.select([process.stdout], [], [], 0.1)
+        if readable:
+            buffer += process.stdout.read(65536) or b""
+    return buffer.partition(b"\n")[0]
+
+
+class TestImports:
+    def test_node_loads_at_ready_all_its_handlers_use_and_no_more(
+            self, fleet_sandbox, tmp_path):
+        """A gateway process loads none of the simulator-only modules,
+        and every module its submit (single and batched), gossip (new
+        and duplicate), get_tips, fleet_status and ``/metrics`` paths
+        touch is already loaded when it prints its ready line — no
+        import lands in a measured window."""
+        workload = build_workload(13, transactions=8)
+        txs = workload.transactions
+        device = Transaction.from_bytes(txs[1]).issuer.node_id
+        run_dir = fleet_sandbox.storage_dir()
+        genesis_path = write_genesis(workload.genesis, run_dir)
+        probe = tmp_path / "import-probe-python"
+        probe.write_text(IMPORT_PROBE.format(python=sys.executable))
+        probe.chmod(0o755)
+
+        def submit(index):
+            return submit_frame(index, txs[index])
+
+        async def drive(ready):
+            reader, writer = await asyncio.open_connection(
+                ready["host"], ready["port"])
+            decoder, inbox = FrameDecoder(), []
+
+            async def until(kind):
+                """The body of the next *kind* reply; others are skipped."""
+                while True:
+                    while inbox:
+                        message = inbox.pop(0)
+                        if message.kind == kind:
+                            return message.body
+                    data = await asyncio.wait_for(reader.read(65536), 20.0)
+                    assert data, "node closed the connection"
+                    inbox.extend(decoder.feed(data))
+
+            try:
+                writer.write(submit(0))  # the ACL grant, alone
+                assert (await until("submit_response"))["ok"]
+                writer.write(b"".join(submit(i) for i in range(1, 5)))
+                for _ in range(1, 5):
+                    assert (await until("submit_response"))["ok"]
+                gossip = gossip_frame(txs[5])
+                writer.write(gossip)
+                writer.write(gossip + gossip)
+                writer.write(frame("client", "get_tips_request",
+                                   {"request_id": 6, "node_id": device}))
+                assert (await until("get_tips_response"))["ok"]
+                writer.write(frame("client", "fleet_status",
+                                   {"request_id": 7,
+                                    "now": workload.credit_now}))
+                return await until("fleet_status_response")
+            finally:
+                writer.close()
+
+        with ProcessFleet(run_dir=run_dir, python=str(probe)) as fleet:
+            ready = fleet.spawn(_spec("n0", genesis_path, metrics_port=0))
+            status = fleet_sandbox.run(drive(ready))
+            assert status["tangle_size"] == 7  # genesis + 5 + the gossip
+            scrape_metrics("127.0.0.1", ready["metrics_port"])
+            process = fleet.processes["n0"].process
+            os.kill(process.pid, signal.SIGUSR1)
+            after = json.loads(_read_line(process))
+            assert fleet.terminate("n0") == 0
+
+        at_ready = ready["modules"]
+        assert [name for name in at_ready
+                if name.startswith(NOT_LOADED_BY_A_NODE)] == []
+        assert sorted(set(after) - set(at_ready)) == []
 
 
 class TestSupervisorErrors:
