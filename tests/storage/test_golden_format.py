@@ -134,3 +134,16 @@ class TestPruningRegression:
         node.consensus.registry.forget_before(device_keys.node_id, 60.0)
         assert node.consensus.required_difficulty(
             device_keys.node_id, 92.0) >= 1
+
+    def test_pruned_epoch_snapshot_pinned(self, tmp_path):
+        """``epoch.json`` prunes nothing; this pins the entry points,
+        retired tips and pruned count of an aggressive checkpoint."""
+        node, persistence, _, _ = self._build_chain(str(tmp_path))
+        epoch = persistence.checkpoint(
+            node, now=90.0, keep_recent_seconds=20.0,
+            min_weight_to_prune=2)
+        persistence.store.close()
+        generated = canonical_json(epoch.to_data()) + "\n"
+        with open(os.path.join(GOLDEN_DIR, "epoch-pruned.json")) as handle:
+            golden = handle.read()
+        assert generated == golden
