@@ -8,7 +8,9 @@ answer built into this reproduction:
 1. run a factory long enough to accumulate history;
 2. take a **local snapshot** on a gateway — deeply confirmed, old
    transactions are pruned; the cut surface becomes entry points;
-3. serialise the snapshot (what a constrained gateway persists);
+3. serialise the snapshot — the same hash-linked ``EpochSnapshot`` a
+   constrained gateway checkpoints to its store — and verify it on
+   arrival;
 4. **bootstrap a brand-new gateway** from that snapshot and let
    anti-entropy sync fetch whatever arrived after it was taken;
 5. show the new gateway serving devices immediately.
@@ -16,11 +18,12 @@ answer built into this reproduction:
 Run:  python examples/storage_and_bootstrap.py
 """
 
+import json
 import random
 
 from repro.core.biot import BIoTConfig, BIoTSystem
 from repro.nodes.full_node import FullNode
-from repro.nodes.snapshot import NodeSnapshot
+from repro.storage.checkpoint import EpochSnapshot
 
 
 def main():
@@ -46,10 +49,12 @@ def main():
           f"(+{len(snapshot.tangle.entry_points)} entry points) - "
           f"{ratio * 100:.0f} % of history dropped")
 
-    # --- 3. serialise -------------------------------------------------------
-    encoded = snapshot.to_json()
-    print(f"serialised snapshot: {len(encoded) / 1024:.1f} KiB")
-    snapshot = NodeSnapshot.from_json(encoded)  # round-trip
+    # --- 3. serialise, ship, verify -----------------------------------------
+    encoded = json.dumps(snapshot.to_data())
+    print(f"serialised snapshot: {len(encoded) / 1024:.1f} KiB, "
+          f"epoch {snapshot.epoch}, hash {snapshot.snapshot_hash[:12]}…")
+    # The receiver recomputes the hash; a tampered copy is refused.
+    snapshot = EpochSnapshot.from_data(json.loads(encoded))
 
     # --- 4. bootstrap a new gateway -----------------------------------------
     from repro.core.consensus import CreditBasedConsensus, InverseDifficultyPolicy

@@ -174,13 +174,9 @@ def run_differential(*, seed: int, storage_dir: str, steps: int = 60,
     store.close()
 
     reopened = open_store("file", storage_dir, node="durable")
-    restore = NodePersistence(reopened).load()
     cold = build_node("cold", genesis, rng_seed=2)
-    if restore.snapshot is not None:
-        cold.adopt_snapshot(restore.snapshot)
-    cold_replayed = sum(
-        cold.replay_attach(tx, arrival_time=arrival_time)
-        for tx, arrival_time in restore.tail)
+    cold.attach_persistence(NodePersistence(reopened))
+    cold_replayed = cold.cold_restore()
     final_cold = node_state_hashes(cold, credit_now=now)
     head_hash = reopened.head_hash
     record_count = len(reopened)

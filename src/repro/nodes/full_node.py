@@ -268,39 +268,36 @@ class FullNode(NetworkNode):
 
     def export_snapshot(self, *, now: float,
                         keep_recent_seconds: float = 60.0,
-                        min_weight_to_prune: int = 5) -> "NodeSnapshot":
-        """Capture this node's state as a :class:`~repro.nodes.snapshot.
-        NodeSnapshot`: the pruned tangle plus ACL, ledger and credit
-        state — storage control for this node, bootstrap artifact for a
-        new one."""
+                        min_weight_to_prune: int = 5) -> "EpochSnapshot":
+        """Capture this node's state as an epoch-0 :class:`~repro.storage.
+        checkpoint.EpochSnapshot`: the pruned tangle plus ACL, ledger and
+        credit state — storage control for this node, bootstrap artifact
+        for a new one."""
+        from ..storage.checkpoint import EpochSnapshot
         from ..tangle.snapshot import take_snapshot
-        from .snapshot import NodeSnapshot
 
-        tangle_snapshot = take_snapshot(
-            self.tangle, now=now,
-            keep_recent_seconds=keep_recent_seconds,
-            min_weight_to_prune=min_weight_to_prune,
-        )
-        return NodeSnapshot(
-            tangle=tangle_snapshot,
+        return EpochSnapshot(
+            created_at=now,
+            tangle=take_snapshot(
+                self.tangle, now=now,
+                keep_recent_seconds=keep_recent_seconds,
+                min_weight_to_prune=min_weight_to_prune),
             acl_state=self.acl.export_state(),
             ledger_state=self.ledger.export_state(),
             credit_state=self.consensus.registry.export_state(now=now),
-            created_at=now,
         )
 
-    def adopt_snapshot(self, snapshot: "NodeSnapshot") -> None:
+    def adopt_snapshot(self, snapshot: "EpochSnapshot") -> None:
         """Replace this node's ledger state with *snapshot* (storage
-        reclamation on a live node, or the second half of bootstrap).
+        reclamation on a live node, the second half of bootstrap, or
+        the first half of a cold restore).
 
         Behaviour observed in the snapshot's history is final: the
         credit horizon is advanced so re-ingesting pre-snapshot
         transactions (e.g. via sync) cannot double-count credit.
         """
-        validators = self.tangle._validators
-        self.tangle = snapshot.tangle.restore(track_cumulative_weight=True)
-        for validator in validators:
-            self.tangle.add_validator(validator)
+        self.tangle = snapshot.tangle.restore(
+            validators=self._base_validators(), telemetry=self.telemetry)
         self.acl.import_state(snapshot.acl_state)
         self.ledger.import_state(snapshot.ledger_state)
         # Reversal payloads are not part of the ledger wire state;
@@ -317,10 +314,10 @@ class FullNode(NetworkNode):
             + [tx.tx_hash for tx, _ in snapshot.tangle.retained])
 
     @classmethod
-    def bootstrap_from_snapshot(cls, address: str, snapshot: "NodeSnapshot",
+    def bootstrap_from_snapshot(cls, address: str, snapshot: "EpochSnapshot",
                                 **kwargs) -> "FullNode":
-        """Build a brand-new gateway from a peer's :class:`~repro.nodes.
-        snapshot.NodeSnapshot`.
+        """Build a brand-new gateway from a peer's :class:`~repro.storage.
+        checkpoint.EpochSnapshot`.
 
         The newcomer starts with the snapshot's DAG region and the full
         derived state (who is authorised, who owns what, who behaved

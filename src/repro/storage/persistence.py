@@ -3,23 +3,23 @@
 :class:`NodePersistence` sits between a full node and its
 :class:`~repro.storage.store.Store`.  The write path is a journal —
 every attached transaction becomes a ``tx`` log record — punctuated by
-``checkpoint`` records carrying hash-chained
-:class:`~repro.storage.checkpoint.EpochSnapshot` state, after which the
-journal below the checkpoint can be pruned.  The read path
-(:meth:`NodePersistence.load`) verifies both chains and hands back a
-:class:`RestorePoint`: the newest snapshot plus the journal tail to
-replay on top of it.
+``checkpoint`` records carrying a hash-chained
+:class:`~repro.storage.checkpoint.EpochSnapshot`, after which the
+journal below the checkpoint can be pruned.  Opening a store and
+restoring from it share one walk of the epoch chain; the read path
+(:meth:`NodePersistence.load`) hands back a :class:`RestorePoint`: the
+newest snapshot plus the journal tail to replay on top of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from ..telemetry.registry import coerce_registry
 from .checkpoint import EpochSnapshot
 from .errors import StorageCorruptionError, StorageError
-from .store import GENESIS_PREV_HASH, Store
+from .store import GENESIS_PREV_HASH, LogRecord, Store
 
 __all__ = ["NodePersistence", "RestorePoint"]
 
@@ -28,14 +28,14 @@ __all__ = ["NodePersistence", "RestorePoint"]
 class RestorePoint:
     """Everything needed to rebuild a node from its store.
 
-    ``snapshot`` is ``None`` when the log holds no checkpoint yet — the
-    node restores by replaying the full journal from genesis.  ``tail``
-    is the journal suffix newer than the snapshot, oldest first.
+    ``snapshot`` is the newest checkpoint, or ``None`` when the log holds
+    none yet — the node restores by replaying the full journal from
+    genesis.  ``tail`` is the journal suffix newer than the snapshot,
+    oldest first.
     """
 
     genesis: object
-    snapshot: Optional[object] = None
-    epoch: Optional[EpochSnapshot] = None
+    snapshot: Optional[EpochSnapshot] = None
     tail: List[Tuple[object, float]] = field(default_factory=list)
 
 
@@ -59,27 +59,36 @@ class NodePersistence:
         self._tx_records = 0
         self._scan_existing()
 
+    def _walk(self) -> Tuple[List[LogRecord], int, int, str]:
+        """The one pass over the epoch chain: verify every checkpoint's
+        self-hash and its link to the checkpoint before it, decoding
+        none.  Returns ``(records, newest, next_epoch, head_hash)`` —
+        *newest* indexes the newest checkpoint record (-1 when there is
+        none).  A pruned log may begin at any epoch; the links after it
+        are checked."""
+        records = self.store.records()
+        newest, next_epoch, head_hash = -1, 0, GENESIS_PREV_HASH
+        for index, record in enumerate(records):
+            if record.kind != "checkpoint":
+                continue
+            epoch, prev_hash, link_hash = EpochSnapshot.verify_link(
+                record.data, context=f"store record {record.seq}")
+            if newest >= 0 and (epoch != next_epoch
+                                or prev_hash != head_hash):
+                raise StorageCorruptionError(
+                    f"store record {record.seq}: epoch chain break — "
+                    f"epoch {epoch} does not extend epoch "
+                    f"{next_epoch - 1}")
+            newest, next_epoch, head_hash = index, epoch + 1, link_hash
+        return records, newest, next_epoch, head_hash
+
     def _scan_existing(self) -> None:
         """Pick up the epoch chain state from an already-populated store
         (reopening after a crash, or a second process attaching)."""
-        anchored = False
-        for record in self.store.records():
-            if record.kind == "checkpoint":
-                epoch = EpochSnapshot.from_data(
-                    record.data, context=f"store record {record.seq}")
-                if anchored or epoch.epoch == 0:
-                    if (epoch.epoch != self._epoch
-                            or epoch.prev_hash != self._prev_snapshot_hash):
-                        raise StorageCorruptionError(
-                            f"store record {record.seq}: epoch chain "
-                            f"break — epoch {epoch.epoch} does not "
-                            f"extend epoch {self._epoch - 1}")
-                anchored = True
-                self._epoch = epoch.epoch + 1
-                self._prev_snapshot_hash = epoch.snapshot_hash
-                self._tx_records = 0
-            elif record.kind == "tx":
-                self._tx_records += 1
+        records, newest, self._epoch, self._prev_snapshot_hash = \
+            self._walk()
+        self._tx_records = sum(1 for record in records[newest + 1:]
+                               if record.kind == "tx")
 
     # -- queries -----------------------------------------------------------
 
@@ -134,15 +143,10 @@ class NodePersistence:
         """
         horizon = (float("inf") if keep_recent_seconds is None
                    else keep_recent_seconds)
-        snapshot = node.export_snapshot(
-            now=now, keep_recent_seconds=horizon,
-            min_weight_to_prune=min_weight_to_prune)
-        epoch = EpochSnapshot(
-            epoch=self._epoch,
-            created_at=now,
-            prev_hash=self._prev_snapshot_hash,
-            state=snapshot.to_data(),
-        )
+        epoch = replace(
+            node.export_snapshot(now=now, keep_recent_seconds=horizon,
+                                 min_weight_to_prune=min_weight_to_prune),
+            epoch=self._epoch, prev_hash=self._prev_snapshot_hash)
         record = self.store.append("checkpoint", epoch.to_data())
         self._epoch = epoch.epoch + 1
         self._prev_snapshot_hash = epoch.snapshot_hash
@@ -160,10 +164,10 @@ class NodePersistence:
         # injector and config validation can use it without cycles.
         from ..tangle.transaction import Transaction
 
-        genesis = None
-        epoch_chain: Optional[EpochSnapshot] = None
+        records, newest, _, _ = self._walk()
+        genesis = snapshot = None
         tail: List[Tuple[object, float]] = []
-        for record in self.store.records():
+        for index, record in enumerate(records):
             context = f"store record {record.seq}"
             if record.kind == "genesis":
                 try:
@@ -173,17 +177,13 @@ class NodePersistence:
                     raise StorageCorruptionError(
                         f"{context}: undecodable genesis ({exc})") from exc
             elif record.kind == "checkpoint":
-                epoch = EpochSnapshot.from_data(record.data, context=context)
-                if epoch_chain is not None:
-                    if (epoch.epoch != epoch_chain.epoch + 1
-                            or epoch.prev_hash != epoch_chain.snapshot_hash):
-                        raise StorageCorruptionError(
-                            f"{context}: epoch chain break — epoch "
-                            f"{epoch.epoch} does not extend epoch "
-                            f"{epoch_chain.epoch}")
-                epoch_chain = epoch
-                tail = []
+                if index == newest:
+                    snapshot = EpochSnapshot.from_data(record.data,
+                                                       context=context)
+                    genesis = snapshot.tangle.genesis
             elif record.kind == "tx":
+                if index < newest:
+                    continue  # subsumed by the newest checkpoint
                 try:
                     tx = Transaction.from_bytes(
                         bytes.fromhex(str(record.data["tx"])))
@@ -197,15 +197,10 @@ class NodePersistence:
                 raise StorageError(
                     f"{context}: unknown record kind {record.kind!r}")
 
-        snapshot = None
-        if epoch_chain is not None:
-            snapshot = epoch_chain.node_snapshot()
-            genesis = snapshot.tangle.genesis
         if genesis is None:
             raise StorageCorruptionError(
                 "store holds neither a genesis record nor a checkpoint — "
                 "nothing to restore from")
         self._m_restores.inc()
         self._m_replayed.inc(len(tail))
-        return RestorePoint(genesis=genesis, snapshot=snapshot,
-                            epoch=epoch_chain, tail=tail)
+        return RestorePoint(genesis=genesis, snapshot=snapshot, tail=tail)

@@ -9,18 +9,20 @@ transactions may still reference), and application state derived from
 the pruned region (token balances, ACL entries, credit histories) is
 carried forward separately by the components that own it.
 
-A snapshot is restartable and serialisable, so it doubles as the
-bootstrap artifact for a brand-new gateway: ship the snapshot, replay
-the retained region, sync the rest via anti-entropy.
+The :class:`TangleSnapshot` cut is restartable; together with that
+application state it forms a node's
+:class:`~repro.storage.checkpoint.EpochSnapshot`, the one serialised
+snapshot, which doubles as the bootstrap artifact for a brand-new
+gateway: ship the snapshot, replay the retained region, sync the rest
+via anti-entropy.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .tangle import DEFAULT_WEIGHT_FLUSH_INTERVAL, Tangle, Validator
+from .tangle import Tangle, Validator
 from .transaction import Transaction
 
 __all__ = ["TangleSnapshot", "take_snapshot"]
@@ -42,7 +44,10 @@ class TangleSnapshot:
             approvers were all pruned — they must not re-enter the tip
             pool after a restore.
         pruned_count: how many transactions the snapshot dropped.
-        created_at: ledger time at which the snapshot was taken.
+
+    The cut is in-memory only: it is stored and shipped inside a
+    :class:`~repro.storage.checkpoint.EpochSnapshot`, which carries the
+    time it was taken.
     """
 
     genesis: Transaction
@@ -50,7 +55,6 @@ class TangleSnapshot:
     entry_points: Tuple[Tuple[bytes, float], ...]
     retired_tips: Tuple[bytes, ...]
     pruned_count: int
-    created_at: float
 
     @property
     def retained_count(self) -> int:
@@ -59,8 +63,7 @@ class TangleSnapshot:
     # -- restore -----------------------------------------------------------
 
     def restore(self, *, validators: Optional[List[Validator]] = None,
-                track_cumulative_weight: bool = True,
-                weight_flush_interval: int = DEFAULT_WEIGHT_FLUSH_INTERVAL) -> Tangle:
+                **options) -> Tangle:
         """Rebuild a working tangle from this snapshot.
 
         The restored tangle accepts references to the pruned region via
@@ -69,16 +72,15 @@ class TangleSnapshot:
         it first attached, and stateful validators (timestamps, credit)
         would mis-judge a replay; the supplied validators only govern
         growth after the restore.  The replay itself rides the batched
-        weight engine (*weight_flush_interval*), so restoring an
-        n-transaction snapshot no longer pays an O(ancestors) walk per
-        replayed transaction.
+        weight engine, so restoring an n-transaction snapshot does not
+        pay an O(ancestors) walk per replayed transaction.
+
+        *options* are :class:`~repro.tangle.tangle.Tangle`'s own keywords
+        (weight tracking, flush interval, telemetry registry): a node's
+        restored tangle reports to the registry of the one it replaces.
         """
-        tangle = Tangle(
-            self.genesis,
-            track_cumulative_weight=track_cumulative_weight,
-            entry_points=dict(self.entry_points),
-            weight_flush_interval=weight_flush_interval,
-        )
+        tangle = Tangle(self.genesis, entry_points=dict(self.entry_points),
+                        **options)
         for tx, arrival_time in self.retained:
             tangle.attach(tx, arrival_time=arrival_time)
         for tx_hash in self.retired_tips:
@@ -86,50 +88,6 @@ class TangleSnapshot:
         for validator in (validators or []):
             tangle.add_validator(validator)
         return tangle
-
-    # -- serialisation -------------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialise for storage or for bootstrapping a new node."""
-        return json.dumps({
-            "genesis": self.genesis.to_bytes().hex(),
-            "retained": [
-                [tx.to_bytes().hex(), arrival]
-                for tx, arrival in self.retained
-            ],
-            "entry_points": [
-                [tx_hash.hex(), timestamp]
-                for tx_hash, timestamp in self.entry_points
-            ],
-            "retired_tips": [tx_hash.hex() for tx_hash in self.retired_tips],
-            "pruned_count": self.pruned_count,
-            "created_at": self.created_at,
-        })
-
-    @classmethod
-    def from_json(cls, data: str) -> "TangleSnapshot":
-        try:
-            fields = json.loads(data)
-            return cls(
-                genesis=Transaction.from_bytes(
-                    bytes.fromhex(fields["genesis"])),
-                retained=tuple(
-                    (Transaction.from_bytes(bytes.fromhex(encoded)),
-                     float(arrival))
-                    for encoded, arrival in fields["retained"]
-                ),
-                entry_points=tuple(
-                    (bytes.fromhex(h), float(t))
-                    for h, t in fields["entry_points"]
-                ),
-                retired_tips=tuple(
-                    bytes.fromhex(h) for h in fields["retired_tips"]
-                ),
-                pruned_count=int(fields["pruned_count"]),
-                created_at=float(fields["created_at"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed snapshot encoding: {exc}") from exc
 
 
 def take_snapshot(tangle: Tangle, *, now: float,
@@ -197,5 +155,4 @@ def take_snapshot(tangle: Tangle, *, now: float,
         entry_points=tuple(sorted(entry_points.items())),
         retired_tips=retired_tips,
         pruned_count=len(pruned),
-        created_at=now,
     )

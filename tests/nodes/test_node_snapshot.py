@@ -1,13 +1,24 @@
 """Tests for node snapshots and gateway bootstrap."""
 
+import json
 import random
 
 import pytest
 
+from repro.core.acl import AuthorizationList
 from repro.core.biot import BIoTConfig, BIoTSystem
 from repro.core.consensus import CreditBasedConsensus, InverseDifficultyPolicy
+from repro.network.proc import build_node
 from repro.nodes.full_node import FullNode
-from repro.nodes.snapshot import NodeSnapshot
+from repro.nodes.manager import ManagerNode
+from repro.storage.checkpoint import EpochSnapshot
+from repro.storage.errors import StorageCorruptionError
+from repro.storage.persistence import NodePersistence
+from repro.storage.store import GENESIS_PREV_HASH, MemoryStore
+from repro.tangle.transaction import Transaction, TransactionKind
+from repro.telemetry.registry import MetricsRegistry
+
+from ..storage.harness import golden_keys
 
 
 def matching_consensus():
@@ -50,17 +61,27 @@ class TestExportSnapshot:
         assert snapshot.credit_state["nodes"]
         assert snapshot.created_at == aged_system.scheduler.clock.now()
 
+    def test_bootstrap_snapshot_is_anchored_epoch_zero(self, aged_system):
+        snapshot = snapshot_of(aged_system)
+        assert snapshot.epoch == 0
+        assert snapshot.prev_hash == GENESIS_PREV_HASH
+
     def test_json_roundtrip(self, aged_system):
         snapshot = snapshot_of(aged_system)
-        restored = NodeSnapshot.from_json(snapshot.to_json())
-        assert restored.acl_state == snapshot.acl_state
-        assert restored.ledger_state == snapshot.ledger_state
-        assert restored.created_at == snapshot.created_at
-        assert restored.tangle.pruned_count == snapshot.tangle.pruned_count
+        shipped = json.loads(json.dumps(snapshot.to_data()))
+        restored = EpochSnapshot.from_data(shipped)
+        assert restored == snapshot
+        assert restored.snapshot_hash == snapshot.snapshot_hash
+
+    def test_shipped_hash_refuses_tampering(self, aged_system):
+        shipped = snapshot_of(aged_system).to_data()
+        shipped["state"]["ledger_state"] = {"balances": {}, "spent": {}}
+        with pytest.raises(StorageCorruptionError):
+            EpochSnapshot.from_data(shipped)
 
     def test_from_json_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            NodeSnapshot.from_json("{}")
+        with pytest.raises(StorageCorruptionError):
+            EpochSnapshot.from_data(json.loads("{}"))
 
 
 class TestBootstrap:
@@ -153,3 +174,45 @@ class TestBootstrap:
             and tx.timestamp > snapshot.created_at
         )
         assert new_records <= post_horizon + 1
+
+
+class TestRestoredTangleKeepsTelemetry:
+    """Adopting a snapshot — for bootstrap or inside a cold restore from
+    a checkpointed store — must not cut the node's tangle off the node's
+    metrics registry."""
+
+    def _node(self):
+        manager, device = golden_keys()
+        genesis = ManagerNode.create_genesis(manager,
+                                             network_name="adopt-metrics")
+        registry = MetricsRegistry()
+        node = build_node("n0", genesis, rng_seed=0, telemetry=registry)
+        txs = [Transaction.create(
+            manager, kind=TransactionKind.ACL,
+            payload=AuthorizationList.make_update(
+                [device.public]).to_bytes(),
+            timestamp=timestamp, branch=genesis.tx_hash,
+            trunk=genesis.tx_hash, difficulty=1)
+            for timestamp in (1.0, 2.0)]
+        return node, registry.get("repro_tangle_attach_total"), txs
+
+    def _assert_next_attach_counted(self, node, attaches, tx):
+        assert node.tangle.telemetry is node.telemetry
+        before = attaches.total
+        assert node.ingest_local(tx)
+        assert attaches.total == before + 1
+
+    def test_adopt_snapshot(self):
+        node, attaches, (first, second) = self._node()
+        assert node.ingest_local(first)
+        node.adopt_snapshot(node.export_snapshot(now=1.5))
+        self._assert_next_attach_counted(node, attaches, second)
+
+    def test_cold_restore_from_checkpoint(self):
+        node, attaches, (first, second) = self._node()
+        persistence = NodePersistence(MemoryStore())
+        node.attach_persistence(persistence)
+        assert node.ingest_local(first)
+        persistence.checkpoint(node, now=1.5)
+        node.cold_restore()
+        self._assert_next_attach_counted(node, attaches, second)

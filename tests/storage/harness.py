@@ -9,14 +9,17 @@ output against checked-in files; corruption tests mutate copies of it.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
 from repro.core.acl import AuthorizationList
 from repro.crypto.keys import KeyPair
 from repro.network.proc import build_node
 from repro.nodes.manager import ManagerNode
+from repro.storage.checkpoint import EpochSnapshot
 from repro.storage.persistence import NodePersistence
-from repro.storage.store import FileStore
+from repro.storage.store import FileStore, canonical_json
 from repro.tangle.ledger import TransferPayload
 from repro.tangle.transaction import Transaction, TransactionKind
 
@@ -82,3 +85,21 @@ def flip_byte(path: str, offset: int, xor: int) -> None:
     raw[offset % len(raw)] ^= (xor or 1)
     with open(path, "wb") as handle:
         handle.write(bytes(raw))
+
+
+def ship(cut, *, created_at: float = 0.0) -> dict:
+    """The JSON a peer receives for the tangle cut *cut* wrapped in an
+    epoch-0 snapshot with empty application state."""
+    snapshot = EpochSnapshot(created_at=created_at, tangle=cut,
+                             acl_state={}, ledger_state={}, credit_state={})
+    return json.loads(canonical_json(snapshot.to_data()))
+
+
+def reseal(data: dict) -> dict:
+    """Recompute *data*'s self-hash after a test edited it, so only the
+    edit itself — not a stale hash — decides whether it is refused."""
+    body = {key: data[key]
+            for key in ("epoch", "created_at", "prev_hash", "state")}
+    data["hash"] = hashlib.sha256(
+        canonical_json(body).encode()).hexdigest()
+    return data

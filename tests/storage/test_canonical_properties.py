@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.keys import KeyPair
 from repro.storage.checkpoint import EpochSnapshot
 from repro.storage.errors import StorageCorruptionError
 from repro.storage.store import (
@@ -18,6 +19,8 @@ from repro.storage.store import (
     LogRecord,
     canonical_json,
 )
+from repro.tangle.snapshot import TangleSnapshot
+from repro.tangle.transaction import Transaction
 
 json_values = st.recursive(
     st.none() | st.booleans()
@@ -96,12 +99,16 @@ class TestSingleByteCorruption:
 
 class TestSnapshotCorruption:
     def _epoch(self) -> EpochSnapshot:
+        genesis = Transaction.create_genesis(
+            KeyPair.generate(seed=b"canonical:snapshot"))
         return EpochSnapshot(
             epoch=0, created_at=4.0, prev_hash=GENESIS_PREV_HASH,
-            state={"tangle": "{}", "acl_state": {"authorized": []},
-                   "ledger_state": {"balances": {}, "spent": {}},
-                   "credit_state": {"now": 4.0, "nodes": {}},
-                   "created_at": 4.0})
+            tangle=TangleSnapshot(genesis=genesis, retained=(),
+                                  entry_points=(), retired_tips=(),
+                                  pruned_count=0),
+            acl_state={"authorized": []},
+            ledger_state={"balances": {}, "spent": {}},
+            credit_state={"now": 4.0, "nodes": {}})
 
     def test_roundtrip(self):
         epoch = self._epoch()
@@ -123,6 +130,23 @@ class TestSnapshotCorruption:
         data["state"]["credit_state"]["now"] = 5.0
         with pytest.raises(StorageCorruptionError):
             EpochSnapshot.from_data(data)
+
+    @pytest.mark.parametrize("copy", ["body", "state", "tangle"])
+    def test_disagreeing_created_at_refused(self, copy):
+        """``created_at`` is stored three times; a copy edited under a
+        resealed hash no longer matches what the snapshot re-encodes."""
+        from .harness import reseal
+
+        data = json.loads(canonical_json(self._epoch().to_data()))
+        if copy == "body":
+            data["created_at"] = 5.0
+        elif copy == "state":
+            data["state"]["created_at"] = 5.0
+        else:
+            data["state"]["tangle"] = json.dumps(
+                dict(json.loads(data["state"]["tangle"]), created_at=5.0))
+        with pytest.raises(StorageCorruptionError, match="re-encode"):
+            EpochSnapshot.from_data(reseal(data))
 
     def test_key_order_of_stored_data_is_irrelevant(self):
         data = self._epoch().to_data()

@@ -52,7 +52,7 @@ class TestGoldenFormat:
         shutil.copy(os.path.join(GOLDEN_DIR, "log.jsonl"), path)
         restore = NodePersistence(FileStore(path)).load()
         assert restore.snapshot is not None
-        assert restore.epoch.epoch == 0
+        assert restore.snapshot.epoch == 0
         assert len(restore.tail) == 1
 
         node = build_node("restored", restore.genesis, rng_seed=0)
@@ -107,9 +107,8 @@ class TestPruningRegression:
         epoch = persistence.checkpoint(
             node, now=90.0, keep_recent_seconds=20.0,
             min_weight_to_prune=2)
-        snapshot = epoch.node_snapshot()
-        assert snapshot.tangle.pruned_count > 0
-        assert snapshot.tangle.entry_points
+        assert epoch.tangle.pruned_count > 0
+        assert epoch.tangle.entry_points
 
         replayed = node.cold_restore()
         assert replayed == 0  # the checkpoint subsumed the journal

@@ -240,6 +240,23 @@ class TestNodePersistenceContract:
         with pytest.raises(StorageError, match="unknown record kind"):
             persistence.load()
 
+    @pytest.mark.parametrize("field", ["epoch", "prev_hash"])
+    def test_broken_epoch_chain_refused(self, tmp_path, field):
+        """A self-consistent checkpoint that does not extend the one
+        before it is refused when the store is opened."""
+        from .harness import build_golden_store, reseal
+
+        node, persistence, first = build_golden_store(str(tmp_path))
+        second = persistence.checkpoint(node, now=6.0, prune_log=False)
+        persistence.store.close()
+        data = json.loads(json.dumps(second.to_data()))
+        data[field] = 5 if field == "epoch" else "f" * 64
+        store = MemoryStore()
+        store.append("checkpoint", first.to_data())
+        store.append("checkpoint", reseal(data))
+        with pytest.raises(StorageCorruptionError, match="epoch chain break"):
+            NodePersistence(store)
+
     def test_scan_picks_up_epoch_state_on_reopen(self, tmp_path):
         from .harness import build_golden_store
 
@@ -250,3 +267,42 @@ class TestNodePersistenceContract:
         assert reopened.epoch == epoch.epoch + 1
         assert reopened.transactions_logged == 1  # the tail record
         reopened.store.close()
+
+
+
+def _edit_cut(state, **fields):
+    state["tangle"] = json.dumps(dict(json.loads(state["tangle"]), **fields))
+    return state
+
+
+# Edits to a checkpoint's state that its resealed hash still covers.
+MALFORMED_STATE = {
+    "tangle-missing": lambda state: {key: value for key, value
+                                     in state.items() if key != "tangle"},
+    "tangle-not-json": lambda state: dict(state, tangle="not json"),
+    "genesis-not-hex": lambda state: _edit_cut(state, genesis="zz"),
+    "state-as-pairs": lambda state: state,
+}
+
+
+class TestMalformedCheckpointState:
+    """A hash-valid checkpoint whose state cannot be decoded is refused
+    as corruption, like an undecodable genesis or journal record."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_STATE))
+    def test_load_refuses_as_corruption(self, tmp_path, case):
+        from .harness import build_golden_store, reseal
+
+        _, persistence, epoch = build_golden_store(str(tmp_path))
+        persistence.store.close()
+        data = json.loads(json.dumps(epoch.to_data()))
+        data["state"] = MALFORMED_STATE[case](data["state"])
+        reseal(data)
+        if case == "state-as-pairs":
+            # The hash covers the dict the pairs spell, not the bytes
+            # stored: the stored form must be refused all the same.
+            data["state"] = sorted(data["state"].items())
+        store = MemoryStore()
+        store.append("checkpoint", data)
+        with pytest.raises(StorageCorruptionError, match="store record 0"):
+            NodePersistence(store).load()

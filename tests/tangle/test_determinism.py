@@ -18,13 +18,15 @@ import random
 import pytest
 
 from repro.tangle.errors import UnknownParentError
-from repro.tangle.snapshot import TangleSnapshot, take_snapshot
+from repro.storage.checkpoint import EpochSnapshot
+from repro.tangle.snapshot import take_snapshot
 from repro.tangle.tangle import Tangle
 from repro.tangle.tip_selection import (
     UniformRandomTipSelector,
     WeightedRandomWalkSelector,
 )
 
+from ..storage.harness import ship
 from .schedules import random_growth_schedule
 
 SELECTORS = {
@@ -99,8 +101,8 @@ class TestSnapshotRoundTrips:
                                  min_weight_to_prune=3)
         assert snapshot.pruned_count > 0
         direct = snapshot.restore()
-        round_tripped = TangleSnapshot.from_json(snapshot.to_json()).restore(
-            weight_flush_interval=1)
+        round_tripped = EpochSnapshot.from_data(
+            ship(snapshot)).tangle.restore(weight_flush_interval=1)
         assert selection_sequence(SELECTORS[name](), direct, seed=29) == \
             selection_sequence(SELECTORS[name](), round_tripped, seed=29)
 

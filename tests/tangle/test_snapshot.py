@@ -3,10 +3,14 @@
 import pytest
 
 from repro.crypto.keys import KeyPair
-from repro.tangle.snapshot import TangleSnapshot, take_snapshot
+from repro.storage.checkpoint import EpochSnapshot
+from repro.storage.errors import StorageCorruptionError
+from repro.tangle.snapshot import take_snapshot
 from repro.tangle.tangle import Tangle
 from repro.tangle.transaction import Transaction
 from repro.tangle.validation import crypto_validator, timestamp_validator
+
+from ..storage.harness import reseal, ship
 
 KEYS = KeyPair.generate(seed=b"snapshot-tests")
 
@@ -157,20 +161,21 @@ class TestRestore:
 
 
 class TestSerialisation:
+    """A cut is stored and shipped inside an ``EpochSnapshot``."""
+
     def test_json_roundtrip(self):
         tangle, _ = grow_chain_tangle()
         snapshot = take_snapshot(tangle, now=1000.0, keep_recent_seconds=0.0,
                                  min_weight_to_prune=3)
-        restored = TangleSnapshot.from_json(snapshot.to_json())
-        assert restored.pruned_count == snapshot.pruned_count
-        assert restored.entry_points == snapshot.entry_points
-        assert ([tx.tx_hash for tx, _ in restored.retained]
-                == [tx.tx_hash for tx, _ in snapshot.retained])
+        restored = EpochSnapshot.from_data(ship(snapshot)).tangle
+        assert restored == snapshot
         # The roundtripped snapshot restores identically.
         assert restored.restore().tips() == snapshot.restore().tips()
 
     def test_from_json_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            TangleSnapshot.from_json('{"nope": 1}')
-        with pytest.raises(ValueError):
-            TangleSnapshot.from_json("not json")
+        tangle, _ = grow_chain_tangle(length=3)
+        data = ship(take_snapshot(tangle, now=1000.0))
+        for garbage in ('{"nope": 1}', "not json"):
+            data["state"]["tangle"] = garbage
+            with pytest.raises(StorageCorruptionError):
+                EpochSnapshot.from_data(reseal(data))

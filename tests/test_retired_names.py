@@ -1,7 +1,8 @@
 """Names of deleted code stay deleted: the metric event log, the SQLite
-store, the unimported analysis helpers, and the second Ed25519 lane with
-the registry, worker pool and options that chose between the two have
-no reader, so nothing under ``src/`` may name them again."""
+store, the unimported analysis helpers, the second Ed25519 lane with
+the registry, worker pool and options that chose between the two, and
+the unchained node snapshot merged into ``EpochSnapshot`` have no
+reader, so nothing under ``src/`` may name them again."""
 
 import pathlib
 
@@ -13,7 +14,8 @@ RETIRED = ["sqlite3", "SQLiteStore", "record_events", "MetricEvent",
            "events_dropped", "TimeSeries", "ThroughputMeter",
            "tangle_to_dot",
            "CryptoPool", "CRYPTO_BACKENDS", "CryptoBackend", "pow_workers",
-           "crypto_pool", "pow_pool", "ed25519_accel"]
+           "crypto_pool", "pow_pool", "ed25519_accel",
+           "NodeSnapshot", "node_snapshot"]
 
 
 @pytest.mark.parametrize("name", RETIRED)
