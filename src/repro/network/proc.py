@@ -18,9 +18,12 @@ independent OS-level participant:
   answer the fleet control plane (``fleet_status`` / ``fleet_resync`` /
   ``fleet_shutdown``) over the same framed envelopes;
 * serve Prometheus metrics over plain HTTP on a per-process port;
+* fork one signature-verify worker per spare core before the event
+  loop starts (:mod:`repro.crypto.verify_workers`);
 * print a single machine-readable **ready line** on stdout —
-  ``{"event": "ready", "port": …, "metrics_port": …}`` — the harness's
-  cue that the ephemeral ports are bound and dialable;
+  ``{"event": "ready", "port": …, "metrics_port": …,
+  "verify_workers": [pids]}`` — the harness's cue that the ephemeral
+  ports are bound and dialable;
 * exit cleanly on SIGTERM/SIGINT: flush transport outboxes, close the
   store (no journal-tail corruption on reopen).
 
@@ -40,9 +43,10 @@ import random
 import signal
 import sys
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.credit import CreditParameters
+from ..crypto import ed25519, verify_workers
 from ..telemetry.exporters import to_prometheus_text
 from ..telemetry.registry import MetricsRegistry
 from .aio import AsyncioScheduler, AsyncioTransport, NodeRunner
@@ -171,14 +175,23 @@ async def _serve_metrics(registry, host: str,
                          port: int) -> Tuple[object, int]:
     """Minimal HTTP/1.1 exporter: any GET answers the full Prometheus
     text page.  Stdlib-only on purpose — one scrape target per node
-    process, no routing, no keep-alive."""
+    process, no routing, no keep-alive.  A request line or header
+    longer than the stream reader's 64 KiB limit is answered 431 and
+    the connection closed."""
 
     async def handle(reader, writer) -> None:
         try:
-            while True:
-                line = await reader.readline()
-                if not line or line in (b"\r\n", b"\n"):
-                    break
+            try:
+                while True:
+                    line = await reader.readline()
+                    if not line or line in (b"\r\n", b"\n"):
+                        break
+            except ValueError:  # the line overran the reader's limit
+                writer.write(b"HTTP/1.1 431 Request Header Fields Too "
+                             b"Large\r\nContent-Length: 0\r\n"
+                             b"Connection: close\r\n\r\n")
+                await writer.drain()
+                return
             body = to_prometheus_text(registry).encode("utf-8")
             writer.write(
                 b"HTTP/1.1 200 OK\r\n"
@@ -197,7 +210,8 @@ async def _serve_metrics(registry, host: str,
     return server, bound
 
 
-async def _amain(spec: NodeProcessSpec, *, ready_stream) -> int:
+async def _amain(spec: NodeProcessSpec, *, ready_stream,
+                 worker_pids: Sequence[int] = ()) -> int:
     from ..faults.report import node_state_hashes
 
     registry = MetricsRegistry()
@@ -305,6 +319,7 @@ async def _amain(spec: NodeProcessSpec, *, ready_stream) -> int:
             "metrics_port": metrics_port,
             "restored": restored,
             "storage": spec.storage_backend,
+            "verify_workers": list(worker_pids),
         }, sort_keys=True) + "\n")
         ready_stream.flush()
 
@@ -321,6 +336,17 @@ async def _amain(spec: NodeProcessSpec, *, ready_stream) -> int:
 
 def run_node_process(spec: NodeProcessSpec, *,
                      ready_stream=None) -> int:
-    """Run one node process to completion; returns its exit code."""
+    """Run one node process to completion; returns its exit code.
+
+    The base-point table is built, and then one verify worker per spare
+    core forked (:mod:`repro.crypto.verify_workers`), before the event
+    loop starts and before any store or socket is opened, so the
+    workers share the table and inherit nothing else of the node's."""
     stream = ready_stream if ready_stream is not None else sys.stdout
-    return asyncio.run(_amain(spec, ready_stream=stream))
+    ed25519.precompute()
+    try:
+        worker_pids = verify_workers.start(verify_workers.spare_cores())
+        return asyncio.run(_amain(spec, ready_stream=stream,
+                                  worker_pids=worker_pids))
+    finally:
+        verify_workers.stop()

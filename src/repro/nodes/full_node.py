@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 
 from ..core.acl import AuthorizationList, GenesisConfig
 from ..core.consensus import CreditBasedConsensus
-from ..crypto import ed25519
+from ..crypto import verify_workers
 from ..crypto.accel import get_backend
 from ..devices.profiles import PC
 from ..faults.backoff import DEFAULT_BACKOFF, BackoffPolicy
@@ -776,9 +776,10 @@ class FullNode(NetworkNode):
 
         Instances already verified (verification cache) or already
         batch-verified (preverified set) are skipped; everything else
-        goes through :func:`repro.crypto.ed25519.verify_batch` in one
-        round — one multi-scalar multiplication instead of N
-        sequential verifies.  Positive verdicts are parked
+        goes through :func:`repro.crypto.verify_workers.verify_batch`
+        in one round — one multi-scalar multiplication instead of N
+        sequential verifies, shared out among a ``repro node``'s verify
+        workers, if it forked any.  Positive verdicts are parked
         in the :class:`~repro.tangle.validation.PreverifiedSet` for the
         validator to consume; negative ones are left for the validator
         to re-verify (and reject) individually, so batch and sequential
@@ -799,7 +800,7 @@ class FullNode(NetworkNode):
             return  # nothing to amortise; the validator handles singles
         items = [(tx.issuer.sign_public, tx.tx_hash, tx.signature)
                  for tx in pending]
-        verdicts = ed25519.verify_batch(items)
+        verdicts = verify_workers.verify_batch(items)
         passed = 0
         for tx, ok in zip(pending, verdicts):
             if ok:

@@ -17,6 +17,7 @@ import json
 import os
 import select
 import signal
+import socket
 import sys
 import time
 
@@ -348,6 +349,42 @@ class TestHostileInput:
                 {"tangle", "ledger", "acl", "credit"}
             assert reconnects == 0
             assert fleet.terminate("n0") == 0
+
+
+    def test_an_over_long_metrics_request_is_refused_quietly(
+            self, fleet_sandbox):
+        """A request line past the exporter's 64 KiB line limit gets a
+        431 (or a reset, if the refusal races the upload) — not an
+        unhandled exception traceback on stderr — and the next scrape
+        is answered as ever."""
+        workload = build_workload(3, transactions=4)
+        run_dir = fleet_sandbox.storage_dir()
+        genesis_path = write_genesis(workload.genesis, run_dir)
+        with ProcessFleet(run_dir=run_dir) as fleet:
+            ready = fleet.spawn(_spec("n0", genesis_path, metrics_port=0))
+            for _ in range(2):
+                reply = b""
+                with socket.create_connection(
+                        ("127.0.0.1", ready["metrics_port"]),
+                        timeout=5.0) as sock:
+                    try:
+                        sock.sendall(b"GET /" + b"x" * (70 * 1024)
+                                     + b" HTTP/1.1\r\n\r\n")
+                        while True:
+                            data = sock.recv(65536)
+                            if not data:
+                                break
+                            reply += data
+                    except ConnectionError:
+                        pass
+                assert reply == b"" or reply.startswith(b"HTTP/1.1 431 ")
+            page = scrape_metrics("127.0.0.1", ready["metrics_port"])
+            assert "repro_transport_frames_sent_total" in page
+            assert fleet.terminate("n0") == 0
+            with open(fleet.processes["n0"].stderr_path) as handle:
+                stderr = handle.read()
+        assert "Traceback" not in stderr and "Unhandled" not in stderr, \
+            stderr
 
 
 # Stands in for the interpreter: runs ``python -m repro …`` unchanged,

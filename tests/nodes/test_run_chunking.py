@@ -6,15 +6,18 @@ The asyncio transport hands a full node each read's frames as one run
 nothing the node replies, counts or replicates may depend on where the
 cuts fell.  One fixed frame stream — every way a frame can fare — is
 cut at arbitrary byte offsets and must produce, for every cut, exactly
-what one-frame-per-read (the lane never entered) produces.
+what one-frame-per-read (the lane never entered) produces — and again
+with a verify worker forked, which shares each run's batch out.
 """
 
 from functools import lru_cache
 from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.crypto import ed25519, verify_workers
 from repro.faults.report import node_state_hashes
 from repro.harness.workload import WorkloadBuilder
 from repro.tangle.transaction import Transaction, TransactionKind
@@ -215,3 +218,52 @@ class TestChunkingInvariance:
         _, frames, _, _ = scenario()
         assert run(backend, cut(frames, marks)) \
             .outcome(credit_now=CREDIT_NOW) == frame_per_read(backend)
+
+
+@pytest.fixture(scope="class")
+def one_worker():
+    """One forked verify worker for the class, stopped and reaped after
+    it: a run's batch is then cut into two shards whenever each gets
+    the batch floor of signatures."""
+    ed25519.precompute()
+    pids = verify_workers.start(1)
+    yield pids
+    verify_workers.stop()
+
+
+@pytest.mark.usefixtures("one_worker")
+class TestChunkingInvarianceWithAWorker:
+    """The cuts again with a verify worker live: sharding a run's batch
+    between the node and the worker moves no outcome either."""
+
+    def test_two_reads_shard_and_change_nothing(self):
+        genesis, frames, _, _ = scenario()
+        sizes, in_process = [], ed25519.verify_batch
+
+        def counting(items):
+            sizes.append(len(items))
+            return in_process(items)
+
+        backend = SimpleNamespace(verify=ed25519.verify,
+                                  verify_batch=counting)
+        telemetry = MetricsRegistry()
+        rig = Rig(genesis, backend, telemetry=telemetry)
+        rig.deliver(cut(frames, [(1, 0)]))
+        assert batch_counters(telemetry) == (2, 11, 1)
+        # The run's ten signatures: five here, five in the worker.  The
+        # sync_response's two are too few to share.
+        assert sizes == [5, 2]
+        assert rig.outcome(credit_now=CREDIT_NOW) \
+            == frame_per_read("product")
+
+    @settings(max_examples=20, deadline=None)
+    @given(marks=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=63),
+                  st.one_of(st.just(0),
+                            st.integers(min_value=0, max_value=4095))),
+        max_size=10))
+    @example(marks=[])
+    def test_any_cut_equals_one_frame_per_read(self, marks):
+        _, frames, _, _ = scenario()
+        assert run("product", cut(frames, marks)) \
+            .outcome(credit_now=CREDIT_NOW) == frame_per_read("product")
