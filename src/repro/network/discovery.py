@@ -72,7 +72,11 @@ class PeerInfo:
 
     @classmethod
     def from_body(cls, body) -> "PeerInfo":
-        address = body["address"]
+        """The entry *body* describes; anything else — a body that is
+        not a dict included — is a :class:`ValueError`."""
+        if not isinstance(body, dict):
+            raise ValueError("peer entry must be a dict")
+        address = body.get("address")
         host = body.get("host")
         port = body.get("port")
         role = body.get("role", ROLE_FULL)
@@ -84,7 +88,7 @@ class PeerInfo:
                                  or isinstance(port, bool)
                                  or not 1 <= port <= 65535):
             raise ValueError("peer port must be in [1, 65535] or None")
-        if role not in _ROLES:
+        if not isinstance(role, str) or role not in _ROLES:
             raise ValueError(f"unknown peer role {role!r}")
         return cls(address=address, host=host, port=port, role=role)
 
@@ -147,6 +151,7 @@ class DiscoveryService:
         self.peers: Dict[str, PeerInfo] = {}
         self.bootstrapped = False
         self.hello_attempts = 0
+        self.malformed_messages = 0
         registry = coerce_registry(telemetry)
         self._m_hellos = registry.counter(
             "repro_discovery_hellos_total",
@@ -249,8 +254,21 @@ class DiscoveryService:
 
     # -- handlers ----------------------------------------------------------
 
+    def _parse(self, body) -> Optional[PeerInfo]:
+        """The entry a ``disc_hello`` / ``disc_announce`` carries, or
+        None — counted — when the body is not one: a hostile frame must
+        not unwind the transport's read loop and cost its sender the
+        connection and the frames behind it in the same read."""
+        try:
+            return PeerInfo.from_body(body)
+        except ValueError:
+            self.malformed_messages += 1
+            return None
+
     def _handle_hello(self, message: Message) -> None:
-        info = PeerInfo.from_body(message.body)
+        info = self._parse(message.body)
+        if info is None:
+            return
         changed = self._learn(info)
         table = [p.to_body() for _, p in sorted(self.peers.items())]
         table.append(self._self_info().to_body())
@@ -260,13 +278,24 @@ class DiscoveryService:
             self._announce(info, exclude=info.address)
 
     def _handle_peers(self, message: Message) -> None:
-        for entry in message.body.get("peers", ()):
-            self._learn(PeerInfo.from_body(entry))
+        """A reply is taken whole or refused whole: one bad entry
+        refuses the table, and the hellos keep retrying."""
+        body = message.body
+        entries = body.get("peers", []) if isinstance(body, dict) else None
+        try:
+            if not isinstance(entries, list):
+                raise ValueError("disc_peers body carries no peer list")
+            infos = [PeerInfo.from_body(entry) for entry in entries]
+        except ValueError:
+            self.malformed_messages += 1
+            return
+        for info in infos:
+            self._learn(info)
         self.bootstrapped = True
 
     def _handle_announce(self, message: Message) -> None:
-        info = PeerInfo.from_body(message.body)
-        if self._learn(info):
+        info = self._parse(message.body)
+        if info is not None and self._learn(info):
             # Re-flood changes so announcements reach full nodes the
             # origin did not know; idempotence stops the echo.
             self._announce(info, exclude=message.sender)

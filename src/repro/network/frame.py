@@ -2,17 +2,31 @@
 
 One frame carries one :class:`~repro.network.transport.Message`::
 
-    MAGIC(4) | VERSION(1) | LENGTH(4, big-endian) | PAYLOAD | CRC32(4)
+    MAGIC(4) | VERSION(1) = 2 | LENGTH(4, big-endian) | PAYLOAD | CRC32(4)
 
-``PAYLOAD`` is the canonical binary encoding (below) of the message
-envelope — a dict of ``sender``, ``recipient``, ``kind``,
-``message_id``, ``sent_at``, ``size_bytes`` and ``body``, plus an
-optional ``trace`` header extension carrying the out-of-band
-:class:`~repro.telemetry.tracer.TraceContext`.  Transaction bytes
-inside ``body`` are the *existing* canonical wire encodings
+``PAYLOAD`` is a fixed binary envelope, the routing strings, an
+optional trace extension and the body::
+
+    FLAGS(1) | SENDER_LEN(2) | RECIPIENT_LEN(2) | KIND_LEN(2)
+      | MESSAGE_ID(i64) | SIZE_BYTES(i64) | SENT_AT(f64)     31 bytes
+    | sender | recipient | kind                              utf-8
+    [ | TRACE_ID_LEN(2) | SPAN_ID(i64) | trace_id ]          if FLAGS & 1
+    | body                                                  one canonical value
+
+All integers are big-endian.  The trace extension carries the
+out-of-band :class:`~repro.telemetry.tracer.TraceContext`; any other
+flag bit is refused.  The body is one canonical value (below) that
+must fill the rest of the payload exactly.  Transaction bytes inside
+``body`` are the *existing* canonical wire encodings
 (:meth:`~repro.tangle.transaction.Transaction.to_bytes`), carried
 opaquely — framing adds an envelope, it never re-encodes protocol
-payloads.
+payloads.  A duplicate gossip frame therefore costs one ``struct`` read
+for its envelope plus the decode of a one-key body.
+
+There is one format: a version-1 frame (whose envelope was a canonical
+dict) is refused as an unsupported version, so v1 and v2 nodes do not
+interoperate.  An envelope integer outside i64, or a string longer than
+65 535 bytes, is a :class:`FrameError` at encode.
 
 The canonical value encoding is type-tagged and length-prefixed::
 
@@ -26,9 +40,10 @@ The canonical value encoding is type-tagged and length-prefixed::
     M count(4) pairs    dict  (str keys only, sorted — canonical)
 
 Every structural violation — bad magic, unknown version, length out of
-bounds, CRC mismatch, trailing or missing payload bytes, an unknown
-type tag, containers nested deeper than :data:`MAX_DEPTH` — raises
-:class:`FrameError`; the CRC covers version + length
+bounds, CRC mismatch, an envelope or string that overruns the payload,
+an unknown flag bit, invalid utf-8, trailing or missing payload bytes,
+an unknown type tag, containers nested deeper than :data:`MAX_DEPTH` —
+raises :class:`FrameError`; the CRC covers version + length
 + payload, so any single-byte corruption of a frame is refused rather
 than decoded into a wrong message (the property
 ``tests/network/test_frame_properties.py`` sweeps).
@@ -62,7 +77,7 @@ __all__ = [
 ]
 
 MAGIC = b"BIOT"
-VERSION = 1
+VERSION = 2
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 """Upper bound on one frame's payload — a corrupted length field must
 not make the decoder wait forever for bytes that will never come."""
@@ -75,10 +90,11 @@ hostile frame of nested lists cannot spend the interpreter's stack."""
 _PREFIX_LEN = len(MAGIC) + 1 + 4  # magic + version + payload length
 _CRC_LEN = 4
 _HEAD = struct.Struct(">BI")  # version + payload length, behind the magic
-
-_ENVELOPE_KEYS = frozenset(
-    {"sender", "recipient", "kind", "message_id", "sent_at",
-     "size_bytes", "body", "trace"})
+# flags, sender/recipient/kind byte lengths, message_id, size_bytes, sent_at
+_ENVELOPE = struct.Struct(">BHHHqqd")
+_TRACE = struct.Struct(">Hq")  # trace-id byte length, span_id
+_TRACED = 0x01  # flag bit 0: the trace extension follows the strings
+_ENVELOPE_TRUNCATED = "frame envelope overruns its payload"
 
 
 class FrameError(ValueError):
@@ -236,70 +252,30 @@ def _decode_items(data: bytes, offset: int, end: int, count: int,
 
 def encode_frame(message: Message) -> bytes:
     """Serialise one message as a self-delimiting frame."""
-    envelope = {
-        "sender": message.sender,
-        "recipient": message.recipient,
-        "kind": message.kind,
-        "message_id": int(message.message_id),
-        "sent_at": float(message.sent_at),
-        "size_bytes": int(message.size_bytes),
-        "body": message.body,
-    }
+    sender = message.sender.encode("utf-8")
+    recipient = message.recipient.encode("utf-8")
+    kind = message.kind.encode("utf-8")
     trace = message.trace
-    if trace is not None:
-        # Header extension: the trace context stays envelope metadata —
-        # it never touches the transaction codecs inside `body`.
-        envelope["trace"] = {"trace_id": trace.trace_id,
-                             "span_id": trace.span_id}
-    payload = encode_value(envelope)
+    try:
+        out = [_ENVELOPE.pack(0 if trace is None else _TRACED, len(sender),
+                              len(recipient), len(kind), message.message_id,
+                              message.size_bytes, message.sent_at),
+               sender, recipient, kind]
+        if trace is not None:
+            # The trace context stays envelope metadata — it never
+            # touches the transaction codecs inside `body`.
+            trace_id = trace.trace_id.encode("utf-8")
+            out += (_TRACE.pack(len(trace_id), trace.span_id), trace_id)
+    except struct.error as exc:
+        raise FrameError(f"envelope field out of range: {exc}") from None
+    _encode_items((message.body,), out, 0)
+    payload = b"".join(out)
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame payload {len(payload)} exceeds {MAX_FRAME_BYTES}")
     head = _HEAD.pack(VERSION, len(payload))
     crc = zlib.crc32(payload, zlib.crc32(head))
     return b"".join((MAGIC, head, payload, _U32.pack(crc)))
-
-
-def _message_from_envelope(envelope: Any) -> Message:
-    if not isinstance(envelope, dict):
-        raise FrameError("frame payload is not an envelope dict")
-    if not envelope.keys() <= _ENVELOPE_KEYS:
-        raise FrameError(
-            f"unknown envelope keys {sorted(set(envelope) - _ENVELOPE_KEYS)}")
-    try:
-        sender = envelope["sender"]
-        recipient = envelope["recipient"]
-        kind = envelope["kind"]
-        message_id = envelope["message_id"]
-        sent_at = envelope["sent_at"]
-        size_bytes = envelope["size_bytes"]
-        body = envelope["body"]
-    except KeyError as exc:
-        raise FrameError(f"envelope missing {exc.args[0]!r}")
-    # The decoder yields exact types, so ``type() is`` is the whole
-    # check (and keeps a bool out of the int fields).
-    if not (type(sender) is str and type(recipient) is str
-            and type(kind) is str):
-        raise FrameError("envelope routing fields must be str")
-    if type(message_id) is not int:
-        raise FrameError("message_id must be an int")
-    if type(sent_at) is not float:
-        raise FrameError("sent_at must be a float")
-    if type(size_bytes) is not int:
-        raise FrameError("size_bytes must be an int")
-    trace = None
-    if "trace" in envelope:
-        raw = envelope["trace"]
-        if (not isinstance(raw, dict)
-                or set(raw) != {"trace_id", "span_id"}
-                or not isinstance(raw["trace_id"], str)
-                or not isinstance(raw["span_id"], int)):
-            raise FrameError("malformed trace extension")
-        trace = TraceContext(trace_id=raw["trace_id"],
-                             span_id=raw["span_id"])
-    return Message(sender=sender, recipient=recipient, kind=kind,
-                   body=body, sent_at=sent_at, size_bytes=size_bytes,
-                   message_id=message_id, trace=trace)
 
 
 def decode_frame(data: bytes) -> Message:
@@ -379,9 +355,38 @@ class FrameDecoder:
                 if zlib.crc32(view[offset + 4:end]) \
                         != _U32.unpack_from(data, end)[0]:
                     raise FrameError("frame CRC mismatch")
-                messages.append(_message_from_envelope(
-                    _decode_exactly(data, start, end)))
+                at = start + _ENVELOPE.size
+                if at > end:
+                    raise FrameError(_ENVELOPE_TRUNCATED)
+                (flags, sender_len, recipient_len, kind_len, message_id,
+                 size_bytes, sent_at) = _ENVELOPE.unpack_from(data, start)
+                recipient_at = at + sender_len
+                kind_at = recipient_at + recipient_len
+                body_at = strings_end = kind_at + kind_len
+                if flags:
+                    if flags != _TRACED:
+                        raise FrameError(
+                            f"unknown envelope flags {flags:#04x}")
+                    trace_at = strings_end + _TRACE.size
+                    if trace_at > end:
+                        raise FrameError(_ENVELOPE_TRUNCATED)
+                    trace_len, span_id = _TRACE.unpack_from(data, strings_end)
+                    body_at = trace_at + trace_len
+                if body_at > end:
+                    raise FrameError(_ENVELOPE_TRUNCATED)
+                messages.append(Message(
+                    data[at:recipient_at].decode("utf-8"),
+                    data[recipient_at:kind_at].decode("utf-8"),
+                    data[kind_at:strings_end].decode("utf-8"),
+                    _decode_exactly(data, body_at, end),
+                    sent_at, size_bytes, message_id,
+                    TraceContext(data[trace_at:body_at].decode("utf-8"),
+                                 span_id) if flags else None))
                 offset = end + _CRC_LEN
+        except UnicodeDecodeError as exc:
+            self._failed = True
+            raise FrameError(f"invalid utf-8 in frame envelope: {exc}") \
+                from None
         except FrameError:
             self._failed = True
             raise

@@ -22,12 +22,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
     """One network message between two simulated nodes.
 
     ``body`` is any Python object (transactions, protocol records);
     ``size_bytes`` drives transmission-delay accounting where relevant.
+
+    Slotted and not frozen: a frozen dataclass's ``__init__`` pays one
+    ``object.__setattr__`` per field, and a message is built for every
+    decoded frame and every send.  Nothing mutates a message once it is
+    routed.
 
     ``message_id`` is allocated by the *transport* that routes the
     message (each :class:`~repro.network.network.Network` or

@@ -1,29 +1,26 @@
-"""The frame codec as it stood before the one-pass decoder — the
-reference the differential tests compare :mod:`repro.network.frame`
-against.
+"""The frame codec as it stood before the one-pass decoder, with a
+straight-line reader of the version-2 envelope — the reference the
+differential tests compare :mod:`repro.network.frame` against.
 
-Moved here verbatim from ``src/repro/network/frame.py``: one recursive
-``_decode_at`` call and three ``_take`` calls per field, one buffer
-trim per frame.  It has no nesting bound (a few thousand nested lists
-raise ``RecursionError``), so the differentials stay inside
-:data:`repro.network.frame.MAX_DEPTH`.  Envelope validation
-(``_message_from_envelope``) is shared with the product module; only
-the value codec and the stream walk differ.
+The value codec and the stream walk are the old code moved verbatim
+from ``src/repro/network/frame.py``: one recursive ``_decode_at`` call
+and three ``_take`` calls per field, one buffer trim per frame.  It
+has no nesting bound (a few thousand nested lists raise
+``RecursionError``), so the differentials stay inside
+:data:`repro.network.frame.MAX_DEPTH`.  The envelope is written and
+read here field by field — one ``_take`` and one conversion per field,
+no batched ``struct`` — so it shares no envelope code with the product.
 """
 
+import operator
 import struct
 import sys
 import zlib
 from typing import Any, List, Optional, Tuple
 
-from repro.network.frame import (
-    MAGIC,
-    MAX_FRAME_BYTES,
-    VERSION,
-    FrameError,
-    _message_from_envelope,
-)
+from repro.network.frame import MAGIC, MAX_FRAME_BYTES, VERSION, FrameError
 from repro.network.transport import Message
+from repro.telemetry.tracer import TraceContext
 
 _PREFIX_LEN = len(MAGIC) + 1 + 4  # magic + version + payload length
 _CRC_LEN = 4
@@ -164,30 +161,93 @@ def _decode_at(data: bytes, offset: int) -> Tuple[Any, int]:
     raise FrameError(f"unknown canonical type tag {tag!r}")
 
 
+# -- the version-2 envelope, field by field ------------------------------
+
+_TRACED = 0x01
+
+
+def _u16(length: int) -> bytes:
+    if length > 0xFFFF:
+        raise FrameError(f"envelope string of {length} bytes")
+    return length.to_bytes(2, "big")
+
+
+def _i64(value) -> bytes:
+    try:
+        return operator.index(value).to_bytes(8, "big", signed=True)
+    except (TypeError, OverflowError):
+        raise FrameError(f"envelope int {value!r} is not an i64")
+
+
 def encode_frame(message: Message) -> bytes:
     """Serialise one message as a self-delimiting frame."""
-    envelope = {
-        "sender": message.sender,
-        "recipient": message.recipient,
-        "kind": message.kind,
-        "message_id": int(message.message_id),
-        "sent_at": float(message.sent_at),
-        "size_bytes": int(message.size_bytes),
-        "body": message.body,
-    }
+    sender = message.sender.encode("utf-8")
+    recipient = message.recipient.encode("utf-8")
+    kind = message.kind.encode("utf-8")
     trace = message.trace
+    flags = 0 if trace is None else _TRACED
+    try:
+        sent_at = struct.pack(">d", message.sent_at)
+    except struct.error:
+        raise FrameError(f"sent_at {message.sent_at!r} is not a float")
+    payload = (bytes([flags]) + _u16(len(sender)) + _u16(len(recipient))
+               + _u16(len(kind)) + _i64(message.message_id)
+               + _i64(message.size_bytes) + sent_at
+               + sender + recipient + kind)
     if trace is not None:
-        # Header extension: the trace context stays envelope metadata —
-        # it never touches the transaction codecs inside `body`.
-        envelope["trace"] = {"trace_id": trace.trace_id,
-                             "span_id": trace.span_id}
-    payload = encode_value(envelope)
+        trace_id = trace.trace_id.encode("utf-8")
+        payload += _u16(len(trace_id)) + _i64(trace.span_id) + trace_id
+    payload += encode_value(message.body)
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame payload {len(payload)} exceeds {MAX_FRAME_BYTES}")
     head = bytes([VERSION]) + len(payload).to_bytes(4, "big")
     crc = zlib.crc32(head + payload)
     return MAGIC + head + payload + crc.to_bytes(4, "big")
+
+
+def _utf8(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FrameError(f"invalid utf-8 in frame envelope: {exc}")
+
+
+def decode_envelope(payload: bytes) -> Message:
+    """The message one frame payload carries."""
+    raw, offset = _take(payload, 0, 1)
+    flags = raw[0]
+    if flags & ~_TRACED:
+        raise FrameError(f"unknown envelope flags {flags:#04x}")
+    raw, offset = _take(payload, offset, 2)
+    sender_len = int.from_bytes(raw, "big")
+    raw, offset = _take(payload, offset, 2)
+    recipient_len = int.from_bytes(raw, "big")
+    raw, offset = _take(payload, offset, 2)
+    kind_len = int.from_bytes(raw, "big")
+    raw, offset = _take(payload, offset, 8)
+    message_id = int.from_bytes(raw, "big", signed=True)
+    raw, offset = _take(payload, offset, 8)
+    size_bytes = int.from_bytes(raw, "big", signed=True)
+    raw, offset = _take(payload, offset, 8)
+    sent_at = struct.unpack(">d", raw)[0]
+    raw, offset = _take(payload, offset, sender_len)
+    sender = _utf8(raw)
+    raw, offset = _take(payload, offset, recipient_len)
+    recipient = _utf8(raw)
+    raw, offset = _take(payload, offset, kind_len)
+    kind = _utf8(raw)
+    trace = None
+    if flags & _TRACED:
+        raw, offset = _take(payload, offset, 2)
+        trace_len = int.from_bytes(raw, "big")
+        raw, offset = _take(payload, offset, 8)
+        span_id = int.from_bytes(raw, "big", signed=True)
+        raw, offset = _take(payload, offset, trace_len)
+        trace = TraceContext(trace_id=_utf8(raw), span_id=span_id)
+    return Message(sender=sender, recipient=recipient, kind=kind,
+                   body=decode_value(payload[offset:]), sent_at=sent_at,
+                   size_bytes=size_bytes, message_id=message_id, trace=trace)
 
 
 class FrameDecoder:
@@ -255,7 +315,7 @@ class FrameDecoder:
             buffer[_PREFIX_LEN + length:total], "big")
         if zlib.crc32(head + payload) != stored_crc:
             raise FrameError("frame CRC mismatch")
-        return _message_from_envelope(decode_value(payload)), total
+        return decode_envelope(payload), total
 
     def close(self) -> None:
         """Assert the stream ended on a frame boundary."""

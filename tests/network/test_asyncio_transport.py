@@ -239,6 +239,29 @@ class TestWireDelivery:
         assert unroutable is False
         assert dropped == 1
 
+    def test_unframeable_envelope_is_a_counted_drop(self, fleet_sandbox):
+        """An envelope int outside i64 or a string past 65 535 bytes
+        cannot be framed: ``send`` returns False and counts a drop of
+        that kind instead of raising into the sending handler."""
+        async def scenario():
+            scheduler = AsyncioScheduler(time_scale=20.0)
+            registry = MetricsRegistry()
+            far = "p" * 65536
+            transport = _transport(
+                scheduler, {"peer": ("127.0.0.1", 9), far: ("127.0.0.1", 9)},
+                telemetry=registry)
+            sent = [transport.send("me", "peer", "ping", None,
+                                   size_bytes=2 ** 63),
+                    transport.send("me", "peer", "é" * 32768, None),
+                    transport.send("me", far, "ping", None)]
+            return sent, transport.messages_dropped, registry
+
+        sent, dropped, registry = fleet_sandbox.run(scenario())
+        assert sent == [False, False, False]
+        assert dropped == 3
+        counter = registry.counter("repro_network_messages_dropped_total")
+        assert counter.value(kind="ping") == 2
+
     def test_trace_context_rides_the_wire(self, fleet_sandbox):
         async def scenario():
             scheduler = AsyncioScheduler(time_scale=20.0)

@@ -76,6 +76,8 @@ class TestPeerInfo:
         {"address": "n1", "host": "h", "port": 0, "role": "full"},
         {"address": "n1", "host": "h", "port": 99999, "role": "full"},
         {"address": "n1", "host": "h", "port": 1, "role": "archon"},
+        {"address": "n1", "host": "h", "port": 1, "role": ["full"]},
+        {"address": 5}, {"host": "h"}, 7, None, ["n1"],
     ])
     def test_rejects_malformed_bodies(self, body):
         with pytest.raises(ValueError):
@@ -251,6 +253,35 @@ class TestAnnouncements:
         assert "me" not in service.peers
         assert "me" not in transport.directory
         assert learned == ["a", "b", "c"]
+
+
+class TestMalformedFrames:
+    """A well-framed ``disc_*`` message whose body is not a peer entry
+    is refused and counted; it never raises into the transport."""
+
+    @pytest.mark.parametrize("kind", [HELLO_KIND, ANNOUNCE_KIND])
+    @pytest.mark.parametrize("body", [
+        7, None, {"address": 5}, {"address": "x", "role": ["full"]},
+        {"address": "x", "port": "80"}])
+    def test_bad_entry_is_refused_and_counted(self, kind, body):
+        transport = StubTransport()
+        service = _service(transport)
+        transport.deliver("x", kind, body)
+        assert service.malformed_messages == 1
+        assert service.peers == {} and transport.sent == []
+
+    @pytest.mark.parametrize("body", [
+        7, {"peers": 7}, {"peers": {"address": "a"}},
+        {"peers": [_entry("a", 4001), {"address": 5}]}])
+    def test_bad_peer_table_is_refused_whole(self, body):
+        transport = StubTransport()
+        service = _service(transport, seeds=[("seed", "127.0.0.1", 4000)])
+        service.start()
+        transport.deliver("seed", PEERS_KIND, body)
+        assert service.malformed_messages == 1
+        assert service.peers == {} and not service.bootstrapped
+        transport.fire_next()  # still helloing
+        assert len(transport.sent_kinds(HELLO_KIND)) == 2
 
 
 # -- real-TCP integration --------------------------------------------------

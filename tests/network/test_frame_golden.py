@@ -8,11 +8,22 @@ incompatibility between fleet nodes built from different commits.
 Follows the ``tests/storage/test_golden_format.py`` idiom: if a change
 is intentional, regenerate the files and document it in
 ``docs/ARCHITECTURE.md``'s transport section.
+
+``frame-v1-*.bin`` are the same corpus in the version-1 format (a
+canonical-dict envelope), kept as fixtures a v2 decoder must refuse:
+there is one wire format and no negotiation.
 """
 
 import os
 
-from repro.network.frame import decode_frame, encode_frame
+import pytest
+
+from repro.network.frame import (
+    FrameDecoder,
+    FrameError,
+    decode_frame,
+    encode_frame,
+)
 from repro.network.transport import Message
 from repro.telemetry.tracer import TraceContext
 
@@ -73,3 +84,19 @@ class TestGoldenFrames:
         """Each corpus entry round-trips (meta-check on the corpus)."""
         for name, message in golden_messages().items():
             assert decode_frame(encode_frame(message)) == message, name
+
+
+class TestVersionOneFrames:
+    @pytest.mark.parametrize("name", sorted(golden_messages()))
+    def test_v1_frame_is_an_unsupported_version(self, name):
+        """A v1 peer's first frame fails on its version byte — before
+        its length or CRC is read — and poisons the stream."""
+        path = os.path.join(GOLDEN_DIR, name.replace("frame-", "frame-v1-"))
+        with open(path, "rb") as handle:
+            old = handle.read()
+        assert old[4] == 1
+        decoder = FrameDecoder()
+        with pytest.raises(FrameError, match="^unsupported frame version 1$"):
+            decoder.feed(old)
+        with pytest.raises(FrameError):
+            decoder.feed(encode_frame(golden_messages()[name]))

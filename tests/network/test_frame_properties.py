@@ -5,6 +5,8 @@ single-byte corruption of a frame is refused with a clean
 uncontrolled exception.  Mirrors the ``tests/storage`` canonical-format
 property style."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +99,82 @@ class TestFrameRoundtrip:
     @settings(max_examples=50, deadline=None)
     def test_encoding_is_deterministic(self, message):
         assert encode_frame(message) == encode_frame(message)
+
+
+I64_MIN, I64_MAX = -2 ** 63, 2 ** 63 - 1
+LONGEST = 0xFFFF  # bytes an envelope string may hold
+
+i64 = st.integers(min_value=I64_MIN, max_value=I64_MAX) \
+    | st.sampled_from([I64_MIN, I64_MIN + 1, -1, 0, 1, I64_MAX])
+envelope_strings = st.text(max_size=12) | st.sampled_from(
+    ["", "é", "网关-0", "\U0001f4e1", "x" * LONGEST, "é" * (LONGEST // 2)])
+envelope_floats = st.floats() | st.sampled_from(
+    [0.0, -0.0, float("inf"), float("-inf"), float("nan")])
+
+envelopes = st.builds(
+    Message,
+    sender=envelope_strings,
+    recipient=envelope_strings,
+    kind=envelope_strings,
+    body=st.none() | st.binary(max_size=8),
+    sent_at=envelope_floats,
+    size_bytes=i64,
+    message_id=i64,
+    trace=st.none() | st.builds(TraceContext, trace_id=envelope_strings,
+                                span_id=i64),
+)
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack(">d", value)
+
+
+class TestEnvelopeRoundtrip:
+    """The fixed envelope carries every value its fields can hold,
+    exactly, and refuses at encode what they cannot."""
+
+    @given(envelopes)
+    @settings(max_examples=200, deadline=None)
+    def test_every_field_value_round_trips(self, message):
+        decoded = decode_frame(encode_frame(message))
+        assert _bits(decoded.sent_at) == _bits(message.sent_at)  # NaN, -0.0
+        if message.sent_at == message.sent_at:
+            assert decoded == message
+        assert (decoded.sender, decoded.recipient, decoded.kind,
+                decoded.body, decoded.size_bytes, decoded.message_id) \
+            == (message.sender, message.recipient, message.kind,
+                message.body, message.size_bytes, message.message_id)
+        assert decoded.trace == message.trace
+
+    @given(envelopes, st.sampled_from(["message_id", "size_bytes", "span"]),
+           st.sampled_from([I64_MAX + 1, I64_MIN - 1, 2 ** 200]))
+    @settings(max_examples=60, deadline=None)
+    def test_int_outside_i64_refused_at_encode(self, message, field, value):
+        if field == "span":
+            message.trace = TraceContext(trace_id="t", span_id=value)
+        else:
+            setattr(message, field, value)
+        with pytest.raises(FrameError):
+            encode_frame(message)
+
+    @pytest.mark.parametrize("field", ["sender", "recipient", "kind",
+                                       "trace"])
+    def test_string_over_65535_bytes_refused_at_encode(self, field):
+        message = Message(sender="a", recipient="b", kind="k", body=None,
+                          sent_at=0.0)
+        for text in ("x" * LONGEST, "é" * (LONGEST // 2)):  # fits
+            if field == "trace":
+                message.trace = TraceContext(trace_id=text, span_id=0)
+            else:
+                setattr(message, field, text)
+            assert decode_frame(encode_frame(message)) == message
+        too_long = "é" * (LONGEST // 2 + 1)  # 32 768 chars, 65 536 bytes
+        if field == "trace":
+            message.trace = TraceContext(trace_id=too_long, span_id=0)
+        else:
+            setattr(message, field, too_long)
+        with pytest.raises(FrameError):
+            encode_frame(message)
 
 
 def _chunked(data: bytes, cuts) -> list:

@@ -351,6 +351,49 @@ class TestHostileInput:
             assert fleet.terminate("n0") == 0
 
 
+    def test_malformed_discovery_frames_do_not_cost_the_connection(
+            self, fleet_sandbox):
+        """Well-framed ``disc_*`` messages whose bodies are no peer
+        entry, written in one ``sendall`` with a ``fleet_status`` behind
+        them: the status is answered on that connection and nothing is
+        printed to stderr."""
+        workload = build_workload(3, transactions=4)
+        run_dir = fleet_sandbox.storage_dir()
+        genesis_path = write_genesis(workload.genesis, run_dir)
+
+        def framed(kind, body):
+            return encode_frame(Message(
+                sender="client", recipient="n0", kind=kind, body=body,
+                sent_at=0.0))
+
+        hostile = b"".join(framed(kind, body) for kind, body in (
+            ("disc_hello", 7),
+            ("disc_hello", {"address": 5}),
+            ("disc_hello", {"address": "x", "role": ["full"]}),
+            ("disc_peers", {"peers": 7}),
+            ("disc_peers", {"peers": [{"address": None}]}),
+            ("disc_announce", None),
+            ("disc_announce", {"address": "x", "port": "80"})))
+        with ProcessFleet(run_dir=run_dir) as fleet:
+            ready = fleet.spawn(_spec("n0", genesis_path))
+            decoder = FrameDecoder()
+            replies = []
+            with socket.create_connection(
+                    (ready["host"], ready["port"]), timeout=20.0) as sock:
+                sock.sendall(hostile + framed(
+                    "fleet_status", {"request_id": 1,
+                                     "now": workload.credit_now}))
+                while not replies:
+                    data = sock.recv(65536)
+                    assert data, "node closed the connection"
+                    replies = decoder.feed(data)
+            assert [m.kind for m in replies] == ["fleet_status_response"]
+            assert replies[0].body["request_id"] == 1
+            assert fleet.terminate("n0") == 0
+            with open(fleet.processes["n0"].stderr_path) as handle:
+                stderr = handle.read()
+        assert "Traceback" not in stderr, stderr
+
     def test_an_over_long_metrics_request_is_refused_quietly(
             self, fleet_sandbox):
         """A request line past the exporter's 64 KiB line limit gets a
