@@ -4,12 +4,15 @@ reference node that never crashed — for multiple seeds and randomized
 kill points."""
 
 import json
+import os
 
 import pytest
 
+from repro.cli import main
 from repro.harness.storage import run_differential
 
 SEEDS = [7, 19]
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 class TestDifferentialGreen:
@@ -55,6 +58,25 @@ class TestDeterminism:
         b = run_differential(seed=8, storage_dir=str(tmp_path / "b"),
                              steps=30, kills=2, checkpoints=2)
         assert a["log"]["head"] != b["log"]["head"]
+
+
+class TestGoldenResults:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_storage_command_output_pinned(self, tmp_path, capsys, seed):
+        """``repro storage --seed N`` is byte-identical to the checked-in
+        result: the workload (double-spends, lazy parents, ACL revokes,
+        checkpoints), every kill-point hash, the epoch hash chain and
+        the log head all pin how a transaction folds into replica
+        state.  Regenerate the file only for an intended state change."""
+        out = tmp_path / "result.json"
+        assert main(["storage", "--seed", str(seed),
+                     "--dir", str(tmp_path / "run"),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        name = f"storage-differential-seed{seed}.json"
+        with open(os.path.join(GOLDEN_DIR, name), "rb") as handle:
+            golden = handle.read()
+        assert out.read_bytes() == golden
 
 
 class TestArguments:
