@@ -85,9 +85,11 @@ __all__ = [
 class MaliciousBehaviour:
     """Behaviour kinds the mechanism punishes.
 
-    ``LAZY_TIPS`` and ``DOUBLE_SPENDING`` are the paper's Eqn. 5 kinds;
-    ``BAD_DATA`` is the data-quality extension (Section VIII future
-    work, :mod:`repro.core.quality`).
+    ``LAZY_TIPS`` and ``DOUBLE_SPENDING`` are the paper's Eqn. 5 kinds.
+    ``BAD_DATA`` is a third kind with its own α that nothing in the
+    system charges (sensor data quality control is the paper's Section
+    VIII future work); the credit model's property and differential
+    tests use it to exercise more than two penalty kinds.
     """
 
     LAZY_TIPS = "lazy-tips"

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..network.network import Network
 from ..network.transport import LinkOverlay
-from ..storage.errors import StorageError
 from ..telemetry.registry import coerce_registry
 from .plan import (
     ClockSkewFault,
@@ -156,7 +155,7 @@ class FaultInjector:
             self.network.bring_up(event.address)
             node = self._full_node_at(event.address)
             if event.cold_restart and node is not None:
-                replayed = self._cold_restore(node)
+                replayed = node.cold_restore()
                 self._log("heal", event.kind,
                           f"{event.address} cold:{replayed}")
             else:
@@ -167,23 +166,6 @@ class FaultInjector:
         self.scheduler.schedule_at(base + event.at, inject)
         if event.restart_at is not None:
             self.scheduler.schedule_at(base + event.restart_at, restart)
-
-    def _cold_restore(self, node) -> int:
-        """Rebuild a crashed node from its durable store.
-
-        A cold restart without a store is an error, not a silent
-        regeneration of genesis state: the pre-storage churn scenario
-        restarted nodes with their volatile state intact (a network
-        blip, not a process death), and "restart from nothing" must
-        never masquerade as recovery.
-        """
-        if getattr(node, "persistence", None) is None:
-            raise StorageError(
-                f"cold restart of {node.address} has no durable store to "
-                f"restore from — the node would silently regenerate "
-                f"genesis state; configure BIoTConfig.storage_backend/"
-                f"storage_dir")
-        return node.cold_restore()
 
     # -- bursts -----------------------------------------------------------
 

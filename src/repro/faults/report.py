@@ -1,14 +1,10 @@
-"""Convergence verdicts and canonical state hashing.
+"""Convergence verdicts for chaos campaigns.
 
 A chaos run ends with the question the paper's availability claim
 hinges on: after every fault healed, do the replicas agree?  This
-module answers it with content hashes — three per full node:
-
-* ``tangle`` — SHA-256 over the sorted transaction hashes (DAG
-  membership; parent links are already bound into each tx hash);
-* ``ledger`` — canonical JSON of the token ledger's exported state
-  (balances + spent slots, conflict arbitration included);
-* ``acl`` — canonical JSON of the authorisation list's exported state.
+module answers it with each full node's replica hashes
+(:meth:`~repro.nodes.replica.Replica.state_hashes`: ``tangle``,
+``ledger``, ``acl``).
 
 Replicas converged iff all three hashes match across every honest full
 node.  The :class:`ConvergenceReport` wraps the verdict with the
@@ -20,79 +16,25 @@ job diffs for.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..nodes.replica import canonical_json, credit_hash
+
 __all__ = [
     "ConvergenceReport",
-    "tangle_hash",
-    "ledger_hash",
-    "acl_hash",
     "credit_hash",
     "node_state_hashes",
     "canonical_json",
 ]
 
 
-def canonical_json(value) -> str:
-    """Deterministic JSON: sorted keys, minimal separators."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def tangle_hash(tangle) -> str:
-    """Content hash of DAG membership.
-
-    Sorted tx hashes suffice: each transaction hash already commits to
-    its parents, payload and issuer, so equal sets imply equal DAGs.
-    """
-    digest = hashlib.sha256()
-    for tx_hash in sorted(tx.tx_hash for tx in tangle):
-        digest.update(tx_hash)
-    return digest.hexdigest()
-
-
-def ledger_hash(ledger) -> str:
-    """Content hash of token balances and spent slots."""
-    return hashlib.sha256(
-        canonical_json(ledger.export_state()).encode()).hexdigest()
-
-
-def acl_hash(acl) -> str:
-    """Content hash of the authorisation list."""
-    return hashlib.sha256(
-        canonical_json(acl.export_state()).encode()).hexdigest()
-
-
-def credit_hash(registry, *, now: float) -> str:
-    """Content hash of a credit registry's behaviour histories.
-
-    The export is windowed to *now* (records older than ΔT drop out),
-    so comparisons are only meaningful between registries read at the
-    same ledger time — which is exactly what the differential harnesses
-    (:mod:`repro.harness`) do.  Only part of :func:`node_state_hashes`
-    on request: credit is a per-replica *estimate* under faults, but
-    must be an exact match across a crash/restore of a single node.
-    """
-    return hashlib.sha256(
-        canonical_json(registry.export_state(now=now)).encode()).hexdigest()
-
-
 def node_state_hashes(node, *,
                       credit_now: Optional[float] = None) -> Dict[str, str]:
-    """The three per-replica hashes for one full node — plus the
-    ``credit`` hash, read at ledger time *credit_now*, when one is
-    given (the four-hash form every differential compares)."""
-    hashes = {
-        "tangle": tangle_hash(node.tangle),
-        "ledger": ledger_hash(node.ledger),
-        "acl": acl_hash(node.acl),
-    }
-    if credit_now is not None:
-        hashes["credit"] = credit_hash(node.consensus.registry,
-                                       now=credit_now)
-    return hashes
+    """``node.replica.state_hashes(credit_now)``, under the name callers
+    that predate :class:`~repro.nodes.replica.Replica` use."""
+    return node.replica.state_hashes(credit_now)
 
 
 def _all_equal(values: List[str]) -> bool:
@@ -128,7 +70,7 @@ class ConvergenceReport:
                    plan=None, injections=(), counters=None,
                    notes=()) -> "ConvergenceReport":
         """Build the report (and the verdict) from live full nodes."""
-        node_hashes = {node.address: node_state_hashes(node)
+        node_hashes = {node.address: node.replica.state_hashes()
                        for node in nodes}
         converged = bool(node_hashes) and all(
             _all_equal([hashes[key] for hashes in node_hashes.values()])

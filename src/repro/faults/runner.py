@@ -26,7 +26,7 @@ from ..core.biot import BIoTConfig, BIoTSystem
 from ..crypto import rand
 from .injector import FaultInjector
 from .plan import FaultPlan
-from .report import ConvergenceReport, node_state_hashes
+from .report import ConvergenceReport
 
 __all__ = ["ChaosRunner", "ChaosSettings"]
 
@@ -165,7 +165,7 @@ class ChaosRunner:
 
     @staticmethod
     def _replicas_agree(system: BIoTSystem) -> bool:
-        hashes = [node_state_hashes(node) for node in system.full_nodes]
+        hashes = [node.replica.state_hashes() for node in system.full_nodes]
         return all(h == hashes[0] for h in hashes[1:])
 
     @staticmethod

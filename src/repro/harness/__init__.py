@@ -28,6 +28,6 @@ Dependencies run one way: product code (``core``, ``tangle``,
 ``faults.report``) never imports this package; ``repro.cli``
 subcommands, tests and ``benchmarks/test_bench_fleet_scale.py`` do.
 State hashing lives on the product side
-(:func:`repro.faults.report.node_state_hashes`) because ``repro node``
-answers ``fleet_status`` with it.
+(:meth:`repro.nodes.replica.Replica.state_hashes`) because
+``repro node`` answers ``fleet_status`` with it.
 """

@@ -26,7 +26,7 @@ import itertools
 import random
 from typing import Dict, Optional, Tuple
 
-from ..faults.report import ConvergenceReport, node_state_hashes
+from ..faults.report import ConvergenceReport
 from ..network.aio import AsyncioScheduler, AsyncioTransport, NodeRunner
 from ..network.network import Network
 from ..network.simulator import EventScheduler
@@ -60,7 +60,7 @@ def _build_fleet_nodes(workload: Workload, node_count: int):
 
 
 def _state_hashes(nodes, credit_now: float) -> Dict[str, Dict[str, str]]:
-    return {node.address: node_state_hashes(node, credit_now=credit_now)
+    return {node.address: node.replica.state_hashes(credit_now)
             for node in nodes}
 
 

@@ -2,7 +2,7 @@
 
 The proof obligation of ISSUE 6: a node killed and restored from its
 durable store must be *byte-identical* — tangle, ledger, ACL and
-credit hashes — to a reference node that never crashed.  This module
+credit hashes — to a reference replica that never crashed.  This module
 runs one seeded workload against both nodes side by side, cold-restores
 the durable node at randomized kill points, and compares content hashes
 at every kill and at the end of the run; a final "cold" node rebuilt
@@ -20,7 +20,6 @@ import random
 from typing import Dict, List, Tuple
 
 from ..core.acl import AclAction
-from ..faults.report import node_state_hashes
 from ..network.network import Network
 from ..network.proc import build_node
 from ..network.simulator import EventScheduler
@@ -55,9 +54,8 @@ def run_differential(*, seed: int, storage_dir: str, steps: int = 60,
     scheduler = EventScheduler()
     network = Network(scheduler, rng=random.Random(rng.randrange(2 ** 63)))
     durable = build_node("durable", genesis, rng_seed=1)
-    network.attach(reference)
     network.attach(durable)
-    # No peering: the two replicas see the workload only through
+    # No peers: the durable node sees the workload only through
     # ``ingest_local``, so gossip cannot paper over a bad restore.
 
     store = open_store("file", storage_dir, node="durable")
@@ -69,7 +67,8 @@ def run_differential(*, seed: int, storage_dir: str, steps: int = 60,
     def issue(keys, kind: str, payload: bytes,
               parents=None) -> Tuple[bool, bool]:
         tx, ok_ref = builder.issue(keys, kind, payload, parents,
-                                   timestamp=clock.now())
+                                   timestamp=clock.now(),
+                                   arrival=clock.now())
         return ok_ref, durable.ingest_local(tx)
 
     def acl_update(identities, *, action: str) -> Tuple[bool, bool]:
@@ -157,9 +156,9 @@ def run_differential(*, seed: int, storage_dir: str, steps: int = 60,
             epoch_hashes.append(epoch.snapshot_hash)
         if step in kill_points:
             now = clock.now()
-            expected = node_state_hashes(reference, credit_now=now)
+            expected = reference.state_hashes(now)
             replayed = durable.cold_restore()
-            restored = node_state_hashes(durable, credit_now=now)
+            restored = durable.replica.state_hashes(now)
             kill_results.append({
                 "step": step,
                 "replayed": replayed,
@@ -169,15 +168,15 @@ def run_differential(*, seed: int, storage_dir: str, steps: int = 60,
 
     # -- final three-way comparison ----------------------------------------
     now = clock.now()
-    final_reference = node_state_hashes(reference, credit_now=now)
-    final_restarted = node_state_hashes(durable, credit_now=now)
+    final_reference = reference.state_hashes(now)
+    final_restarted = durable.replica.state_hashes(now)
     store.close()
 
     reopened = open_store("file", storage_dir, node="durable")
     cold = build_node("cold", genesis, rng_seed=2)
     cold.attach_persistence(NodePersistence(reopened))
     cold_replayed = cold.cold_restore()
-    final_cold = node_state_hashes(cold, credit_now=now)
+    final_cold = cold.replica.state_hashes(now)
     head_hash = reopened.head_hash
     record_count = len(reopened)
     reopened.close()

@@ -4,7 +4,7 @@ A differential is only as auditable as its transaction stream, so the
 stream is generated in exactly one place.  :class:`WorkloadBuilder`
 owns what used to be re-declared per harness — the seeded keys, the
 genesis with its token grants, the reference :class:`~repro.nodes.
-full_node.FullNode` and the ``issue()`` primitive — and
+replica.Replica` and the ``issue()`` primitive — and
 :func:`build_workload` pre-generates, on top of it, the byte streams
 the sim≡wire, process and scale legs only *deliver*.
 
@@ -36,9 +36,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.acl import AclAction, AuthorizationList
 from ..crypto.keys import KeyPair
-from ..faults.report import node_state_hashes
-from ..network.proc import build_node
+from ..network.proc import node_consensus
 from ..nodes.manager import ManagerNode
+from ..nodes.replica import Replica
 from ..tangle.ledger import TransferPayload
 from ..tangle.transaction import Transaction, TransactionKind
 
@@ -49,7 +49,7 @@ TOKEN_GRANT = 500
 
 
 class WorkloadBuilder:
-    """Seeded identities, genesis, a reference node and ``issue()``.
+    """Seeded identities, genesis, a reference replica and ``issue()``.
 
     Everything is a pure function of ``(label, seed)``: key seeds are
     ``"{label}:{seed}:{role}"`` strings and :attr:`rng` is seeded from
@@ -73,7 +73,8 @@ class WorkloadBuilder:
             token_allocations=[(keys.node_id, TOKEN_GRANT)
                                for keys in [self.manager] + self.devices],
         )
-        self.reference = build_node("reference", self.genesis, rng_seed=0)
+        # Configured like every ``repro node``'s replica (build_node).
+        self.reference = Replica(self.genesis, consensus=node_consensus())
 
     # -- payloads ----------------------------------------------------------
 
@@ -116,10 +117,12 @@ class WorkloadBuilder:
 
     def issue(self, keys: KeyPair, kind: str, payload: bytes,
               parents: Optional[Tuple[bytes, bytes]] = None, *,
-              timestamp: float) -> Tuple[Transaction, bool]:
+              timestamp: float,
+              arrival: float = 0.0) -> Tuple[Transaction, bool]:
         """Sign one transaction — real PoW at the difficulty the
-        reference's credit state requires of *keys* — and feed it to
-        the reference.  Returns it with the reference's verdict.
+        reference's credit state requires of *keys* — and fold it into
+        the reference, admission included, at local time *arrival*.
+        Returns it with the reference's verdict.
 
         ``parents=None`` draws from the reference's tips *after* the
         caller's own payload draws.
@@ -131,7 +134,7 @@ class WorkloadBuilder:
             branch=branch, trunk=trunk,
             difficulty=self.reference.consensus.required_difficulty(
                 keys.node_id, timestamp))
-        return tx, self.reference.ingest_local(tx)
+        return tx, self.reference.apply(tx, arrival, admit=True).accepted
 
 
 @dataclass
@@ -216,6 +219,5 @@ def build_workload(seed: int, *, transactions: int = 40, shards: int = 1,
         genesis=builder.genesis,
         shards=streams,
         credit_now=credit_now,
-        reference_hashes=node_state_hashes(builder.reference,
-                                           credit_now=credit_now),
+        reference_hashes=builder.reference.state_hashes(credit_now),
     )

@@ -52,7 +52,8 @@ from ..telemetry.registry import MetricsRegistry
 from .aio import AsyncioScheduler, AsyncioTransport, NodeRunner
 from .discovery import DiscoveryService, parse_seed
 
-__all__ = ["NodeProcessSpec", "build_node", "run_node_process",
+__all__ = ["NodeProcessSpec", "build_node", "node_consensus",
+           "run_node_process",
            "NODE_DECODE_CACHE_SIZE", "READY_EVENT",
            "STATUS_KIND", "STATUS_RESPONSE_KIND", "RESYNC_KIND",
            "RESYNC_ACK_KIND", "SHUTDOWN_KIND", "SHUTDOWN_ACK_KIND"]
@@ -151,6 +152,15 @@ arrive within one propagation time of each other, so the recent
 thousand is the working set."""
 
 
+def node_consensus():
+    """The credit configuration every ``repro node`` replica runs: the
+    paper's parameters under the inverse law at difficulty 1."""
+    from ..core.consensus import CreditBasedConsensus
+
+    return CreditBasedConsensus.from_params(CreditParameters(),
+                                            initial_difficulty=1)
+
+
 def build_node(address: str, genesis, *, rng_seed: int, telemetry=None):
     """The one node configuration ``repro node`` runs (difficulty-1
     inverse policy, PoW enforced, a node-sized decode LRU so the bytes
@@ -158,14 +168,11 @@ def build_node(address: str, genesis, *, rng_seed: int, telemetry=None):
     :mod:`repro.harness` builds its in-process replicas with this same
     function, which is what keeps a process fleet hash-comparable with
     an in-process one."""
-    from ..core.consensus import CreditBasedConsensus
     from ..nodes.full_node import FullNode
     from ..tangle.transaction import TransactionDecodeCache
 
     return FullNode(
-        address, genesis,
-        consensus=CreditBasedConsensus.from_params(
-            CreditParameters(), initial_difficulty=1),
+        address, genesis, consensus=node_consensus(),
         rng=random.Random(rng_seed), enforce_pow=True, telemetry=telemetry,
         decode_cache=TransactionDecodeCache(NODE_DECODE_CACHE_SIZE,
                                             telemetry=telemetry))
@@ -212,8 +219,6 @@ async def _serve_metrics(registry, host: str,
 
 async def _amain(spec: NodeProcessSpec, *, ready_stream,
                  worker_pids: Sequence[int] = ()) -> int:
-    from ..faults.report import node_state_hashes
-
     registry = MetricsRegistry()
     genesis = _load_genesis(spec.genesis_path)
     node = build_node(spec.address, genesis, rng_seed=spec.rng_seed,
@@ -277,7 +282,7 @@ async def _amain(spec: NodeProcessSpec, *, ready_stream,
             "peers": sorted(node.relay.peers),
             "bootstrapped": discovery.bootstrapped,
             "restored": restored,
-            "hashes": node_state_hashes(node, credit_now=now),
+            "hashes": node.replica.state_hashes(credit_now=now),
         })
 
     def _ack(message, kind: str) -> None:

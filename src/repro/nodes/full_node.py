@@ -6,11 +6,11 @@ various sensors, verify and broadcast the transactions in the tangle,
 they only process transactions from legal sensors that are authorized
 by the manager."
 
-A :class:`FullNode` keeps a complete tangle replica with the token
-ledger and ACL state layered on as validators, runs the credit-based
-consensus bookkeeping, serves the light-node RPC interface (the
-reproduction of IRI's HTTP API), and floods new transactions to peer
-full nodes with solidification for out-of-order arrivals.
+A :class:`FullNode` is the network shell around a
+:class:`~repro.nodes.replica.Replica`: it serves the light-node RPC
+interface (the reproduction of IRI's HTTP API), batch-verifies bursts,
+floods new transactions to peer full nodes with solidification for
+out-of-order arrivals, and journals what attached.
 
 RPC message kinds:
 
@@ -32,8 +32,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.acl import AuthorizationList, GenesisConfig
 from ..core.consensus import CreditBasedConsensus
+from ..core.credit import MaliciousBehaviour
 from ..crypto import verify_workers
 from ..crypto.accel import get_backend
 from ..devices.profiles import PC
@@ -41,26 +41,13 @@ from ..faults.backoff import DEFAULT_BACKOFF, BackoffPolicy
 from ..network.gossip import GossipRelay, SolidificationBuffer
 from ..network.network import NetworkNode
 from ..network.transport import Message
-from ..tangle.errors import (
-    DuplicateTransactionError,
-    UnknownParentError,
-    ValidationError,
-)
-from ..tangle.ledger import TokenLedger
-from ..tangle.tangle import Tangle
+from ..tangle.errors import DuplicateTransactionError, UnknownParentError
 from ..telemetry.lifecycle import coerce_lifecycle
 from ..telemetry.registry import SECONDS_BUCKETS, coerce_registry
 from ..tangle.tip_selection import TipSelector, UniformRandomTipSelector
-from ..tangle.transaction import (
-    Transaction,
-    TransactionDecodeCache,
-    TransactionKind,
-)
-from ..tangle.validation import (
-    PreverifiedSet,
-    VerificationCache,
-    crypto_validator,
-)
+from ..tangle.transaction import Transaction, TransactionDecodeCache
+from ..tangle.validation import VerificationCache
+from .replica import Outcome, Replica
 
 __all__ = ["FullNode", "FullNodeStats"]
 
@@ -99,7 +86,8 @@ class FullNodeStats:
 
 
 class FullNode(NetworkNode):
-    """A gateway: tangle replica + validation + gossip + light-node RPC.
+    """A gateway: a :class:`~repro.nodes.replica.Replica` plus gossip,
+    sync, parent recovery, journalling and the light-node RPC.
 
     Args:
         address: network address.
@@ -115,31 +103,19 @@ class FullNode(NetworkNode):
             pacing parent re-requests (and, on the manager subclass,
             key-distribution retransmissions).  ``None`` uses
             :data:`~repro.faults.backoff.DEFAULT_BACKOFF`.
-        verification_cache: optional
-            :class:`~repro.tangle.validation.VerificationCache`; on a
-            hit, signature+PoW re-verification of an already-verified
-            transaction is skipped.  Deployments share one cache across
-            their full nodes so each transaction is verified once, not
-            once per hop.
-        decode_cache: optional :class:`~repro.tangle.transaction.
-            TransactionDecodeCache`; gossip/sync/submit payload bytes
-            already decoded (by this node or a cache-sharing peer) are
-            served as the same immutable instance instead of re-parsed.
+        verification_cache: optional shared
+            :class:`~repro.tangle.validation.VerificationCache`, so each
+            transaction is verified once per deployment, not per hop.
+        decode_cache: optional shared :class:`~repro.tangle.transaction.
+            TransactionDecodeCache` for gossip/sync/submit payload bytes.
         crypto_backend: accepted for callers that still name the
-            Ed25519 lane; ``"accel"`` is the only valid value and it
-            selects nothing — signatures are always checked by
-            :mod:`repro.crypto.ed25519`, and transactions that arrive
-            together (a sync or parent response, the frames of one
-            stream read) through its batch path.
-        telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry` shared
-            across the deployment; threaded into this node's tangle,
-            gossip relay and solidification accounting.  ``None`` keeps
-            the zero-overhead null registry.
-        lifecycle: a :class:`~repro.telemetry.lifecycle.LifecycleTracker`
-            shared across the deployment; the ingest path records
-            per-node lifecycle stages (received/verified/attached/…)
-            and opens causal hop spans for sampled transactions.
-            ``None`` keeps the zero-overhead null tracker.
+            Ed25519 lane; ``"accel"``, the only valid value, selects
+            nothing (:mod:`repro.crypto.ed25519` checks every signature).
+        telemetry: a shared :class:`~repro.telemetry.registry.
+            MetricsRegistry`; ``None`` keeps the null registry.
+        lifecycle: a shared :class:`~repro.telemetry.lifecycle.
+            LifecycleTracker` recording per-node stages and hop spans of
+            sampled transactions; ``None`` keeps the null tracker.
     """
 
     def __init__(self, address: str, genesis: Transaction, *,
@@ -158,37 +134,13 @@ class FullNode(NetworkNode):
         self.retry_policy = retry_policy if retry_policy is not None \
             else DEFAULT_BACKOFF
         self.profile = PC  # hardware class compute time is charged to
-        # Set to a ReadingQualityMonitor to screen plaintext readings
-        # and punish flagged issuers through credit (``bad-data``).  Its
-        # state depends on per-replica arrival order, so pair it with a
-        # difficulty tolerance >= 1.
-        self.quality_monitor = None
         self.rng = rng if rng is not None else random.Random()
-        self.consensus = consensus if consensus is not None else CreditBasedConsensus()
         self.tip_selector = tip_selector if tip_selector is not None else UniformRandomTipSelector()
-
-        config = GenesisConfig.from_genesis(genesis)
-        self.acl = AuthorizationList(config.manager, config.extra_managers)
-        self.ledger = TokenLedger(dict(config.token_allocations))
-        # NOTE: the token ledger is deliberately NOT an attach validator.
-        # Conflicting transfers must still *attach* (and gossip) so every
-        # replica holds the same DAG; their ledger effect is arbitrated
-        # deterministically afterwards (TokenLedger.apply_or_conflict).
-        # Refusing them structurally would strand all their descendants
-        # in the solidification buffer on replicas that saw the other
-        # conflict branch first.
-        # Only *stateless* checks gate replication: structurally valid
-        # transactions must attach identically everywhere.  Stateful
-        # policy (ACL membership, credit-required difficulty) is an
-        # ADMISSION rule applied on the submission path below — replicas
-        # evaluate credit from whatever subset of history has reached
-        # them, so making policy a replication-validity rule would let
-        # knowledge races fork the replicas permanently.
         self.verification_cache = verification_cache
         self.decode_cache = decode_cache
         self._enforce_pow = enforce_pow
         get_backend(crypto_backend)  # validates the name only
-        self._preverified = PreverifiedSet()
+        self.replica = self._new_replica(genesis, consensus)
         self._handlers = {
             "get_tips_request": self._handle_get_tips,
             "submit_transaction": self._handle_submit,
@@ -201,9 +153,6 @@ class FullNode(NetworkNode):
         # encoded bytes -> the Transaction prepare_run already parsed
         # from them; the handler of the same frame takes it back out.
         self._run_decoded: Dict[bytes, Transaction] = {}
-        self.tangle = Tangle(genesis, validators=self._base_validators(),
-                             telemetry=self.telemetry)
-        self.consensus.bind_tangle(self.tangle)
         self.relay = GossipRelay(telemetry=self.telemetry, node=address)
         self.relay.mark_seen(genesis.tx_hash)
         self.solidification: SolidificationBuffer = SolidificationBuffer()
@@ -241,22 +190,23 @@ class FullNode(NetworkNode):
             buckets=(2, 4, 8, 16, 32, 64, 128, 256))
         # parent hash -> {"attempt": int, "source": peer or None}
         self._parent_requests: Dict[bytes, Dict] = {}
-        # Transactions at or before this ledger time have their credit
-        # effects already baked into the registry (imported snapshot
-        # state); re-ingesting them must not re-record behaviour.
-        self.credit_horizon = -float("inf")
         # Durable journalling (repro.storage): None keeps the node
         # fully in-memory, exactly as before the storage layer existed.
         self.persistence = None
 
-    def _base_validators(self):
-        """The stateless replication validators every tangle this node
-        owns (initial, snapshot-restored, cold-restored) must run."""
-        return [
-            crypto_validator(allow_simulated_pow=not self._enforce_pow,
-                             cache=self.verification_cache,
-                             preverified=self._preverified),
-        ]
+    def _new_replica(self, origin, consensus) -> Replica:
+        """This node's replica state from *origin* (genesis or an
+        :class:`~repro.storage.checkpoint.EpochSnapshot`)."""
+        return Replica(origin, consensus=consensus,
+                       enforce_pow=self._enforce_pow,
+                       verification_cache=self.verification_cache,
+                       telemetry=self.telemetry)
+
+    # The replica's parts, read through for callers that predate it.
+    tangle = property(lambda self: self.replica.tangle)
+    ledger = property(lambda self: self.replica.ledger)
+    acl = property(lambda self: self.replica.acl)
+    consensus = property(lambda self: self.replica.consensus)
 
     # -- peers -------------------------------------------------------------
 
@@ -269,61 +219,26 @@ class FullNode(NetworkNode):
     def export_snapshot(self, *, now: float,
                         keep_recent_seconds: float = 60.0,
                         min_weight_to_prune: int = 5) -> "EpochSnapshot":
-        """Capture this node's state as an epoch-0 :class:`~repro.storage.
-        checkpoint.EpochSnapshot`: the pruned tangle plus ACL, ledger and
-        credit state — storage control for this node, bootstrap artifact
-        for a new one."""
-        from ..storage.checkpoint import EpochSnapshot
-        from ..tangle.snapshot import take_snapshot
-
-        return EpochSnapshot(
-            created_at=now,
-            tangle=take_snapshot(
-                self.tangle, now=now,
-                keep_recent_seconds=keep_recent_seconds,
-                min_weight_to_prune=min_weight_to_prune),
-            acl_state=self.acl.export_state(),
-            ledger_state=self.ledger.export_state(),
-            credit_state=self.consensus.registry.export_state(now=now),
-        )
+        """:meth:`Replica.snapshot <repro.nodes.replica.Replica.snapshot>`
+        of this node's state."""
+        return self.replica.snapshot(
+            now, keep_recent_seconds=keep_recent_seconds,
+            min_weight_to_prune=min_weight_to_prune)
 
     def adopt_snapshot(self, snapshot: "EpochSnapshot") -> None:
-        """Replace this node's ledger state with *snapshot* (storage
-        reclamation on a live node, the second half of bootstrap, or
-        the first half of a cold restore).
-
-        Behaviour observed in the snapshot's history is final: the
-        credit horizon is advanced so re-ingesting pre-snapshot
-        transactions (e.g. via sync) cannot double-count credit.
-        """
-        self.tangle = snapshot.tangle.restore(
-            validators=self._base_validators(), telemetry=self.telemetry)
-        self.acl.import_state(snapshot.acl_state)
-        self.ledger.import_state(snapshot.ledger_state)
-        # Reversal payloads are not part of the ledger wire state;
-        # rebuild them from the retained region so conflict arbitration
-        # spanning the snapshot boundary replays exactly.
-        self.ledger.rehydrate(tx for tx, _ in snapshot.tangle.retained)
-        self.consensus.registry.import_state(snapshot.credit_state)
-        # Re-bind: the weight provider must point at the freshly
-        # restored tangle, not the discarded one.
-        self.consensus.bind_tangle(self.tangle)
-        self.credit_horizon = snapshot.created_at
-        self.relay.mark_seen_batch(
-            [snapshot.tangle.genesis.tx_hash]
-            + [tx.tx_hash for tx, _ in snapshot.tangle.retained])
+        """Replace this node's replica with one resumed from *snapshot*
+        (storage reclamation on a live node, or the second half of
+        bootstrap); its credit horizon keeps re-ingested pre-snapshot
+        history from counting twice."""
+        self.replica = self._new_replica(snapshot, self.consensus)
+        self.relay.mark_seen_batch([tx.tx_hash for tx in self.tangle])
 
     @classmethod
     def bootstrap_from_snapshot(cls, address: str, snapshot: "EpochSnapshot",
                                 **kwargs) -> "FullNode":
-        """Build a brand-new gateway from a peer's :class:`~repro.storage.
-        checkpoint.EpochSnapshot`.
-
-        The newcomer starts with the snapshot's DAG region and the full
-        derived state (who is authorised, who owns what, who behaved
-        how), then anti-entropy sync fills whatever arrived after the
-        snapshot was taken.
-        """
+        """A brand-new gateway resumed from a peer's :class:`~repro.
+        storage.checkpoint.EpochSnapshot`; anti-entropy sync then fills
+        whatever arrived after the snapshot was taken."""
         node = cls(address, snapshot.tangle.genesis, **kwargs)
         node.adopt_snapshot(snapshot)
         return node
@@ -332,13 +247,9 @@ class FullNode(NetworkNode):
 
     def attach_persistence(self, persistence) -> None:
         """Start journalling to *persistence* (a :class:`~repro.storage.
-        persistence.NodePersistence`).
-
-        The store is bound to this node's genesis; any transactions
-        already attached before the journal existed are backfilled so
-        the log covers the whole history (skipped when the store already
-        holds that history — a checkpoint or journal records).
-        """
+        persistence.NodePersistence`) bound to this node's genesis,
+        backfilling what attached before, unless the store already
+        holds history (a checkpoint or journal records)."""
         persistence.initialize(self.tangle.genesis)
         if persistence.epoch == 0 and persistence.transactions_logged == 0:
             for tx in self.tangle:
@@ -348,40 +259,35 @@ class FullNode(NetworkNode):
         self.persistence = persistence
 
     def replay_attach(self, tx: Transaction, *, arrival_time: float) -> bool:
-        """Re-attach one journalled transaction during a restore.
-
-        Replay is trusted local history, not network traffic: no
-        admission policy, no flooding, no parent fetching — and credit
-        *is* observed regardless of the horizon, because the journal
-        tail postdates the snapshot that set the horizon by
-        construction.  A journalled transaction whose parents are
-        missing means the log and snapshot disagree, which is
-        corruption, not gossip reordering.
-        """
+        """Fold one journalled transaction during a restore: trusted
+        local history, so no admission, flooding, parent fetching or
+        seen-set update (:meth:`cold_restore` rebuilds that).  A missing
+        parent means log and snapshot disagree (corruption); a refused
+        transaction fails the restore.  False when already attached."""
         from ..storage.errors import StorageCorruptionError
 
-        try:
-            result = self.tangle.attach(tx, arrival_time=arrival_time)
-        except DuplicateTransactionError:
+        outcome = self.replica.apply(tx, arrival_time, admit=False)
+        error = outcome.error
+        if isinstance(error, DuplicateTransactionError):
             return False
-        except UnknownParentError as exc:
+        if isinstance(error, UnknownParentError):
             raise StorageCorruptionError(
                 f"journal replay references a missing parent "
-                f"({exc}) — log and snapshot disagree") from exc
-        self.consensus.observe_attach(result)
-        self._apply_side_effects(tx, arrival_time)
-        self.relay.mark_seen(tx.tx_hash)
+                f"({error}) — log and snapshot disagree") from error
+        if outcome.attach is None:
+            raise error
+        self._count(outcome)
         return True
 
     def cold_restore(self) -> int:
         """Rebuild this node's entire state from its durable store.
 
-        This is the crash/restart path: volatile state (tangle, ledger,
-        ACL, credit, gossip memory, solidification buffer) is discarded
-        and reconstructed from the newest checkpoint plus the journal
-        tail.  Anti-entropy (:meth:`resync_with_peers`) then covers
-        whatever the journal missed.  Returns the number of journal
-        records replayed.
+        The crash/restart path: volatile state (replica, seen-set,
+        solidification buffer, parent fetches) is discarded, the replica
+        resumes from the newest checkpoint (or genesis) and folds the
+        journal tail, batch-verified a slice at a time.  Anti-entropy
+        (:meth:`resync_with_peers`) covers what the journal missed.
+        Returns the number of journal records replayed.
         """
         from ..storage.errors import StorageError
 
@@ -393,27 +299,16 @@ class FullNode(NetworkNode):
                 f"storage_dir")
         persistence, self.persistence = self.persistence, None
         restore = persistence.load()
-        genesis = restore.genesis
-        if genesis.tx_hash != self.tangle.genesis.tx_hash:
+        if restore.genesis.tx_hash != self.tangle.genesis.tx_hash:
             self.persistence = persistence
             raise StorageError(
                 f"store genesis does not match {self.address}'s deployment")
 
-        config = GenesisConfig.from_genesis(genesis)
-        self.acl = AuthorizationList(config.manager, config.extra_managers)
-        self.ledger = TokenLedger(dict(config.token_allocations))
-        self.consensus.registry.import_state({"nodes": {}})
-        self.tangle = Tangle(genesis, validators=self._base_validators(),
-                             telemetry=self.telemetry)
-        self.consensus.bind_tangle(self.tangle)
-        self.relay.reset_seen()
-        self.relay.mark_seen(genesis.tx_hash)
+        self.replica = self._new_replica(
+            restore.genesis if restore.snapshot is None else restore.snapshot,
+            self.consensus)
         self.solidification = SolidificationBuffer()
         self._parent_requests.clear()
-        self.credit_horizon = -float("inf")
-
-        if restore.snapshot is not None:
-            self.adopt_snapshot(restore.snapshot)
         replayed = 0
         tail = restore.tail
         for start in range(0, len(tail), _REPLAY_PREVERIFY_SLICE):
@@ -422,34 +317,10 @@ class FullNode(NetworkNode):
             for tx, arrival_time in records:
                 if self.replay_attach(tx, arrival_time=arrival_time):
                     replayed += 1
+        self.relay.reset_seen()
+        self.relay.mark_seen_batch([tx.tx_hash for tx in self.tangle])
         self.persistence = persistence
         return replayed
-
-    def _check_admission(self, tx: Transaction) -> Optional[str]:
-        """Stateful admission policy for directly submitted transactions.
-
-        Gateways "only process transactions from legal sensors that are
-        authorized by the manager" and assign the credit-required PoW
-        difficulty — both checks belong at the service boundary, where
-        this gateway's own state is authoritative for its own clients.
-        Gossip and sync traffic skips them: the admitting peer already
-        applied policy, and re-judging with *different local knowledge*
-        (a malice report still in flight, a pruned credit window) would
-        desynchronise the replicas.
-
-        Transactions at or before the credit horizon are settled history
-        vouched for by an adopted snapshot and are never re-judged.
-        Returns an error string, or None when admitted.
-        """
-        if tx.timestamp <= self.credit_horizon:
-            return None
-        try:
-            self.acl.validator(self.tangle, tx)
-            self.consensus.validator(self.tangle, tx)
-        except ValidationError as exc:
-            self.stats.count_rejection(exc)
-            return str(exc)
-        return None
 
     # -- message handling ----------------------------------------------------
 
@@ -489,21 +360,15 @@ class FullNode(NetworkNode):
         if not self.acl.is_authorized(issuer_node_id):
             self.stats.unauthorized_rejected += 1
             self.send(message.sender, "get_tips_response", {
-                "request_id": body.get("request_id"),
-                "ok": False,
-                "error": "unauthorized",
-            })
+                "request_id": body.get("request_id"), "ok": False,
+                "error": "unauthorized"})
             return
         branch, trunk = self.tip_selector.select(self.tangle, self.rng)
         difficulty = self.consensus.required_difficulty(issuer_node_id, self._now())
         self.stats.tips_served += 1
         self.send(message.sender, "get_tips_response", {
-            "request_id": body.get("request_id"),
-            "ok": True,
-            "branch": branch,
-            "trunk": trunk,
-            "difficulty": difficulty,
-        })
+            "request_id": body.get("request_id"), "ok": True,
+            "branch": branch, "trunk": trunk, "difficulty": difficulty})
 
     # -- runs: what one read() of a stream transport carried ----------------
 
@@ -512,18 +377,14 @@ class FullNode(NetworkNode):
         and ``gossip_transaction`` frames will need, before the frames
         are handled one by one.
 
-        Only verdicts move: positive ones are parked in the
-        :class:`~repro.tangle.validation.PreverifiedSet`, exactly as
-        for a ``sync_response``, and the per-message handlers stay the
-        only code that admits, attaches, answers and floods.  The cheap
-        gates a handler applies before it reaches the signature check
-        apply here first (:meth:`_worth_preverifying`), so a run of
-        duplicates, strangers or unsealed transactions buys no
-        signature work.  Whatever is filtered out, fails the batch, or
-        becomes eligible only through an earlier frame of the same run
-        (an ACL grant, then the grantee's first submit) is verified
-        singly by the validator as ever.  Each frame's transaction is
-        parsed once: the handler collects it from ``_run_decoded``.
+        Only verdicts move (into the replica's preverified set, as for a
+        ``sync_response``); the handlers still admit, attach, answer and
+        flood.  The cheap gates come first (:meth:`_worth_preverifying`),
+        so duplicates, strangers and unsealed transactions buy no
+        signature work; whatever they filter out, fails the batch, or is
+        only eligible after an earlier frame of the run (an ACL grant) is
+        verified singly as ever.  The handler collects each frame's
+        parsed transaction from ``_run_decoded``.
         """
         self._run_decoded.clear()
         carriers = [m for m in messages
@@ -549,15 +410,12 @@ class FullNode(NetworkNode):
 
     def _worth_preverifying(self, tx: Transaction, *,
                             submitted: bool) -> bool:
-        """Whether a transaction from the network may enter a batch —
-        the one gate in front of :meth:`_preverify` for both network
-        entries (:meth:`prepare_run`, :meth:`_ingest_batch`).  It is
-        the stateless / O(1) refusals that precede the signature check
-        on the per-message path, in the same order: already attached,
-        issuer the ACL does not list (submissions only — peers' gossip
-        was admitted where it entered), nonce that does not meet the
-        declared difficulty.  (The difficulty floor needs no line here:
-        a transaction declaring less does not decode.)"""
+        """Whether a transaction from the network may enter a batch: the
+        O(1) refusals that precede the signature check on the per-item
+        path, in its order — already attached, issuer the ACL does not
+        list (submissions only; gossip was admitted where it entered),
+        nonce below its declared difficulty.  (A transaction declaring
+        less than the difficulty floor does not decode.)"""
         if tx.tx_hash in self.tangle:
             return False
         if submitted and not self.acl.is_authorized(tx.issuer.node_id):
@@ -582,11 +440,8 @@ class FullNode(NetworkNode):
         else:
             self.stats.submissions_rejected += 1
         self.send(message.sender, "submit_response", {
-            "request_id": message.body.get("request_id"),
-            "ok": ok,
-            "error": error,
-            "tx_hash": tx.tx_hash,
-        })
+            "request_id": message.body.get("request_id"), "ok": ok,
+            "error": error, "tx_hash": tx.tx_hash})
 
     def _handle_gossip(self, message: Message) -> None:
         tx = self._carried_transaction(message)
@@ -595,22 +450,17 @@ class FullNode(NetworkNode):
     # -- anti-entropy sync -------------------------------------------------
 
     def request_sync(self, peer: str) -> bool:
-        """Ask *peer* for everything we are missing.
-
-        Used by a gateway rejoining after a crash or partition: gossip
-        is fire-and-forget, so anything flooded while we were down is
-        gone unless explicitly reconciled.
-        """
+        """Ask *peer* for everything we are missing: gossip is
+        fire-and-forget, so what was flooded while this gateway was down
+        or partitioned is gone unless explicitly reconciled."""
         known = [tx.tx_hash for tx in self.tangle]
         return self.send(peer, "sync_request", {"known": known},
                          size_bytes=32 * len(known))
 
     def _handle_sync_request(self, message: Message) -> None:
         known = set(message.body.get("known", ()))
-        missing = [
-            tx.to_bytes() for tx in self.tangle  # arrival order: parents first
-            if tx.tx_hash not in known and not tx.is_genesis
-        ]
+        missing = [tx.to_bytes() for tx in self.tangle  # parents first
+                   if tx.tx_hash not in known and not tx.is_genesis]
         self.stats.sync_requests_served += 1
         self.stats.sync_transactions_sent += len(missing)
         self.send(message.sender, "sync_response", {"transactions": missing},
@@ -624,11 +474,7 @@ class FullNode(NetworkNode):
     def resync_with_peers(self) -> int:
         """Anti-entropy sweep against every gossip peer (post-heal or
         post-restart recovery).  Returns the number of peers reached."""
-        reached = 0
-        for peer in self.relay.peers:
-            if self.request_sync(peer):
-                reached += 1
-        return reached
+        return sum(1 for peer in self.relay.peers if self.request_sync(peer))
 
     # -- targeted parent recovery ------------------------------------------
 
@@ -637,14 +483,11 @@ class FullNode(NetworkNode):
     its nearest ancestors (deeper gaps re-request recursively)."""
 
     def _schedule_parent_fetch(self, missing, source: Optional[str]) -> None:
-        """Arm a backoff-paced re-request loop for each missing parent.
-
-        Gossip is fire-and-forget, so a dropped parent strands its whole
-        subtree in the solidification buffer.  Instead of waiting for a
-        global sync, ask a peer for the specific hash, retrying on the
-        node's :class:`~repro.faults.backoff.BackoffPolicy` until the
-        parent attaches or attempts are exhausted.
-        """
+        """Arm a backoff-paced re-request loop for each missing parent:
+        a dropped gossip parent strands its subtree in the solidification
+        buffer, so ask a peer for that hash, retrying on the node's
+        :class:`~repro.faults.backoff.BackoffPolicy` until it attaches or
+        attempts run out."""
         if self.network is None or not self.relay.peers:
             return
         for parent in missing:
@@ -723,16 +566,11 @@ class FullNode(NetworkNode):
 
     def _parent_response_chain(self, tx_hash: bytes, room: int) -> list:
         """The requested transaction plus its nearest non-genesis
-        ancestors (parents-first order), *room* transactions at most.
-
-        We cannot know which ancestors the requester already holds;
-        sending the closest ones covers the common a-few-drops gap, and
-        anything still missing parks again and re-requests recursively.
-        """
-        ancestors = [
-            h for h in self.tangle.ancestors(tx_hash)
-            if not self.tangle.get(h).is_genesis
-        ]
+        ancestors (parents-first order), *room* transactions at most:
+        the closest ones cover the common few-drops gap, and anything
+        still missing parks again and re-requests recursively."""
+        ancestors = [h for h in self.tangle.ancestors(tx_hash)
+                     if not self.tangle.get(h).is_genesis]
         ancestors.sort(key=lambda h: self.tangle.arrival_time(h))
         chain = (ancestors + [tx_hash])[-room:]
         return [self.tangle.get(h).to_bytes() for h in chain]
@@ -746,18 +584,18 @@ class FullNode(NetworkNode):
     def ingest_local(self, tx: Transaction) -> bool:
         """Attach a locally created transaction (manager/gateway own
         traffic) and gossip it."""
-        ok, _ = self._ingest(tx, source=None, admit=True)
-        return ok
+        return self._ingest(tx, source=None, admit=True)[0]
 
     def _ingest_batch(self, encoded_transactions, *, source: Optional[str]) -> int:
         """Shared path for multi-transaction messages (sync and parent
-        responses): decode everything, batch-verify once the signatures
-        the per-item path would reach (:meth:`_worth_preverifying`, as
-        for a run), then attach in order.  Returns how many attached.
-        Corrupt entries are skipped without poisoning the rest, exactly
-        as the per-item loops did."""
+        responses): decode everything, batch-verify the signatures the
+        per-item path would reach, then attach in order.  Returns how
+        many attached; corrupt or non-bytes entries are skipped without
+        poisoning the rest."""
         transactions: List[Transaction] = []
         for encoded in encoded_transactions:
+            if not isinstance(encoded, bytes):
+                continue
             try:
                 transactions.append(self._decode(encoded))
             except ValueError:
@@ -774,22 +612,21 @@ class FullNode(NetworkNode):
     def _preverify(self, transactions: List[Transaction]) -> None:
         """Batch-verify a burst's signatures ahead of per-item attach.
 
-        Instances already verified (verification cache) or already
-        batch-verified (preverified set) are skipped; everything else
-        goes through :func:`repro.crypto.verify_workers.verify_batch`
-        in one round — one multi-scalar multiplication instead of N
-        sequential verifies, shared out among a ``repro node``'s verify
-        workers, if it forked any.  Positive verdicts are parked
-        in the :class:`~repro.tangle.validation.PreverifiedSet` for the
-        validator to consume; negative ones are left for the validator
-        to re-verify (and reject) individually, so batch and sequential
-        ingestion always agree transaction by transaction.
+        What the verification cache or the replica's preverified set
+        already covers is skipped; the rest goes through
+        :func:`repro.crypto.verify_workers.verify_batch` in one round —
+        one multi-scalar multiplication instead of N verifies, shared
+        out among a ``repro node``'s verify workers, if any.
+        Positive verdicts are parked in the preverified set for the
+        validator to consume; negative ones are re-verified (and
+        rejected) individually, so batch and sequential ingestion agree
+        transaction by transaction.
         """
         pending: List[Transaction] = []
         seen = set()
         for tx in transactions:
             digest = tx.full_digest
-            if digest in seen or digest in self._preverified:
+            if digest in seen or digest in self.replica.preverified:
                 continue
             if (self.verification_cache is not None
                     and digest in self.verification_cache):
@@ -804,7 +641,7 @@ class FullNode(NetworkNode):
         passed = 0
         for tx, ok in zip(pending, verdicts):
             if ok:
-                self._preverified.add(tx.full_digest)
+                self.replica.preverified.add(tx.full_digest)
                 passed += 1
         self._m_crypto_batch_rounds.inc()
         self._m_crypto_batch_size.observe(len(pending))
@@ -814,111 +651,62 @@ class FullNode(NetworkNode):
 
     def _ingest(self, tx: Transaction, *, source: Optional[str],
                 admit: bool) -> tuple:
-        """Shared attach path for submissions, gossip and local issues.
-
-        *admit* runs the stateful admission policy (ACL + credit
-        difficulty) — True on the service boundary (submissions, local
-        issues), False for peer traffic (gossip, sync, solidification
-        releases of peer traffic).  Returns ``(ok, error_string)``.
+        """The shell around :meth:`Replica.apply
+        <repro.nodes.replica.Replica.apply>` for submissions, gossip and
+        local issues: *admit* is True on the service boundary, False for
+        peer traffic.  Returns ``(ok, error_string)``.
         """
         if self.relay.has_seen(tx.tx_hash) and tx.tx_hash in self.tangle:
             if source is not None:
                 self.stats.gossip_duplicates += 1
                 self._m_gossip_duplicates.inc(node=self.address)
             return False, "duplicate"
-        if admit:
-            admission_error = self._check_admission(tx)
-            if admission_error is not None:
-                return False, admission_error
         now = self._now()
-        self.lifecycle.record(tx.tx_hash, "received", self.address)
-        try:
-            result = self.tangle.attach(tx, arrival_time=now)
-        except UnknownParentError:
+        outcome = self.replica.apply(tx, now, admit=admit)
+        if outcome.admitted:
+            self.lifecycle.record(tx.tx_hash, "received", self.address)
+        if isinstance(outcome.error, UnknownParentError):
             missing = [p for p in (tx.branch, tx.trunk) if p not in self.tangle]
             self.solidification.park(tx.tx_hash, (tx, admit), missing)
             self.stats.gossip_parked += 1
             self._schedule_parent_fetch(missing, source)
             return False, "parked-missing-parent"
-        except DuplicateTransactionError:
+        if isinstance(outcome.error, DuplicateTransactionError):
             self.stats.gossip_duplicates += 1
             self._m_gossip_duplicates.inc(node=self.address)
             return False, "duplicate"
-        except ValidationError as exc:
-            self.stats.count_rejection(exc)
-            return False, str(exc)
+        if outcome.attach is None:
+            self._count(outcome)
+            return False, outcome.verdict
 
-        # Attach success implies the stateless validators (signature +
-        # PoW) all passed — "verified" and "attached" are one event on
-        # this code path, recorded as two stages for the timeline.
+        # Attaching means signature and PoW passed: "verified" and
+        # "attached" are one event, two stages on the timeline.
         self.lifecycle.record(tx.tx_hash, "verified", self.address)
         self.lifecycle.record(tx.tx_hash, "attached", self.address)
-        # For sampled transactions the whole post-attach tail (side
-        # effects, flood, solid-child releases) runs under a tx.ingest
-        # hop span, so downstream gossip chains onto this node causally.
+        # The post-attach tail runs under a tx.ingest hop span for
+        # sampled transactions, so downstream gossip chains onto it.
         with self.lifecycle.ingest(tx.tx_hash, node=self.address,
                                    source=source):
             if self.persistence is not None:
                 self.persistence.record_transaction(tx, now)
-            if tx.timestamp > self.credit_horizon:
-                self.consensus.observe_attach(result)
+            if outcome.observed:
                 self.lifecycle.record(tx.tx_hash, "credit_observed",
                                       self.address)
             self._settle_parent_fetch(tx.tx_hash)
-            error = self._apply_side_effects(tx, now)
+            self._count(outcome)
             self.relay.mark_seen(tx.tx_hash)
             if source is not None:
                 self.stats.gossip_accepted += 1
             self._flood(tx, exclude=source)
             self._release_solid_children(tx)
-        if error is not None:
-            return False, error
-        return True, None
+        return outcome.accepted, outcome.verdict
 
-    def _apply_side_effects(self, tx: Transaction, now: float) -> Optional[str]:
-        """Post-attach state updates; returns an error string when the
-        transaction attached but its *effect* was voided (conflicts)."""
-        if tx.kind == TransactionKind.TRANSFER:
-            try:
-                outcome = self.ledger.apply_or_conflict(tx, now=now)
-            except ValidationError as exc:
-                self.stats.count_rejection(exc)
-                return str(exc)
-            if outcome in ("conflict-rejected", "conflict-replaced"):
-                self.stats.double_spends_detected += 1
-                # Attribute at the ledger timestamp so every replica
-                # derives the same credit penalty for the same conflict.
-                self.consensus.report_double_spend(tx.issuer.node_id,
-                                                   tx.timestamp)
-                return "double-spend conflict (transfer canceled)"
-            if outcome == "insufficient":
-                return "insufficient funds (transfer void)"
-        elif tx.kind == TransactionKind.ACL:
-            self.acl.apply(tx)
-        elif tx.kind == TransactionKind.DATA:
-            self._screen_data_quality(tx)
-        return None
-
-    def _screen_data_quality(self, tx: Transaction) -> None:
-        """Optional quality control over plaintext readings (the data
-        transaction still stands; bad data costs credit, not attach)."""
-        if self.quality_monitor is None:
-            return
-        from ..core.authority import DataProtector
-        from ..core.quality import BAD_DATA_BEHAVIOUR
-        from ..devices.sensors import SensorReading
-        if DataProtector.is_encrypted(tx.payload):
-            return  # opaque by design; key holders screen these
-        if not tx.payload or tx.payload[0] != 0x00:
-            return  # not a protector-framed payload
-        try:
-            reading = SensorReading.from_bytes(tx.payload[1:])
-        except ValueError:
-            return  # free-form data payloads are not screened
-        verdict = self.quality_monitor.assess(tx.issuer.node_id, reading)
-        if not verdict.ok:
-            self.consensus.registry.record_malicious(
-                tx.issuer.node_id, BAD_DATA_BEHAVIOUR, tx.timestamp)
+    def _count(self, outcome: Outcome) -> None:
+        """Fold an outcome's refusal and penalties into the stats."""
+        if outcome.error is not None:
+            self.stats.count_rejection(outcome.error)
+        if MaliciousBehaviour.DOUBLE_SPENDING in outcome.penalties:
+            self.stats.double_spends_detected += 1
 
     def _flood(self, tx: Transaction, *, exclude: Optional[str]) -> None:
         encoded = tx.to_bytes()
@@ -938,10 +726,8 @@ class FullNode(NetworkNode):
     def health_digest(self) -> Dict[str, object]:
         """Deterministic per-node health snapshot for convergence
         reports: solidification pressure, recovery backlog, gossip and
-        cache effectiveness.  Uses only plain simulation state (no
-        telemetry), so it is byte-identical run to run with telemetry
-        on or off.  The cache blocks reflect the *deployment-shared*
-        caches when those are wired (see ``BIoTSystem.build``)."""
+        (deployment-shared) cache effectiveness.  Plain state only, no
+        telemetry, so it is byte-identical with telemetry on or off."""
         digest: Dict[str, object] = {
             "tangle_size": len(self.tangle),
             "tips": self.tangle.tip_count,
@@ -956,24 +742,14 @@ class FullNode(NetworkNode):
             "gossip_duplicates": self.relay.duplicates_suppressed,
             "malformed_messages": self.stats.malformed_messages,
         }
-        if self.verification_cache is not None:
-            cache = self.verification_cache
-            total = cache.hits + cache.misses
-            digest["verify_cache"] = {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "hit_rate": cache.hits / total if total else 0.0,
-                "evictions": cache.evictions,
-            }
-        if self.decode_cache is not None:
-            cache = self.decode_cache
-            total = cache.hits + cache.misses
-            digest["decode_cache"] = {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "hit_rate": cache.hits / total if total else 0.0,
-                "evictions": cache.evictions,
-            }
+        for key, cache in (("verify_cache", self.verification_cache),
+                           ("decode_cache", self.decode_cache)):
+            if cache is not None:
+                total = cache.hits + cache.misses
+                digest[key] = {
+                    "hits": cache.hits, "misses": cache.misses,
+                    "hit_rate": cache.hits / total if total else 0.0,
+                    "evictions": cache.evictions}
         return digest
 
     @property
@@ -982,7 +758,5 @@ class FullNode(NetworkNode):
 
     def confirmed_count(self, threshold: int) -> int:
         """Transactions whose cumulative weight reached *threshold*."""
-        return sum(
-            1 for tx in self.tangle
-            if self.tangle.is_confirmed(tx.tx_hash, threshold)
-        )
+        return sum(1 for tx in self.tangle
+                   if self.tangle.is_confirmed(tx.tx_hash, threshold))

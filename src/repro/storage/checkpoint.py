@@ -3,7 +3,7 @@
 A :class:`EpochSnapshot` freezes the four state machines a full node
 owns — the tangle cut, token ledger, credit registry, ACL — and chains
 itself to the previous snapshot through ``prev_hash``, exactly the way
-:mod:`repro.faults.report` hashes replica state for convergence checks.
+:mod:`repro.nodes.replica` hashes replica state for convergence checks.
 It is self-verifying (its hash is recomputed at load) and
 chain-verifying (epoch *n+1* must name epoch *n*'s hash), so a store
 can prune the log below a checkpoint without losing the ability to

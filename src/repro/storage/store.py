@@ -51,7 +51,7 @@ GENESIS_PREV_HASH = "0" * 64
 
 def canonical_json(value) -> str:
     """Deterministic JSON: sorted keys, minimal separators — the same
-    canonical form :mod:`repro.faults.report` hashes replica state
+    canonical form :mod:`repro.nodes.replica` hashes replica state
     with, so log hashes and convergence hashes share one idiom."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 

@@ -114,16 +114,19 @@ class TestGossipBatchMessage:
             for tx in txs:
                 assert tx.tx_hash in node.tangle
 
-    def test_corrupt_entry_does_not_poison_batch(self):
+    @pytest.mark.parametrize("corrupt", [b"\x00garbage", 5, "text", [1, 2]],
+                             ids=["truncated", "int", "str", "list"])
+    def test_corrupt_entry_does_not_poison_batch(self, corrupt):
         scheduler, network, nodes = make_mesh(2)
         txs = chained_txs(4)
         encoded = [tx.to_bytes() for tx in txs]
-        encoded.insert(2, b"\x00garbage")
+        encoded.insert(2, corrupt)
         network.send("bn-0", "bn-0", "sync_response",
                      {"transactions": encoded})
         scheduler.run()
         for node in nodes:
             assert len(node.tangle) == len(txs) + 1
+            assert node.stats.malformed_messages == 0
 
     def test_bad_signature_rejected_batch_equals_sequential(self):
         txs = chained_txs(4)
@@ -163,7 +166,7 @@ class TestGossipBatchMessage:
                      {"transactions": [tx.to_bytes() for tx in txs]})
         scheduler.run()
         assert len(node.tangle) == len(txs) + 1
-        assert len(node._preverified) == 0  # consumed, not leaked
+        assert len(node.replica.preverified) == 0  # consumed, not leaked
 
     def test_product_matches_oracle(self, monkeypatch):
         txs = chained_txs(6)
@@ -276,7 +279,7 @@ class TestJournalReplayLane:
         assert batch_counters(telemetry) == (1, 5, 0)
         assert [tx.tx_hash for tx in node.tangle] \
             == [GENESIS.tx_hash] + [tx.tx_hash for tx in txs]
-        assert len(node._preverified) == 0  # every verdict consumed
+        assert len(node.replica.preverified) == 0  # every verdict consumed
 
     def test_slices_bound_the_batch(self, monkeypatch):
         monkeypatch.setattr(full_node, "_REPLAY_PREVERIFY_SLICE", 2)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.acl import GenesisConfig
+from repro.core.acl import AuthorizationList, GenesisConfig
 from repro.core.consensus import CreditBasedConsensus
 from repro.crypto.keys import KeyPair
 from repro.network.network import Network, NetworkNode
@@ -145,7 +145,7 @@ class TestSubmission:
     def test_gossip_skips_admission_policy(self):
         """Policy is an admission rule at the service boundary; peer
         traffic replicates regardless, or knowledge races would fork
-        the replicas (see FullNode._check_admission)."""
+        the replicas (see Replica.apply)."""
         scheduler, _, nodes, probe, genesis = make_setup()
         cheap = device_tx((genesis.tx_hash, genesis.tx_hash), difficulty=2)
         probe.send("fn-0", "gossip_transaction",
@@ -153,6 +153,25 @@ class TestSubmission:
         scheduler.run()
         assert cheap.tx_hash in nodes[0].tangle
         assert cheap.tx_hash in nodes[1].tangle  # relayed onward too
+
+    def test_gossiped_rogue_acl_update_is_counted_not_raised(self):
+        """A non-manager's ACL update reaching a gateway as gossip
+        attaches (peer traffic is not admitted) with its effect refused;
+        the refusal is counted instead of unwinding message delivery."""
+        scheduler, _, nodes, probe, genesis = make_setup()
+        update = Transaction.create(
+            ROGUE, kind=TransactionKind.ACL,
+            payload=AuthorizationList.make_update([ROGUE.public]).to_bytes(),
+            timestamp=1.0, branch=genesis.tx_hash, trunk=genesis.tx_hash,
+            difficulty=11)
+        probe.send("fn-0", "gossip_transaction",
+                   {"transaction": update.to_bytes()})
+        scheduler.run()
+        for node in nodes:
+            assert update.tx_hash in node.tangle
+            assert not node.acl.is_authorized(ROGUE.node_id)
+        assert nodes[0].stats.rejection_reasons == {
+            "UnauthorizedIssuerError": 1}
 
     def test_solidified_submission_keeps_admission_semantics(self):
         """A submission parked on a missing parent is re-admitted when

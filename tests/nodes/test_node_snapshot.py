@@ -8,7 +8,11 @@ import pytest
 from repro.core.acl import AuthorizationList
 from repro.core.biot import BIoTConfig, BIoTSystem
 from repro.core.consensus import CreditBasedConsensus, InverseDifficultyPolicy
-from repro.network.proc import build_node
+from repro.crypto.keys import KeyPair
+from repro.network.network import Network
+from repro.network.proc import build_node, node_consensus
+from repro.network.simulator import EventScheduler
+from repro.network.transport import Message
 from repro.nodes.full_node import FullNode
 from repro.nodes.manager import ManagerNode
 from repro.storage.checkpoint import EpochSnapshot
@@ -216,3 +220,71 @@ class TestRestoredTangleKeepsTelemetry:
         persistence.checkpoint(node, now=1.5)
         node.cold_restore()
         self._assert_next_attach_counted(node, attaches, second)
+
+
+class TestHorizonNeverSkipsAdmission:
+    """The credit horizon gates only credit *observation* of history an
+    adopted snapshot already counted.  A submission is judged by ACL and
+    credit however early the issuer stamps it — the issuer picks the
+    timestamp, so a horizon that skipped admission would let a
+    never-authorised key onto every resumed replica."""
+
+    SNAPSHOT_AT = 5.0
+
+    def _deployment(self):
+        manager, device = golden_keys()
+        genesis = ManagerNode.create_genesis(manager,
+                                             network_name="horizon-admit")
+        grant = Transaction.create(
+            manager, kind=TransactionKind.ACL,
+            payload=AuthorizationList.make_update(
+                [device.public]).to_bytes(),
+            timestamp=1.0, branch=genesis.tx_hash, trunk=genesis.tx_hash,
+            difficulty=1)
+        return genesis, grant
+
+    def _stranger_tx(self, genesis, *, timestamp):
+        stranger = KeyPair.generate(seed=b"horizon:stranger")
+        return Transaction.create(
+            stranger, kind=TransactionKind.DATA, payload=b"reading",
+            timestamp=timestamp, branch=genesis.tx_hash,
+            trunk=genesis.tx_hash, difficulty=1)
+
+    def _submit(self, node, tx):
+        """Deliver *tx* as a client's ``submit_transaction``."""
+        if node.network is None:
+            Network(EventScheduler()).attach(node)
+        size = len(node.tangle)
+        node.handle_message(Message(
+            sender="client", recipient=node.address,
+            kind="submit_transaction", sent_at=0.0,
+            body={"request_id": 1, "transaction": tx.to_bytes()}))
+        assert node.stats.submissions_rejected == 1
+        assert node.stats.rejection_reasons == {"UnauthorizedIssuerError": 1}
+        assert tx.tx_hash not in node.tangle
+        assert len(node.tangle) == size
+
+    @pytest.mark.parametrize("stamped", [1.0, SNAPSHOT_AT, 9.0])
+    def test_bootstrapped_node_refuses_stranger(self, stamped):
+        genesis, grant = self._deployment()
+        source = build_node("source", genesis, rng_seed=0)
+        assert source.ingest_local(grant)
+        snapshot = source.export_snapshot(now=self.SNAPSHOT_AT)
+        newcomer = FullNode.bootstrap_from_snapshot(
+            "newcomer", snapshot, consensus=node_consensus(),
+            rng=random.Random(0))
+        assert newcomer.replica.credit_horizon == self.SNAPSHOT_AT
+        self._submit(newcomer,
+                     self._stranger_tx(genesis, timestamp=stamped))
+
+    @pytest.mark.parametrize("stamped", [1.0, SNAPSHOT_AT, 9.0])
+    def test_cold_restored_node_refuses_stranger(self, stamped):
+        genesis, grant = self._deployment()
+        node = build_node("n0", genesis, rng_seed=0)
+        persistence = NodePersistence(MemoryStore())
+        node.attach_persistence(persistence)
+        assert node.ingest_local(grant)
+        persistence.checkpoint(node, now=self.SNAPSHOT_AT)
+        node.cold_restore()
+        assert node.replica.credit_horizon == self.SNAPSHOT_AT
+        self._submit(node, self._stranger_tx(genesis, timestamp=stamped))

@@ -100,7 +100,7 @@ def each_way(backend, ways, *, warmup=()):
         rig.client.messages.clear()
         rig.calls.update(verify=0, verify_batch=0)
         rig.warm_counters = batch_counters(rig.telemetry)
-        rig.warm_parked = len(rig.node._preverified)
+        rig.warm_parked = len(rig.node.replica.preverified)
         rig.deliver(pieces)
         rigs.append(rig)
     return rigs
@@ -138,7 +138,7 @@ class TestRefusedRunsBuyNoCrypto:
         assert run.node.stats == single.node.stats
         assert run.calls == single.calls == {"verify": 0, "verify_batch": 0}
         assert batch_counters(run.telemetry) == run.warm_counters
-        assert len(run.node._preverified) == run.warm_parked
+        assert len(run.node.replica.preverified) == run.warm_parked
 
     def check_message(self, backend, kind, transactions, warmup):
         """*transactions* in one *kind* message fare as the same
@@ -214,5 +214,5 @@ def test_one_forged_among_63_good(backend):
     assert synced.calls == {"verify": 1, "verify_batch": 1}
     assert batch_counters(synced.telemetry) == (1, RUN - 1, 1)
     assert synced.node.stats.sync_transactions_received == RUN - 1
-    assert len(synced.node._preverified) == 0
+    assert len(synced.node.replica.preverified) == 0
     assert list(synced.node.tangle) == list(run.node.tangle)

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.crypto import ed25519, verify_workers
-from repro.faults.report import node_state_hashes
 from repro.harness.workload import WorkloadBuilder
 from repro.tangle.transaction import Transaction, TransactionKind
 from repro.telemetry.registry import MetricsRegistry
@@ -130,7 +129,7 @@ def scenario():
     ids["junk"] = len(frames)
     frames.append(submit_frame(ids["junk"], b"\x00junk"))
     return (builder.genesis, tuple(frames), ids,
-            node_state_hashes(builder.reference, credit_now=CREDIT_NOW))
+            builder.reference.state_hashes(CREDIT_NOW))
 
 
 def run(backend, pieces, *, telemetry=None):

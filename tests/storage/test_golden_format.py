@@ -11,7 +11,6 @@ incompatibility discovered at restore time in production.
 
 import os
 
-from repro.faults.report import acl_hash, ledger_hash
 from repro.network.proc import build_node
 from repro.nodes.manager import ManagerNode
 from repro.storage.persistence import NodePersistence
@@ -99,8 +98,7 @@ class TestPruningRegression:
             self, tmp_path):
         node, persistence, device_keys, chain = \
             self._build_chain(str(tmp_path))
-        ledger_before = ledger_hash(node.ledger)
-        acl_before = acl_hash(node.acl)
+        before = node.replica.state_hashes()
 
         # Prune aggressively: everything buried and older than 20s of
         # the checkpoint moment drops below the epoch boundary.
@@ -113,8 +111,9 @@ class TestPruningRegression:
         replayed = node.cold_restore()
         assert replayed == 0  # the checkpoint subsumed the journal
         assert node.tangle.entry_points()
-        assert ledger_hash(node.ledger) == ledger_before
-        assert acl_hash(node.acl) == acl_before
+        after = node.replica.state_hashes()
+        assert (after["ledger"], after["acl"]) \
+            == (before["ledger"], before["acl"])
 
         # New transactions referencing the checkpoint boundary — a
         # retained tip and a pruned entry point — must still validate.
