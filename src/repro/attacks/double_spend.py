@@ -7,10 +7,11 @@ submitting multiple transactions before the previous one is verified."
 does not apply to it) holding a token balance.  On each attack round it
 builds two transfers that reuse the same sequence number with different
 recipients, then submits one to each of two gateways nearly
-simultaneously, racing the gossip layer.  Every replica accepts
-whichever version arrives first and rejects the other as a
-:class:`~repro.tangle.errors.DoubleSpendError`, reporting the conflict
-to the credit mechanism (αd = 1).
+simultaneously, racing the gossip layer.  Both versions attach on
+every replica; whichever arrives first, the ledger
+(:meth:`~repro.tangle.ledger.TokenLedger.apply_or_conflict`) gives the
+slot to the one with the lower transaction hash, voids the other's
+effect, and reports the conflict to the credit mechanism (αd = 1).
 """
 
 from __future__ import annotations

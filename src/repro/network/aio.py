@@ -54,6 +54,13 @@ from .transport import Message
 __all__ = ["AsyncClock", "AsyncioScheduler", "AsyncioTransport",
            "NodeRunner"]
 
+READ_CHUNK = 65536
+"""Bytes asked of one ``read()``: the most a run batch can carry."""
+
+FLUSH_TIMEOUT_S = 1.0
+"""Wall seconds :meth:`AsyncioTransport.close` waits for outboxes to
+drain before tearing sockets down."""
+
 
 class AsyncClock(Clock):
     """Monotonic wall time rescaled into simulated seconds.
@@ -177,8 +184,7 @@ class AsyncioTransport:
                  directory: Optional[Dict[str, Tuple[str, int]]] = None,
                  rng: Optional[random.Random] = None,
                  reconnect_policy: Optional[BackoffPolicy] = None,
-                 telemetry=None, tracer=None,
-                 read_chunk: int = 65536):
+                 telemetry=None, tracer=None):
         self.scheduler = scheduler
         self.directory = directory if directory is not None else {}
         self._rng = rng if rng is not None else random.Random()
@@ -186,7 +192,6 @@ class AsyncioTransport:
             is not None else DEFAULT_BACKOFF
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.telemetry = coerce_registry(telemetry)
-        self._read_chunk = read_chunk
         self._node = None
         self._server: Optional[asyncio.AbstractServer] = None
         self.listen_address: Optional[Tuple[str, int]] = None
@@ -513,7 +518,7 @@ class AsyncioTransport:
         try:
             while not self._closing:
                 try:
-                    data = await reader.read(self._read_chunk)
+                    data = await reader.read(READ_CHUNK)
                 except (ConnectionError, OSError):
                     break
                 if not data:
@@ -579,13 +584,13 @@ class AsyncioTransport:
 
     # -- shutdown ----------------------------------------------------------
 
-    async def close(self, *, flush_timeout: float = 1.0) -> None:
+    async def close(self) -> None:
         """Graceful shutdown: flush outboxes briefly, then tear down
         the server, every connection, and every task.  Idempotent."""
         if self._closing:
             return
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + flush_timeout
+        deadline = loop.time() + FLUSH_TIMEOUT_S
         while (any(not q.empty() for q in self._outboxes.values())
                and loop.time() < deadline):
             await asyncio.sleep(0.01)

@@ -5,7 +5,8 @@ transactions and keeping copies of the blockchain" (Section IV-A).  Two
 mechanics make that work over a lossy asynchronous network:
 
 * :class:`GossipRelay` — classic flood: relay each item to all peers
-  the first time it is seen, never again (the seen-set bounds traffic).
+  the first time it attaches, never again (the owning node's tangle is
+  the duplicate filter, so it bounds traffic).
 * :class:`SolidificationBuffer` — out-of-order arrival handling: a
   transaction whose parents have not arrived yet is parked and retried
   when a parent attaches (IOTA calls this *solidification*).
@@ -24,12 +25,12 @@ ItemT = TypeVar("ItemT")
 
 
 class GossipRelay:
-    """Duplicate-suppressed flooding over an explicit peer list.
+    """Flooding over an explicit peer list.
 
     Args:
         peers: initial peer addresses.
-        telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry` for the
-            gossip counters (``repro_network_gossip_*``).
+        telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry` for
+            ``repro_network_gossip_relays_total``.
         node: label value identifying the owning node in the metrics.
     """
 
@@ -41,15 +42,10 @@ class GossipRelay:
             self.add_peer(peer)
         self._seen: Set[bytes] = set()
         self.relays = 0
-        self.duplicates_suppressed = 0
         self._node_label = node
-        registry = coerce_registry(telemetry)
-        self._m_relays = registry.counter(
+        self._m_relays = coerce_registry(telemetry).counter(
             "repro_network_gossip_relays_total",
             "Gossip flood fan-outs initiated, by node")
-        self._m_duplicates = registry.counter(
-            "repro_network_gossip_duplicates_total",
-            "Gossip items suppressed as already seen, by node")
 
     def add_peer(self, address: str) -> None:
         # Set-backed membership: a 200-node mesh re-registering peers
@@ -68,48 +64,23 @@ class GossipRelay:
         deterministic round-robin indexing)."""
         return address in self._peer_set
 
+    # A bare id set no node consults (a full node's duplicate check is
+    # tangle membership); benchmarks/e2e's layer probe still calls it.
     def mark_seen(self, item_id: bytes) -> bool:
         """Record *item_id*; returns True when it is new."""
         if item_id in self._seen:
-            self.duplicates_suppressed += 1
-            self._m_duplicates.inc(node=self._node_label)
             return False
         self._seen.add(item_id)
         return True
 
-    def mark_seen_batch(self, item_ids: Iterable[bytes]) -> int:
-        """Bulk :meth:`mark_seen` — one set merge instead of a Python
-        loop; returns how many ids were new.  Duplicate suppressions are
-        counted identically to the per-item path (snapshot adoption and
-        sync batches mark thousands of ids at once).
-        """
-        ids = item_ids if isinstance(item_ids, (list, tuple)) else list(item_ids)
-        new_ids = set(ids) - self._seen
-        duplicates = len(ids) - len(new_ids)
-        if duplicates:
-            self.duplicates_suppressed += duplicates
-            self._m_duplicates.inc(duplicates, node=self._node_label)
-        self._seen |= new_ids
-        return len(new_ids)
-
     def has_seen(self, item_id: bytes) -> bool:
         return item_id in self._seen
-
-    def reset_seen(self) -> None:
-        """Drop the duplicate-suppression set.  It is volatile node
-        memory: a cold restart must not remember pre-crash floods, or
-        the restored node would refuse legitimate re-deliveries."""
-        self._seen.clear()
 
     def relay_targets(self, item_id: bytes, *, exclude: str = None) -> List[str]:
         """Peers to forward a newly seen item to (exclude its source)."""
         self.relays += 1
         self._m_relays.inc(node=self._node_label)
         return [peer for peer in self.peers if peer != exclude]
-
-    @property
-    def seen_count(self) -> int:
-        return len(self._seen)
 
 
 class SolidificationBuffer(Generic[ItemT]):

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.consensus import CreditBasedConsensus
-from ..core.credit import MaliciousBehaviour
 from ..crypto import verify_workers
 from ..crypto.accel import get_backend
 from ..devices.profiles import PC
@@ -68,7 +67,6 @@ class FullNodeStats:
     gossip_accepted: int = 0
     gossip_duplicates: int = 0
     gossip_parked: int = 0
-    double_spends_detected: int = 0
     unauthorized_rejected: int = 0
     sync_requests_served: int = 0
     sync_transactions_sent: int = 0
@@ -154,12 +152,11 @@ class FullNode(NetworkNode):
         # from them; the handler of the same frame takes it back out.
         self._run_decoded: Dict[bytes, Transaction] = {}
         self.relay = GossipRelay(telemetry=self.telemetry, node=address)
-        self.relay.mark_seen(genesis.tx_hash)
         self.solidification: SolidificationBuffer = SolidificationBuffer()
         self.stats = FullNodeStats()
         self._m_gossip_duplicates = self.telemetry.counter(
             "repro_network_gossip_duplicates_total",
-            "Gossip items suppressed as already seen, by node")
+            "Peer transactions dropped as already attached, by node")
         self._m_retry_attempts = self.telemetry.counter(
             "repro_retry_attempts_total",
             "Recovery retransmissions sent, by protocol")
@@ -231,7 +228,6 @@ class FullNode(NetworkNode):
         bootstrap); its credit horizon keeps re-ingested pre-snapshot
         history from counting twice."""
         self.replica = self._new_replica(snapshot, self.consensus)
-        self.relay.mark_seen_batch([tx.tx_hash for tx in self.tangle])
 
     @classmethod
     def bootstrap_from_snapshot(cls, address: str, snapshot: "EpochSnapshot",
@@ -260,10 +256,10 @@ class FullNode(NetworkNode):
 
     def replay_attach(self, tx: Transaction, *, arrival_time: float) -> bool:
         """Fold one journalled transaction during a restore: trusted
-        local history, so no admission, flooding, parent fetching or
-        seen-set update (:meth:`cold_restore` rebuilds that).  A missing
-        parent means log and snapshot disagree (corruption); a refused
-        transaction fails the restore.  False when already attached."""
+        local history, so no admission, flooding or parent fetching.  A
+        missing parent means log and snapshot disagree (corruption); a
+        refused transaction fails the restore.  False when already
+        attached."""
         from ..storage.errors import StorageCorruptionError
 
         outcome = self.replica.apply(tx, arrival_time, admit=False)
@@ -282,8 +278,8 @@ class FullNode(NetworkNode):
     def cold_restore(self) -> int:
         """Rebuild this node's entire state from its durable store.
 
-        The crash/restart path: volatile state (replica, seen-set,
-        solidification buffer, parent fetches) is discarded, the replica
+        The crash/restart path: volatile state (replica, solidification
+        buffer, parent fetches) is discarded, the replica
         resumes from the newest checkpoint (or genesis) and folds the
         journal tail, batch-verified a slice at a time.  Anti-entropy
         (:meth:`resync_with_peers`) covers what the journal missed.
@@ -317,8 +313,6 @@ class FullNode(NetworkNode):
             for tx, arrival_time in records:
                 if self.replay_attach(tx, arrival_time=arrival_time):
                     replayed += 1
-        self.relay.reset_seen()
-        self.relay.mark_seen_batch([tx.tx_hash for tx in self.tangle])
         self.persistence = persistence
         return replayed
 
@@ -656,7 +650,7 @@ class FullNode(NetworkNode):
         local issues: *admit* is True on the service boundary, False for
         peer traffic.  Returns ``(ok, error_string)``.
         """
-        if self.relay.has_seen(tx.tx_hash) and tx.tx_hash in self.tangle:
+        if tx.tx_hash in self.tangle:
             if source is not None:
                 self.stats.gossip_duplicates += 1
                 self._m_gossip_duplicates.inc(node=self.address)
@@ -671,10 +665,6 @@ class FullNode(NetworkNode):
             self.stats.gossip_parked += 1
             self._schedule_parent_fetch(missing, source)
             return False, "parked-missing-parent"
-        if isinstance(outcome.error, DuplicateTransactionError):
-            self.stats.gossip_duplicates += 1
-            self._m_gossip_duplicates.inc(node=self.address)
-            return False, "duplicate"
         if outcome.attach is None:
             self._count(outcome)
             return False, outcome.verdict
@@ -694,7 +684,6 @@ class FullNode(NetworkNode):
                                       self.address)
             self._settle_parent_fetch(tx.tx_hash)
             self._count(outcome)
-            self.relay.mark_seen(tx.tx_hash)
             if source is not None:
                 self.stats.gossip_accepted += 1
             self._flood(tx, exclude=source)
@@ -702,11 +691,9 @@ class FullNode(NetworkNode):
         return outcome.accepted, outcome.verdict
 
     def _count(self, outcome: Outcome) -> None:
-        """Fold an outcome's refusal and penalties into the stats."""
+        """Fold an outcome's refusal into the stats."""
         if outcome.error is not None:
             self.stats.count_rejection(outcome.error)
-        if MaliciousBehaviour.DOUBLE_SPENDING in outcome.penalties:
-            self.stats.double_spends_detected += 1
 
     def _flood(self, tx: Transaction, *, exclude: Optional[str]) -> None:
         encoded = tx.to_bytes()
@@ -737,9 +724,8 @@ class FullNode(NetworkNode):
             "pending_parent_requests": len(self._parent_requests),
             "parent_fetch_recoveries": self.stats.parent_fetch_recoveries,
             "parent_fetch_exhausted": self.stats.parent_fetch_exhausted,
-            "gossip_seen": self.relay.seen_count,
             "gossip_relays": self.relay.relays,
-            "gossip_duplicates": self.relay.duplicates_suppressed,
+            "gossip_duplicates": self.stats.gossip_duplicates,
             "malformed_messages": self.stats.malformed_messages,
         }
         for key, cache in (("verify_cache", self.verification_cache),

@@ -41,6 +41,11 @@ from ..telemetry.registry import coerce_registry
 
 __all__ = ["LightNode", "LightNodeStats"]
 
+REQUEST_TIMEOUT = 10.0
+"""Seconds a device waits for a gateway reply before abandoning the
+in-flight request and retrying on the next report interval (covers
+gateway crashes and lost packets)."""
+
 
 @dataclass
 class LightNodeStats:
@@ -84,10 +89,6 @@ class LightNode(NetworkNode):
         profile: hardware class (defaults to the paper's Raspberry Pi 3B).
         report_interval: seconds between reading submissions.
         rng: seeded randomness for the PoW engine.
-        protect_group: data group used when the sensor is sensitive.
-        request_timeout: seconds to wait for a gateway reply before
-            abandoning the in-flight request and retrying on the next
-            report interval (covers gateway crashes and lost packets).
         batch_size: readings carried per transaction.  1 (default) posts
             each reading individually (the paper's behaviour); larger
             values amortise PoW/signature/approval cost across readings
@@ -106,18 +107,13 @@ class LightNode(NetworkNode):
                  profile: DeviceProfile = RASPBERRY_PI_3B,
                  report_interval: float = 3.0,
                  rng: Optional[random.Random] = None,
-                 protect_group: str = "sensitive",
-                 request_timeout: float = 10.0,
                  batch_size: int = 1,
                  telemetry=None, lifecycle=None):
         super().__init__(address)
         if report_interval <= 0:
             raise ValueError("report_interval must be positive")
-        if request_timeout <= 0:
-            raise ValueError("request_timeout must be positive")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        self.request_timeout = request_timeout
         self.batch_size = batch_size
         self._batch_buffer: List = []
         self.timeouts = 0
@@ -126,7 +122,6 @@ class LightNode(NetworkNode):
         self.sensor = sensor
         self.profile = profile
         self.report_interval = report_interval
-        self.protect_group = protect_group
         self.rng = rng if rng is not None else random.Random()
         self.key_agent = DeviceKeyAgent(keypair, manager)
         self.protector = DataProtector()
@@ -187,8 +182,7 @@ class LightNode(NetworkNode):
             self._batch_buffer = []
             sensitive = batch.sensitive
             try:
-                payload = self.protector.protect_batch(
-                    batch, group=self.protect_group)
+                payload = self.protector.protect_batch(batch)
             except KeyError:
                 # No key yet: never post sensitive data in clear.
                 self._schedule_next_tick()
@@ -196,8 +190,7 @@ class LightNode(NetworkNode):
         else:
             sensitive = reading.sensitive
             try:
-                payload = self.protector.protect(reading,
-                                                 group=self.protect_group)
+                payload = self.protector.protect(reading)
             except KeyError:
                 # Sensitive stream without a key yet: skip this reading
                 # and retry next interval.
@@ -237,6 +230,8 @@ class LightNode(NetworkNode):
         if handler is None:
             return
         try:
+            if not isinstance(message.body, dict):
+                raise TypeError("message body must be a dict")
             handler(message)
         except (ValueError, KeyError, TypeError):
             # A forged or corrupt message must not wedge the device:
@@ -348,7 +343,7 @@ class LightNode(NetworkNode):
                 self.timeouts += 1
                 self._schedule_next_tick()
 
-        self._scheduler.schedule(self.request_timeout, expire)
+        self._scheduler.schedule(REQUEST_TIMEOUT, expire)
 
     def _schedule_next_tick(self) -> None:
         if self._running:

@@ -63,6 +63,8 @@ class ManagerNode(FullNode):
         self.keydist_retries = 0
         self.keydist_exhausted = 0
         self.engine: Optional[PowEngine] = None
+        self._handlers["keydist_m2"] = self._handle_keydist_m2
+        self._handlers["keydist_ack"] = self._handle_keydist_ack
         self._m_keydist_initiated = self.telemetry.counter(
             "repro_keydist_initiated_total",
             "Key-distribution handshakes initiated (M1 sent)")
@@ -230,21 +232,6 @@ class ManagerNode(FullNode):
         self._start_keydist_attempt(
             meta["address"], meta["device"], meta["group"],
             attempt=attempt + 1, started=meta["started"])
-
-    def handle_message(self, message: Message) -> None:
-        if message.kind == "keydist_m2":
-            try:
-                self._handle_keydist_m2(message)
-            except (ValueError, KeyError, TypeError):
-                self.stats.malformed_messages += 1
-            return
-        if message.kind == "keydist_ack":
-            try:
-                self._handle_keydist_ack(message)
-            except (ValueError, KeyError, TypeError):
-                self.stats.malformed_messages += 1
-            return
-        super().handle_message(message)
 
     def _handle_keydist_m2(self, message: Message) -> None:
         session_id = message.body.get("session_id")

@@ -1,9 +1,12 @@
 """Exception hierarchy for ledger validation.
 
-Every reason a transaction can be rejected has its own exception type so
-tests, gateways and the credit system can react to the *specific*
-failure (e.g. a :class:`DoubleSpendError` triggers the αd punishment,
-an :class:`UnauthorizedIssuerError` is simply dropped by gateways).
+Every reason a transaction can be refused has its own exception type so
+tests and gateways can react to the *specific* failure (e.g. an
+:class:`UnknownParentError` parks the transaction until its parent
+arrives, an :class:`UnauthorizedIssuerError` is simply dropped).  A
+double spend is not among them: conflicting transfers both attach, and
+:meth:`~repro.tangle.ledger.TokenLedger.apply_or_conflict` arbitrates
+their ledger effect (lowest hash wins) after the fact.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ __all__ = [
     "SelfApprovalError",
     "MalformedPayloadError",
     "UnauthorizedIssuerError",
-    "DoubleSpendError",
-    "InsufficientFundsError",
 ]
 
 
@@ -63,11 +64,3 @@ class MalformedPayloadError(ValidationError):
 
 class UnauthorizedIssuerError(ValidationError):
     """The issuer is not on the manager's authorisation list."""
-
-
-class DoubleSpendError(ValidationError):
-    """A transfer reuses an already-spent (account, sequence) slot."""
-
-
-class InsufficientFundsError(ValidationError):
-    """A transfer exceeds the sender's available balance."""

@@ -9,8 +9,10 @@ over an account ledger:
 * every account (a node id) holds an integer token balance;
 * each transfer carries a per-sender *sequence number*;
 * spending the same sequence slot twice with different content is a
-  double spend — first-seen wins, the conflict is recorded (the record
-  is what the credit mechanism punishes).
+  double spend — both transfers may attach, the lowest transaction hash
+  takes the slot on every replica whatever the arrival order, and the
+  conflict is recorded (the record is what the credit mechanism
+  punishes).
 
 Sequence numbers make conflict detection exact and deterministic in an
 asynchronous DAG, where "the same token" has no UTXO identity.
@@ -22,11 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from .errors import (
-    DoubleSpendError,
-    InsufficientFundsError,
-    MalformedPayloadError,
-)
+from .errors import MalformedPayloadError
 from .transaction import Transaction, TransactionKind
 
 __all__ = ["TransferPayload", "ConflictRecord", "TokenLedger"]
@@ -92,10 +90,9 @@ class ConflictRecord:
 class TokenLedger:
     """Balances plus per-sender spent-sequence tracking.
 
-    The ledger composes with a :class:`~repro.tangle.tangle.Tangle` in
-    two phases: :meth:`validate` runs as an attach validator (rejecting
-    conflicts before they enter the DAG) and :meth:`apply` is called by
-    the owning node after a successful attach.
+    The ledger never gates a :class:`~repro.tangle.tangle.Tangle`
+    attach: the owning replica folds each attached transfer through
+    :meth:`apply_or_conflict`, its one transfer policy.
     """
 
     def __init__(self, initial_balances: Optional[Dict[bytes, int]] = None):
@@ -138,7 +135,7 @@ class TokenLedger:
     def total_supply(self) -> int:
         return sum(self._balances.values())
 
-    # -- validation / application ----------------------------------------
+    # -- application -----------------------------------------------------
 
     @staticmethod
     def decode(tx: Transaction) -> TransferPayload:
@@ -149,49 +146,6 @@ class TokenLedger:
                 f"transaction {tx.short_hash} is not a transfer"
             )
         return TransferPayload.from_bytes(tx.payload)
-
-    def validate(self, tx: Transaction, *, now: float = 0.0) -> TransferPayload:
-        """Check a transfer against the current state.
-
-        Raises :class:`DoubleSpendError` when the sequence slot is taken
-        by a *different* transaction (recording the conflict), and
-        :class:`InsufficientFundsError` when the balance is too small.
-        The sender must match the transaction issuer — you can only
-        spend your own tokens.
-        """
-        payload = self.decode(tx)
-        if payload.sender != tx.issuer.node_id:
-            raise MalformedPayloadError(
-                f"transfer sender {payload.sender.hex()[:8]} is not the "
-                f"issuer {tx.issuer.short_id}"
-            )
-        existing = self.spent_tx(payload.sender, payload.sequence)
-        if existing is not None and existing != tx.tx_hash:
-            self.conflicts.append(
-                ConflictRecord(
-                    sender=payload.sender,
-                    sequence=payload.sequence,
-                    accepted_tx=existing,
-                    rejected_tx=tx.tx_hash,
-                    detected_at=now,
-                )
-            )
-            raise DoubleSpendError(
-                f"sequence {payload.sequence} of {payload.sender.hex()[:8]} "
-                f"already spent by {existing.hex()[:8]}"
-            )
-        if self.balance(payload.sender) < payload.amount:
-            raise InsufficientFundsError(
-                f"{payload.sender.hex()[:8]} has {self.balance(payload.sender)}, "
-                f"needs {payload.amount}"
-            )
-        return payload
-
-    def apply(self, tx: Transaction, *, now: float = 0.0) -> TransferPayload:
-        """Validate then mutate balances for an attached transfer."""
-        payload = self.validate(tx, now=now)
-        self._apply_effect(tx.tx_hash, payload)
-        return payload
 
     def _apply_effect(self, tx_hash: bytes, payload: TransferPayload) -> None:
         self._balances[payload.sender] = self.balance(payload.sender) - payload.amount
@@ -241,6 +195,10 @@ class TokenLedger:
         reversing the incumbent is rejected (the incumbent stands):
         balances must never go negative.  In that corner the arbitration
         is funding-constrained rather than purely hash-ordered.
+
+        Raises :class:`MalformedPayloadError` when the payload does not
+        decode or its sender is not the issuer (you can only spend your
+        own tokens).
         """
         payload = self.decode(tx)
         if payload.sender != tx.issuer.node_id:
@@ -275,12 +233,6 @@ class TokenLedger:
             self._apply_effect(tx.tx_hash, payload)
             return "conflict-replaced"
         return "conflict-rejected"
-
-    def validator(self, tangle, tx: Transaction) -> None:
-        """Adapter matching the :data:`~repro.tangle.tangle.Validator`
-        signature; only transfer transactions are inspected."""
-        if tx.kind == TransactionKind.TRANSFER:
-            self.validate(tx)
 
     def credit(self, account: bytes, amount: int) -> None:
         """Mint *amount* tokens to *account* (genesis allocation helper)."""

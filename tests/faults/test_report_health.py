@@ -14,8 +14,12 @@ class TestReportHealthFields:
         for digest in report.node_health.values():
             for key in ("tangle_size", "tips", "solidification_depth",
                         "solidification_peak", "pending_parent_requests",
-                        "gossip_seen", "gossip_relays"):
+                        "gossip_relays", "gossip_duplicates"):
                 assert key in digest, key
+            assert "gossip_seen" not in digest
+            # Flooding re-delivers what a node already holds (every peer
+            # relays each new transaction): the digest counts those.
+            assert digest["gossip_duplicates"] > 0
             assert digest["tangle_size"] > 1
             assert digest["solidification_peak"] >= \
                 digest["solidification_depth"]

@@ -12,11 +12,12 @@ class TestGossipRelay:
         assert relay.mark_seen(b"item-1")
         assert relay.has_seen(b"item-1")
 
-    def test_duplicates_suppressed(self):
+    def test_mark_seen_repeat_is_not_new(self):
         relay = GossipRelay()
         relay.mark_seen(b"item-1")
         assert not relay.mark_seen(b"item-1")
-        assert relay.duplicates_suppressed == 1
+        assert relay.has_seen(b"item-1")
+        assert not relay.has_seen(b"item-2")
 
     def test_relay_targets_exclude_source(self):
         relay = GossipRelay(peers=["a", "b", "c"])
@@ -36,45 +37,12 @@ class TestGossipRelay:
         relay.remove_peer("ghost")  # no-op
         assert relay.peers == ["b"]
 
-    def test_seen_count(self):
-        relay = GossipRelay()
-        relay.mark_seen(b"1")
-        relay.mark_seen(b"2")
-        relay.mark_seen(b"1")
-        assert relay.seen_count == 2
-
     def test_has_peer(self):
         relay = GossipRelay(peers=["a", "b"])
         assert relay.has_peer("a")
         assert not relay.has_peer("ghost")
         relay.remove_peer("a")
         assert not relay.has_peer("a")
-
-    def test_mark_seen_batch(self):
-        relay = GossipRelay()
-        relay.mark_seen(b"1")
-        assert relay.mark_seen_batch([b"1", b"2", b"3", b"2"]) == 2
-        assert relay.seen_count == 3
-        assert relay.duplicates_suppressed == 2  # b"1" and second b"2"
-
-    def test_mark_seen_batch_all_duplicates(self):
-        relay = GossipRelay()
-        relay.mark_seen_batch([b"1", b"2"])
-        assert relay.mark_seen_batch([b"1", b"2"]) == 0
-        assert relay.duplicates_suppressed == 2
-
-    def test_mark_seen_batch_empty(self):
-        relay = GossipRelay()
-        assert relay.mark_seen_batch([]) == 0
-        assert relay.duplicates_suppressed == 0
-
-    def test_batch_and_single_interleave(self):
-        relay = GossipRelay()
-        relay.mark_seen_batch([b"1"])
-        assert not relay.mark_seen(b"1")
-        relay.mark_seen(b"2")
-        assert relay.mark_seen_batch([b"2", b"3"]) == 1
-        assert relay.seen_count == 3
 
 
 class TestSolidificationBuffer:

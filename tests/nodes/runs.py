@@ -88,12 +88,10 @@ class Rig:
 
     def outcome(self, *, credit_now):
         """Everything that must not depend on how the stream was cut."""
-        relay = self.node.relay
         return {
             "responses": self.responses(),
             "stats": self.node.stats,
-            "relay": (relay.relays, relay.duplicates_suppressed,
-                      relay.seen_count),
+            "relays": self.node.relay.relays,
             "flooded": [(m.kind, m.body) for m in self.peer.messages],
             "hashes": node_state_hashes(self.node, credit_now=credit_now),
         }

@@ -202,6 +202,28 @@ class TestGatewayFuzzing:
         assert system.manager.distributor.completed_distributions >= 0
 
 
+class TestListBodiesOutsideTheGateway:
+    """The manager's key-distribution kinds and a device's reply kinds
+    get the gateway's guard: a list body is dropped, never raised into
+    the transport's read loop (which would lose the frames behind it)."""
+
+    @pytest.mark.parametrize("role, kind", [
+        ("manager", "keydist_m2"), ("manager", "keydist_ack"),
+        ("device", "get_tips_response"), ("device", "submit_response"),
+        ("device", "keydist_m3"),
+    ])
+    def test_list_body_is_dropped(self, role, kind):
+        system = BIoTSystem.build(BIoTConfig(device_count=1,
+                                             gateway_count=1, seed=161))
+        node = system.manager if role == "manager" else system.devices[0]
+        node.handle_message(Message(sender="gateway-0",
+                                    recipient=node.address, kind=kind,
+                                    body=[b"session", 1], sent_at=0.0))
+        if role == "manager":
+            assert node.stats.malformed_messages == 1
+            assert node.stats.rejection_reasons == {"malformed": 1}
+
+
 class TestDeviceFuzzing:
     def test_device_survives_forged_responses(self):
         system = build_running_system()

@@ -26,17 +26,19 @@ class TestBuildTransfer:
         tx = build(wallet, 30)
         assert tx.verify_pow() and tx.verify_signature()
         ledger = TokenLedger({ALICE.node_id: 100})
-        payload = ledger.apply(tx)
+        payload = TokenLedger.decode(tx)
         assert payload.amount == 30
         assert payload.sequence == 0
+        assert ledger.apply_or_conflict(tx) == "applied"
 
     def test_sequences_increment(self):
         wallet = Wallet(ALICE, initial_balance=100)
         first = build(wallet, 10)
         second = build(wallet, 10, timestamp=2.0)
         ledger = TokenLedger({ALICE.node_id: 100})
-        assert ledger.apply(first).sequence == 0
-        assert ledger.apply(second).sequence == 1
+        assert ledger.apply_or_conflict(first) == "applied"
+        assert ledger.apply_or_conflict(second) == "applied"
+        assert ledger.next_sequence(ALICE.node_id) == 2
         assert wallet.next_sequence == 2
 
     def test_funds_reserved_locally(self):
@@ -73,7 +75,7 @@ class TestDepositsAndReconcile:
         ledger = TokenLedger({ALICE.node_id: 100})
         wallet = Wallet(ALICE, initial_balance=100)
         tx = build(wallet, 40)
-        ledger.apply(tx)
+        ledger.apply_or_conflict(tx)
         # Someone pays Alice out-of-band.
         ledger.credit(ALICE.node_id, 15)
         wallet.reconcile(ledger)
@@ -93,7 +95,8 @@ class TestDepositsAndReconcile:
         ledger = TokenLedger({ALICE.node_id: 100})
         primary = Wallet(ALICE, initial_balance=100)
         for i in range(3):
-            ledger.apply(build(primary, 5, timestamp=float(i + 1)))
+            ledger.apply_or_conflict(
+                build(primary, 5, timestamp=float(i + 1)))
         # A fresh wallet instance (device rebooted) resyncs.
         rebooted = Wallet(ALICE)
         rebooted.reconcile(ledger)

@@ -1,8 +1,11 @@
 """Names of deleted code stay deleted: the metric event log, the SQLite
 store, the unimported analysis helpers, the second Ed25519 lane with
-the registry, worker pool and options that chose between the two, and
-the unchained node snapshot merged into ``EpochSnapshot`` have no
-reader, so nothing under ``src/`` may name them again."""
+the registry, worker pool and options that chose between the two, the
+unchained node snapshot merged into ``EpochSnapshot``, the gossip
+seen-set bookkeeping that tangle membership replaced, the ledger's
+first-arrival transfer policy with its two errors, and the options no
+caller set have no reader, so nothing under ``src/`` may name them
+again."""
 
 import pathlib
 
@@ -15,7 +18,12 @@ RETIRED = ["sqlite3", "SQLiteStore", "record_events", "MetricEvent",
            "tangle_to_dot",
            "CryptoPool", "CRYPTO_BACKENDS", "CryptoBackend", "pow_workers",
            "crypto_pool", "pow_pool", "ed25519_accel",
-           "NodeSnapshot", "node_snapshot"]
+           "NodeSnapshot", "node_snapshot",
+           "mark_seen_batch", "reset_seen", "seen_count",
+           "duplicates_suppressed", "gossip_seen",
+           "DoubleSpendError", "InsufficientFundsError",
+           "double_spends_detected",
+           "read_chunk", "flush_timeout", "protect_group", "request_timeout"]
 
 
 @pytest.mark.parametrize("name", RETIRED)
