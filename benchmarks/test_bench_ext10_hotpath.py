@@ -40,7 +40,7 @@ Seven measurements of the per-transaction fast lanes, on identical inputs:
 * **ingress** — what a frame the gateway already has costs a
   ``repro node``: frames per second and Python calls per frame through
   ``FrameDecoder.feed`` alone (one 64 KiB read of gossip frames), and
-  through feed + ``prepare_run`` + ``handle_message`` on a
+  through feed + ``deliver_run`` (the node's one call per read) on a
   ``proc.build_node`` node that has every transaction attached — for
   the one-pass decoder and for the reference decoder it replaced
   (``tests/network/frame_reference.py``).
@@ -499,10 +499,7 @@ def _bench_ingress():
     chunk = b"".join(frames[:per_read])
 
     def absorb(decoder):
-        messages = decoder.feed(chunk)
-        node.prepare_run(messages)
-        for message in messages:
-            node.handle_message(message)
+        node.deliver_run(decoder.feed(chunk))
 
     absorb(FrameDecoder())  # first sight: verified and attached
     assert len(node.tangle) == per_read + 1

@@ -42,11 +42,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..devices.clock import Clock
 from ..faults.backoff import DEFAULT_BACKOFF, BackoffPolicy
-from ..telemetry.registry import (
-    BYTES_BUCKETS,
-    SECONDS_BUCKETS,
-    coerce_registry,
-)
+from ..telemetry.registry import BYTES_BUCKETS, coerce_registry
 from ..telemetry.tracer import NULL_TRACER
 from .frame import FrameDecoder, FrameError, encode_frame
 from .transport import Message
@@ -223,10 +219,6 @@ class AsyncioTransport:
         self._m_dropped = self.telemetry.counter(
             "repro_network_messages_dropped_total",
             "Messages lost (down node, cut link, loss model)")
-        self._m_latency = self.telemetry.histogram(
-            "repro_network_delivery_latency_seconds",
-            "Send-to-delivery simulated latency",
-            buckets=SECONDS_BUCKETS)
         self._m_frames_sent = self.telemetry.counter(
             "repro_transport_frames_sent_total",
             "Frames written to TCP connections, by kind")
@@ -375,7 +367,7 @@ class AsyncioTransport:
         if self._node is not None and recipient == self._node.address:
             # Loopback keeps the async-hop property: delivery happens
             # on a later loop iteration, never inside the send call.
-            self.scheduler.schedule(0.0, lambda: self._dispatch(message))
+            self.scheduler.schedule(0.0, lambda: self._dispatch([message]))
             return True
         if recipient not in self.directory and recipient not in self._reverse:
             self._count_drop(kind)
@@ -529,58 +521,81 @@ class AsyncioTransport:
                 except FrameError:
                     self._m_frame_errors.inc()
                     break
-                self._prepare_run(messages)
-                for message in messages:
-                    self._m_frames_received.inc(kind=message.kind)
-                    # Reverse route: replies reach peers that never
-                    # listen (drivers, light-node-style clients).
-                    self._reverse[message.sender] = writer
-                    self._dispatch(message)
+                self._receive(messages, writer)
         finally:
             self._discard_writer(writer)
 
-    def _prepare_run(self, messages: List[Message]) -> None:
-        """Show the local node what one ``read()`` carried for it before
-        the first frame is dispatched (``NetworkNode.prepare_run``).  A
-        lone frame has nothing to be prepared together with."""
-        node = self._node
-        if node is None or len(messages) < 2:
-            return
-        node.prepare_run([
-            message for message in messages
-            if message.recipient == node.address
-            and message.kind not in self._handlers])
+    def _receive(self, messages: List[Message], writer) -> None:
+        """Everything one ``read()`` completed: count its frames by kind
+        once, give each sender a reverse route over *writer* (replies
+        reach peers that never listen — drivers, light-node-style
+        clients), then :meth:`_dispatch` them."""
+        received: Dict[str, int] = {}
+        reverse = self._reverse
+        for message in messages:
+            kind = message.kind
+            received[kind] = received.get(kind, 0) + 1
+            reverse[message.sender] = writer
+        for kind, count in received.items():
+            self._m_frames_received.inc(count, kind=kind)
+        self._dispatch(messages)
 
-    def _dispatch(self, message: Message) -> None:
+    def _dispatch(self, messages: List[Message]) -> None:
+        """Deliver *messages* in order: a control-plane frame to its
+        registered handler, and every stretch of frames for the local
+        node between two of them as one run (``NetworkNode.deliver_run``,
+        contract in :mod:`repro.network.base`), so a handler sees
+        exactly the frames before it delivered.  A frame carrying a
+        trace context is a run of its own, delivered under that context.
+        Deliveries are counted by kind once per call."""
         if self._closing:
-            self._count_drop(message.kind)
-            return
-        handler = self._handlers.get(message.kind)
-        if handler is not None:
-            self.messages_delivered += 1
-            self._m_delivered.inc(kind=message.kind)
-            handler(message)
+            for message in messages:
+                self._count_drop(message.kind)
             return
         node = self._node
-        if node is None:
-            self._count_drop(message.kind)
+        address = node.address if node is not None else None
+        handlers = self._handlers
+        delivered: Dict[str, int] = {}
+        run: List[Message] = []
+        try:
+            for message in messages:
+                kind = message.kind
+                handler = handlers.get(kind)
+                if handler is None and message.recipient != address:
+                    self._count_drop(kind)
+                    continue
+                delivered[kind] = delivered.get(kind, 0) + 1
+                if handler is None and message.trace is None:
+                    run.append(message)
+                    continue
+                if run:
+                    self._deliver_run(run)
+                    run = []
+                if handler is not None:
+                    handler(message)
+                else:
+                    self._deliver_run([message])
+            if run:
+                self._deliver_run(run)
+        finally:
+            for kind, count in delivered.items():
+                self.messages_delivered += count
+                self._m_delivered.inc(count, kind=kind)
+
+    def _deliver_run(self, run: List[Message]) -> None:
+        trace = run[0].trace
+        if trace is None:
+            self._tap(run)
+            self._node.deliver_run(run)
             return
-        if message.recipient != node.address:
-            self._count_drop(message.kind)
-            return
-        self.messages_delivered += 1
-        self._m_delivered.inc(kind=message.kind)
-        self._m_latency.observe(
-            max(0.0, self.scheduler.clock.now() - message.sent_at))
-        if message.trace is not None:
-            with self.tracer.activate(message.trace):
-                for tap in self._taps:
-                    tap(message)
-                node._deliver(message)
-            return
-        for tap in self._taps:
-            tap(message)
-        node._deliver(message)
+        with self.tracer.activate(trace):
+            self._tap(run)
+            self._node.deliver_run(run)
+
+    def _tap(self, run: List[Message]) -> None:
+        for message in run:
+            for tap in self._taps:
+                tap(message)
 
     # -- shutdown ----------------------------------------------------------
 

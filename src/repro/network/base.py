@@ -24,23 +24,23 @@ Two backends implement it:
   property the fleet differential harness in
   :mod:`repro.harness.fleet` asserts).
 
-The node side of the contract is two calls.  Every message reaches its
-recipient through ``node._deliver(message)`` (which counts it and calls
-``handle_message``) — on both backends, one message at a time.  A
-*stream* backend, where one ``read()`` may complete many frames, also
-calls ``node.prepare_run(messages)`` once per read that completed two
-or more frames, with exactly the messages it is about to deliver to
-that node, in order, and before it delivers the first.  The hook is an
-opportunity to share work across what arrived together (a full node
-batch-verifies the run's signatures); it replies to nothing, admits
-nothing, and must leave the node in a state from which delivering the
-messages one by one produces exactly what it would have produced
-without the call — how a byte stream is cut into reads is kernel
-timing, and nothing replicated may depend on it.  ``SimTransport``
-delivers one message per scheduled event, so it has no runs and never
-calls the hook: simulator schedules stay byte-deterministic, and the
-sim≡wire≡process differentials are the proof that the hook changes no
-state.
+The node side of the contract: one ``deliver_run`` per read; the
+outcome must not depend on the cut.  A *stream* backend, where one
+``read()`` may complete many frames, hands the node what each read
+carried for it, in order, as one call ``node.deliver_run(run)``; a
+control-plane frame (a registered handler's kind) splits the read into
+runs around it, so the handler sees exactly the frames before it
+delivered.  ``NetworkNode.deliver_run`` delivers the run one message
+at a time through ``node._deliver(message)`` (which counts it and
+calls ``handle_message``); a node may override it to share work across
+what arrived together (a full node decodes each carrier once, drops
+gossip it already holds and batch-verifies the rest).  How a byte
+stream is cut into reads is kernel timing, so a run must leave the
+node — replies, floods, counters and replicated state — exactly where
+delivering its messages one by one would.  ``SimTransport`` delivers
+one message per scheduled event through ``node._deliver``, so
+simulator schedules stay byte-deterministic, and the sim≡wire≡process
+differentials check that runs change no state.
 """
 
 from __future__ import annotations

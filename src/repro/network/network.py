@@ -67,16 +67,14 @@ class NetworkNode:
         """Process a delivered message (subclasses override)."""
         raise NotImplementedError
 
-    def prepare_run(self, messages: List[Message]) -> None:
-        """See a *run* before any of it is delivered: the messages one
-        ``read()`` of a stream transport carried for this node, in
-        arrival order (the contract is in :mod:`repro.network.base`).
-
-        Purely an opportunity to share work across the run — every
-        message is still delivered through :meth:`handle_message`
-        afterwards, and the outcome must not depend on whether or how
-        the stream was cut into runs.  The default does nothing.
-        """
+    def deliver_run(self, run: List[Message]) -> None:
+        """Deliver a *run*: the messages one ``read()`` of a stream
+        transport carried for this node, in arrival order (the contract
+        is in :mod:`repro.network.base`).  The outcome must not depend
+        on how the stream was cut into runs.  The default delivers them
+        one by one."""
+        for message in run:
+            self._deliver(message)
 
     def _deliver(self, message: Message) -> None:
         self.received_count += 1

@@ -148,7 +148,7 @@ class FullNode(NetworkNode):
             "parent_request": self._handle_parent_request,
             "parent_response": self._handle_parent_response,
         }
-        # encoded bytes -> the Transaction prepare_run already parsed
+        # encoded bytes -> the Transaction deliver_run already parsed
         # from them; the handler of the same frame takes it back out.
         self._run_decoded: Dict[bytes, Transaction] = {}
         self.relay = GossipRelay(telemetry=self.telemetry, node=address)
@@ -366,41 +366,61 @@ class FullNode(NetworkNode):
 
     # -- runs: what one read() of a stream transport carried ----------------
 
-    def prepare_run(self, messages: List[Message]) -> None:
-        """Batch-verify the signatures a run's ``submit_transaction``
-        and ``gossip_transaction`` frames will need, before the frames
-        are handled one by one.
+    def deliver_run(self, run: List[Message]) -> None:
+        """Deliver what one read carried in a single pass: each
+        ``submit_transaction`` / ``gossip_transaction`` carrier is
+        decoded once, and a gossiped transaction the tangle already
+        holds is dropped and counted as the duplicate its handler would
+        have found (the tangle only grows during a run).  The other
+        carriers pass the cheap gates (:meth:`_worth_preverifying`) into
+        one batch signature check, and every surviving message is then
+        delivered in order.
 
-        Only verdicts move (into the replica's preverified set, as for a
-        ``sync_response``); the handlers still admit, attach, answer and
-        flood.  The cheap gates come first (:meth:`_worth_preverifying`),
-        so duplicates, strangers and unsealed transactions buy no
-        signature work; whatever they filter out, fails the batch, or is
-        only eligible after an earlier frame of the run (an ACL grant) is
-        verified singly as ever.  The handler collects each frame's
-        parsed transaction from ``_run_decoded``.
+        Only verdicts move ahead of delivery (into the replica's
+        preverified set, as for a ``sync_response``); the handlers still
+        admit, attach, answer and flood, taking each frame's parsed
+        transaction from ``_run_decoded``.  What the gates filter out,
+        fails the batch, or is only eligible after an earlier frame of
+        the run (an ACL grant) is verified singly as ever.
         """
-        self._run_decoded.clear()
-        carriers = [m for m in messages
-                    if m.kind in ("submit_transaction", "gossip_transaction")]
-        if len(carriers) < 2:
-            return
-        pending: List[Transaction] = []
-        for message in carriers:
-            body = message.body
-            encoded = body.get("transaction") \
-                if isinstance(body, dict) else None
-            if not isinstance(encoded, bytes):
-                continue  # the handler counts it as malformed
-            try:
-                tx = self._decode(encoded)
-            except ValueError:
-                continue
-            self._run_decoded[encoded] = tx
-            if self._worth_preverifying(
-                    tx, submitted=message.kind == "submit_transaction"):
-                pending.append(tx)
-        self._preverify(pending)
+        decoded = self._run_decoded
+        decoded.clear()
+        decode = self.decode_cache.decode if self.decode_cache is not None \
+            else Transaction.from_bytes
+        tangle = self.replica.tangle
+        survivors: List[Message] = []
+        carried = []  # (transaction, submitted) of the surviving carriers
+        duplicates = 0
+        for message in run:
+            kind = message.kind
+            if kind == "gossip_transaction" or kind == "submit_transaction":
+                body = message.body
+                encoded = body.get("transaction") \
+                    if type(body) is dict else None
+                if type(encoded) is bytes:
+                    try:
+                        tx = decode(encoded)
+                    except ValueError:
+                        tx = None  # the handler counts it as malformed
+                    if tx is not None:
+                        if kind == "gossip_transaction" \
+                                and tx.tx_hash in tangle:
+                            duplicates += 1
+                            continue
+                        decoded[encoded] = tx
+                        carried.append(
+                            (tx, kind == "submit_transaction"))
+            survivors.append(message)
+        if duplicates:
+            self.received_count += duplicates
+            self.stats.gossip_duplicates += duplicates
+            self._m_gossip_duplicates.inc(duplicates, node=self.address)
+        if len(carried) > 1:  # a lone signature has nothing to share
+            self._preverify([
+                tx for tx, submitted in carried
+                if self._worth_preverifying(tx, submitted=submitted)])
+        for message in survivors:
+            self._deliver(message)
 
     def _worth_preverifying(self, tx: Transaction, *,
                             submitted: bool) -> bool:
@@ -418,7 +438,7 @@ class FullNode(NetworkNode):
 
     def _carried_transaction(self, message: Message) -> Transaction:
         """The transaction a submit/gossip frame carries — taken from
-        the run's memo when :meth:`prepare_run` parsed it already."""
+        the run's memo when :meth:`deliver_run` parsed it already."""
         encoded = message.body["transaction"]
         if self._run_decoded and isinstance(encoded, bytes):
             tx = self._run_decoded.pop(encoded, None)

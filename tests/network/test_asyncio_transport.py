@@ -23,10 +23,14 @@ from repro.network.aio import (
 from repro.network.base import Transport, is_transport
 from repro.network.frame import encode_frame
 from repro.network.network import Network, NetworkNode
+from repro.network.proc import build_node
 from repro.network.simulator import EventScheduler
 from repro.network.transport import Message
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracer import TraceContext, Tracer
+
+from ..nodes.runs import NODE, submit_frame
+from ..nodes.test_run_amplification import material
 
 FAST_BACKOFF = BackoffPolicy(base_delay=0.05, multiplier=1.5,
                              max_delay=0.2, jitter=0.0, max_attempts=30)
@@ -392,50 +396,151 @@ class TestFramingHostility:
 
 
 class TestRuns:
-    def test_a_read_is_shown_to_the_node_before_it_is_delivered(
+    def test_a_read_is_delivered_as_runs_split_at_control_frames(
             self, fleet_sandbox):
         """Frames written together arrive in one ``read()``; the node
-        sees the ones it is about to be delivered — not a registered
-        handler's, not another recipient's — as one run ahead of the
-        first delivery.  A frame that arrives alone forms no run."""
-        class RunRecorder(Recorder):
-            def prepare_run(self, messages):
-                self.received.append([m.body for m in messages])
+        gets the ones addressed to it in one ``deliver_run`` per stretch
+        between two control-plane frames, a traced frame in a run of its
+        own under its context.  Taps see every frame the node gets, and
+        the counters move by kind once per read."""
+        tracer_box = {}
 
-        def framed(kind, body, recipient="server"):
+        class RunRecorder(Recorder):
+            def __init__(self, address):
+                super().__init__(address)
+                self.runs, self.contexts = [], []
+
+            def deliver_run(self, run):
+                self.runs.append([m.body for m in run])
+                super().deliver_run(run)
+
+            def handle_message(self, message):
+                self.contexts.append(tracer_box["tracer"].current)
+                super().handle_message(message)
+
+        context = TraceContext(trace_id="run-test", span_id=3)
+
+        def framed(kind, body, recipient="server", trace=None):
             return encode_frame(Message(
                 sender="raw", recipient=recipient, kind=kind, body=body,
-                sent_at=0.0))
+                sent_at=0.0, trace=trace))
 
         async def scenario():
             scheduler = AsyncioScheduler(time_scale=20.0)
+            tracer_box["tracer"] = Tracer(scheduler.clock)
+            registry = MetricsRegistry()
             server = RunRecorder("server")
-            transport = _transport(scheduler, {})
-            handled = []
+            transport = _transport(scheduler, {}, telemetry=registry,
+                                   tracer=tracer_box["tracer"])
+            handled, tapped = [], []
             transport.register_handler("control", handled.append)
+            transport.add_tap(lambda message: tapped.append(message.body))
             runner = NodeRunner(server, transport, listen=("127.0.0.1", 0))
             try:
                 await runner.start()
                 _, writer = await asyncio.open_connection(
                     *runner.bound_address)
-                writer.write(framed("ping", 1) + framed("control", 2)
-                             + framed("ping", 3, recipient="elsewhere")
-                             + framed("ping", 4))
+                writer.write(framed("ping", 1) + framed("ping", 2)
+                             + framed("control", 3)
+                             + framed("ping", 4, recipient="elsewhere")
+                             + framed("ping", 5)
+                             + framed("ping", 6, trace=context)
+                             + framed("ping", 7))
                 await writer.drain()
-                await _wait_for(lambda: len(server.received) >= 3)
-                writer.write(framed("ping", 5))
-                await writer.drain()
-                await _wait_for(lambda: len(server.received) >= 4)
+                await _wait_for(lambda: len(server.received) >= 5)
                 writer.close()
-                return ([m.body if isinstance(m, Message) else m
-                         for m in server.received],
-                        [m.body for m in handled])
+                return server, [m.body for m in handled], tapped, registry
             finally:
                 await runner.stop()
 
-        seen, handled = fleet_sandbox.run(scenario())
-        assert seen == [[1, 4], 1, 4, 5]
-        assert handled == [2]
+        server, handled, tapped, registry = fleet_sandbox.run(scenario())
+        assert server.runs == [[1, 2], [5], [6], [7]]
+        assert handled == [3]
+        assert tapped == [1, 2, 5, 6, 7]
+        assert server.contexts == [None, None, None, context, None]
+        assert server.received_count == 5
+        received = registry.counter("repro_transport_frames_received_total")
+        delivered = registry.counter("repro_network_messages_delivered_total")
+        dropped = registry.counter("repro_network_messages_dropped_total")
+        assert (received.value(kind="ping"), received.value(kind="control")) \
+            == (6, 1)
+        assert (delivered.value(kind="ping"),
+                delivered.value(kind="control")) == (5, 1)
+        assert dropped.value(kind="ping") == 1
+
+    def test_a_status_between_submits_sees_exactly_those_before_it(
+            self, fleet_sandbox):
+        """One read carries ``[submit, submit, fleet_status, submit]``
+        to a full node: the status handler runs after the first two
+        submits attached and before the third is delivered."""
+        genesis, acl, good = material()[:3]
+        seen = []
+
+        async def scenario():
+            scheduler = AsyncioScheduler(time_scale=20.0)
+            node = build_node(NODE, genesis, rng_seed=0)
+            transport = _transport(scheduler, {})
+            transport.register_handler(
+                "fleet_status",
+                lambda message: seen.append(
+                    [tx.tx_hash in node.tangle
+                     for tx in (acl, good[0], good[1])]))
+            runner = NodeRunner(node, transport, listen=("127.0.0.1", 0))
+            try:
+                await runner.start()
+                _, writer = await asyncio.open_connection(
+                    *runner.bound_address)
+                writer.write(submit_frame(0, acl.to_bytes())
+                             + submit_frame(1, good[0].to_bytes())
+                             + encode_frame(Message(
+                                 sender="client", recipient=NODE,
+                                 kind="fleet_status", body={},
+                                 sent_at=0.0))
+                             + submit_frame(2, good[1].to_bytes()))
+                await writer.drain()
+                await _wait_for(lambda: good[1].tx_hash in node.tangle)
+                writer.close()
+            finally:
+                await runner.stop()
+
+        fleet_sandbox.run(scenario())
+        assert seen == [[True, True, False]]
+
+
+class TestDeliveryLatency:
+    def test_a_read_frame_records_no_latency_sample(self, fleet_sandbox):
+        """Two processes' clocks share no origin, so the wire transport
+        observes no send-to-delivery latency: a frame stamped
+        ``sent_at=0.0`` (what a driver writes) leaves the histogram
+        unobserved instead of recording the receiver's uptime."""
+        name = "repro_network_delivery_latency_seconds"
+
+        async def scenario():
+            scheduler = AsyncioScheduler(time_scale=1000.0)
+            registry = MetricsRegistry()
+            server = Recorder("server")
+            runner = NodeRunner(server, _transport(scheduler, {},
+                                                   telemetry=registry),
+                                listen=("127.0.0.1", 0))
+            try:
+                await runner.start()
+                await asyncio.sleep(0.01)  # the receiver's clock moves on
+                _, writer = await asyncio.open_connection(
+                    *runner.bound_address)
+                writer.write(encode_frame(Message(
+                    sender="raw", recipient="server", kind="ping",
+                    body=None, sent_at=0.0)))
+                await writer.drain()
+                await _wait_for(lambda: server.received)
+                writer.close()
+                return registry
+            finally:
+                await runner.stop()
+
+        snapshot = fleet_sandbox.run(scenario()).snapshot()
+        assert snapshot.get(name, {"count": 0})["count"] == 0
+        assert snapshot["repro_network_messages_delivered_total"][
+            "series"] == {"kind=ping": 1.0}
 
 
 class TestGracefulShutdown:

@@ -3,9 +3,10 @@ time.
 
 In an n-gateway mesh a transaction reaches a gateway n-1 times, so most
 frames it reads are ones it already has.  Such a frame must cost what
-it brings — a frame decode of a few Python calls, one decode-LRU hit,
-one seen-set lookup and one counter — and neither a transaction parse
-nor a hash; the metrics it moves must not leave an event behind in a
+it brings — a frame decode of a few Python calls, one decode-LRU hit
+and one tangle membership test, its counters summed once per read — and
+neither a transaction parse nor a hash; the metrics it moves must not
+leave an event behind in a
 process where nothing reads events; and a frame built to exhaust the
 interpreter's stack costs its sender the connection and nobody else
 anything, while a reply too large for one frame costs only itself.
@@ -80,12 +81,26 @@ class TestDuplicateFrame:
                             counting_hash_concat)
         frames = [gossip_frame(tx.to_bytes()) for tx in good]
         before = rig.node.stats.gossip_duplicates
-        # One read carrying all of them (the run hook sees them first),
-        # then each in a read of its own.
+        # One read carrying all of them, then each in a read of its own.
         rig.deliver([b"".join(frames)] + frames)
         assert counts == {"from_bytes": 0, "hash_concat": 0}
         assert rig.node.stats.gossip_duplicates - before == 2 * len(frames)
         assert rig.peer.messages == []  # nothing was flooded again
+
+    def test_costs_a_handful_of_python_calls(self):
+        """One read of 64 duplicates through the transport's per-read
+        function: the frame decode, one decode-LRU hit and one tangle
+        membership test per frame, the rest once per read.  Delivering
+        them frame by frame through ``handle_message`` took 33 calls
+        per duplicate."""
+        rig, good = attached_rig()
+        chunk = b"".join(gossip_frame(tx.to_bytes()) for tx in good)
+        decoder = FrameDecoder()
+        before = rig.node.stats.gossip_duplicates
+        calls = frame_reference.python_calls(
+            lambda: rig.transport._receive(decoder.feed(chunk), writer=None))
+        assert rig.node.stats.gossip_duplicates - before == len(good)
+        assert calls / len(good) <= 10
 
     def test_entry_is_the_tangles_instance(self):
         rig, good = attached_rig()

@@ -2,12 +2,13 @@
 ``test_run_amplification``).
 
 A stream transport hands a full node everything one ``read()``
-completed (``NetworkNode.prepare_run``) before delivering the frames
-one by one.  These helpers rebuild that delivery step without sockets —
-a real :class:`~repro.network.frame.FrameDecoder` fed arbitrary byte
-pieces, then exactly the calls ``AsyncioTransport._read_loop`` makes —
-around the node configuration ``repro node`` runs, so a test can cut
-one fixed byte stream any way it likes and compare outcomes.
+completed as one call (``NetworkNode.deliver_run``).  These helpers
+drive that step without sockets — a real
+:class:`~repro.network.frame.FrameDecoder` fed arbitrary byte pieces,
+and what each completes handed to the transport's own per-read function
+(``AsyncioTransport._receive``) — around the node configuration
+``repro node`` runs, so a test can cut one fixed byte stream any way it
+likes and compare outcomes.
 """
 
 import random
@@ -17,12 +18,14 @@ from unittest import mock
 from repro.crypto import ed25519
 
 from repro.faults.report import node_state_hashes
+from repro.network.aio import AsyncioTransport
 from repro.network.frame import FrameDecoder, encode_frame
 from repro.network.network import Network, NetworkNode
 from repro.network.proc import build_node
 from repro.network.simulator import EventScheduler
 from repro.network.transport import Message
 from repro.tangle.transaction import Transaction
+from repro.telemetry.registry import MetricsRegistry
 
 from ..crypto import ed25519_reference
 
@@ -33,6 +36,12 @@ RFC 8032 test oracle patched in for ``verify`` and ``verify_batch``."""
 NODE = "n0"
 CLIENT = "client"   # submits, receives every submit/get_tips response
 PEER = "peer"       # the node's one gossip peer: floods land here
+
+READ_COUNTERS = ("repro_transport_frames_received_total",
+                 "repro_network_messages_delivered_total",
+                 "repro_network_gossip_duplicates_total")
+"""The counters a read moves in bulk: per kind once per read (the
+first two) and once per run (the third)."""
 
 
 class Recorder(NetworkNode):
@@ -47,37 +56,40 @@ class Recorder(NetworkNode):
 
 
 class Rig:
-    """One ``repro node``-configured full node on a simulator fabric
-    with a recording client and a recording gossip peer; while it
-    delivers, ``repro.crypto.ed25519``'s ``verify`` and ``verify_batch``
-    are *backend*'s."""
+    """One ``repro node``-configured full node read by an
+    :class:`~repro.network.aio.AsyncioTransport` that is never started
+    (no loop, no socket), with a recording client and a recording gossip
+    peer on a simulator fabric that carries the node's replies, floods
+    and timers; while it delivers, ``repro.crypto.ed25519``'s ``verify``
+    and ``verify_batch`` are *backend*'s."""
 
     def __init__(self, genesis, backend, *, telemetry=None):
         self.backend = backend
+        self.telemetry = telemetry if telemetry is not None \
+            else MetricsRegistry()
         self.scheduler = EventScheduler()
         network = Network(self.scheduler, rng=random.Random(1))
         self.node = build_node(NODE, genesis, rng_seed=0,
-                               telemetry=telemetry)
+                               telemetry=self.telemetry)
         self.client = Recorder(CLIENT)
         self.peer = Recorder(PEER)
-        for member in (self.node, self.client, self.peer):
+        for member in (self.client, self.peer):
             network.attach(member)
+        self.transport = AsyncioTransport(self.scheduler,
+                                          telemetry=self.telemetry)
+        self.transport.attach(self.node)
+        self.node.bind(network)  # replies and floods go out on the fabric
         self.node.add_peer(PEER)
 
     def deliver(self, pieces):
         """Feed *pieces* — one per ``read()`` — through a frame decoder
-        and deliver what each completes the way the asyncio read loop
-        does: the run hook first when the read carried two or more
-        frames, then every frame through the per-message path."""
+        and hand what each completes to the transport as its read loop
+        does."""
         decoder = FrameDecoder()
         with mock.patch.multiple(ed25519, verify=self.backend.verify,
                                  verify_batch=self.backend.verify_batch):
             for piece in pieces:
-                messages = decoder.feed(piece)
-                if len(messages) >= 2:
-                    self.node.prepare_run(messages)
-                for message in messages:
-                    self.node._deliver(message)
+                self.transport._receive(decoder.feed(piece), writer=None)
             decoder.close()
             self.scheduler.run()  # replies and floods reach the recorders
 
@@ -93,8 +105,16 @@ class Rig:
             "stats": self.node.stats,
             "relays": self.node.relay.relays,
             "flooded": [(m.kind, m.body) for m in self.peer.messages],
+            "received": self.node.received_count,
+            "counters": self.read_counters(),
             "hashes": node_state_hashes(self.node, credit_now=credit_now),
         }
+
+    def read_counters(self):
+        """The :data:`READ_COUNTERS` series, by label set."""
+        snapshot = self.telemetry.snapshot()
+        return {name: snapshot.get(name, {}).get("series")
+                for name in READ_COUNTERS}
 
 
 def frame(sender, kind, body, *, message_id=0):

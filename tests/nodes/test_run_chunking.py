@@ -1,13 +1,15 @@
-"""Chunking invariance of the per-read batch lane.
+"""Chunking invariance of per-read delivery.
 
 How a TCP byte stream is cut into ``read()`` calls is kernel timing.
 The asyncio transport hands a full node each read's frames as one run
-(``prepare_run``) so their signatures can share one batch equation;
-nothing the node replies, counts or replicates may depend on where the
-cuts fell.  One fixed frame stream — every way a frame can fare — is
-cut at arbitrary byte offsets and must produce, for every cut, exactly
-what one-frame-per-read (the lane never entered) produces — and again
-with a verify worker forked, which shares each run's batch out.
+(``deliver_run``), which drops gossip the node already holds and lets
+the rest's signatures share one batch equation; nothing the node
+replies, floods, counts or replicates may depend on where the cuts
+fell.  One fixed frame stream — every way a frame can fare — is cut at
+arbitrary byte offsets and must produce, for every cut, exactly what
+one frame per read produces: the same responses, floods, ``stats``,
+``received_count``, state hashes and per-read counters — and again with
+a verify worker forked, which shares each run's batch out.
 """
 
 from functools import lru_cache
@@ -25,6 +27,7 @@ from repro.telemetry.registry import MetricsRegistry
 from .runs import (
     BACKENDS,
     CLIENT,
+    NODE,
     PEER,
     Rig,
     bad_nonce,
@@ -93,6 +96,9 @@ def scenario():
     s1 = data(d2, (parent.tx_hash, b2.tx_hash), b"s1")
     s2 = data(d2, (s1.tx_hash, parent.tx_hash), b"s2")
     p1 = data(d0, (s2.tx_hash, a3.tx_hash), b"p1")
+    # What only gossip brings, the child ahead of its parent.
+    g1 = data(d1, (newcomer.tx_hash, a4.tx_hash), b"g1")
+    g2 = data(d1, (g1.tx_hash, newcomer.tx_hash), b"g2")
 
     ids = {}
     frames = []
@@ -128,6 +134,11 @@ def scenario():
         parent.to_bytes(), p1.to_bytes()]}))
     ids["junk"] = len(frames)
     frames.append(submit_frame(ids["junk"], b"\x00junk"))
+    frames.append(gossip_frame(g2.to_bytes()))   # ahead of its parent
+    frames.append(gossip_frame(b"\x00junk"))     # malformed gossip body
+    frames.append(gossip_frame(g1.to_bytes()))   # the late parent
+    frames.append(gossip_frame(g1.to_bytes()))   # ... and its echo
+    frames.append(gossip_frame(acl0.to_bytes()))  # the first frame's tx
     return (builder.genesis, tuple(frames), ids,
             builder.reference.state_hashes(CREDIT_NOW))
 
@@ -179,12 +190,23 @@ class TestChunkingInvariance:
         assert verdict["a3-again"]["error"] == "duplicate"
         assert verdict["child"]["error"] == "parked-missing-parent"
         stats = outcome["stats"]
-        assert stats.malformed_messages == 2  # hostile body + junk bytes
-        assert stats.gossip_parked == 1
-        # Gossip a4 + s1, s2, p1 from the messages; the echo of a1 +
-        # b1 and parent, which the messages repeat.
-        assert stats.gossip_accepted == 4 and stats.gossip_duplicates == 3
+        # The hostile body, the junk submit and the junk gossip.
+        assert stats.malformed_messages == 3
+        assert stats.gossip_parked == 2  # the child and g2
+        # Gossip a4, g1 + s1, s2, p1 from the messages (g2 attaches on
+        # its parent's release); the echoes of a1, g1 and acl0 + b1 and
+        # parent, which the messages repeat.
+        assert stats.gossip_accepted == 5 and stats.gossip_duplicates == 5
         assert stats.sync_transactions_received == 2
+        _, frames, _, _ = scenario()
+        assert outcome["received"] == len(frames)
+        counters = outcome["counters"]
+        assert counters["repro_network_gossip_duplicates_total"] \
+            == {f"node={NODE}": 5}
+        assert sum(counters["repro_transport_frames_received_total"]
+                   .values()) == len(frames)
+        assert counters["repro_network_messages_delivered_total"] \
+            == counters["repro_transport_frames_received_total"]
         assert outcome["hashes"] == reference_hashes
 
     def test_two_reads_batch_and_change_nothing(self, backend):
@@ -195,13 +217,15 @@ class TestChunkingInvariance:
         telemetry = MetricsRegistry()
         rig = run(backend, cut(frames, [(1, 0)]), telemetry=telemetry)
         # In the batch: the nine distinct valid transactions eligible
-        # when the run began, and the forged signature (the fallback).
-        # Not in it: the stranger, the unsealed nonce, the byte-equal
-        # repeats, and the newcomer — authorised only by an earlier
-        # frame of the same run, so verified singly.  The sync_response
-        # batches its own two new transactions however the stream is
-        # cut; the parent_response brings one, so nothing to batch.
-        assert batch_counters(telemetry) == (2, 11, 1)
+        # when the run began, the two gossiped ones (g2 ahead of g1)
+        # and the forged signature (the fallback).  Not in it: the
+        # stranger, the unsealed nonce, the byte-equal repeats, the
+        # gossip of acl0 (dropped as a duplicate before the batch), and
+        # the newcomer — authorised only by an earlier frame of the
+        # same run, so verified singly.  The sync_response batches its
+        # own two new transactions however the stream is cut; the
+        # parent_response brings one, so nothing to batch.
+        assert batch_counters(telemetry) == (2, 13, 1)
         assert rig.outcome(credit_now=CREDIT_NOW) == frame_per_read(backend)
 
     @settings(max_examples=40, deadline=None)
@@ -248,10 +272,10 @@ class TestChunkingInvarianceWithAWorker:
         telemetry = MetricsRegistry()
         rig = Rig(genesis, backend, telemetry=telemetry)
         rig.deliver(cut(frames, [(1, 0)]))
-        assert batch_counters(telemetry) == (2, 11, 1)
-        # The run's ten signatures: five here, five in the worker.  The
+        assert batch_counters(telemetry) == (2, 13, 1)
+        # The run's twelve signatures: six here, six in the worker.  The
         # sync_response's two are too few to share.
-        assert sizes == [5, 2]
+        assert sizes == [6, 2]
         assert rig.outcome(credit_now=CREDIT_NOW) \
             == frame_per_read("product")
 

@@ -3,9 +3,9 @@ store, the unimported analysis helpers, the second Ed25519 lane with
 the registry, worker pool and options that chose between the two, the
 unchained node snapshot merged into ``EpochSnapshot``, the gossip
 seen-set bookkeeping that tangle membership replaced, the ledger's
-first-arrival transfer policy with its two errors, and the options no
-caller set have no reader, so nothing under ``src/`` may name them
-again."""
+first-arrival transfer policy with its two errors, the per-read hook
+that one ``deliver_run`` per read replaced, and the options no caller
+set have no reader, so nothing under ``src/`` may name them again."""
 
 import pathlib
 
@@ -22,7 +22,7 @@ RETIRED = ["sqlite3", "SQLiteStore", "record_events", "MetricEvent",
            "mark_seen_batch", "reset_seen", "seen_count",
            "duplicates_suppressed", "gossip_seen",
            "DoubleSpendError", "InsufficientFundsError",
-           "double_spends_detected",
+           "double_spends_detected", "prepare_run",
            "read_chunk", "flush_timeout", "protect_group", "request_timeout"]
 
 
