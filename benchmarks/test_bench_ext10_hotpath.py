@@ -34,8 +34,10 @@ Seven measurements of the per-transaction fast lanes, on identical inputs:
   split tables, verify) and for one seen before (read them): verifies
   per second, point operations per verify counted by wrapping the
   module's three point primitives (general addition, the mixed
-  addition that reads table entries, doubling), and the bytes one
-  issuer record pins,
+  addition that reads table entries, doubling), the square roots a
+  warm verify takes (counted by shadowing the module's ``pow``; the
+  single check compares encodings, so it must take none), and the
+  bytes one issuer record pins,
   against the unsplit verify's operation count;
 * **ingress** — what a frame the gateway already has costs a
   ``repro node``: frames per second and Python calls per frame through
@@ -115,6 +117,8 @@ UNSPLIT_VERIFY_OPERATIONS = 362
 and its table.  Counted the same way on the parent of the PR that
 split it (mean over signatures; it does not depend on the key)."""
 VERIFY_MIN_COUNT_RATIO = 2.0
+SQRT_EXPONENT = (ed25519._P - 5) // 8
+"""The exponent of decoding's square root, ``x = u v^3 (u v^7)^((p-5)/8)``."""
 
 # -- ingress dimensions ----------------------------------------------------
 INGRESS_TXS = 16 if SMOKE else 160
@@ -414,6 +418,24 @@ def _count_point_operations(function):
     return count[0]
 
 
+def _count_square_roots(function):
+    """Builtin ``pow`` calls with the square-root exponent *function*
+    makes in :mod:`repro.crypto.ed25519`, counted by shadowing the
+    module's ``pow``."""
+    count = [0]
+
+    def counting(base, exponent, modulus=None):
+        count[0] += exponent == SQRT_EXPONENT
+        return pow(base, exponent, modulus)
+
+    ed25519.pow = counting
+    try:
+        function()
+    finally:
+        del ed25519.pow
+    return count[0]
+
+
 def _issuer_record_bytes(record):
     """``sys.getsizeof`` summed over an issuer record: the object, its
     point, the table rows and every point and coordinate in them (each
@@ -459,6 +481,7 @@ def _bench_verify_single():
     ed25519._issuer_cache.clear()
     cold_operations = _count_point_operations(lambda: run(first))
     warm_operations = _count_point_operations(lambda: run(rest))
+    warm_roots = _count_square_roots(lambda: run(rest))
 
     record_bytes = max(_issuer_record_bytes(record) for record
                        in ed25519._issuer_cache.values())
@@ -477,6 +500,7 @@ def _bench_verify_single():
         },
         "unsplit_operations_per_verify": UNSPLIT_VERIFY_OPERATIONS,
         "warm_count_ratio": UNSPLIT_VERIFY_OPERATIONS / warm_per_verify,
+        "sqrt_pows_per_warm_verify": warm_roots / len(rest),
         "issuer_record_bytes": record_bytes,
         "issuer_cache_records": ed25519._ISSUER_CACHE_SIZE,
         "issuer_cache_bound_bytes":
@@ -632,7 +656,9 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
             "single verify", "verified/s", "point ops/verify"])
         + f"\nissuer record: {single['issuer_record_bytes']:,.0f} B x "
           f"{single['issuer_cache_records']} records = "
-          f"{single['issuer_cache_bound_bytes'] / 2 ** 20:.2f} MiB bound",
+          f"{single['issuer_cache_bound_bytes'] / 2 ** 20:.2f} MiB bound"
+          f"\nsquare roots per warm verify: "
+          f"{single['sqrt_pows_per_warm_verify']:g}",
         format_table(ingress_rows, headers=[
             "duplicate frame", "reference frames/s", "frames/s",
             "reference calls/frame", "calls/frame", "fewer calls"])
@@ -652,8 +678,9 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
     # high hit rates (each tx verified/decoded once, hit n-1 times),
     # >=5x uncached flood validation throughput for the product
     # Ed25519 over the RFC 8032 oracle, and a warm single verify in
-    # at most half the unsplit verify's point operations with the
-    # whole issuer cache under 2 MiB (counts and bytes: no timing),
+    # at most half the unsplit verify's point operations, taking no
+    # square root, with the whole issuer cache under 2 MiB (counts and
+    # bytes: no timing),
     # and >=1.8x fewer Python calls per frame through the one-pass
     # decoder than through the reference, alone and on the whole
     # duplicate path (counts again).
@@ -663,6 +690,7 @@ def test_bench_ext10_hotpath(benchmark, report_writer):
             1 / DEFAULT_WEIGHT_FLUSH_INTERVAL + 1 / entry["transactions"]
     assert crypto["speedup"] >= CRYPTO_MIN_SPEEDUP
     assert single["warm_count_ratio"] >= VERIFY_MIN_COUNT_RATIO
+    assert single["sqrt_pows_per_warm_verify"] == 0
     assert single["issuer_cache_bound_bytes"] <= 2 * 2 ** 20
     for leg in ("feed", "absorb"):
         assert ingress[leg]["call_ratio"] >= INGRESS_MIN_CALL_RATIO

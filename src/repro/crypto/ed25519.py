@@ -9,7 +9,7 @@ the same property the system relies on — unforgeable signatures bound to
 a compact public key — with deterministic nonces (no RNG failure modes
 on constrained devices).
 
-The group law runs in extended homogeneous coordinates, and four
+The group law runs in extended homogeneous coordinates, and five
 algorithmic upgrades over straight-line RFC 8032 keep signing and
 verification cheap on a gateway:
 
@@ -21,16 +21,23 @@ verification cheap on a gateway:
   builds.  The base point ``B`` has *one* such table, built once per
   process: the odd multiples ``1, 3, ..., 127`` of ``2^(32i) * B`` for
   ``i = 0..7``, 8 x 64 entries.  Key generation, signing, the single
-  verify and the batch equation all read it: ``[k]B`` is a chain of 33
-  doublings and ~30 additions;
+  verify and the batch equation all read it: ``[k]B`` is a chain of 32
+  doublings and ~28 additions;
 * **per-issuer split tables** — a single ``verify`` evaluates
-  ``[s]B - [h]A`` as *one* Straus chain of 33 doublings: both scalars
-  are cut into eight 32-bit pieces, and each piece reads the base
-  rows or the odd multiples ``1, ..., 15`` of ``-2^(32i) * A`` (64
-  entries per public key, built on first sight and kept in one bounded
-  LRU).  ~110 point operations for a key seen before against ~362 for
-  the unsplit ``[s]B == R + [h]A``; see :func:`_verify_decoded` for
-  why the accepted set cannot move;
+  ``[s]B - [h]A`` as *one* Straus chain of 32 doublings: one NAF pass
+  over each scalar files a digit at bit ``32i + j`` from row i at chain
+  position j, and row i holds the base rows' multiples or the odd
+  multiples ``1, ..., 15`` of ``-2^(32i) * A`` (64 entries per public
+  key, built on first sight and kept in one bounded LRU).  ~103 point
+  operations for a key seen before against ~362 for the unsplit
+  ``[s]B == R + [h]A``;
+* **encodings compared, not points** — the single check compresses
+  ``[s]B - [h]A`` and compares the 32 bytes with the signature's
+  ``R``, so it never decodes ``R``: compression's one inversion
+  (~16 us) replaces decoding's square root (~180-240 us), and a warm
+  single verify takes no square root at all.  See
+  :func:`_verify_decoded` for why the accepted set cannot move; only
+  the batch equation, which needs ``R`` as a point, still decodes it;
 * **wNAF multi-scalar multiplication** — any number of (scalar, point)
   pairs share one doubling chain (Straus interleaving) over wNAF
   digits and per-point odd-multiple tables; every chain and table
@@ -84,7 +91,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .rand import randbytes
 
@@ -241,8 +248,9 @@ def _point_compress(point: Point) -> bytes:
 def _decompress(data: bytes) -> Point:
     """Decode a 32-byte point encoding; raises ``ValueError``.
 
-    Uncached: a signature's ``R`` is a one-shot point, and public keys
-    are remembered one level up, in :func:`_issuer`.
+    Uncached: public keys are remembered one level up, in
+    :func:`_issuer`, and only the batch equation decodes a signature's
+    ``R``, a one-shot point.
     """
     if len(data) != 32:
         raise ValueError(f"point encoding must be 32 bytes, got {len(data)}")
@@ -328,21 +336,19 @@ def _odd_multiples(point: Point, width: int) -> List[Point]:
     return table
 
 
-def _schedule(schedule: List[List[Niels]], scalar: int,
-              row: List[Niels]) -> None:
-    """File ``scalar * P`` into a Straus *schedule*, given P's odd
-    multiples as a row of :func:`_niels_rows`: the entry of each nonzero
-    digit of the scalar's sparse NAF joins the row of its bit position.
+def _wnaf(scalar: int, width: int) -> Iterator[Tuple[int, int]]:
+    """The nonzero digits of *scalar*'s width-*width* sparse NAF, lowest
+    first, as ``(bit position, entry index)``: digits are odd with
+    ``|digit| < 2^(width-1)``, and a row of :func:`_niels_rows` keeps
+    ``digit * P`` at index ``digit - 1`` for a positive digit and
+    ``-digit`` for a negative one.
 
-    The row's length fixes the NAF width w: digits are odd with
-    ``|digit| < 2^(w-1)``, and the row keeps ``digit * P`` at index
-    ``digit - 1`` for a positive digit, ``-digit`` for a negative one.
     Zero runs are skipped with a count-trailing-zeros jump instead of a
     per-bit loop, so this costs O(nonzero digits) big-int ops
     (~bits/(w+1)), not O(bits) — this is what keeps the batch
     verifier's bookkeeping from eating the point-arithmetic savings.
+    The highest digit lies at most one bit above the scalar's top bit.
     """
-    width = len(row).bit_length()
     window = 1 << width
     half = window >> 1
     position = 0
@@ -353,17 +359,26 @@ def _schedule(schedule: List[List[Niels]], scalar: int,
             position += trailing
         digit = scalar & (window - 1)
         if digit < half:
-            entry = row[digit - 1]
+            yield position, digit - 1
             scalar -= digit
         else:  # the digit is digit - window, negative
-            entry = row[window - digit]
+            yield position, window - digit
             scalar += window - digit
-        while len(schedule) <= position:
-            schedule.append([])
-        schedule[position].append(entry)
         # the digit is subtracted: jump a full window.
         scalar >>= width
         position += width
+
+
+def _schedule(schedule: List[List[Niels]], scalar: int,
+              row: List[Niels]) -> None:
+    """File ``scalar * P`` into a Straus *schedule*, given P's odd
+    multiples as a row of :func:`_niels_rows` (its length fixes the
+    NAF width): the entry of each digit joins the schedule row of its
+    bit position."""
+    for position, index in _wnaf(scalar, len(row).bit_length()):
+        while len(schedule) <= position:
+            schedule.append([])
+        schedule[position].append(row[index])
 
 
 def _run_chain(schedule: List[List[Niels]]) -> Point:
@@ -382,7 +397,7 @@ def _run_chain(schedule: List[List[Niels]]) -> Point:
 # -- split rows and the base-point table -----------------------------------
 
 _SPLIT_BITS = 32
-_SPLIT_PIECES = 8  # 8 * 32 bits cover every scalar below 2^256
+_SPLIT_PIECES = 8  # 8 * 32 bits hold the NAF of every scalar below 2^255
 
 
 def _split_rows(point: Point, width: int) -> List[List[Point]]:
@@ -404,14 +419,21 @@ def _split_rows(point: Point, width: int) -> List[List[Point]]:
 
 def _schedule_split(schedule: List[List[Niels]], scalar: int,
                     rows: List[List[Niels]]) -> None:
-    """File ``scalar * P`` given P's split rows: the i-th 32-bit piece
-    of the scalar multiplies ``2^(32i) * P``, so no row of the schedule
-    lies above bit 32.  The eight rows cover a *scalar* below
-    ``2^256``."""
-    mask = (1 << _SPLIT_BITS) - 1
-    for row in rows:
-        _schedule(schedule, scalar & mask, row)
-        scalar >>= _SPLIT_BITS
+    """File ``scalar * P`` given P's split rows, in one NAF pass over
+    the whole scalar: a digit at bit ``32i + j`` reads row i, which
+    holds multiples of ``2^(32i) * P``, and joins chain position j, so
+    no row of the schedule lies at or above bit 32.
+
+    Exact by integer arithmetic — ``d * 2^(32i + j) * P = d * 2^j *
+    (2^(32i) * P)`` in any abelian group — and the eight rows hold every
+    digit of a *scalar* below ``2^255``, whose NAF ends at bit 255 at
+    the latest.
+    """
+    for position, index in _wnaf(scalar, len(rows[0]).bit_length()):
+        row, position = divmod(position, _SPLIT_BITS)
+        while len(schedule) <= position:
+            schedule.append([])
+        schedule[position].append(rows[row][index])
 
 
 _BASE_WIDTH = 8
@@ -437,8 +459,8 @@ def precompute() -> None:
 
 
 def _mul_base(scalar: int) -> Point:
-    """``scalar * B`` for a *scalar* below ``2^256``: one chain of at
-    most 33 doublings and ~30 mixed additions over the base rows."""
+    """``scalar * B`` for a *scalar* below ``2^255``: one chain of at
+    most 32 doublings and ~28 mixed additions over the base rows."""
     precompute()
     schedule: List[List[Niels]] = []
     _schedule_split(schedule, scalar, _BASE_ROWS)
@@ -488,45 +510,63 @@ def _issuer(public_key: bytes) -> _Issuer:
     return record
 
 
-_Decoded = Tuple[_Issuer, Point, int, int]
-"""``(issuer record, R, s, challenge)`` of a structurally valid triple."""
+_Decoded = Tuple[_Issuer, bytes, int, int]
+"""``(issuer record, R's encoding, s, challenge)`` of a structurally
+valid triple."""
+
+_Y_MASK = (1 << 255) - 1
 
 
 def _decode(public_key: bytes, message: bytes,
             signature: bytes) -> Optional[_Decoded]:
-    """The checks ahead of the equation — lengths, both point
-    encodings, ``s < L`` — and the challenge; None wherever a signature
-    is refused without evaluating anything."""
+    """The checks ahead of the equation — lengths, ``R``'s ``y < p``,
+    ``A``'s encoding, ``s < L`` — and the challenge; None wherever a
+    signature is refused without evaluating anything.
+
+    ``R`` is not decoded here: the single check compares encodings
+    (:func:`_verify_decoded`), and only the batch equation decodes it.
+    ``y >= p`` is the one refusal of decoding that costs nothing to
+    find, so it is made here, before any chain.
+    """
     if len(public_key) != PUBLIC_KEY_SIZE or len(signature) != SIGNATURE_SIZE:
+        return None
+    r_encoding = bytes(signature[:32])
+    if int.from_bytes(r_encoding, "little") & _Y_MASK >= _P:
         return None
     public_key = bytes(public_key)  # the cache key: any bytes-like works
     try:
         issuer = _issuer(public_key)
-        r_point = _decompress(signature[:32])
     except ValueError:
         return None
     s = int.from_bytes(signature[32:], "little")
     if s >= _L:
         return None
-    challenge = _sha512_int(signature[:32], public_key, message) % _L
-    return issuer, r_point, s, challenge
+    challenge = _sha512_int(r_encoding, public_key, message) % _L
+    return issuer, r_encoding, s, challenge
 
 
-def _verify_decoded(issuer: _Issuer, r_point: Point, s: int,
+def _verify_decoded(issuer: _Issuer, r_encoding: bytes, s: int,
                     challenge: int) -> bool:
-    """The single-signature equation on decoded inputs — the one place
-    a lone signature is judged, for ``verify`` and for the batch's
+    """The single-signature check on decoded inputs — the one place a
+    lone signature is judged, for ``verify`` and for the batch's
     per-item fallback alike.
 
-    Checks ``[s]B - [h]A == R``, the cofactorless RFC 8032
-    ``[s]B == R + [h]A`` with ``[h]A`` moved across.  Cutting ``s`` and
-    ``h`` into 32-bit pieces is integer arithmetic — ``h = sum h_i
-    2^(32i)``, so ``[h]A = sum [h_i]([2^(32i)]A)`` in any abelian group
-    — and therefore exact on the whole curve group, torsion components
-    of ``A`` included: the accepted set is the unsplit equation's.  One
-    chain of 33 doublings and ~75 mixed additions; an issuer met for the
-    first time also pays its 288 table operations here, after every
-    structural check has passed.
+    Evaluates ``P = [s]B - [h]A`` and accepts when ``P``'s encoding is
+    the signature's 32 ``R`` bytes: the cofactorless RFC 8032 ``[s]B ==
+    R + [h]A`` with ``[h]A`` moved across, without decoding ``R``.
+    Compression returns the one canonical encoding of a point, and
+    decoding that encoding returns the point, so ``enc(P) == R_bytes``
+    exactly when ``R_bytes`` decodes under RFC 8032 to a point equal to
+    ``P`` — the accept set of decoding ``R`` and comparing points,
+    torsion included, for the cost of compression's one inversion
+    instead of decoding's square root.  An ``R`` that decodes to no
+    point matches no ``enc(P)``.
+
+    Both scalars are filed over split rows (:func:`_schedule_split`,
+    exact on the whole curve group, torsion components of ``A``
+    included): one chain of 32 doublings and ~71 mixed additions.  An
+    issuer met for the first time also pays its 288 table operations
+    here, after every structural check has passed.
     """
     if issuer.tables is None:
         issuer.tables = _niels_rows(
@@ -535,7 +575,7 @@ def _verify_decoded(issuer: _Issuer, r_point: Point, s: int,
     schedule: List[List[Niels]] = []
     _schedule_split(schedule, s, _BASE_ROWS)
     _schedule_split(schedule, challenge, issuer.tables)
-    return _point_equal(_run_chain(schedule), r_point)
+    return _point_compress(_run_chain(schedule)) == r_encoding
 
 
 # -- scalar API ------------------------------------------------------------
@@ -625,24 +665,25 @@ _BATCH_FLOOR = 4
 """Fewest signatures the combined equation is run for when every issuer
 among them already has split rows.
 
-Chosen by operation count, not by time.  A batch of n signatures from
-k issuers costs ~290 + 51k + 30n point operations (a ~256-doubling
-chain and the ~30 base-row additions of ``S * B`` before the first
-item is paid for), n warm singles cost ~110n: two signatures are
-~400-450 against 220, three ~430-530 against 330, four ~460-600
-against 440, and from five on (~490 against 550) the batch wins for
-the few-issuer runs a gateway sees.  The floor was set at four when a
-warm single cost ~125 and four tied; the affine tables made the single
-cheaper than the batch's per-item share, so four now trails by ~5 %
-for one issuer, which is not worth moving a threshold the node's batch
-lane is tested at.  Letting the batch's A-columns read the split
-tables instead would only halve the chain and put a 288-operation
-table build on the batch lane for every new key, so the floor moves
-and the equation does not; and it lives here, not in
-``FullNode._preverify``, because the crossover belongs to this cost
-model.  An issuer without tables keeps the old floor of two: its
-single would cost 288 + 110, more than its share of any batch, so a
-run of fresh keys is never verified one by one on this account.
+A warm single costs ~103 point operations and compression's one
+inversion, and takes no square root; a batch of n signatures from k
+issuers costs ~290 + 51k + 30n point operations *and* one square root
+per item, because the equation needs every ``R`` as a point.  The root
+(~180-240 us) is larger than the ~30 operations of an item's share, so
+by time the crossover lies far above four.  Measured in one process on
+a 2-vCPU host (best of 7), a warm single took 544 us a signature for
+one issuer and 652 us for four; the equation took 1 447 us a signature
+at two signatures, 705-964 at six, 682-772 at eight and 517-702 at
+twelve to sixteen.  The floor stays at four all the same: the node's
+batch lane is tested at it, and a verify worker shards the equation
+across cores where the singles run on one.  It
+lives here, not in ``FullNode._preverify``, because the crossover
+belongs to this cost model.  Letting the batch's A-columns read the
+split tables instead would only halve the chain and put a
+288-operation table build on the batch lane for every new key.  An
+issuer without tables keeps the old floor of two: its single would
+cost 288 + 103, more than its share of any batch, so a run of fresh
+keys is never verified one by one on this account.
 """
 
 
@@ -665,16 +706,25 @@ def _combined_equation_holds(items: Sequence[Tuple[bytes, bytes, bytes]],
     # key (pure regrouping — sums of scalar multiples of the *same*
     # point — so the combined equation's value is untouched).  Scalars
     # reduce mod 8L, which is exact for torsion-carrying points too.
-    # Decompressed points are affine, so equal encodings are equal keys.
-    commitments: Dict[Point, int] = {}
+    # Decompressed points are affine, so equal encodings are equal keys;
+    # with y < p screened, distinct encodings that decode are distinct
+    # points.
+    commitments: Dict[bytes, int] = {}
     keys: Dict[Point, int] = {}
-    for z, (issuer, r_point, s, challenge) in zip(coefficients, decoded):
+    for z, (issuer, r_encoding, s, challenge) in zip(coefficients, decoded):
         combined_s = (combined_s + z * s) % _L
-        commitments[r_point] = commitments.get(r_point, 0) + z
+        commitments[r_encoding] = commitments.get(r_encoding, 0) + z
         keys[issuer.point] = keys.get(issuer.point, 0) + z * challenge
+    try:
+        r_points = {_decompress(encoding): z
+                    for encoding, z in commitments.items()}
+    except ValueError:
+        # An R that decodes to no point fails the batch as a wrong s
+        # does: every item is then judged alone.
+        return False
     scalars: List[int] = []
     tables: List[List[Point]] = []
-    for merged, width in ((commitments, _COMMITMENT_WIDTH),
+    for merged, width in ((r_points, _COMMITMENT_WIDTH),
                           (keys, _WNAF_WIDTH)):
         for point, scalar in merged.items():
             scalar %= _FULL_ORDER
@@ -696,11 +746,12 @@ def verify_batch(items: Sequence[Tuple[bytes, bytes, bytes]]) -> List[bool]:
     Returns one boolean per item, with the contract that the result
     equals ``[verify(pk, msg, sig) for ...]`` (see the module docstring
     for the exact soundness statement).  Structurally invalid items
-    (bad lengths, non-canonical point encodings, ``s >= L``) are
-    rejected up front without touching the combined equation; if the
-    combined equation fails, or the rest is too few to be worth one
+    (bad lengths, ``R`` with ``y >= p``, a key that does not decode,
+    ``s >= L``) are rejected up front without touching the combined
+    equation; if the combined equation fails — an ``R`` that does not
+    decode fails it — or the rest is too few to be worth one
     (:data:`_BATCH_FLOOR`), every remaining item is verified
-    individually from the points already decoded.
+    individually from the keys and scalars already decoded.
     """
     results = [False] * len(items)
     survivors: List[int] = []

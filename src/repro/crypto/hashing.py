@@ -11,7 +11,7 @@ wide output is required, e.g. Ed25519).  Every ledger object carries a
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 __all__ = [
     "sha256",
@@ -89,8 +89,7 @@ class MerkleTree:
     Leaves are hashed with a ``0x00`` domain prefix and interior nodes
     with ``0x01`` so a leaf digest can never be re-interpreted as an
     interior digest (second-preimage hardening).  Odd nodes at any level
-    are promoted unchanged (no duplication), which keeps proofs
-    unambiguous.
+    are promoted unchanged, not paired with a copy of themselves.
     """
 
     _LEAF_PREFIX = b"\x00"
@@ -123,33 +122,6 @@ class MerkleTree:
     @property
     def leaf_count(self) -> int:
         return len(self._leaves)
-
-    def proof(self, index: int) -> List[tuple]:
-        """Return an inclusion proof for the leaf at *index*.
-
-        The proof is a list of ``(is_right, digest)`` pairs from leaf to
-        root: ``is_right`` is True when *digest* is the right sibling.
-        """
-        if not 0 <= index < len(self._leaves):
-            raise IndexError(f"leaf index {index} out of range")
-        path = []
-        for level in self._levels[:-1]:
-            sibling = index ^ 1
-            if sibling < len(level):
-                path.append((sibling > index, level[sibling]))
-            index //= 2
-        return path
-
-    @classmethod
-    def verify_proof(cls, leaf: bytes, proof: Iterable[tuple], root: bytes) -> bool:
-        """Check an inclusion *proof* for *leaf* against *root*."""
-        digest = sha256(cls._LEAF_PREFIX + leaf)
-        for is_right, sibling in proof:
-            if is_right:
-                digest = sha256(cls._NODE_PREFIX + digest + sibling)
-            else:
-                digest = sha256(cls._NODE_PREFIX + sibling + digest)
-        return digest == root
 
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:

@@ -12,8 +12,13 @@ also checked in each state of that cache: key never seen, seen, and
 evicted.  Every chain reads affine table entries through a mixed
 addition, so each entry, its stored negation and the mixed addition
 itself are checked against the oracle's arithmetic point by point.
-The helpers below build adversarial points and expected entries with
-the oracle's arithmetic only.
+The single check compares the encoding of ``[s]B - [h]A`` with the
+signature's ``R`` bytes instead of decoding ``R``, so every class of
+``R`` encoding — non-canonical, undecodable, sign-flipped, shifted by
+torsion, arbitrary — is judged on every path a lone signature takes,
+and the one-pass split schedule is checked on every scalar below
+``2^255``.  The helpers below build adversarial points and expected
+entries with the oracle's arithmetic only.
 """
 
 import pytest
@@ -381,6 +386,21 @@ NON_CANONICAL = [((_P + k) | (sign << 255)).to_bytes(32, "little")
                  for k in range(19) for sign in (0, 1)]
 """Every 32-byte string whose y field is >= p: rejected by decoding."""
 
+
+def _first_non_residue_y():
+    y = 2
+    while True:
+        try:
+            ref._recover_x(y, 0)
+        except ValueError:
+            return y
+        y += 1
+
+
+NON_RESIDUE_Y = _first_non_residue_y()
+"""The least ``y`` below p of no curve point: a canonical encoding that
+does not decode."""
+
 FILLER_KEYS = [product.public_from_secret(generate_secret_key(seed=b"fill-%d" % i))
                for i in range(product._ISSUER_CACHE_SIZE)]
 """Enough distinct keys to turn the issuer LRU over once."""
@@ -547,6 +567,94 @@ class TestIssuerTables:
         assert product.verify_batch([like]) == [expected]   # evicted
 
 
+def _with_r(item, r_bytes):
+    public, message, signature = item
+    return public, message, r_bytes + signature[32:]
+
+
+def _encoding_classes():
+    """``(name, encode)`` for each class of ``R`` encoding: *encode*
+    maps the honest ``R`` bytes to the class's."""
+    def flipped(honest):
+        return honest[:31] + bytes([honest[31] ^ 0x80])
+
+    def plus_torsion(torsion):
+        return lambda honest: _point_compress(_point_add(
+            _point_decompress(honest), _point_decompress(torsion)))
+
+    sign = 1 << 255
+    classes = [("honest", lambda honest: honest),
+               ("sign bit flipped", flipped)]
+    classes += [(f"y >= p #{index}", lambda _, enc=enc: enc)
+                for index, enc in enumerate(NON_CANONICAL)]
+    classes += [(name, lambda _, value=value: value.to_bytes(32, "little"))
+                for name, value in (
+                    ("y = 1, sign bit set", 1 | sign),
+                    ("y = p - 1, sign bit set", (_P - 1) | sign),
+                    ("non-residue y", NON_RESIDUE_Y),
+                    ("non-residue y, sign bit set", NON_RESIDUE_Y | sign))]
+    classes += [(f"R + T #{index}", plus_torsion(torsion))
+                for index, torsion in enumerate(SMALL_ORDER[1:])]
+    return classes
+
+
+ENCODING_CLASSES = _encoding_classes()
+OTHERS = make_items(4, seed_prefix=b"others")
+"""Honest triples from other keys: with one more item, enough for the
+batch equation, whose failure sends every item through the fallback."""
+
+
+def _judged_alike_on_every_path(item):
+    """``verify``, ``verify_batch``'s one-by-one path and its fallback
+    give the oracle's verdict on *item*, each from a cold, a warm and an
+    evicted issuer record."""
+    expected = ref.verify(*item)
+    paths = (
+        ("verify", lambda: [product.verify(*item)], [expected]),
+        ("one by one", lambda: product.verify_batch([item]), [expected]),
+        ("fallback", lambda: product.verify_batch(OTHERS + [item]),
+         [True] * len(OTHERS) + [expected]),
+    )
+    for how in ("cold", "warm", "evicted"):
+        for name, judge, verdicts in paths:
+            _warm_up([item], how)
+            assert judge() == verdicts, (name, how)
+    return expected
+
+
+class TestCommitmentEncodings:
+    """Every class of ``R`` encoding against the oracle, on every path
+    a lone signature takes, in every state of the issuer cache."""
+
+    @pytest.mark.parametrize("name, encode", ENCODING_CLASSES,
+                             ids=[name for name, _ in ENCODING_CLASSES])
+    def test_encoding_class_agrees_with_reference(self, name, encode):
+        item = _honest(b"key-0", b"classes")
+        expected = _judged_alike_on_every_path(
+            _with_r(item, encode(item[2][:32])))
+        assert expected == (name == "honest")
+
+    @pytest.mark.parametrize("key", SMALL_ORDER)
+    def test_sign_bit_of_x_zero_against_torsion_keys(self, key):
+        """With a small-order key and ``s = 0``, ``[s]B - [h]A`` is a
+        torsion point, ``(0, 1)`` or ``(0, -1)`` for some ``h``: then an
+        ``R`` with the same ``y`` differs from its encoding in the sign
+        bit alone, which RFC 8032 refuses where ``x = 0``."""
+        verdicts = [
+            _judged_alike_on_every_path(
+                (key, b"m", (y | sign << 255).to_bytes(32, "little")
+                 + bytes(32)))
+            for y in (1, _P - 1) for sign in (0, 1)]
+        assert verdicts[1] is verdicts[3] is False
+        if key == SMALL_ORDER[0]:
+            assert verdicts[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(honest_items, st.binary(min_size=32, max_size=32))
+    def test_arbitrary_commitment_agrees_with_reference(self, item, r_bytes):
+        _judged_alike_on_every_path(_with_r(item, r_bytes))
+
+
 def _mixed_order_points():
     """Points with torsion and prime-order parts, the identity and pure
     torsion included, each in a random projective representative
@@ -558,6 +666,50 @@ def _mixed_order_points():
         st.one_of(st.just(0), st.integers(min_value=1, max_value=_L - 1)),
         st.sampled_from(SMALL_ORDER),
         st.integers(min_value=1, max_value=_P - 1))
+
+
+_BELOW_2_255 = st.integers(min_value=0, max_value=2 ** 255 - 1)
+_BOUNDARY_SCALARS = [
+    2 ** 255 - 1,                          # the NAF's top digit at bit 255
+    2 ** 255 - 2 ** 224,                   # a carry into row 7's last bit
+    sum(0xFFFF0000 << (32 * i) for i in range(7)),  # carries across cuts
+    sum(2 ** (32 * i + 31) for i in range(7)),      # rows' top bits
+]
+
+
+def _check_split(scalar, point, rows):
+    schedule = []
+    product._schedule_split(schedule, scalar, rows)
+    assert len(schedule) <= product._SPLIT_BITS
+    assert _point_equal(product._run_chain(schedule), _mul(scalar, point))
+
+
+class TestSplitSchedule:
+    """One NAF pass over the whole scalar, cut at the rows: exact for
+    every scalar below ``2^255``, and no chain longer than 32 doublings."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_BELOW_2_255)
+    def test_mul_base_agrees_with_reference(self, scalar):
+        assert _point_equal(product._mul_base(scalar),
+                            ref._point_mul(scalar, ref._BASE))
+
+    @settings(max_examples=20, deadline=None)
+    @given(_BELOW_2_255, _mixed_order_points())
+    def test_issuer_rows_agree_with_reference(self, scalar, point):
+        _check_split(scalar, point, product._niels_rows(
+            product._split_rows(point, product._WNAF_WIDTH)))
+
+    @pytest.mark.parametrize("scalar", [0] + _BOUNDARY_SCALARS)
+    def test_at_the_bound(self, scalar):
+        product.precompute()
+        assert _point_equal(product._mul_base(scalar),
+                            ref._point_mul(scalar, ref._BASE))
+        _check_split(scalar, ref._BASE, product._BASE_ROWS)
+        point = _point_add(_mul(7, ref._BASE),
+                           _point_decompress(SMALL_ORDER[7]))
+        _check_split(scalar, point, product._niels_rows(
+            product._split_rows(point, product._WNAF_WIDTH)))
 
 
 class TestNielsTables:

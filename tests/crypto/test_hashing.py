@@ -109,41 +109,8 @@ class TestMerkleTree:
         fake_leaf = inner._levels[0][0] + inner._levels[0][1]
         assert MerkleTree([fake_leaf]).root != inner.root
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 8, 13])
-    def test_proofs_verify_for_all_leaves(self, count):
-        leaves = [f"leaf-{i}".encode() for i in range(count)]
-        tree = MerkleTree(leaves)
-        for index, leaf in enumerate(leaves):
-            proof = tree.proof(index)
-            assert MerkleTree.verify_proof(leaf, proof, tree.root)
-
-    def test_proof_fails_for_wrong_leaf(self):
-        tree = MerkleTree([b"a", b"b", b"c"])
-        proof = tree.proof(0)
-        assert not MerkleTree.verify_proof(b"x", proof, tree.root)
-
-    def test_proof_fails_for_wrong_root(self):
-        tree = MerkleTree([b"a", b"b", b"c"])
-        proof = tree.proof(1)
-        assert not MerkleTree.verify_proof(b"b", proof, b"\x00" * 32)
-
-    def test_proof_index_out_of_range(self):
-        tree = MerkleTree([b"a"])
-        with pytest.raises(IndexError):
-            tree.proof(1)
-        with pytest.raises(IndexError):
-            tree.proof(-1)
-
     def test_leaf_count(self):
         assert MerkleTree([b"a", b"b", b"c"]).leaf_count == 3
-
-    @given(st.lists(st.binary(max_size=16), min_size=1, max_size=20),
-           st.data())
-    def test_property_random_proofs(self, leaves, data):
-        tree = MerkleTree(leaves)
-        index = data.draw(st.integers(min_value=0, max_value=len(leaves) - 1))
-        proof = tree.proof(index)
-        assert MerkleTree.verify_proof(leaves[index], proof, tree.root)
 
 
 class TestMerkleRoot:

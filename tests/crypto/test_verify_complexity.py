@@ -11,6 +11,17 @@ must not buy a table at all, and the batch lane, whose cost this cache
 must not move.  What the cache pins is stated in bytes, as the
 allocator sees them.
 
+The single check compares encodings instead of decoding ``R``, so a
+warm single verify takes no square root: its one modular
+exponentiation is compression's inversion.  Builtin ``pow`` calls are
+counted by shadowing the module's ``pow``.  A canonical ``R`` whose
+``y`` is no curve point's now costs one chain, where decoding used to
+refuse it for nothing; that adds no amplification, because an ``R``
+that decodes with a wrong ``s`` already costs exactly that chain, and
+any sender can make one.  What is refused for nothing is what is
+cheap to see: the lengths, ``y >= p``, a key that does not decode and
+``s >= L``.
+
 ``PARENT_*`` are the counts of the same inputs before the issuer
 tables existed (the unsplit ``[s]B == R + [h]A``, counted the same
 way); they are what "no more than before" means below.
@@ -21,11 +32,14 @@ import tracemalloc
 import pytest
 
 from repro.crypto import ed25519 as product
-from repro.crypto.ed25519 import _L
+from repro.crypto.ed25519 import _L, _P
 
-from .test_ed25519_accel import NON_CANONICAL, make_items
+from .test_ed25519_accel import NON_CANONICAL, NON_RESIDUE_Y, make_items
 
-WARM_BUDGET = 140
+WARM_BUDGET = 106            # 32 doublings + ~71 mixed additions
+WARM_MEAN_BUDGET = 104       # mean over the `pin` key's signatures
+COLD_BUDGET = 395            # the 288-operation issuer rows + the chain
+SQRT_EXPONENT = (_P - 5) // 8
 PARENT_SINGLE = 362          # mean over the `pin` keys' signatures
 PARENT_BATCH_64_OF_4 = 2442  # make_items(64, seed_prefix=b"pin", issuers=4)
 PARENT_BATCH_2_OF_1 = 425
@@ -59,16 +73,71 @@ def operations(monkeypatch):
     return spent
 
 
+@pytest.fixture
+def exponents(monkeypatch):
+    """Record the exponent of every builtin ``pow`` the module calls."""
+    seen = []
+
+    def counting(base, exponent, modulus=None):
+        seen.append(exponent)
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(product, "pow", counting, raising=False)
+
+    def taken(function, *args):
+        del seen[:]
+        result = function(*args)
+        return list(seen), result
+
+    return taken
+
+
 def test_warm_key_verify_is_one_short_chain(operations):
     items = make_items(16, seed_prefix=b"pin", issuers=1)
     operations(product.verify, *items[0])
+    costs = []
     for item in items:
         cost, ok = operations(product.verify, *item)
         assert ok
         assert cost <= WARM_BUDGET
+        costs.append(cost)
+    assert sum(costs) <= WARM_MEAN_BUDGET * len(costs)
     forged = (items[0][0], b"other", items[0][2])
     cost, ok = operations(product.verify, *forged)
     assert not ok and cost <= WARM_BUDGET
+
+
+def test_warm_verify_takes_no_square_root(exponents):
+    items = make_items(4, seed_prefix=b"pin", issuers=1)
+    product._issuer_cache.clear()
+    taken, ok = exponents(product.verify, *items[0])
+    assert ok and taken.count(SQRT_EXPONENT) == 1      # A, on first sight
+    for public, message, signature in items[1:] + [
+            (items[0][0], b"other", items[0][2])]:
+        taken, _ = exponents(product.verify, public, message, signature)
+        assert taken == [-1]          # compression's inversion, no root
+        taken, _ = exponents(product.verify_batch,
+                             [(public, message, signature)])
+        assert taken == [-1]          # the batch's one-by-one path
+
+
+def test_batch_item_still_decodes_its_commitment(exponents):
+    items = make_items(8, seed_prefix=b"pin", issuers=1)
+    product.verify(*items[0])
+    taken, verdicts = exponents(product.verify_batch, items)
+    assert verdicts == [True] * 8
+    assert taken.count(SQRT_EXPONENT) == 8
+
+
+def test_undecodable_commitment_costs_one_warm_chain(operations):
+    (public, message, signature), = make_items(1, seed_prefix=b"pin")
+    product.verify(public, message, signature)
+    for sign in (0, 1):
+        r_bytes = (NON_RESIDUE_Y | (sign << 255)).to_bytes(32, "little")
+        cost, ok = operations(product.verify, public, message,
+                              r_bytes + signature[32:])
+        assert not ok
+        assert 0 < cost <= WARM_BUDGET
 
 
 def test_fresh_keys_cost_little_more_than_before_and_pin_nothing(operations):
@@ -76,7 +145,7 @@ def test_fresh_keys_cost_little_more_than_before_and_pin_nothing(operations):
     for item in items:
         cost, ok = operations(product.verify, *item)
         assert ok
-        assert cost <= 1.2 * PARENT_SINGLE
+        assert cost <= COLD_BUDGET < 1.1 * PARENT_SINGLE
         assert len(product._issuer_cache) <= product._ISSUER_CACHE_SIZE
     assert items[0][0] not in product._issuer_cache
     with_tables = sum(record.tables is not None

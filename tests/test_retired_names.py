@@ -4,8 +4,9 @@ the registry, worker pool and options that chose between the two, the
 unchained node snapshot merged into ``EpochSnapshot``, the gossip
 seen-set bookkeeping that tangle membership replaced, the ledger's
 first-arrival transfer policy with its two errors, the per-read hook
-that one ``deliver_run`` per read replaced, and the options no caller
-set have no reader, so nothing under ``src/`` may name them again."""
+that one ``deliver_run`` per read replaced, the Merkle inclusion proofs
+nothing built or checked, and the options no caller set have no reader,
+so nothing under ``src/`` may name them again."""
 
 import pathlib
 
@@ -23,7 +24,8 @@ RETIRED = ["sqlite3", "SQLiteStore", "record_events", "MetricEvent",
            "duplicates_suppressed", "gossip_seen",
            "DoubleSpendError", "InsufficientFundsError",
            "double_spends_detected", "prepare_run",
-           "read_chunk", "flush_timeout", "protect_group", "request_timeout"]
+           "read_chunk", "flush_timeout", "protect_group", "request_timeout",
+           "verify_proof"]
 
 
 @pytest.mark.parametrize("name", RETIRED)
