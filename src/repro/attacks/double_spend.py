@@ -42,13 +42,6 @@ class DoubleSpendStats:
     pow_seconds_total: float = 0.0
     assigned_difficulties: List[int] = field(default_factory=list)
 
-    @property
-    def successful_double_spends(self) -> int:
-        """Rounds where *both* conflicting transfers were accepted by
-        the gateways they were sent to (the race was won locally; the
-        network still reconciles to one winner)."""
-        return max(0, self.accepted - self.rounds_started)
-
 
 class DoubleSpendAttacker(NetworkNode):
     """Submits conflicting transfers to two gateways at once.

@@ -6,15 +6,14 @@ seconds apart, forks will happen, and the latest block in the longest
 chain is always chosen, so other blocks in shorter chains are
 considered as invalid blocks" (Section II-A, Fig. 1).
 
-This class keeps *every* received block (a block tree), designates the
-branch with the greatest cumulative work as the main chain, and reports
-fork/orphan statistics — the quantities the DAG-vs-chain comparison
-(Ext-1) measures.
+This class keeps *every* received block (a block tree) and designates
+the branch with the greatest cumulative work as the main chain, whose
+head is :attr:`Blockchain.best_tip`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict
 
 from ..tangle.errors import (
     DuplicateTransactionError,
@@ -33,19 +32,15 @@ class Blockchain:
 
     Args:
         genesis: the genesis block.
-        max_future_skew: reject blocks whose timestamp leads their
-            parent's by less than zero or exceeds sanity bounds.
     """
 
-    def __init__(self, genesis: Block, *, max_future_skew: float = 60.0):
+    def __init__(self, genesis: Block):
         if not genesis.is_genesis:
             raise ValueError("blockchain must be seeded with a genesis block")
         if not genesis.verify_pow():
             raise InvalidPowError("genesis block fails its own PoW")
         self._blocks: Dict[bytes, Block] = {genesis.block_hash: genesis}
-        self._children: Dict[bytes, Set[bytes]] = {genesis.block_hash: set()}
         self._cumulative_work: Dict[bytes, int] = {genesis.block_hash: genesis.work}
-        self._max_future_skew = max_future_skew
         self.genesis = genesis
         self._best_tip = genesis.block_hash
         self.reorg_count = 0
@@ -70,52 +65,6 @@ class Blockchain:
     def height(self) -> int:
         """Height of the main chain head."""
         return self.best_tip.height
-
-    def cumulative_work(self, block_hash: bytes) -> int:
-        return self._cumulative_work[block_hash]
-
-    def main_chain(self) -> List[Block]:
-        """Blocks from genesis to the best tip, in order."""
-        chain: List[Block] = []
-        current: Optional[Block] = self.best_tip
-        while current is not None:
-            chain.append(current)
-            if current.is_genesis:
-                break
-            current = self._blocks.get(current.prev_hash)
-        chain.reverse()
-        return chain
-
-    def is_on_main_chain(self, block_hash: bytes) -> bool:
-        block = self._blocks.get(block_hash)
-        if block is None:
-            return False
-        main = self.main_chain()
-        return block.height < len(main) and main[block.height].block_hash == block_hash
-
-    def confirmed_blocks(self, confirmations: int = 6) -> List[Block]:
-        """Main-chain blocks buried at least *confirmations* deep
-        (the paper's six-block-security reference, Section II-B)."""
-        main = self.main_chain()
-        if confirmations <= 0:
-            return main
-        cutoff = len(main) - confirmations
-        return main[:max(0, cutoff)]
-
-    def confirmed_transactions(self, confirmations: int = 6) -> Iterator:
-        """All transactions inside confirmed main-chain blocks."""
-        for block in self.confirmed_blocks(confirmations):
-            yield from block.transactions
-
-    def orphaned_blocks(self) -> List[Block]:
-        """Blocks not on the main chain — the gray squares of Fig. 1."""
-        main_hashes = {b.block_hash for b in self.main_chain()}
-        return [b for b in self._blocks.values() if b.block_hash not in main_hashes]
-
-    @property
-    def fork_count(self) -> int:
-        """Number of positions where more than one child extends a block."""
-        return sum(1 for kids in self._children.values() if len(kids) > 1)
 
     # -- growth ----------------------------------------------------------
 
@@ -153,8 +102,6 @@ class Blockchain:
                 )
 
         self._blocks[block.block_hash] = block
-        self._children[block.block_hash] = set()
-        self._children[block.prev_hash].add(block.block_hash)
         self._cumulative_work[block.block_hash] = (
             self._cumulative_work[block.prev_hash] + block.work
         )

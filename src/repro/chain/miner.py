@@ -52,10 +52,6 @@ class Miner:
         """Queue a transaction for inclusion in a future block."""
         self.mempool.append(tx)
 
-    @property
-    def mempool_depth(self) -> int:
-        return len(self.mempool)
-
     def mine_next_block(self) -> Optional[Block]:
         """Mine one block from the mempool head; None if the pool is empty.
 
@@ -94,12 +90,3 @@ class Miner:
         self.chain.add_block(block)
         self.blocks_mined += 1
         return block
-
-    def drain(self) -> List[Block]:
-        """Mine until the mempool is empty; returns the blocks produced."""
-        blocks = []
-        while self.mempool:
-            block = self.mine_next_block()
-            if block is not None:
-                blocks.append(block)
-        return blocks

@@ -319,10 +319,6 @@ class DeviceKeyAgent:
         """The installed key for *group*, or None before completion."""
         return self._keys.get(group)
 
-    @property
-    def installed_groups(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._keys))
-
 
 # -- payload protection -------------------------------------------------------
 

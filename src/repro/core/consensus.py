@@ -5,8 +5,7 @@ its PoW.  This module supplies:
 
 * difficulty policies mapping a credit value to a PoW difficulty —
   :class:`InverseDifficultyPolicy` (the literal ``Cr ∝ 1/D`` law) and
-  :class:`LinearDifficultyPolicy` (a clamped linear ablation), plus the
-  :class:`FixedDifficultyPolicy` baseline that *is* the original PoW;
+  the :class:`FixedDifficultyPolicy` baseline that *is* the original PoW;
 * :class:`CreditBasedConsensus`, which wires a
   :class:`~repro.core.credit.CreditRegistry` to a policy, observes
   tangle attaches (detecting lazy tips), ingests double-spend reports,
@@ -37,7 +36,6 @@ __all__ = [
     "DEFAULT_MAX_DIFFICULTY",
     "DifficultyPolicy",
     "FixedDifficultyPolicy",
-    "LinearDifficultyPolicy",
     "InverseDifficultyPolicy",
     "CreditBasedConsensus",
 ]
@@ -72,49 +70,7 @@ class FixedDifficultyPolicy(DifficultyPolicy):
         return self.difficulty
 
 
-class _ClampedPolicy(DifficultyPolicy):
-    """Shared clamping behaviour for adaptive policies."""
-
-    def __init__(self, *, initial_difficulty: int = DEFAULT_INITIAL_DIFFICULTY,
-                 min_difficulty: int = DEFAULT_MIN_DIFFICULTY,
-                 max_difficulty: int = DEFAULT_MAX_DIFFICULTY):
-        if not (hashcash.MIN_DIFFICULTY <= min_difficulty
-                <= initial_difficulty <= max_difficulty <= hashcash.MAX_DIFFICULTY):
-            raise ValueError(
-                "require MIN <= min_difficulty <= initial <= max <= MAX"
-            )
-        self.initial_difficulty = initial_difficulty
-        self.min_difficulty = min_difficulty
-        self.max_difficulty = max_difficulty
-
-    def _clamp(self, difficulty: float) -> int:
-        return int(round(
-            min(self.max_difficulty, max(self.min_difficulty, difficulty))
-        ))
-
-
-class LinearDifficultyPolicy(_ClampedPolicy):
-    """Clamped linear map: an ablation against the inverse law.
-
-    ``D = D0 - reward_gain·Cr`` for positive credit and
-    ``D = D0 + punish_gain·|Cr|`` for negative credit.
-    """
-
-    def __init__(self, *, reward_gain: float = 2.0, punish_gain: float = 0.5,
-                 **kwargs):
-        super().__init__(**kwargs)
-        if reward_gain < 0 or punish_gain < 0:
-            raise ValueError("gains must be non-negative")
-        self.reward_gain = reward_gain
-        self.punish_gain = punish_gain
-
-    def difficulty_for(self, credit: float) -> int:
-        if credit >= 0:
-            return self._clamp(self.initial_difficulty - self.reward_gain * credit)
-        return self._clamp(self.initial_difficulty + self.punish_gain * -credit)
-
-
-class InverseDifficultyPolicy(_ClampedPolicy):
+class InverseDifficultyPolicy(DifficultyPolicy):
     """The paper's ``Cr ∝ 1/D`` law, with a calibrated negative branch.
 
     With a scale constant ``c`` (the credit that halves the difficulty):
@@ -136,22 +92,38 @@ class InverseDifficultyPolicy(_ClampedPolicy):
       ``D = D0 · (c + |Cr|) / c`` — the mirrored hyperbola, which
       saturates at ``max_difficulty`` after the mildest punishment.
 
-    The ablation bench (Ext-3) contrasts both modes.
+    The ablation bench (Ext-3) contrasts both modes.  Every result is
+    rounded and clamped to ``[min_difficulty, max_difficulty]``.
     """
 
     def __init__(self, *, credit_scale: float = 1.0,
                  negative_mode: str = "log-time",
-                 punish_bits: float = 1.2, **kwargs):
-        super().__init__(**kwargs)
+                 punish_bits: float = 1.2,
+                 initial_difficulty: int = DEFAULT_INITIAL_DIFFICULTY,
+                 min_difficulty: int = DEFAULT_MIN_DIFFICULTY,
+                 max_difficulty: int = DEFAULT_MAX_DIFFICULTY):
+        if not (hashcash.MIN_DIFFICULTY <= min_difficulty
+                <= initial_difficulty <= max_difficulty <= hashcash.MAX_DIFFICULTY):
+            raise ValueError(
+                "require MIN <= min_difficulty <= initial <= max <= MAX"
+            )
         if credit_scale <= 0:
             raise ValueError("credit_scale must be positive")
         if negative_mode not in ("log-time", "inverse"):
             raise ValueError(f"unknown negative_mode {negative_mode!r}")
         if punish_bits <= 0:
             raise ValueError("punish_bits must be positive")
+        self.initial_difficulty = initial_difficulty
+        self.min_difficulty = min_difficulty
+        self.max_difficulty = max_difficulty
         self.credit_scale = credit_scale
         self.negative_mode = negative_mode
         self.punish_bits = punish_bits
+
+    def _clamp(self, difficulty: float) -> int:
+        return int(round(
+            min(self.max_difficulty, max(self.min_difficulty, difficulty))
+        ))
 
     def difficulty_for(self, credit: float) -> int:
         c = self.credit_scale

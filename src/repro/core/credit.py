@@ -382,9 +382,6 @@ class CreditRegistry:
         self._node(node_id).malicious.append((timestamp, behaviour))
         self._m_penalties.inc(behaviour=behaviour)
 
-    def known_nodes(self) -> List[bytes]:
-        return sorted(self._history)
-
     def transaction_count(self, node_id: bytes) -> int:
         history = self._history.get(node_id)
         return len(history.records) if history else 0

@@ -1,15 +1,20 @@
-"""Pure-Python AES (FIPS-197) with CTR and CBC modes.
+"""Pure-Python AES (FIPS-197) encryption in CTR mode.
 
 The paper's data authority management method encrypts sensor payloads
 with AES implemented in C before posting them to the transparent ledger
 (Section V-A) and evaluates the encryption cost on a Raspberry Pi 3B
 (Fig. 10).  This module is a from-scratch, table-driven implementation of
-the block cipher for all three key sizes plus the two modes the system
-uses:
+the block cipher for all three key sizes and the one mode the system
+uses, **CTR** (parallel, no padding), for payloads, key distribution
+and ECIES alike.
 
-* **CTR** — used for payload encryption (parallel, no padding);
-* **CBC + PKCS#7** — provided for interoperability tests and the ablation
-  bench comparing modes.
+CTR XORs the data with encryptions of counter blocks, so decryption is
+the same operation as encryption: the block cipher only ever runs
+forward.  There is therefore no inverse cipher here: no inverse S-box,
+no decryption tables and no inverse key schedule.  The inverse schedule
+alone (InvMixColumns over every inner round key) would be ~97 % of the
+cost of each ``AES(key)`` construction, which happens once per sealed
+reading, for output nothing reads.
 
 The S-box and round tables are *generated* at import time from the
 GF(2^8) field definition rather than hard-coded, which keeps the module
@@ -26,10 +31,6 @@ __all__ = [
     "AES",
     "ctr_encrypt",
     "ctr_decrypt",
-    "cbc_encrypt",
-    "cbc_decrypt",
-    "pkcs7_pad",
-    "pkcs7_unpad",
     "BLOCK_SIZE",
 ]
 
@@ -52,8 +53,8 @@ def _gf_mul(a: int, b: int) -> int:
     return product
 
 
-def _build_sbox() -> tuple:
-    """Generate the AES S-box and its inverse from field arithmetic.
+def _build_sbox() -> List[int]:
+    """Generate the AES S-box from field arithmetic.
 
     3 generates the multiplicative group of GF(2^8), so with its powers
     tabulated (antilog) and their exponents (log), the inverse of a
@@ -66,7 +67,6 @@ def _build_sbox() -> tuple:
         log[value] = power
     inverse = [0] + [antilog[-log[x] % 255] for x in range(1, 256)]
     sbox = [0] * 256
-    inv_sbox = [0] * 256
     for x in range(256):
         value = inverse[x]
         # Affine transform: s = v ^ rotl(v,1) ^ rotl(v,2) ^ rotl(v,3) ^ rotl(v,4) ^ 0x63
@@ -75,11 +75,10 @@ def _build_sbox() -> tuple:
             rotated = ((value << shift) | (value >> (8 - shift))) & 0xFF
             result ^= rotated
         sbox[x] = result
-        inv_sbox[result] = x
-    return sbox, inv_sbox
+    return sbox
 
 
-_SBOX, _INV_SBOX = _build_sbox()
+_SBOX = _build_sbox()
 
 
 def _build_enc_tables() -> List[List[int]]:
@@ -96,43 +95,9 @@ def _build_enc_tables() -> List[List[int]]:
     return tables
 
 
-def _build_dec_tables() -> List[List[int]]:
-    """Build the four decryption T-tables (InvSubBytes+InvMixColumns)."""
-    d0 = []
-    for x in range(256):
-        s = _INV_SBOX[x]
-        word = (
-            (_gf_mul(14, s) << 24)
-            | (_gf_mul(9, s) << 16)
-            | (_gf_mul(13, s) << 8)
-            | _gf_mul(11, s)
-        )
-        d0.append(word)
-    tables = [d0]
-    for _ in range(3):
-        prev = tables[-1]
-        tables.append([((w >> 8) | ((w & 0xFF) << 24)) & 0xFFFFFFFF for w in prev])
-    return tables
-
-
 _T0, _T1, _T2, _T3 = _build_enc_tables()
-_D0, _D1, _D2, _D3 = _build_dec_tables()
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8, 0xAB, 0x4D]
-
-
-def _inv_mix_column_word(word: int) -> int:
-    """Apply InvMixColumns to a single 32-bit column word."""
-    b0 = (word >> 24) & 0xFF
-    b1 = (word >> 16) & 0xFF
-    b2 = (word >> 8) & 0xFF
-    b3 = word & 0xFF
-    return (
-        ((_gf_mul(14, b0) ^ _gf_mul(11, b1) ^ _gf_mul(13, b2) ^ _gf_mul(9, b3)) << 24)
-        | ((_gf_mul(9, b0) ^ _gf_mul(14, b1) ^ _gf_mul(11, b2) ^ _gf_mul(13, b3)) << 16)
-        | ((_gf_mul(13, b0) ^ _gf_mul(9, b1) ^ _gf_mul(14, b2) ^ _gf_mul(11, b3)) << 8)
-        | (_gf_mul(11, b0) ^ _gf_mul(13, b1) ^ _gf_mul(9, b2) ^ _gf_mul(14, b3))
-    )
 
 
 class AES:
@@ -140,12 +105,12 @@ class AES:
 
     Instances are immutable once constructed; the expensive work is the
     key expansion performed in ``__init__``, after which
-    :meth:`encrypt_block` / :meth:`decrypt_block` run a fixed number of
-    table lookups per 16-byte block.
+    :meth:`encrypt_block` runs a fixed number of table lookups per
+    16-byte block.
 
-    >>> cipher = AES(bytes(range(16)))
-    >>> cipher.decrypt_block(cipher.encrypt_block(b"sixteen byte msg"))
-    b'sixteen byte msg'
+    >>> AES(bytes(range(16))).encrypt_block(
+    ...     bytes.fromhex("00112233445566778899aabbccddeeff")).hex()
+    '69c4e0d86a7b0430d8cdb78070b4c55a'
     """
 
     def __init__(self, key: bytes):
@@ -156,7 +121,6 @@ class AES:
         self.key_size = len(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._round_keys = self._expand_key(key)
-        self._dec_round_keys = self._invert_round_keys(self._round_keys, self.rounds)
 
     def _expand_key(self, key: bytes) -> List[int]:
         nk = len(key) // 4
@@ -183,17 +147,6 @@ class AES:
                 )
             words.append(words[i - nk] ^ temp)
         return words
-
-    @staticmethod
-    def _invert_round_keys(round_keys: List[int], rounds: int) -> List[int]:
-        """Round keys for the equivalent inverse cipher."""
-        inverted: List[int] = []
-        for round_index in range(rounds + 1):
-            source = round_keys[4 * (rounds - round_index): 4 * (rounds - round_index) + 4]
-            if 0 < round_index < rounds:
-                source = [_inv_mix_column_word(w) for w in source]
-            inverted.extend(source)
-        return inverted
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt a single 16-byte *block*."""
@@ -229,60 +182,6 @@ class AES:
               | (sbox[(s1 >> 8) & 0xFF] << 8) | sbox[s2 & 0xFF]) ^ rk[offset + 3]
         return struct.pack(">4I", f0, f1, f2, f3)
 
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt a single 16-byte *block*."""
-        if len(block) != BLOCK_SIZE:
-            raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        rk = self._dec_round_keys
-        d0, d1, d2, d3 = _D0, _D1, _D2, _D3
-        s0, s1, s2, s3 = struct.unpack(">4I", block)
-        s0 ^= rk[0]
-        s1 ^= rk[1]
-        s2 ^= rk[2]
-        s3 ^= rk[3]
-        offset = 4
-        for _ in range(self.rounds - 1):
-            e0 = (d0[s0 >> 24] ^ d1[(s3 >> 16) & 0xFF] ^ d2[(s2 >> 8) & 0xFF]
-                  ^ d3[s1 & 0xFF] ^ rk[offset])
-            e1 = (d0[s1 >> 24] ^ d1[(s0 >> 16) & 0xFF] ^ d2[(s3 >> 8) & 0xFF]
-                  ^ d3[s2 & 0xFF] ^ rk[offset + 1])
-            e2 = (d0[s2 >> 24] ^ d1[(s1 >> 16) & 0xFF] ^ d2[(s0 >> 8) & 0xFF]
-                  ^ d3[s3 & 0xFF] ^ rk[offset + 2])
-            e3 = (d0[s3 >> 24] ^ d1[(s2 >> 16) & 0xFF] ^ d2[(s1 >> 8) & 0xFF]
-                  ^ d3[s0 & 0xFF] ^ rk[offset + 3])
-            s0, s1, s2, s3 = e0, e1, e2, e3
-            offset += 4
-        inv = _INV_SBOX
-        f0 = ((inv[s0 >> 24] << 24) | (inv[(s3 >> 16) & 0xFF] << 16)
-              | (inv[(s2 >> 8) & 0xFF] << 8) | inv[s1 & 0xFF]) ^ rk[offset]
-        f1 = ((inv[s1 >> 24] << 24) | (inv[(s0 >> 16) & 0xFF] << 16)
-              | (inv[(s3 >> 8) & 0xFF] << 8) | inv[s2 & 0xFF]) ^ rk[offset + 1]
-        f2 = ((inv[s2 >> 24] << 24) | (inv[(s1 >> 16) & 0xFF] << 16)
-              | (inv[(s0 >> 8) & 0xFF] << 8) | inv[s3 & 0xFF]) ^ rk[offset + 2]
-        f3 = ((inv[s3 >> 24] << 24) | (inv[(s2 >> 16) & 0xFF] << 16)
-              | (inv[(s1 >> 8) & 0xFF] << 8) | inv[s0 & 0xFF]) ^ rk[offset + 3]
-        return struct.pack(">4I", f0, f1, f2, f3)
-
-
-def pkcs7_pad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
-    """Pad *data* to a multiple of *block_size* (PKCS#7)."""
-    if not 1 <= block_size <= 255:
-        raise ValueError("block_size must be in [1, 255]")
-    pad_len = block_size - len(data) % block_size
-    return data + bytes([pad_len]) * pad_len
-
-
-def pkcs7_unpad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
-    """Strip PKCS#7 padding, raising ``ValueError`` on malformed input."""
-    if not data or len(data) % block_size != 0:
-        raise ValueError("padded data length must be a positive multiple of block size")
-    pad_len = data[-1]
-    if not 1 <= pad_len <= block_size:
-        raise ValueError("invalid padding byte")
-    if data[-pad_len:] != bytes([pad_len]) * pad_len:
-        raise ValueError("inconsistent padding")
-    return data[:-pad_len]
-
 
 def _ctr_keystream(cipher: AES, nonce: bytes, length: int) -> bytes:
     """Generate *length* bytes of CTR keystream for *nonce*.
@@ -313,36 +212,3 @@ def ctr_encrypt(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
 def ctr_decrypt(key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
     """Decrypt AES-CTR output (CTR is its own inverse)."""
     return ctr_encrypt(key, nonce, ciphertext)
-
-
-def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
-    """Encrypt *plaintext* with AES-CBC and PKCS#7 padding."""
-    if len(iv) != BLOCK_SIZE:
-        raise ValueError(f"CBC IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
-    cipher = key if isinstance(key, AES) else AES(key)
-    padded = pkcs7_pad(plaintext)
-    out = bytearray()
-    previous = iv
-    for start in range(0, len(padded), BLOCK_SIZE):
-        block = padded[start: start + BLOCK_SIZE]
-        mixed = bytes(a ^ b for a, b in zip(block, previous))
-        previous = cipher.encrypt_block(mixed)
-        out.extend(previous)
-    return bytes(out)
-
-
-def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
-    """Decrypt AES-CBC output and strip PKCS#7 padding."""
-    if len(iv) != BLOCK_SIZE:
-        raise ValueError(f"CBC IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
-    if not ciphertext or len(ciphertext) % BLOCK_SIZE != 0:
-        raise ValueError("ciphertext length must be a positive multiple of 16")
-    cipher = key if isinstance(key, AES) else AES(key)
-    out = bytearray()
-    previous = iv
-    for start in range(0, len(ciphertext), BLOCK_SIZE):
-        block = ciphertext[start: start + BLOCK_SIZE]
-        plain = cipher.decrypt_block(block)
-        out.extend(a ^ b for a, b in zip(plain, previous))
-        previous = block
-    return pkcs7_unpad(bytes(out))

@@ -69,12 +69,6 @@ class LightNodeStats:
             return 0.0
         return sum(self.pow_times) / len(self.pow_times)
 
-    @property
-    def mean_submit_latency(self) -> float:
-        if not self.submit_latencies:
-            return 0.0
-        return sum(self.submit_latencies) / len(self.submit_latencies)
-
 
 class LightNode(NetworkNode):
     """An IoT device submitting sensor readings through a gateway.

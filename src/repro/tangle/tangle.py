@@ -28,11 +28,9 @@ Three hot paths are engineered for large ledgers:
   exact; the batching is invisible except in speed.  Readers that only
   need ``min(weight, limit)`` — credit admission — use
   :meth:`Tangle.capped_weight`, which never flushes.
-* **The tip pool** keeps a lazily rebuilt sorted cache plus per-tip
-  issuer/arrival/height metadata, so :meth:`Tangle.tips` and selector
-  sampling stop re-sorting the pool on every call, and
-  :meth:`Tangle.newest_tip_arrival` answers in O(log n) amortised via
-  a lazy max-heap instead of an O(tips) scan.
+* **The tip pool** keeps a lazily rebuilt sorted cache, so
+  :meth:`Tangle.tips` and selector sampling stop re-sorting the pool
+  on every call.
 * **Depth from tips** is answered from a multi-source BFS map cached
   per tangle version instead of a fresh future-cone BFS per query.
 
@@ -44,7 +42,6 @@ WeightedRandomWalkSelector`).
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
@@ -57,7 +54,7 @@ from .errors import (
 )
 from .transaction import Transaction, ZERO_HASH
 
-__all__ = ["Tangle", "AttachResult", "TipInfo", "Validator",
+__all__ = ["Tangle", "AttachResult", "Validator",
            "DEFAULT_WEIGHT_FLUSH_INTERVAL"]
 
 Validator = Callable[["Tangle", Transaction], None]
@@ -94,21 +91,6 @@ class AttachResult:
     parents_were_tips: Tuple[bool, bool]
     parent_ages: Tuple[float, float]
     new_tip_count: int
-
-    @property
-    def approved_fresh_tips(self) -> bool:
-        """True when both approved parents were still unapproved tips."""
-        return all(self.parents_were_tips)
-
-
-@dataclass(frozen=True)
-class TipInfo:
-    """O(1) metadata the tip-pool index keeps per tip."""
-
-    tx_hash: bytes
-    issuer: bytes
-    arrival_time: float
-    height: int
 
 
 class Tangle:
@@ -172,10 +154,8 @@ class Tangle:
         # Height index for milestone-style walk entry points.
         self._by_height: Dict[int, List[bytes]] = {}
         self._max_height: int = 0
-        # Tip-pool index: lazily rebuilt sorted cache + lazy max-heap of
-        # (-arrival, hash) for newest_tip_arrival.
+        # Tip-pool index: lazily rebuilt sorted cache.
         self._tips_cache: Optional[Tuple[bytes, ...]] = None
-        self._tip_arrival_heap: List[Tuple[float, bytes]] = []
         # Tips removed without an approval (snapshot restores): they
         # bound depth_from_tips for fully buried history.
         self._retired: Set[bytes] = set()
@@ -267,37 +247,6 @@ class Tangle:
 
     def is_tip(self, tx_hash: bytes) -> bool:
         return tx_hash in self._tips
-
-    def tip_info(self, tx_hash: bytes) -> TipInfo:
-        """Issuer/arrival/height metadata for one current tip (O(1))."""
-        if tx_hash not in self._tips:
-            raise KeyError(tx_hash)
-        tx = self._transactions[tx_hash]
-        return TipInfo(
-            tx_hash=tx_hash,
-            issuer=tx.issuer.node_id,
-            arrival_time=self._arrival_time[tx_hash],
-            height=self._height[tx_hash],
-        )
-
-    def tip_metadata(self) -> List[TipInfo]:
-        """Metadata for every current tip, in sorted-hash order."""
-        return [self.tip_info(h) for h in self.tip_sequence()]
-
-    def newest_tip_arrival(self) -> float:
-        """Latest arrival time among current tips (O(log n) amortised).
-
-        Backed by a lazy max-heap: stale entries (transactions approved
-        or retired since they were pushed) are discarded on read, so
-        per-attach consumers like the timestamp validator no longer
-        scan the whole tip pool.
-        """
-        heap = self._tip_arrival_heap
-        while heap and heap[0][1] not in self._tips:
-            heapq.heappop(heap)
-        if not heap:
-            raise ValueError("tangle has no tips")
-        return -heap[0][0]
 
     def retire_tip(self, tx_hash: bytes) -> None:
         """Remove *tx_hash* from the tip pool without an approval.
@@ -524,10 +473,6 @@ class Tangle:
             queue.extend(self.parents(current))
         return seen
 
-    def transactions_by_issuer(self, node_id: bytes) -> List[Transaction]:
-        """All attached transactions issued by *node_id*, arrival order."""
-        return [tx for tx in self if tx.issuer.node_id == node_id]
-
     def observe_walk(self, steps: int) -> None:
         """Record one tip-selection walk of *steps* hops — the seam
         selectors use so walk-length telemetry lands next to the
@@ -610,7 +555,6 @@ class Tangle:
         self._tips_cache = None
         self._version += 1
         self._m_tips_gauge.set(len(self._tips))
-        heapq.heappush(self._tip_arrival_heap, (-arrival_time, tx_hash))
         self._cumulative_weight[tx_hash] = 1
         if self._track_weight and parents:
             self._pending_weight.append(tx_hash)

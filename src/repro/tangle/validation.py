@@ -11,7 +11,7 @@ duplicates).  Everything else composes in as validators:
   full node (or a deployment of full nodes sharing one cache) pays the
   Ed25519 verify and the PoW hash exactly once per transaction instead
   of once per hop/duplicate;
-* :func:`timestamp_validator` — reject far-future timestamps;
+* :func:`timestamp_validator` — reject a transaction older than a parent;
 * :func:`detect_lazy_approval` — classify an attach as lazy-tips
   misbehaviour, the detector feeding the credit mechanism's αl penalty.
 """
@@ -249,22 +249,16 @@ def crypto_validator(*, min_difficulty: int = 1,
     return validate
 
 
-def timestamp_validator(*, max_future_skew: float = 5.0) -> Validator:
-    """Reject transactions whose timestamp precedes their parents or
-    leads the newest known transaction by more than *max_future_skew*.
+def timestamp_validator() -> Validator:
+    """Reject transactions whose timestamp precedes either parent's.
 
-    DAG clocks are loose (arrival time is authoritative), but a sanity
-    window blocks trivially forged histories.
+    DAG clocks are loose (arrival time is authoritative), but a
+    transaction cannot approve one issued after it.  A bound on future
+    skew is a property of the receiving node's clock, not of the
+    tangle, so it belongs at the service boundary.
     """
 
     def validate(tangle: Tangle, tx: Transaction) -> None:
-        # O(log n) amortised via the tip-pool index, not an O(tips) scan.
-        newest = tangle.newest_tip_arrival()
-        if tx.timestamp > newest + max_future_skew:
-            raise TimestampError(
-                f"{tx.short_hash} timestamp {tx.timestamp:.3f} is more than "
-                f"{max_future_skew}s ahead of the tangle ({newest:.3f})"
-            )
         for parent in (tx.branch, tx.trunk):
             if parent not in tangle:
                 continue  # pruned entry point: no content to compare

@@ -100,7 +100,6 @@ class Tracer:
             self._time_fn = clock.now
         self._next_id = 1
         self._stack: List[Span] = []
-        self._open_explicit: Dict[int, Span] = {}
         self._current: Optional[TraceContext] = None
         self.spans: List[Span] = []  # finished spans, in end order
 
@@ -126,10 +125,11 @@ class Tracer:
 
         Lexical spans unwind the stack (any deeper spans left open are
         closed innermost first — a scheduler callback that raised must
-        not wedge the stack); explicit-parent spans close individually.
+        not wedge the stack); explicit-parent spans, which are never on
+        the stack, close individually.
         """
-        if span.span_id in self._open_explicit:
-            del self._open_explicit[span.span_id]
+        if span.end is None and all(open_span is not span
+                                    for open_span in self._stack):
             span.end = self._time_fn()
             self.spans.append(span)
             return span
@@ -168,7 +168,6 @@ class Tracer:
             trace_id=trace_id,
         )
         self._next_id += 1
-        self._open_explicit[span.span_id] = span
         return span
 
     def start_child_span(self, name: str, parent: TraceContext,
@@ -183,7 +182,6 @@ class Tracer:
             trace_id=parent.trace_id,
         )
         self._next_id += 1
-        self._open_explicit[span.span_id] = span
         return span
 
     def context_of(self, span: Span) -> TraceContext:
@@ -216,11 +214,6 @@ class Tracer:
     @property
     def open_depth(self) -> int:
         return len(self._stack)
-
-    @property
-    def open_explicit(self) -> List[Span]:
-        """Explicit-parent spans still open, in creation order."""
-        return list(self._open_explicit.values())
 
     def finished(self, name: Optional[str] = None) -> List[Span]:
         """Finished spans, optionally filtered by name."""

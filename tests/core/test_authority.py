@@ -69,7 +69,6 @@ class TestKeyDistributionHappyPath:
         assert manager.is_completed(session)
         assert device.key_for() == manager.group_key()
         assert manager.completed_distributions == 1
-        assert device.installed_groups == (DEFAULT_GROUP,)
 
     def test_group_key_generated_once(self):
         manager = ManagerKeyDistributor(MANAGER)

@@ -9,7 +9,6 @@ from repro.core.consensus import (
     CreditBasedConsensus,
     FixedDifficultyPolicy,
     InverseDifficultyPolicy,
-    LinearDifficultyPolicy,
 )
 from repro.core.credit import CreditRegistry, MaliciousBehaviour
 from repro.crypto.keys import KeyPair
@@ -99,24 +98,6 @@ class TestInversePolicy:
         for credit in (0.0, 0.5, 2.0, 10.0):
             assert (log_time.difficulty_for(credit)
                     == inverse.difficulty_for(credit))
-
-
-class TestLinearPolicy:
-    def test_gains(self):
-        policy = LinearDifficultyPolicy(reward_gain=2.0, punish_gain=1.0,
-                                        initial_difficulty=11)
-        assert policy.difficulty_for(2.0) == 7
-        assert policy.difficulty_for(-3.0) == 14
-        assert policy.difficulty_for(0.0) == 11
-
-    def test_clamps(self):
-        policy = LinearDifficultyPolicy(reward_gain=100.0, punish_gain=100.0)
-        assert policy.difficulty_for(10.0) == DEFAULT_MIN_DIFFICULTY
-        assert policy.difficulty_for(-10.0) == DEFAULT_MAX_DIFFICULTY
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LinearDifficultyPolicy(reward_gain=-1.0)
 
 
 class TestCreditBasedConsensus:

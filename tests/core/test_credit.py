@@ -196,12 +196,6 @@ class TestBookkeeping:
         assert registry.malicious_count(NODE) == 1
         assert registry.transaction_count(OTHER) == 0
 
-    def test_known_nodes(self):
-        registry = CreditRegistry()
-        registry.record_transaction(OTHER, bytes(32), 1.0)
-        registry.record_transaction(NODE, bytes(32), 1.0)
-        assert registry.known_nodes() == sorted([NODE, OTHER])
-
     def test_forget_before_prunes_transactions_only(self):
         registry = CreditRegistry()
         registry.record_transaction(NODE, bytes(32), 1.0)

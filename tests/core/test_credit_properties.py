@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.consensus import (
     FixedDifficultyPolicy,
     InverseDifficultyPolicy,
-    LinearDifficultyPolicy,
 )
 from repro.core.credit import CreditParameters, CreditRegistry, MaliciousBehaviour
 
@@ -97,7 +96,6 @@ class TestCreditLaws:
 
 POLICIES = [
     FixedDifficultyPolicy(11),
-    LinearDifficultyPolicy(),
     InverseDifficultyPolicy(),
     InverseDifficultyPolicy(negative_mode="inverse"),
     InverseDifficultyPolicy(credit_scale=3.0, punish_bits=2.0),

@@ -4,22 +4,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import aes
-from repro.crypto.aes import (
-    AES,
-    BLOCK_SIZE,
-    cbc_decrypt,
-    cbc_encrypt,
-    ctr_decrypt,
-    ctr_encrypt,
-    pkcs7_pad,
-    pkcs7_unpad,
-)
+from repro.crypto.aes import AES, ctr_decrypt, ctr_encrypt
 
 FIPS_PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
 
+SP800_38A_PLAINTEXT = [
+    "6bc1bee22e409f96e93d7e117393172a",
+    "ae2d8a571e03ac9c9eb76fac45af8e51",
+    "30c81c46a35ce411e5fbc1191a0a52ef",
+    "f69f2445df4f9b17ad2b417be66c3710",
+]
+
 
 def brute_force_sbox():
-    """The S-box and its inverse with every field inverse found by
+    """The S-box with every field inverse found by
     search (~23 000 multiplications): the oracle for the log/antilog
     build the module runs at import."""
     inverse = [0] * 256
@@ -32,22 +30,39 @@ def brute_force_sbox():
                 inverse[y] = x
                 break
     sbox = [0] * 256
-    inv_sbox = [0] * 256
     for x in range(256):
         value = inverse[x]
         result = 0x63
         for shift in range(5):
             result ^= ((value << shift) | (value >> (8 - shift))) & 0xFF
         sbox[x] = result
-        inv_sbox[result] = x
-    return sbox, inv_sbox
+    return sbox
 
 
 class TestTables:
     def test_sbox_equals_the_brute_force_oracle(self):
-        sbox, inv_sbox = brute_force_sbox()
-        assert aes._SBOX == sbox
-        assert aes._INV_SBOX == inv_sbox
+        assert aes._SBOX == brute_force_sbox()
+
+
+class TestKeyScheduleCost:
+    """Construction is the forward key expansion only: S-box lookups,
+    no field multiplication.  An inverse schedule (InvMixColumns over
+    every inner round key) would cost 576 / 704 / 832 ``_gf_mul`` calls
+    for 16- / 24- / 32-byte keys on every ``AES(key)``, i.e. on every
+    sealed reading."""
+
+    @pytest.mark.parametrize("key_size", [16, 24, 32])
+    def test_construction_makes_no_field_multiplication(self, key_size, monkeypatch):
+        calls = []
+        real = aes._gf_mul
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(aes, "_gf_mul", counting)
+        AES(bytes(range(key_size)))
+        assert len(calls) == 0
 
 
 class TestBlockCipherVectors:
@@ -71,19 +86,28 @@ class TestBlockCipherVectors:
             "8ea2b7ca516745bfeafc49904b496089"
         )
 
-    @pytest.mark.parametrize("key_size", [16, 24, 32])
-    def test_decrypt_inverts_encrypt(self, key_size):
-        cipher = AES(bytes(range(key_size)))
-        block = b"0123456789abcdef"
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
-    def test_sp800_38a_cbc_aes128_first_block(self):
-        """NIST SP 800-38A F.2.1 (our CBC appends a padding block)."""
-        key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
-        iv = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-        plaintext = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
-        ciphertext = cbc_encrypt(key, iv, plaintext)
-        assert ciphertext[:16].hex() == "7649abac8119b246cee98e9b12e9197d"
+    @pytest.mark.parametrize("key, ciphertexts", [
+        # F.1.1 ECB-AES128.Encrypt
+        ("2b7e151628aed2a6abf7158809cf4f3c", [
+            "3ad77bb40d7a3660a89ecaf32466ef97",
+            "f5d3d58503b9699de785895a96fdbaaf",
+            "43b1cd7f598ece23881b00e3ed030688",
+            "7b0c785e27e8ad3f8223207104725dd4",
+        ]),
+        # F.1.5 ECB-AES256.Encrypt
+        ("603deb1015ca71be2b73aef0857d7781"
+         "1f352c073b6108d72d9810a30914dff4", [
+            "f3eed1bdb5d2a03c064b5a7e3db181f8",
+            "591ccb10d410ed26dc5ba74a31362870",
+            "b6ed21b99ca6f4f9f153e7b1beafed1d",
+            "23304b7a39f9f3ff067d8d8f9e24ecc7",
+        ]),
+    ], ids=["F.1.1-aes128", "F.1.5-aes256"])
+    def test_sp800_38a_ecb_encrypt(self, key, ciphertexts):
+        """NIST SP 800-38A Appendix F.1: four blocks per key size."""
+        cipher = AES(bytes.fromhex(key))
+        for plaintext, expected in zip(SP800_38A_PLAINTEXT, ciphertexts):
+            assert cipher.encrypt_block(bytes.fromhex(plaintext)).hex() == expected
 
     def test_rounds_per_key_size(self):
         assert AES(bytes(16)).rounds == 10
@@ -99,50 +123,6 @@ class TestBlockCipherErrors:
     def test_bad_block_size_encrypt(self):
         with pytest.raises(ValueError):
             AES(bytes(16)).encrypt_block(b"short")
-
-    def test_bad_block_size_decrypt(self):
-        with pytest.raises(ValueError):
-            AES(bytes(16)).decrypt_block(b"x" * 17)
-
-
-class TestPkcs7:
-    def test_pad_length_always_multiple(self):
-        for n in range(0, 33):
-            padded = pkcs7_pad(bytes(n))
-            assert len(padded) % BLOCK_SIZE == 0
-            assert len(padded) > n
-
-    def test_full_block_input_gets_full_block_padding(self):
-        padded = pkcs7_pad(bytes(16))
-        assert len(padded) == 32
-        assert padded[-1] == 16
-
-    def test_unpad_rejects_bad_terminal_byte(self):
-        with pytest.raises(ValueError):
-            pkcs7_unpad(bytes(15) + b"\x00")
-
-    def test_unpad_rejects_inconsistent_padding(self):
-        data = bytes(14) + b"\x01\x02"
-        with pytest.raises(ValueError):
-            pkcs7_unpad(data)
-
-    def test_unpad_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            pkcs7_unpad(b"x" * 15)
-
-    def test_unpad_rejects_empty(self):
-        with pytest.raises(ValueError):
-            pkcs7_unpad(b"")
-
-    def test_pad_block_size_bounds(self):
-        with pytest.raises(ValueError):
-            pkcs7_pad(b"x", block_size=0)
-        with pytest.raises(ValueError):
-            pkcs7_pad(b"x", block_size=256)
-
-    @given(st.binary(max_size=100))
-    def test_roundtrip(self, data):
-        assert pkcs7_unpad(pkcs7_pad(data)) == data
 
 
 class TestCtrMode:
@@ -195,51 +175,3 @@ class TestCtrMode:
     def test_property_roundtrip(self, message):
         ct = ctr_encrypt(self.KEY, self.NONCE, message)
         assert ctr_decrypt(self.KEY, self.NONCE, ct) == message
-
-
-class TestCbcMode:
-    KEY = bytes(range(16))
-    IV = bytes(16)
-
-    def test_roundtrip(self):
-        message = b"cbc roundtrip message"
-        assert cbc_decrypt(self.KEY, self.IV, cbc_encrypt(self.KEY, self.IV, message)) == message
-
-    def test_empty_message_roundtrip(self):
-        assert cbc_decrypt(self.KEY, self.IV, cbc_encrypt(self.KEY, self.IV, b"")) == b""
-
-    def test_iv_must_be_block_sized(self):
-        with pytest.raises(ValueError):
-            cbc_encrypt(self.KEY, b"short", b"data")
-        with pytest.raises(ValueError):
-            cbc_decrypt(self.KEY, b"short", bytes(16))
-
-    def test_decrypt_rejects_partial_blocks(self):
-        with pytest.raises(ValueError):
-            cbc_decrypt(self.KEY, self.IV, b"x" * 20)
-
-    def test_decrypt_rejects_empty(self):
-        with pytest.raises(ValueError):
-            cbc_decrypt(self.KEY, self.IV, b"")
-
-    def test_tampered_ciphertext_breaks_padding_or_content(self):
-        message = b"A" * 32
-        ct = bytearray(cbc_encrypt(self.KEY, self.IV, message))
-        ct[-1] ^= 0xFF  # corrupt final (padding) block
-        try:
-            result = cbc_decrypt(self.KEY, self.IV, bytes(ct))
-        except ValueError:
-            return
-        assert result != message
-
-    def test_identical_blocks_do_not_repeat(self):
-        # CBC chains: two identical plaintext blocks yield different
-        # ciphertext blocks (unlike ECB).
-        ct = cbc_encrypt(self.KEY, self.IV, bytes(32))
-        assert ct[:16] != ct[16:32]
-
-    @given(st.binary(max_size=100))
-    @settings(max_examples=25)
-    def test_property_roundtrip(self, message):
-        ct = cbc_encrypt(self.KEY, self.IV, message)
-        assert cbc_decrypt(self.KEY, self.IV, ct) == message

@@ -69,20 +69,6 @@ class TestTipPoolInvariant:
             )
             assert tangle.tips() == unapproved
 
-    def test_tip_metadata_matches_transactions(self):
-        genesis, schedule = random_growth_schedule(2, length=30)
-        tangle = Tangle(genesis)
-        for tx in schedule:
-            tangle.attach(tx, arrival_time=tx.timestamp)
-        for info in tangle.tip_metadata():
-            tx = tangle.get(info.tx_hash)
-            assert info.issuer == tx.issuer.node_id
-            assert info.arrival_time == tangle.arrival_time(info.tx_hash)
-            assert info.height == tangle.height(info.tx_hash)
-        assert tangle.newest_tip_arrival() == max(
-            tangle.arrival_time(h) for h in tangle.tips()
-        )
-
 
 class TestWeightMonotonicity:
     @pytest.mark.parametrize("interval", (1, 5, 64))
@@ -108,7 +94,7 @@ class TestAttachAtomicity:
         genesis = Transaction.create_genesis(KEYS)
         tangle = Tangle(genesis, validators=[
             crypto_validator(min_difficulty=1),
-            timestamp_validator(max_future_skew=5.0),
+            timestamp_validator(),
         ], weight_flush_interval=4)
         previous = genesis
         for i in range(6):
@@ -174,12 +160,12 @@ class TestAttachAtomicity:
         self._assert_rejected_without_trace(
             tangle, forged, InvalidSignatureError)
 
-    def test_future_timestamp_rejected_unmodified(self, tangle):
-        flying = Transaction.create(
-            KEYS, kind="data", payload=b"future", timestamp=1e6,
+    def test_backdated_timestamp_rejected_unmodified(self, tangle):
+        backdated = Transaction.create(
+            KEYS, kind="data", payload=b"backdated", timestamp=0.5,
             branch=self.head.tx_hash, trunk=self.head.tx_hash, difficulty=1,
         )
-        self._assert_rejected_without_trace(tangle, flying, TimestampError)
+        self._assert_rejected_without_trace(tangle, backdated, TimestampError)
 
     def test_custom_validator_raise_unmodified(self, tangle):
         def reject_everything(t, tx):

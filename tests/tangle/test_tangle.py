@@ -184,17 +184,6 @@ class TestTopology:
         order = [tx.tx_hash for tx in tangle]
         assert order == [tangle.genesis.tx_hash, a.tx_hash, b.tx_hash]
 
-    def test_transactions_by_issuer(self, tangle):
-        other = KeyPair.generate(seed=b"someone-else")
-        a = child_of(tangle.genesis, tangle.genesis)
-        tangle.attach(a)
-        b = Transaction.create(
-            other, kind="data", payload=b"o", timestamp=2.0,
-            branch=a.tx_hash, trunk=a.tx_hash, difficulty=1,
-        )
-        tangle.attach(b)
-        assert [t.tx_hash for t in tangle.transactions_by_issuer(other.node_id)] == [b.tx_hash]
-
     def test_get_unknown_raises(self, tangle):
         with pytest.raises(KeyError):
             tangle.get(b"\x00" * 32)
@@ -265,26 +254,6 @@ class TestScaleIndexes:
         d = child_of(b, c, timestamp=3.0)
         tangle.attach(d)
         assert tangle.tip_sequence() == (d.tx_hash,)  # invalidated
-
-    def test_tip_info_metadata(self, tangle):
-        a = child_of(tangle.genesis, tangle.genesis)
-        tangle.attach(a, arrival_time=4.0)
-        info = tangle.tip_info(a.tx_hash)
-        assert info.issuer == a.issuer.node_id
-        assert info.arrival_time == 4.0
-        assert info.height == 1
-        with pytest.raises(KeyError):
-            tangle.tip_info(tangle.genesis.tx_hash)  # no longer a tip
-
-    def test_newest_tip_arrival_tracks_pool(self, tangle):
-        a = child_of(tangle.genesis, tangle.genesis)
-        tangle.attach(a, arrival_time=5.0)
-        assert tangle.newest_tip_arrival() == 5.0
-        b = child_of(a, a, timestamp=2.0)
-        tangle.attach(b, arrival_time=2.0)
-        # a was approved: the only tip arrived at 2.0, even though a
-        # newer arrival exists elsewhere in the DAG.
-        assert tangle.newest_tip_arrival() == 2.0
 
     def test_height_index(self, tangle):
         a = child_of(tangle.genesis, tangle.genesis)

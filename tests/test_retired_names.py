@@ -5,8 +5,12 @@ unchained node snapshot merged into ``EpochSnapshot``, the gossip
 seen-set bookkeeping that tangle membership replaced, the ledger's
 first-arrival transfer policy with its two errors, the per-read hook
 that one ``deliver_run`` per read replaced, the Merkle inclusion proofs
-nothing built or checked, and the options no caller set have no reader,
-so nothing under ``src/`` may name them again."""
+nothing built or checked, the AES inverse cipher with CBC and PKCS#7
+(CTR only runs the cipher forward), the chain's difficulty retargeting,
+the tangle's tip metadata and newest-tip-arrival heap, the linear
+difficulty ablation, the tracer's open-explicit-span index, and the
+options no caller set have no reader, so nothing under ``src/`` may name
+them again."""
 
 import pathlib
 
@@ -25,7 +29,10 @@ RETIRED = ["sqlite3", "SQLiteStore", "record_events", "MetricEvent",
            "DoubleSpendError", "InsufficientFundsError",
            "double_spends_detected", "prepare_run",
            "read_chunk", "flush_timeout", "protect_group", "request_timeout",
-           "verify_proof"]
+           "verify_proof",
+           "decrypt_block", "cbc_encrypt", "pkcs7_pad", "_INV_SBOX",
+           "RetargetingSchedule", "TipInfo", "newest_tip_arrival",
+           "_tip_arrival_heap", "LinearDifficultyPolicy", "open_explicit"]
 
 
 @pytest.mark.parametrize("name", RETIRED)
