@@ -151,3 +151,37 @@ class TestForks:
         assert chain.reorg_count == 1
         assert chain.best_tip.block_hash == fork1.block_hash
         assert a.block_hash not in {blk.block_hash for blk in main_chain(chain)}
+
+    def test_equal_work_fork_keeps_first_seen_tip(self, chain):
+        a = extend(chain, chain.genesis, difficulty=4)
+        rival = Block.mine(MINER, prev_hash=chain.genesis.block_hash,
+                           height=1, timestamp=0.5, difficulty=4)
+        assert chain.add_block(rival) is False
+        assert chain.best_tip.block_hash == a.block_hash
+        assert chain.reorg_count == 0
+
+    def test_work_accumulates_along_the_branch(self, chain):
+        """Fork choice sums work from genesis: three 2^4 blocks outweigh
+        one 2^5 block, two only tie it and the first-seen tip stays."""
+        a = extend(chain, chain.genesis, difficulty=5)
+        f1 = Block.mine(MINER, prev_hash=chain.genesis.block_hash,
+                        height=1, timestamp=0.5, difficulty=4)
+        assert chain.add_block(f1) is False
+        f2 = Block.mine(MINER, prev_hash=f1.block_hash, height=2,
+                        timestamp=1.5, difficulty=4)
+        assert chain.add_block(f2) is False  # 16 + 16 == 32: a tie
+        assert chain.best_tip.block_hash == a.block_hash
+        f3 = Block.mine(MINER, prev_hash=f2.block_hash, height=3,
+                        timestamp=2.5, difficulty=4)
+        assert chain.add_block(f3) is True
+        assert chain.reorg_count == 1
+        assert chain.height == 3
+        assert [blk.block_hash for blk in main_chain(chain)] == [
+            chain.genesis.block_hash, f1.block_hash, f2.block_hash,
+            f3.block_hash]
+
+    def test_unknown_hash_is_not_in_chain(self, chain):
+        extend(chain, chain.genesis)
+        assert b"\x00" * 32 not in chain
+        with pytest.raises(KeyError):
+            chain.get(b"\x00" * 32)

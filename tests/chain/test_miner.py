@@ -63,6 +63,18 @@ class TestMempool:
 
 
 class TestMining:
+    def test_mempool_empties_in_full_blocks(self, setup):
+        chain, _, miner = setup
+        for i in range(10):
+            miner.submit(data_tx(i))
+        blocks = []
+        while (block := miner.mine_next_block()) is not None:
+            blocks.append(block)
+        assert [len(b.transactions) for b in blocks] == [4, 4, 2]
+        assert not miner.mempool
+        assert chain.height == 3
+        assert miner.blocks_mined == 3
+
     def test_clock_advances_with_mining(self, setup):
         _, clock, miner = setup
         miner.submit(data_tx(0))

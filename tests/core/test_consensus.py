@@ -52,6 +52,16 @@ class TestInversePolicy:
         assert policy.difficulty_for(10 ** 9) == DEFAULT_MIN_DIFFICULTY
         assert policy.difficulty_for(-10 ** 9) == DEFAULT_MAX_DIFFICULTY
 
+    def test_custom_bounds_clamp_both_branches(self):
+        policy = InverseDifficultyPolicy(min_difficulty=8,
+                                         initial_difficulty=10,
+                                         max_difficulty=14)
+        assert policy.difficulty_for(0.0) == 10
+        assert policy.difficulty_for(0.25) == 8  # 10 / 1.25
+        assert policy.difficulty_for(100.0) == 8
+        assert policy.difficulty_for(-1.0) == 11  # 10 + 1.2 bits
+        assert policy.difficulty_for(-10 ** 6) == 14
+
     def test_monotone_decreasing(self):
         policy = InverseDifficultyPolicy()
         credits = [-50, -10, -1, 0, 0.5, 1, 5, 50]

@@ -99,6 +99,8 @@ POLICIES = [
     InverseDifficultyPolicy(),
     InverseDifficultyPolicy(negative_mode="inverse"),
     InverseDifficultyPolicy(credit_scale=3.0, punish_bits=2.0),
+    InverseDifficultyPolicy(min_difficulty=8, initial_difficulty=10,
+                            max_difficulty=14),
 ]
 
 

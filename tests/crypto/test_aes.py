@@ -94,6 +94,13 @@ class TestBlockCipherVectors:
             "43b1cd7f598ece23881b00e3ed030688",
             "7b0c785e27e8ad3f8223207104725dd4",
         ]),
+        # F.1.3 ECB-AES192.Encrypt
+        ("8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b", [
+            "bd334f1d6e45f25ff712a214571fa5cc",
+            "974104846d0ad3ad7734ecb3ecee4eef",
+            "ef7afd2270e2e60adce0ba2face6444e",
+            "9a4b41ba738d6c72fb16691603c18e0e",
+        ]),
         # F.1.5 ECB-AES256.Encrypt
         ("603deb1015ca71be2b73aef0857d7781"
          "1f352c073b6108d72d9810a30914dff4", [
@@ -102,7 +109,7 @@ class TestBlockCipherVectors:
             "b6ed21b99ca6f4f9f153e7b1beafed1d",
             "23304b7a39f9f3ff067d8d8f9e24ecc7",
         ]),
-    ], ids=["F.1.1-aes128", "F.1.5-aes256"])
+    ], ids=["F.1.1-aes128", "F.1.3-aes192", "F.1.5-aes256"])
     def test_sp800_38a_ecb_encrypt(self, key, ciphertexts):
         """NIST SP 800-38A Appendix F.1: four blocks per key size."""
         cipher = AES(bytes.fromhex(key))
@@ -128,6 +135,38 @@ class TestBlockCipherErrors:
 class TestCtrMode:
     KEY = bytes(range(32))
     NONCE = b"12345678"
+
+    @pytest.mark.parametrize("key, expected", [
+        ("2b7e151628aed2a6abf7158809cf4f3c",
+         "67ee05547499f8bcf0c38324e8605c28018216a5f4dac1af7e12ae7a0c2e3e9f"
+         "13e8bc4a3757a548139805cf9563140d2f88"),
+        ("8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+         "2ab8bee6a2b14426c9cdeab43220aa2953469708f344364f339af8f725e3a241"
+         "7276437df140d25c4b1ea15a3b9de29ff317"),
+        ("603deb1015ca71be2b73aef0857d7781"
+         "1f352c073b6108d72d9810a30914dff4",
+         "df7189ad91760b5e98dcac81b629048dbc72a2eb7327b841792ecd5e5360d1d3"
+         "4a27c69ba792620b7b0cd90a977da1b1fd6f"),
+    ], ids=["aes128", "aes192", "aes256"])
+    def test_known_answer(self, key, expected):
+        """The SP 800-38A keys and the first 50 plaintext bytes (a
+        partial last block) under counter block ``f0f1f2f3f4f5f6f7 ||
+        0^64``.  Expected values are OpenSSL's AES-CTR output for the
+        same counter block."""
+        plaintext = bytes.fromhex("".join(SP800_38A_PLAINTEXT))[:50]
+        nonce = bytes.fromhex("f0f1f2f3f4f5f6f7")
+        key = bytes.fromhex(key)
+        assert ctr_encrypt(key, nonce, plaintext).hex() == expected
+        assert ctr_decrypt(key, nonce, bytes.fromhex(expected)) == plaintext
+
+    def test_counter_block_layout(self):
+        """Keystream block ``i`` is ``E(nonce || i)`` with ``i`` a
+        64-bit big-endian counter from zero."""
+        cipher = AES(self.KEY)
+        keystream = ctr_encrypt(cipher, self.NONCE, bytes(48))
+        assert keystream == b"".join(
+            cipher.encrypt_block(self.NONCE + i.to_bytes(8, "big"))
+            for i in range(3))
 
     def test_roundtrip(self):
         message = b"the quick brown fox jumps over the lazy dog"

@@ -8,8 +8,9 @@ that one ``deliver_run`` per read replaced, the Merkle inclusion proofs
 nothing built or checked, the AES inverse cipher with CBC and PKCS#7
 (CTR only runs the cipher forward), the chain's difficulty retargeting,
 the tangle's tip metadata and newest-tip-arrival heap, the linear
-difficulty ablation, the tracer's open-explicit-span index, and the
-options no caller set have no reader, so nothing under ``src/`` may name
+difficulty ablation, the tracer's open-explicit-span index, the chain's
+fork and confirmation read-outs, the other read-outs only tests called,
+and the options no caller set have no reader, so nothing under ``src/`` may name
 them again."""
 
 import pathlib
@@ -32,7 +33,13 @@ RETIRED = ["sqlite3", "SQLiteStore", "record_events", "MetricEvent",
            "verify_proof",
            "decrypt_block", "cbc_encrypt", "pkcs7_pad", "_INV_SBOX",
            "RetargetingSchedule", "TipInfo", "newest_tip_arrival",
-           "_tip_arrival_heap", "LinearDifficultyPolicy", "open_explicit"]
+           "_tip_arrival_heap", "LinearDifficultyPolicy", "open_explicit",
+           "cbc_decrypt", "pkcs7_unpad", "_invert_round_keys",
+           "_build_dec_tables", "retarget_difficulty", "_ClampedPolicy",
+           "tip_metadata", "transactions_by_issuer", "approved_fresh_tips",
+           "is_on_main_chain", "orphaned_blocks", "confirmed_blocks",
+           "mempool_depth", "known_nodes", "installed_groups",
+           "mean_submit_latency", "successful_double_spends"]
 
 
 @pytest.mark.parametrize("name", RETIRED)
