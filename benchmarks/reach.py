@@ -11,7 +11,9 @@ with a ``sitecustomize`` on ``PYTHONPATH`` that hooks ``sys.settrace``
 spawned by the fleet and by the e2e bench, forked verify workers and
 helper threads included.  The hook returns ``None`` so no line is ever
 traced; it only appends the qualified name of each code object it sees
-start for the first time to a per-process file.
+start for the first time to a per-process file, and opens that file
+anew when the process closed it (a forked verify worker closes every
+descriptor it did not open).
 
 A function is *reached* when a code object with its file and
 ``__qualname__`` was entered; it is *unreached* otherwise.  Lambdas and
@@ -33,14 +35,18 @@ Usage::
 The baseline, ``benchmarks/baselines/reach_unreached.txt``, holds one
 ``path::qualname  lines`` entry per unreached function, each followed by
 ``# reason`` when it stays on purpose.  ``--check`` exits 1 when a
-function is unreached but absent from the baseline, or when the
-baseline's total unreached lines would grow; it prints baseline entries
-that are now reached (or gone) so the list only shrinks.  ``--write``
-keeps the reasons of entries that stay, and keeps entries whose reason
-starts with ``timing-dependent`` even when this run reached them: the
-multi-process fleet runs over real TCP, so whether a gossip gap makes a
-node fetch a parent, or a convergence round needs a retry, varies from
-run to run.  Needs Python 3.11+ (``co_qualname``).
+function is unreached but absent from the baseline, when the baseline's
+total unreached lines would grow, or when a baseline entry is stale —
+its function is now reached or deleted — so the list cannot rot.
+Entries whose reason starts with ``timing-dependent`` are the one
+exception: the multi-process fleet runs over real TCP, so whether a
+gossip gap makes a node fetch a parent, or a convergence round needs a
+retry, varies from run to run, and whether a node hands signatures to
+verify workers depends on the host's cores and the size of each read;
+``--check`` accepts them reached and
+``--write`` keeps them while their function exists.  ``--write`` also
+keeps the reasons of entries that stay.  Needs Python 3.11+
+(``co_qualname``).
 """
 
 from __future__ import annotations
@@ -119,15 +125,29 @@ import os, sys, threading
 _PREFIX = os.environ["REPRO_REACH_PREFIX"]
 _OUT = os.environ["REPRO_REACH_OUT"]
 _seen = {}  # id -> code: holding the code keeps its id from being reused
-_sink = [None, None]  # pid, file
+_sink = [None, None, None]  # pid, descriptor, (device, inode)
+
+
+def _identity(fd):
+    try:
+        stat = os.fstat(fd)
+    except OSError:
+        return None
+    return stat.st_dev, stat.st_ino
 
 
 def _record(code):
+    line = f"{code.co_filename[len(_PREFIX):]}::{code.co_qualname}\\n"
     pid = os.getpid()
-    if _sink[0] != pid:  # first record, or a forked child
-        _sink[0] = pid
-        _sink[1] = open(os.path.join(_OUT, f"{pid}.txt"), "a", buffering=1)
-    _sink[1].write(f"{code.co_filename[len(_PREFIX):]}::{code.co_qualname}\\n")
+    # Reopen on the first record, in a forked child, and when the process
+    # closed the descriptor (a verify worker closes every one it did not
+    # open).  Writing to a closed descriptor would raise inside the hook
+    # and kill the traced code; writing to a reused one would corrupt it.
+    if _sink[0] != pid or _identity(_sink[1]) != _sink[2]:
+        fd = os.open(os.path.join(_OUT, f"{pid}.txt"),
+                     os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        _sink[:] = [pid, fd, _identity(fd)]
+    os.write(_sink[1], line.encode())
 
 
 def _hook(frame, event, arg):
@@ -244,7 +264,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--check", action="store_true",
-                      help="fail if the unreached set grew past the baseline")
+                      help="fail if the unreached set differs from the "
+                           "baseline (timing-dependent entries aside) or "
+                           "its lines grew")
     mode.add_argument("--write", action="store_true",
                       help="rewrite the baseline from this run")
     parser.add_argument("--probe-dir", type=pathlib.Path,
@@ -309,7 +331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  UNREACHED, not in the baseline: {key}  {unreached[key]}")
     if total > baseline_lines:
         print(f"  unreached lines grew: {total} > baseline {baseline_lines}")
-    return 1 if new or total > baseline_lines else 0
+    return 1 if new or stale or total > baseline_lines else 0
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ steady-state difficulty.
 
 from repro.analysis.energy import energy_for_stats
 from repro.analysis.metrics import format_table
+from repro.core.authority import DataProtector
 from repro.core.biot import BIoTConfig, BIoTSystem
 from repro.devices.profiles import RASPBERRY_PI_3B
 
@@ -31,11 +32,15 @@ def _run_with_batch_size(batch_size: int):
     device = system.devices[0]
     stats = device.stats
     energy = energy_for_stats(RASPBERRY_PI_3B, stats)
-    readings_on_ledger = stats.submissions_accepted * batch_size
+    readings = stats.submissions_accepted * batch_size
+    # Every acknowledged reading is on the ledger; a submission still in
+    # flight when the run stops may be attached before its ack lands.
+    on_ledger = _readings_on_ledger(system.gateways[0], device)
+    assert readings <= on_ledger <= stats.submissions_sent * batch_size
     return {
         "batch_size": batch_size,
         "transactions": stats.submissions_accepted,
-        "readings": readings_on_ledger,
+        "readings": readings,
         "joules_per_reading": (
             energy.total_joules / max(1, stats.readings_taken)
         ),
@@ -44,6 +49,23 @@ def _run_with_batch_size(batch_size: int):
             if stats.assigned_difficulties else None
         ),
     }
+
+
+def _readings_on_ledger(gateway, device):
+    """Open every data payload *device* put on *gateway*'s tangle with
+    the device's own protector (it holds the group key when the payload
+    is encrypted) and count the readings inside."""
+    issuer = device.keypair.public.node_id
+    count = 0
+    for tx in gateway.tangle:
+        if tx.kind != "data" or tx.issuer.node_id != issuer:
+            continue
+        if DataProtector.is_batch(tx.payload):
+            count += len(device.protector.unprotect_batch(tx.payload))
+        else:
+            device.protector.unprotect(tx.payload)
+            count += 1
+    return count
 
 
 def _sweep():

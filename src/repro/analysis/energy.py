@@ -32,12 +32,6 @@ class EnergyBreakdown:
         return (self.pow_joules + self.aes_joules
                 + self.signature_joules + self.radio_joules)
 
-    def per_transaction(self, transactions: int) -> float:
-        """Mean joules per submitted transaction."""
-        if transactions <= 0:
-            raise ValueError("transactions must be positive")
-        return self.total_joules / transactions
-
 
 def energy_for_stats(profile: DeviceProfile, stats: LightNodeStats, *,
                      mean_payload_bytes: float = 256.0) -> EnergyBreakdown:

@@ -89,16 +89,7 @@ class CreditTracer:
         self.events.append((time, label, value))
         self._m_trace_events.inc(label=label)
 
-    # -- series accessors (what the bench prints) -------------------------
-
-    def credit_series(self) -> List[Tuple[float, float]]:
-        return [(p.time, p.credit) for p in self.points]
-
-    def positive_series(self) -> List[Tuple[float, float]]:
-        return [(p.time, p.positive) for p in self.points]
-
-    def negative_series(self) -> List[Tuple[float, float]]:
-        return [(p.time, p.negative) for p in self.points]
+    # -- read-outs (what the bench prints) --------------------------------
 
     def minimum_credit(self) -> Optional[float]:
         if not self.points:

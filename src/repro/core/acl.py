@@ -190,23 +190,9 @@ class AuthorizationList:
             self._identities[identity.node_id] = identity
         self.updates_applied = 0
 
-    @classmethod
-    def from_genesis(cls, genesis: Transaction) -> "AuthorizationList":
-        config = GenesisConfig.from_genesis(genesis)
-        return cls(config.manager, config.extra_managers)
-
     def is_manager(self, node_id: bytes) -> bool:
         """Whether *node_id* may publish ACL updates."""
         return node_id in self._manager_ids
-
-    @classmethod
-    def from_tangle(cls, tangle: Tangle) -> "AuthorizationList":
-        """Replay every ACL transaction in arrival order."""
-        acl = cls.from_genesis(tangle.genesis)
-        for tx in tangle:
-            if tx.kind == TransactionKind.ACL:
-                acl.apply(tx)
-        return acl
 
     # -- updates ---------------------------------------------------------
 

@@ -227,9 +227,6 @@ class CreditBasedConsensus:
 
     # -- difficulty ------------------------------------------------------
 
-    def credit(self, node_id: bytes, now: float) -> float:
-        return self.registry.credit(node_id, now)
-
     def required_difficulty(self, node_id: bytes, now: float) -> int:
         """The PoW difficulty *node_id* must meet right now."""
         difficulty = self.policy.difficulty_for(

@@ -212,11 +212,6 @@ class _NodeHistory:
         self.w_sum = 0.0
         self.w_now: Optional[float] = None
 
-    @property
-    def transactions(self) -> List[Tuple[float, bytes]]:
-        """Legacy tuple view of the records (tests, debugging)."""
-        return [(r.timestamp, r.tx_hash) for r in self.records]
-
     def window_sum(self, now: float, delta_t: float) -> float:
         """Sum of cached weights for records in ``[now − ΔT, now]``.
 

@@ -15,9 +15,7 @@ from typing import List, Sequence
 
 __all__ = [
     "sha256",
-    "sha512",
     "double_sha256",
-    "sha256_hex",
     "hash_concat",
     "leading_zero_bits",
     "MerkleTree",
@@ -33,11 +31,6 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def sha512(data: bytes) -> bytes:
-    """Return the 64-byte SHA-512 digest of *data*."""
-    return hashlib.sha512(data).digest()
-
-
 def double_sha256(data: bytes) -> bytes:
     """Return ``SHA-256(SHA-256(data))``.
 
@@ -46,11 +39,6 @@ def double_sha256(data: bytes) -> bytes:
     exactly what Eqn. 6 of the paper does with transaction hashes.
     """
     return hashlib.sha256(hashlib.sha256(data).digest()).digest()
-
-
-def sha256_hex(data: bytes) -> str:
-    """Return the SHA-256 digest of *data* as a lowercase hex string."""
-    return hashlib.sha256(data).hexdigest()
 
 
 def hash_concat(*parts: bytes) -> bytes:
@@ -118,10 +106,6 @@ class MerkleTree:
     def root(self) -> bytes:
         """The 32-byte Merkle root."""
         return self._levels[-1][0]
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self._leaves)
 
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:

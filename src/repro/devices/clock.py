@@ -4,13 +4,13 @@ All timing-sensitive components (credit model, PoW accounting, network
 simulator) read time through a :class:`Clock` so that experiments run in
 *simulated seconds*: a PoW solve that "takes" 245 s on the modelled
 Raspberry Pi advances the simulation clock without burning real CPU.
+On TCP the same interface reads scaled wall time
+(:class:`~repro.network.aio.AsyncClock`).
 """
 
 from __future__ import annotations
 
-import time
-
-__all__ = ["Clock", "SimulatedClock", "WallClock"]
+__all__ = ["Clock", "SimulatedClock"]
 
 
 class Clock:
@@ -48,13 +48,3 @@ class SimulatedClock(Clock):
                 f"cannot move clock backwards ({timestamp} < {self._now})"
             )
         self._now = timestamp
-
-
-class WallClock(Clock):
-    """Real monotonic time, for benchmarks that measure actual compute."""
-
-    def __init__(self):
-        self._origin = time.monotonic()
-
-    def now(self) -> float:
-        return time.monotonic() - self._origin

@@ -90,10 +90,6 @@ class DeviceProfile:
             raise ValueError("compute_seconds must be non-negative")
         return compute_seconds * self.active_watts
 
-    def pow_energy_joules(self, attempts: int) -> float:
-        """Energy burned grinding *attempts* hash attempts."""
-        return self.compute_energy_joules(self.pow_seconds(attempts))
-
     def radio_energy_joules(self, payload_bytes: int) -> float:
         """Energy to transmit *payload_bytes* over the device radio."""
         if payload_bytes < 0:

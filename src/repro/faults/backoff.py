@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List
 
 __all__ = ["BackoffPolicy", "DEFAULT_BACKOFF"]
 
@@ -75,12 +74,6 @@ class BackoffPolicy:
         if self.jitter == 0.0:
             return nominal
         return nominal * (1.0 + rng.random() * self.jitter)
-
-    def schedule(self, rng: random.Random) -> List[float]:
-        """The full delay sequence for a retry loop that exhausts every
-        attempt: one entry per attempt, in order."""
-        return [self.delay(attempt, rng)
-                for attempt in range(1, self.max_attempts + 1)]
 
     def exhausted(self, attempt: int) -> bool:
         """Whether *attempt* (1-based) was the last allowed one."""

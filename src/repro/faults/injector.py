@@ -25,7 +25,6 @@ from .plan import (
     DuplicationBurst,
     FaultPlan,
     LatencyBurst,
-    LinkCut,
     LossBurst,
     PartitionFault,
 )
@@ -90,8 +89,6 @@ class FaultInjector:
         for event in plan.events:
             if isinstance(event, PartitionFault):
                 self._schedule_partition(base, event)
-            elif isinstance(event, LinkCut):
-                self._schedule_cut(base, event)
             elif isinstance(event, CrashFault):
                 self._schedule_crash(base, event)
             elif isinstance(event, (LossBurst, LatencyBurst,
@@ -102,7 +99,7 @@ class FaultInjector:
             else:  # pragma: no cover - the DSL is closed
                 raise TypeError(f"unknown fault event {type(event).__name__}")
 
-    # -- partitions / cuts ------------------------------------------------
+    # -- partitions -------------------------------------------------------
 
     def _schedule_partition(self, base: float, event: PartitionFault) -> None:
         links = event.cross_links()
@@ -118,20 +115,6 @@ class FaultInjector:
                 self.network.heal_link(a, b)
             self._log("heal", event.kind,
                       "|".join(",".join(g) for g in event.groups))
-            self._schedule_resync()
-
-        self.scheduler.schedule_at(base + event.at, inject)
-        if event.heal_at is not None:
-            self.scheduler.schedule_at(base + event.heal_at, heal)
-
-    def _schedule_cut(self, base: float, event: LinkCut) -> None:
-        def inject() -> None:
-            self.network.cut_link(event.a, event.b)
-            self._log("inject", event.kind, f"{event.a}<->{event.b}")
-
-        def heal() -> None:
-            self.network.heal_link(event.a, event.b)
-            self._log("heal", event.kind, f"{event.a}<->{event.b}")
             self._schedule_resync()
 
         self.scheduler.schedule_at(base + event.at, inject)

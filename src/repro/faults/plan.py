@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "FaultEvent",
-    "LinkCut",
     "PartitionFault",
     "CrashFault",
     "LossBurst",
@@ -57,30 +56,6 @@ class FaultEvent:
 
     def describe(self) -> Dict[str, object]:
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class LinkCut(FaultEvent):
-    """Sever one link; heal it at *heal_at* (None = never)."""
-
-    a: str = ""
-    b: str = ""
-    heal_at: Optional[float] = None
-
-    kind = "link_cut"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.a or not self.b or self.a == self.b:
-            raise ValueError("a link cut needs two distinct endpoints")
-        self._check_window(self.heal_at, "heal_at")
-
-    def end_time(self) -> Optional[float]:
-        return self.heal_at
-
-    def describe(self) -> Dict[str, object]:
-        return {"kind": self.kind, "at": self.at, "a": self.a, "b": self.b,
-                "heal_at": self.heal_at}
 
 
 @dataclass(frozen=True)
@@ -277,10 +252,6 @@ class FaultPlan:
             self, "events",
             tuple(sorted(self.events, key=lambda e: (e.at, e.kind))))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.events
-
     def last_event_time(self) -> float:
         """The latest injection or heal time in the plan (0 if empty)."""
         latest = 0.0
@@ -299,11 +270,6 @@ class PlanBuilder:
     def __init__(self, name: str = "custom"):
         self.name = name
         self._events: List[FaultEvent] = []
-
-    def cut(self, at: float, a: str, b: str, *,
-            heal_at: Optional[float] = None) -> "PlanBuilder":
-        self._events.append(LinkCut(at=at, a=a, b=b, heal_at=heal_at))
-        return self
 
     def partition(self, at: float, heal_at: Optional[float],
                   *groups: Tuple[str, ...]) -> "PlanBuilder":

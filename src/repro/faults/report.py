@@ -93,13 +93,6 @@ class ConvergenceReport:
             notes=list(notes),
         )
 
-    @property
-    def reference_hashes(self) -> Dict[str, str]:
-        """The agreed hashes (only meaningful when converged)."""
-        if not self.node_hashes:
-            return {}
-        return next(iter(sorted(self.node_hashes.items())))[1]
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "scenario": self.scenario,

@@ -1,8 +1,9 @@
 """Sim-vs-wire differential: the proof the TCP transport is honest.
 
 The keystone obligation of the transport extraction: driving the *same*
-seeded scenario through :class:`~repro.network.network.SimTransport`
-and :class:`~repro.network.aio.AsyncioTransport` must converge every
+seeded scenario through the simulator
+(:class:`~repro.network.network.Network`) and
+:class:`~repro.network.aio.AsyncioTransport` must converge every
 replica to byte-identical tangle/ledger/ACL/credit hashes.  The real
 transport is allowed to change *scheduling* (kernel timing reorders
 gossip run to run) but never *state*.

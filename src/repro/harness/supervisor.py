@@ -51,10 +51,6 @@ class NodeProcess:
     ready: Optional[Dict[str, object]] = None
 
     @property
-    def pid(self) -> int:
-        return self.process.pid
-
-    @property
     def alive(self) -> bool:
         return self.process.poll() is None
 
@@ -128,7 +124,8 @@ class ProcessFleet:
         existing = self.processes.get(spec.address)
         if existing is not None and existing.alive:
             raise FleetProcessError(
-                f"{spec.address} is already running (pid {existing.pid})")
+                f"{spec.address} is already running "
+                f"(pid {existing.process.pid})")
         stderr_path = os.path.join(self.run_dir,
                                    f"{spec.address}.stderr.log")
         with open(stderr_path, "ab") as stderr:

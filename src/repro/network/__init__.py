@@ -1,7 +1,7 @@
 """Network substrate behind the :class:`~repro.network.base.Transport`
-contract: a discrete-event simulator
-(:class:`~repro.network.network.SimTransport`, the bit-deterministic
-reference) and a real asyncio/TCP transport
+contract (``scheduler``, ``attach``, ``send``): a discrete-event
+simulator (:class:`~repro.network.network.Network`, the
+bit-deterministic reference) and a real asyncio/TCP transport
 (:class:`~repro.network.aio.AsyncioTransport`,
 convergence-deterministic), plus the length-prefixed frame codec,
 gossip and solidification, seed-node peer discovery

@@ -1,4 +1,4 @@
-"""Real asyncio/TCP transport behind the Network interface.
+"""Real asyncio/TCP transport behind the Transport contract.
 
 Where :class:`~repro.network.network.Network` simulates delivery on a
 discrete-event heap, :class:`AsyncioTransport` moves the same protocol
@@ -84,9 +84,9 @@ class AsyncClock(Clock):
 class AsyncioScheduler:
     """`EventScheduler`-shaped facade over an asyncio event loop.
 
-    Nodes get ``clock``, ``schedule``, ``schedule_at``, ``cancel``,
-    ``trace_binder`` and ``len()`` (``loop.call_later`` underneath);
-    drivers get ``run_for``.  Given ``loop=``, timers and sends also
+    Nodes get ``clock``, ``schedule`` and ``trace_binder``
+    (``loop.call_later`` underneath); drivers get ``run_for`` and, at
+    shutdown, ``cancel_all``.  Given ``loop=``, timers and sends also
     work from plain code between two ``run_for`` calls; without it the
     running loop is used, so calls must come from inside it.
     """
@@ -135,22 +135,6 @@ class AsyncioScheduler:
             self.clock.to_wall(delay), fire)
         return event_id
 
-    def schedule_at(self, timestamp: float, callback) -> int:
-        delay = timestamp - self.clock.now()
-        if delay < 0:
-            raise ValueError(
-                f"cannot schedule in the past ({timestamp} < "
-                f"{self.clock.now()})")
-        return self.schedule(delay, callback)
-
-    def cancel(self, event_id: int) -> None:
-        handle = self._handles.pop(event_id, None)
-        if handle is not None:
-            handle.cancel()
-
-    def __len__(self) -> int:
-        return len(self._handles)
-
     def cancel_all(self) -> None:
         """Cancel every pending timer (shutdown)."""
         for handle in self._handles.values():
@@ -159,7 +143,8 @@ class AsyncioScheduler:
 
 
 class AsyncioTransport:
-    """One node's TCP endpoint, satisfying the Transport contract.
+    """One node's TCP endpoint, satisfying the Transport contract
+    (:mod:`repro.network.base`).
 
     Args:
         scheduler: the shared :class:`AsyncioScheduler` (all runners in
@@ -202,7 +187,6 @@ class AsyncioTransport:
         self._open_writers: Set[asyncio.StreamWriter] = set()
         self._reverse: Dict[str, asyncio.StreamWriter] = {}
         self._connected_once: Set[str] = set()
-        self._taps: List = []
         self._closing = False
         self._message_sequence = 0
         # Counter parity with Network, so summaries read the same.
@@ -261,22 +245,6 @@ class AsyncioTransport:
             # listen() ran before attach: publish now that the bound
             # address finally has a node name to file it under.
             self.directory[node.address] = self.advertised_address
-
-    def node(self, address: str):
-        if self._node is not None and self._node.address == address:
-            return self._node
-        raise KeyError(address)
-
-    @property
-    def addresses(self) -> List[str]:
-        known = set(self.directory) | set(self._reverse)
-        if self._node is not None:
-            known.add(self._node.address)
-        return sorted(known)
-
-    def add_tap(self, tap) -> None:
-        """Observe every delivered message (metrics, debugging)."""
-        self._taps.append(tap)
 
     def register_handler(self, kind: str, handler) -> None:
         """Route every received frame of *kind* to *handler* instead of
@@ -383,17 +351,6 @@ class AsyncioTransport:
         self._outbox(recipient).put_nowait((frame, kind))
         self._ensure_writer(recipient)
         return True
-
-    def broadcast(self, sender: str, kind: str, body, *,
-                  recipients: Optional[List[str]] = None,
-                  size_bytes: int = 0) -> int:
-        targets = recipients if recipients is not None else [
-            addr for addr in self.addresses if addr != sender
-        ]
-        return sum(
-            1 for addr in targets
-            if self.send(sender, addr, kind, body, size_bytes=size_bytes)
-        )
 
     def _count_drop(self, kind: str) -> None:
         self.messages_dropped += 1
@@ -585,17 +542,10 @@ class AsyncioTransport:
     def _deliver_run(self, run: List[Message]) -> None:
         trace = run[0].trace
         if trace is None:
-            self._tap(run)
             self._node.deliver_run(run)
             return
         with self.tracer.activate(trace):
-            self._tap(run)
             self._node.deliver_run(run)
-
-    def _tap(self, run: List[Message]) -> None:
-        for message in run:
-            for tap in self._taps:
-                tap(message)
 
     # -- shutdown ----------------------------------------------------------
 
@@ -642,16 +592,6 @@ class NodeRunner:
         self._advertise_host = advertise_host
         self.bound_address: Optional[Tuple[str, int]] = None
         transport.attach(node)
-
-    @property
-    def address(self) -> str:
-        return self.node.address
-
-    @property
-    def bound_port(self) -> Optional[int]:
-        """The OS-assigned listen port (after start), or None."""
-        return None if self.bound_address is None else \
-            self.bound_address[1]
 
     async def start(self) -> "NodeRunner":
         if self._listen is not None:

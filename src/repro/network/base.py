@@ -3,20 +3,21 @@
 Nodes are written against a deliberately small surface: they are
 attached to a transport, reply through :meth:`Transport.send`, and read
 time / defer work through ``transport.scheduler`` (an object exposing
-``clock.now()``, ``schedule(delay, callback) -> event_id`` and
-``cancel(event_id)``).  Whatever *drives* a deployment lets simulated
-time pass through the same object: ``scheduler.run_for(seconds)``
-drains the event heap up to the deadline on the simulator and runs the
-event loop for the wall-clock equivalent on TCP, so driver code is
-written once.  Everything else on
-:class:`~repro.network.network.Network` — link models, fault switches,
-overlays — is simulator-specific and not part of the contract.
+``clock.now()`` and ``schedule(delay, callback) -> event_id``).
+Whatever *drives* a deployment lets simulated time pass through the
+same object: ``scheduler.run_for(seconds)`` drains the event heap up to
+the deadline on the simulator and runs the event loop for the
+wall-clock equivalent on TCP, so driver code is written once.  Flooding
+is the node's job (one ``send`` per gossip peer), not the transport's.
+Everything else on :class:`~repro.network.network.Network` — link
+models, fault switches, overlays — is simulator-specific and not part
+of the contract.
 
 Two backends implement it:
 
-* :class:`~repro.network.network.SimTransport` (the discrete-event
-  simulator, historically named ``Network``) — bit-deterministic:
-  the same seed yields the same event schedule, byte for byte.
+* :class:`~repro.network.network.Network` (the discrete-event
+  simulator) — bit-deterministic: the same seed yields the same event
+  schedule, byte for byte.
 * :class:`~repro.network.aio.AsyncioTransport` — real length-prefixed
   frames over localhost/LAN TCP, driven by the asyncio event loop —
   convergence-deterministic: scheduling varies run to run, but the
@@ -37,7 +38,7 @@ what arrived together (a full node decodes each carrier once, drops
 gossip it already holds and batch-verifies the rest).  How a byte
 stream is cut into reads is kernel timing, so a run must leave the
 node — replies, floods, counters and replicated state — exactly where
-delivering its messages one by one would.  ``SimTransport`` delivers
+delivering its messages one by one would.  ``Network`` delivers
 one message per scheduled event through ``node._deliver``, so
 simulator schedules stay byte-deterministic, and the sim≡wire≡process
 differentials check that runs change no state.
@@ -45,23 +46,19 @@ differentials check that runs change no state.
 
 from __future__ import annotations
 
-from typing import List, Protocol, runtime_checkable
-
-from .transport import Message
+from typing import Protocol, runtime_checkable
 
 __all__ = ["Transport", "SchedulerLike"]
 
 
 class SchedulerLike(Protocol):
-    """What ``transport.scheduler`` offers: ``clock`` / ``schedule`` /
-    ``cancel`` to nodes, ``run_for`` to whatever drives them (never
-    called from inside a node handler)."""
+    """What ``transport.scheduler`` offers: ``clock`` / ``schedule`` to
+    nodes, ``run_for`` to whatever drives them (never called from
+    inside a node handler)."""
 
     clock: object  # exposes now() -> float
 
     def schedule(self, delay: float, callback) -> int: ...
-
-    def cancel(self, event_id: int) -> None: ...
 
     def run_for(self, seconds: float) -> None: ...
 
@@ -72,28 +69,12 @@ class Transport(Protocol):
 
     ``attach`` binds a node (the transport injects itself so the node
     can reply); ``send`` routes one message and returns False when the
-    transport already knows it cannot be delivered; ``broadcast`` fans
-    out to every other known address.  ``addresses`` lists the
-    addresses this transport can currently route to, local node
-    included.
+    transport already knows it cannot be delivered.
     """
 
     scheduler: SchedulerLike
 
     def attach(self, node) -> None: ...
 
-    @property
-    def addresses(self) -> List[str]: ...
-
     def send(self, sender: str, recipient: str, kind: str, body, *,
              size_bytes: int = 0) -> bool: ...
-
-    def broadcast(self, sender: str, kind: str, body, *,
-                  recipients=None, size_bytes: int = 0) -> int: ...
-
-    def add_tap(self, tap) -> None: ...
-
-
-def is_transport(obj) -> bool:
-    """Structural check used by tests and assembly code."""
-    return isinstance(obj, Transport) and callable(getattr(obj, "send", None))

@@ -67,7 +67,6 @@ __all__ = [
     "FrameError",
     "FrameDecoder",
     "encode_frame",
-    "decode_frame",
     "encode_value",
     "decode_value",
     "MAGIC",
@@ -276,16 +275,6 @@ def encode_frame(message: Message) -> bytes:
     head = _HEAD.pack(VERSION, len(payload))
     crc = zlib.crc32(payload, zlib.crc32(head))
     return b"".join((MAGIC, head, payload, _U32.pack(crc)))
-
-
-def decode_frame(data: bytes) -> Message:
-    """Decode exactly one frame; refuses partial or trailing bytes."""
-    decoder = FrameDecoder()
-    messages = decoder.feed(data)
-    decoder.close()
-    if len(messages) != 1:
-        raise FrameError(f"expected one frame, decoded {len(messages)}")
-    return messages[0]
 
 
 class FrameDecoder:

@@ -54,11 +54,6 @@ class GossipRelay:
             self._peer_set.add(address)
             self.peers.append(address)
 
-    def remove_peer(self, address: str) -> None:
-        if address in self._peer_set:
-            self._peer_set.discard(address)
-            self.peers.remove(address)
-
     def has_peer(self, address: str) -> bool:
         """O(1) peer-membership test (``peers`` stays a list for
         deterministic round-robin indexing)."""

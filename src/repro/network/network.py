@@ -5,6 +5,12 @@ link's latency model and schedules delivery on the shared
 :class:`~repro.network.simulator.EventScheduler`.  Links can be cut and
 restored at runtime, which is how the single-point-of-failure and DDoS
 experiments disturb the system.
+
+:class:`Network` is the simulator backend of the
+:class:`~repro.network.base.Transport` contract (``scheduler``,
+``attach``, ``send``), next to
+:class:`~repro.network.aio.AsyncioTransport`; the rest of its surface
+(links, failure switches, overlays) is what fault injection drives.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .transport import LOCAL_LINK, LatencyModel, LinkOverlay, Message
 DUPLICATE_SPREAD_SECONDS = 0.05
 """Extra uniform delay a duplicated copy picks up over the original."""
 
-__all__ = ["NetworkNode", "Network", "SimTransport"]
+__all__ = ["NetworkNode", "Network"]
 
 
 class NetworkNode:
@@ -127,10 +133,6 @@ class Network:
         self.default_link = default_link
         self._rng = rng if rng is not None else random.Random()
         self._nodes: Dict[str, NetworkNode] = {}
-        # Sorted-address cache: broadcast() reads `addresses` once per
-        # call, and re-sorting a few hundred addresses per broadcast is
-        # pure waste when the topology rarely changes.
-        self._addresses_cache: Optional[Tuple[str, ...]] = None
         self._links: Dict[Tuple[str, str], LatencyModel] = {}
         self._down: Set[str] = set()
         self._cut_links: Set[Tuple[str, str]] = set()
@@ -150,7 +152,6 @@ class Network:
         self.messages_dropped = 0
         self.messages_purged = 0
         self.messages_duplicated = 0
-        self._taps: List[Callable[[Message], None]] = []
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.telemetry = coerce_registry(telemetry)
         self._m_sent = self.telemetry.counter(
@@ -180,20 +181,10 @@ class Network:
         if node.address in self._nodes:
             raise ValueError(f"address {node.address!r} already attached")
         self._nodes[node.address] = node
-        self._addresses_cache = None
         node.bind(self)
 
     def node(self, address: str) -> NetworkNode:
         return self._nodes[address]
-
-    @property
-    def addresses(self) -> List[str]:
-        """All attached addresses, sorted.  Served from a cache that is
-        invalidated on :meth:`attach` (the only topology mutation);
-        callers get a fresh list copy, so mutating it is safe."""
-        if self._addresses_cache is None:
-            self._addresses_cache = tuple(sorted(self._nodes))
-        return list(self._addresses_cache)
 
     def set_link(self, a: str, b: str, model: LatencyModel) -> None:
         """Configure the latency model between *a* and *b* (symmetric)."""
@@ -288,12 +279,6 @@ class Network:
                 matched.append(overlay)
         return matched
 
-    # -- observation -----------------------------------------------------
-
-    def add_tap(self, tap: Callable[[Message], None]) -> None:
-        """Observe every *delivered* message (metrics, debugging)."""
-        self._taps.append(tap)
-
     # -- transmission ----------------------------------------------------
 
     def send(self, sender: str, recipient: str, kind: str, body, *,
@@ -367,19 +352,6 @@ class Network:
         holder["event_id"] = event_id
         self._in_flight[event_id] = message
 
-    def broadcast(self, sender: str, kind: str, body, *,
-                  recipients: Optional[List[str]] = None,
-                  size_bytes: int = 0) -> int:
-        """Send to every attached node except the sender; returns how
-        many messages were accepted for delivery."""
-        targets = recipients if recipients is not None else [
-            addr for addr in self.addresses if addr != sender
-        ]
-        return sum(
-            1 for addr in targets
-            if self.send(sender, addr, kind, body, size_bytes=size_bytes)
-        )
-
     def _count_drop(self, kind: str) -> None:
         self.messages_dropped += 1
         self._m_dropped.inc(kind=kind)
@@ -406,21 +378,6 @@ class Network:
             # spans opened (and messages re-sent) inside it chain onto
             # the originating trace.
             with self.tracer.activate(message.trace):
-                for tap in self._taps:
-                    tap(message)
                 node._deliver(message)
             return
-        for tap in self._taps:
-            tap(message)
         node._deliver(message)
-
-
-SimTransport = Network
-"""The discrete-event simulator viewed through the
-:class:`~repro.network.base.Transport` contract.
-
-``Network`` predates the transport extraction and keeps its name (and
-exact behaviour) for the simulation stack; ``SimTransport`` is the same
-class under the role it plays next to
-:class:`~repro.network.aio.AsyncioTransport`.
-"""

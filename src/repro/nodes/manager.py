@@ -305,7 +305,3 @@ class ManagerNode(FullNode):
             self._keydist_active.pop(entry["node_id"], None)
         if entry["attempt"] > 1 or entry["m1_attempts"] > 1:
             self._m_retry_recoveries.inc(protocol="keydist")
-
-    def key_distribution_complete(self, device_count: int) -> bool:
-        """Whether at least *device_count* handshakes have completed."""
-        return self.distributor.completed_distributions >= device_count

@@ -11,15 +11,18 @@ and attack resistance:
   cumulative weight.  Its bias against low-weight side branches is the
   structural defence that makes lazy tips ineffective even before the
   credit mechanism punishes them.
-* :class:`FixedPairTipSelector` — the *lazy tips* misbehaviour itself:
-  always approve one fixed, old pair (threat model, Section III).
+
+The *lazy tips* misbehaviour — always approving one fixed, old pair
+(threat model, Section III) — is not a selector here: the attacker,
+:class:`~repro.attacks.lazy_tips.LazyLightNode`, discards the gateway's
+suggested tips itself.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .tangle import Tangle
 
@@ -27,7 +30,6 @@ __all__ = [
     "TipSelector",
     "UniformRandomTipSelector",
     "WeightedRandomWalkSelector",
-    "FixedPairTipSelector",
 ]
 
 
@@ -133,22 +135,3 @@ class WeightedRandomWalkSelector(TipSelector):
             current = rng.choices(children, weights=scores, k=1)[0]
         tangle.observe_walk(steps)
         return current
-
-
-class FixedPairTipSelector(TipSelector):
-    """The lazy-tips misbehaviour: always approve the same old pair.
-
-    "A 'lazy' node could always verify a fixed pair of very old
-    transactions, while not contributing to the verification of more
-    recent transactions."  Used by the attack harness and the credit
-    mechanism's evaluation.
-    """
-
-    def __init__(self, branch: bytes, trunk: Optional[bytes] = None):
-        self.branch = branch
-        self.trunk = trunk if trunk is not None else branch
-
-    def select(self, tangle: Tangle, rng: random.Random) -> Tuple[bytes, bytes]:
-        if self.branch not in tangle or self.trunk not in tangle:
-            raise ValueError("fixed pair not present in tangle")
-        return self.branch, self.trunk

@@ -101,12 +101,6 @@ class Wallet:
 
     # -- incoming / reconciliation -------------------------------------------
 
-    def notice_deposit(self, amount: int) -> None:
-        """Record an incoming payment the wallet learned about."""
-        if amount <= 0:
-            raise ValueError("deposit amount must be positive")
-        self._balance += amount
-
     def reconcile(self, ledger: TokenLedger) -> None:
         """Resync against an authoritative ledger view.
 

@@ -260,11 +260,6 @@ class LifecycleTracker:
             if stage == "attached" and len(timeline.stage_times(stage)) == 1:
                 self._m_attach_latency.observe(now - timeline.started)
 
-    def context_of(self, tx_hash: bytes) -> Optional[TraceContext]:
-        """The root context for a bound hash (hop-span parent fallback)."""
-        timeline = self._by_hash.get(tx_hash)
-        return timeline.context if timeline is not None else None
-
     def ingest(self, tx_hash: bytes, *, node: str,
                source: Optional[str] = None):
         """Context manager wrapping a full node's attach tail.
@@ -339,9 +334,6 @@ class LifecycleTracker:
         """Every sampled timeline, in submit order."""
         return list(self._timelines)
 
-    def timeline_for(self, tx_hash: bytes) -> Optional[TxLifecycle]:
-        return self._by_hash.get(tx_hash)
-
     # -- internal ----------------------------------------------------------
 
     def _record(self, timeline: TxLifecycle, stage: str, node: str,
@@ -373,9 +365,6 @@ class NullLifecycle:
     def record(self, tx_hash: bytes, stage: str, node: str) -> None:
         pass
 
-    def context_of(self, tx_hash: bytes) -> None:
-        return None
-
     def ingest(self, tx_hash: bytes, *, node: str,
                source: Optional[str] = None) -> _NullScope:
         return _NULL_SCOPE
@@ -388,9 +377,6 @@ class NullLifecycle:
 
     def timelines(self) -> List[TxLifecycle]:
         return []
-
-    def timeline_for(self, tx_hash: bytes) -> None:
-        return None
 
 
 NULL_LIFECYCLE = NullLifecycle()

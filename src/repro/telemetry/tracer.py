@@ -126,20 +126,21 @@ class Tracer:
         Lexical spans unwind the stack (any deeper spans left open are
         closed innermost first — a scheduler callback that raised must
         not wedge the stack); explicit-parent spans, which are never on
-        the stack, close individually.
+        the stack, close individually.  Ending a finished span raises
+        and leaves every open span as it was.
         """
-        if span.end is None and all(open_span is not span
-                                    for open_span in self._stack):
+        if span.end is not None:
+            raise ValueError(f"span {span.name!r} is already finished")
+        if all(open_span is not span for open_span in self._stack):
             span.end = self._time_fn()
             self.spans.append(span)
             return span
-        while self._stack:
+        while True:
             top = self._stack.pop()
             top.end = self._time_fn()
             self.spans.append(top)
             if top is span:
                 return span
-        raise ValueError(f"span {span.name!r} is not open on this tracer")
 
     @contextmanager
     def span(self, name: str, **attributes: object) -> Iterator[Span]:
@@ -220,9 +221,6 @@ class Tracer:
         if name is None:
             return list(self.spans)
         return [s for s in self.spans if s.name == name]
-
-    def children(self, parent: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == parent.span_id]
 
 
 class _NullContext:

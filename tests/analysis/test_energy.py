@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.energy import (
-    EnergyBreakdown,
     energy_for_stats,
     energy_per_transaction,
 )
@@ -20,7 +19,8 @@ class TestProfileEnergyModel:
 
     def test_pow_energy_via_attempts(self):
         # 3000 attempts = 1 s of hashing + overhead on the Pi.
-        joules = RASPBERRY_PI_3B.pow_energy_joules(3000)
+        joules = RASPBERRY_PI_3B.compute_energy_joules(
+            RASPBERRY_PI_3B.pow_seconds(3000))
         expected = RASPBERRY_PI_3B.active_watts * (1.0 + 0.05)
         assert joules == pytest.approx(expected)
 
@@ -58,13 +58,6 @@ class TestEnergyForStats:
         assert breakdown.total_joules == pytest.approx(
             breakdown.pow_joules + breakdown.aes_joules
             + breakdown.signature_joules + breakdown.radio_joules)
-
-    def test_per_transaction(self):
-        breakdown = EnergyBreakdown(pow_joules=10.0, aes_joules=0.0,
-                                    signature_joules=0.0, radio_joules=0.0)
-        assert breakdown.per_transaction(5) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            breakdown.per_transaction(0)
 
     def test_pow_dominates_for_typical_device(self):
         breakdown = energy_for_stats(RASPBERRY_PI_3B, self._stats())

@@ -34,15 +34,12 @@ class TestCreditTracer:
         with pytest.raises(ValueError):
             CreditTracer(registry, NODE).sample_range(0.0, 1.0, 0.0)
 
-    def test_series_accessors(self, registry):
+    def test_points_carry_signed_components(self, registry):
         tracer = CreditTracer(registry, NODE)
         tracer.sample_range(0.0, 30.0, 10.0)
-        credit = tracer.credit_series()
-        positive = tracer.positive_series()
-        negative = tracer.negative_series()
-        assert len(credit) == len(positive) == len(negative) == 4
-        assert all(n <= 0 for _, n in negative)
-        assert all(p >= 0 for _, p in positive)
+        assert len(tracer.points) == 4
+        assert all(p.negative <= 0 for p in tracer.points)
+        assert all(p.positive >= 0 for p in tracer.points)
 
     def test_attack_shows_as_sharp_drop(self, registry):
         tracer = CreditTracer(registry, NODE)

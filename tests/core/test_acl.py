@@ -24,6 +24,12 @@ def make_genesis(**kwargs):
     return Transaction.create_genesis(MANAGER, payload=config.to_bytes())
 
 
+def acl_from_genesis(genesis):
+    """The ACL a replica starts from (``Replica.__init__``)."""
+    config = GenesisConfig.from_genesis(genesis)
+    return AuthorizationList(config.manager, config.extra_managers)
+
+
 def acl_tx(signer, payload, *, parents, timestamp=1.0):
     return Transaction.create(
         signer, kind=TransactionKind.ACL, payload=payload.to_bytes(),
@@ -201,7 +207,7 @@ class TestMultiManager:
                                extra_managers=(self.SECOND.public,))
         genesis = Transaction.create_genesis(MANAGER,
                                              payload=config.to_bytes())
-        acl = AuthorizationList.from_genesis(genesis)
+        acl = acl_from_genesis(genesis)
         assert acl.is_manager(self.SECOND.node_id)
 
     def test_identity_lookup_includes_extras(self):
@@ -212,7 +218,7 @@ class TestMultiManager:
 class TestValidatorIntegration:
     def test_validator_blocks_unauthorized_data(self):
         genesis = make_genesis()
-        acl = AuthorizationList.from_genesis(genesis)
+        acl = acl_from_genesis(genesis)
         tangle = Tangle(genesis, validators=[acl.validator])
         rogue = Transaction.create(
             INTRUDER, kind="data", payload=b"x", timestamp=1.0,
@@ -223,7 +229,7 @@ class TestValidatorIntegration:
 
     def test_validator_allows_after_authorization(self):
         genesis = make_genesis()
-        acl = AuthorizationList.from_genesis(genesis)
+        acl = acl_from_genesis(genesis)
         tangle = Tangle(genesis, validators=[acl.validator])
         update = acl_tx(MANAGER, AuthorizationList.make_update([DEVICE.public]),
                         parents=genesis.tx_hash)
@@ -238,20 +244,10 @@ class TestValidatorIntegration:
 
     def test_validator_blocks_forged_acl(self):
         genesis = make_genesis()
-        acl = AuthorizationList.from_genesis(genesis)
+        acl = acl_from_genesis(genesis)
         tangle = Tangle(genesis, validators=[acl.validator])
         forged = acl_tx(INTRUDER,
                         AuthorizationList.make_update([INTRUDER.public]),
                         parents=genesis.tx_hash)
         with pytest.raises(UnauthorizedIssuerError):
             tangle.attach(forged)
-
-    def test_from_tangle_replays_history(self):
-        genesis = make_genesis()
-        tangle = Tangle(genesis)
-        update = acl_tx(MANAGER, AuthorizationList.make_update([DEVICE.public]),
-                        parents=genesis.tx_hash)
-        tangle.attach(update)
-        acl = AuthorizationList.from_tangle(tangle)
-        assert acl.is_authorized_device(DEVICE.node_id)
-        assert acl.updates_applied == 1

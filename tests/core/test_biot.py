@@ -49,7 +49,7 @@ class TestTopology:
         system = BIoTSystem.build(CONFIG)
         assert len(system.gateways) == 2
         assert len(system.devices) == 4
-        assert len(system.network.addresses) == 1 + 2 + 4
+        assert len(system.network._nodes) == 1 + 2 + 4
 
     def test_full_mesh_peers(self):
         system = BIoTSystem.build(CONFIG)

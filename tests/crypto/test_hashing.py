@@ -1,7 +1,5 @@
 """Tests for repro.crypto.hashing."""
 
-import hashlib
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,8 +11,6 @@ from repro.crypto.hashing import (
     leading_zero_bits,
     merkle_root,
     sha256,
-    sha256_hex,
-    sha512,
 )
 
 
@@ -29,15 +25,9 @@ class TestBasicHashes:
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         )
 
-    def test_sha512_abc(self):
-        assert sha512(b"abc") == hashlib.sha512(b"abc").digest()
-
     def test_double_sha256_is_nested(self):
         data = b"nested hashing"
         assert double_sha256(data) == sha256(sha256(data))
-
-    def test_sha256_hex_matches_digest(self):
-        assert sha256_hex(b"x") == sha256(b"x").hex()
 
     def test_digest_size(self):
         assert len(sha256(b"anything")) == DIGEST_SIZE
@@ -108,9 +98,6 @@ class TestMerkleTree:
         inner = MerkleTree([b"a", b"b"])
         fake_leaf = inner._levels[0][0] + inner._levels[0][1]
         assert MerkleTree([fake_leaf]).root != inner.root
-
-    def test_leaf_count(self):
-        assert MerkleTree([b"a", b"b", b"c"]).leaf_count == 3
 
 
 class TestMerkleRoot:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.devices.clock import SimulatedClock, WallClock
+from repro.devices.clock import SimulatedClock
 
 
 class TestSimulatedClock:
@@ -42,10 +42,3 @@ class TestSimulatedClock:
         clock.advance_to(5.0)
         assert clock.now() == 5.0
 
-
-class TestWallClock:
-    def test_monotonic_and_near_zero_origin(self):
-        clock = WallClock()
-        first = clock.now()
-        second = clock.now()
-        assert 0.0 <= first <= second < 5.0

@@ -42,15 +42,22 @@ def pump(scheduler, network, sender, recipient, count=1):
 
 
 class TestLinkFaults:
-    def test_cut_blocks_then_heal_restores(self, fabric):
+    def test_two_singleton_partition_cuts_then_heal_restores(self, fabric):
+        """A partition of two one-node groups is a cut of that one link,
+        both ways."""
         scheduler, network, nodes = fabric
         injector = FaultInjector(network)
-        injector.apply(PlanBuilder().cut(1.0, "a", "b", heal_at=3.0).build())
+        injector.apply(
+            PlanBuilder().partition(1.0, 3.0, ("a",), ("b",)).build())
 
         scheduler.run_until(2.0)
         pump(scheduler, network, "a", "b")
+        pump(scheduler, network, "b", "a")
+        pump(scheduler, network, "a", "c")  # other links stay up
         scheduler.run_until(2.5)
         assert nodes["b"].inbox == []  # cut window: dropped
+        assert nodes["a"].inbox == []
+        assert len(nodes["c"].inbox) == 1
 
         scheduler.run_until(3.5)
         pump(scheduler, network, "a", "b")
@@ -74,7 +81,8 @@ class TestLinkFaults:
         scheduler, network, nodes = fabric
         scheduler.run_until(10.0)
         injector = FaultInjector(network)
-        injector.apply(PlanBuilder().cut(1.0, "a", "b").build())
+        injector.apply(
+            PlanBuilder().partition(1.0, None, ("a",), ("b",)).build())
         pump(scheduler, network, "a", "b")
         scheduler.run_until(10.5)
         assert len(nodes["b"].inbox) == 1  # before 11.0: link still up
@@ -111,7 +119,7 @@ class TestCrashFaults:
         injector = FaultInjector(
             network, full_nodes=[nodes["a"], nodes["b"]], resync_delay=0.1)
         injector.apply(PlanBuilder()
-                       .cut(1.0, "a", "c", heal_at=2.0)
+                       .partition(1.0, 2.0, ("a",), ("c",))
                        .crash(0.5, "b")  # never restarts
                        .build())
         scheduler.run_until(3.0)
@@ -176,13 +184,13 @@ class TestAuditAndMetrics:
         scheduler, network, nodes = fabric
         injector = FaultInjector(network)
         injector.apply(PlanBuilder()
-                       .cut(1.0, "a", "b", heal_at=2.0)
+                       .partition(1.0, 2.0, ("a",), ("b",))
                        .skew(1.5, "c", 1.0, until=2.5)
                        .build())
         scheduler.run_until(5.0)
         actions = [action for _, action, _ in injector.injection_log]
-        assert actions == ["inject:link_cut", "inject:clock_skew",
-                           "heal:link_cut", "heal:clock_skew"]
+        assert actions == ["inject:partition", "inject:clock_skew",
+                           "heal:partition", "heal:clock_skew"]
         times = [t for t, _, _ in injector.injection_log]
         assert times == sorted(times)
 

@@ -9,7 +9,6 @@ from repro.faults.plan import (
     DuplicationBurst,
     FaultPlan,
     LatencyBurst,
-    LinkCut,
     LossBurst,
     PartitionFault,
     PlanBuilder,
@@ -19,17 +18,11 @@ from repro.faults.plan import (
 class TestEventValidation:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            LinkCut(at=-1.0, a="a", b="b")
-
-    def test_cut_needs_distinct_endpoints(self):
-        with pytest.raises(ValueError):
-            LinkCut(at=0.0, a="a", b="a")
-        with pytest.raises(ValueError):
-            LinkCut(at=0.0, a="", b="b")
+            PartitionFault(at=-1.0, groups=(("a",), ("b",)))
 
     def test_heal_must_follow_injection(self):
         with pytest.raises(ValueError):
-            LinkCut(at=5.0, a="a", b="b", heal_at=5.0)
+            PartitionFault(at=5.0, groups=(("a",), ("b",)), heal_at=5.0)
         with pytest.raises(ValueError):
             CrashFault(at=5.0, address="a", restart_at=2.0)
 
@@ -79,7 +72,7 @@ class TestPartitionCrossLinks:
 class TestFaultPlan:
     def test_events_sorted_by_time(self):
         plan = FaultPlan(events=(
-            LinkCut(at=9.0, a="a", b="b"),
+            PartitionFault(at=9.0, groups=(("a",), ("b",))),
             CrashFault(at=1.0, address="a"),
             LossBurst(at=4.0, until=5.0, rate=0.5),
         ))
@@ -87,13 +80,13 @@ class TestFaultPlan:
 
     def test_empty_plan(self):
         plan = FaultPlan()
-        assert plan.is_empty
+        assert plan.events == ()
         assert plan.last_event_time() == 0.0
         assert plan.describe() == []
 
     def test_last_event_time_includes_heals(self):
         plan = FaultPlan(events=(
-            LinkCut(at=2.0, a="a", b="b", heal_at=30.0),
+            PartitionFault(at=2.0, groups=(("a",), ("b",)), heal_at=30.0),
             CrashFault(at=10.0, address="a"),
         ))
         assert plan.last_event_time() == 30.0
@@ -114,7 +107,6 @@ class TestFaultPlan:
 class TestPlanBuilder:
     def test_builder_produces_every_kind(self):
         plan = (PlanBuilder("all")
-                .cut(1.0, "a", "b", heal_at=2.0)
                 .partition(3.0, 4.0, ("a",), ("b",))
                 .crash(5.0, "a", restart_at=6.0)
                 .loss(7.0, 8.0, 0.5)
@@ -123,7 +115,7 @@ class TestPlanBuilder:
                 .skew(13.0, "a", 1.0, until=14.0)
                 .build())
         kinds = [event.kind for event in plan.events]
-        assert kinds == ["link_cut", "partition", "crash", "loss_burst",
+        assert kinds == ["partition", "crash", "loss_burst",
                         "latency_burst", "duplication_burst", "clock_skew"]
         assert plan.name == "all"
         assert plan.last_event_time() == 14.0

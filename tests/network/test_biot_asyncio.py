@@ -63,7 +63,7 @@ class TestAsyncioDeployment:
 
     def test_built_deployment_listens_on_distinct_ports(self):
         with tcp_system() as system:
-            bound = {runner.address: runner.bound_address
+            bound = {runner.node.address: runner.bound_address
                      for runner in system.runners}
             # Devices listen too: the manager dials them for Fig. 4.
             assert set(bound) == {n.address for n in
@@ -142,7 +142,7 @@ class TestAsyncioDeployment:
         # Closed mid-traffic: devices were still reporting.
         assert loop.is_closed()
         assert not asyncio.all_tasks(loop)
-        assert len(system.scheduler) == 0
+        assert not system.scheduler._handles  # every timer cancelled
         for port in ports:
             with pytest.raises(ConnectionRefusedError):
                 socket.create_connection(("127.0.0.1", port), timeout=5.0)

@@ -304,7 +304,7 @@ class TestDiscoveryOverTcp:
             seed_runner, seed_service = _tcp_node("n0", 0)
             await seed_runner.start()
             seed_service.start()
-            seeds = [("n0", "127.0.0.1", seed_runner.bound_port)]
+            seeds = [("n0", "127.0.0.1", seed_runner.bound_address[1])]
 
             peers1, peers2 = [], []
             runner1, service1 = _tcp_node("n1", 0, seeds=seeds,
@@ -370,7 +370,7 @@ class TestDiscoveryOverTcp:
             seed_runner, seed_service = _tcp_node("n0", 0)
             await seed_runner.start()
             seed_service.start()
-            seeds = [("n0", "127.0.0.1", seed_runner.bound_port)]
+            seeds = [("n0", "127.0.0.1", seed_runner.bound_address[1])]
 
             runner1, service1 = _tcp_node("n1", 0, seeds=seeds)
             runner2, service2 = _tcp_node("n2", 0, seeds=seeds)

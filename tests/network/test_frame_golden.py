@@ -21,11 +21,12 @@ import pytest
 from repro.network.frame import (
     FrameDecoder,
     FrameError,
-    decode_frame,
     encode_frame,
 )
 from repro.network.transport import Message
 from repro.telemetry.tracer import TraceContext
+
+from .test_frame_properties import decode_frame
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 

@@ -14,13 +14,21 @@ from hypothesis import strategies as st
 from repro.network.frame import (
     FrameDecoder,
     FrameError,
-    decode_frame,
     decode_value,
     encode_frame,
     encode_value,
 )
 from repro.network.transport import Message
 from repro.telemetry.tracer import TraceContext
+
+
+def decode_frame(data):
+    """Decode exactly one frame the way a connection's reader does;
+    partial or trailing bytes fail."""
+    decoder = FrameDecoder()
+    [message] = decoder.feed(data)
+    decoder.close()
+    return message
 
 # Values the protocol actually ships: message bodies are dicts/lists of
 # None/bool/int/float/str/bytes (transaction blobs ride as bytes).

@@ -33,16 +33,11 @@ class TestGossipRelay:
         relay.add_peer("a")  # idempotent
         relay.add_peer("b")
         assert relay.peers == ["a", "b"]
-        relay.remove_peer("a")
-        relay.remove_peer("ghost")  # no-op
-        assert relay.peers == ["b"]
 
     def test_has_peer(self):
         relay = GossipRelay(peers=["a", "b"])
         assert relay.has_peer("a")
         assert not relay.has_peer("ghost")
-        relay.remove_peer("a")
-        assert not relay.has_peer("a")
 
 
 class TestSolidificationBuffer:

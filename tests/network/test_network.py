@@ -1,4 +1,4 @@
-"""Tests for repro.network.network (routing, failures, taps)."""
+"""Tests for repro.network.network (routing, failures, observation)."""
 
 import random
 
@@ -54,20 +54,6 @@ class TestRouting:
         scheduler.run_until(3.0)
         assert len(b.inbox) == 1
 
-    def test_broadcast_reaches_everyone_else(self, net):
-        scheduler, network, a, b, c = net
-        count = network.broadcast("a", "announce", None)
-        scheduler.run()
-        assert count == 2
-        assert len(b.inbox) == 1 and len(c.inbox) == 1
-        assert a.inbox == []
-
-    def test_broadcast_with_recipients(self, net):
-        scheduler, network, a, b, c = net
-        network.broadcast("a", "x", None, recipients=["c"])
-        scheduler.run()
-        assert b.inbox == [] and len(c.inbox) == 1
-
     def test_duplicate_address_rejected(self, net):
         _, network, _, _, _ = net
         with pytest.raises(ValueError):
@@ -76,10 +62,6 @@ class TestRouting:
     def test_unattached_node_cannot_send(self):
         with pytest.raises(RuntimeError):
             Recorder("x").send("y", "k", None)
-
-    def test_addresses_sorted(self, net):
-        _, network, _, _, _ = net
-        assert network.addresses == ["a", "b", "c"]
 
 
 class TestFailures:
@@ -138,23 +120,20 @@ class TestFailures:
 
 
 class TestObservation:
-    def test_tap_sees_deliveries(self, net):
-        scheduler, network, a, b, _ = net
-        seen = []
-        network.add_tap(seen.append)
+    def test_recipient_sees_deliveries(self, net):
+        scheduler, network, a, b, c = net
         a.send("b", "ping", None)
         scheduler.run()
-        assert len(seen) == 1
-        assert seen[0].kind == "ping"
+        assert [m.kind for m in b.inbox] == ["ping"]
+        assert a.inbox == [] and c.inbox == []
 
-    def test_tap_does_not_see_drops(self, net):
-        scheduler, network, a, b, _ = net
-        seen = []
-        network.add_tap(seen.append)
+    def test_drops_are_not_delivered(self, net):
+        scheduler, network, a, b, c = net
         network.take_down("b")
         a.send("b", "ping", None)
         scheduler.run()
-        assert seen == []
+        assert a.inbox == [] and b.inbox == [] and c.inbox == []
+        assert network.messages_delivered == 0
 
     def test_received_count(self, net):
         scheduler, network, a, b, _ = net

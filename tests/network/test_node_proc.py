@@ -126,7 +126,7 @@ class TestProcessLifecycle:
         with ProcessFleet(run_dir=run_dir) as fleet:
             ready = fleet.spawn(_spec("n0", genesis_path, metrics_port=0))
             assert ready["address"] == "n0"
-            assert ready["pid"] == fleet.processes["n0"].pid
+            assert ready["pid"] == fleet.processes["n0"].process.pid
             assert ready["host"] == "127.0.0.1"
             assert ready["port"] > 0
             assert ready["metrics_port"] > 0

@@ -82,20 +82,23 @@ class TestMessage:
         from repro.network.simulator import EventScheduler
 
         class Sink(NetworkNode):
+            def __init__(self, address):
+                super().__init__(address)
+                self.ids = []
+
             def handle_message(self, message):
-                pass
+                self.ids.append(message.message_id)
 
         def run_network():
             scheduler = EventScheduler()
             network = Network(scheduler, rng=random.Random(0))
-            seen = []
-            for address in ("a", "b"):
-                network.attach(Sink(address))
-            network.add_tap(lambda m: seen.append(m.message_id))
+            sink = Sink("b")
+            network.attach(Sink("a"))
+            network.attach(sink)
             for _ in range(3):
                 network.send("a", "b", "ping", None)
             scheduler.run()
-            return seen
+            return sink.ids
 
         assert run_network() == [1, 2, 3]
         # A second, entirely separate Network restarts from 1.

@@ -7,7 +7,6 @@ import pytest
 from repro.crypto.keys import KeyPair
 from repro.tangle.tangle import Tangle
 from repro.tangle.tip_selection import (
-    FixedPairTipSelector,
     UniformRandomTipSelector,
     WeightedRandomWalkSelector,
 )
@@ -112,22 +111,3 @@ class TestWeightedRandomWalk:
             WeightedRandomWalkSelector(alpha=-0.1)
         with pytest.raises(ValueError):
             WeightedRandomWalkSelector(start_depth=0)
-
-
-class TestFixedPair:
-    def test_always_returns_pin(self, tangle, rng):
-        g = tangle.genesis.tx_hash
-        child_of(tangle, g, g, payload=b"fresh")
-        selector = FixedPairTipSelector(g)
-        assert selector.select(tangle, rng) == (g, g)
-
-    def test_distinct_pair(self, tangle, rng):
-        g = tangle.genesis.tx_hash
-        a = child_of(tangle, g, g, payload=b"a")
-        selector = FixedPairTipSelector(g, a.tx_hash)
-        assert selector.select(tangle, rng) == (g, a.tx_hash)
-
-    def test_unknown_pin_rejected(self, tangle, rng):
-        selector = FixedPairTipSelector(b"\x42" * 32)
-        with pytest.raises(ValueError):
-            selector.select(tangle, rng)

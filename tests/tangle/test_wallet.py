@@ -64,13 +64,6 @@ class TestBuildTransfer:
 
 
 class TestDepositsAndReconcile:
-    def test_deposit_increases_balance(self):
-        wallet = Wallet(ALICE, initial_balance=0)
-        wallet.notice_deposit(25)
-        assert wallet.available_balance == 25
-        with pytest.raises(ValueError):
-            wallet.notice_deposit(0)
-
     def test_reconcile_adopts_ledger_balance(self):
         ledger = TokenLedger({ALICE.node_id: 100})
         wallet = Wallet(ALICE, initial_balance=100)

@@ -20,7 +20,8 @@ class TestNesting:
                 pass
         assert inner.parent_id == outer.span_id
         assert outer.parent_id is None
-        assert tracer.children(outer) == [inner]
+        assert [s for s in tracer.finished()
+                if s.parent_id == outer.span_id] == [inner]
 
     def test_finished_order_is_end_order(self):
         tracer = Tracer()
@@ -136,6 +137,20 @@ class TestExplicitParent:
         tracer.end_span(root)
         with pytest.raises(ValueError):
             tracer.end_span(root)
+
+    def test_double_end_leaves_open_lexical_spans_alone(self):
+        """Ending a finished span must not unwind the lexical stack on
+        its way to the error."""
+        tracer = Tracer()
+        outer = tracer.start_span("outer")
+        root = tracer.start_root_span("root", trace_id="tx:1")
+        tracer.end_span(root)
+        with pytest.raises(ValueError):
+            tracer.end_span(root)
+        assert not outer.finished
+        assert tracer.open_depth == 1
+        tracer.end_span(outer)
+        assert outer.finished and tracer.open_depth == 0
 
     def test_lexical_child_inherits_trace_id(self):
         tracer = Tracer()

@@ -93,6 +93,26 @@ class TestBaselineFormat:
         }
 
 
+def run_hooked(tmp_path, source):
+    """Run ``repro.m.main()`` of a toy tree under the probe hook; return
+    every record of every process."""
+    package = tmp_path / "tree"
+    write_tree(package, source)
+    hook_dir = tmp_path / "hook"
+    hook_dir.mkdir()
+    (hook_dir / "sitecustomize.py").write_text(reach.SITECUSTOMIZE)
+    out = tmp_path / "probe"
+    out.mkdir()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(hook_dir), str(package / "src")])
+    env["REPRO_REACH_PREFIX"] = f"{package}{os.sep}"
+    env["REPRO_REACH_OUT"] = str(out)
+    subprocess.run([sys.executable, "-c", "import repro.m; repro.m.main()"],
+                   env=env, check=True, timeout=60)
+    return [line for probe in out.glob("*.txt")
+            for line in probe.read_text().split()]
+
+
 class TestProbe:
     def test_reached_functions_unions_probe_files(self, tmp_path):
         (tmp_path / "101.txt").write_text("src/repro/m.py::a\nsrc/repro/m.py::b\n")
@@ -105,8 +125,7 @@ class TestProbe:
         """The sitecustomize hook records the first entry of every code
         object under the prefix, from helper threads too, and nothing
         outside it."""
-        package = tmp_path / "tree"
-        write_tree(package, """\
+        records = run_hooked(tmp_path, """\
             import threading
 
 
@@ -131,20 +150,6 @@ class TestProbe:
                 worker.start()
                 worker.join()
             """)
-        hook_dir = tmp_path / "hook"
-        hook_dir.mkdir()
-        (hook_dir / "sitecustomize.py").write_text(reach.SITECUSTOMIZE)
-        out = tmp_path / "probe"
-        out.mkdir()
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(hook_dir), str(package / "src")])
-        env["REPRO_REACH_PREFIX"] = f"{package}{os.sep}"
-        env["REPRO_REACH_OUT"] = str(out)
-        subprocess.run([sys.executable, "-c", "import repro.m; repro.m.main()"],
-                       env=env, check=True, timeout=60)
-        records = [line for probe in out.glob("*.txt")
-                   for line in probe.read_text().split()]
         assert sorted(records) == sorted(set(records))
         assert set(records) == {
             f"{MODULE}::<module>",
@@ -154,6 +159,32 @@ class TestProbe:
             f"{MODULE}::in_thread",
             f"{MODULE}::main",
         }
+
+    def test_hook_survives_a_process_closing_its_descriptors(self, tmp_path):
+        """A forked verify worker closes every descriptor it did not open,
+        the probe's file included: the hook opens a new one rather than
+        raise into the traced code, which would end the worker."""
+        records = run_hooked(tmp_path, """\
+            import os
+
+
+            def after_close():
+                return 0
+
+
+            def main():
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+                        code = after_close()
+                    finally:
+                        os._exit(code)
+                _, status = os.waitpid(pid, 0)
+                assert os.waitstatus_to_exitcode(status) == 0
+            """)
+        assert f"{MODULE}::after_close" in records
 
 
 class TestRatchet:
@@ -202,15 +233,25 @@ class TestRatchet:
         assert reach.main([*args, "--check"]) == 1
         assert "unreached lines grew: 5 > baseline 4" in capsys.readouterr().out
 
-    def test_check_reports_stale_entries_without_failing(self, toy, capsys):
+    def test_check_fails_on_stale_entries(self, toy, capsys):
+        """A reached or deleted function left in the baseline fails the
+        check, so the list cannot rot."""
         baseline, args = toy
         baseline.write_text(
-            f"{MODULE}::a  2\n{MODULE}::b  3\n{MODULE}::c  2\n"
-            f"{MODULE}::gone  4\n")
-        assert reach.main([*args, "--check"]) == 0
+            f"{MODULE}::a  2  # candidate\n{MODULE}::b  3\n{MODULE}::c  2\n"
+            f"{MODULE}::gone  4  # timing-dependent: deleted since\n")
+        assert reach.main([*args, "--check"]) == 1
         out = capsys.readouterr().out
         assert f"delete from the baseline: {MODULE}::a" in out
         assert f"delete from the baseline: {MODULE}::gone" in out
+
+    def test_check_keeps_reached_timing_dependent_entries(self, toy, capsys):
+        baseline, args = toy
+        baseline.write_text(
+            f"{MODULE}::a  2  # timing-dependent: a gossip gap\n"
+            f"{MODULE}::b  3\n{MODULE}::c  2\n")
+        assert reach.main([*args, "--check"]) == 0
+        assert "delete from the baseline" not in capsys.readouterr().out
 
     def test_write_keeps_reasons_and_timing_dependent_entries(self, toy):
         baseline, args = toy
