@@ -14,21 +14,26 @@ from repro.analysis.energy import energy_for_stats
 from repro.analysis.metrics import format_table
 from repro.core.authority import DataProtector
 from repro.core.biot import BIoTConfig, BIoTSystem
+from repro.crypto import rand
 from repro.devices.profiles import RASPBERRY_PI_3B
 
 RUN_SECONDS = 60.0
 
 
 def _run_with_batch_size(batch_size: int):
-    system = BIoTSystem.build(BIoTConfig(
-        device_count=2, gateway_count=1, seed=200 + batch_size,
-        initial_difficulty=8, report_interval=1.0,
-    ))
-    for device in system.devices:
-        device.batch_size = batch_size
-    system.initialize()
-    system.start_devices()
-    system.run_for(RUN_SECONDS)
+    seed = 200 + batch_size
+    # Seeded like ``repro workflow``: the AES IVs would otherwise come
+    # from os.urandom and move every PoW solve count with them.
+    with rand.deterministic(f"ext7:{seed}".encode()):
+        system = BIoTSystem.build(BIoTConfig(
+            device_count=2, gateway_count=1, seed=seed,
+            initial_difficulty=8, report_interval=1.0,
+        ))
+        for device in system.devices:
+            device.batch_size = batch_size
+        system.initialize()
+        system.start_devices()
+        system.run_for(RUN_SECONDS)
     device = system.devices[0]
     stats = device.stats
     energy = energy_for_stats(RASPBERRY_PI_3B, stats)

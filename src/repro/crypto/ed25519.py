@@ -21,14 +21,14 @@ verification cheap on a gateway:
   builds.  The base point ``B`` has *one* such table, built once per
   process: the odd multiples ``1, 3, ..., 127`` of ``2^(32i) * B`` for
   ``i = 0..7``, 8 x 64 entries.  Key generation, signing, the single
-  verify and the batch equation all read it: ``[k]B`` is a chain of 32
+  verify and the batch equation all read it: ``[k]B`` is a chain of 31
   doublings and ~28 additions;
 * **per-issuer split tables** — a single ``verify`` evaluates
-  ``[s]B - [h]A`` as *one* Straus chain of 32 doublings: one NAF pass
+  ``[s]B - [h]A`` as *one* Straus chain of 31 doublings: one NAF pass
   over each scalar files a digit at bit ``32i + j`` from row i at chain
   position j, and row i holds the base rows' multiples or the odd
   multiples ``1, ..., 15`` of ``-2^(32i) * A`` (64 entries per public
-  key, built on first sight and kept in one bounded LRU).  ~103 point
+  key, built on first sight and kept in one bounded LRU).  ~102 point
   operations for a key seen before against ~362 for the unsplit
   ``[s]B == R + [h]A``;
 * **encodings compared, not points** — the single check compresses
@@ -382,13 +382,15 @@ def _schedule(schedule: List[List[Niels]], scalar: int,
 
 
 def _run_chain(schedule: List[List[Niels]]) -> Point:
-    """Evaluate a schedule: one doubling per row, highest bit first,
-    and one mixed addition per addend."""
+    """Evaluate a schedule: one doubling per row below the highest,
+    highest bit first, and one mixed addition per addend (the highest
+    row starts from the identity, whose doubling is itself)."""
     point_add = _point_add_niels
     point_double = _point_double
     acc = _IDENTITY
     for addends in reversed(schedule):
-        acc = point_double(acc)
+        if acc is not _IDENTITY:
+            acc = point_double(acc)
         for addend in addends:
             acc = point_add(acc, addend)
     return acc
@@ -460,7 +462,7 @@ def precompute() -> None:
 
 def _mul_base(scalar: int) -> Point:
     """``scalar * B`` for a *scalar* below ``2^255``: one chain of at
-    most 32 doublings and ~28 mixed additions over the base rows."""
+    most 31 doublings and ~28 mixed additions over the base rows."""
     precompute()
     schedule: List[List[Niels]] = []
     _schedule_split(schedule, scalar, _BASE_ROWS)
@@ -564,7 +566,7 @@ def _verify_decoded(issuer: _Issuer, r_encoding: bytes, s: int,
 
     Both scalars are filed over split rows (:func:`_schedule_split`,
     exact on the whole curve group, torsion components of ``A``
-    included): one chain of 32 doublings and ~71 mixed additions.  An
+    included): one chain of 31 doublings and ~71 mixed additions.  An
     issuer met for the first time also pays its 288 table operations
     here, after every structural check has passed.
     """
@@ -665,7 +667,7 @@ _BATCH_FLOOR = 4
 """Fewest signatures the combined equation is run for when every issuer
 among them already has split rows.
 
-A warm single costs ~103 point operations and compression's one
+A warm single costs ~102 point operations and compression's one
 inversion, and takes no square root; a batch of n signatures from k
 issuers costs ~290 + 51k + 30n point operations *and* one square root
 per item, because the equation needs every ``R`` as a point.  The root
@@ -675,14 +677,14 @@ a 2-vCPU host (best of 7), a warm single took 544 us a signature for
 one issuer and 652 us for four; the equation took 1 447 us a signature
 at two signatures, 705-964 at six, 682-772 at eight and 517-702 at
 twelve to sixteen.  The floor stays at four all the same: the node's
-batch lane is tested at it, and a verify worker shards the equation
-across cores where the singles run on one.  It
+batch lane is tested at it, and the verify workers take the equation
+off the node's core where the singles would run on it.  It
 lives here, not in ``FullNode._preverify``, because the crossover
 belongs to this cost model.  Letting the batch's A-columns read the
 split tables instead would only halve the chain and put a
 288-operation table build on the batch lane for every new key.  An
 issuer without tables keeps the old floor of two: its single would
-cost 288 + 103, more than its share of any batch, so a run of fresh
+cost 288 + 102, more than its share of any batch, so a run of fresh
 keys is never verified one by one on this account.
 """
 

@@ -501,10 +501,12 @@ class AsyncioTransport:
         """Deliver *messages* in order: a control-plane frame to its
         registered handler, and every stretch of frames for the local
         node between two of them as one run (``NetworkNode.deliver_run``,
-        contract in :mod:`repro.network.base`), so a handler sees
-        exactly the frames before it delivered.  A frame carrying a
+        contract in :mod:`repro.network.base`).  A frame carrying a
         trace context is a run of its own, delivered under that context.
-        Deliveries are counted by kind once per call."""
+        Before either, the node finishes every run it holds pending
+        (``NetworkNode.finish_runs``), so a handler sees exactly the
+        frames before it delivered.  Deliveries are counted by kind once
+        per call."""
         if self._closing:
             for message in messages:
                 self._count_drop(message.kind)
@@ -528,6 +530,8 @@ class AsyncioTransport:
                 if run:
                     self._deliver_run(run)
                     run = []
+                if node is not None:
+                    node.finish_runs()
                 if handler is not None:
                     handler(message)
                 else:
@@ -550,10 +554,13 @@ class AsyncioTransport:
     # -- shutdown ----------------------------------------------------------
 
     async def close(self) -> None:
-        """Graceful shutdown: flush outboxes briefly, then tear down
-        the server, every connection, and every task.  Idempotent."""
+        """Graceful shutdown: deliver every run the node holds pending,
+        flush outboxes briefly, then tear down the server, every
+        connection, and every task.  Idempotent."""
         if self._closing:
             return
+        if self._node is not None:
+            self._node.finish_runs()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + FLUSH_TIMEOUT_S
         while (any(not q.empty() for q in self._outboxes.values())

@@ -30,18 +30,26 @@ outcome must not depend on the cut.  A *stream* backend, where one
 ``read()`` may complete many frames, hands the node what each read
 carried for it, in order, as one call ``node.deliver_run(run)``; a
 control-plane frame (a registered handler's kind) splits the read into
-runs around it, so the handler sees exactly the frames before it
-delivered.  ``NetworkNode.deliver_run`` delivers the run one message
-at a time through ``node._deliver(message)`` (which counts it and
-calls ``handle_message``); a node may override it to share work across
-what arrived together (a full node decodes each carrier once, drops
-gossip it already holds and batch-verifies the rest).  How a byte
-stream is cut into reads is kernel timing, so a run must leave the
-node — replies, floods, counters and replicated state — exactly where
-delivering its messages one by one would.  ``Network`` delivers
-one message per scheduled event through ``node._deliver``, so
-simulator schedules stay byte-deterministic, and the sim≡wire≡process
-differentials check that runs change no state.
+runs around it.  ``NetworkNode.deliver_run`` delivers the run one
+message at a time through ``node._deliver(message)`` (which counts it
+and calls ``handle_message``); a node may override it to share work
+across what arrived together (a full node decodes each carrier once,
+drops gossip it already holds and batch-verifies the rest).
+
+``deliver_run`` may return before the run is delivered: a full node
+with verify workers under a running loop hands the run's signature
+batch off and delivers the run when its verdicts arrive, in read order
+across all its runs, so it ingests one run while the workers check the
+next.  ``node.finish_runs()`` delivers every pending run.  The backend
+calls it before it hands a control-plane frame to its handler, before
+a traced frame (so that frame is delivered under its own context) and
+when it closes, so a handler sees exactly the frames before it
+delivered.  How a byte stream is cut into reads is kernel timing, so a
+run must leave the node — replies, floods, counters and replicated
+state — exactly where delivering its messages one by one would.
+``Network`` delivers one message per scheduled event through
+``node._deliver``, so simulator schedules stay byte-deterministic, and
+the sim≡wire≡process differentials check that runs change no state.
 """
 
 from __future__ import annotations

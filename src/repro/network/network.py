@@ -82,6 +82,10 @@ class NetworkNode:
         for message in run:
             self._deliver(message)
 
+    def finish_runs(self) -> None:
+        """Deliver every run an earlier :meth:`deliver_run` left
+        pending.  The default delivers each run at once, so none is."""
+
     def _deliver(self, message: Message) -> None:
         self.received_count += 1
         self.handle_message(message)

@@ -18,14 +18,15 @@ independent OS-level participant:
   answer the fleet control plane (``fleet_status`` / ``fleet_resync`` /
   ``fleet_shutdown``) over the same framed envelopes;
 * serve Prometheus metrics over plain HTTP on a per-process port;
-* fork one signature-verify worker per spare core before the event
-  loop starts (:mod:`repro.crypto.verify_workers`);
+* fork one signature-verify worker per usable core (none on one core)
+  before the event loop starts (:mod:`repro.crypto.verify_workers`);
 * print a single machine-readable **ready line** on stdout —
   ``{"event": "ready", "port": …, "metrics_port": …,
   "verify_workers": [pids]}`` — the harness's cue that the ephemeral
   ports are bound and dialable;
-* exit cleanly on SIGTERM/SIGINT: flush transport outboxes, close the
-  store (no journal-tail corruption on reopen).
+* exit cleanly on SIGTERM/SIGINT: deliver the runs still awaiting
+  verdicts, flush transport outboxes, close the store (no journal-tail
+  corruption on reopen).
 
 The process protocol is deliberately line-oriented and dependency-free
 so a supervisor (:mod:`repro.harness.supervisor`) can drive it with
@@ -343,14 +344,14 @@ def run_node_process(spec: NodeProcessSpec, *,
                      ready_stream=None) -> int:
     """Run one node process to completion; returns its exit code.
 
-    The base-point table is built, and then one verify worker per spare
-    core forked (:mod:`repro.crypto.verify_workers`), before the event
+    The base-point table is built, and then one verify worker per
+    usable core forked (:mod:`repro.crypto.verify_workers`), before the event
     loop starts and before any store or socket is opened, so the
     workers share the table and inherit nothing else of the node's."""
     stream = ready_stream if ready_stream is not None else sys.stdout
     ed25519.precompute()
     try:
-        worker_pids = verify_workers.start(verify_workers.spare_cores())
+        worker_pids = verify_workers.start(verify_workers.worker_count())
         return asyncio.run(_amain(spec, ready_stream=stream,
                                   worker_pids=worker_pids))
     finally:

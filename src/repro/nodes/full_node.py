@@ -29,8 +29,9 @@ RPC message kinds:
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.consensus import CreditBasedConsensus
 from ..crypto import verify_workers
@@ -55,6 +56,11 @@ _REPLAY_PREVERIFY_SLICE = 256
 restore's replay: the top ``repro_crypto_batch_size`` bucket, and far
 enough under ``DEFAULT_PREVERIFIED_SIZE`` that no verdict is evicted
 before its record is replayed."""
+
+RUNS_IN_FLIGHT = 2
+"""Most runs a node holds undelivered while its verify workers check
+their batches: a further read hands its batch off and then waits for
+the oldest, so a flooding peer backs up into its own TCP window."""
 
 
 @dataclass
@@ -151,6 +157,10 @@ class FullNode(NetworkNode):
         # encoded bytes -> the Transaction deliver_run already parsed
         # from them; the handler of the same frame takes it back out.
         self._run_decoded: Dict[bytes, Transaction] = {}
+        # Runs deliver_run handed off and has not delivered, read order:
+        # (survivors, their parsed carriers, batched txs, batch or None).
+        self._runs: Deque[Tuple[List[Message], Dict[bytes, Transaction],
+                                List[Transaction], object]] = deque()
         self.relay = GossipRelay(telemetry=self.telemetry, node=address)
         self.solidification: SolidificationBuffer = SolidificationBuffer()
         self.stats = FullNodeStats()
@@ -371,20 +381,28 @@ class FullNode(NetworkNode):
         ``submit_transaction`` / ``gossip_transaction`` carrier is
         decoded once, and a gossiped transaction the tangle already
         holds is dropped and counted as the duplicate its handler would
-        have found (the tangle only grows during a run).  The other
-        carriers pass the cheap gates (:meth:`_worth_preverifying`) into
-        one batch signature check, and every surviving message is then
-        delivered in order.
+        have found (the tangle only grows).  The other carriers pass the
+        cheap gates (:meth:`_worth_preverifying`) into one batch
+        signature check, handed to the verify workers
+        (:func:`repro.crypto.verify_workers.hand_off`), and every
+        surviving message is delivered in order once its verdicts are
+        in.
+
+        With verify workers under a running loop that is later: the run
+        joins a FIFO of pending runs, delivered in read order by
+        :meth:`_drain` as verdicts arrive, so the node ingests one run
+        while the workers check the next; :meth:`finish_runs` delivers
+        them all.  A run with nothing to hand off, while none is
+        pending, is delivered at once; so is every run without workers.
 
         Only verdicts move ahead of delivery (into the replica's
         preverified set, as for a ``sync_response``); the handlers still
         admit, attach, answer and flood, taking each frame's parsed
         transaction from ``_run_decoded``.  What the gates filter out,
-        fails the batch, or is only eligible after an earlier frame of
-        the run (an ACL grant) is verified singly as ever.
+        fails the batch, or is only eligible after an earlier frame (an
+        ACL grant) is verified singly as ever.
         """
-        decoded = self._run_decoded
-        decoded.clear()
+        decoded: Dict[bytes, Transaction] = {}
         decode = self.decode_cache.decode if self.decode_cache is not None \
             else Transaction.from_bytes
         tangle = self.replica.tangle
@@ -415,10 +433,48 @@ class FullNode(NetworkNode):
             self.received_count += duplicates
             self.stats.gossip_duplicates += duplicates
             self._m_gossip_duplicates.inc(duplicates, node=self.address)
+        batched: List[Transaction] = []
+        batch = None
         if len(carried) > 1:  # a lone signature has nothing to share
-            self._preverify([
+            batched = self._unverified([
                 tx for tx, submitted in carried
                 if self._worth_preverifying(tx, submitted=submitted)])
+            if len(batched) > 1:
+                batch = verify_workers.hand_off(self._signed(batched),
+                                                on_ready=self._drain)
+        runs = self._runs
+        if not runs and (batch is None or batch.ready()):
+            self._deliver_pending(survivors, decoded, batched, batch)
+            return
+        runs.append((survivors, decoded, batched, batch))
+        self._drain(keep=RUNS_IN_FLIGHT)
+
+    def finish_runs(self) -> None:
+        """Deliver every pending run, waiting for its verdicts: what a
+        control-plane frame, a traced frame or shutdown must see
+        first."""
+        self._drain(keep=0)
+
+    def _drain(self, keep: Optional[int] = None) -> None:
+        """Deliver pending runs in read order: each whose verdicts are
+        in, and — waiting on the oldest — as many more as leave at most
+        *keep* pending.  This is the one place a pending run is
+        delivered; a batch's completion only schedules a call here."""
+        runs = self._runs
+        while runs:
+            batch = runs[0][3]
+            if batch is not None and not batch.ready():
+                if keep is None or len(runs) <= keep:
+                    return
+                batch.wait()
+            self._deliver_pending(*runs.popleft())
+
+    def _deliver_pending(self, survivors: List[Message],
+                         decoded: Dict[bytes, Transaction],
+                         batched: List[Transaction], batch) -> None:
+        if batch is not None:
+            self._settle(batched, batch.wait())
+        self._run_decoded = decoded
         for message in survivors:
             self._deliver(message)
 
@@ -624,18 +680,20 @@ class FullNode(NetworkNode):
         return accepted
 
     def _preverify(self, transactions: List[Transaction]) -> None:
-        """Batch-verify a burst's signatures ahead of per-item attach.
+        """Batch-verify a burst's signatures ahead of per-item attach,
+        through :func:`repro.crypto.verify_workers.verify_batch` in one
+        round — one multi-scalar multiplication instead of N verifies,
+        checked by a ``repro node``'s verify workers, if any, behind
+        whatever they already hold."""
+        pending = self._unverified(transactions)
+        if len(pending) > 1:  # a single has nothing to amortise
+            self._settle(pending,
+                         verify_workers.verify_batch(self._signed(pending)))
 
-        What the verification cache or the replica's preverified set
-        already covers is skipped; the rest goes through
-        :func:`repro.crypto.verify_workers.verify_batch` in one round —
-        one multi-scalar multiplication instead of N verifies, shared
-        out among a ``repro node``'s verify workers, if any.
-        Positive verdicts are parked in the preverified set for the
-        validator to consume; negative ones are re-verified (and
-        rejected) individually, so batch and sequential ingestion agree
-        transaction by transaction.
-        """
+    def _unverified(self, transactions: List[Transaction]
+                    ) -> List[Transaction]:
+        """*transactions* minus repeats and what the verification cache
+        or the replica's preverified set already covers."""
         pending: List[Transaction] = []
         seen = set()
         for tx in transactions:
@@ -647,11 +705,18 @@ class FullNode(NetworkNode):
                 continue
             seen.add(digest)
             pending.append(tx)
-        if len(pending) < 2:
-            return  # nothing to amortise; the validator handles singles
-        items = [(tx.issuer.sign_public, tx.tx_hash, tx.signature)
-                 for tx in pending]
-        verdicts = verify_workers.verify_batch(items)
+        return pending
+
+    @staticmethod
+    def _signed(transactions: List[Transaction]) -> list:
+        return [(tx.issuer.sign_public, tx.tx_hash, tx.signature)
+                for tx in transactions]
+
+    def _settle(self, pending: List[Transaction], verdicts) -> None:
+        """Park a batch's positive verdicts in the preverified set for
+        the validator to consume; negative ones are re-verified (and
+        rejected) individually, so batch and sequential ingestion agree
+        transaction by transaction."""
         passed = 0
         for tx, ok in zip(pending, verdicts):
             if ok:

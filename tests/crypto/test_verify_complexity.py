@@ -36,9 +36,9 @@ from repro.crypto.ed25519 import _L, _P
 
 from .test_ed25519_accel import NON_CANONICAL, NON_RESIDUE_Y, make_items
 
-WARM_BUDGET = 106            # 32 doublings + ~71 mixed additions
-WARM_MEAN_BUDGET = 104       # mean over the `pin` key's signatures
-COLD_BUDGET = 395            # the 288-operation issuer rows + the chain
+WARM_BUDGET = 105            # 31 doublings + ~71 mixed additions
+WARM_MEAN_BUDGET = 103       # mean over the `pin` key's signatures
+COLD_BUDGET = 394            # the 288-operation issuer rows + the chain
 SQRT_EXPONENT = (_P - 5) // 8
 PARENT_SINGLE = 362          # mean over the `pin` keys' signatures
 PARENT_BATCH_64_OF_4 = 2442  # make_items(64, seed_prefix=b"pin", issuers=4)

@@ -1,18 +1,21 @@
-"""Forked verify workers: sharding a batch never changes a verdict.
+"""Forked verify workers: handing a batch off never changes a verdict.
 
-:func:`repro.crypto.verify_workers.verify_batch` cuts a batch into
-shards, verifies one in-process and the others in forked workers, each
-through the unchanged :func:`repro.crypto.ed25519.verify_batch`.  Its
-contract is the batch verifier's: one verdict per item, equal to the
-single ``verify``.  Batches here mix honest items with every defect the
-batch verifier screens or falls back on — forged and wrong-key
-signatures, bad lengths, ``s >= L``, encodings that do not decode,
-messages that are not 32-byte hashes — and at most one
+:func:`repro.crypto.verify_workers.hand_off` cuts a batch into pieces
+and writes each to a forked worker's request FIFO; every piece runs
+through the unchanged :func:`repro.crypto.ed25519.verify_batch`, and
+:func:`~repro.crypto.verify_workers.verify_batch` is a hand-off and a
+wait.  Its contract is the batch verifier's: one verdict per item,
+equal to the single ``verify``.  Batches here mix honest items with
+every defect the batch verifier screens or falls back on — forged and
+wrong-key signatures, bad lengths, ``s >= L``, encodings that do not
+decode, messages that are not 32-byte hashes — and at most one
 torsion-defective item (two may cancel inside one batch equation, the
 limit ROADMAP item 1(a) closes).  They run with 0, 1 and 2 live
-workers, and through the fault paths: a killed worker, a stopped one.
+workers, several batches in flight at once, and through the fault
+paths: a killed worker, a stopped one.
 """
 
+import asyncio
 import os
 import signal
 import time
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 from repro.crypto import ed25519, verify_workers
 from repro.crypto.ed25519 import generate_secret_key
 
+from ..nodes.runs import needs_fork
 from .ed25519_reference import _L
 from .test_ed25519_accel import (
     NON_CANONICAL,
@@ -32,6 +36,8 @@ from .test_ed25519_accel import (
     torsion_commitment_signature,
     torsion_signature,
 )
+
+pytestmark = needs_fork
 
 FLOOR = ed25519._BATCH_FLOOR
 CAP = verify_workers.SHARD_CAP
@@ -144,46 +150,91 @@ def _in_process_sizes():
     return sizes, mock.patch.object(ed25519, "verify_batch", counting)
 
 
+def _pieces():
+    """Patch the request writer to record the size of every piece a
+    worker is handed."""
+    pieces = []
+    real = verify_workers._request
+
+    def recording(worker, batch, piece):
+        pieces.append(len(piece))
+        return real(worker, batch, piece)
+
+    return pieces, mock.patch.object(verify_workers, "_request", recording)
+
+
+def _signed(count, key=0, forged=()):
+    items = [_honest(key, index.to_bytes(32, "little"))
+             for index in range(count)]
+    for index in forged:
+        items[index] = _flip(items[index], 40, 0)
+    return items
+
+
 class TestDifferential:
     @settings(max_examples=40, deadline=None)
     @given(items=batches())
-    def test_sharded_verdicts_equal_singles_and_one_batch(self, pool, items):
+    def test_handed_off_verdicts_equal_singles_and_one_batch(
+            self, pool, items):
         expected = [ed25519.verify(*item) for item in items]
         assert verify_workers.verify_batch(items) == expected
+        assert verify_workers.hand_off(items).wait() == expected
         assert ed25519.verify_batch(items) == expected
 
+    @settings(max_examples=20, deadline=None)
+    @given(first=batches(), second=batches())
+    def test_batches_in_flight_together_keep_their_verdicts(
+            self, pool, first, second):
+        """Two batches share the FIFOs; waiting for the later one first
+        files what the earlier one was answered on the way."""
+        earlier = verify_workers.hand_off(first)
+        later = verify_workers.hand_off(second)
+        assert later.wait() == [ed25519.verify(*item) for item in second]
+        assert earlier.wait() == [ed25519.verify(*item) for item in first]
 
-class TestSharding:
-    @pytest.mark.parametrize("workers, count, own", [
-        (1, 2 * FLOOR, [FLOOR]),        # two shards of the floor
-        (1, 2 * FLOOR - 1, [2 * FLOOR - 1]),  # one short: all in-process
-        (1, 25, [12]),                  # contiguous, near-equal counts
-        (2, 3 * FLOOR, [FLOOR]),
-        (2, 3 * FLOOR - 1, [5]),        # too few for three: two shards
-        # past the cap: a round of two full shards, then the rest
-        (1, 2 * CAP + 44, [CAP, 22]),
+
+class TestPieces:
+    @pytest.mark.parametrize("workers, count, pieces", [
+        (1, FLOOR, [FLOOR]),
+        (2, 25, [25]),                  # a whole batch to one worker
+        (2, CAP, [CAP]),
+        # past the cap: contiguous pieces of near-equal count, each
+        # under it, as many as needed whatever the worker count
+        (2, CAP + 1, [64, 65]),
+        (1, 2 * CAP + 44, [100, 100, 100]),
     ], indirect=["workers"])
-    def test_the_node_keeps_the_first_shard(self, workers, count, own):
-        items = [_honest(i % 2, (i).to_bytes(32, "little"))
-                 for i in range(count)]
-        items[-3] = _flip(items[-3], 40, 0)  # in the last shard
+    def test_the_node_checks_no_piece(self, workers, count, pieces):
+        items = _signed(count, key=1, forged=[count - 3])
         sizes, patch = _in_process_sizes()
-        with patch:
+        written, recording = _pieces()
+        with patch, recording:
             assert verify_workers.verify_batch(items) \
                 == [index != count - 3 for index in range(count)]
-        assert sizes == own
+        assert sizes == []
+        assert written == pieces
 
     @pytest.mark.parametrize("workers", [2], indirect=True)
-    def test_each_worker_is_pinned_off_the_nodes_cpu(self, workers):
-        items = [_honest(0, bytes([i]) * 32) for i in range(3 * FLOOR)]
-        assert verify_workers.verify_batch(items) == [True] * len(items)
-        node_cpu, ours = verify_workers._placed_around, os.sched_getaffinity(0)
-        pinned = [os.sched_getaffinity(pid) for pid in workers]
-        assert all(len(cpus) == 1 and cpus <= ours for cpus in pinned)
-        if len(ours) > 1:
-            assert all(node_cpu not in cpus for cpus in pinned)
-        if len(ours) > 2:
-            assert pinned[0] != pinned[1]
+    def test_pieces_take_the_workers_in_turn(self, workers):
+        asked = []
+        real = verify_workers._request
+
+        def recording(worker, batch, piece):
+            asked.append(worker.pid)
+            return real(worker, batch, piece)
+
+        with mock.patch.object(verify_workers, "_request", recording):
+            for start in range(4):
+                verify_workers.hand_off(_signed(FLOOR + start)).wait()
+        assert sorted(asked[:2]) == sorted(workers)
+        assert asked[2:] == asked[:2]
+
+    def test_a_batch_under_the_floor_is_checked_in_process(self, workers):
+        items = _signed(FLOOR - 1, forged=[0])
+        sizes, patch = _in_process_sizes()
+        with patch:
+            batch = verify_workers.hand_off(items)
+        assert sizes == [FLOOR - 1] and batch.owed == 0
+        assert batch.wait() == [False] + [True] * (FLOOR - 2)
 
     def test_items_that_fit_no_record_stay_in_process(self, workers):
         fits = [_honest(0, bytes([i]) * 32) for i in range(2 * FLOOR)]
@@ -193,21 +244,48 @@ class TestSharding:
         with patch:
             verdicts = verify_workers.verify_batch(items)
         assert verdicts == [ed25519.verify(*item) for item in items]
-        assert sizes == [FLOOR + len(odd)]
+        assert sizes == [len(odd)]
+
+
+class TestOnReady:
+    def test_without_a_running_loop_the_hand_off_waits(self, workers):
+        called = []
+        batch = verify_workers.hand_off(_signed(2 * FLOOR),
+                                        on_ready=lambda: called.append(1))
+        assert batch.owed == 0 and batch.wait() == [True] * (2 * FLOOR)
+        assert called == []
+
+    def test_the_loop_schedules_on_ready_once_the_verdicts_are_in(
+            self, workers):
+        async def scenario():
+            called = []
+            batch = verify_workers.hand_off(
+                _signed(2 * FLOOR, forged=[1]),
+                on_ready=lambda: called.append(batch.owed))
+            handed = list(called)
+            while not called:
+                await asyncio.sleep(0.001)
+            await asyncio.sleep(0.01)
+            return handed, called, batch.wait()
+
+        handed, called, verdicts = asyncio.run(scenario())
+        assert handed == [] and called == [0]
+        assert verdicts == [index != 1 for index in range(2 * FLOOR)]
+        # Nothing owed: the loop no longer watches the worker.
+        assert all(worker.loop is None for worker in verify_workers._workers)
 
 
 class TestWorkerFaults:
-    def test_a_killed_worker_is_reaped_and_its_shard_verified_here(
+    def test_a_killed_worker_is_reaped_and_its_share_verified_here(
             self, workers):
         (pid,) = workers
-        items = [_honest(0, bytes([i]) * 32) for i in range(2 * FLOOR)]
-        items[-1] = _flip(items[-1], 40, 0)  # in the worker's shard
+        items = _signed(2 * FLOOR, forged=[2 * FLOOR - 1])
         expected = [True] * (2 * FLOOR - 1) + [False]
         assert verify_workers.verify_batch(items) == expected
         os.kill(pid, signal.SIGKILL)
         sizes, patch = _in_process_sizes()
         with patch:
-            # The send fails, or the verdicts never come: either way
+            # The write fails, or the verdicts never come: either way
             # every item is verified here.
             assert verify_workers.verify_batch(items) == expected
             assert sum(sizes) == 2 * FLOOR
@@ -217,15 +295,51 @@ class TestWorkerFaults:
             assert verify_workers.verify_batch(items) == expected
         assert sizes == [2 * FLOOR]
 
+    def test_what_a_killed_worker_owes_is_checked_here_in_order(
+            self, workers):
+        (pid,) = workers
+        first = _signed(FLOOR + 1, forged=[0])
+        second = _signed(FLOOR + 2, key=1, forged=[FLOOR + 1])
+        os.kill(pid, signal.SIGSTOP)
+        earlier = verify_workers.hand_off(first)
+        later = verify_workers.hand_off(second)
+        os.kill(pid, signal.SIGKILL)
+        sizes, patch = _in_process_sizes()
+        with patch:
+            assert later.wait() == [True] * (FLOOR + 1) + [False]
+        assert sizes == [FLOOR + 1, FLOOR + 2]
+        assert earlier.wait() == [False] + [True] * FLOOR
+        assert _gone(pid)
+
     def test_a_stopped_worker_is_waited_for_only_up_to_the_bound(
             self, workers):
         (pid,) = workers
-        items = [_honest(1, bytes([i]) * 32) for i in range(2 * FLOOR)]
+        items = _signed(2 * FLOOR, key=1)
         os.kill(pid, signal.SIGSTOP)
         with mock.patch.object(verify_workers, "STALL_BOUND_S", 0.5):
             began = time.monotonic()
             assert verify_workers.verify_batch(items) == [True] * len(items)
             waited = time.monotonic() - began
+        assert 0.5 <= waited < 5.0
+        assert _gone(pid)
+
+    def test_the_loop_retires_a_stopped_worker_after_the_bound(
+            self, workers):
+        (pid,) = workers
+        os.kill(pid, signal.SIGSTOP)
+
+        async def scenario():
+            called = []
+            began = time.monotonic()
+            batch = verify_workers.hand_off(
+                _signed(2 * FLOOR), on_ready=lambda: called.append(1))
+            while not called:
+                await asyncio.sleep(0.01)
+            return batch, time.monotonic() - began
+
+        with mock.patch.object(verify_workers, "STALL_BOUND_S", 0.5):
+            batch, waited = asyncio.run(scenario())
+        assert batch.wait() == [True] * (2 * FLOOR)
         assert 0.5 <= waited < 5.0
         assert _gone(pid)
 

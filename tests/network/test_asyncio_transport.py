@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.crypto import ed25519, verify_workers
 from repro.faults.backoff import BackoffPolicy
 from repro.network.aio import (
     AsyncClock,
@@ -29,7 +30,7 @@ from repro.network.transport import Message
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracer import TraceContext, Tracer
 
-from ..nodes.runs import NODE, submit_frame
+from ..nodes.runs import NODE, needs_fork, submit_frame
 from ..nodes.test_run_amplification import material
 
 FAST_BACKOFF = BackoffPolicy(base_delay=0.05, multiplier=1.5,
@@ -48,6 +49,14 @@ class Recorder(NetworkNode):
         self.received.append(message)
         if self.echo and message.kind == "ping":
             self.send(message.sender, "pong", {"re": message.body})
+
+
+@pytest.fixture
+def one_worker():
+    """One forked verify worker, stopped and reaped at teardown."""
+    ed25519.precompute()
+    yield verify_workers.start(1)
+    verify_workers.stop()
 
 
 def _transport(scheduler, directory, **kwargs):
@@ -487,6 +496,58 @@ class TestRuns:
 
         fleet_sandbox.run(scenario())
         assert seen == [[True, True, False]]
+
+    @needs_fork
+    def test_with_live_workers_a_status_waits_for_the_pending_run(
+            self, fleet_sandbox, one_worker):
+        """The same with a verify worker forked: the eight submits ahead
+        of the status form a run whose batch is handed off, and the
+        status handler still runs only after that run was delivered,
+        before any of the eight behind it."""
+        genesis, acl, good = material()[:3]
+        seen, pending = [], []
+
+        async def scenario():
+            scheduler = AsyncioScheduler(time_scale=20.0)
+            node = build_node(NODE, genesis, rng_seed=0)
+            transport = _transport(scheduler, {})
+
+            def status(message):
+                seen.append([tx.tx_hash in node.tangle for tx in good[:16]])
+
+            transport.register_handler("fleet_status", status)
+            deliver_run = node.deliver_run
+
+            def recording(run):
+                deliver_run(run)
+                pending.append(len(node._runs))
+
+            node.deliver_run = recording
+            runner = NodeRunner(node, transport, listen=("127.0.0.1", 0))
+            try:
+                await runner.start()
+                _, writer = await asyncio.open_connection(
+                    *runner.bound_address)
+                writer.write(submit_frame(0, acl.to_bytes()))
+                await writer.drain()
+                await _wait_for(lambda: acl.tx_hash in node.tangle)
+                writer.write(
+                    b"".join(submit_frame(1 + index, tx.to_bytes())
+                             for index, tx in enumerate(good[:8]))
+                    + encode_frame(Message(
+                        sender="client", recipient=NODE,
+                        kind="fleet_status", body={}, sent_at=0.0))
+                    + b"".join(submit_frame(9 + index, tx.to_bytes())
+                               for index, tx in enumerate(good[8:16])))
+                await writer.drain()
+                await _wait_for(lambda: good[15].tx_hash in node.tangle)
+                writer.close()
+            finally:
+                await runner.stop()
+
+        fleet_sandbox.run(scenario())
+        assert seen == [[True] * 8 + [False] * 8]
+        assert max(pending) >= 1  # a run did wait for its verdicts
 
 
 class TestDeliveryLatency:

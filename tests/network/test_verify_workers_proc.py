@@ -1,7 +1,8 @@
 """A live ``repro node``'s verify workers, and what happens when one fails.
 
-The node forks one worker per spare core before its event loop starts
-and lists their pids on its ready line.  Each test takes a worker's pid
+The node forks one worker per usable core before its event loop starts
+and lists their pids on its ready line; it hands each read's signature
+batch to them and delivers the run when the verdicts arrive.  Each test takes a worker's pid
 from there and does to it what a gateway's operating system might: kill
 it mid-burst, stop it, or outlive it.  Whatever happens, every submit
 is acked ``ok``, the node ends on the reference hashes, and no worker
@@ -26,12 +27,13 @@ from repro.network.proc import NodeProcessSpec
 from ..nodes.runs import submit_frame
 
 pytestmark = pytest.mark.skipif(
-    verify_workers.spare_cores() == 0,
-    reason="a node forks verify workers only with a spare core")
+    verify_workers.worker_count() == 0,
+    reason="a node forks verify workers only where it reads its CPU "
+           "affinity and finds two or more usable cores")
 
 TIME_SCALE = 20.0
 BURST = 24
-"""Submits per ``write()``: enough for every shard of up to four to get
+"""Submits per ``write()``: enough for every piece of up to four to get
 the batch floor, so each burst runs through the workers."""
 
 
@@ -62,6 +64,7 @@ class Bursts:
         self.ready = ready
         self.workload = workload
         self.acks = {}
+        self.order = []
         self.sent = 0
 
     async def __aenter__(self):
@@ -76,16 +79,27 @@ class Bursts:
     async def burst(self, count):
         """Write the next *count* submits in one ``write()`` and wait
         for all their acks."""
+        await self.write(count)
+        await self.collect()
+
+    async def write(self, count):
+        """Write the next *count* submits in one ``write()``."""
         first, self.sent = self.sent, self.sent + count
         self.writer.write(b"".join(
             submit_frame(index, self.workload.transactions[index])
             for index in range(first, self.sent)))
+        await self.writer.drain()
+
+    async def collect(self):
+        """Wait for the ack of every submit written so far, recording
+        the order they came in."""
         while len(self.acks) < self.sent:
             data = await asyncio.wait_for(self.reader.read(65536), 30.0)
             assert data, "node closed the connection"
             for message in self.decoder.feed(data):
                 assert message.kind == "submit_response"
                 self.acks[message.body["request_id"]] = message.body
+                self.order.append(message.body["request_id"])
 
 
 async def _status(ready, workload):
@@ -103,7 +117,7 @@ def _spawn(fleet, sandbox, workload):
     genesis_path = write_genesis(workload.genesis, sandbox.storage_dir())
     ready = fleet.spawn(NodeProcessSpec(
         address="n0", genesis_path=genesis_path, time_scale=TIME_SCALE))
-    assert len(ready["verify_workers"]) == verify_workers.spare_cores()
+    assert len(ready["verify_workers"]) == verify_workers.worker_count()
     return ready
 
 
@@ -127,7 +141,7 @@ def test_a_worker_killed_mid_burst_loses_no_acked_transaction(
                 await bursts.burst(1)  # the ACL grant, alone
                 await bursts.burst(BURST)
                 # Kill it while the next burst is in flight, then keep
-                # submitting: the node finds it dead at its next shard.
+                # submitting: the node finds it dead at its next hand-off.
                 task = asyncio.ensure_future(bursts.burst(BURST))
                 await asyncio.sleep(0)
                 os.kill(victim, signal.SIGKILL)
@@ -139,6 +153,35 @@ def test_a_worker_killed_mid_burst_loses_no_acked_transaction(
         acks = fleet_sandbox.run(drive())
         _all_acked_and_attached(ready, workload, acks, fleet_sandbox)
         # Reaped by the node, not left a zombie.
+        assert _until(lambda: _state(victim) is None), _state(victim)
+        assert fleet.terminate("n0") == 0
+
+
+def test_a_worker_killed_with_two_runs_in_flight_delivers_both_in_order(
+        fleet_sandbox):
+    """Two bursts written as two reads, so the node hands both batches
+    off before the first one's verdicts are in; then a worker dies.
+    What it owed is checked in the node, and both runs are delivered
+    in read order: the acks on the one connection come back in the
+    order the submits were written."""
+    workload = build_workload(27, transactions=1 + 2 * BURST)
+    with ProcessFleet(run_dir=fleet_sandbox.storage_dir()) as fleet:
+        ready = _spawn(fleet, fleet_sandbox, workload)
+        victim = ready["verify_workers"][0]
+
+        async def drive():
+            async with Bursts(ready, workload) as bursts:
+                await bursts.burst(1)  # the ACL grant, alone
+                await bursts.write(BURST)
+                await asyncio.sleep(0.005)  # a read of its own
+                await bursts.write(BURST)
+                os.kill(victim, signal.SIGKILL)
+                await bursts.collect()
+                return bursts.acks, bursts.order
+
+        acks, order = fleet_sandbox.run(drive())
+        assert order == list(range(1 + 2 * BURST))
+        _all_acked_and_attached(ready, workload, acks, fleet_sandbox)
         assert _until(lambda: _state(victim) is None), _state(victim)
         assert fleet.terminate("n0") == 0
 
@@ -163,7 +206,7 @@ def test_a_stopped_worker_is_waited_for_only_up_to_the_bound(fleet_sandbox):
             if _state(victim) is not None:
                 os.kill(victim, signal.SIGCONT)
         # The node gave up on the stopped worker, SIGKILLed and reaped
-        # it, and verified its shard itself.
+        # it, and verified what it owed itself.
         assert waited < verify_workers.STALL_BOUND_S + 20.0
         assert _until(lambda: _state(victim) is None), _state(victim)
         _all_acked_and_attached(ready, workload, acks, fleet_sandbox)

@@ -11,9 +11,13 @@ and what each completes handed to the transport's own per-read function
 likes and compare outcomes.
 """
 
+import asyncio
+import os
 import random
 from dataclasses import replace
 from unittest import mock
+
+import pytest
 
 from repro.crypto import ed25519
 
@@ -28,6 +32,11 @@ from repro.tangle.transaction import Transaction
 from repro.telemetry.registry import MetricsRegistry
 
 from ..crypto import ed25519_reference
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork"),
+    reason="verify workers are forked processes and this platform "
+           "cannot fork")
 
 BACKENDS = {"product": ed25519, "oracle": ed25519_reference}
 """What a rig's node checks signatures with: the product module, or the
@@ -92,6 +101,26 @@ class Rig:
                 self.transport._receive(decoder.feed(piece), writer=None)
             decoder.close()
             self.scheduler.run()  # replies and floods reach the recorders
+
+    def deliver_live(self, pieces):
+        """:meth:`deliver` inside a running event loop, yielding to it
+        after every read: with verify workers live, the node hands each
+        run's batch off and the loop delivers the run when its verdicts
+        arrive, as in a ``repro node``.  Returns once no run is
+        pending."""
+        async def feed():
+            decoder = FrameDecoder()
+            for piece in pieces:
+                self.transport._receive(decoder.feed(piece), writer=None)
+                await asyncio.sleep(0)
+            decoder.close()
+            while self.node._runs:
+                await asyncio.sleep(0.001)
+
+        with mock.patch.multiple(ed25519, verify=self.backend.verify,
+                                 verify_batch=self.backend.verify_batch):
+            asyncio.run(asyncio.wait_for(feed(), 120.0))
+            self.scheduler.run()
 
     def responses(self):
         """``request_id -> (kind, body)`` of everything the client got."""

@@ -9,7 +9,9 @@ fell.  One fixed frame stream — every way a frame can fare — is cut at
 arbitrary byte offsets and must produce, for every cut, exactly what
 one frame per read produces: the same responses, floods, ``stats``,
 ``received_count``, state hashes and per-read counters — and again with
-a verify worker forked, which shares each run's batch out.
+one and with two verify workers forked under a running loop, where the
+node hands each run's batch off and delivers the run when its verdicts
+arrive.
 """
 
 from functools import lru_cache
@@ -20,7 +22,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.crypto import ed25519, verify_workers
-from repro.harness.workload import WorkloadBuilder
+from repro.faults.report import node_state_hashes
+from repro.harness.workload import WorkloadBuilder, build_workload
+from repro.nodes.full_node import RUNS_IN_FLIGHT
 from repro.tangle.transaction import Transaction, TransactionKind
 from repro.telemetry.registry import MetricsRegistry
 
@@ -35,6 +39,7 @@ from .runs import (
     forge_signature,
     frame,
     gossip_frame,
+    needs_fork,
     submit_frame,
 )
 
@@ -243,23 +248,47 @@ class TestChunkingInvariance:
             .outcome(credit_now=CREDIT_NOW) == frame_per_read(backend)
 
 
-@pytest.fixture(scope="class")
-def one_worker():
-    """One forked verify worker for the class, stopped and reaped after
-    it: a run's batch is then cut into two shards whenever each gets
-    the batch floor of signatures."""
+@pytest.fixture(scope="class", params=[1, 2], ids="{}-workers".format)
+def live_workers(request):
+    """``request.param`` forked verify workers for the class, stopped
+    and reaped after it."""
     ed25519.precompute()
-    pids = verify_workers.start(1)
+    pids = verify_workers.start(request.param)
     yield pids
     verify_workers.stop()
 
 
-@pytest.mark.usefixtures("one_worker")
-class TestChunkingInvarianceWithAWorker:
-    """The cuts again with a verify worker live: sharding a run's batch
-    between the node and the worker moves no outcome either."""
+def live(pieces, *, telemetry=None):
+    """:func:`run` under a running loop (``Rig.deliver_live``), the
+    product backend only: the workers check with their own copy."""
+    genesis, _, _, _ = scenario()
+    rig = Rig(genesis, BACKENDS["product"], telemetry=telemetry)
+    rig.deliver_live(pieces)
+    return rig
 
-    def test_two_reads_shard_and_change_nothing(self):
+
+def pending_peak(node):
+    """Wrap *node*'s ``deliver_run`` to record how many runs await
+    verdicts each time it returns; returns the list it fills."""
+    peaks, deliver_run = [], node.deliver_run
+
+    def recording(run):
+        deliver_run(run)
+        peaks.append(len(node._runs))
+
+    node.deliver_run = recording
+    return peaks
+
+
+@needs_fork
+@pytest.mark.usefixtures("live_workers")
+class TestChunkingInvarianceWithLiveWorkers:
+    """The cuts again with verify workers under a running loop, as in a
+    ``repro node``: each run's batch is handed off, and the run is
+    delivered when its verdicts arrive, while the next read is taken
+    in.  That moves no outcome either."""
+
+    def test_two_reads_hand_off_and_change_nothing(self):
         genesis, frames, _, _ = scenario()
         sizes, in_process = [], ed25519.verify_batch
 
@@ -271,11 +300,15 @@ class TestChunkingInvarianceWithAWorker:
                                   verify_batch=counting)
         telemetry = MetricsRegistry()
         rig = Rig(genesis, backend, telemetry=telemetry)
-        rig.deliver(cut(frames, [(1, 0)]))
+        peaks = pending_peak(rig.node)
+        rig.deliver_live(cut(frames, [(1, 0)]))
         assert batch_counters(telemetry) == (2, 13, 1)
-        # The run's twelve signatures: six here, six in the worker.  The
-        # sync_response's two are too few to share.
-        assert sizes == [6, 2]
+        # The run's twelve signatures are all the workers'; the node
+        # checks none.  The sync_response's two are under the floor.
+        assert sizes == [2]
+        # The first read (the ACL grant alone) was delivered at once;
+        # the second waited for its verdicts.
+        assert peaks == [0, 1]
         assert rig.outcome(credit_now=CREDIT_NOW) \
             == frame_per_read("product")
 
@@ -286,7 +319,27 @@ class TestChunkingInvarianceWithAWorker:
                             st.integers(min_value=0, max_value=4095))),
         max_size=10))
     @example(marks=[])
+    @example(marks=[(1, 0), (6, 3), (6, 200), (17, 0)])
     def test_any_cut_equals_one_frame_per_read(self, marks):
         _, frames, _, _ = scenario()
-        assert run("product", cut(frames, marks)) \
-            .outcome(credit_now=CREDIT_NOW) == frame_per_read("product")
+        assert live(cut(frames, marks)).outcome(credit_now=CREDIT_NOW) \
+            == frame_per_read("product")
+
+    def test_a_burst_keeps_at_most_two_runs_awaiting_verdicts(self):
+        """900 submits, 25 a read, as a saturating client writes them:
+        runs pile up behind the workers only to the bound, every
+        submit is acked and the node ends on the reference hashes."""
+        workload = build_workload(39, transactions=900)
+        frames = [submit_frame(index, encoded)
+                  for index, encoded in enumerate(workload.transactions)]
+        rig = Rig(workload.genesis, BACKENDS["product"])
+        peaks = pending_peak(rig.node)
+        rig.deliver_live([b"".join(frames[at:at + 25])
+                          for at in range(0, len(frames), 25)])
+        assert len(peaks) == 36
+        assert max(peaks) == RUNS_IN_FLIGHT == 2
+        assert [rig.responses()[index][1]["ok"]
+                for index in range(len(frames))] == [True] * len(frames)
+        assert node_state_hashes(rig.node,
+                                 credit_now=workload.credit_now) \
+            == workload.reference_hashes

@@ -14,7 +14,9 @@ and the options no caller set have no reader, so nothing under ``src/`` may name
 them again.  The same holds for the transport surface no node called
 (broadcast, address lists, delivery taps, the second scheduler entry
 points, the simulator's second name) and the link-cut fault kind a
-two-group partition already expresses.  A name that live code shares as
+two-group partition already expresses, and the pinning of verify
+workers off the node's CPU that the kernel's own balancing replaced
+once the node stopped checking a shard itself.  A name that live code shares as
 a substring (``broadcast``, ``cancel``) is retired as a qualified
 function name instead: no ``def`` may define it again."""
 
@@ -55,7 +57,8 @@ RETIRED = ["sqlite3", "SQLiteStore", "record_events", "MetricEvent",
            "negative_series", "from_tangle", "sha256_hex", "WallClock",
            "pow_energy_joules", "remove_peer", "key_distribution_complete",
            "FixedPairTipSelector", "notice_deposit", "leaf_count",
-           "decode_frame"]
+           "decode_frame", "_place_workers", "_placed_around",
+           "spare_cores"]
 
 RETIRED_FUNCTIONS = [
     "Transport.broadcast", "Transport.addresses", "Network.broadcast",
