@@ -37,7 +37,6 @@ def _tangle_throughput(device_count: int, seed: int) -> float:
     growth = grow_parallel_tangle(
         device_count=device_count, tx_per_device=TX_PER_DEVICE,
         difficulty=TANGLE_DIFFICULTY, seed=seed,
-        track_cumulative_weight=False,
     )
     return growth.throughput
 

@@ -13,7 +13,7 @@ anchors.  The pytest-benchmark timing covers the paper's headline
 256 KB point.
 """
 
-from repro.analysis.figures import fig10_aes_timing
+from repro.analysis.figures import PAPER_FIG10_ANCHORS, fig10_aes_timing
 from repro.analysis.metrics import format_table
 from repro.crypto import aes
 
@@ -44,8 +44,12 @@ def test_bench_fig10_sweep(benchmark, report_writer):
     assert measured[2 ** 20] > measured[2 ** 14] > measured[2 ** 8]
     ratio = measured[2 ** 20] / measured[2 ** 16]
     assert 8 < ratio < 32  # ideal: 16x for a 16x size increase
-    # The paper's headline point: 256 KB is sub-second.
-    assert measured[2 ** 18] < 1.0
+    # The paper's headline point — 256 KB is sub-second — is a
+    # Raspberry Pi 3B figure, so it is checked on the Pi model (within
+    # 2x of the 0.373 s anchor), not on the host's speed.
+    modelled = {p.message_bytes: p.modelled_rpi_seconds for p in points}
+    assert modelled[2 ** 18] < 1.0
+    assert 0.5 < modelled[2 ** 18] / PAPER_FIG10_ANCHORS[2 ** 18] < 2.0
 
 
 def test_bench_fig10_256kb_point(benchmark):

@@ -315,7 +315,7 @@ class Fig10Point:
 
 def fig10_aes_timing(*, min_exponent: int = 6, max_exponent: int = 20,
                      profile: DeviceProfile = RASPBERRY_PI_3B,
-                     repeats: int = 1, seed: int = 10) -> List[Fig10Point]:
+                     seed: int = 10) -> List[Fig10Point]:
     """Reproduce Fig. 10: AES encryption time vs message length.
 
     ``measured_seconds`` is real wall-clock time of this library's AES
@@ -331,16 +331,12 @@ def fig10_aes_timing(*, min_exponent: int = 6, max_exponent: int = 20,
     for exponent in range(min_exponent, max_exponent + 1):
         length = 2 ** exponent
         message = bytes(length)
-        best = None
-        for _ in range(max(1, repeats)):
-            nonce = bytes(rng.randrange(256) for _ in range(8))
-            start = time.perf_counter()
-            aes.ctr_encrypt(cipher, nonce, message)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
+        nonce = bytes(rng.randrange(256) for _ in range(8))
+        start = time.perf_counter()
+        aes.ctr_encrypt(cipher, nonce, message)
         points.append(Fig10Point(
             message_bytes=length,
-            measured_seconds=best,
+            measured_seconds=time.perf_counter() - start,
             modelled_rpi_seconds=profile.aes_seconds(length),
             paper_seconds=PAPER_FIG10_ANCHORS.get(length),
         ))

@@ -14,6 +14,7 @@ from typing import List
 
 from .figures import (
     PAPER_FIG9_MEANS,
+    PAPER_FIG10_ANCHORS,
     fig7_pow_running_time,
     fig8_credit_trace,
     fig9_pow_comparison,
@@ -103,6 +104,7 @@ def _fig10_section(checks: List[ShapeCheck]) -> str:
     points = fig10_aes_timing(max_exponent=18)
     rows = [
         (p.message_bytes, f"{p.measured_seconds:.5f}",
+         f"{p.modelled_rpi_seconds:.5f}",
          f"{p.paper_seconds:.5f}" if p.paper_seconds else "-")
         for p in points
         if p.message_bytes in (64, 4096, 65536, 262144)
@@ -111,10 +113,17 @@ def _fig10_section(checks: List[ShapeCheck]) -> str:
     checks.append(ShapeCheck(
         "Fig. 10", "AES time linear in message length (upper decades)",
         8 < measured[2 ** 18] / measured[2 ** 14] < 32))
+    # The paper's 0.373 s is a Raspberry Pi 3B figure: check it on the
+    # Pi model, not on however fast the host running the report is.
+    modelled = {p.message_bytes: p.modelled_rpi_seconds
+                for p in points}[2 ** 18]
+    paper = PAPER_FIG10_ANCHORS[2 ** 18]
     checks.append(ShapeCheck(
-        "Fig. 10", "256 KB encrypts in under a second", measured[2 ** 18] < 1.0))
+        "Fig. 10", "256 KB encrypts in under a second on the Pi model, "
+        "within 2x of the paper's value",
+        modelled < 1.0 and 0.5 < modelled / paper < 2.0))
     return "## Fig. 10 — AES time vs message length\n\n" + format_table(
-        rows, headers=["bytes", "measured (s)", "paper (s)"])
+        rows, headers=["bytes", "measured (s)", "RPi model (s)", "paper (s)"])
 
 
 def generate_report() -> str:

@@ -55,8 +55,7 @@ class ParallelGrowth:
 def grow_parallel_tangle(*, device_count: int, tx_per_device: int,
                          difficulty: int, seed: int,
                          profile: DeviceProfile = RASPBERRY_PI_3B,
-                         selector: Optional[TipSelector] = None,
-                         track_cumulative_weight: bool = True) -> ParallelGrowth:
+                         selector: Optional[TipSelector] = None) -> ParallelGrowth:
     """Grow a tangle with *device_count* devices working concurrently.
 
     Each device owns its own clock and PoW engine; the global
@@ -67,8 +66,7 @@ def grow_parallel_tangle(*, device_count: int, tx_per_device: int,
     if device_count < 1 or tx_per_device < 1:
         raise ValueError("need at least one device and one transaction")
     manager = KeyPair.generate(seed=f"workload-mgr-{seed}".encode())
-    tangle = Tangle(Transaction.create_genesis(manager),
-                    track_cumulative_weight=track_cumulative_weight)
+    tangle = Tangle(Transaction.create_genesis(manager))
     selector = selector if selector is not None else UniformRandomTipSelector()
     rng = random.Random(seed)
     states = []

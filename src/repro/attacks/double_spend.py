@@ -92,9 +92,6 @@ class DoubleSpendAttacker(NetworkNode):
     def _scheduler(self):
         return self.network.scheduler
 
-    def _now(self) -> float:
-        return self._scheduler.clock.now()
-
     def start(self, *, initial_delay: float = 0.0) -> None:
         self._running = True
         self._scheduler.schedule(initial_delay, self._attack_round)

@@ -28,17 +28,16 @@ class LazyLightNode(LightNode):
     """A light node that always approves a fixed pair of transactions.
 
     Args:
-        fixed_branch: transaction hash the attacker forever approves
-            (defaults to the genesis, resolved lazily from the first
-            tips response when not given).
-        fixed_trunk: second fixed hash (defaults to *fixed_branch*).
+        fixed_branch: transaction hash the attacker forever approves as
+            both parents (when not given, the first tips response's
+            pair is pinned instead).
     """
 
     def __init__(self, *args, fixed_branch: Optional[bytes] = None,
-                 fixed_trunk: Optional[bytes] = None, **kwargs):
+                 **kwargs):
         super().__init__(*args, **kwargs)
         self.fixed_branch = fixed_branch
-        self.fixed_trunk = fixed_trunk if fixed_trunk is not None else fixed_branch
+        self.fixed_trunk = fixed_branch
         self.lazy_submissions = 0
 
     def _handle_tips_response(self, message: Message) -> None:

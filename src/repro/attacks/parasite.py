@@ -61,14 +61,18 @@ class ParasiteOutcome:
         return self.approvals_captured / self.approvals_total
 
 
+HONEST_BEFORE = 60
+"""Honest transactions that grow the main tangle before the release."""
+
+
 def simulate_parasite_release(*, selector: Optional[TipSelector] = None,
-                              honest_before: int = 60,
                               parasite_size: int = 40,
                               honest_after: int = 60,
                               seed: int = 0) -> ParasiteOutcome:
     """Run the three-phase parasite scenario on one tangle.
 
-    Phase 1: *honest_before* honest transactions grow the main tangle.
+    Phase 1: :data:`HONEST_BEFORE` honest transactions grow the main
+    tangle.
     Phase 2: the attacker grows a private chain of *parasite_size*
     transactions anchored at the genesis-era tangle, then releases it
     in one burst (every parasite transaction attaches back-to-back).
@@ -97,7 +101,7 @@ def simulate_parasite_release(*, selector: Optional[TipSelector] = None,
         return tx
 
     # Phase 1 — the main tangle grows.
-    for i in range(honest_before):
+    for i in range(HONEST_BEFORE):
         attach_honest(i)
 
     # Phase 2 — the broom: every parasite transaction approves the same
@@ -122,7 +126,7 @@ def simulate_parasite_release(*, selector: Optional[TipSelector] = None,
     captured = 0
     total = 0
     for i in range(honest_after):
-        tx = attach_honest(honest_before + i)
+        tx = attach_honest(HONEST_BEFORE + i)
         for chosen in (tx.branch, tx.trunk):
             total += 1
             if chosen in parasite_hashes:

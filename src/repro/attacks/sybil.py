@@ -84,7 +84,7 @@ class SybilAttacker(NetworkNode):
         far once the ACL check fires)."""
         if not self._running:
             return
-        now = self._scheduler.clock.now()
+        now = self._now()
         for identity in self.identities:
             self._request_counter += 1
             self.stats.tip_requests_sent += 1

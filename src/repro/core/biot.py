@@ -47,6 +47,9 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
 
 __all__ = ["BIoTConfig", "BIoTSystem"]
 
+DEVICE_START_STAGGER = 0.25
+"""Seconds between consecutive devices' first reports."""
+
 
 @dataclass(frozen=True)
 class BIoTConfig:
@@ -426,10 +429,11 @@ class BIoTSystem:
 
     # -- workflow steps 4-5 --------------------------------------------------
 
-    def start_devices(self, *, stagger: float = 0.25) -> None:
-        """Kick off every device's reporting loop (staggered starts)."""
+    def start_devices(self) -> None:
+        """Kick off every device's reporting loop, each start
+        :data:`DEVICE_START_STAGGER` seconds after the previous one."""
         for index, device in enumerate(self.devices):
-            device.start(initial_delay=index * stagger)
+            device.start(initial_delay=index * DEVICE_START_STAGGER)
 
     def run_for(self, seconds: float) -> None:
         """Let *seconds* of simulated time pass (on TCP: run the

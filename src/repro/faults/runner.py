@@ -30,6 +30,13 @@ from .report import ConvergenceReport
 
 __all__ = ["ChaosRunner", "ChaosSettings"]
 
+MAX_SYNC_ROUNDS = 5
+"""All-pairs anti-entropy rounds the convergence phase allows before
+declaring divergence."""
+
+SYNC_ROUND_SECONDS = 5.0
+"""Simulated time granted to each sync round."""
+
 
 @dataclass(frozen=True)
 class ChaosSettings:
@@ -39,25 +46,16 @@ class ChaosSettings:
         report_seconds: how long devices report while faults fire.
         drain_seconds: quiet period after devices stop, letting
             in-flight traffic and armed retries settle.
-        max_sync_rounds: all-pairs anti-entropy rounds allowed during
-            the convergence phase before declaring divergence.
-        sync_round_seconds: simulated time granted to each sync round.
     """
 
     report_seconds: float = 60.0
     drain_seconds: float = 15.0
-    max_sync_rounds: int = 5
-    sync_round_seconds: float = 5.0
 
     def __post_init__(self):
         if self.report_seconds <= 0:
             raise ValueError("report_seconds must be positive")
         if self.drain_seconds < 0:
             raise ValueError("drain_seconds must be non-negative")
-        if self.max_sync_rounds < 0:
-            raise ValueError("max_sync_rounds must be non-negative")
-        if self.sync_round_seconds <= 0:
-            raise ValueError("sync_round_seconds must be positive")
 
 
 class ChaosRunner:
@@ -131,7 +129,7 @@ class ChaosRunner:
         notes: List[str] = []
         if not converged:
             notes.append(
-                f"divergent after {settings.max_sync_rounds} sync rounds")
+                f"divergent after {MAX_SYNC_ROUNDS} sync rounds")
         return ConvergenceReport.from_nodes(
             scenario=scenario,
             seed=seed,
@@ -153,15 +151,15 @@ class ChaosRunner:
 
     def _converge(self, system: BIoTSystem) -> tuple:
         """Check-then-sync loop; returns (rounds_used, converged)."""
-        for round_index in range(self.settings.max_sync_rounds + 1):
+        for round_index in range(MAX_SYNC_ROUNDS + 1):
             if self._replicas_agree(system):
                 return round_index, True
-            if round_index == self.settings.max_sync_rounds:
+            if round_index == MAX_SYNC_ROUNDS:
                 break
             for node in system.full_nodes:
                 node.resync_with_peers()
-            system.run_for(self.settings.sync_round_seconds)
-        return self.settings.max_sync_rounds, False
+            system.run_for(SYNC_ROUND_SECONDS)
+        return MAX_SYNC_ROUNDS, False
 
     @staticmethod
     def _replicas_agree(system: BIoTSystem) -> bool:

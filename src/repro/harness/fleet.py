@@ -51,6 +51,10 @@ FLEET_SCENARIOS: Dict[str, Dict[str, int]] = {
 """Named fleet scenarios: ``smoke`` is the CI shape (5-node localhost
 fleet); ``mini`` keeps unit tests fast."""
 
+WIRE_DRAIN_TIMEOUT_S = 20.0
+"""Wall-clock seconds the wire leg waits for gossip to fill every
+replica before anti-entropy takes over."""
+
 
 def _build_fleet_nodes(workload: Workload, node_count: int):
     nodes = [build_node(f"n{i}", workload.genesis, rng_seed=i)
@@ -127,8 +131,7 @@ def run_sim_leg(workload: Workload, *, node_count: int, seed: int,
 
 async def run_wire_leg(workload: Workload, *, node_count: int,
                        seed: int, scenario: str = "smoke",
-                       host: str = "127.0.0.1", time_scale: float = 20.0,
-                       drain_timeout: float = 20.0):
+                       host: str = "127.0.0.1", time_scale: float = 20.0):
     """Deliver the same workload over a localhost TCP fleet.
 
     Boots one :class:`NodeRunner` per full node (ephemeral ports), a
@@ -162,7 +165,7 @@ async def run_wire_leg(workload: Workload, *, node_count: int,
         # Gossip drain: every replica should reach the full DAG without
         # any explicit sync; anti-entropy below is the backstop.
         expected = len(workload.transactions) + 1  # + genesis
-        deadline = loop.time() + drain_timeout
+        deadline = loop.time() + WIRE_DRAIN_TIMEOUT_S
         while (loop.time() < deadline
                and any(len(node.tangle) < expected for node in nodes)):
             await asyncio.sleep(0.05)

@@ -62,6 +62,13 @@ class NetworkNode:
     def bind(self, network: "Network") -> None:
         self.network = network
 
+    def _now(self) -> float:
+        """This node's local clock: the shared scheduler clock plus
+        ``clock_offset`` (0.0 while the node is unbound)."""
+        if self.network is None:
+            return 0.0
+        return self.network.scheduler.clock.now() + self.clock_offset
+
     def send(self, recipient: str, kind: str, body, *, size_bytes: int = 0) -> bool:
         """Send a message through the bound network."""
         if self.network is None:

@@ -346,11 +346,6 @@ class FullNode(NetworkNode):
             self.stats.rejection_reasons.setdefault("malformed", 0)
             self.stats.rejection_reasons["malformed"] += 1
 
-    def _now(self) -> float:
-        if self.network is None:
-            return 0.0
-        return self.network.scheduler.clock.now()
-
     def _decode(self, data: bytes) -> Transaction:
         """Decode wire bytes, through the shared decode LRU when one is
         wired (the same bytes object reaches every node on a flood)."""

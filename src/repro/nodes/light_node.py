@@ -157,9 +157,6 @@ class LightNode(NetworkNode):
     def _scheduler(self):
         return self.network.scheduler
 
-    def _now(self) -> float:
-        return self._scheduler.clock.now()
-
     # -- reporting loop ----------------------------------------------------
 
     def _tick(self) -> None:

@@ -17,7 +17,7 @@ rules on top.
 Scale notes
 -----------
 
-Three hot paths are engineered for large ledgers:
+Two hot paths are engineered for large ledgers:
 
 * **Cumulative weights** are maintained *lazily*: an attach only
   appends the transaction to a dirty set (O(1)); contributions are
@@ -31,8 +31,6 @@ Three hot paths are engineered for large ledgers:
 * **The tip pool** keeps a lazily rebuilt sorted cache, so
   :meth:`Tangle.tips` and selector sampling stop re-sorting the pool
   on every call.
-* **Depth from tips** is answered from a multi-source BFS map cached
-  per tangle version instead of a fresh future-cone BFS per query.
 
 A **height index** (:meth:`Tangle.transactions_at_height`,
 :attr:`Tangle.max_height`) supports milestone-style bounded random
@@ -90,7 +88,6 @@ class AttachResult:
     arrival_time: float
     parents_were_tips: Tuple[bool, bool]
     parent_ages: Tuple[float, float]
-    new_tip_count: int
 
 
 class Tangle:
@@ -100,12 +97,6 @@ class Tangle:
         genesis: the root transaction (``branch == trunk == ZERO_HASH``).
         validators: extra validation hooks run before structural attach
             (ACL checks, ledger conflict rules, PoW policy, ...).
-        track_cumulative_weight: maintain exact cumulative weights via
-            the lazy batched engine (O(1) per attach, amortised batched
-            propagation on read).  Disable for very large throughput
-            sweeps that only need tip statistics; weights are then
-            recomputed from scratch on demand (exact-on-demand
-            fallback).
         entry_points: hashes of *pruned* transactions (mapped to their
             original timestamps) that may still be referenced as
             parents — the local-snapshot mechanism
@@ -123,7 +114,6 @@ class Tangle:
 
     def __init__(self, genesis: Transaction, *,
                  validators: Optional[List[Validator]] = None,
-                 track_cumulative_weight: bool = True,
                  entry_points: Optional[Dict[bytes, float]] = None,
                  weight_flush_interval: int = DEFAULT_WEIGHT_FLUSH_INTERVAL,
                  telemetry=None):
@@ -134,7 +124,6 @@ class Tangle:
         if weight_flush_interval < 1:
             raise ValueError("weight_flush_interval must be >= 1")
         self._validators: List[Validator] = list(validators or [])
-        self._track_weight = track_cumulative_weight
         self._flush_interval = weight_flush_interval
         self._entry_points: Dict[bytes, float] = dict(entry_points or {})
 
@@ -156,13 +145,6 @@ class Tangle:
         self._max_height: int = 0
         # Tip-pool index: lazily rebuilt sorted cache.
         self._tips_cache: Optional[Tuple[bytes, ...]] = None
-        # Tips removed without an approval (snapshot restores): they
-        # bound depth_from_tips for fully buried history.
-        self._retired: Set[bytes] = set()
-        # Structure version, for the cached depth-from-tips map.
-        self._version: int = 0
-        self._depth_map: Dict[bytes, int] = {}
-        self._depth_version: int = -1
 
         self.telemetry = coerce_registry(telemetry)
         self._m_attach = self.telemetry.counter(
@@ -187,12 +169,6 @@ class Tangle:
             "repro_tangle_walk_length",
             "Steps per weighted-random-walk tip selection",
             buckets=COUNT_BUCKETS)
-        self._m_depth_cache_hit = self.telemetry.counter(
-            "repro_tangle_depth_cache_hits_total",
-            "depth_from_tips() served from the cached BFS map")
-        self._m_depth_cache_miss = self.telemetry.counter(
-            "repro_tangle_depth_cache_misses_total",
-            "depth_from_tips() multi-source BFS rebuilds")
 
         self.genesis = genesis
         self._insert(genesis, arrival_time=genesis.timestamp, parents=())
@@ -253,26 +229,18 @@ class Tangle:
 
         Used by snapshot restoration: a transaction whose approvers were
         all pruned must not be re-offered for approval (its burial is a
-        historical fact the snapshot preserves).  Retired tips remain
-        queryable and act as burial boundaries for
-        :meth:`depth_from_tips`.
+        historical fact the snapshot preserves).  A retired tip remains
+        queryable.
         """
         if tx_hash not in self._transactions:
             raise KeyError(tx_hash)
         if tx_hash in self._tips:
             self._tips.discard(tx_hash)
-            self._retired.add(tx_hash)
             self._tips_cache = None
-            self._version += 1
 
     @property
     def tip_count(self) -> int:
         return len(self._tips)
-
-    def retired_tips(self) -> Set[bytes]:
-        """Transactions removed from the tip pool via :meth:`retire_tip`
-        (and still without retained approvers)."""
-        return set(self._retired)
 
     def approvers(self, tx_hash: bytes) -> Set[bytes]:
         """Direct approvers (children) of *tx_hash*."""
@@ -315,8 +283,6 @@ class Tangle:
         flushes.
         """
         self._m_weight_reads.inc()
-        if not self._track_weight:
-            return self._compute_cumulative_weight(tx_hash)
         approvers = self._approvers.get(tx_hash)
         if approvers is not None and not approvers:
             return self._cumulative_weight[tx_hash]
@@ -342,8 +308,7 @@ class Tangle:
         stored = self._cumulative_weight[tx_hash]
         if stored >= limit:
             return limit
-        if (self._track_weight and not self._pending_weight) \
-                or not self._approvers[tx_hash]:
+        if not self._pending_weight or not self._approvers[tx_hash]:
             return stored
         return min(self._compute_cumulative_weight(tx_hash, limit), limit)
 
@@ -410,56 +375,6 @@ class Tangle:
         (the DAG analogue of six-block security)."""
         return self.weight(tx_hash) >= threshold
 
-    def depth_from_tips(self, tx_hash: bytes) -> int:
-        """Shortest approval distance from any current tip (0 for tips).
-
-        Answered from a multi-source BFS map cached per tangle version,
-        so repeated queries between attaches are O(1) instead of a
-        future-cone BFS each.
-
-        A transaction whose whole future cone was pruned (its nearest
-        unapproved descendants were retired via :meth:`retire_tip`)
-        reports its distance to the nearest *retired* boundary instead —
-        a lower bound on its true burial depth, since the pruned region
-        beyond the boundary only adds approvals.  (Historically this
-        case raised :class:`UnknownParentError`.)
-        """
-        if tx_hash not in self._transactions:
-            raise KeyError(tx_hash)
-        if self._depth_version != self._version:
-            self._m_depth_cache_miss.inc()
-            self._rebuild_depth_map()
-        else:
-            self._m_depth_cache_hit.inc()
-        return self._depth_map[tx_hash]
-
-    def _rebuild_depth_map(self) -> None:
-        depth: Dict[bytes, int] = {}
-        transactions = self._transactions
-
-        def sweep(sources) -> None:
-            queue: deque = deque()
-            for source in sources:
-                if source not in depth:
-                    depth[source] = 0
-                    queue.append(source)
-            while queue:
-                current = queue.popleft()
-                next_depth = depth[current] + 1
-                for parent in self.parents(current):
-                    if parent in depth or parent not in transactions:
-                        continue
-                    depth[parent] = next_depth
-                    queue.append(parent)
-
-        # Live tips first: where a live tip is reachable the answer is
-        # the exact historical semantics.  Anything still unassigned can
-        # only surface at a retired (pruned-approver) boundary.
-        sweep(self._tips)
-        sweep(h for h in self._retired if h not in depth)
-        self._depth_map = depth
-        self._depth_version = self._version
-
     def ancestors(self, tx_hash: bytes) -> Set[bytes]:
         """All *retained* transactions (in)directly approved by
         *tx_hash* (pruned entry points are not included)."""
@@ -517,7 +432,6 @@ class Tangle:
             arrival_time=when,
             parents_were_tips=parents_were_tips,  # type: ignore[arg-type]
             parent_ages=parent_ages,  # type: ignore[arg-type]
-            new_tip_count=len(self._tips),
         )
 
     # -- internals -------------------------------------------------------
@@ -551,22 +465,18 @@ class Tangle:
                 continue  # pruned parents track no approvers
             self._approvers[parent].add(tx_hash)
             self._tips.discard(parent)
-            self._retired.discard(parent)
         self._tips_cache = None
-        self._version += 1
         self._m_tips_gauge.set(len(self._tips))
         self._cumulative_weight[tx_hash] = 1
-        if self._track_weight and parents:
+        if parents:
             self._pending_weight.append(tx_hash)
             if len(self._pending_weight) >= self._flush_interval:
                 self.flush_weights()
 
     def _compute_cumulative_weight(self, tx_hash: bytes,
-                                   limit: float = float("inf")) -> int:
+                                   limit: float) -> int:
         """Count *tx_hash* plus its distinct (in)direct approvers,
         stopping as soon as the count reaches *limit*."""
-        if tx_hash not in self._transactions:
-            raise KeyError(tx_hash)
         seen: Set[bytes] = {tx_hash}
         stack = [tx_hash]
         approvers = self._approvers

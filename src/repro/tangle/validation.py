@@ -3,8 +3,9 @@
 The tangle itself only enforces structure (known parents, no
 duplicates).  Everything else composes in as validators:
 
-* :func:`crypto_validator` — PoW and signature verification plus a
-  minimum-difficulty floor (what every full node runs);
+* :func:`crypto_validator` — PoW and signature verification (what
+  every full node runs; per-issuer difficulty is the credit
+  consensus's validator);
 * :class:`VerificationCache` — a bounded LRU remembering which
   byte-exact transaction instances (keyed by the signature-committing
   ``full_digest``) already passed signature+PoW verification, so a
@@ -195,15 +196,12 @@ class PreverifiedSet:
         return self._digests.pop(digest, False) is None
 
 
-def crypto_validator(*, min_difficulty: int = 1,
-                     allow_simulated_pow: bool = False,
+def crypto_validator(*, allow_simulated_pow: bool = False,
                      cache: Optional[VerificationCache] = None,
                      preverified: Optional[PreverifiedSet] = None) -> Validator:
     """Build a validator enforcing PoW and signature correctness.
 
     Args:
-        min_difficulty: network-wide difficulty floor; transactions
-            declaring less are rejected regardless of their nonce.
         allow_simulated_pow: pure-simulation experiments sample attempt
             counts instead of grinding nonces, so their nonces do not
             verify; set True only inside such experiments.
@@ -212,10 +210,8 @@ def crypto_validator(*, min_difficulty: int = 1,
             ``tx.full_digest`` (commits to the signature) and tagged
             with whether PoW was enforced, so sharing one cache across
             validators with different ``allow_simulated_pow`` settings
-            stays sound.  The difficulty floor and the self-approval
-            check still run per call — they are O(1) comparisons and
-            the floor is validator-local policy, not a property of the
-            transaction.
+            stays sound.  The self-approval check still runs per call
+            (an O(1) comparison).
         preverified: optional :class:`PreverifiedSet` carrying positive
             batch-verification verdicts; a transaction found there
             skips the individual signature check (the entry is consumed).
@@ -227,11 +223,6 @@ def crypto_validator(*, min_difficulty: int = 1,
         return tx.verify_signature()
 
     def validate(tangle: Tangle, tx: Transaction) -> None:
-        if tx.difficulty < min_difficulty:
-            raise InvalidPowError(
-                f"{tx.short_hash} declares difficulty {tx.difficulty} "
-                f"below the floor {min_difficulty}"
-            )
         enforce_pow = not allow_simulated_pow
         if cache is None or not cache.check(tx.full_digest,
                                             require_pow=enforce_pow):

@@ -6,8 +6,8 @@ registered metric is never emitted, so this scenario is written to
 drive all five instrumented subsystems:
 
 * **tangle** — weighted-walk tip selection (walk lengths), steady
-  attach traffic (flush batches, weight reads), plus explicit
-  ``tips()`` / ``depth_from_tips()`` reads to hit both cache branches;
+  attach traffic (flush batches, weight reads), plus two explicit
+  ``tips()`` reads to hit both branches of the sorted tip cache;
 * **pow** — every submission grinds at its credit-assigned difficulty;
 * **network** — the wireless links are lossy (drops) and the full-node
   mesh floods gossip (relays and duplicate suppressions);
@@ -85,12 +85,10 @@ def run_smoke_scenario(*, seed: int = 42, device_count: int = 4,
     system.lifecycle.finalize(node_count=len(system.full_nodes))
 
     # Reporting reads: consecutive calls hit the rebuild branch first,
-    # then the cached branch, covering both cache counters.
+    # then the cached branch, covering both tip-cache counters.
     tangle = system.manager.tangle
-    genesis_hash = tangle.genesis.tx_hash
     for _ in range(2):
         tangle.tips()
-        tangle.depth_from_tips(genesis_hash)
     return system
 
 

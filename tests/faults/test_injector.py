@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.biot import BIoTConfig, BIoTSystem
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, PlanBuilder
 from repro.network.network import Network, NetworkNode
@@ -177,6 +178,73 @@ class TestClockSkew:
         assert nodes["b"].clock_offset == 2.5
         scheduler.run_until(3.5)
         assert nodes["b"].clock_offset == 0.0
+
+
+class TestSkewReachesNodeClocks:
+    """An injected skew moves the clock the node itself reads: a device
+    stamps what it issues, and a gateway records arrivals and evaluates
+    credit, at the shared clock plus its offset."""
+
+    @pytest.fixture()
+    def system(self):
+        system = BIoTSystem.build(BIoTConfig(
+            device_count=1, gateway_count=1, seed=31,
+            initial_difficulty=6, report_interval=2.0))
+        system.initialize()
+        return system
+
+    def test_skewed_device_stamps_its_transactions(self, system):
+        device = system.devices[0]
+        gateway = system.network.node(device.gateway)
+        clock = system.scheduler.clock
+        stamped = []  # shared-clock time of each draft (PoW starts there)
+        solve = device.engine.solve
+
+        def recording_solve(challenge, difficulty):
+            stamped.append(clock.now())
+            return solve(challenge, difficulty)
+
+        device.engine.solve = recording_solve
+        FaultInjector(system.network).apply(
+            PlanBuilder().skew(0.0, device.address, 1.5).build())
+        device.start()
+        system.run_for(12.0)
+        issued = {tx.timestamp for tx in gateway.tangle
+                  if tx.issuer.node_id == device.keypair.public.node_id}
+        assert issued
+        assert issued <= {at + 1.5 for at in stamped}
+
+    def test_skewed_gateway_records_arrival_and_credit_time(self, system):
+        device = system.devices[0]
+        gateway = system.network.node(device.gateway)
+        clock = system.scheduler.clock
+        arrivals, evaluations = [], []
+        apply = gateway.replica.apply
+        required = gateway.consensus.required_difficulty
+
+        def recording_apply(tx, arrival, *, admit):
+            arrivals.append((clock.now(), arrival))
+            return apply(tx, arrival, admit=admit)
+
+        def recording_required(node_id, now):
+            evaluations.append((clock.now(), now))
+            return required(node_id, now)
+
+        gateway.replica.apply = recording_apply
+        gateway.consensus.required_difficulty = recording_required
+        served = gateway.stats.tips_served
+        FaultInjector(system.network).apply(
+            PlanBuilder().skew(0.0, gateway.address, 2.0).build())
+        device.start()
+        system.run_for(12.0)
+        assert arrivals
+        assert all(arrival == at + 2.0 for at, arrival in arrivals)
+        # Admission evaluates at the (earlier) ledger timestamp; every
+        # evaluation at or past the shared clock is a tip request's
+        # difficulty quote, read from the gateway's own clock.
+        quotes = [(at, now) for at, now in evaluations if now >= at]
+        assert len(quotes) == gateway.stats.tips_served - served > 0
+        assert all(now == at + 2.0 for at, now in quotes)
 
 
 class TestAuditAndMetrics:

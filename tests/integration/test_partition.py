@@ -10,19 +10,26 @@ must stitch the halves back together in both directions.
 import pytest
 
 from repro.core.biot import BIoTConfig, BIoTSystem
+from repro.crypto import rand
+
+SEED = 131
 
 
 @pytest.fixture()
 def system():
-    system = BIoTSystem.build(BIoTConfig(
-        device_count=4, gateway_count=2, seed=131,
-        initial_difficulty=6, report_interval=1.5,
-    ))
-    system.initialize()
-    for device in system.devices:
-        device.start()
-    system.run_for(15.0)
-    return system
+    # The whole test, body included, runs on a randomness source keyed
+    # by its seed (AES IVs among it), so its outcome does not depend on
+    # what earlier tests drew from the process-wide source.
+    with rand.deterministic(f"partition:{SEED}".encode()):
+        system = BIoTSystem.build(BIoTConfig(
+            device_count=4, gateway_count=2, seed=SEED,
+            initial_difficulty=6, report_interval=1.5,
+        ))
+        system.initialize()
+        for device in system.devices:
+            device.start()
+        system.run_for(15.0)
+        yield system
 
 
 def partition(system):

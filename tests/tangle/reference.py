@@ -31,7 +31,6 @@ class ReferenceTangle:
         self._entry_points = dict(entry_points or {})
         self._transactions: Dict[bytes, Transaction] = {genesis.tx_hash: genesis}
         self._order: List[bytes] = [genesis.tx_hash]
-        self._retired: Set[bytes] = set()
 
     # -- growth ----------------------------------------------------------
 
@@ -43,14 +42,6 @@ class ReferenceTangle:
                 raise ValueError("unknown parent")
         self._transactions[tx.tx_hash] = tx
         self._order.append(tx.tx_hash)
-        # A retired boundary that gains a live approver is buried by
-        # retained history again — no longer a boundary.
-        self._retired.discard(tx.branch)
-        self._retired.discard(tx.trunk)
-
-    def retire_tip(self, tx_hash: bytes) -> None:
-        if self._is_tip_structurally(tx_hash):
-            self._retired.add(tx_hash)
 
     # -- from-scratch queries --------------------------------------------
 
@@ -66,15 +57,9 @@ class ReferenceTangle:
             if not tx.is_genesis and tx_hash in (tx.branch, tx.trunk)
         }
 
-    def _is_tip_structurally(self, tx_hash: bytes) -> bool:
-        return not self.approvers(tx_hash)
-
     def tips(self) -> List[bytes]:
-        """Definition: transactions with no approvers, minus retired."""
-        return sorted(
-            h for h in self._transactions
-            if self._is_tip_structurally(h) and h not in self._retired
-        )
+        """Definition: transactions with no approvers."""
+        return sorted(h for h in self._transactions if not self.approvers(h))
 
     def weight(self, tx_hash: bytes) -> int:
         """Definition: 1 + number of (in)direct approvers (full BFS)."""
@@ -98,32 +83,3 @@ class ReferenceTangle:
             else:
                 heights[h] = 1 + max(heights.get(p, 0) for p in set(parents))
         return heights[tx_hash]
-
-    def depth_from_tips(self, tx_hash: bytes) -> Optional[int]:
-        """Definition: shortest approver-path to a live tip; falls back
-        to the nearest retired burial boundary when no live tip is
-        reachable (mirrors the optimized semantics).  Returns None only
-        if the transaction is unreachable from both — impossible by
-        construction."""
-        live = self._bfs_to(tx_hash, set(self.tips()))
-        if live is not None:
-            return live
-        return self._bfs_to(tx_hash, self._retired)
-
-    def _bfs_to(self, tx_hash: bytes, targets: Set[bytes]) -> Optional[int]:
-        if tx_hash in targets:
-            return 0
-        distance = {tx_hash: 0}
-        queue = deque([tx_hash])
-        best = None
-        while queue:
-            current = queue.popleft()
-            for child in self.approvers(current):
-                if child in distance:
-                    continue
-                distance[child] = distance[current] + 1
-                if child in targets:
-                    best = distance[child] if best is None else min(best, distance[child])
-                else:
-                    queue.append(child)
-        return best

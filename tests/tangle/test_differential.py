@@ -2,12 +2,12 @@
 
 The optimized :class:`Tangle` layers several scale mechanisms over the
 plain DAG definitions — batched lazy weight propagation, tip-pool and
-height indexes, a cached depth map.  None of them may ever change an
+height indexes.  None of them may ever change an
 answer.  These tests replay identical random growth schedules (seeded,
 varied fan-in and tip pressure — see :mod:`tests.tangle.schedules`)
 into every engine configuration and the from-scratch reference, and
-assert ``weight()`` / ``capped_weight()`` / ``height()`` / ``tips()`` /
-``depth_from_tips()`` agree at interleaved probes and at the end.
+assert ``weight()`` / ``capped_weight()`` / ``height()`` / ``tips()``
+agree at interleaved probes and at the end.
 """
 
 import random
@@ -28,7 +28,6 @@ def engine_variants(genesis):
         "eager(interval=1)": Tangle(genesis, weight_flush_interval=1),
         "batched(interval=7)": Tangle(genesis, weight_flush_interval=7),
         "batched(default)": Tangle(genesis),
-        "exact-on-demand": Tangle(genesis, track_cumulative_weight=False),
     }
 
 
@@ -131,18 +130,6 @@ def test_capped_weight_walk_is_bounded_by_the_limit():
     tangle.flush_weights()
     assert tangle.capped_weight(genesis.tx_hash, 5.0) == 5.0
     assert CountingSet.yielded == 4
-
-
-@pytest.mark.parametrize("seed", (0, 3, 5))
-def test_depth_from_tips_agrees(seed):
-    genesis, schedule = random_growth_schedule(seed, length=60)
-    reference = ReferenceTangle(genesis)
-    tangle = Tangle(genesis)
-    for tx in schedule:
-        reference.attach(tx)
-        tangle.attach(tx, arrival_time=tx.timestamp)
-    for h in [genesis.tx_hash] + [tx.tx_hash for tx in schedule]:
-        assert tangle.depth_from_tips(h) == reference.depth_from_tips(h), seed
 
 
 def test_flush_interval_boundary_is_exact():

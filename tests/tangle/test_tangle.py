@@ -125,14 +125,6 @@ class TestWeights:
         # d approves b and c, both approve a: a's weight counts d once.
         assert tangle.weight(a.tx_hash) == 4
 
-    def test_untracked_mode_computes_on_demand(self):
-        genesis = make_genesis()
-        tangle = Tangle(genesis, track_cumulative_weight=False)
-        a = child_of(genesis, genesis)
-        tangle.attach(a)
-        assert tangle.weight(genesis.tx_hash) == 2
-        assert tangle.weight(a.tx_hash) == 1
-
     def test_confirmation_threshold(self, tangle):
         a = child_of(tangle.genesis, tangle.genesis)
         tangle.attach(a)
@@ -167,15 +159,6 @@ class TestTopology:
                                                tangle.genesis.tx_hash}
         assert tangle.ancestors(tangle.genesis.tx_hash) == set()
 
-    def test_depth_from_tips(self, tangle):
-        a = child_of(tangle.genesis, tangle.genesis)
-        tangle.attach(a)
-        b = child_of(a, a, timestamp=2.0)
-        tangle.attach(b)
-        assert tangle.depth_from_tips(b.tx_hash) == 0
-        assert tangle.depth_from_tips(a.tx_hash) == 1
-        assert tangle.depth_from_tips(tangle.genesis.tx_hash) == 2
-
     def test_iteration_in_arrival_order(self, tangle):
         a = child_of(tangle.genesis, tangle.genesis)
         tangle.attach(a, arrival_time=1.0)
@@ -189,52 +172,25 @@ class TestTopology:
             tangle.get(b"\x00" * 32)
 
 
-class TestDepthFromTipsAfterRetire:
-    """Regression: a fully-buried transaction (all its unapproved
-    descendants retired via ``retire_tip``, the pruned-approver case)
-    used to raise ``UnknownParentError`` from ``depth_from_tips``.  It
-    now reports the distance to the nearest retired burial boundary —
-    a lower bound on its true depth."""
+class TestRetireTip:
+    """``retire_tip`` (snapshot restores) takes a hash out of the tip
+    pool without an approval; the transaction stays queryable."""
 
-    def test_fully_buried_reports_boundary_distance(self, tangle):
-        a = child_of(tangle.genesis, tangle.genesis)
-        tangle.attach(a)
-        b = child_of(a, a, timestamp=2.0)
-        tangle.attach(b)
-        tangle.retire_tip(b.tx_hash)
-        assert tangle.tips() == []
-        assert tangle.depth_from_tips(b.tx_hash) == 0
-        assert tangle.depth_from_tips(a.tx_hash) == 1
-        assert tangle.depth_from_tips(tangle.genesis.tx_hash) == 2
-
-    def test_live_tip_wins_over_retired_boundary(self, tangle):
-        a = child_of(tangle.genesis, tangle.genesis)
-        tangle.attach(a)
-        retired = child_of(a, a, payload=b"r", timestamp=2.0)
-        tangle.attach(retired)
-        live = child_of(a, a, payload=b"l", timestamp=2.0)
-        tangle.attach(live)
-        tangle.retire_tip(retired.tx_hash)
-        # a reaches the live tip at distance 1: exact semantics, not
-        # the (equal) retired-boundary distance by accident — genesis
-        # is further from the boundary than from the live tip.
-        assert tangle.depth_from_tips(a.tx_hash) == 1
-        assert tangle.depth_from_tips(tangle.genesis.tx_hash) == 2
-        assert tangle.depth_from_tips(live.tx_hash) == 0
-
-    def test_retired_tip_revives_on_new_approver(self, tangle):
+    def test_retired_tip_leaves_the_pool(self, tangle):
         a = child_of(tangle.genesis, tangle.genesis)
         tangle.attach(a)
         tangle.retire_tip(a.tx_hash)
-        assert a.tx_hash in tangle.retired_tips()
+        assert tangle.tips() == []
+        assert not tangle.is_tip(a.tx_hash)
+        assert tangle.get(a.tx_hash) == a
         b = child_of(a, a, timestamp=2.0)
         tangle.attach(b)
-        assert a.tx_hash not in tangle.retired_tips()
-        assert tangle.depth_from_tips(a.tx_hash) == 1  # via live tip b
+        assert tangle.tips() == [b.tx_hash]
+        assert tangle.weight(a.tx_hash) == 2
 
-    def test_unknown_hash_still_raises(self, tangle):
+    def test_unknown_hash_raises(self, tangle):
         with pytest.raises(KeyError):
-            tangle.depth_from_tips(b"\x07" * 32)
+            tangle.retire_tip(b"\x07" * 32)
 
 
 class TestScaleIndexes:

@@ -16,7 +16,10 @@ them again.  The same holds for the transport surface no node called
 points, the simulator's second name) and the link-cut fault kind a
 two-group partition already expresses, and the pinning of verify
 workers off the node's CPU that the kernel's own balancing replaced
-once the node stopped checking a shard itself.  A name that live code shares as
+once the node stopped checking a shard itself, and the tangle's
+depth-from-tips cache, its exact-on-demand weight fork and the attach
+result's tip count, which only tests read, and the chaos, fleet and
+parasite options no caller set (now constants).  A name that live code shares as
 a substring (``broadcast``, ``cancel``) is retired as a qualified
 function name instead: no ``def`` may define it again."""
 
@@ -58,7 +61,10 @@ RETIRED = ["sqlite3", "SQLiteStore", "record_events", "MetricEvent",
            "pow_energy_joules", "remove_peer", "key_distribution_complete",
            "FixedPairTipSelector", "notice_deposit", "leaf_count",
            "decode_frame", "_place_workers", "_placed_around",
-           "spare_cores"]
+           "spare_cores", "track_cumulative_weight", "new_tip_count",
+           "repro_tangle_depth_cache_hits_total",
+           "repro_tangle_depth_cache_misses_total", "max_sync_rounds",
+           "sync_round_seconds", "drain_timeout", "honest_before"]
 
 RETIRED_FUNCTIONS = [
     "Transport.broadcast", "Transport.addresses", "Network.broadcast",
@@ -73,7 +79,9 @@ RETIRED_FUNCTIONS = [
     "ConvergenceReport.reference_hashes", "NodeProcess.pid",
     "LifecycleTracker.context_of",
     "LifecycleTracker.timeline_for", "NullLifecycle.context_of",
-    "NullLifecycle.timeline_for", "Tracer.children"]
+    "NullLifecycle.timeline_for", "Tracer.children",
+    "Tangle.depth_from_tips", "Tangle.retired_tips",
+    "Tangle._rebuild_depth_map"]
 
 
 @pytest.mark.parametrize("name", RETIRED)
