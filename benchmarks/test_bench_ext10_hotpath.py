@@ -572,7 +572,7 @@ def _bench_ingress():
     results["layers_us"] = {
         "network.frame.decode_us": 1e6 / results["feed"]["frames_per_s"],
         "tangle.transaction.decode_us":
-            each_us(node._decode, [tx.to_bytes() for tx in known]),
+            each_us(node.lane.decode, [tx.to_bytes() for tx in known]),
         "network.gossip.seen_us": each_us(
             lambda tx: tx.tx_hash in node.tangle, known),
         "nodes.full_node.handle_gossip_dup_us":

@@ -40,8 +40,8 @@ def main():
 
     # --- 2. local snapshot (DAG + derived ACL/ledger/credit state) ----------
     now = system.scheduler.clock.now()
-    snapshot = gateway.export_snapshot(now=now, keep_recent_seconds=30.0,
-                                       min_weight_to_prune=5)
+    snapshot = gateway.replica.snapshot(now, keep_recent_seconds=30.0,
+                                        min_weight_to_prune=5)
     pruned = snapshot.tangle.pruned_count
     retained = snapshot.tangle.retained_count
     ratio = pruned / (pruned + retained)

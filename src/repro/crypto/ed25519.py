@@ -679,7 +679,7 @@ at two signatures, 705-964 at six, 682-772 at eight and 517-702 at
 twelve to sixteen.  The floor stays at four all the same: the node's
 batch lane is tested at it, and the verify workers take the equation
 off the node's core where the singles would run on it.  It
-lives here, not in ``FullNode._preverify``, because the crossover
+lives here, not in the node's ingress lane, because the crossover
 belongs to this cost model.  Letting the batch's A-columns read the
 split tables instead would only halve the chain and put a
 288-operation table build on the batch lane for every new key.  An

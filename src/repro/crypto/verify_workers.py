@@ -15,8 +15,8 @@ worker answers its requests in the order they were written, each
 through the unchanged :func:`repro.crypto.ed25519.verify_batch`, so a
 batch's verdicts are those of one in-process ``verify_batch``.
 :meth:`Batch.ready` files whatever verdicts have arrived without
-blocking; :meth:`Batch.wait` blocks until the batch's are all in.
-:func:`verify_batch` is ``hand_off(items).wait()``: there is one lane.
+blocking; :meth:`Batch.wait` blocks until the batch's are all in, so
+``hand_off(items).wait()`` is the synchronous check.
 A batch under ``ed25519``'s batch floor, and items of a shape no record
 carries, are checked in-process during the hand-off; with no worker
 started every batch is, so in-process deployments and the simulator
@@ -57,7 +57,7 @@ from typing import Callable, Deque, List, Optional, Sequence, Tuple
 from . import ed25519
 
 __all__ = ["MAX_WORKERS", "SHARD_CAP", "STALL_BOUND_S", "Batch",
-           "worker_count", "start", "hand_off", "verify_batch", "stop"]
+           "worker_count", "start", "hand_off", "stop"]
 
 MAX_WORKERS = 4
 """Most workers a node forks: the four cores of the paper's quad-core
@@ -280,12 +280,6 @@ def hand_off(items: Sequence[Item], *,
                 if worker.owes(batch):
                     _watch(worker, loop)
     return batch
-
-
-def verify_batch(items: Sequence[Item]) -> List[bool]:
-    """``ed25519.verify_batch(items)``, checked by the workers: a
-    hand-off and a wait behind whatever their FIFOs already hold."""
-    return hand_off(items).wait()
 
 
 def _request(worker: _Worker, batch: Batch, piece: List[int]) -> None:

@@ -125,18 +125,6 @@ class SolidificationBuffer(Generic[ItemT]):
         for dependency in missing_set:
             self._waiters[dependency].add(item_id)
 
-    def missing_dependencies(self) -> List[bytes]:
-        """Dependency ids still being waited on, sorted — what a
-        recovery sweep should go and fetch from peers."""
-        return sorted(
-            dependency for dependency, waiters in self._waiters.items()
-            if waiters
-        )
-
-    def waiter_count(self, dependency_id: bytes) -> int:
-        """How many parked items are blocked on *dependency_id*."""
-        return len(self._waiters.get(dependency_id, ()))
-
     def satisfy(self, dependency_id: bytes) -> List[Tuple[bytes, ItemT]]:
         """Mark *dependency_id* as available; returns items that became
         fully solid (and removes them from the buffer)."""

@@ -1,0 +1,179 @@
+"""The sync service of a full node: anti-entropy and parent recovery.
+
+Gossip is fire-and-forget, so a gateway asks its peers for what it
+missed, and answers their asks; its
+:class:`~repro.nodes.lane.IngressLane` folds what comes back:
+
+* ``sync_request`` → ``sync_response`` — anti-entropy: a (re)joining
+  full node announces the transactions it knows; the peer returns what
+  is missing, in arrival order, so gossip gaps (crashes, partitions)
+  heal without replaying the whole history;
+* ``parent_request`` → ``parent_response`` — a transaction parked for a
+  missing parent asks a peer for that hash, with backoff; the peer
+  returns it with its nearest ancestors, and a deeper gap asks again.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional
+
+from ..network.transport import Message
+
+__all__ = ["PARENT_RESPONSE_BUDGET", "SyncService"]
+
+PARENT_RESPONSE_BUDGET = 32
+"""Max transactions in one parent response: the asked-for tx plus its
+nearest ancestors (deeper gaps re-request recursively)."""
+
+
+class SyncService:
+    """Anti-entropy sync and the parent-fetch loop of one full node:
+    *node* is the shell whose replica it reads and that it sends
+    through, *lane* the ingress lane that folds what arrives."""
+
+    def __init__(self, node, lane):
+        self.node = node
+        self.lane = lane
+        self.stats = node.stats
+        self.relay = node.relay
+        # parent hash -> {"attempt": int, "sent": int, "source": peer or None}
+        self.parent_requests: Dict[bytes, Dict] = {}
+
+    # -- anti-entropy sync -------------------------------------------------
+
+    def request_sync(self, peer: str) -> bool:
+        """Ask *peer* for everything we are missing: gossip is
+        fire-and-forget, so what was flooded while this gateway was down
+        or partitioned is gone unless explicitly reconciled."""
+        known = [tx.tx_hash for tx in self.node.replica.tangle]
+        return self.node.send(peer, "sync_request", {"known": known},
+                              size_bytes=32 * len(known))
+
+    def handle_sync_request(self, message: Message) -> None:
+        known = set(message.body.get("known", ()))
+        # The tangle iterates in arrival order: parents first.
+        missing = [tx.to_bytes() for tx in self.node.replica.tangle
+                   if tx.tx_hash not in known and not tx.is_genesis]
+        self.stats.sync_requests_served += 1
+        self.stats.sync_transactions_sent += len(missing)
+        self.node.send(message.sender, "sync_response",
+                       {"transactions": missing},
+                       size_bytes=sum(len(m) for m in missing))
+
+    def handle_sync_response(self, message: Message) -> None:
+        accepted = self.lane.ingest_batch(
+            message.body.get("transactions", ()), source=message.sender)
+        self.stats.sync_transactions_received += accepted
+
+    def resync_with_peers(self) -> int:
+        """Anti-entropy sweep against every gossip peer (post-heal or
+        post-restart recovery).  Returns the number of peers reached."""
+        return sum(1 for peer in self.relay.peers if self.request_sync(peer))
+
+    # -- targeted parent recovery ------------------------------------------
+
+    def fetch_parents(self, missing, source: Optional[str]) -> None:
+        """Arm a backoff-paced re-request loop for each missing parent:
+        a dropped gossip parent strands its subtree in the solidification
+        buffer, so ask a peer for that hash, retrying on the node's
+        :class:`~repro.faults.backoff.BackoffPolicy` until it attaches or
+        attempts run out."""
+        if self.node.network is None or not self.relay.peers:
+            return
+        tangle = self.node.replica.tangle
+        for parent in missing:
+            if parent in self.parent_requests or parent in tangle:
+                continue
+            state = self.parent_requests[parent] = {
+                "attempt": 0, "sent": 0, "source": source}
+            self._arm(parent, state)
+
+    def _arm(self, parent: bytes, state: Dict) -> None:
+        state["attempt"] += 1
+        attempt = state["attempt"]
+        node = self.node
+        delay = node.retry_policy.delay(attempt, node.rng)
+        node._m_retry_backoff.observe(delay)
+
+        def fire() -> None:
+            current = self.parent_requests.get(parent)
+            if current is None or current["attempt"] != attempt:
+                return  # resolved, superseded, or cancelled
+            if parent in self.node.replica.tangle:
+                self.parent_requests.pop(parent, None)
+                return
+            current["sent"] += 1
+            self.stats.parent_requests_sent += 1
+            node._m_retry_attempts.inc(protocol="parent_fetch")
+            node.send(self._peer_for(current["source"], attempt),
+                      "parent_request", {"hashes": [parent]}, size_bytes=32)
+            if node.retry_policy.exhausted(attempt):
+                self.parent_requests.pop(parent, None)
+                self.stats.parent_fetch_exhausted += 1
+                node._m_retry_exhausted.inc(protocol="parent_fetch")
+            else:
+                self._arm(parent, current)
+
+        node.network.scheduler.schedule(delay, fire)
+
+    def _peer_for(self, source: Optional[str], attempt: int) -> str:
+        """The peer to ask: the gossip source first, then round-robin
+        over the peer list (never empty here: peers are only added) so
+        a dead source does not starve recovery."""
+        if source is not None and attempt == 1 and self.relay.has_peer(source):
+            return source
+        peers = self.relay.peers
+        return peers[(attempt - 1) % len(peers)]
+
+    def settle(self, tx_hash: bytes) -> None:
+        """A transaction attached: stop any re-request loop for it."""
+        state = self.parent_requests.pop(tx_hash, None)
+        if state is not None and state["sent"] >= 1:
+            self.stats.parent_fetch_recoveries += 1
+            self.node._m_retry_recoveries.inc(protocol="parent_fetch")
+
+    def handle_parent_request(self, message: Message) -> None:
+        # Honest requesters ask for one hash (_arm); the budget covers
+        # the whole response so that repeating or piling up hashes buys
+        # neither more bytes nor more ancestor walks.
+        transactions: List[bytes] = []
+        tangle = self.node.replica.tangle
+        for tx_hash in dict.fromkeys(message.body.get("hashes", ())):
+            room = PARENT_RESPONSE_BUDGET - len(transactions)
+            if room <= 0:
+                break
+            if tx_hash in tangle:
+                transactions.extend(
+                    self._parent_response_chain(tx_hash, room))
+        self.stats.parent_requests_served += 1
+        self.node.send(message.sender, "parent_response",
+                       {"transactions": transactions},
+                       size_bytes=sum(len(t) for t in transactions))
+
+    def _parent_response_chain(self, tx_hash: bytes, room: int) -> list:
+        """The requested transaction plus its nearest non-genesis
+        ancestors (parents-first order), *room* transactions at most: a
+        breadth-first walk that stops at the level filling *room* and
+        takes its latest arrivals, so a request costs at most *room*
+        parent lookups however large the tangle.  A deeper gap parks
+        again and re-requests recursively."""
+        tangle = self.node.replica.tangle
+        seen = {tx_hash, tangle.genesis.tx_hash}
+        nearest: List[bytes] = []
+        level = [tx_hash]
+        while level and len(nearest) < room - 1:
+            found = []
+            for current in level:
+                for parent in tangle.parents(current):
+                    if parent not in seen and parent in tangle:
+                        seen.add(parent)
+                        found.append(parent)
+            found.sort(key=tangle.arrival_time, reverse=True)
+            nearest += found[:room - 1 - len(nearest)]
+            level = found
+        chain = sorted(nearest, key=tangle.arrival_time) + [tx_hash]
+        return [tangle.get(h).to_bytes() for h in chain]
+
+    def handle_parent_response(self, message: Message) -> None:
+        self.lane.ingest_batch(message.body.get("transactions", ()),
+                               source=message.sender)

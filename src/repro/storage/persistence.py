@@ -144,8 +144,8 @@ class NodePersistence:
         horizon = (float("inf") if keep_recent_seconds is None
                    else keep_recent_seconds)
         epoch = replace(
-            node.export_snapshot(now=now, keep_recent_seconds=horizon,
-                                 min_weight_to_prune=min_weight_to_prune),
+            node.replica.snapshot(now, keep_recent_seconds=horizon,
+                                  min_weight_to_prune=min_weight_to_prune),
             epoch=self._epoch, prev_hash=self._prev_snapshot_hash)
         record = self.store.append("checkpoint", epoch.to_data())
         self._epoch = epoch.epoch + 1

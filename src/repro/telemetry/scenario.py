@@ -221,7 +221,7 @@ def _run_crypto_probe(system) -> None:
         ))
     bad_signature = bytes(64)
     corrupted = replace(burst[-1], signature=bad_signature)
-    gateway._ingest_batch(
+    gateway.lane.ingest_batch(
         [tx.to_bytes() for tx in burst[:-1] + [corrupted]], source=None)
 
 

@@ -3,9 +3,9 @@
 :func:`repro.crypto.verify_workers.hand_off` cuts a batch into pieces
 and writes each to a forked worker's request FIFO; every piece runs
 through the unchanged :func:`repro.crypto.ed25519.verify_batch`, and
-:func:`~repro.crypto.verify_workers.verify_batch` is a hand-off and a
-wait.  Its contract is the batch verifier's: one verdict per item,
-equal to the single ``verify``.  Batches here mix honest items with
+``hand_off(items).wait()`` is the synchronous check.  Its contract is
+the batch verifier's: one verdict per item, equal to the single
+``verify``.  Batches here mix honest items with
 every defect the batch verifier screens or falls back on — forged and
 wrong-key signatures, bad lengths, ``s >= L``, encodings that do not
 decode, messages that are not 32-byte hashes — and at most one
@@ -177,7 +177,6 @@ class TestDifferential:
     def test_handed_off_verdicts_equal_singles_and_one_batch(
             self, pool, items):
         expected = [ed25519.verify(*item) for item in items]
-        assert verify_workers.verify_batch(items) == expected
         assert verify_workers.hand_off(items).wait() == expected
         assert ed25519.verify_batch(items) == expected
 
@@ -208,7 +207,7 @@ class TestPieces:
         sizes, patch = _in_process_sizes()
         written, recording = _pieces()
         with patch, recording:
-            assert verify_workers.verify_batch(items) \
+            assert verify_workers.hand_off(items).wait() \
                 == [index != count - 3 for index in range(count)]
         assert sizes == []
         assert written == pieces
@@ -242,7 +241,7 @@ class TestPieces:
         items = fits[:3] + odd + fits[3:]
         sizes, patch = _in_process_sizes()
         with patch:
-            verdicts = verify_workers.verify_batch(items)
+            verdicts = verify_workers.hand_off(items).wait()
         assert verdicts == [ed25519.verify(*item) for item in items]
         assert sizes == [len(odd)]
 
@@ -281,18 +280,18 @@ class TestWorkerFaults:
         (pid,) = workers
         items = _signed(2 * FLOOR, forged=[2 * FLOOR - 1])
         expected = [True] * (2 * FLOOR - 1) + [False]
-        assert verify_workers.verify_batch(items) == expected
+        assert verify_workers.hand_off(items).wait() == expected
         os.kill(pid, signal.SIGKILL)
         sizes, patch = _in_process_sizes()
         with patch:
             # The write fails, or the verdicts never come: either way
             # every item is verified here.
-            assert verify_workers.verify_batch(items) == expected
+            assert verify_workers.hand_off(items).wait() == expected
             assert sum(sizes) == 2 * FLOOR
             assert _gone(pid)
             # The pool is empty now: the next batch is one batch here.
             del sizes[:]
-            assert verify_workers.verify_batch(items) == expected
+            assert verify_workers.hand_off(items).wait() == expected
         assert sizes == [2 * FLOOR]
 
     def test_what_a_killed_worker_owes_is_checked_here_in_order(
@@ -318,7 +317,7 @@ class TestWorkerFaults:
         os.kill(pid, signal.SIGSTOP)
         with mock.patch.object(verify_workers, "STALL_BOUND_S", 0.5):
             began = time.monotonic()
-            assert verify_workers.verify_batch(items) == [True] * len(items)
+            assert verify_workers.hand_off(items).wait() == [True] * len(items)
             waited = time.monotonic() - began
         assert 0.5 <= waited < 5.0
         assert _gone(pid)
@@ -350,5 +349,5 @@ class TestWorkerFaults:
         items = [_honest(0, bytes([i]) * 32) for i in range(3 * FLOOR)]
         sizes, patch = _in_process_sizes()
         with patch:
-            assert verify_workers.verify_batch(items) == [True] * len(items)
+            assert verify_workers.hand_off(items).wait() == [True] * len(items)
         assert sizes == [len(items)]

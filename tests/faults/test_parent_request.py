@@ -9,11 +9,12 @@ import pytest
 from repro.core.consensus import CreditBasedConsensus
 from repro.crypto.keys import KeyPair
 from repro.faults.backoff import BackoffPolicy
-from repro.network.gossip import SolidificationBuffer
 from repro.network.network import Network
 from repro.network.simulator import EventScheduler
+from repro.network.transport import Message
 from repro.nodes.full_node import FullNode
 from repro.nodes.manager import ManagerNode
+from repro.nodes.sync import PARENT_RESPONSE_BUDGET
 from repro.pow.engine import PowEngine
 from repro.devices.profiles import PC
 from repro.tangle.transaction import Transaction, TransactionKind
@@ -56,7 +57,7 @@ class TestParentRecovery:
         # to beta is lost forever.
         network.cut_link("alpha", "beta")
         parent = make_tx(keys, alpha.tangle, timestamp=0.0)
-        ok, _ = alpha._ingest(parent, source=None, admit=False)
+        ok, _ = alpha.lane.ingest(parent, source=None, admit=False)
         assert ok
         scheduler.run_until(1.0)
         network.heal_link("alpha", "beta")
@@ -65,13 +66,13 @@ class TestParentRecovery:
         # The child gossips through: beta parks it and re-requests.
         child = make_tx(keys, alpha.tangle, parent=parent.tx_hash,
                         timestamp=1.0)
-        ok, _ = alpha._ingest(child, source=None, admit=False)
+        ok, _ = alpha.lane.ingest(child, source=None, admit=False)
         assert ok
         scheduler.run_until(10.0)
 
         assert parent.tx_hash in beta.tangle
         assert child.tx_hash in beta.tangle
-        assert len(beta.solidification) == 0
+        assert len(beta.lane.solidification) == 0
         assert beta.stats.parent_requests_sent >= 1
         assert alpha.stats.parent_requests_served >= 1
         assert beta.stats.parent_fetch_recoveries >= 1
@@ -79,7 +80,7 @@ class TestParentRecovery:
     def test_no_requests_when_nothing_missing(self, pair):
         scheduler, network, alpha, beta, keys, genesis = pair
         tx = make_tx(keys, alpha.tangle, timestamp=0.0)
-        alpha._ingest(tx, source=None, admit=False)
+        alpha.lane.ingest(tx, source=None, admit=False)
         scheduler.run_until(5.0)
         assert tx.tx_hash in beta.tangle
         assert beta.stats.parent_requests_sent == 0
@@ -89,12 +90,12 @@ class TestParentRecovery:
         scheduler, network, alpha, beta, keys, genesis = pair
         network.cut_link("alpha", "beta")
         parent = make_tx(keys, alpha.tangle, timestamp=0.0)
-        alpha._ingest(parent, source=None, admit=False)
+        alpha.lane.ingest(parent, source=None, admit=False)
         scheduler.run_until(1.0)
         # Deliver the child directly (bypassing the cut) so beta parks
         # it while every re-request to alpha keeps getting dropped.
-        beta._ingest(make_tx(keys, alpha.tangle, parent=parent.tx_hash,
-                             timestamp=1.0), source=None, admit=False)
+        beta.lane.ingest(make_tx(keys, alpha.tangle, parent=parent.tx_hash,
+                                 timestamp=1.0), source=None, admit=False)
         scheduler.run_until(60.0)
         assert beta.stats.parent_fetch_exhausted == 1
         assert beta.stats.parent_requests_sent == 4  # max_attempts
@@ -110,13 +111,13 @@ class TestParentRecovery:
         for index in range(3):
             tx = make_tx(keys, alpha.tangle, parent=parent_hash,
                          timestamp=float(index))
-            alpha._ingest(tx, source=None, admit=False)
+            alpha.lane.ingest(tx, source=None, admit=False)
             chain.append(tx)
             parent_hash = tx.tx_hash
         scheduler.run_until(4.0)
         network.heal_link("alpha", "beta")
         tip = make_tx(keys, alpha.tangle, parent=parent_hash, timestamp=4.0)
-        alpha._ingest(tip, source=None, admit=False)
+        alpha.lane.ingest(tip, source=None, admit=False)
         scheduler.run_until(20.0)
         # The parent response carries the requested hash plus its
         # ancestors, so the whole lost chain arrives.
@@ -127,28 +128,63 @@ class TestParentRecovery:
         scheduler, network, alpha, beta, keys, genesis = pair
         network.cut_link("alpha", "beta")
         parent = make_tx(keys, alpha.tangle, timestamp=0.0)
-        alpha._ingest(parent, source=None, admit=False)
+        alpha.lane.ingest(parent, source=None, admit=False)
         scheduler.run_until(1.0)
         network.heal_link("alpha", "beta")
         child = make_tx(keys, alpha.tangle, parent=parent.tx_hash,
                         timestamp=1.0)
         # The same child parks once; repeated deliveries must not arm
         # extra request loops for the same missing parent.
-        beta._ingest(child, source=None, admit=False)
-        beta._ingest(child, source=None, admit=False)
-        assert len(beta._parent_requests) == 1
+        beta.lane.ingest(child, source=None, admit=False)
+        beta.lane.ingest(child, source=None, admit=False)
+        assert len(beta.sync.parent_requests) == 1
         scheduler.run_until(10.0)
         assert parent.tx_hash in beta.tangle
-        assert len(beta._parent_requests) == 0
+        assert len(beta.sync.parent_requests) == 0
 
 
-class TestSolidificationAccessors:
-    def test_missing_dependencies_reports_waited_hashes(self):
-        buffer = SolidificationBuffer()
-        buffer.park(b"c" * 32, "item-c", [b"a" * 32, b"b" * 32])
-        buffer.park(b"d" * 32, "item-d", [b"b" * 32])
-        assert buffer.missing_dependencies() == [b"a" * 32, b"b" * 32]
-        assert buffer.waiter_count(b"b" * 32) == 2
-        buffer.satisfy(b"b" * 32)
-        assert buffer.missing_dependencies() == [b"a" * 32]
-        assert buffer.waiter_count(b"b" * 32) == 0
+class TestParentResponseCost:
+    def test_one_request_walks_a_bounded_part_of_a_large_tangle(self):
+        """A 32-byte request for a recent transaction costs parent
+        lookups in proportion to the response budget, not to the
+        tangle: walking every retained ancestor and keeping the newest
+        32 took ~800 lookups on this tangle."""
+        scheduler = EventScheduler()
+        keys = KeyPair.generate(seed=b"pr-cost")
+        genesis = ManagerNode.create_genesis(keys)
+        node = FullNode("solo", genesis, rng=random.Random(3),
+                        enforce_pow=False)
+        Network(scheduler, rng=random.Random(5)).attach(node)
+        rng = random.Random(11)
+        window = [genesis.tx_hash]  # the 8 newest transactions
+        for index in range(1000):
+            scheduler.run_until(float(index))
+            tx = Transaction.create(
+                keys, kind=TransactionKind.DATA, payload=b"%d" % index,
+                timestamp=float(index), branch=rng.choice(window),
+                trunk=rng.choice(window), difficulty=1, nonce=None)
+            assert node.lane.ingest(tx)[0]
+            window = (window + [tx.tx_hash])[-8:]
+        assert len(node.tangle) == 1001
+
+        tangle, calls, sent = node.tangle, [], []
+        parents = tangle.parents
+        tangle.parents = lambda tx_hash: calls.append(tx_hash) \
+            or parents(tx_hash)
+        node.send = lambda peer, kind, body, size_bytes=0: \
+            sent.append((kind, body))
+        node.handle_message(Message(
+            sender="peer", recipient="solo", kind="parent_request",
+            body={"hashes": [window[-1]]}, sent_at=0.0))
+        assert len(calls) <= 2 * PARENT_RESPONSE_BUDGET
+
+        ((kind, body),) = sent
+        assert kind == "parent_response"
+        served = [Transaction.from_bytes(encoded)
+                  for encoded in body["transactions"]]
+        assert len(served) == PARENT_RESPONSE_BUDGET
+        assert served[-1].tx_hash == window[-1]
+        position = {tx.tx_hash: index for index, tx in enumerate(served)}
+        for index, tx in enumerate(served):  # parents first
+            assert all(position.get(parent, -1) < index
+                       for parent in (tx.branch, tx.trunk))

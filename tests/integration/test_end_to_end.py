@@ -187,7 +187,7 @@ class TestCombinedAttack:
         hash_sets = [{tx.tx_hash for tx in n.tangle} for n in full_nodes]
         assert all(h == hash_sets[0] for h in hash_sets[1:])
         for node in full_nodes:
-            assert len(node.solidification) == 0
+            assert len(node.lane.solidification) == 0
 
     def test_conflict_winner_agrees_across_replicas(self, battlefield):
         system, _, spender = battlefield

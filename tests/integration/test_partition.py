@@ -73,8 +73,8 @@ class TestPartitionAndHeal:
         set0 = {tx.tx_hash for tx in g0.tangle}
         set1 = {tx.tx_hash for tx in g1.tangle}
         assert len(set0.symmetric_difference(set1)) <= 3  # in-flight slack
-        assert len(g0.solidification) == 0
-        assert len(g1.solidification) == 0
+        assert len(g0.lane.solidification) == 0
+        assert len(g1.lane.solidification) == 0
 
     def test_manager_side_state_propagates_after_heal(self, system):
         """An ACL revocation issued during the partition reaches the

@@ -520,7 +520,7 @@ class TestRuns:
 
             def recording(run):
                 deliver_run(run)
-                pending.append(len(node._runs))
+                pending.append(len(node.lane._runs))
 
             node.deliver_run = recording
             runner = NodeRunner(node, transport, listen=("127.0.0.1", 0))

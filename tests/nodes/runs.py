@@ -114,7 +114,7 @@ class Rig:
                 self.transport._receive(decoder.feed(piece), writer=None)
                 await asyncio.sleep(0)
             decoder.close()
-            while self.node._runs:
+            while self.node.lane._runs:
                 await asyncio.sleep(0.001)
 
         with mock.patch.multiple(ed25519, verify=self.backend.verify,

@@ -15,7 +15,7 @@ from repro.crypto import ed25519
 from repro.crypto.keys import KeyPair
 from repro.network.network import Network, NetworkNode
 from repro.network.simulator import EventScheduler
-from repro.nodes import full_node
+from repro.nodes import lane
 from repro.nodes.full_node import FullNode
 from repro.nodes.manager import ManagerNode
 from repro.storage.errors import StorageCorruptionError
@@ -195,7 +195,7 @@ class TestGossipBatchMessage:
         network.attach(source)
         network.attach(target)
         for tx in chained_txs(4):
-            source._ingest(tx, source=None, admit=False)
+            source.lane.ingest(tx, source=None, admit=False)
         target.request_sync(source.address)
         scheduler.run()
         assert len(target.tangle) == len(source.tangle)
@@ -216,7 +216,7 @@ class TestBatchTelemetry:
             nonce=bad.nonce, issuer=bad.issuer, signature=bytes(64),
         )
         encoded = [txs[0].to_bytes(), txs[1].to_bytes(), forged.to_bytes()]
-        node._ingest_batch(encoded, source=None)
+        node.lane.ingest_batch(encoded, source=None)
         snapshot = telemetry.snapshot()
         assert snapshot["repro_crypto_batch_rounds_total"]["series"]["_"] == 1
         assert snapshot["repro_crypto_batch_verified_total"]["series"]["_"] == 2
@@ -228,7 +228,7 @@ class TestBatchTelemetry:
         telemetry = MetricsRegistry()
         scheduler, network, (node,) = make_mesh(1, telemetry=telemetry)
         (tx,) = chained_txs(1)
-        node._ingest_batch([tx.to_bytes()], source=None)
+        node.lane.ingest_batch([tx.to_bytes()], source=None)
         assert tx.tx_hash in node.tangle
         snapshot = telemetry.snapshot()
         assert not snapshot["repro_crypto_batch_rounds_total"]["series"]
@@ -249,7 +249,7 @@ class TestFloodBatching:
     def test_default_size_sends_individual_gossip(self):
         scheduler, network, node, tap = self._tap_node()
         txs = chained_txs(4)
-        node._ingest_batch([tx.to_bytes() for tx in txs], source=None)
+        node.lane.ingest_batch([tx.to_bytes() for tx in txs], source=None)
         scheduler.run()
         kinds = [m.kind for m in tap.messages]
         assert kinds == ["gossip_transaction"] * len(txs)
@@ -269,7 +269,7 @@ class TestJournalReplayLane:
                         telemetry=telemetry)
         node.attach_persistence(NodePersistence(MemoryStore()))
         for tx in txs:
-            assert node._ingest(tx, source=None, admit=False)[0]
+            assert node.lane.ingest(tx, source=None, admit=False)[0]
         return node, telemetry
 
     def test_tail_is_verified_in_one_round(self):
@@ -282,7 +282,7 @@ class TestJournalReplayLane:
         assert len(node.replica.preverified) == 0  # every verdict consumed
 
     def test_slices_bound_the_batch(self, monkeypatch):
-        monkeypatch.setattr(full_node, "_REPLAY_PREVERIFY_SLICE", 2)
+        monkeypatch.setattr(lane, "_REPLAY_PREVERIFY_SLICE", 2)
         txs = chained_txs(5)
         node, telemetry = self._journalled_node(txs)
         assert node.cold_restore() == len(txs)

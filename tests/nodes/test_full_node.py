@@ -206,13 +206,13 @@ class TestSolidification:
                    {"transaction": child.to_bytes()})
         scheduler.run()
         assert child.tx_hash not in nodes[0].tangle
-        assert len(nodes[0].solidification) == 1
+        assert len(nodes[0].lane.solidification) == 1
         probe.send("fn-0", "gossip_transaction",
                    {"transaction": parent.to_bytes()})
         scheduler.run()
         assert parent.tx_hash in nodes[0].tangle
         assert child.tx_hash in nodes[0].tangle
-        assert len(nodes[0].solidification) == 0
+        assert len(nodes[0].lane.solidification) == 0
 
     def test_parked_counted(self):
         scheduler, _, nodes, probe, genesis = make_setup()

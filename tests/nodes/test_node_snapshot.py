@@ -46,8 +46,8 @@ def aged_system():
 
 
 def snapshot_of(system, *, keep=20.0, prune_weight=5):
-    return system.gateways[0].export_snapshot(
-        now=system.scheduler.clock.now(),
+    return system.gateways[0].replica.snapshot(
+        system.scheduler.clock.now(),
         keep_recent_seconds=keep,
         min_weight_to_prune=prune_weight,
     )
@@ -133,7 +133,7 @@ class TestBootstrap:
         newcomer_hashes = {tx.tx_hash for tx in newcomer.tangle}
         assert len(source_hashes - newcomer_hashes) <= 2  # in-flight slack
         assert newcomer.stats.sync_transactions_received > 0
-        assert len(newcomer.solidification) == 0
+        assert len(newcomer.lane.solidification) == 0
 
     def test_bootstrapped_gateway_serves_devices(self, aged_system):
         snapshot = snapshot_of(aged_system)
@@ -168,7 +168,7 @@ class TestBootstrap:
         for tx in source.tangle:
             if tx.is_genesis or tx.tx_hash in newcomer.tangle:
                 continue
-            newcomer._ingest(tx, source=None, admit=False)
+            newcomer.lane.ingest(tx, source=None, admit=False)
         count_after = newcomer.consensus.registry.transaction_count(device_id)
         # Only post-horizon transactions may add records.
         new_records = count_after - count_before
@@ -209,7 +209,7 @@ class TestRestoredTangleKeepsTelemetry:
     def test_adopt_snapshot(self):
         node, attaches, (first, second) = self._node()
         assert node.ingest_local(first)
-        node.adopt_snapshot(node.export_snapshot(now=1.5))
+        node.adopt_snapshot(node.replica.snapshot(1.5))
         self._assert_next_attach_counted(node, attaches, second)
 
     def test_cold_restore_from_checkpoint(self):
@@ -269,7 +269,7 @@ class TestHorizonNeverSkipsAdmission:
         genesis, grant = self._deployment()
         source = build_node("source", genesis, rng_seed=0)
         assert source.ingest_local(grant)
-        snapshot = source.export_snapshot(now=self.SNAPSHOT_AT)
+        snapshot = source.replica.snapshot(self.SNAPSHOT_AT)
         newcomer = FullNode.bootstrap_from_snapshot(
             "newcomer", snapshot, consensus=node_consensus(),
             rng=random.Random(0))

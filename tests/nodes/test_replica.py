@@ -17,6 +17,8 @@ from repro.storage.persistence import NodePersistence
 from repro.storage.store import open_store
 from repro.tangle.transaction import Transaction, TransactionKind
 
+from .runs import BACKENDS, Rig, gossip_frame
+
 
 @pytest.fixture
 def recorded_folds(monkeypatch):
@@ -33,10 +35,32 @@ def recorded_folds(monkeypatch):
     return folds
 
 
-def test_journal_replay_and_live_ingest_fold_alike(tmp_path, recorded_folds):
+def live_node(entry, genesis, tail):
+    """A node that took *tail* live through one of the ingress lane's
+    entries, its clock stepped to each record's arrival: ``ingest_local``
+    (admission on), or one gossip frame per ``read()`` through the
+    transport's per-read function into ``deliver_run``."""
+    if entry == "ingest_local":
+        scheduler = EventScheduler()
+        live = build_node("live", genesis, rng_seed=0)
+        Network(scheduler, rng=random.Random(0)).attach(live)
+        for tx, arrival in tail:
+            scheduler.run_until(arrival)
+            live.ingest_local(tx)
+        return live
+    rig = Rig(genesis, BACKENDS["product"])
+    for tx, arrival in tail:
+        rig.scheduler.run_until(arrival)
+        rig.deliver([gossip_frame(tx.to_bytes())])
+    return rig.node
+
+
+@pytest.mark.parametrize("entry", ["ingest_local", "deliver_run"])
+def test_journal_replay_and_live_ingest_fold_alike(tmp_path, recorded_folds,
+                                                   entry):
     """The storage differential's journalled sequence — double-spends,
     lazy parents, ACL revokes — folds to one Outcome list whether it
-    arrives live (admission on, through ``ingest_local``) or is replayed
+    arrives live, through any entry of the ingress lane, or is replayed
     from the journal by ``cold_restore``."""
     run_dir = str(tmp_path / "run")
     # No checkpoints, so the journal keeps every record.
@@ -47,13 +71,8 @@ def test_journal_replay_and_live_ingest_fold_alike(tmp_path, recorded_folds):
     store.close()
     assert restore.snapshot is None and len(restore.tail) > 40
 
-    scheduler = EventScheduler()
-    live = build_node("live", restore.genesis, rng_seed=0)
-    Network(scheduler, rng=random.Random(0)).attach(live)
     recorded_folds.clear()
-    for tx, arrival in restore.tail:
-        scheduler.run_until(arrival)
-        live.ingest_local(tx)
+    live = live_node(entry, restore.genesis, restore.tail)
     live_folds = list(recorded_folds)
 
     replayed = build_node("replayed", restore.genesis, rng_seed=1)

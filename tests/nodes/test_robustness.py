@@ -11,6 +11,7 @@ from repro.harness.workload import WorkloadBuilder
 from repro.network.proc import build_node
 from repro.network.transport import Message
 from repro.nodes.full_node import FullNode
+from repro.nodes.sync import PARENT_RESPONSE_BUDGET
 from repro.tangle.transaction import TransactionKind
 
 from .runs import BACKENDS, PEER, Rig, frame, submit_frame
@@ -106,12 +107,12 @@ class TestNonDictBodies:
 
 
 class TestParentRequestBudget:
-    """``_PARENT_RESPONSE_BUDGET`` bounds the whole ``parent_response``
+    """``PARENT_RESPONSE_BUDGET`` bounds the whole ``parent_response``
     and its ancestor walks, however many hashes the request repeats or
     piles up; the honest one-hash request is served as ever."""
 
     def test_repeated_and_piled_hashes_buy_no_more(self, monkeypatch):
-        budget = FullNode._PARENT_RESPONSE_BUDGET
+        budget = PARENT_RESPONSE_BUDGET
         builder = WorkloadBuilder("parent-budget", 1, devices=1)
         (device,) = builder.devices
         genesis = builder.genesis.tx_hash
@@ -133,10 +134,11 @@ class TestParentRequestBudget:
         assert len(rig.node.tangle) == len(chain) + 1
 
         walked = []
-        ancestors = rig.node.tangle.ancestors
+        chain_of = rig.node.sync._parent_response_chain
         monkeypatch.setattr(
-            rig.node.tangle, "ancestors",
-            lambda tx_hash: walked.append(tx_hash) or ancestors(tx_hash))
+            rig.node.sync, "_parent_response_chain",
+            lambda tx_hash, room: walked.append(tx_hash)
+            or chain_of(tx_hash, room))
 
         def ask(hashes):
             del walked[:], rig.peer.messages[:]

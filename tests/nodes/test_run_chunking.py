@@ -24,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.crypto import ed25519, verify_workers
 from repro.faults.report import node_state_hashes
 from repro.harness.workload import WorkloadBuilder, build_workload
-from repro.nodes.full_node import RUNS_IN_FLIGHT
+from repro.nodes.lane import RUNS_IN_FLIGHT
 from repro.tangle.transaction import Transaction, TransactionKind
 from repro.telemetry.registry import MetricsRegistry
 
@@ -274,7 +274,7 @@ def pending_peak(node):
 
     def recording(run):
         deliver_run(run)
-        peaks.append(len(node._runs))
+        peaks.append(len(node.lane._runs))
 
     node.deliver_run = recording
     return peaks

@@ -19,9 +19,15 @@ workers off the node's CPU that the kernel's own balancing replaced
 once the node stopped checking a shard itself, and the tangle's
 depth-from-tips cache, its exact-on-demand weight fork and the attach
 result's tip count, which only tests read, and the chaos, fleet and
-parasite options no caller set (now constants).  A name that live code shares as
-a substring (``broadcast``, ``cancel``) is retired as a qualified
-function name instead: no ``def`` may define it again."""
+parasite options no caller set (now constants), and the full node's
+second fold, per-run decode memo and three more copies of the batch
+hand-off that one ingress lane and one sync service replaced (with the
+synchronous ``verify_workers.verify_batch`` only they called, and the
+node methods the lane and the sync service now define), the node's
+snapshot pass-through and the solidification buffer's two read-outs
+only a test called.  A name that
+live code shares as a substring (``broadcast``, ``cancel``) is retired
+as a qualified function name instead: no ``def`` may define it again."""
 
 import functools
 import importlib.util
@@ -64,7 +70,14 @@ RETIRED = ["sqlite3", "SQLiteStore", "record_events", "MetricEvent",
            "spare_cores", "track_cumulative_weight", "new_tip_count",
            "repro_tangle_depth_cache_hits_total",
            "repro_tangle_depth_cache_misses_total", "max_sync_rounds",
-           "sync_round_seconds", "drain_timeout", "honest_before"]
+           "sync_round_seconds", "drain_timeout", "honest_before",
+           "_run_decoded", "_carried_transaction", "_preverify",
+           "_unverified", "verify_workers.verify_batch",
+           "_worth_preverifying", "_schedule_parent_fetch",
+           "_arm_parent_fetch", "_settle_parent_fetch", "_parent_fetch_peer",
+           "_release_solid_children", "_ingest_batch",
+           "_PARENT_RESPONSE_BUDGET", "export_snapshot",
+           "missing_dependencies", "waiter_count"]
 
 RETIRED_FUNCTIONS = [
     "Transport.broadcast", "Transport.addresses", "Network.broadcast",
@@ -81,7 +94,15 @@ RETIRED_FUNCTIONS = [
     "LifecycleTracker.timeline_for", "NullLifecycle.context_of",
     "NullLifecycle.timeline_for", "Tracer.children",
     "Tangle.depth_from_tips", "Tangle.retired_tips",
-    "Tangle._rebuild_depth_map"]
+    "Tangle._rebuild_depth_map",
+    *[f"FullNode.{name}" for name in (
+        "_ingest", "_decode", "_count", "_flood", "_signed", "_settle",
+        "_drain", "_deliver_pending", "_handle_submit", "_handle_gossip",
+        "_handle_sync_request", "_handle_sync_response",
+        "_handle_parent_request", "_handle_parent_response",
+        "_parent_response_chain", "deliver_run", "finish_runs",
+        "ingest_local", "replay_attach", "request_sync",
+        "resync_with_peers")]]
 
 
 @pytest.mark.parametrize("name", RETIRED)
