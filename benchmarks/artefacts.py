@@ -4,8 +4,10 @@
 Every command in :data:`COMMANDS` is seeded and runs under
 ``rand.deterministic``, so the same source prints the same bytes: the
 Fig. 6 workflow, the crash/restart differential, the causal trace, the
-six chaos scenarios and the two fleet differentials (in-process TCP and
-three ``repro node`` processes), each at the seeds CI runs.  This
+six chaos scenarios (and ``lossy-burst`` once more at seed 2, the run
+that enters the parent-fetch retry loop) and the two fleet
+differentials (in-process TCP and three ``repro node`` processes),
+each at the seeds CI runs.  This
 script runs them against this checkout's ``src`` in a throwaway
 directory and compares the SHA-256 of each file they write with the
 manifest, so a change that moves one says so, and says which.
@@ -58,6 +60,9 @@ COMMANDS: List[Tuple[List[str], Optional[str]]] = [
     *[(["chaos", "--scenario", name, "--seed", "7",
         "--out", f"chaos-{name}-seed7.json"], None)
       for name in CHAOS_SCENARIOS],
+    # The one seed whose chaos run enters the parent-fetch retry loop.
+    (["chaos", "--scenario", "lossy-burst", "--seed", "2",
+      "--out", "chaos-lossy-burst-seed2.json"], None),
     *[(["fleet", "--scenario", "smoke", "--seed", seed,
         "--out-dir", f"fleet-seed{seed}"], None) for seed in ("7", "19")],
     *[(["fleet", "--processes", "3", "--scenario", "smoke", "--seed", seed,

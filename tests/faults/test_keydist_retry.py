@@ -10,11 +10,11 @@ from repro.faults.backoff import BackoffPolicy
 from repro.network.transport import LatencyModel, LinkOverlay
 
 
-def build_system(*, seed=11, retry_policy=None, link=None):
+def build_system(*, seed=11, retry_policy=None, link=None, telemetry=False):
     """One gateway, two devices, authorised and settled (no keydist)."""
     system = BIoTSystem.build(BIoTConfig(
         device_count=2, gateway_count=1, seed=seed,
-        initial_difficulty=6, retry_policy=retry_policy,
+        initial_difficulty=6, retry_policy=retry_policy, telemetry=telemetry,
     ))
     system.manager.register_gateways(
         [keys.public for keys in system.gateway_keys.values()])
