@@ -76,7 +76,8 @@ class BadSignatureError(KeyDistributionError):
 
 
 class ProtocolStateError(KeyDistributionError):
-    """Message arrived for an unknown or already-completed session."""
+    """Message arrived for a session that is not pending (unknown,
+    completed or abandoned)."""
 
 
 # -- symmetric envelope ----------------------------------------------------
@@ -145,7 +146,6 @@ class _Session:
     device: PublicIdentity
     group: str
     nonce_a: bytes
-    completed: bool = False
 
 
 # -- manager side -----------------------------------------------------------
@@ -154,7 +154,8 @@ class ManagerKeyDistributor:
     """Manager side of the Fig. 4 protocol.
 
     One instance serves any number of devices and groups; per-device
-    sessions are tracked by an opaque session id.
+    sessions are tracked by an opaque session id until M2 verifies or
+    the caller abandons them.
 
     Args:
         keypair: the manager's identity (signs M1 and M3).
@@ -211,8 +212,6 @@ class ManagerKeyDistributor:
         session = self._sessions.get(session_id)
         if session is None:
             raise ProtocolStateError("unknown session")
-        if session.completed:
-            raise ProtocolStateError("session already completed")
         key = self.group_key(session.group)
         plaintext = symmetric_decrypt(key, m2)
         fields = _open_record(session.device, plaintext)
@@ -228,7 +227,7 @@ class ManagerKeyDistributor:
         if nonce_b in self._seen_nonces:
             raise ReplayError("nonce_b reused")
         self._seen_nonces.add(nonce_b)
-        session.completed = True
+        del self._sessions[session_id]
         self.completed_distributions += 1
         record = _signed_record(self.keypair, {
             "nonce_b": nonce_b.hex(),
@@ -236,9 +235,10 @@ class ManagerKeyDistributor:
         })
         return symmetric_encrypt(key, record)
 
-    def is_completed(self, session_id: bytes) -> bool:
-        session = self._sessions.get(session_id)
-        return bool(session and session.completed)
+    def abandon(self, session_id: bytes) -> None:
+        """Forget a session that will not complete (superseded by a
+        fresh M1, or given up on); a late M2 for it is then refused."""
+        self._sessions.pop(session_id, None)
 
 
 # -- device side ------------------------------------------------------------

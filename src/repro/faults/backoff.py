@@ -1,5 +1,5 @@
 """Bounded exponential backoff with jitter — the retry clock every
-recovery path shares.
+recovery path shares — and :class:`RetryLoop`, a full node's one loop.
 
 A :class:`BackoffPolicy` is a pure description: attempt *n* (1-based)
 waits ``base_delay * multiplier**(n-1)`` seconds, capped at
@@ -22,8 +22,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, Hashable
 
-__all__ = ["BackoffPolicy", "DEFAULT_BACKOFF"]
+from ..telemetry.registry import SECONDS_BUCKETS
+
+__all__ = ["BackoffPolicy", "DEFAULT_BACKOFF", "RetryLoop"]
 
 
 @dataclass(frozen=True)
@@ -82,3 +86,93 @@ class BackoffPolicy:
 
 DEFAULT_BACKOFF = BackoffPolicy()
 """The deployment-wide default retry clock."""
+
+
+@dataclass
+class _Attempts:
+    """One key's place in a :class:`RetryLoop`."""
+
+    context: object
+    stage: str
+    retried: bool
+    attempt: int = 1
+
+
+class RetryLoop:
+    """Per key (a parent hash, a device): ``send(key, context, attempt)``
+    for attempts 1 … ``max_attempts``, each followed (*ask_first*) or
+    preceded by a wait of ``node.retry_policy.delay(attempt, node.rng)``,
+    then ``gave_up(key, context)``; a timer whose key was stopped or
+    restarted since does nothing.  Sends after a wait (retries) and
+    giving up count under the key's *stage*; stopping a key after a
+    retry counts a recovery under *protocol*, across the key's stages.
+    """
+
+    def __init__(self, node, protocol: str, *, ask_first: bool,
+                 send: Callable, gave_up: Callable):
+        self.node = node
+        self.protocol = protocol
+        self.ask_first = ask_first
+        self.send = send
+        self.gave_up = gave_up
+        self.pending: Dict[Hashable, _Attempts] = {}
+        self._m_attempts = node.telemetry.counter(
+            "repro_retry_attempts_total",
+            "Recovery retransmissions sent, by protocol")
+        self._m_exhausted = node.telemetry.counter(
+            "repro_retry_exhausted_total",
+            "Recovery loops that gave up after max_attempts, by protocol")
+        self._m_recoveries = node.telemetry.counter(
+            "repro_retry_recoveries_total",
+            "Recovery loops that succeeded after at least one retry, "
+            "by protocol")
+        self._m_backoff = node.telemetry.histogram(
+            "repro_retry_backoff_seconds",
+            "Jittered backoff delays armed by recovery loops",
+            buckets=SECONDS_BUCKETS)
+
+    def start(self, key: Hashable, context: object, stage: str) -> None:
+        """Recover *key* from attempt 1 (a restart keeps *retried*)."""
+        retried = key in self.pending and self.pending[key].retried
+        state = self.pending[key] = _Attempts(context, stage, retried)
+        if self.ask_first:
+            self.send(key, context, 1)
+        self._wait(key, state)
+
+    def stop(self, key: Hashable) -> bool:
+        """*key* recovered; returns whether that followed a retry."""
+        state = self.pending.pop(key, None)
+        if state is None or not state.retried:
+            return False
+        self._m_recoveries.inc(protocol=self.protocol)
+        return True
+
+    def _wait(self, key: Hashable, state: _Attempts) -> None:
+        delay = self.node.retry_policy.delay(state.attempt, self.node.rng)
+        self._m_backoff.observe(delay)
+        self.node.network.scheduler.schedule(
+            delay, partial(self._expire, key, state))
+
+    def _expire(self, key: Hashable, state: _Attempts) -> None:
+        """Attempt ``state.attempt`` is over: give up, or open the next."""
+        if self.pending.get(key) is not state:
+            return  # stopped or restarted meanwhile
+        if not self.ask_first and not self._retry(key, state):
+            return
+        if self.node.retry_policy.exhausted(state.attempt):
+            del self.pending[key]
+            self._m_exhausted.inc(protocol=state.stage)
+            self.gave_up(key, state.context)
+            return
+        state.attempt += 1
+        if not self.ask_first or self._retry(key, state):
+            self._wait(key, state)
+
+    def _retry(self, key: Hashable, state: _Attempts) -> bool:
+        """A send after a wait; False if it found *key* recovered."""
+        self.send(key, state.context, state.attempt)
+        if self.pending.get(key) is not state:
+            return False
+        state.retried = True
+        self._m_attempts.inc(protocol=state.stage)
+        return True

@@ -31,7 +31,7 @@ from ..network.gossip import GossipRelay, SolidificationBuffer
 from ..network.network import NetworkNode
 from ..network.transport import Message
 from ..telemetry.lifecycle import coerce_lifecycle
-from ..telemetry.registry import SECONDS_BUCKETS, coerce_registry
+from ..telemetry.registry import coerce_registry
 from ..tangle.tip_selection import TipSelector, UniformRandomTipSelector
 from ..tangle.transaction import Transaction, TransactionDecodeCache
 from ..tangle.validation import VerificationCache
@@ -125,22 +125,6 @@ class FullNode(NetworkNode):
         get_backend(crypto_backend)  # validates the name only
         self.relay = GossipRelay(telemetry=self.telemetry, node=address)
         self.stats = FullNodeStats()
-        # Recovery-loop instruments: the sync service's parent fetch and
-        # (on the manager subclass) key distribution count through them.
-        self._m_retry_attempts = self.telemetry.counter(
-            "repro_retry_attempts_total",
-            "Recovery retransmissions sent, by protocol")
-        self._m_retry_exhausted = self.telemetry.counter(
-            "repro_retry_exhausted_total",
-            "Recovery loops that gave up after max_attempts, by protocol")
-        self._m_retry_recoveries = self.telemetry.counter(
-            "repro_retry_recoveries_total",
-            "Recovery loops that succeeded after at least one retry, "
-            "by protocol")
-        self._m_retry_backoff = self.telemetry.histogram(
-            "repro_retry_backoff_seconds",
-            "Jittered backoff delays armed by recovery loops",
-            buckets=SECONDS_BUCKETS)
         # Durable journalling (repro.storage): None keeps the node
         # fully in-memory, exactly as before the storage layer existed.
         self.persistence = None
@@ -246,7 +230,7 @@ class FullNode(NetworkNode):
             restore.genesis if restore.snapshot is None else restore.snapshot,
             self.consensus)
         self.lane.solidification = SolidificationBuffer()
-        self.sync.parent_requests.clear()
+        self.sync.fetches.pending.clear()
         replayed = self.lane.replay(restore.tail)
         self.persistence = persistence
         return replayed
@@ -304,7 +288,7 @@ class FullNode(NetworkNode):
             "solidification_depth": len(self.lane.solidification),
             "solidification_peak": self.lane.solidification.depth_peak,
             "solidification_evictions": self.lane.solidification.evictions,
-            "pending_parent_requests": len(self.sync.parent_requests),
+            "pending_parent_requests": len(self.sync.fetches.pending),
             "parent_fetch_recoveries": self.stats.parent_fetch_recoveries,
             "parent_fetch_exhausted": self.stats.parent_fetch_exhausted,
             "gossip_relays": self.relay.relays,

@@ -18,11 +18,13 @@ with the three manager duties of the Fig. 6 workflow:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..core.acl import AclAction, AuthorizationList, GenesisConfig, Role
 from ..core.authority import KeyDistributionError, ManagerKeyDistributor
 from ..crypto.keys import KeyPair, PublicIdentity
+from ..faults.backoff import RetryLoop
 from ..network.transport import Message
 from ..pow.engine import PowEngine
 from ..tangle.transaction import Transaction, TransactionKind
@@ -30,6 +32,18 @@ from ..telemetry.registry import SECONDS_BUCKETS
 from .full_node import FullNode
 
 __all__ = ["ManagerNode"]
+
+
+@dataclass
+class _Handshake:
+    """An in-flight Fig. 4 handshake; M3 is set once M2 verified."""
+
+    address: str
+    device: PublicIdentity
+    group: str
+    started: float
+    session_id: bytes = b""
+    m3: Optional[bytes] = None
 
 
 class ManagerNode(FullNode):
@@ -52,14 +66,11 @@ class ManagerNode(FullNode):
             )
         self.keypair = keypair
         self.distributor = ManagerKeyDistributor(keypair)
-        self._keydist_sessions: Dict[bytes, str] = {}  # session id -> device addr
-        self._keydist_started: Dict[bytes, float] = {}  # session id -> start time
-        # session id -> retry context for the M1/M2 half of the handshake
-        self._keydist_meta: Dict[bytes, Dict] = {}
-        # device node_id -> in-flight session id (dedups distribute_key)
-        self._keydist_active: Dict[bytes, bytes] = {}
-        # session id -> retransmit context for the M3/ack half
-        self._keydist_m3: Dict[bytes, Dict] = {}
+        # A _Handshake per device node_id, found by session from M2/ack.
+        self._keydist = RetryLoop(self, "keydist", ask_first=True,
+                                  send=self._send_keydist,
+                                  gave_up=self._keydist_gave_up)
+        self._by_session: Dict[bytes, _Handshake] = {}
         self.keydist_retries = 0
         self.keydist_exhausted = 0
         self.engine: Optional[PowEngine] = None
@@ -183,125 +194,57 @@ class ManagerNode(FullNode):
         verifies, M3 is retransmitted until the device acknowledges it.
         A handshake already in flight for the device is not duplicated.
         """
-        if device.node_id in self._keydist_active:
+        if device.node_id in self._keydist.pending:
             return
         self._m_keydist_initiated.inc()
-        self._start_keydist_attempt(device_address, device, group,
-                                    attempt=1, started=self._now())
+        self._keydist.start(device.node_id, _Handshake(
+            device_address, device, group, self._now()), "keydist_m1")
 
-    def _start_keydist_attempt(self, device_address: str,
-                               device: PublicIdentity, group: str, *,
-                               attempt: int, started: float) -> None:
-        session_id, m1 = self.distributor.initiate(
-            device, now=self._now(), group=group
-        )
-        self._keydist_sessions[session_id] = device_address
-        self._keydist_started[session_id] = started
-        self._keydist_meta[session_id] = {
-            "device": device, "address": device_address,
-            "group": group, "attempt": attempt, "started": started,
-        }
-        self._keydist_active[device.node_id] = session_id
-        self.send(device_address, "keydist_m1", {
-            "session_id": session_id,
-            "m1": m1,
-        }, size_bytes=len(m1))
-        timeout = self.retry_policy.delay(attempt, self.rng)
-        self._m_retry_backoff.observe(timeout)
-        self.network.scheduler.schedule(
-            timeout, lambda: self._keydist_m1_expired(session_id))
-
-    def _keydist_m1_expired(self, session_id: bytes) -> None:
-        """No M2 verified within the attempt's window: abandon the
-        session (late M2s for it are dropped — retransmit dedup) and
-        either start a fresh attempt or give up."""
-        meta = self._keydist_meta.get(session_id)
-        if meta is None or self.distributor.is_completed(session_id):
-            return  # handshake advanced to the M3 stage (or finished)
-        self._keydist_meta.pop(session_id, None)
-        self._keydist_sessions.pop(session_id, None)
-        self._keydist_started.pop(session_id, None)
-        attempt = meta["attempt"]
-        if self.retry_policy.exhausted(attempt):
-            self._keydist_active.pop(meta["device"].node_id, None)
-            self.keydist_exhausted += 1
-            self._m_retry_exhausted.inc(protocol="keydist_m1")
+    def _send_keydist(self, node_id: bytes, handshake: _Handshake,
+                      attempt: int) -> None:
+        """M3 once M2 verified; before that M1, in a fresh session per
+        attempt (a late M2 for the abandoned one is dropped)."""
+        if attempt > 1:
+            self.keydist_retries += 1
+        if handshake.m3 is not None:
+            self.send(handshake.address, "keydist_m3", {
+                "m3": handshake.m3, "session_id": handshake.session_id,
+            }, size_bytes=len(handshake.m3))
             return
-        self.keydist_retries += 1
-        self._m_retry_attempts.inc(protocol="keydist_m1")
-        self._start_keydist_attempt(
-            meta["address"], meta["device"], meta["group"],
-            attempt=attempt + 1, started=meta["started"])
+        if attempt > 1:
+            self._forget_session(handshake)
+        handshake.session_id, m1 = self.distributor.initiate(
+            handshake.device, now=self._now(), group=handshake.group)
+        self._by_session[handshake.session_id] = handshake
+        self.send(handshake.address, "keydist_m1", {
+            "session_id": handshake.session_id, "m1": m1,
+        }, size_bytes=len(m1))
 
     def _handle_keydist_m2(self, message: Message) -> None:
-        session_id = message.body.get("session_id")
-        device_address = self._keydist_sessions.get(session_id)
-        if device_address is None or device_address != message.sender:
+        handshake = self._by_session.get(message.body.get("session_id"))
+        if handshake is None or handshake.address != message.sender:
             return
-        try:
-            m3 = self.distributor.handle_m2(
-                session_id, message.body["m2"], now=self._now()
-            )
+        try:  # a verified session left the distributor: a repeat fails
+            handshake.m3 = self.distributor.handle_m2(
+                handshake.session_id, message.body["m2"], now=self._now())
         except KeyDistributionError:
-            return  # forged/stale response: abandon the session
-        started = self._keydist_started.pop(session_id, None)
-        if started is not None:
-            self._m_keydist_completed.inc()
-            self._m_keydist_roundtrip.observe(self._now() - started)
-        meta = self._keydist_meta.pop(session_id, None)
-        self._keydist_m3[session_id] = {
-            "address": device_address,
-            "m3": m3,
-            "attempt": 1,
-            "m1_attempts": meta["attempt"] if meta else 1,
-            "node_id": meta["device"].node_id if meta else None,
-        }
-        self.send(device_address, "keydist_m3", {
-            "m3": m3,
-            "session_id": session_id,
-        }, size_bytes=len(m3))
-        self._arm_keydist_m3(session_id)
-
-    def _arm_keydist_m3(self, session_id: bytes) -> None:
-        """Retransmit M3 until the device acknowledges installation."""
-        entry = self._keydist_m3.get(session_id)
-        if entry is None:
-            return
-        attempt = entry["attempt"]
-        timeout = self.retry_policy.delay(attempt, self.rng)
-        self._m_retry_backoff.observe(timeout)
-
-        def expire() -> None:
-            current = self._keydist_m3.get(session_id)
-            if current is None or current["attempt"] != attempt:
-                return  # acked, or a later retransmit owns the timer
-            if self.retry_policy.exhausted(attempt):
-                self._keydist_m3.pop(session_id, None)
-                if current["node_id"] is not None:
-                    self._keydist_active.pop(current["node_id"], None)
-                self.keydist_exhausted += 1
-                self._m_retry_exhausted.inc(protocol="keydist_m3")
-                return
-            current["attempt"] = attempt + 1
-            self.keydist_retries += 1
-            self._m_retry_attempts.inc(protocol="keydist_m3")
-            self.send(current["address"], "keydist_m3", {
-                "m3": current["m3"],
-                "session_id": session_id,
-            }, size_bytes=len(current["m3"]))
-            self._arm_keydist_m3(session_id)
-
-        self.network.scheduler.schedule(timeout, expire)
+            return  # forged/stale response: keep waiting
+        self._m_keydist_completed.inc()
+        self._m_keydist_roundtrip.observe(self._now() - handshake.started)
+        self._keydist.start(handshake.device.node_id, handshake, "keydist_m3")
 
     def _handle_keydist_ack(self, message: Message) -> None:
-        session_id = message.body.get("session_id")
-        entry = self._keydist_m3.pop(session_id, None)
-        if entry is None:
-            return  # duplicate ack (or ack for an abandoned session)
-        if entry["address"] != message.sender:
-            self._keydist_m3[session_id] = entry  # forged ack: keep waiting
-            return
-        if entry["node_id"] is not None:
-            self._keydist_active.pop(entry["node_id"], None)
-        if entry["attempt"] > 1 or entry["m1_attempts"] > 1:
-            self._m_retry_recoveries.inc(protocol="keydist")
+        handshake = self._by_session.get(message.body.get("session_id"))
+        if handshake is None or handshake.address != message.sender \
+                or handshake.m3 is None:
+            return  # forged, or no M3 sent in this session yet
+        self._forget_session(handshake)
+        self._keydist.stop(handshake.device.node_id)
+
+    def _keydist_gave_up(self, node_id: bytes, handshake: _Handshake) -> None:
+        self._forget_session(handshake)
+        self.keydist_exhausted += 1
+
+    def _forget_session(self, handshake: _Handshake) -> None:
+        del self._by_session[handshake.session_id]
+        self.distributor.abandon(handshake.session_id)

@@ -15,8 +15,9 @@ missed, and answers their asks; its
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
+from ..faults.backoff import RetryLoop
 from ..network.transport import Message
 
 __all__ = ["PARENT_RESPONSE_BUDGET", "SyncService"]
@@ -36,8 +37,9 @@ class SyncService:
         self.lane = lane
         self.stats = node.stats
         self.relay = node.relay
-        # parent hash -> {"attempt": int, "sent": int, "source": peer or None}
-        self.parent_requests: Dict[bytes, Dict] = {}
+        # Keyed by missing parent, with its orphan's gossip source.
+        self.fetches = RetryLoop(node, "parent_fetch", ask_first=False,
+                                 send=self._request, gave_up=self._gave_up)
 
     # -- anti-entropy sync -------------------------------------------------
 
@@ -73,48 +75,26 @@ class SyncService:
     # -- targeted parent recovery ------------------------------------------
 
     def fetch_parents(self, missing, source: Optional[str]) -> None:
-        """Arm a backoff-paced re-request loop for each missing parent:
-        a dropped gossip parent strands its subtree in the solidification
-        buffer, so ask a peer for that hash, retrying on the node's
-        :class:`~repro.faults.backoff.BackoffPolicy` until it attaches or
-        attempts run out."""
+        """Re-request each missing parent until it attaches or attempts
+        run out: a dropped gossip parent strands its subtree in the
+        solidification buffer."""
         if self.node.network is None or not self.relay.peers:
             return
-        tangle = self.node.replica.tangle
-        for parent in missing:
-            if parent in self.parent_requests or parent in tangle:
-                continue
-            state = self.parent_requests[parent] = {
-                "attempt": 0, "sent": 0, "source": source}
-            self._arm(parent, state)
+        for parent in missing:  # absent from the replica; branch may be trunk
+            if parent not in self.fetches.pending:
+                self.fetches.start(parent, source, "parent_fetch")
 
-    def _arm(self, parent: bytes, state: Dict) -> None:
-        state["attempt"] += 1
-        attempt = state["attempt"]
-        node = self.node
-        delay = node.retry_policy.delay(attempt, node.rng)
-        node._m_retry_backoff.observe(delay)
+    def _request(self, parent: bytes, source: Optional[str],
+                 attempt: int) -> None:
+        if parent in self.node.replica.tangle:  # came in a snapshot, unsettled
+            del self.fetches.pending[parent]
+            return
+        self.stats.parent_requests_sent += 1
+        self.node.send(self._peer_for(source, attempt), "parent_request",
+                       {"hashes": [parent]}, size_bytes=32)
 
-        def fire() -> None:
-            current = self.parent_requests.get(parent)
-            if current is None or current["attempt"] != attempt:
-                return  # resolved, superseded, or cancelled
-            if parent in self.node.replica.tangle:
-                self.parent_requests.pop(parent, None)
-                return
-            current["sent"] += 1
-            self.stats.parent_requests_sent += 1
-            node._m_retry_attempts.inc(protocol="parent_fetch")
-            node.send(self._peer_for(current["source"], attempt),
-                      "parent_request", {"hashes": [parent]}, size_bytes=32)
-            if node.retry_policy.exhausted(attempt):
-                self.parent_requests.pop(parent, None)
-                self.stats.parent_fetch_exhausted += 1
-                node._m_retry_exhausted.inc(protocol="parent_fetch")
-            else:
-                self._arm(parent, current)
-
-        node.network.scheduler.schedule(delay, fire)
+    def _gave_up(self, parent: bytes, source: Optional[str]) -> None:
+        self.stats.parent_fetch_exhausted += 1
 
     def _peer_for(self, source: Optional[str], attempt: int) -> str:
         """The peer to ask: the gossip source first, then round-robin
@@ -127,13 +107,11 @@ class SyncService:
 
     def settle(self, tx_hash: bytes) -> None:
         """A transaction attached: stop any re-request loop for it."""
-        state = self.parent_requests.pop(tx_hash, None)
-        if state is not None and state["sent"] >= 1:
+        if self.fetches.stop(tx_hash):
             self.stats.parent_fetch_recoveries += 1
-            self.node._m_retry_recoveries.inc(protocol="parent_fetch")
 
     def handle_parent_request(self, message: Message) -> None:
-        # Honest requesters ask for one hash (_arm); the budget covers
+        # Honest requesters ask for one hash (_request); the budget covers
         # the whole response so that repeating or piling up hashes buys
         # neither more bytes nor more ancestor walks.
         transactions: List[bytes] = []

@@ -31,6 +31,14 @@ def distribute(system, device):
     system.manager.distribute_key(device.address, device.keypair.public)
 
 
+def assert_no_session_state(manager):
+    """A finished or abandoned handshake leaves nothing in the manager
+    or its distributor; only the nonce_b replay set remembers it."""
+    assert manager._keydist.pending == {}
+    assert manager._by_session == {}
+    assert manager.distributor._sessions == {}
+
+
 class TestHappyPath:
     def test_single_attempt_no_retries(self):
         system = build_system()
@@ -39,8 +47,8 @@ class TestHappyPath:
         system.run_for(5.0)
         assert device.key_agent.key_for("sensitive") is not None
         assert system.manager.keydist_retries == 0
-        assert system.manager._keydist_active == {}
-        assert system.manager._keydist_m3 == {}
+        assert system.manager._keydist.pending == {}
+        assert_no_session_state(system.manager)
 
     def test_in_flight_handshake_not_duplicated(self):
         system = build_system(link=LatencyModel(base_latency=1.0))
@@ -62,7 +70,8 @@ class TestM1Loss:
         system.run_for(30.0)
         assert device.key_agent.key_for("sensitive") is not None
         assert system.manager.keydist_retries >= 1
-        assert system.manager._keydist_active == {}
+        assert system.manager._keydist.pending == {}
+        assert_no_session_state(system.manager)
 
     def test_exhaustion_gives_up(self):
         policy = BackoffPolicy(base_delay=0.5, max_delay=1.0,
@@ -73,12 +82,14 @@ class TestM1Loss:
         distribute(system, device)
         system.run_for(10.0)
         assert system.manager.keydist_exhausted >= 1
-        assert system.manager._keydist_active == {}
+        assert system.manager._keydist.pending == {}
+        assert_no_session_state(system.manager)
         # A later (post-repair) distribution starts fresh and succeeds.
         system.network.bring_up(device.address)
         distribute(system, device)
         system.run_for(10.0)
         assert device.key_agent.key_for("sensitive") is not None
+        assert_no_session_state(system.manager)
 
 
 class TestM3Loss:
@@ -96,14 +107,14 @@ class TestM3Loss:
         # Crash the manager while the ack is in flight: purged.
         system.network.take_down("manager")
         system.network.bring_up("manager")
-        assert system.manager._keydist_m3  # still waiting for the ack
+        assert system.manager._keydist.pending  # still waiting for the ack
         system.run_for(30.0)
         # M3 was retransmitted; the device re-acked from its dedup set
         # without reinstalling, and the manager settled the session.
         assert system.manager.keydist_retries >= 1
-        assert system.manager._keydist_m3 == {}
-        assert system.manager._keydist_active == {}
+        assert system.manager._keydist.pending == {}
         assert len(device._keydist_acked) == 1
+        assert_no_session_state(system.manager)
 
 
 class TestDuplication:
@@ -120,7 +131,7 @@ class TestDuplication:
         # ignored; the handshake still completes exactly once.
         assert device.key_agent.key_for("sensitive") is not None
         assert system.manager.distributor.completed_distributions == 1
-        assert system.manager._keydist_active == {}
+        assert system.manager._keydist.pending == {}
 
 
 class TestLossyLink:
@@ -134,4 +145,4 @@ class TestLossyLink:
         system.run_for(120.0)
         assert device.key_agent.key_for("sensitive") is not None, \
             f"handshake failed under 30% loss with seed {seed}"
-        assert system.manager._keydist_active == {}
+        assert system.manager._keydist.pending == {}

@@ -137,10 +137,10 @@ class TestParentRecovery:
         # extra request loops for the same missing parent.
         beta.lane.ingest(child, source=None, admit=False)
         beta.lane.ingest(child, source=None, admit=False)
-        assert len(beta.sync.parent_requests) == 1
+        assert len(beta.sync.fetches.pending) == 1
         scheduler.run_until(10.0)
         assert parent.tx_hash in beta.tangle
-        assert len(beta.sync.parent_requests) == 0
+        assert len(beta.sync.fetches.pending) == 0
 
 
 class TestParentResponseCost:

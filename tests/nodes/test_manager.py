@@ -103,7 +103,7 @@ class TestKeyDistribution:
         # forged M2 reaches the manager.
         system.network.take_down(device.address)
         system.manager.distribute_key(device.address, device.keypair.public)
-        session_id = next(iter(system.manager._keydist_sessions))
+        session_id = next(iter(system.manager._by_session))
         system.network.send("gateway-0", "manager", "keydist_m2",
                             {"session_id": session_id, "m2": b"junk"})
         system.run_for(1.0)

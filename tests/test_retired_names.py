@@ -25,9 +25,14 @@ hand-off that one ingress lane and one sync service replaced (with the
 synchronous ``verify_workers.verify_batch`` only they called, and the
 node methods the lane and the sync service now define), the node's
 snapshot pass-through and the solidification buffer's two read-outs
-only a test called.  A name that
-live code shares as a substring (``broadcast``, ``cancel``) is retired
-as a qualified function name instead: no ``def`` may define it again."""
+only a test called, and the three hand-written retry loops that one
+``RetryLoop`` replaced: the manager's five handshake maps and three
+loop methods, the sync service's parent-request map and ``_arm``, the
+full node's retry instruments and the distributor's completed-session
+read-out.  A name that live code shares as a substring (``broadcast``,
+``cancel``, ``_keydist_m3``, ``parent_requests``) is retired as a
+qualified function name or with its receiver instead: no ``def`` may
+define it again, and no ``self.`` or ``sync.`` may read it."""
 
 import functools
 import importlib.util
@@ -77,7 +82,12 @@ RETIRED = ["sqlite3", "SQLiteStore", "record_events", "MetricEvent",
            "_arm_parent_fetch", "_settle_parent_fetch", "_parent_fetch_peer",
            "_release_solid_children", "_ingest_batch",
            "_PARENT_RESPONSE_BUDGET", "export_snapshot",
-           "missing_dependencies", "waiter_count"]
+           "missing_dependencies", "waiter_count",
+           "_keydist_sessions", "_keydist_started", "_keydist_meta",
+           "_keydist_active", "self._keydist_m3", "_start_keydist_attempt",
+           "_keydist_m1_expired", "_arm_keydist_m3", "sync.parent_requests",
+           "self.parent_requests", "is_completed", "session.completed",
+           "_m_retry_"]
 
 RETIRED_FUNCTIONS = [
     "Transport.broadcast", "Transport.addresses", "Network.broadcast",
@@ -94,7 +104,7 @@ RETIRED_FUNCTIONS = [
     "LifecycleTracker.timeline_for", "NullLifecycle.context_of",
     "NullLifecycle.timeline_for", "Tracer.children",
     "Tangle.depth_from_tips", "Tangle.retired_tips",
-    "Tangle._rebuild_depth_map",
+    "Tangle._rebuild_depth_map", "SyncService._arm",
     *[f"FullNode.{name}" for name in (
         "_ingest", "_decode", "_count", "_flood", "_signed", "_settle",
         "_drain", "_deliver_pending", "_handle_submit", "_handle_gossip",
