@@ -35,9 +35,10 @@ Seven measurements of the per-transaction fast lanes, on identical inputs:
   per second, point operations per verify counted by wrapping the
   module's three point primitives (general addition, the mixed
   addition that reads table entries, doubling), the square roots a
-  warm verify takes (counted by shadowing the module's ``pow``; the
-  single check compares encodings, so it must take none), and the
-  bytes one issuer record pins,
+  warm verify takes (counted by shadowing the module's ``pow`` and
+  wrapping its root chain ``_pow22523``; the single check compares
+  encodings, so it must take none), and the bytes one issuer record
+  pins,
   against the unsplit verify's operation count;
 * **ingress** — what a frame the gateway already has costs a
   ``repro node``: frames per second and Python calls per frame through
@@ -419,20 +420,28 @@ def _count_point_operations(function):
 
 
 def _count_square_roots(function):
-    """Builtin ``pow`` calls with the square-root exponent *function*
-    makes in :mod:`repro.crypto.ed25519`, counted by shadowing the
-    module's ``pow``."""
+    """Square roots *function* takes in :mod:`repro.crypto.ed25519`:
+    calls of its ``(p-5)/8`` addition chain ``_pow22523``, and builtin
+    ``pow`` calls with that exponent (counted by shadowing the module's
+    ``pow``)."""
     count = [0]
+    chain = ed25519._pow22523
 
     def counting(base, exponent, modulus=None):
         count[0] += exponent == SQRT_EXPONENT
         return pow(base, exponent, modulus)
 
+    def root(base):
+        count[0] += 1
+        return chain(base)
+
     ed25519.pow = counting
+    ed25519._pow22523 = root
     try:
         function()
     finally:
         del ed25519.pow
+        ed25519._pow22523 = chain
     return count[0]
 
 

@@ -311,7 +311,13 @@ class DeviceKeyAgent:
                 continue
             _check_freshness(timestamp, now, self.max_skew)
             self._keys[group] = key
-            del self._pending[nonce_b]
+            # Every key staged for this group is superseded now: M1s
+            # whose M2 was lost leave theirs behind, and each would cost
+            # a decrypt on every later M3.
+            for staged in [nonce for nonce, (staged_group, _)
+                           in self._pending.items()
+                           if staged_group == group]:
+                del self._pending[staged]
             return group
         raise ProtocolStateError("M3 matches no pending session")
 

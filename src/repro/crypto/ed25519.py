@@ -34,8 +34,8 @@ verification cheap on a gateway:
 * **encodings compared, not points** — the single check compresses
   ``[s]B - [h]A`` and compares the 32 bytes with the signature's
   ``R``, so it never decodes ``R``: compression's one inversion
-  (~16 us) replaces decoding's square root (~180-240 us), and a warm
-  single verify takes no square root at all.  See
+  (~16 us) replaces decoding's square root (~90 us), and a warm single
+  verify takes no square root at all.  See
   :func:`_verify_decoded` for why the accepted set cannot move; only
   the batch equation, which needs ``R`` as a point, still decodes it;
 * **wNAF multi-scalar multiplication** — any number of (scalar, point)
@@ -51,6 +51,13 @@ verification cheap on a gateway:
   which costs one shared doubling chain plus ~O(bits/w) additions per
   item — far fewer scalar multiplications than N sequential verifies;
   the base-point term reads the base rows, so it costs additions only.
+
+Underneath all of them, the field arithmetic folds instead of dividing:
+``2^255 = 19 (mod p)``, so the group law reduces each product with a
+mask, a shift and a small multiplication, and a chain's coordinates
+stay *partially reduced* until something reads their bits (see
+:func:`_point_add_niels`); decoding's square root is an addition chain
+of such folded squarings (:func:`_pow22523`).
 
 Soundness of the batch path (and its limits)
 --------------------------------------------
@@ -126,12 +133,54 @@ _SQRT_M1 = pow(2, (_P - 1) // 4, _P)
 """sqrt(-1) mod p, the square-root correction constant."""
 
 
+_M = (1 << 255) - 1
+"""The low 255 bits.  ``2^255 = 19 (mod p)``, so the *fold* ``t = (t &
+_M) + (t >> 255) * 19`` keeps *t*'s residue mod p and shrinks a product
+of two 256-bit values to ~262 bits, negative ones included (``>>``
+floors); a second fold leaves it within ``2^255 + 2^11`` of zero.  A
+fold costs a fraction of the long division of ``% p``
+(:func:`_point_add_niels` says where results may stay partially
+reduced)."""
+
+
+def _pow22523(z: int) -> int:
+    """``z^((p-5)/8) = z^(2^252 - 3)``, partially reduced: ref10's
+    addition chain of 252 folded squarings and 11 folded
+    multiplications, where the builtin ``pow`` pays a long division per
+    step.  *z* may be partially reduced; so is the result."""
+    def square(t: int, times: int) -> int:
+        for _ in range(times):
+            t *= t
+            t = (t & _M) + (t >> 255) * 19
+            t = (t & _M) + (t >> 255) * 19
+        return t
+
+    def mul(a: int, b: int) -> int:
+        t = a * b
+        t = (t & _M) + (t >> 255) * 19
+        return (t & _M) + (t >> 255) * 19
+
+    z2 = square(z, 1)                          # z^2
+    z9 = mul(z, square(z2, 2))                 # z^9
+    z11 = mul(z2, z9)                          # z^11
+    t5 = mul(z9, square(z11, 1))               # z^(2^5 - 1)
+    t10 = mul(t5, square(t5, 5))               # z^(2^10 - 1)
+    t20 = mul(t10, square(t10, 10))            # z^(2^20 - 1)
+    t40 = mul(t20, square(t20, 20))            # z^(2^40 - 1)
+    t50 = mul(t10, square(t40, 10))            # z^(2^50 - 1)
+    t100 = mul(t50, square(t50, 50))           # z^(2^100 - 1)
+    t200 = mul(t100, square(t100, 100))        # z^(2^200 - 1)
+    t250 = mul(t50, square(t200, 50))          # z^(2^250 - 1)
+    return mul(z, square(t250, 2))             # z^(2^252 - 3)
+
+
 def _recover_x(y: int, sign_bit: int) -> int:
     """Recover the x-coordinate of a point from y and the sign bit.
 
-    One modular exponentiation: the RFC 8032 combined form
-    ``x = u * v**3 * (u * v**7)**((p-5)/8)`` with the correction by the
-    precomputed sqrt(-1), instead of a separate inverse and square root.
+    One exponentiation: the RFC 8032 combined form ``x = u * v**3 *
+    (u * v**7)**((p-5)/8)`` with the correction by the precomputed
+    sqrt(-1), instead of a separate inverse and square root; the power
+    is :func:`_pow22523`'s chain.  The result is fully reduced.
     y >= p, x=0-with-sign-bit and non-residues raise ``ValueError``.
     """
     if y >= _P:
@@ -139,8 +188,7 @@ def _recover_x(y: int, sign_bit: int) -> int:
     u = (y * y - 1) % _P
     v = (_D * y * y + 1) % _P
     v3 = v * v % _P * v % _P
-    x = u * v3 % _P * pow(u * v3 % _P * v3 % _P * v % _P,
-                          (_P - 5) // 8, _P) % _P
+    x = u * v3 % _P * _pow22523(u * v3 % _P * v3 % _P * v % _P) % _P
     vxx = v * x % _P * x % _P
     if vxx == u:
         pass
@@ -166,18 +214,33 @@ _IDENTITY = (0, 1, 1, 0)
 
 def _point_add(p: Point, q: Point) -> Point:
     """Add two points in extended homogeneous coordinates (table
-    builds; a chain reads its addends through :func:`_point_add_niels`)."""
+    builds; a chain reads its addends through :func:`_point_add_niels`).
+    Folded as :func:`_point_add_niels` is."""
     x1, y1, z1, t1 = p
     x2, y2, z2, t2 = q
-    a = (y1 - x1) * (y2 - x2) % _P
-    b = (y1 + x1) * (y2 + x2) % _P
-    c = 2 * t1 * t2 * _D % _P
-    d = 2 * z1 * z2 % _P
+    a = (y1 - x1) * (y2 - x2)
+    a = (a & _M) + (a >> 255) * 19
+    b = (y1 + x1) * (y2 + x2)
+    b = (b & _M) + (b >> 255) * 19
+    c = t1 * t2
+    c = ((c & _M) + (c >> 255) * 19) * _D2
+    c = (c & _M) + (c >> 255) * 19
+    d = z1 * z2
+    d = 2 * ((d & _M) + (d >> 255) * 19)
     e = b - a
     f = d - c
     g = d + c
     h = b + a
-    return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
+    x = e * f
+    x = (x & _M) + (x >> 255) * 19
+    y = g * h
+    y = (y & _M) + (y >> 255) * 19
+    z = f * g
+    z = (z & _M) + (z >> 255) * 19
+    t = e * h
+    t = (t & _M) + (t >> 255) * 19
+    return ((x & _M) + (x >> 255) * 19, (y & _M) + (y >> 255) * 19,
+            (z & _M) + (z >> 255) * 19, (t & _M) + (t >> 255) * 19)
 
 
 def _point_add_niels(p: Point, q: Niels) -> Point:
@@ -188,18 +251,42 @@ def _point_add_niels(p: Point, q: Niels) -> Point:
     on *q* alone computed when the table was built, so it is the same
     complete group law on the whole curve, identity and torsion points
     included.
+
+    Products are folded (:data:`_M`), never divided: an intermediate
+    product once, which leaves it below ``2^267``, and each output
+    coordinate — a product of factors below ``2^268`` — twice, which
+    leaves it in ``(-2^35, 2^255 + 2^35)``.
+    So coordinates that enter within ``(-2^256, 2^256)`` leave within
+    it, through any chain of these additions, :func:`_point_add` and
+    :func:`_point_double`: a chain's point is *partially reduced* —
+    right mod p, not necessarily in ``[0, p)``.  Table entries are
+    fully reduced; whatever reads bits, parity or equality
+    (:func:`_point_compress`, :func:`_point_equal`, :func:`_niels_rows`)
+    reduces fully first.
     """
     x1, y1, z1, t1 = p
     y_plus_x, y_minus_x, xy2d = q
-    a = (y1 - x1) * y_minus_x % _P
-    b = (y1 + x1) * y_plus_x % _P
-    c = t1 * xy2d % _P
+    a = (y1 - x1) * y_minus_x
+    a = (a & _M) + (a >> 255) * 19
+    b = (y1 + x1) * y_plus_x
+    b = (b & _M) + (b >> 255) * 19
+    c = t1 * xy2d
+    c = (c & _M) + (c >> 255) * 19
     d = 2 * z1
     e = b - a
     f = d - c
     g = d + c
     h = b + a
-    return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
+    x = e * f
+    x = (x & _M) + (x >> 255) * 19
+    y = g * h
+    y = (y & _M) + (y >> 255) * 19
+    z = f * g
+    z = (z & _M) + (z >> 255) * 19
+    t = e * h
+    t = (t & _M) + (t >> 255) * 19
+    return ((x & _M) + (x >> 255) * 19, (y & _M) + (y >> 255) * 19,
+            (z & _M) + (z >> 255) * 19, (t & _M) + (t >> 255) * 19)
 
 
 def _point_double(point: Point) -> Point:
@@ -210,18 +297,31 @@ def _point_double(point: Point) -> Point:
     never reads ``T``, and returns the same projective point — the
     four coordinates of the addition formula scaled by one common
     factor — for every point on the curve, torsion and identity
-    included.
+    included.  Folded as :func:`_point_add_niels` is.
     """
     x, y, z, _ = point
     xx = x * x
+    xx = (xx & _M) + (xx >> 255) * 19
     yy = y * y
+    yy = (yy & _M) + (yy >> 255) * 19
+    zz = z * z
+    zz = (zz & _M) + (zz >> 255) * 19
     h = xx + yy
-    xy = x + y
-    e = (xy * xy - h) % _P
-    g = (yy - xx) % _P
-    f = (2 * z * z - g) % _P
-    h %= _P
-    return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
+    e = x + y
+    e *= e
+    e = (e & _M) + (e >> 255) * 19 - h
+    g = yy - xx
+    f = 2 * zz - g
+    x = e * f
+    x = (x & _M) + (x >> 255) * 19
+    y = g * h
+    y = (y & _M) + (y >> 255) * 19
+    z = f * g
+    z = (z & _M) + (z >> 255) * 19
+    t = e * h
+    t = (t & _M) + (t >> 255) * 19
+    return ((x & _M) + (x >> 255) * 19, (y & _M) + (y >> 255) * 19,
+            (z & _M) + (z >> 255) * 19, (t & _M) + (t >> 255) * 19)
 
 
 def _point_neg(point: Point) -> Point:
@@ -256,7 +356,7 @@ def _decompress(data: bytes) -> Point:
         raise ValueError(f"point encoding must be 32 bytes, got {len(data)}")
     encoded = int.from_bytes(data, "little")
     sign_bit = encoded >> 255
-    y = encoded & ((1 << 255) - 1)
+    y = encoded & _M
     x = _recover_x(y, sign_bit)
     return (x, y, 1, (x * y) % _P)
 
@@ -290,18 +390,26 @@ def _niels_rows(rows: List[List[Point]]) -> List[List[Niels]]:
     (Montgomery's trick: the running products of the Zs, one
     ``pow(z, -1, p)``, then each inverse peeled off backwards), ~7
     multiplications a point.  The complete formulas never give a curve
-    point ``Z = 0``, so the product is invertible.
+    point ``Z = 0``, so the product is invertible.  The running products
+    are folded (:data:`_M`); every entry is fully reduced, so equal
+    points give equal entries.
     """
     points = [point for row in rows for point in row]
     inverses = []  # the running products of the Zs, then their inverses
     product = 1
     for point in points:
         inverses.append(product)
-        product = product * point[2] % _P
+        product *= point[2]
+        product = (product & _M) + (product >> 255) * 19
+        product = (product & _M) + (product >> 255) * 19
     inverse = pow(product, -1, _P)
     for index in range(len(points) - 1, -1, -1):
-        inverses[index] = inverse * inverses[index] % _P
-        inverse = inverse * points[index][2] % _P
+        z_inv = inverse * inverses[index]
+        z_inv = (z_inv & _M) + (z_inv >> 255) * 19
+        inverses[index] = (z_inv & _M) + (z_inv >> 255) * 19
+        inverse *= points[index][2]
+        inverse = (inverse & _M) + (inverse >> 255) * 19
+        inverse = (inverse & _M) + (inverse >> 255) * 19
     entries: List[Niels] = []
     for (x, y, _, _), z_inv in zip(points, inverses):
         x = x * z_inv % _P
@@ -516,9 +624,6 @@ _Decoded = Tuple[_Issuer, bytes, int, int]
 """``(issuer record, R's encoding, s, challenge)`` of a structurally
 valid triple."""
 
-_Y_MASK = (1 << 255) - 1
-
-
 def _decode(public_key: bytes, message: bytes,
             signature: bytes) -> Optional[_Decoded]:
     """The checks ahead of the equation — lengths, ``R``'s ``y < p``,
@@ -533,7 +638,7 @@ def _decode(public_key: bytes, message: bytes,
     if len(public_key) != PUBLIC_KEY_SIZE or len(signature) != SIGNATURE_SIZE:
         return None
     r_encoding = bytes(signature[:32])
-    if int.from_bytes(r_encoding, "little") & _Y_MASK >= _P:
+    if int.from_bytes(r_encoding, "little") & _M >= _P:
         return None
     public_key = bytes(public_key)  # the cache key: any bytes-like works
     try:
@@ -671,12 +776,14 @@ A warm single costs ~102 point operations and compression's one
 inversion, and takes no square root; a batch of n signatures from k
 issuers costs ~290 + 51k + 30n point operations *and* one square root
 per item, because the equation needs every ``R`` as a point.  The root
-(~180-240 us) is larger than the ~30 operations of an item's share, so
-by time the crossover lies far above four.  Measured in one process on
-a 2-vCPU host (best of 7), a warm single took 544 us a signature for
-one issuer and 652 us for four; the equation took 1 447 us a signature
-at two signatures, 705-964 at six, 682-772 at eight and 517-702 at
-twelve to sixteen.  The floor stays at four all the same: the node's
+(~90 us on the folded chain) is larger than the ~30 operations of an
+item's share, so by time the crossover lies above four.  Measured in
+one process on a 2-vCPU host (best of 7, the folded kernel;
+``benchmarks/out/fold_kernel_measurements.txt``), a warm single took
+342 us a signature for one issuer and 374 us for four; the equation
+took 729-827 us a signature at two signatures, 386-494 at six, 344-421
+at eight and 277-354 at twelve to sixteen, so the crossover now lies
+at eight to twelve.  The floor stays at four all the same: the node's
 batch lane is tested at it, and the verify workers take the equation
 off the node's core where the singles would run on it.  It
 lives here, not in the node's ingress lane, because the crossover

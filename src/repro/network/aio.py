@@ -53,6 +53,11 @@ __all__ = ["AsyncClock", "AsyncioScheduler", "AsyncioTransport",
 READ_CHUNK = 65536
 """Bytes asked of one ``read()``: the most a run batch can carry."""
 
+COALESCE_FRAMES = 16
+"""Frames a connection's reply buffer takes before it is written out
+as one ``write()``; what is left goes at the end of the loop callback
+that sent it (:meth:`AsyncioTransport._buffer`)."""
+
 FLUSH_TIMEOUT_S = 1.0
 """Wall seconds :meth:`AsyncioTransport.close` waits for outboxes to
 drain before tearing sockets down."""
@@ -183,6 +188,16 @@ class AsyncioTransport:
         self._handlers: Dict[str, object] = {}
         self._outboxes: Dict[str, asyncio.Queue] = {}
         self._writer_tasks: Dict[str, asyncio.Task] = {}
+        # peer -> the connection its frames go out on while nothing of
+        # theirs waits: the one its writer task last wrote on (never
+        # while that task holds a frame back), or, before it has a
+        # writer task, its live reverse route.  A send while the peer's
+        # outbox is empty joins the connection's reply buffer instead.
+        self._links: Dict[str, asyncio.StreamWriter] = {}
+        # connection -> [(frame, kind, peer)] not yet written, in send
+        # order (see _buffer).
+        self._unwritten: Dict[asyncio.StreamWriter, list] = {}
+        self._flush_handle: Optional[asyncio.Handle] = None
         self._reader_tasks: Set[asyncio.Task] = set()
         self._open_writers: Set[asyncio.StreamWriter] = set()
         self._reverse: Dict[str, asyncio.StreamWriter] = {}
@@ -348,9 +363,65 @@ class AsyncioTransport:
             self._count_drop(kind)
             return False
         self._m_frame_bytes.observe(len(frame))
+        link = self._links.get(recipient)
+        if link is None and recipient not in self._writer_tasks:
+            # No writer task yet: the peer's link is its own connection.
+            link = self._usable_reverse(recipient)
+            if link is not None:
+                self._links[recipient] = link
+        if link is not None:
+            unwritten = self._unwritten.get(link)
+            outbox = self._outboxes.get(recipient)
+            if (outbox is None or outbox.empty()) and (
+                    unwritten is not None or not link.is_closing()):
+                self._buffer(link, unwritten, (frame, kind, recipient))
+                return True
         self._outbox(recipient).put_nowait((frame, kind))
         self._ensure_writer(recipient)
         return True
+
+    def _buffer(self, link: asyncio.StreamWriter, unwritten: Optional[list],
+                entry: tuple) -> None:
+        """Add a frame to *link*'s reply buffer (None: start one), with
+        no hop through the peer's writer task.  The buffer goes out as
+        one ``write()`` at :data:`COALESCE_FRAMES` frames and at the end
+        of the loop callback.  Per-peer FIFO holds: a frame joins it
+        only behind everything the peer's writer task has written, and
+        once it holds a frame every later one to that connection joins
+        it too; whatever waits on a reconnect stays in the outbox."""
+        if unwritten is None:
+            unwritten = self._unwritten[link] = []
+            if self._flush_handle is None:
+                self._flush_handle = self.scheduler.loop.call_soon(
+                    self._flush_all)
+        unwritten.append(entry)
+        if len(unwritten) >= COALESCE_FRAMES:
+            self._flush(link)
+
+    def _flush_all(self) -> None:
+        self._flush_handle = None
+        for link in list(self._unwritten):
+            self._flush(link)
+
+    def _flush(self, link: asyncio.StreamWriter) -> None:
+        """Write *link*'s reply buffer as one ``write()``; if the
+        connection closed meanwhile, its frames go back to their
+        peers' outboxes, in order, to wait for a reconnect."""
+        unwritten = self._unwritten.pop(link)
+        if link.is_closing():
+            for frame, kind, peer in unwritten:
+                self._outbox(peer).put_nowait((frame, kind))
+                self._ensure_writer(peer)
+            return
+        link.write(b"".join([frame for frame, _, _ in unwritten]))
+        sent: Dict[str, int] = {}
+        size = 0
+        for frame, kind, _ in unwritten:
+            sent[kind] = sent.get(kind, 0) + 1
+            size += len(frame)
+        for kind, count in sent.items():
+            self._m_frames_sent.inc(count, kind=kind)
+        self._m_bytes_sent.inc(size)
 
     def _count_drop(self, kind: str) -> None:
         self.messages_dropped += 1
@@ -375,11 +446,14 @@ class AsyncioTransport:
         TCP preserves their order, which is what keeps parents arriving
         before children along any single connection."""
         queue = self._outbox(peer)
-        writer: Optional[asyncio.StreamWriter] = None
+        links = self._links
         while not self._closing:
             frame, kind = await queue.get()
             while not self._closing:
+                writer = links.get(peer)
                 if writer is None or writer.is_closing():
+                    # Held frames go nowhere but through this task.
+                    links.pop(peer, None)
                     writer = self._usable_reverse(peer)
                 if writer is None:
                     writer = await self._connect(peer)
@@ -391,12 +465,12 @@ class AsyncioTransport:
                         _, queued_kind = queue.get_nowait()
                         self._count_drop(queued_kind)
                     break
+                links[peer] = writer
                 try:
                     writer.write(frame)
                     await writer.drain()
                 except (ConnectionError, OSError):
                     self._discard_writer(writer)
-                    writer = None
                     continue
                 self._m_frames_sent.inc(kind=kind)
                 self._m_bytes_sent.inc(len(frame))
@@ -449,9 +523,10 @@ class AsyncioTransport:
 
     def _discard_writer(self, writer: asyncio.StreamWriter) -> None:
         self._untrack_connection(writer)
-        for peer, reverse in list(self._reverse.items()):
-            if reverse is writer:
-                self._reverse.pop(peer, None)
+        for routes in (self._reverse, self._links):
+            for peer, route in list(routes.items()):
+                if route is writer:
+                    routes.pop(peer, None)
         try:
             writer.close()
         except Exception:
@@ -466,6 +541,7 @@ class AsyncioTransport:
         decoder = FrameDecoder()
         try:
             while not self._closing:
+                await self.room_for_run()
                 try:
                     data = await reader.read(READ_CHUNK)
                 except (ConnectionError, OSError):
@@ -478,9 +554,28 @@ class AsyncioTransport:
                 except FrameError:
                     self._m_frame_errors.inc()
                     break
+                # Another connection's read may have filled the node.
+                await self.room_for_run()
                 self._receive(messages, writer)
+                # A read never waits on the socket while it has buffered
+                # bytes: yield, so every connection takes turns.
+                await asyncio.sleep(0)
         finally:
             self._discard_writer(writer)
+
+    async def room_for_run(self) -> None:
+        """Return once the node takes another run without holding it
+        back past ``RUNS_IN_FLIGHT`` (``NetworkNode.run_room``): how a
+        node's backlog of runs awaiting verdicts pauses its readers."""
+        node = self._node
+        if node is None:
+            return
+        room = node.run_room()
+        while room is not None:
+            # Shielded: the readers share the future, and one reader's
+            # cancellation must not cancel it under the others.
+            await asyncio.shield(room)
+            room = node.run_room()
 
     def _receive(self, messages: List[Message], writer) -> None:
         """Everything one ``read()`` completed: count its frames by kind
@@ -561,6 +656,7 @@ class AsyncioTransport:
             return
         if self._node is not None:
             self._node.finish_runs()
+        self._flush_all()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + FLUSH_TIMEOUT_S
         while (any(not q.empty() for q in self._outboxes.values())
@@ -580,6 +676,7 @@ class AsyncioTransport:
         self._writer_tasks.clear()
         self._reader_tasks.clear()
         self._reverse.clear()
+        self._links.clear()
 
 
 class NodeRunner:

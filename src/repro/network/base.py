@@ -39,12 +39,26 @@ drops gossip it already holds and batch-verifies the rest).
 ``deliver_run`` may return before the run is delivered: a full node
 with verify workers under a running loop hands the run's signature
 batch off and delivers the run when its verdicts arrive, in read order
-across all its runs, so it ingests one run while the workers check the
-next.  ``node.finish_runs()`` delivers every pending run.  The backend
+across all its runs and one run per loop callback, so it ingests one
+run while the workers check the next.  ``deliver_run`` never blocks the
+loop on a verdict.  Backpressure lives in the reader: ``node.run_room()``
+is None while the node takes another run, else an awaitable that the
+next delivery resolves, and a stream backend awaits it before each
+read and before it hands a read over, so a flooding peer backs up into
+its own TCP window.  ``node.finish_runs()`` delivers every pending run,
+waiting for its verdicts.  The backend
 calls it before it hands a control-plane frame to its handler, before
 a traced frame (so that frame is delivered under its own context) and
 when it closes, so a handler sees exactly the frames before it
-delivered.  How a byte stream is cut into reads is kernel timing, so a
+delivered.
+
+Replies keep per-peer FIFO order.  The asyncio backend appends a frame
+to its connection's reply buffer, written as one ``write()`` every 16
+frames and at the end of the loop callback, only when nothing of that
+peer's waits in its outbox or in its writer task; frames queued behind
+a reconnect go through the outbox.
+
+How a byte stream is cut into reads is kernel timing, so a
 run must leave the node — replies, floods, counters and replicated
 state — exactly where delivering its messages one by one would.
 ``Network`` delivers one message per scheduled event through

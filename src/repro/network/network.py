@@ -93,6 +93,12 @@ class NetworkNode:
         """Deliver every run an earlier :meth:`deliver_run` left
         pending.  The default delivers each run at once, so none is."""
 
+    def run_room(self):
+        """None while the node takes another run at once; else an
+        awaitable a stream transport's reader waits on before it reads
+        or hands over more.  The default never holds a reader back."""
+        return None
+
     def _deliver(self, message: Message) -> None:
         self.received_count += 1
         self.handle_message(message)

@@ -142,6 +142,7 @@ class FullNode(NetworkNode):
         }
         self.deliver_run = lane.deliver_run
         self.finish_runs = lane.finish_runs
+        self.run_room = lane.run_room
         self.ingest_local = lane.ingest_local
         self.replay_attach = lane.replay_attach
         self.request_sync = sync.request_sync

@@ -13,6 +13,7 @@ after one batch signature check, :meth:`IngressLane._hand_off`.
 
 from __future__ import annotations
 
+import asyncio
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
@@ -32,8 +33,10 @@ before its record is replayed."""
 
 RUNS_IN_FLIGHT = 2
 """Most runs a node holds undelivered while its verify workers check
-their batches: a further read hands its batch off and then waits for
-the oldest, so a flooding peer backs up into its own TCP window."""
+their batches: at this many, :meth:`IngressLane.run_room` holds the
+transport's readers back until the oldest is delivered.  Two keep both
+workers fed; more pending runs only split the workers' cores over more
+batches, so the oldest's verdicts come later."""
 
 
 class IngressLane:
@@ -55,6 +58,7 @@ class IngressLane:
         # Runs deliver_run handed off and has not delivered, read order:
         # ((message, carried transaction or None) pairs, hand-off).
         self._runs: Deque[tuple] = deque()
+        self._room: Optional[asyncio.Future] = None  # see run_room
         telemetry = node.telemetry
         self._m_gossip_duplicates = telemetry.counter(
             "repro_network_gossip_duplicates_total",
@@ -84,9 +88,12 @@ class IngressLane:
         (:meth:`_worth_batching`) into one batch signature check, and
         every surviving message reaches its handler in order, with its
         transaction, once the verdicts are in — at once without verify
-        workers, else when :meth:`_drain` sees them, while the workers
-        check the next run.  What the gates filter out or the batch
-        fails is verified singly, as ever."""
+        workers, else from :meth:`_deliver_next` when they arrive,
+        while the workers check the next run.  Never waits for a
+        verdict: the reader stops taking runs while
+        :data:`RUNS_IN_FLIGHT` are pending (:meth:`run_room`).  What the
+        gates filter out or the batch fails is verified singly, as
+        ever."""
         decode = self.decode
         tangle = self.node.replica.tangle
         survivors: List[Tuple[Message, Optional[Transaction]]] = []
@@ -121,32 +128,58 @@ class IngressLane:
             handed = self._hand_off(
                 [tx for tx, submitted in carried
                  if self._worth_batching(tx, submitted=submitted)],
-                on_ready=self._drain)
+                on_ready=self._deliver_next)
         runs = self._runs
         if not runs and (handed is None or handed[1].ready()):
             self._deliver_pending(survivors, handed)
-            return
-        runs.append((survivors, handed))
-        self._drain(keep=RUNS_IN_FLIGHT)
+        else:
+            runs.append((survivors, handed))
+
+    def run_room(self) -> Optional[asyncio.Future]:
+        """None while fewer than :data:`RUNS_IN_FLIGHT` runs are pending;
+        else a future the next delivery of a pending run resolves.  A
+        stream transport awaits it before it reads and before it hands
+        a read over, so a flooding peer backs up into its own TCP
+        window and no call here ever waits."""
+        if len(self._runs) < RUNS_IN_FLIGHT:
+            return None
+        room = self._room
+        if room is None or room.done():
+            room = self._room = asyncio.get_running_loop().create_future()
+        return room
 
     def finish_runs(self) -> None:
         """Deliver every pending run, waiting for its verdicts: what a
         control-plane frame, a traced frame or shutdown must see
         first."""
-        self._drain(keep=0)
-
-    def _drain(self, keep: Optional[int] = None) -> None:
-        """Deliver pending runs in read order: each whose verdicts are
-        in, and — waiting on the oldest — as many more as leave at most
-        *keep* pending.  This is the one place a pending run is
-        delivered; a batch's completion only schedules a call here."""
         runs = self._runs
         while runs:
-            handed = runs[0][1]
-            if handed is not None and not handed[1].ready():
-                if keep is None or len(runs) <= keep:
-                    return
             self._deliver_pending(*runs.popleft())
+        self._make_room()
+
+    def _deliver_next(self) -> None:
+        """A batch's verdicts are in (``on_ready``): deliver the oldest
+        pending run if its verdicts are all in, and call again on the
+        loop while the next one's are too — one run per loop callback,
+        so reads and replies interleave with a backlog of ready runs."""
+        runs = self._runs
+        if runs and self._ready(runs[0]):
+            self._deliver_pending(*runs.popleft())
+            self._make_room()
+            if runs and self._ready(runs[0]):
+                asyncio.get_running_loop().call_soon(self._deliver_next)
+
+    @staticmethod
+    def _ready(pending) -> bool:
+        handed = pending[1]
+        return handed is None or handed[1].ready()
+
+    def _make_room(self) -> None:
+        room = self._room
+        if room is not None and len(self._runs) < RUNS_IN_FLIGHT:
+            self._room = None
+            if not room.done():
+                room.set_result(None)
 
     def _deliver_pending(self, survivors, handed) -> None:
         if handed is not None:

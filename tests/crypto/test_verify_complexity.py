@@ -14,7 +14,9 @@ allocator sees them.
 The single check compares encodings instead of decoding ``R``, so a
 warm single verify takes no square root: its one modular
 exponentiation is compression's inversion.  Builtin ``pow`` calls are
-counted by shadowing the module's ``pow``.  A canonical ``R`` whose
+counted by shadowing the module's ``pow``, and square roots by wrapping
+the addition chain ``_pow22523`` that computes decoding's
+``(p-5)/8`` power.  A canonical ``R`` whose
 ``y`` is no curve point's now costs one chain, where decoding used to
 refuse it for nothing; that adds no amplification, because an ``R``
 that decodes with a wrong ``s`` already costs exactly that chain, and
@@ -75,14 +77,22 @@ def operations(monkeypatch):
 
 @pytest.fixture
 def exponents(monkeypatch):
-    """Record the exponent of every builtin ``pow`` the module calls."""
+    """Record the exponent of every exponentiation the module makes:
+    each builtin ``pow``, and ``(p-5)/8`` for each call of the
+    square-root chain ``_pow22523``."""
     seen = []
+    chain = product._pow22523
 
     def counting(base, exponent, modulus=None):
         seen.append(exponent)
         return pow(base, exponent, modulus)
 
+    def root(base):
+        seen.append(SQRT_EXPONENT)
+        return chain(base)
+
     monkeypatch.setattr(product, "pow", counting, raising=False)
+    monkeypatch.setattr(product, "_pow22523", root)
 
     def taken(function, *args):
         del seen[:]

@@ -146,3 +146,27 @@ class TestLossyLink:
         assert device.key_agent.key_for("sensitive") is not None, \
             f"handshake failed under 30% loss with seed {seed}"
         assert system.manager._keydist.pending == {}
+
+
+class TestStagedKeys:
+    def test_commit_drops_every_key_staged_for_the_group(self):
+        """Each M1 whose M2 is lost stages a key on the device.  The
+        handshake that completes must leave none behind: every one
+        would cost a decrypt on every later M3."""
+        system = build_system()
+        device = system.devices[0]
+        clock = system.network.scheduler.clock
+        send = device.send
+
+        def lossy(recipient, kind, body, **kwargs):
+            if kind == "keydist_m2" and clock.now() < 3.5:
+                return False  # lost on the air
+            return send(recipient, kind, body, **kwargs)
+
+        device.send = lossy
+        distribute(system, device)
+        system.run_for(30.0)
+        assert device.key_agent.key_for("sensitive") is not None
+        assert system.manager.keydist_retries >= 1
+        assert device.key_agent._pending == {}
+        assert_no_session_state(system.manager)

@@ -15,6 +15,8 @@ import pytest
 
 from repro.crypto import ed25519, verify_workers
 from repro.faults.backoff import BackoffPolicy
+from repro.harness.workload import build_workload
+from repro.network import aio
 from repro.network.aio import (
     AsyncClock,
     AsyncioScheduler,
@@ -22,11 +24,12 @@ from repro.network.aio import (
     NodeRunner,
 )
 from repro.network.base import Transport
-from repro.network.frame import encode_frame
+from repro.network.frame import FrameDecoder, encode_frame
 from repro.network.network import Network, NetworkNode
 from repro.network.proc import build_node
 from repro.network.simulator import EventScheduler
 from repro.network.transport import Message
+from repro.nodes.lane import RUNS_IN_FLIGHT
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracer import TraceContext, Tracer
 
@@ -548,6 +551,65 @@ class TestRuns:
         fleet_sandbox.run(scenario())
         assert seen == [[True] * 8 + [False] * 8]
         assert max(pending) >= 1  # a run did wait for its verdicts
+
+    @needs_fork
+    def test_a_flooding_client_is_paused_at_two_pending_runs(
+            self, fleet_sandbox, one_worker, monkeypatch):
+        """2 000 submits in one ``write()``, to a node with one verify
+        worker: the node takes no read while two runs await verdicts,
+        the bound is reached, and every ack comes back accepted, in the
+        order the submits were written."""
+        workload = build_workload(41, transactions=2000)
+        pending_at_read, pending_after_run = [], []
+        box = {}
+
+        class Watched(FrameDecoder):
+            def feed(self, data):
+                node = box.get("node")
+                if node is not None:
+                    pending_at_read.append(len(node.lane._runs))
+                return super().feed(data)
+
+        monkeypatch.setattr(aio, "FrameDecoder", Watched)
+
+        async def scenario():
+            scheduler = AsyncioScheduler(time_scale=20.0)
+            node = build_node(NODE, workload.genesis, rng_seed=0)
+            deliver_run = node.deliver_run
+
+            def recording(run):
+                deliver_run(run)
+                pending_after_run.append(len(node.lane._runs))
+
+            node.deliver_run = recording
+            runner = NodeRunner(node, _transport(scheduler, {}),
+                                listen=("127.0.0.1", 0))
+            try:
+                await runner.start()
+                box["node"] = node
+                reader, writer = await asyncio.open_connection(
+                    *runner.bound_address)
+                writer.write(b"".join(
+                    submit_frame(index, encoded) for index, encoded
+                    in enumerate(workload.transactions)))
+                await writer.drain()
+                decoder, acks = FrameDecoder(), []
+                while len(acks) < len(workload.transactions):
+                    data = await asyncio.wait_for(reader.read(65536), 60.0)
+                    assert data, "the node closed the connection"
+                    acks.extend(decoder.feed(data))
+                writer.close()
+                return acks
+            finally:
+                await runner.stop()
+
+        acks = fleet_sandbox.run(scenario())
+        assert [(ack.kind, ack.body["request_id"], ack.body["ok"])
+                for ack in acks] \
+            == [("submit_response", index, True)
+                for index in range(len(workload.transactions))]
+        assert max(pending_at_read) < RUNS_IN_FLIGHT
+        assert max(pending_after_run) == RUNS_IN_FLIGHT
 
 
 class TestDeliveryLatency:

@@ -104,13 +104,15 @@ class Rig:
 
     def deliver_live(self, pieces):
         """:meth:`deliver` inside a running event loop, yielding to it
-        after every read: with verify workers live, the node hands each
-        run's batch off and the loop delivers the run when its verdicts
-        arrive, as in a ``repro node``.  Returns once no run is
-        pending."""
+        after every read and, as the transport's read loop does,
+        holding each read back while the node has no room for another
+        run: with verify workers live, the node hands each run's batch
+        off and the loop delivers the run when its verdicts arrive, as
+        in a ``repro node``.  Returns once no run is pending."""
         async def feed():
             decoder = FrameDecoder()
             for piece in pieces:
+                await self.transport.room_for_run()
                 self.transport._receive(decoder.feed(piece), writer=None)
                 await asyncio.sleep(0)
             decoder.close()
