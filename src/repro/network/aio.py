@@ -5,10 +5,11 @@ discrete-event heap, :class:`AsyncioTransport` moves the same protocol
 messages as length-prefixed frames (:mod:`repro.network.frame`) over
 localhost/LAN TCP.  Each transport instance carries exactly one node —
 a full node, a light node, or the manager — and a :class:`NodeRunner`
-hosts the pair as asyncio tasks: accept loop (when listening), one
-writer task per peer with reconnect-with-:class:`~repro.faults.backoff.
-BackoffPolicy`, one reader task per live connection, and a graceful
-shutdown that flushes outboxes before tearing sockets down.
+hosts the pair as asyncio tasks: accept loop (when listening), a
+writer task for a peer while it (re)connects with
+:class:`~repro.faults.backoff.BackoffPolicy` or waits on a full socket,
+one reader task per live connection, and a graceful shutdown that
+flushes outboxes before tearing sockets down.
 
 Scheduling-facing node code is untouched: nodes read time through
 ``transport.scheduler.clock.now()`` and defer work through
@@ -38,7 +39,8 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..devices.clock import Clock
 from ..faults.backoff import DEFAULT_BACKOFF, BackoffPolicy
@@ -54,9 +56,10 @@ READ_CHUNK = 65536
 """Bytes asked of one ``read()``: the most a run batch can carry."""
 
 COALESCE_FRAMES = 16
-"""Frames a connection's reply buffer takes before it is written out
-as one ``write()``; what is left goes at the end of the loop callback
-that sent it (:meth:`AsyncioTransport._buffer`)."""
+"""Frames a peer's outbox holds before they are written out as one
+``write()`` within the sending callback; fewer go at its end
+(:meth:`AsyncioTransport._flush`).  Also the most a writer task takes
+off the outbox at once."""
 
 FLUSH_TIMEOUT_S = 1.0
 """Wall seconds :meth:`AsyncioTransport.close` waits for outboxes to
@@ -186,18 +189,14 @@ class AsyncioTransport:
         # out-of-band protocols (peer discovery, fleet control) can ride
         # the same framed envelopes without touching node handlers.
         self._handlers: Dict[str, object] = {}
-        self._outboxes: Dict[str, asyncio.Queue] = {}
+        # peer -> frames not yet written, in send order: the one queue
+        # a frame leaves by, through _flush or the peer's writer task.
+        self._outboxes: Dict[str, Deque[Tuple[bytes, str]]] = {}
+        # peer -> the task that holds its outbox while it (re)connects
+        # or waits on a drain; done once the outbox is empty.
         self._writer_tasks: Dict[str, asyncio.Task] = {}
-        # peer -> the connection its frames go out on while nothing of
-        # theirs waits: the one its writer task last wrote on (never
-        # while that task holds a frame back), or, before it has a
-        # writer task, its live reverse route.  A send while the peer's
-        # outbox is empty joins the connection's reply buffer instead.
+        # peer -> the connection its writer task last wrote a chunk on.
         self._links: Dict[str, asyncio.StreamWriter] = {}
-        # connection -> [(frame, kind, peer)] not yet written, in send
-        # order (see _buffer).
-        self._unwritten: Dict[asyncio.StreamWriter, list] = {}
-        self._flush_handle: Optional[asyncio.Handle] = None
         self._reader_tasks: Set[asyncio.Task] = set()
         self._open_writers: Set[asyncio.StreamWriter] = set()
         self._reverse: Dict[str, asyncio.StreamWriter] = {}
@@ -363,118 +362,99 @@ class AsyncioTransport:
             self._count_drop(kind)
             return False
         self._m_frame_bytes.observe(len(frame))
-        link = self._links.get(recipient)
-        if link is None and recipient not in self._writer_tasks:
-            # No writer task yet: the peer's link is its own connection.
-            link = self._usable_reverse(recipient)
-            if link is not None:
-                self._links[recipient] = link
-        if link is not None:
-            unwritten = self._unwritten.get(link)
-            outbox = self._outboxes.get(recipient)
-            if (outbox is None or outbox.empty()) and (
-                    unwritten is not None or not link.is_closing()):
-                self._buffer(link, unwritten, (frame, kind, recipient))
-                return True
-        self._outbox(recipient).put_nowait((frame, kind))
-        self._ensure_writer(recipient)
+        outbox = self._outboxes.get(recipient)
+        if outbox is None:
+            outbox = self._outboxes[recipient] = deque()
+        outbox.append((frame, kind))
+        if len(outbox) >= COALESCE_FRAMES:
+            self._flush(recipient)
+        elif len(outbox) == 1:
+            self.scheduler.loop.call_soon(self._flush, recipient)
         return True
 
-    def _buffer(self, link: asyncio.StreamWriter, unwritten: Optional[list],
-                entry: tuple) -> None:
-        """Add a frame to *link*'s reply buffer (None: start one), with
-        no hop through the peer's writer task.  The buffer goes out as
-        one ``write()`` at :data:`COALESCE_FRAMES` frames and at the end
-        of the loop callback.  Per-peer FIFO holds: a frame joins it
-        only behind everything the peer's writer task has written, and
-        once it holds a frame every later one to that connection joins
-        it too; whatever waits on a reconnect stays in the outbox."""
-        if unwritten is None:
-            unwritten = self._unwritten[link] = []
-            if self._flush_handle is None:
-                self._flush_handle = self.scheduler.loop.call_soon(
-                    self._flush_all)
-        unwritten.append(entry)
-        if len(unwritten) >= COALESCE_FRAMES:
-            self._flush(link)
+    def _count_drop(self, kind: str) -> None:
+        self.messages_dropped += 1
+        self._m_dropped.inc(kind=kind)
 
-    def _flush_all(self) -> None:
-        self._flush_handle = None
-        for link in list(self._unwritten):
-            self._flush(link)
-
-    def _flush(self, link: asyncio.StreamWriter) -> None:
-        """Write *link*'s reply buffer as one ``write()``; if the
-        connection closed meanwhile, its frames go back to their
-        peers' outboxes, in order, to wait for a reconnect."""
-        unwritten = self._unwritten.pop(link)
-        if link.is_closing():
-            for frame, kind, peer in unwritten:
-                self._outbox(peer).put_nowait((frame, kind))
-                self._ensure_writer(peer)
+    def _flush(self, peer: str) -> None:
+        """Write what waits in *peer*'s outbox as one ``write()`` on its
+        live connection, with no hop through a task.  While a writer
+        task holds the peer, the task takes it instead, behind the chunk
+        it holds; with no live connection, or one whose socket is backed
+        up, a writer task is started to (re)connect and drain.  One
+        queue and one writer at a time keep frames FIFO per peer — TCP
+        preserves their order, which is what keeps parents arriving
+        before children along any single connection."""
+        outbox = self._outboxes[peer]
+        task = self._writer_tasks.get(peer)
+        if not outbox or self._closing or (
+                task is not None and not task.done()):
             return
-        link.write(b"".join([frame for frame, _, _ in unwritten]))
+        link = self._link(peer)
+        if link is not None and not link.transport.get_write_buffer_size():
+            chunk = list(outbox)
+            outbox.clear()
+            link.write(b"".join([frame for frame, _ in chunk]))
+            if not link.is_closing():
+                self._count_sent(chunk)
+                return
+            # The write failed (a drain would raise): the chunk goes
+            # again, first, on the next connection.
+            outbox.extendleft(reversed(chunk))
+            self._discard_writer(link)
+        self._writer_tasks[peer] = self.scheduler.loop.create_task(
+            self._writer_loop(peer))
+
+    async def _writer_loop(self, peer: str) -> None:
+        """Drain *peer*'s outbox over a connection that is re-dialed
+        (backoff-paced) whenever it drops, in chunks of up to
+        :data:`COALESCE_FRAMES` frames, one ``write()`` and ``drain()``
+        each, until the outbox is empty.  A chunk whose drain fails is
+        sent whole again on the next connection, ahead of everything
+        behind it."""
+        outbox = self._outboxes[peer]
+        while outbox and not self._closing:
+            chunk = [outbox.popleft()
+                     for _ in range(min(COALESCE_FRAMES, len(outbox)))]
+            while not self._closing:
+                writer = self._link(peer)
+                if writer is None:
+                    writer = await self._connect(peer)
+                if writer is None:
+                    # Reconnect exhausted: this chunk (and the backlog
+                    # behind it) is undeliverable right now.
+                    for _, kind in chunk:
+                        self._count_drop(kind)
+                    while outbox:
+                        self._count_drop(outbox.popleft()[1])
+                    break
+                try:
+                    writer.write(b"".join([frame for frame, _ in chunk]))
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    self._discard_writer(writer)
+                    continue
+                self._links[peer] = writer
+                self._count_sent(chunk)
+                break
+
+    def _count_sent(self, chunk: List[Tuple[bytes, str]]) -> None:
         sent: Dict[str, int] = {}
         size = 0
-        for frame, kind, _ in unwritten:
+        for frame, kind in chunk:
             sent[kind] = sent.get(kind, 0) + 1
             size += len(frame)
         for kind, count in sent.items():
             self._m_frames_sent.inc(count, kind=kind)
         self._m_bytes_sent.inc(size)
 
-    def _count_drop(self, kind: str) -> None:
-        self.messages_dropped += 1
-        self._m_dropped.inc(kind=kind)
-
-    def _outbox(self, peer: str) -> asyncio.Queue:
-        queue = self._outboxes.get(peer)
-        if queue is None:
-            queue = asyncio.Queue()
-            self._outboxes[peer] = queue
-        return queue
-
-    def _ensure_writer(self, peer: str) -> None:
-        task = self._writer_tasks.get(peer)
-        if task is None or task.done():
-            self._writer_tasks[peer] = self.scheduler.loop.create_task(
-                self._writer_loop(peer))
-
-    async def _writer_loop(self, peer: str) -> None:
-        """Drain *peer*'s outbox over a connection that is re-dialed
-        (backoff-paced) whenever it drops.  Frames are FIFO per peer —
-        TCP preserves their order, which is what keeps parents arriving
-        before children along any single connection."""
-        queue = self._outbox(peer)
-        links = self._links
-        while not self._closing:
-            frame, kind = await queue.get()
-            while not self._closing:
-                writer = links.get(peer)
-                if writer is None or writer.is_closing():
-                    # Held frames go nowhere but through this task.
-                    links.pop(peer, None)
-                    writer = self._usable_reverse(peer)
-                if writer is None:
-                    writer = await self._connect(peer)
-                if writer is None:
-                    # Reconnect exhausted: this frame (and the backlog
-                    # behind it) is undeliverable right now.
-                    self._count_drop(kind)
-                    while not queue.empty():
-                        _, queued_kind = queue.get_nowait()
-                        self._count_drop(queued_kind)
-                    break
-                links[peer] = writer
-                try:
-                    writer.write(frame)
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    self._discard_writer(writer)
-                    continue
-                self._m_frames_sent.inc(kind=kind)
-                self._m_bytes_sent.inc(len(frame))
-                break
+    def _link(self, peer: str) -> Optional[asyncio.StreamWriter]:
+        """The live connection *peer*'s frames go out on: the one its
+        writer task last wrote on, else its reverse route."""
+        writer = self._links.get(peer)
+        if writer is not None and not writer.is_closing():
+            return writer
+        return self._usable_reverse(peer)
 
     def _usable_reverse(self, peer: str) -> Optional[asyncio.StreamWriter]:
         writer = self._reverse.get(peer)
@@ -656,10 +636,11 @@ class AsyncioTransport:
             return
         if self._node is not None:
             self._node.finish_runs()
-        self._flush_all()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + FLUSH_TIMEOUT_S
-        while (any(not q.empty() for q in self._outboxes.values())
+        while ((any(self._outboxes.values())
+                or any(not task.done()
+                       for task in self._writer_tasks.values()))
                and loop.time() < deadline):
             await asyncio.sleep(0.01)
         self._closing = True

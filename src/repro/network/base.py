@@ -52,11 +52,13 @@ a traced frame (so that frame is delivered under its own context) and
 when it closes, so a handler sees exactly the frames before it
 delivered.
 
-Replies keep per-peer FIFO order.  The asyncio backend appends a frame
-to its connection's reply buffer, written as one ``write()`` every 16
-frames and at the end of the loop callback, only when nothing of that
-peer's waits in its outbox or in its writer task; frames queued behind
-a reconnect go through the outbox.
+Replies keep per-peer FIFO order.  The asyncio backend queues every
+frame in its peer's outbox and writes it out as one ``write()`` every
+16 frames and at the end of the sending callback, with no task hop,
+while no writer task holds the peer; a writer task takes the outbox
+while the peer (re)connects or its socket is backed up.  A chunk whose
+write fails is sent whole again on the next connection, ahead of the
+frames behind it.
 
 How a byte stream is cut into reads is kernel timing, so a
 run must leave the node — replies, floods, counters and replicated

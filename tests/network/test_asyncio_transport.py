@@ -347,6 +347,99 @@ class TestReconnect:
 
         assert fleet_sandbox.run(scenario()) >= 1
 
+    class _Doomed:
+        """A connection that takes every byte written to it and then
+        fails: at once (``hold`` None: the transport closes, as one does
+        when ``send()`` hits a reset socket) or in the drain after the
+        ``hold`` event is set, its socket backed up until then."""
+
+        def __init__(self, hold=None):
+            self.written = []
+            self.hold = hold
+            self.broken = False
+            self.transport = self
+
+        def get_write_buffer_size(self):
+            return 0 if self.hold is None else 1
+
+        def is_closing(self):
+            return self.broken
+
+        def write(self, data):
+            self.written.append(data)
+            self.broken = self.hold is None
+
+        async def drain(self):
+            if self.hold is not None:
+                await self.hold.wait()
+            self.broken = True
+            raise ConnectionResetError("reset mid-burst")
+
+        def close(self):
+            pass
+
+    def _burst_through(self, fleet_sandbox, doomed, before, after):
+        """Send *before* frames with *doomed* as the server's route,
+        yield, send *after* more, then let *doomed* fail: returns what it
+        was written and the ``n`` of every frame the server got."""
+        async def scenario():
+            scheduler = AsyncioScheduler(time_scale=20.0)
+            directory = {}
+            server = Recorder("server")
+            server_runner = NodeRunner(server,
+                                       _transport(scheduler, directory),
+                                       listen=("127.0.0.1", 0))
+            client = Recorder("client")
+            client_transport = _transport(scheduler, directory)
+            client_runner = NodeRunner(client, client_transport)
+            try:
+                await server_runner.start()
+                await client_runner.start()
+                client_transport._reverse["server"] = doomed
+                for n in range(before):
+                    assert client.send("server", "burst", {"n": n})
+                await asyncio.sleep(0.02)
+                for n in range(before, before + after):
+                    assert client.send("server", "burst", {"n": n})
+                await asyncio.sleep(0.02)
+                if doomed.hold is not None:
+                    doomed.hold.set()
+                total = before + after
+                await _wait_for(lambda: len(server.received) >= total)
+                await asyncio.sleep(0.05)  # no stray duplicate follows
+                return ([[m.body["n"] for m in FrameDecoder().feed(data)]
+                         for data in doomed.written],
+                        [m.body["n"] for m in server.received])
+            finally:
+                await client_runner.stop()
+                await server_runner.stop()
+
+        return fleet_sandbox.run(scenario())
+
+    def test_a_chunk_whose_write_fails_goes_again_whole_and_first(
+            self, fleet_sandbox):
+        """40 frames sent in one callback: the 16th writes the first
+        COALESCE_FRAMES as one chunk, and the connection fails under
+        it.  That chunk is written again on a fresh connection, ahead of
+        the 24 behind it: the peer gets all 40, once each, in order."""
+        written, received = self._burst_through(
+            fleet_sandbox, self._Doomed(), 40, 0)
+        assert written == [list(range(aio.COALESCE_FRAMES))]
+        assert received == list(range(40))
+
+    def test_nothing_passes_a_chunk_whose_drain_is_pending(
+            self, fleet_sandbox):
+        """A backed-up connection hands the peer to its writer task,
+        which writes 5 frames and waits in the drain.  The 20 sent
+        meanwhile wait behind them in the outbox, never on that
+        connection; when the drain fails, all 25 arrive, once each, in
+        order, on a fresh connection."""
+        doomed = self._Doomed(hold=asyncio.Event())
+        written, received = self._burst_through(
+            fleet_sandbox, doomed, 5, 20)
+        assert written == [list(range(5))]
+        assert received == list(range(25))
+
 
 class TestFramingHostility:
     def test_garbage_stream_is_dropped_but_listener_survives(

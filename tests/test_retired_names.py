@@ -29,7 +29,10 @@ only a test called, and the three hand-written retry loops that one
 ``RetryLoop`` replaced: the manager's five handshake maps and three
 loop methods, the sync service's parent-request map and ``_arm``, the
 full node's retry instruments and the distributor's completed-session
-read-out.  A name that live code shares as a substring (``broadcast``,
+read-out, and the lane's blocking ``_drain``, the decoder's
+``_Y_MASK`` and the transport's ever-running writer tasks that the
+non-blocking delivery, the folded field kernel and the one-queue
+coalesced writes replaced.  A name that live code shares as a substring (``broadcast``,
 ``cancel``, ``_keydist_m3``, ``parent_requests``) is retired as a
 qualified function name or with its receiver instead: no ``def`` may
 define it again, and no ``self.`` or ``sync.`` may read it."""
@@ -87,7 +90,7 @@ RETIRED = ["sqlite3", "SQLiteStore", "record_events", "MetricEvent",
            "_keydist_active", "self._keydist_m3", "_start_keydist_attempt",
            "_keydist_m1_expired", "_arm_keydist_m3", "sync.parent_requests",
            "self.parent_requests", "is_completed", "session.completed",
-           "_m_retry_"]
+           "_m_retry_", "_Y_MASK"]
 
 RETIRED_FUNCTIONS = [
     "Transport.broadcast", "Transport.addresses", "Network.broadcast",
@@ -104,7 +107,8 @@ RETIRED_FUNCTIONS = [
     "LifecycleTracker.timeline_for", "NullLifecycle.context_of",
     "NullLifecycle.timeline_for", "Tracer.children",
     "Tangle.depth_from_tips", "Tangle.retired_tips",
-    "Tangle._rebuild_depth_map", "SyncService._arm",
+    "Tangle._rebuild_depth_map", "SyncService._arm", "IngressLane._drain",
+    "AsyncioTransport._outbox", "AsyncioTransport._ensure_writer",
     *[f"FullNode.{name}" for name in (
         "_ingest", "_decode", "_count", "_flood", "_signed", "_settle",
         "_drain", "_deliver_pending", "_handle_submit", "_handle_gossip",
