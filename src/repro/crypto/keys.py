@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from .rand import randbytes
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import ecies, ed25519, x25519
 from .hashing import hash_concat
@@ -38,7 +39,7 @@ class PublicIdentity:
         if len(self.enc_public) != x25519.X25519_KEY_SIZE:
             raise ValueError("enc_public must be 32 bytes")
 
-    @property
+    @cached_property
     def node_id(self) -> bytes:
         """32-byte stable identifier: hash of both public keys."""
         return hash_concat(self.sign_public, self.enc_public)

@@ -534,9 +534,9 @@ class AsyncioTransport:
                 except FrameError:
                     self._m_frame_errors.inc()
                     break
-                # Another connection's read may have filled the node.
-                await self.room_for_run()
-                self._receive(messages, writer)
+                rest = self._receive(messages, writer)
+                if rest is not None:  # taken in turns: read on after it
+                    await rest
                 # A read never waits on the socket while it has buffered
                 # bytes: yield, so every connection takes turns.
                 await asyncio.sleep(0)
@@ -544,20 +544,16 @@ class AsyncioTransport:
             self._discard_writer(writer)
 
     async def room_for_run(self) -> None:
-        """Return once the node takes another run without holding it
-        back past ``RUNS_IN_FLIGHT`` (``NetworkNode.run_room``): how a
-        node's backlog of runs awaiting verdicts pauses its readers."""
+        """Return at this reader's turn to hand the node a run
+        (``NetworkNode.run_room``): how a node's backlog of runs
+        awaiting verdicts pauses its readers, oldest waiter first."""
         node = self._node
-        if node is None:
-            return
-        room = node.run_room()
-        while room is not None:
-            # Shielded: the readers share the future, and one reader's
-            # cancellation must not cancel it under the others.
-            await asyncio.shield(room)
-            room = node.run_room()
+        if node is not None:
+            turn = node.run_room()
+            if turn is not None:
+                await turn
 
-    def _receive(self, messages: List[Message], writer) -> None:
+    def _receive(self, messages: List[Message], writer):
         """Everything one ``read()`` completed: count its frames by kind
         once, give each sender a reverse route over *writer* (replies
         reach peers that never listen — drivers, light-node-style
@@ -570,22 +566,23 @@ class AsyncioTransport:
             reverse[message.sender] = writer
         for kind, count in received.items():
             self._m_frames_received.inc(count, kind=kind)
-        self._dispatch(messages)
+        return self._dispatch(messages)
 
-    def _dispatch(self, messages: List[Message]) -> None:
+    def _dispatch(self, messages: List[Message]):
         """Deliver *messages* in order: a control-plane frame to its
         registered handler, and every stretch of frames for the local
         node between two of them as one run (``NetworkNode.deliver_run``,
         contract in :mod:`repro.network.base`).  A frame carrying a
-        trace context is a run of its own, delivered under that context.
-        Before either, the node finishes every run it holds pending
-        (``NetworkNode.finish_runs``), so a handler sees exactly the
-        frames before it delivered.  Deliveries are counted by kind once
-        per call."""
+        trace context is a run of its own, delivered and finished under
+        that context.  Before either, the node finishes every run it
+        holds pending (``NetworkNode.finish_runs``), so a handler sees
+        exactly the frames before it delivered.  Deliveries are counted
+        by kind once per call.  Returns what the last ``deliver_run``
+        returned if nothing finished it."""
         if self._closing:
             for message in messages:
                 self._count_drop(message.kind)
-            return
+            return None
         node = self._node
         address = node.address if node is not None else None
         handlers = self._handlers
@@ -603,28 +600,23 @@ class AsyncioTransport:
                     run.append(message)
                     continue
                 if run:
-                    self._deliver_run(run)
+                    node.deliver_run(run)
                     run = []
                 if node is not None:
                     node.finish_runs()
                 if handler is not None:
                     handler(message)
                 else:
-                    self._deliver_run([message])
+                    with self.tracer.activate(message.trace):
+                        node.deliver_run([message])
+                        node.finish_runs()
             if run:
-                self._deliver_run(run)
+                return node.deliver_run(run)
         finally:
             for kind, count in delivered.items():
                 self.messages_delivered += count
                 self._m_delivered.inc(count, kind=kind)
-
-    def _deliver_run(self, run: List[Message]) -> None:
-        trace = run[0].trace
-        if trace is None:
-            self._node.deliver_run(run)
-            return
-        with self.tracer.activate(trace):
-            self._node.deliver_run(run)
+        return None
 
     # -- shutdown ----------------------------------------------------------
 

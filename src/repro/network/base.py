@@ -32,9 +32,10 @@ carried for it, in order, as one call ``node.deliver_run(run)``; a
 control-plane frame (a registered handler's kind) splits the read into
 runs around it.  ``NetworkNode.deliver_run`` delivers the run one
 message at a time through ``node._deliver(message)`` (which counts it
-and calls ``handle_message``); a node may override it to share work
-across what arrived together (a full node decodes each carrier once,
-drops gossip it already holds and batch-verifies the rest).
+and calls ``handle_message``); a full node overrides both with one pass
+that decodes each transaction once — a submit's, a gossip's, each one a
+``sync_response`` or ``parent_response`` lists — drops a peer's
+transaction it already holds and batch-verifies the rest.
 
 ``deliver_run`` may return before the run is delivered: a full node
 with verify workers under a running loop hands the run's signature
@@ -42,15 +43,16 @@ batch off and delivers the run when its verdicts arrive, in read order
 across all its runs and one run per loop callback, so it ingests one
 run while the workers check the next.  ``deliver_run`` never blocks the
 loop on a verdict.  Backpressure lives in the reader: ``node.run_room()``
-is None while the node takes another run, else an awaitable that the
-next delivery resolves, and a stream backend awaits it before each
-read and before it hands a read over, so a flooding peer backs up into
-its own TCP window.  ``node.finish_runs()`` delivers every pending run,
-waiting for its verdicts.  The backend
-calls it before it hands a control-plane frame to its handler, before
-a traced frame (so that frame is delivered under its own context) and
-when it closes, so a handler sees exactly the frames before it
-delivered.
+is None while the node takes another run, else an awaitable resolved
+at that reader's turn (oldest waiter first), which a stream backend
+awaits before each read — never after it: a decoded read is handed
+over at once.  When the node takes a run in turns (a response longer
+than ``SHARD_CAP`` transactions), ``deliver_run`` returns an awaitable,
+resolved once all of it is taken, that the backend awaits before it
+reads that connection again.  ``node.finish_runs()`` delivers
+everything pending, waiting for its verdicts: the backend calls it
+before a control-plane frame's handler, after a traced frame (so that
+frame is delivered under its own context) and when it closes.
 
 Replies keep per-peer FIFO order.  The asyncio backend queues every
 frame in its peer's outbox and writes it out as one ``write()`` every

@@ -80,12 +80,12 @@ class NetworkNode:
         """Process a delivered message (subclasses override)."""
         raise NotImplementedError
 
-    def deliver_run(self, run: List[Message]) -> None:
+    def deliver_run(self, run: List[Message]):
         """Deliver a *run*: the messages one ``read()`` of a stream
         transport carried for this node, in arrival order (the contract
         is in :mod:`repro.network.base`).  The outcome must not depend
         on how the stream was cut into runs.  The default delivers them
-        one by one."""
+        one by one and returns None: the whole run is taken."""
         for message in run:
             self._deliver(message)
 
@@ -95,8 +95,8 @@ class NetworkNode:
 
     def run_room(self):
         """None while the node takes another run at once; else an
-        awaitable a stream transport's reader waits on before it reads
-        or hands over more.  The default never holds a reader back."""
+        awaitable a stream transport's reader waits on before it reads.
+        The default never holds a reader back."""
         return None
 
     def _deliver(self, message: Message) -> None:

@@ -138,9 +138,11 @@ class FullNode(NetworkNode):
             "sync_request": sync.handle_sync_request,
             "sync_response": sync.handle_sync_response,
             "parent_request": sync.handle_parent_request,
-            "parent_response": sync.handle_parent_response,
+            "parent_response": lane.handle_gossip,
         }
         self.deliver_run = lane.deliver_run
+        # The simulator delivers one message at a time, through the lane.
+        self._deliver = lambda message: lane.deliver_run([message])
         self.finish_runs = lane.finish_runs
         self.run_room = lane.run_room
         self.ingest_local = lane.ingest_local
@@ -241,8 +243,8 @@ class FullNode(NetworkNode):
     def handle_message(self, message: Message,
                        tx: Optional[Transaction] = None) -> None:
         """Hand *message* to its kind's handler; *tx* is the transaction
-        a submit or gossip frame carries, when the lane parsed it
-        already."""
+        a submit or gossip frame carries, or one a response lists, when
+        the lane parsed it already."""
         handler = self._handlers.get(message.kind)
         if handler is None:
             return  # unknown kinds are dropped silently (open network)

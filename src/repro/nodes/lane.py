@@ -5,10 +5,12 @@ An :class:`IngressLane` does what Section IV-A.2 asks of a gateway —
 from legal sensors" — for ``submit_transaction`` → ``submit_response``
 (admit, attach, answer, gossip: workflow step 5, Fig. 6),
 ``gossip_transaction`` (attached without admission: it was admitted
-where it entered), the sync service's response batches, local issues
-and journal replay.  All fold through :meth:`IngressLane.ingest`, the
-one caller of :meth:`Replica.apply <repro.nodes.replica.Replica.apply>`,
-after one batch signature check, :meth:`IngressLane._hand_off`.
+where it entered), each transaction a sync or parent response lists
+(all three enter through one pass, :meth:`IngressLane.deliver_run`),
+local issues and journal replay.  All fold through
+:meth:`IngressLane.ingest`, the one caller of :meth:`Replica.apply
+<repro.nodes.replica.Replica.apply>`, after one batch signature check,
+:meth:`IngressLane._hand_off`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from collections import deque
 from typing import Deque, List, Optional, Tuple
 
 from ..crypto import verify_workers
+from ..crypto.verify_workers import SHARD_CAP
 from ..network.gossip import SolidificationBuffer
 from ..network.transport import Message
 from ..tangle.errors import UnknownParentError
@@ -33,9 +36,9 @@ before its record is replayed."""
 
 RUNS_IN_FLIGHT = 2
 """Most runs a node holds undelivered while its verify workers check
-their batches: at this many, :meth:`IngressLane.run_room` holds the
-transport's readers back until the oldest is delivered.  Two keep both
-workers fed; more pending runs only split the workers' cores over more
+their batches: at this many, readers and the rest of a long response
+wait in line (:meth:`IngressLane.run_room`).  Two keep both workers
+fed; more pending runs only split the workers' cores over more
 batches, so the oldest's verdicts come later."""
 
 
@@ -55,10 +58,12 @@ class IngressLane:
         self.decode = node.decode_cache.decode \
             if node.decode_cache is not None else Transaction.from_bytes
         self.solidification: SolidificationBuffer = SolidificationBuffer()
-        # Runs deliver_run handed off and has not delivered, read order:
-        # ((message, carried transaction or None) pairs, hand-off).
+        # Runs handed off and not delivered, read order: ((message,
+        # carried transaction or None) pairs, hand-off).
         self._runs: Deque[tuple] = deque()
-        self._room: Optional[asyncio.Future] = None  # see run_room
+        # Who waits for room, oldest first: a reader's future, or (runs
+        # cut from a read and not taken yet, the future deliver_run gave).
+        self._line: Deque = deque()
         telemetry = node.telemetry
         self._m_gossip_duplicates = telemetry.counter(
             "repro_network_gossip_duplicates_total",
@@ -80,30 +85,32 @@ class IngressLane:
 
     # -- runs: what one read() of a stream transport carried ----------------
 
-    def deliver_run(self, run: List[Message]) -> None:
+    def deliver_run(self, run: List[Message]) -> Optional[asyncio.Future]:
         """Deliver what one read carried (contract in
-        :mod:`repro.network.base`): each transaction carrier is decoded
-        once, gossip the tangle already holds is dropped as the
-        duplicate its handler would find, the rest pass the cheap gates
-        (:meth:`_worth_batching`) into one batch signature check, and
-        every surviving message reaches its handler in order, with its
-        transaction, once the verdicts are in — at once without verify
-        workers, else from :meth:`_deliver_next` when they arrive,
-        while the workers check the next run.  Never waits for a
-        verdict: the reader stops taking runs while
-        :data:`RUNS_IN_FLIGHT` are pending (:meth:`run_room`).  What the
-        gates filter out or the batch fails is verified singly, as
-        ever."""
+        :mod:`repro.network.base`): decode each transaction once — a
+        submit's, a gossip's, each one a sync or parent response lists,
+        cut into runs of at most ``SHARD_CAP`` — drop a peer's
+        transaction the tangle already holds as the duplicate its
+        handler would find, pass the rest through the cheap gates
+        (:meth:`_worth_batching`) into one batch signature check per
+        run, and hand each message to its handler in order once the
+        verdicts are in, never waiting for one.  Runs the node has no
+        room for (:meth:`run_room`) wait in line, and the future
+        returned resolves once they are all taken; None when they
+        were."""
+        node = self.node
+        node.received_count += len(run)
         decode = self.decode
-        tangle = self.node.replica.tangle
-        survivors: List[Tuple[Message, Optional[Transaction]]] = []
-        carried = []  # (transaction, submitted) of the surviving carriers
+        tangle = node.replica.tangle
+        cuts: Deque[tuple] = deque()  # (items, carried) of each run
+        items: List[Tuple[Message, Optional[Transaction]]] = []
+        carried = []  # (transaction, submitted) of the items that carry one
+        listed = 0    # response transactions in the current cut
         duplicates = 0
         for message in run:
             kind = message.kind
-            tx = None
+            body = message.body
             if kind == "gossip_transaction" or kind == "submit_transaction":
-                body = message.body
                 encoded = body.get("transaction") \
                     if type(body) is dict else None
                 if type(encoded) is bytes:
@@ -116,13 +123,79 @@ class IngressLane:
                                 and tx.tx_hash in tangle:
                             duplicates += 1
                             continue
-                        carried.append(
-                            (tx, kind == "submit_transaction"))
-            survivors.append((message, tx))
+                        carried.append((tx, kind == "submit_transaction"))
+                        items.append((message, tx))
+                        continue
+            elif kind == "sync_response" or kind == "parent_response":
+                listing = body.get("transactions", ()) \
+                    if type(body) is dict else None
+                if type(listing) is list:
+                    for encoded in listing:
+                        if type(encoded) is not bytes:
+                            continue
+                        try:
+                            tx = decode(encoded)
+                        except ValueError:
+                            continue
+                        if tx.tx_hash in tangle:
+                            duplicates += 1
+                            continue
+                        if listed == SHARD_CAP:
+                            cuts.append((items, carried))
+                            items, carried, listed = [], [], 0
+                        listed += 1
+                        carried.append((tx, False))
+                        items.append((message, tx))
+                    continue
+            items.append((message, None))  # its handler reads it
         if duplicates:
-            self.node.received_count += duplicates
             self.stats.gossip_duplicates += duplicates
             self._m_gossip_duplicates.inc(duplicates, node=self.address)
+        cuts.append((items, carried))
+        self._start(*cuts.popleft())  # the read is taken
+        self._make_room()  # no cancelled waiter may hold the line
+        while cuts and len(self._runs) < RUNS_IN_FLIGHT and not self._line:
+            self._start(*cuts.popleft())
+        if not cuts:
+            return None
+        taken = asyncio.get_running_loop().create_future()
+        self._line.append((cuts, taken))
+        return taken
+
+    def run_room(self) -> Optional[asyncio.Future]:
+        """None while fewer than :data:`RUNS_IN_FLIGHT` runs are pending
+        and nobody waits in line; else a future that resolves at the
+        caller's turn (:meth:`_make_room`).  A stream transport awaits
+        it before it reads, so a flooding peer backs up into its own
+        TCP window and no call here ever waits."""
+        self._make_room()  # no cancelled waiter may hold the line
+        if len(self._runs) < RUNS_IN_FLIGHT and not self._line:
+            return None
+        turn = asyncio.get_running_loop().create_future()
+        self._line.append(turn)
+        return turn
+
+    def finish_runs(self) -> None:
+        """Deliver every pending run and every rest in line, waiting for
+        the verdicts: what a control-plane frame, a traced frame or
+        shutdown must see first."""
+        runs, line = self._runs, self._line
+        while runs:
+            self._deliver_pending(*runs.popleft())
+        for entry in [entry for entry in line if type(entry) is tuple]:
+            line.remove(entry)
+            cuts, taken = entry
+            for cut in cuts:
+                self._start(*cut)
+                while runs:
+                    self._deliver_pending(*runs.popleft())
+            if not taken.done():
+                taken.set_result(None)
+        self._make_room()
+
+    def _start(self, items, carried) -> None:
+        """Hand a run's batch off; deliver the run now if nothing is
+        pending and its verdicts are in, else queue it."""
         handed = None
         if len(carried) > 1:  # a lone signature has nothing to share
             handed = self._hand_off(
@@ -131,31 +204,9 @@ class IngressLane:
                 on_ready=self._deliver_next)
         runs = self._runs
         if not runs and (handed is None or handed[1].ready()):
-            self._deliver_pending(survivors, handed)
+            self._deliver_pending(items, handed)
         else:
-            runs.append((survivors, handed))
-
-    def run_room(self) -> Optional[asyncio.Future]:
-        """None while fewer than :data:`RUNS_IN_FLIGHT` runs are pending;
-        else a future the next delivery of a pending run resolves.  A
-        stream transport awaits it before it reads and before it hands
-        a read over, so a flooding peer backs up into its own TCP
-        window and no call here ever waits."""
-        if len(self._runs) < RUNS_IN_FLIGHT:
-            return None
-        room = self._room
-        if room is None or room.done():
-            room = self._room = asyncio.get_running_loop().create_future()
-        return room
-
-    def finish_runs(self) -> None:
-        """Deliver every pending run, waiting for its verdicts: what a
-        control-plane frame, a traced frame or shutdown must see
-        first."""
-        runs = self._runs
-        while runs:
-            self._deliver_pending(*runs.popleft())
-        self._make_room()
+            runs.append((items, handed))
 
     def _deliver_next(self) -> None:
         """A batch's verdicts are in (``on_ready``): deliver the oldest
@@ -175,19 +226,28 @@ class IngressLane:
         return handed is None or handed[1].ready()
 
     def _make_room(self) -> None:
-        room = self._room
-        if room is not None and len(self._runs) < RUNS_IN_FLIGHT:
-            self._room = None
-            if not room.done():
-                room.set_result(None)
+        """Give free room to the line, oldest first: a rest takes one
+        run and queues again; a reader is woken, and the room passes on
+        in the next callback if its read found nothing to hand over."""
+        runs, line = self._runs, self._line
+        while line and len(runs) < RUNS_IN_FLIGHT:
+            entry = line.popleft()
+            if type(entry) is tuple:
+                cuts, taken = entry
+                self._start(*cuts.popleft())
+                if cuts:
+                    line.append(entry)
+                elif not taken.done():
+                    taken.set_result(None)
+            elif not entry.done():
+                entry.set_result(None)
+                asyncio.get_running_loop().call_soon(self._make_room)
+                return
 
-    def _deliver_pending(self, survivors, handed) -> None:
-        if handed is not None:
-            self._settle(handed)
-        node = self.node
-        handle = node.handle_message
-        for message, tx in survivors:
-            node.received_count += 1
+    def _deliver_pending(self, items, handed) -> None:
+        self._settle(handed)
+        handle = self.node.handle_message
+        for message, tx in items:
             handle(message, tx)
 
     def _worth_batching(self, tx: Transaction, *, submitted: bool) -> bool:
@@ -267,36 +327,16 @@ class IngressLane:
             "error": error, "tx_hash": tx.tx_hash})
 
     def handle_gossip(self, message: Message,
-                      tx: Optional[Transaction] = None) -> None:
+                      tx: Optional[Transaction] = None) -> bool:
+        """A peer's transaction — gossip, or one a response lists."""
         if tx is None:
             tx = self.decode(message.body["transaction"])
-        self.ingest(tx, source=message.sender, admit=False)
+        return self.ingest(tx, source=message.sender, admit=False)[0]
 
     def ingest_local(self, tx: Transaction) -> bool:
         """Attach a locally created transaction (manager/gateway own
         traffic) and gossip it."""
         return self.ingest(tx, source=None, admit=True)[0]
-
-    def ingest_batch(self, encoded_transactions, *,
-                     source: Optional[str]) -> int:
-        """Shared path for multi-transaction messages (sync and parent
-        responses): decode everything, batch-verify the signatures the
-        per-item path would reach, then attach in order.  Returns how
-        many attached; corrupt or non-bytes entries are skipped without
-        poisoning the rest."""
-        transactions: List[Transaction] = []
-        for encoded in encoded_transactions:
-            if not isinstance(encoded, bytes):
-                continue
-            try:
-                transactions.append(self.decode(encoded))
-            except ValueError:
-                continue
-        self._settle(self._hand_off(
-            [tx for tx in transactions
-             if self._worth_batching(tx, submitted=False)]))
-        return sum(1 for tx in transactions
-                   if self.ingest(tx, source=source, admit=False)[0])
 
     def replay(self, records) -> int:
         """Fold a journal tail of ``(transaction, arrival time)``

@@ -2,7 +2,7 @@
 
 Gossip is fire-and-forget, so a gateway asks its peers for what it
 missed, and answers their asks; its
-:class:`~repro.nodes.lane.IngressLane` folds what comes back:
+:class:`~repro.nodes.lane.IngressLane` unpacks what comes back:
 
 * ``sync_request`` → ``sync_response`` — anti-entropy: a (re)joining
   full node announces the transactions it knows; the peer returns what
@@ -19,6 +19,7 @@ from typing import List, Optional
 
 from ..faults.backoff import RetryLoop
 from ..network.transport import Message
+from ..tangle.transaction import Transaction
 
 __all__ = ["PARENT_RESPONSE_BUDGET", "SyncService"]
 
@@ -62,10 +63,12 @@ class SyncService:
                        {"transactions": missing},
                        size_bytes=sum(len(m) for m in missing))
 
-    def handle_sync_response(self, message: Message) -> None:
-        accepted = self.lane.ingest_batch(
-            message.body.get("transactions", ()), source=message.sender)
-        self.stats.sync_transactions_received += accepted
+    def handle_sync_response(self, message: Message,
+                             tx: Optional[Transaction] = None) -> None:
+        """One transaction a ``sync_response`` listed, counted if it
+        attaches; a ``parent_response``'s go to ``handle_gossip``."""
+        if self.lane.handle_gossip(message, tx):
+            self.stats.sync_transactions_received += 1
 
     def resync_with_peers(self) -> int:
         """Anti-entropy sweep against every gossip peer (post-heal or
@@ -151,7 +154,3 @@ class SyncService:
             level = found
         chain = sorted(nearest, key=tangle.arrival_time) + [tx_hash]
         return [tangle.get(h).to_bytes() for h in chain]
-
-    def handle_parent_response(self, message: Message) -> None:
-        self.lane.ingest_batch(message.body.get("transactions", ()),
-                               source=message.sender)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from ..crypto.hashing import DIGEST_SIZE, hash_concat
@@ -79,23 +80,16 @@ class Transaction:
     # -- digests ---------------------------------------------------------
     #
     # The instance is immutable, so every derived value is computed at
-    # most once and memoized into the instance dict (``object.__setattr__``
-    # sidesteps the frozen-dataclass guard).  tx_hash/to_bytes sit on the
-    # per-hop gossip path: without the memo every relay re-hashes and
-    # re-encodes the same transaction at every node it crosses.
+    # most once (``cached_property`` writes the instance dict, past the
+    # frozen-dataclass guard).  tx_hash/to_bytes sit on the per-hop
+    # gossip path, and the batch gate and the validator both check the
+    # nonce of every network transaction.
 
-    def _memo(self, slot: str, value):
-        object.__setattr__(self, slot, value)
-        return value
-
-    @property
+    @cached_property
     def body_digest(self) -> bytes:
         """Digest of everything the PoW and signature must commit to,
         except the nonce itself."""
-        cached = self.__dict__.get("_body_digest")
-        if cached is not None:
-            return cached
-        return self._memo("_body_digest", hash_concat(
+        return hash_concat(
             self.kind.encode(),
             self.issuer.to_bytes(),
             self.payload,
@@ -103,27 +97,20 @@ class Transaction:
             self.branch,
             self.trunk,
             struct.pack(">H", self.difficulty),
-        ))
+        )
 
-    @property
+    @cached_property
     def pow_challenge(self) -> bytes:
         """The Eqn. 6 challenge: both parents plus the body digest."""
-        cached = self.__dict__.get("_pow_challenge")
-        if cached is not None:
-            return cached
-        return self._memo("_pow_challenge", hashcash.pow_challenge(
-            self.branch, self.trunk, self.body_digest))
+        return hashcash.pow_challenge(self.branch, self.trunk,
+                                      self.body_digest)
 
-    @property
+    @cached_property
     def tx_hash(self) -> bytes:
         """The DAG vertex identifier: body digest bound to the nonce."""
-        cached = self.__dict__.get("_tx_hash")
-        if cached is not None:
-            return cached
-        return self._memo("_tx_hash", hash_concat(
-            self.body_digest, self.nonce.to_bytes(8, "big")))
+        return hash_concat(self.body_digest, self.nonce.to_bytes(8, "big"))
 
-    @property
+    @cached_property
     def full_digest(self) -> bytes:
         """Digest committing to the *entire* instance, signature included.
 
@@ -135,11 +122,7 @@ class Transaction:
         relayed copy with a forged signature must not inherit the
         original's verification — keys on this digest instead.
         """
-        cached = self.__dict__.get("_full_digest")
-        if cached is not None:
-            return cached
-        return self._memo("_full_digest", hash_concat(
-            self.tx_hash, self.signature))
+        return hash_concat(self.tx_hash, self.signature)
 
     @property
     def short_hash(self) -> str:
@@ -153,7 +136,12 @@ class Transaction:
 
     def verify_pow(self) -> bool:
         """Check the nonce satisfies the declared difficulty."""
-        return hashcash.verify(self.pow_challenge, self.nonce, self.difficulty)
+        return self._pow_verified
+
+    @cached_property
+    def _pow_verified(self) -> bool:
+        return hashcash.verify(self.pow_challenge, self.nonce,
+                               self.difficulty)
 
     def verify_signature(self) -> bool:
         """Check the issuer's signature over the transaction hash."""
@@ -237,9 +225,10 @@ class Transaction:
         Memoized: gossip re-encodes the identical immutable transaction
         on every relay hop, so the bytes are built once and shared.
         """
-        cached = self.__dict__.get("_encoded")
-        if cached is not None:
-            return cached
+        return self._encoded
+
+    @cached_property
+    def _encoded(self) -> bytes:
         kind_bytes = self.kind.encode()
         parts = [
             struct.pack(">H", len(kind_bytes)), kind_bytes,
@@ -252,7 +241,7 @@ class Transaction:
             struct.pack(">Q", self.nonce),
             struct.pack(">H", len(self.signature)), self.signature,
         ]
-        return self._memo("_encoded", b"".join(parts))
+        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Transaction":
@@ -301,7 +290,7 @@ class Transaction:
         )
         # The exact encoding is in hand: seed the to_bytes() memo so a
         # decoded transaction never pays to re-encode for the next hop.
-        tx._memo("_encoded", bytes(data))
+        tx.__dict__["_encoded"] = bytes(data)
         return tx
 
     def __repr__(self) -> str:

@@ -26,8 +26,8 @@ drive all five instrumented subsystems:
   loaded back, driving every ``repro_storage_*`` write/flush/replay
   counter.
 * **crypto** — a batch-verification probe: a burst of fresh
-  transactions (one with a corrupted signature) is fed through a
-  gateway's batch-ingest path, driving the ``repro_crypto_batch_*``
+  transactions (one with a corrupted signature) reaches a gateway as
+  one ``sync_response``, driving the ``repro_crypto_batch_*``
   round/size/verified/fallback instruments.
 * **trace/lifecycle** — every submission round is sampled by the
   :class:`~repro.telemetry.lifecycle.LifecycleTracker`, and a final
@@ -194,13 +194,14 @@ def _run_crypto_probe(system) -> None:
     The smoke deployment's transactions arrive one at a time, so the
     batch verifier would otherwise stay silent.  The probe
     issues a small burst of fresh, correctly signed transactions plus
-    one with a corrupted signature and pushes them through a gateway's
-    batch-ingest path: the round/size/verified counters fire for the
-    good ones, and the corrupted one exercises the fallback counter
+    one with a corrupted signature and delivers them to a gateway as
+    one ``sync_response``: the round/size/verified counters fire for
+    the good ones, and the corrupted one exercises the fallback counter
     (batch rejection settled by individual verification).
     """
     from dataclasses import replace
 
+    from ..network.transport import Message
     from ..tangle.transaction import Transaction, TransactionKind
 
     gateway = system.gateways[0]
@@ -221,8 +222,10 @@ def _run_crypto_probe(system) -> None:
         ))
     bad_signature = bytes(64)
     corrupted = replace(burst[-1], signature=bad_signature)
-    gateway.lane.ingest_batch(
-        [tx.to_bytes() for tx in burst[:-1] + [corrupted]], source=None)
+    encoded = [tx.to_bytes() for tx in burst[:-1] + [corrupted]]
+    gateway.deliver_run([Message("crypto-probe", gateway.address,
+                                 "sync_response", {"transactions": encoded},
+                                 now)])
 
 
 def _run_storage_probe(system) -> None:

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.crypto import ed25519, verify_workers
+from repro.faults.report import node_state_hashes
 from repro.faults.backoff import BackoffPolicy
 from repro.harness.workload import build_workload
 from repro.network import aio
@@ -30,6 +31,7 @@ from repro.network.proc import build_node
 from repro.network.simulator import EventScheduler
 from repro.network.transport import Message
 from repro.nodes.lane import RUNS_IN_FLIGHT
+from repro.tangle.transaction import Transaction
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracer import TraceContext, Tracer
 
@@ -703,6 +705,167 @@ class TestRuns:
                 for index in range(len(workload.transactions))]
         assert max(pending_at_read) < RUNS_IN_FLIGHT
         assert max(pending_after_run) == RUNS_IN_FLIGHT
+
+
+class TestTurns:
+    """Who the node serves next while its verify workers are busy: a
+    long response is taken in runs between other connections' reads,
+    and a freed slot goes to the reader that has waited longest."""
+
+    @needs_fork
+    def test_a_long_sync_response_lets_another_connection_through(
+            self, fleet_sandbox, one_worker):
+        """A peer's 1 000-transaction ``sync_response``: a client's
+        ``get_tips_request``, written on another connection once the
+        node has the response, is answered before the response's last
+        transaction attaches — the response waits its turn in runs of
+        ``SHARD_CAP`` instead of holding the loop until it is all
+        verified — and all of it attaches in the end."""
+        workload = build_workload(43, transactions=1001)
+        acl, *synced = [Transaction.from_bytes(encoded)
+                        for encoded in workload.transactions]
+        box = {}
+
+        async def scenario():
+            scheduler = AsyncioScheduler(time_scale=20.0)
+            node = box["node"] = build_node(NODE, workload.genesis,
+                                            rng_seed=0)
+            runner = NodeRunner(node, _transport(scheduler, {}),
+                                listen=("127.0.0.1", 0))
+            try:
+                await runner.start()
+                client_reader, client = await asyncio.open_connection(
+                    *runner.bound_address)
+                _, peer = await asyncio.open_connection(
+                    *runner.bound_address)
+                client.write(submit_frame(0, acl.to_bytes()))
+                await client.drain()
+                await _wait_for(lambda: acl.tx_hash in node.tangle)
+                peer.write(encode_frame(Message(
+                    sender="peer", recipient=NODE, kind="sync_response",
+                    sent_at=0.0,
+                    body={"transactions": [tx.to_bytes()
+                                           for tx in synced]})))
+                await peer.drain()
+                await _wait_for(lambda: node.received_count == 2,
+                                interval=0.001)
+                client.write(encode_frame(Message(
+                    sender="client", recipient=NODE,
+                    kind="get_tips_request", sent_at=0.0,
+                    body={"request_id": 1,
+                          "node_id": synced[0].issuer.node_id})))
+                await client.drain()
+                decoder, replies = FrameDecoder(), []
+                while not any(reply.kind == "get_tips_response"
+                              for reply in replies):
+                    data = await asyncio.wait_for(
+                        client_reader.read(65536), 60.0)
+                    assert data, "the node closed the connection"
+                    replies.extend(decoder.feed(data))
+                box["last_attached"] = synced[-1].tx_hash in node.tangle
+                box["tips_ok"] = replies[-1].body["ok"]
+                await _wait_for(lambda: synced[-1].tx_hash in node.tangle,
+                                timeout=60.0)
+                client.close()
+                peer.close()
+            finally:
+                await runner.stop()
+
+        fleet_sandbox.run(scenario())
+        node = box["node"]
+        assert box["last_attached"] is False
+        assert box["tips_ok"] is True
+        assert node.stats.sync_transactions_received == len(synced)
+        assert node_state_hashes(node, credit_now=workload.credit_now) \
+            == workload.reference_hashes
+
+    @needs_fork
+    def test_a_decoded_read_is_never_held_behind_an_older_waiter(
+            self, fleet_sandbox, one_worker, monkeypatch):
+        """Two clients each write three reads' worth of submits in one
+        ``write()``.  The first client's first two reads fill the node
+        (the node files no verdict meanwhile) and its reader waits for
+        room; the second client's first read, decoded after that, is
+        handed over at once instead of waiting behind it, so it is
+        delivered before the first client's third read."""
+        workload = build_workload(44, transactions=700, shards=2)
+        streams = [[Transaction.from_bytes(encoded) for encoded in shard]
+                   for shard in workload.shards]
+        held, pull = [True], verify_workers._pull
+        monkeypatch.setattr(
+            verify_workers, "_pull",
+            lambda worker: None if held[0] else pull(worker))
+        fed = {}
+
+        class Counted(FrameDecoder):
+            def feed(self, data):
+                fed[self] = fed.get(self, 0) + 1
+                return super().feed(data)
+
+        monkeypatch.setattr(aio, "FrameDecoder", Counted)
+        runs, delivered = [], []
+
+        def frames(sender, transactions, first):
+            return b"".join(
+                encode_frame(Message(
+                    sender=sender, recipient=NODE,
+                    kind="submit_transaction", sent_at=0.0,
+                    body={"request_id": first + index,
+                          "transaction": tx.to_bytes()}))
+                for index, tx in enumerate(transactions))
+
+        async def scenario():
+            scheduler = AsyncioScheduler(time_scale=20.0)
+            node = build_node(NODE, workload.genesis, rng_seed=0)
+            deliver_run, handle = node.deliver_run, node.handle_message
+
+            def run_recorder(run):
+                runs.append((run[0].sender, run[0].body["request_id"]))
+                return deliver_run(run)
+
+            def delivery_recorder(message, tx=None):
+                delivered.append((message.sender,
+                                  message.body["request_id"]))
+                handle(message, tx)
+
+            node.deliver_run = run_recorder
+            node.handle_message = delivery_recorder
+            transport = _transport(scheduler, {})
+            runner = NodeRunner(node, transport, listen=("127.0.0.1", 0))
+            try:
+                await runner.start()
+                first_reader, first = await asyncio.open_connection(
+                    *runner.bound_address)
+                second_reader, second = await asyncio.open_connection(
+                    *runner.bound_address)
+                first.write(frames("c1", streams[0][:1], 0))
+                await first.drain()
+                await _wait_for(
+                    lambda: streams[0][0].tx_hash in node.tangle)
+                first.write(frames("c1", streams[0][1:], 1))
+                await first.drain()
+                await _wait_for(
+                    lambda: len(node.lane._runs) == RUNS_IN_FLIGHT)
+                reads = sum(fed.values())
+                second.write(frames("c2", streams[1][1:], 1))
+                await second.drain()
+                await _wait_for(lambda: sum(fed.values()) > reads)
+                await asyncio.sleep(0.05)
+                held[0] = False
+                total = sum(len(stream) - 1 for stream in streams)
+                await _wait_for(lambda: len(delivered) >= total + 1,
+                                timeout=60.0)
+                first.close()
+                second.close()
+            finally:
+                await runner.stop()
+
+        fleet_sandbox.run(scenario())
+        first_runs = [start for sender, start in runs
+                      if sender == "c1" and start > 0]
+        second_first = delivered.index(("c2", 1))
+        assert len(first_runs) >= 3
+        assert second_first < delivered.index(("c1", first_runs[2]))
 
 
 class TestDeliveryLatency:

@@ -20,6 +20,7 @@ import tracemalloc
 
 import pytest
 
+import repro.crypto.keys as keys_module
 import repro.network.frame as frame_module
 import repro.tangle.transaction as transaction_module
 from repro.harness.supervisor import write_genesis
@@ -27,6 +28,7 @@ from repro.network import proc
 from repro.network.frame import FrameDecoder, encode_frame
 from repro.network.proc import NODE_DECODE_CACHE_SIZE, NodeProcessSpec
 from repro.network.transport import Message
+from repro.pow import hashcash
 from repro.tangle.transaction import (
     MAX_CACHED_ENCODING,
     Transaction,
@@ -58,6 +60,40 @@ def attached_rig(telemetry=None):
     assert len(rig.node.tangle) == len(good) + 2
     rig.peer.messages.clear()  # the floods of those submits
     return rig, good
+
+
+class TestSubmitHashes:
+    """What the submit path asks of a transaction twice is computed
+    once per object: its issuer's ``node_id`` (the ACL check at the
+    batch gate, admission, credit) and its PoW check (the batch gate
+    and the validator)."""
+
+    def test_one_node_id_hash_and_one_pow_check_per_object(
+            self, monkeypatch):
+        genesis, acl, good = material()[:3]
+        rig = Rig(genesis, BACKENDS["product"])
+        rig.deliver([submit_frame(0, acl.to_bytes())])
+        identities, checks = [], []
+        hash_concat, verify = keys_module.hash_concat, hashcash.verify
+
+        def counting_hash_concat(*parts):
+            identities.append(parts)
+            return hash_concat(*parts)
+
+        def counting_verify(*args):
+            checks.append(args)
+            return verify(*args)
+
+        monkeypatch.setattr(keys_module, "hash_concat", counting_hash_concat)
+        monkeypatch.setattr(hashcash, "verify", counting_verify)
+        rig.deliver([b"".join(submit_frame(1 + index, tx.to_bytes())
+                              for index, tx in enumerate(good))])
+        responses = rig.responses()
+        assert [responses[1 + index][1]["ok"]
+                for index in range(len(good))] == [True] * len(good)
+        # Each decoded transaction carries its own issuer object.
+        assert len(identities) == len(good)
+        assert len(checks) == len(good)
 
 
 class TestDuplicateFrame:

@@ -108,12 +108,17 @@ class Rig:
         holding each read back while the node has no room for another
         run: with verify workers live, the node hands each run's batch
         off and the loop delivers the run when its verdicts arrive, as
-        in a ``repro node``.  Returns once no run is pending."""
+        in a ``repro node``; a read the node takes in turns (a long
+        response) is awaited before the next.  Returns once no run is
+        pending."""
         async def feed():
             decoder = FrameDecoder()
             for piece in pieces:
                 await self.transport.room_for_run()
-                self.transport._receive(decoder.feed(piece), writer=None)
+                rest = self.transport._receive(decoder.feed(piece),
+                                               writer=None)
+                if rest is not None:
+                    await rest
                 await asyncio.sleep(0)
             decoder.close()
             while self.node.lane._runs:

@@ -2,9 +2,10 @@
 batch preverify, journal replay) and the PreverifiedSet.
 
 The batch lane must be *behaviourally invisible*: a burst ingested via
-one ``sync_response`` attaches exactly the transactions that
-one-at-a-time gossip would, rejects exactly the same corrupt items, and
-floods each attach as its own ``gossip_transaction``.
+one ``sync_response`` — which enters the same per-read pass as any
+frame — attaches exactly the transactions that one-at-a-time gossip
+would, rejects exactly the same corrupt items, and floods each attach
+as its own ``gossip_transaction``.
 """
 
 import random
@@ -15,6 +16,7 @@ from repro.crypto import ed25519
 from repro.crypto.keys import KeyPair
 from repro.network.network import Network, NetworkNode
 from repro.network.simulator import EventScheduler
+from repro.network.transport import Message
 from repro.nodes import lane
 from repro.nodes.full_node import FullNode
 from repro.nodes.manager import ManagerNode
@@ -62,6 +64,14 @@ def make_mesh(count=2, **node_kwargs):
             if a is not b:
                 a.add_peer(b.address)
     return scheduler, network, nodes
+
+
+def deliver_sync_response(node, encoded):
+    """Hand *node* one ``sync_response`` listing *encoded*, from a peer
+    it does not gossip with, as a transport delivers a read of it."""
+    node.deliver_run([Message(sender="sync-peer", recipient=node.address,
+                              kind="sync_response", sent_at=0.0,
+                              body={"transactions": encoded})])
 
 
 class WireTap(NetworkNode):
@@ -216,7 +226,7 @@ class TestBatchTelemetry:
             nonce=bad.nonce, issuer=bad.issuer, signature=bytes(64),
         )
         encoded = [txs[0].to_bytes(), txs[1].to_bytes(), forged.to_bytes()]
-        node.lane.ingest_batch(encoded, source=None)
+        deliver_sync_response(node, encoded)
         snapshot = telemetry.snapshot()
         assert snapshot["repro_crypto_batch_rounds_total"]["series"]["_"] == 1
         assert snapshot["repro_crypto_batch_verified_total"]["series"]["_"] == 2
@@ -228,7 +238,7 @@ class TestBatchTelemetry:
         telemetry = MetricsRegistry()
         scheduler, network, (node,) = make_mesh(1, telemetry=telemetry)
         (tx,) = chained_txs(1)
-        node.lane.ingest_batch([tx.to_bytes()], source=None)
+        deliver_sync_response(node, [tx.to_bytes()])
         assert tx.tx_hash in node.tangle
         snapshot = telemetry.snapshot()
         assert not snapshot["repro_crypto_batch_rounds_total"]["series"]
@@ -249,7 +259,7 @@ class TestFloodBatching:
     def test_default_size_sends_individual_gossip(self):
         scheduler, network, node, tap = self._tap_node()
         txs = chained_txs(4)
-        node.lane.ingest_batch([tx.to_bytes() for tx in txs], source=None)
+        deliver_sync_response(node, [tx.to_bytes() for tx in txs])
         scheduler.run()
         kinds = [m.kind for m in tap.messages]
         assert kinds == ["gossip_transaction"] * len(txs)

@@ -11,9 +11,11 @@ one frame per read produces: the same responses, floods, ``stats``,
 ``received_count``, state hashes and per-read counters — and again with
 one and with two verify workers forked under a running loop, where the
 node hands each run's batch off and delivers the run when its verdicts
-arrive.
+arrive.  A second stream carries a ``sync_response`` too long for
+``RUNS_IN_FLIGHT`` runs, which the node takes in turns.
 """
 
+import asyncio
 from functools import lru_cache
 from itertools import accumulate
 from types import SimpleNamespace
@@ -24,6 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.crypto import ed25519, verify_workers
 from repro.faults.report import node_state_hashes
 from repro.harness.workload import WorkloadBuilder, build_workload
+from repro.network.frame import FrameDecoder
 from repro.nodes.lane import RUNS_IN_FLIGHT
 from repro.tangle.transaction import Transaction, TransactionKind
 from repro.telemetry.registry import MetricsRegistry
@@ -222,15 +225,17 @@ class TestChunkingInvariance:
         telemetry = MetricsRegistry()
         rig = run(backend, cut(frames, [(1, 0)]), telemetry=telemetry)
         # In the batch: the nine distinct valid transactions eligible
-        # when the run began, the two gossiped ones (g2 ahead of g1)
-        # and the forged signature (the fallback).  Not in it: the
-        # stranger, the unsealed nonce, the byte-equal repeats, the
-        # gossip of acl0 (dropped as a duplicate before the batch), and
-        # the newcomer — authorised only by an earlier frame of the
-        # same run, so verified singly.  The sync_response batches its
-        # own two new transactions however the stream is cut; the
-        # parent_response brings one, so nothing to batch.
-        assert batch_counters(telemetry) == (2, 13, 1)
+        # when the run began, the two gossiped ones (g2 ahead of g1),
+        # the forged signature (the fallback), and what the responses
+        # bring that the node lacks — s1 and s2 from the sync_response,
+        # p1 from the parent_response: a response's transactions are
+        # the run's like any frame's.  Not in it: the stranger, the
+        # unsealed nonce, the byte-equal repeats, the transactions the
+        # tangle already holds (acl0's gossip, b1 and parent in the
+        # responses: dropped as duplicates before the batch), and the
+        # newcomer — authorised only by an earlier frame of the same
+        # run, so verified singly.
+        assert batch_counters(telemetry) == (1, 14, 1)
         assert rig.outcome(credit_now=CREDIT_NOW) == frame_per_read(backend)
 
     @settings(max_examples=40, deadline=None)
@@ -273,8 +278,9 @@ def pending_peak(node):
     peaks, deliver_run = [], node.deliver_run
 
     def recording(run):
-        deliver_run(run)
+        rest = deliver_run(run)
         peaks.append(len(node.lane._runs))
+        return rest
 
     node.deliver_run = recording
     return peaks
@@ -302,10 +308,10 @@ class TestChunkingInvarianceWithLiveWorkers:
         rig = Rig(genesis, backend, telemetry=telemetry)
         peaks = pending_peak(rig.node)
         rig.deliver_live(cut(frames, [(1, 0)]))
-        assert batch_counters(telemetry) == (2, 13, 1)
-        # The run's twelve signatures are all the workers'; the node
-        # checks none.  The sync_response's two are under the floor.
-        assert sizes == [2]
+        assert batch_counters(telemetry) == (1, 14, 1)
+        # The run's fifteen signatures are all the workers'; the node
+        # checks none.
+        assert sizes == []
         # The first read (the ACL grant alone) was delivered at once;
         # the second waited for its verdicts.
         assert peaks == [0, 1]
@@ -343,3 +349,137 @@ class TestChunkingInvarianceWithLiveWorkers:
         assert node_state_hashes(rig.node,
                                  credit_now=workload.credit_now) \
             == workload.reference_hashes
+
+
+@lru_cache(maxsize=None)
+def long_response():
+    """``(genesis, frames, credit_now, reference hashes)``: a stream
+    whose ``sync_response`` lists more than two runs' worth of
+    transactions — more than ``RUNS_IN_FLIGHT`` times ``SHARD_CAP`` —
+    among them five the node already holds, a junk entry and a forged
+    copy ahead of the transaction it copies, followed by gossip that
+    approves the response's last transactions, a ``parent_response``
+    and more client traffic."""
+    workload = build_workload(47, transactions=320)
+    txs = [Transaction.from_bytes(encoded)
+           for encoded in workload.transactions]
+    assert len(txs) - 30 > RUNS_IN_FLIGHT * verify_workers.SHARD_CAP
+    listed = [tx.to_bytes() for tx in txs[5:300]]
+    at = listed.index(txs[150].to_bytes())
+    listed[at:at] = [forge_signature(txs[150], txs[149]).to_bytes(),
+                     b"\x00junk"]
+    frames = [submit_frame(index, txs[index].to_bytes())
+              for index in range(10)]
+    frames.append(frame(PEER, "sync_response", {"transactions": listed}))
+    frames += [gossip_frame(tx.to_bytes()) for tx in txs[300:310]]
+    frames.append(frame(PEER, "parent_response", {"transactions": [
+        tx.to_bytes() for tx in txs[310:313] + [txs[0]]]}))
+    frames.append(frame(CLIENT, "get_tips_request",
+                        {"request_id": 1000,
+                         "node_id": txs[1].issuer.node_id}))
+    frames += [submit_frame(index, txs[index].to_bytes())
+               for index in range(313, 320)]
+    return (workload.genesis, tuple(frames), workload.credit_now,
+            workload.reference_hashes)
+
+
+def long_run(pieces, *, live_loop):
+    genesis, _, _, _ = long_response()
+    rig = Rig(genesis, BACKENDS["product"])
+    results = []
+    deliver_run = rig.node.deliver_run
+
+    def recording(run):
+        results.append(deliver_run(run))
+        return results[-1]
+
+    rig.node.deliver_run = recording
+    rig.deliver_live(pieces) if live_loop else rig.deliver(pieces)
+    rig.cut_later = any(result is not None for result in results)
+    return rig
+
+
+@lru_cache(maxsize=None)
+def long_frame_per_read():
+    _, frames, credit_now, _ = long_response()
+    return long_run(frames, live_loop=False).outcome(credit_now=credit_now)
+
+
+LONG_MARKS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=63),
+              st.one_of(st.just(0),
+                        st.integers(min_value=0, max_value=4095))),
+    max_size=6)
+
+
+class TestLongResponseChunkingInvariance:
+    """A response too long for one run is cut into runs of at most
+    ``SHARD_CAP`` transactions, taken in turns; wherever the reads fall
+    the outcome is one frame per read's, without workers here."""
+
+    def test_the_stream_attaches_everything_in_order(self):
+        _, _, _, reference_hashes = long_response()
+        outcome = long_frame_per_read()
+        stats = outcome["stats"]
+        assert stats.sync_transactions_received == 290
+        assert stats.gossip_parked == 0
+        assert stats.gossip_duplicates == 6
+        assert stats.rejection_reasons == {"InvalidSignatureError": 1}
+        assert outcome["responses"][1000][1]["ok"]
+        assert outcome["hashes"] == reference_hashes
+
+    @settings(max_examples=8, deadline=None)
+    @given(marks=LONG_MARKS)
+    @example(marks=[])
+    def test_any_cut_equals_one_frame_per_read(self, marks):
+        _, frames, credit_now, _ = long_response()
+        for live_loop in (False, True):
+            assert long_run(cut(frames, marks), live_loop=live_loop) \
+                .outcome(credit_now=credit_now) == long_frame_per_read()
+
+    def test_a_reader_that_stopped_waiting_holds_up_nobody(self):
+        """A reader whose connection closed while it waited for room
+        leaves its cancelled turn in the line; a long response read
+        next is still taken whole, not queued behind it for good."""
+        genesis, frames, _, _ = long_response()
+        rig = Rig(genesis, BACKENDS["product"])
+        rig.deliver(frames[:10])
+
+        async def read_the_response():
+            turn = asyncio.get_running_loop().create_future()
+            turn.cancel()
+            rig.node.lane._line.append(turn)
+            (response,) = FrameDecoder().feed(frames[10])
+            rest = rig.node.deliver_run([response])
+            if rest is not None:
+                await asyncio.wait_for(rest, 10.0)
+            while rig.node.lane._runs:
+                await asyncio.sleep(0.001)
+
+        asyncio.run(read_the_response())
+        assert rig.node.stats.sync_transactions_received == 290
+
+
+@needs_fork
+@pytest.mark.usefixtures("live_workers")
+class TestLongResponseWithLiveWorkers:
+    """The same with verify workers: the response's runs beyond
+    ``RUNS_IN_FLIGHT`` wait their turn, and the reader reads on only
+    once the node took them all, so nothing after the response — the
+    gossip approving its last transactions — overtakes it."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(marks=LONG_MARKS)
+    @example(marks=[])
+    @example(marks=[(10, 0), (10, 2000), (11, 0)])
+    def test_any_cut_equals_one_frame_per_read(self, marks):
+        _, frames, credit_now, _ = long_response()
+        rig = long_run(cut(frames, marks), live_loop=True)
+        assert rig.outcome(credit_now=credit_now) == long_frame_per_read()
+
+    def test_the_response_is_taken_in_turns(self):
+        _, frames, credit_now, _ = long_response()
+        rig = long_run(frames, live_loop=True)
+        assert rig.cut_later
+        assert rig.outcome(credit_now=credit_now) == long_frame_per_read()
+

@@ -32,7 +32,10 @@ full node's retry instruments and the distributor's completed-session
 read-out, and the lane's blocking ``_drain``, the decoder's
 ``_Y_MASK`` and the transport's ever-running writer tasks that the
 non-blocking delivery, the folded field kernel and the one-queue
-coalesced writes replaced.  A name that live code shares as a substring (``broadcast``,
+coalesced writes replaced, and the lane's second, loop-blocking entry
+for sync and parent responses (``ingest_batch``, with the sync
+service's parent-response handler) that the one per-read pass
+replaced.  A name that live code shares as a substring (``broadcast``,
 ``cancel``, ``_keydist_m3``, ``parent_requests``) is retired as a
 qualified function name or with its receiver instead: no ``def`` may
 define it again, and no ``self.`` or ``sync.`` may read it."""
@@ -90,7 +93,7 @@ RETIRED = ["sqlite3", "SQLiteStore", "record_events", "MetricEvent",
            "_keydist_active", "self._keydist_m3", "_start_keydist_attempt",
            "_keydist_m1_expired", "_arm_keydist_m3", "sync.parent_requests",
            "self.parent_requests", "is_completed", "session.completed",
-           "_m_retry_", "_Y_MASK"]
+           "_m_retry_", "_Y_MASK", "ingest_batch"]
 
 RETIRED_FUNCTIONS = [
     "Transport.broadcast", "Transport.addresses", "Network.broadcast",
@@ -108,6 +111,7 @@ RETIRED_FUNCTIONS = [
     "NullLifecycle.timeline_for", "Tracer.children",
     "Tangle.depth_from_tips", "Tangle.retired_tips",
     "Tangle._rebuild_depth_map", "SyncService._arm", "IngressLane._drain",
+    "SyncService.handle_parent_response",
     "AsyncioTransport._outbox", "AsyncioTransport._ensure_writer",
     *[f"FullNode.{name}" for name in (
         "_ingest", "_decode", "_count", "_flood", "_signed", "_settle",
